@@ -11,6 +11,7 @@ from .bernoulli import (
     TableInvariantError,
     bernoulli_table,
     load_table,
+    obtain_table,
     persist_table,
     tangent_numbers,
     von_staudt_clausen_denominator,
@@ -52,6 +53,8 @@ from .euler_char import (
 from .exact_core import (
     Rational,
     RationalInterval,
+    decimal_to_int,
+    int_to_decimal,
     is_probable_prime,
     p_adic_valuation,
     pi_interval,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .exact_core import _allow_big_decimal_io, is_probable_prime
+from .exact_core import decimal_to_int, int_to_decimal, is_probable_prime
 
 __all__ = [
     "ALGORITHMS",
@@ -33,6 +33,7 @@ __all__ = [
     "TableInvariantError",
     "bernoulli_table",
     "load_table",
+    "obtain_table",
     "persist_table",
     "tangent_numbers",
     "von_staudt_clausen_denominator",
@@ -43,7 +44,7 @@ __all__ = [
 # flips the sign of B_1, so the marker is recorded everywhere a table goes.
 CONVENTION = "minus-half"
 
-ALGORITHMS = ("seidel", "akiyama-tanigawa", "cache")
+ALGORITHMS = ("seidel", "akiyama-tanigawa")
 
 _HEADER_MAGIC = "BERN"
 _HEADER_VERSION = "v1"
@@ -249,13 +250,12 @@ def persist_table(table: BernoulliTable, location: str | os.PathLike) -> None:
     in decimal; odd zero entries above index 1 are omitted.
     """
     path = Path(location)
-    _allow_big_decimal_io()
     lines = [_header_line(table)]
     for n in range(table.max_index + 1):
         if n >= 3 and n % 2 == 1:
             continue
         v = table.values[n]
-        lines.append(f"{n} {v.numerator}/{v.denominator}")
+        lines.append(f"{n} {int_to_decimal(v.numerator)}/{int_to_decimal(v.denominator)}")
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii") as handle:
@@ -305,11 +305,10 @@ def _parse_entry(line: str, max_index: int) -> tuple[int, Fraction]:
     num_str, sep, den_str = tokens[1].partition("/")
     if not sep:
         raise CacheFormatError(f"malformed value in cache line: {line!r}")
-    _allow_big_decimal_io()
     try:
         n = int(tokens[0])
-        num = int(num_str)
-        den = int(den_str)
+        num = decimal_to_int(num_str)
+        den = decimal_to_int(den_str)
     except ValueError as exc:
         raise CacheFormatError(f"malformed cache line: {line!r}") from exc
     if n < 0 or n > max_index:
@@ -349,3 +348,23 @@ def load_table(location: str | os.PathLike) -> BernoulliTable:
         algorithm=algorithm,
         convention=convention,
     )
+
+
+def obtain_table(
+    required: int, cache: str | os.PathLike | None, algorithm: str = "seidel"
+) -> BernoulliTable:
+    """A table through at least B_required, loaded from `cache` if it holds one.
+
+    Any cached algorithm serves `seidel`; others need the same tag.  Failing
+    that, the table is built and, given a cache path, persisted there.
+    """
+    if cache is None:
+        return bernoulli_table(required, algorithm)
+    path = Path(cache)
+    if path.exists():
+        table = load_table(path)
+        if table.max_index >= required and algorithm in ("seidel", table.algorithm):
+            return table
+    table = bernoulli_table(required, algorithm)
+    persist_table(table, path)
+    return table

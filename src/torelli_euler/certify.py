@@ -17,7 +17,7 @@ evaluated in rational interval arithmetic, together with its consecutive
 ratio, which certifies that the bound sequence decreases below 1 from some
 threshold on.  Exact certificates use exact rational arithmetic; witness
 primes are chosen deterministically (691, then 3617, then the smallest
-prime factor of the reduced denominator).
+prime factor of the reduced denominator up to WITNESS_SEARCH_LIMIT).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .bernoulli import BernoulliTable, CapacityError
 from .exact_core import (
@@ -53,6 +53,7 @@ __all__ = [
     "ScanPoint",
     "ThresholdResult",
     "WITNESS_PRIMES",
+    "WITNESS_SEARCH_LIMIT",
     "WideRangeBoundForms",
     "certificate_from_exact",
     "certify_non_integrality",
@@ -76,6 +77,11 @@ WITNESS_PRIMES = (691, 3617)
 # 2*1470 + 677 - 1 = 3616.
 DEEP_MAX_M = 1470
 MAX_WITNESSED_N = 677
+
+# Trial division for a witness prime stops here: a denominator with no prime
+# factor up to it gets an Inconclusive certificate.  Above every witness seen
+# off the witnessed window (largest: 108023, at m = 100, n = 100000).
+WITNESS_SEARCH_LIMIT = 1 << 17
 
 # Exact certificates by default stop at m = 200 (B_400); deep mode raises
 # the limit to cover the full witnessed grid.  Quadratic big-integer cost.
@@ -139,34 +145,44 @@ class Inconclusive:
 Certificate = Union[IntegerValue, PrimeWitness, MagnitudeWitness, Inconclusive]
 
 
-def _smallest_prime_factor(n: int) -> int:
-    # The smallest divisor > 1 of an integer is automatically prime.
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
+# Primes up to WITNESS_SEARCH_LIMIT in blocks of 128, each with its product:
+# one reduction of a huge denominator modulo the product leaves a small
+# residue to trial-divide by each prime of the block.
+@lru_cache(maxsize=1)
+def _prime_blocks() -> tuple[tuple[int, list[int]], ...]:
+    sieve = bytearray([0, 0]) + bytearray([1]) * (WITNESS_SEARCH_LIMIT - 1)
+    for d in range(2, math.isqrt(WITNESS_SEARCH_LIMIT) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(sieve[d * d :: d]))
+    primes = [p for p, flag in enumerate(sieve) if flag]
+    blocks = [primes[i : i + 128] for i in range(0, len(primes), 128)]
+    return tuple((math.prod(block), block) for block in blocks)
 
 
-def _witness_prime(denominator: int) -> int:
+def _witness_prime(denominator: int) -> int | None:
     for p in WITNESS_PRIMES:
         if denominator % p == 0:
             return p
-    return _smallest_prime_factor(denominator)
+    for product, primes in _prime_blocks():
+        residue = denominator % product
+        for p in primes:
+            if residue % p == 0:
+                return p
+    return None
 
 
 def certificate_from_exact(value: Fraction) -> Certificate:
     """Certificate for an exactly known positive rational.
 
     Deterministic: 691 and 3617 are tried first, then the smallest prime
-    factor of the reduced denominator by trial division.
+    factor of the reduced denominator up to WITNESS_SEARCH_LIMIT; past that
+    limit the outcome is Inconclusive.
     """
     if value.denominator == 1:
         return IntegerValue(int(value))
     p = _witness_prime(value.denominator)
+    if p is None:
+        return Inconclusive(f"no prime factor up to witness search limit {WITNESS_SEARCH_LIMIT}")
     return PrimeWitness(value=value, p=p, valuation=p_adic_valuation(value, p))
 
 
@@ -188,23 +204,8 @@ def single_term_interval(k: int, precision: int = 64) -> RationalInterval:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     bits = max(precision, 16) + _GUARD_BITS
-    two_pi = pi_interval(bits).scale(2)
-    power = _pow_outward(two_pi, 2 * k, bits)
+    power = pi_interval(bits).scale(2).power(2 * k, bits)
     return power.scale(Fraction(1, 2 * math.factorial(2 * k - 1))).outward(bits)
-
-
-def _pow_outward(base: RationalInterval, n: int, bits: int) -> RationalInterval:
-    # Binary exponentiation with outward rounding after each multiply, so
-    # endpoint sizes stay near `bits` no matter how large n gets.
-    result = RationalInterval.point(1)
-    square = base
-    while n:
-        if n & 1:
-            result = (result * square).outward(bits)
-        n >>= 1
-        if n:
-            square = (square * square).outward(bits)
-    return result
 
 
 @dataclass(frozen=True)
@@ -290,10 +291,47 @@ def threshold_for_n(n: int, m_cap: int = 64, precision: int = 64) -> ThresholdRe
 # Certification strategies.
 
 
-def _exact_certificate(m: int, n: int, table: BernoulliTable) -> Certificate:
-    if table is None:
-        raise ValueError("exact strategy needs a Bernoulli table")
-    return certificate_from_exact(e_mn(EmnQuery(m, n), table))
+def _check_request(strategy: str, table: BernoulliTable | None, m_hi: int) -> None:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if strategy == "exact":
+        if table is None:
+            raise ValueError("exact strategy needs a Bernoulli table")
+        if 2 * m_hi > table.max_index:
+            raise CapacityError(
+                f"exact e(m,n) up to m={m_hi} needs B_{2 * m_hi}, "
+                f"table stops at B_{table.max_index}"
+            )
+
+
+def _certify_point(
+    m: int,
+    n: int,
+    strategy: str,
+    table: BernoulliTable | None,
+    max_exact_m: int,
+    upper: Callable[[], Fraction],
+    exact: Callable[[], Fraction],
+) -> Certificate:
+    """The one certification decision, for a point of a checked request.
+
+    `bound` and `auto` try the certified upper bound first; `exact`, and
+    `auto` within max_exact_m and the table, then read the answer off
+    e(m,n); anything else is Inconclusive.  `upper` (the hi end of U(m,n))
+    and `exact` (e(m,n)) are called only when the decision needs them.
+    """
+    if strategy != "exact":
+        hi = upper()
+        if hi < 1:
+            return MagnitudeWitness(upper=hi, statement=f"0 < e({m},{n}) < 1")
+        if strategy == "bound":
+            return Inconclusive(f"certified upper bound for e({m},{n}) is not below 1")
+        if table is None or m > min(max_exact_m, table.max_index // 2):
+            return Inconclusive(
+                f"upper bound for e({m},{n}) is not below 1 and exact evaluation "
+                f"is unavailable (limit m <= {max_exact_m}, table required)"
+            )
+    return certificate_from_exact(exact())
 
 
 def certify_non_integrality(
@@ -314,25 +352,11 @@ def certify_non_integrality(
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if strategy == "exact":
-        return _exact_certificate(m, n, table)
-
-    bound = upper_bound_interval(m, n, precision)
-    if bound.value.hi < 1:
-        return MagnitudeWitness(
-            upper=bound.value.hi, statement=f"0 < e({m},{n}) < 1"
-        )
-    if strategy == "bound":
-        return Inconclusive(
-            f"certified upper bound for e({m},{n}) is not below 1"
-        )
-    if m <= max_exact_m and table is not None and 2 * m <= table.max_index:
-        return _exact_certificate(m, n, table)
-    return Inconclusive(
-        f"upper bound for e({m},{n}) is not below 1 and exact evaluation "
-        f"is unavailable (limit m <= {max_exact_m}, table required)"
+    _check_request(strategy, table, m)
+    return _certify_point(
+        m, n, strategy, table, max_exact_m,
+        upper=lambda: upper_bound_interval(m, n, precision).value.hi,
+        exact=lambda: e_mn(EmnQuery(m, n), table),
     )
 
 
@@ -370,63 +394,41 @@ def scan(
 
     Row-incremental evaluation: for fixed m, e(m,n+1) = e(m,n) * (2m+n) and
     likewise for the bound product, so a full grid costs one rational
-    update per point instead of one full product.  Inconclusive points are
-    reported and the scan continues.
+    update per point instead of one full product.  Each running value,
+    like the zeta product under it, is brought up to date only when a point
+    needs it.  Inconclusive points are reported and the scan continues.
     """
     m_lo, m_hi = _validate_range(m_range, "m")
     n_lo, n_hi = _validate_range(n_range, "n")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if strategy == "exact":
-        if table is None:
-            raise ValueError("exact strategy needs a Bernoulli table")
-        if 2 * m_hi > table.max_index:
-            raise CapacityError(
-                f"scan up to m={m_hi} needs B_{2 * m_hi}, table stops at B_{table.max_index}"
-            )
-
-    # Largest m the exact path can serve; auto degrades past it instead of
-    # failing, so the prefix product must stop there too.
-    if table is None or strategy == "bound":
-        exact_cap = 0
-    elif strategy == "exact":
-        exact_cap = table.max_index // 2
-    else:
-        exact_cap = min(max_exact_m, table.max_index // 2)
-
-    zeta_reciprocal_product = Fraction(1)  # prod_{k<=m} 1/|zeta(1-2k)|
-    for k in range(1, min(m_lo, exact_cap + 1)):
-        zeta_reciprocal_product /= abs_zeta_one_minus_2k(k, table)
+    _check_request(strategy, table, m_hi)
+    zeta_k, zeta_reciprocal_product = 0, Fraction(1)  # prod_{k<=zeta_k} 1/|zeta(1-2k)|
 
     for m in range(m_lo, m_hi + 1):
-        exact_ok = m <= exact_cap
-        if exact_ok:
-            zeta_reciprocal_product /= abs_zeta_one_minus_2k(m, table)
-            exact_value = zeta_reciprocal_product * rising_factorial_ratio(
-                2 * m + n_lo - 1, 2 * m
-            )
+        exact_value: Fraction | None = None
         bound_value: RationalInterval | None = None
-        if strategy in ("bound", "auto"):
-            bound_value = _term_product(m, precision).scale(
-                rising_factorial_ratio(2 * m + n_lo - 1, 2 * m)
-            )
+
+        def exact() -> Fraction:
+            nonlocal exact_value, zeta_k, zeta_reciprocal_product
+            if exact_value is None:
+                while zeta_k < m:
+                    zeta_k += 1
+                    zeta_reciprocal_product /= abs_zeta_one_minus_2k(zeta_k, table)
+                exact_value = zeta_reciprocal_product * rising_factorial_ratio(2 * m + n - 1, 2 * m)
+            return exact_value
+
+        def upper() -> Fraction:
+            nonlocal bound_value
+            if bound_value is None:
+                bound_value = _term_product(m, precision).scale(
+                    rising_factorial_ratio(2 * m + n - 1, 2 * m)
+                )
+            return bound_value.hi
+
         for n in range(n_lo, n_hi + 1):
-            if strategy == "exact":
-                cert: Certificate = certificate_from_exact(exact_value)
-            elif bound_value is not None and bound_value.hi < 1:
-                cert = MagnitudeWitness(
-                    upper=bound_value.hi, statement=f"0 < e({m},{n}) < 1"
-                )
-            elif strategy == "auto" and exact_ok:
-                cert = certificate_from_exact(exact_value)
-            else:
-                cert = Inconclusive(
-                    f"upper bound for e({m},{n}) is not below 1 and exact "
-                    "evaluation is unavailable"
-                )
+            cert = _certify_point(m, n, strategy, table, max_exact_m, upper, exact)
             yield ScanPoint(m=m, n=n, certificate=cert)
             # Advance the row: both running values gain the factor (2m+n).
-            if exact_ok:
+            if exact_value is not None:
                 exact_value *= 2 * m + n
             if bound_value is not None:
                 bound_value = bound_value.scale(2 * m + n)
@@ -496,7 +498,7 @@ def wide_range_bound_forms(m: int, precision: int = 64) -> WideRangeBoundForms:
     bits = max(precision, 16) + _GUARD_BITS
     prefix = rising_factorial_ratio(2 * m + MAX_WITNESSED_N, 2 * m)
     per_index = _term_product(m, precision).scale(prefix)
-    constant = _pow_outward(single_term_interval(m + 1, precision), m, bits).scale(prefix)
+    constant = single_term_interval(m + 1, precision).power(m, bits).scale(prefix)
     return WideRangeBoundForms(
         m=m, per_index_product=per_index, constant_factor_product=constant
     )

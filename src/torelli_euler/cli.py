@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 when everything requested passed or computed, 1 when any
-check failed or was inconclusive (including cache validation failures),
-2 on usage errors.
+check failed or was inconclusive and on every other error (cache, capacity,
+internal, the last with a traceback), 2 only for argparse errors and the
+commands' argument checks.
 """
 
 from __future__ import annotations
@@ -10,17 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
+import traceback
 
-from .bernoulli import (
-    BernoulliTable,
-    CacheError,
-    CapacityError,
-    bernoulli_table,
-    load_table,
-    persist_table,
-)
+from .bernoulli import CacheError, CapacityError, bernoulli_table, obtain_table
 from .certify import (
+    DEFAULT_MAX_EXACT_M,
     Inconclusive,
     certify_non_integrality,
     scan,
@@ -45,6 +40,10 @@ from .render import (
 from .verify import report_to_json, run_verification_suite
 
 CACHE_ENV_VAR = "TORELLI_EULER_CACHE"
+
+
+class UsageError(Exception):
+    """Arguments argparse accepts but the command rejects; exit code 2."""
 
 
 def _positive_int(text: str) -> int:
@@ -136,32 +135,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _obtain_table(
-    required: int, cache: str | None, algorithm: str = "seidel"
-) -> BernoulliTable:
-    """Load the cache when it suffices, otherwise build and persist."""
-    if cache is None:
-        return bernoulli_table(required, algorithm)
-    path = Path(cache)
-    if path.exists():
-        table = load_table(path)
-        if table.max_index >= required and (
-            algorithm == "seidel" or table.algorithm == algorithm
-        ):
-            return table
-    table = bernoulli_table(required, algorithm)
-    persist_table(table, path)
-    return table
-
-
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
     max_index = 2 * args.max_k
     if args.algorithm == "both":
-        table = _obtain_table(max_index, args.cache)
+        table = obtain_table(max_index, args.cache)
         other = bernoulli_table(max_index, "akiyama-tanigawa")
         agreement = table.values == other.values
     else:
-        table = _obtain_table(max_index, args.cache, args.algorithm)
+        table = obtain_table(max_index, args.cache, args.algorithm)
         other = None
         agreement = None
     if args.format == "json":
@@ -193,7 +174,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 def _cmd_zeta(args: argparse.Namespace) -> int:
     from .zeta_special import zeta_one_minus_2k
 
-    table = _obtain_table(2 * args.k, args.cache)
+    table = obtain_table(2 * args.k, args.cache)
     zeta = zeta_one_minus_2k(args.k, table)
     if args.format == "json":
         print(dumps({"k": zeta.k, "value": rational_to_json(zeta.value)}))
@@ -204,10 +185,10 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
 
 def _cmd_chi(args: argparse.Namespace) -> int:
     if args.g < 2:
-        raise ValueError("reported spaces need genus g >= 2")
+        raise UsageError("reported spaces need genus g >= 2")
     if args.space == "siegel" and args.n != 0:
-        raise ValueError("the Siegel quotient carries no marked points")
-    table = _obtain_table(2 * args.g, args.cache)
+        raise UsageError("the Siegel quotient carries no marked points")
+    table = obtain_table(2 * args.g, args.cache)
     if args.space == "siegel":
         result = euler_siegel_quotient(args.g, table)
     elif args.space == "moduli":
@@ -234,7 +215,7 @@ def _cmd_chi(args: argparse.Namespace) -> int:
 
 
 def _cmd_emn(args: argparse.Namespace) -> int:
-    table = _obtain_table(2 * args.m, args.cache)
+    table = obtain_table(2 * args.m, args.cache)
     value = e_mn(EmnQuery(args.m, args.n), table)
     if args.format == "json":
         print(dumps({"m": args.m, "n": args.n, "value": rational_to_json(value)}))
@@ -245,8 +226,8 @@ def _cmd_emn(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     table = None
-    if args.strategy == "exact" or (args.strategy == "auto" and args.m <= 200):
-        table = _obtain_table(2 * args.m, args.cache)
+    if args.strategy == "exact" or (args.strategy == "auto" and args.m <= DEFAULT_MAX_EXACT_M):
+        table = obtain_table(2 * args.m, args.cache)
     cert = certify_non_integrality(
         args.m, args.n, args.strategy, table, precision=args.precision
     )
@@ -283,9 +264,9 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    table = None
-    if args.strategy in ("exact", "auto"):
-        table = _obtain_table(2 * args.m_max, args.cache)
+    if args.m_min > args.m_max or args.n_min > args.n_max:
+        raise UsageError("each range needs its minimum at most its maximum")
+    table = None if args.strategy == "bound" else obtain_table(2 * args.m_max, args.cache)
     points = scan(
         (args.m_min, args.m_max),
         (args.n_min, args.n_max),
@@ -349,15 +330,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return 1
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:  # noqa: BLE001 - an internal fault: its traceback names the type
+        traceback.print_exc()
+        return 1
 
 
 def console_entry() -> None:

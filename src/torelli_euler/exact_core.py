@@ -19,6 +19,8 @@ from functools import lru_cache
 __all__ = [
     "Rational",
     "RationalInterval",
+    "decimal_to_int",
+    "int_to_decimal",
     "is_probable_prime",
     "p_adic_valuation",
     "pi_interval",
@@ -32,20 +34,24 @@ _ZERO = Fraction(0)
 # Strong pseudoprime witnesses; the test is deterministic for n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_INT_STR_DIGITS = 2_000_000_000
+def int_to_decimal(n: int) -> str:
+    """Decimal digits of an integer of any size."""
+    return _without_digit_limit(str, n)
 
 
-def _allow_big_decimal_io() -> None:
-    """Lift CPython's int<->str digit limit before exact decimal I/O.
+def decimal_to_int(text: str) -> int:
+    """The integer written in decimal by `text`, of any size."""
+    return _without_digit_limit(int, text)
 
-    Bit-exact decimal rendering and parsing of very large integers is part
-    of this library's contract (caches, JSON, decimal display); the default
-    4300-digit cap, a mitigation for untrusted inputs, breaks tables past
-    roughly B_2100.  Raised lazily, only when big-number I/O actually runs.
-    """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is not None and get_limit() < _INT_STR_DIGITS:
-        sys.set_int_max_str_digits(_INT_STR_DIGITS)
+
+def _without_digit_limit(convert, value):
+    # Bit-exact decimal rendering and parsing of very large integers is part
+    # of this library's contract (caches, JSON, decimal display); CPython's
+    # default 4300-digit cap, a mitigation for untrusted inputs, breaks it
+    # past roughly B_2100.  Lifted (0: no limit) for the process on first use.
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        sys.set_int_max_str_digits(0)
+    return convert(value)
 
 
 @lru_cache(maxsize=65536)
@@ -193,15 +199,26 @@ class RationalInterval:
             return NotImplemented
         return self * other.reciprocal()
 
-    def __pow__(self, n: int) -> "RationalInterval":
+    def power(self, n: int, bits: int | None = None) -> "RationalInterval":
+        """Enclosure of x**n over the interval, by binary exponentiation.
+
+        With `bits`, endpoints are rounded outward to about that many
+        significant bits after every multiply, so their size stays near
+        `bits` however large n gets; without, no rounding takes place.
+        """
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"interval power wants a nonnegative integer, got {n}")
-        if n == 0:
-            return RationalInterval.point(1)
-        candidates = [self.lo**n, self.hi**n]
-        if self.lo < 0 < self.hi:
-            candidates.append(_ZERO)
-        return RationalInterval(min(candidates), max(candidates))
+        rounded = (lambda x: x) if bits is None else (lambda x: x.outward(bits))
+        result, square = RationalInterval.point(1), self
+        while n:
+            if n & 1:
+                result = rounded(result * square)
+            n >>= 1
+            if n:
+                square = rounded(square * square)
+        return result
+
+    __pow__ = power
 
     def outward(self, bits: int) -> "RationalInterval":
         """Round endpoints outward to about `bits` significant bits.

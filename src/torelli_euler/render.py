@@ -20,7 +20,7 @@ from .certify import (
     MagnitudeWitness,
     PrimeWitness,
 )
-from .exact_core import RationalInterval, _allow_big_decimal_io
+from .exact_core import RationalInterval, decimal_to_int, int_to_decimal
 
 __all__ = [
     "TRUNCATION_MARK",
@@ -42,33 +42,32 @@ def decimal_string(q: Fraction, digits: int) -> str:
     """Decimal expansion of q with `digits` fractional digits, truncated toward zero."""
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
-    _allow_big_decimal_io()
     sign = "-" if q < 0 else ""
     magnitude = -q if q < 0 else q
     whole, remainder = divmod(magnitude.numerator, magnitude.denominator)
     fractional, tail = divmod(remainder * 10**digits, magnitude.denominator)
-    text = f"{sign}{whole}.{str(fractional).zfill(digits)}"
+    text = f"{sign}{int_to_decimal(whole)}.{int_to_decimal(fractional).zfill(digits)}"
     return text + TRUNCATION_MARK if tail else text
 
 
 def format_rational(q: Fraction, digits: int = 12) -> str:
     """`num/den ≈ decimal` for proper fractions, plain digits for integers."""
-    _allow_big_decimal_io()
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator} ≈ {decimal_string(q, digits)}"
+        return int_to_decimal(q.numerator)
+    return (
+        f"{int_to_decimal(q.numerator)}/{int_to_decimal(q.denominator)} "
+        f"≈ {decimal_string(q, digits)}"
+    )
 
 
 def rational_to_json(q: Fraction) -> dict[str, str]:
-    _allow_big_decimal_io()
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+    return {"num": int_to_decimal(q.numerator), "den": int_to_decimal(q.denominator)}
 
 
 def rational_from_json(obj: Any) -> Fraction:
     if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
         raise ValueError(f"not a rational object: {obj!r}")
-    _allow_big_decimal_io()
-    return Fraction(int(obj["num"]), int(obj["den"]))
+    return Fraction(decimal_to_int(obj["num"]), decimal_to_int(obj["den"]))
 
 
 def interval_to_json(interval: RationalInterval) -> dict[str, Any]:
@@ -85,9 +84,8 @@ def bound_sequence_to_json(seq: BoundSequence) -> dict[str, Any]:
 
 
 def certificate_to_json(cert: Certificate) -> dict[str, Any]:
-    _allow_big_decimal_io()
     if isinstance(cert, IntegerValue):
-        return {"kind": "integer", "value": str(cert.value)}
+        return {"kind": "integer", "value": int_to_decimal(cert.value)}
     if isinstance(cert, PrimeWitness):
         return {
             "kind": "prime-witness",
@@ -110,10 +108,9 @@ def certificate_from_json(obj: Any) -> Certificate:
     """Rebuild a certificate; construction reruns its soundness checks."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"not a certificate object: {obj!r}")
-    _allow_big_decimal_io()
     kind = obj["kind"]
     if kind == "integer":
-        return IntegerValue(value=int(obj["value"]))
+        return IntegerValue(value=decimal_to_int(obj["value"]))
     if kind == "prime-witness":
         return PrimeWitness(
             value=rational_from_json(obj["value"]),
@@ -131,7 +128,7 @@ def certificate_from_json(obj: Any) -> Certificate:
 
 def certificate_text(cert: Certificate, digits: int = 12) -> str:
     if isinstance(cert, IntegerValue):
-        return f"integer: {cert.value}"
+        return f"integer: {int_to_decimal(cert.value)}"
     if isinstance(cert, PrimeWitness):
         return (
             f"non-integer (prime witness): v_{cert.p} = {cert.valuation} "

@@ -19,8 +19,10 @@ from typing import Any, Callable
 from .bernoulli import (
     BernoulliTable,
     CacheError,
+    CapacityError,
     bernoulli_table,
     load_table,
+    obtain_table,
     persist_table,
     von_staudt_clausen_denominator,
     von_staudt_clausen_primes,
@@ -508,20 +510,6 @@ _CHECKS: tuple[tuple[str, str, Callable[[dict], Outcome]], ...] = (
 )
 
 
-def _table_for_mode(mode: str, cache_path: str | None) -> BernoulliTable:
-    required = DEEP_TABLE_INDEX if mode == "deep" else STANDARD_TABLE_INDEX
-    if cache_path is not None:
-        path = Path(cache_path)
-        if path.exists():
-            table = load_table(path)
-            if table.max_index >= required:
-                return table
-        table = bernoulli_table(required)
-        persist_table(table, path)
-        return table
-    return bernoulli_table(required)
-
-
 def run_verification_suite(
     mode: str = "standard",
     cache_path: str | None = None,
@@ -535,48 +523,32 @@ def run_verification_suite(
     if mode not in ("standard", "deep"):
         raise ValueError(f"mode must be 'standard' or 'deep', got {mode!r}")
     checks: list[CheckResult] = []
+
+    def record(check_id: str, paper_ref: str, status: str, witness: str) -> None:
+        checks.append(
+            CheckResult(id=check_id, paper_ref=paper_ref, status=status, witness=witness)
+        )
+        if echo:
+            echo(_format_check_line(checks[-1]))
+
     ctx: dict = {"mode": mode}
+    required = DEEP_TABLE_INDEX if mode == "deep" else STANDARD_TABLE_INDEX
     try:
-        ctx["table"] = _table_for_mode(mode, cache_path)
-        source = CheckResult(
-            id="table-source",
-            paper_ref="Bernoulli table acquisition (infrastructure)",
-            status="pass",
-            witness=(
-                f"table through B_{ctx['table'].max_index} "
-                f"(algorithm {ctx['table'].algorithm})"
-            ),
-        )
-    except (CacheError, MemoryError) as exc:
-        source = CheckResult(
-            id="table-source",
-            paper_ref="Bernoulli table acquisition (infrastructure)",
-            status="fail",
-            witness=f"table validation failed: {exc}",
-        )
-    checks.append(source)
-    if echo:
-        echo(_format_check_line(source))
+        ctx["table"] = table = obtain_table(required, cache_path)
+        status, witness = "pass", f"table through B_{table.max_index} (algorithm {table.algorithm})"
+    except (CacheError, CapacityError, MemoryError) as exc:
+        status, witness = "fail", f"table validation failed: {exc}"
+    record("table-source", "Bernoulli table acquisition (infrastructure)", status, witness)
 
     for check_id, paper_ref, fn in _CHECKS:
         if "table" not in ctx:
-            result = CheckResult(
-                id=check_id,
-                paper_ref=paper_ref,
-                status="inconclusive",
-                witness="no valid Bernoulli table",
-            )
+            status, witness = "inconclusive", "no valid Bernoulli table"
         else:
             try:
                 status, witness = fn(ctx)
             except Exception as exc:  # noqa: BLE001 - one check must not stop the rest
                 status, witness = "fail", f"{type(exc).__name__}: {exc}"
-            result = CheckResult(
-                id=check_id, paper_ref=paper_ref, status=status, witness=witness
-            )
-        checks.append(result)
-        if echo:
-            echo(_format_check_line(result))
+        record(check_id, paper_ref, status, witness)
     return VerificationReport(mode=mode, checks=tuple(checks))
 
 

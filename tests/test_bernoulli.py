@@ -149,6 +149,15 @@ def test_load_version_mismatch(tmp_path):
         load_table(path)
 
 
+def test_load_rejects_unknown_algorithm_tag(tmp_path):
+    # Only the two build algorithms are valid tags; "cache" names none.
+    path = tmp_path / "bern.cache"
+    persist_table(bernoulli_table(10), path)
+    path.write_text(path.read_text().replace("algorithm=seidel", "algorithm=cache"))
+    with pytest.raises(CacheFormatError):
+        load_table(path)
+
+
 @pytest.mark.parametrize(
     "mutation",
     [

@@ -9,6 +9,7 @@ from torelli_euler.certify import (
     IntegerValue,
     MagnitudeWitness,
     PrimeWitness,
+    WITNESS_SEARCH_LIMIT,
     certificate_from_exact,
     certify_non_integrality,
     monotone_decrease_check,
@@ -50,6 +51,17 @@ def test_certificate_from_exact_witness_order():
     cert = certificate_from_exact(Fraction(5, 21))
     assert cert.p == 3
     assert certificate_from_exact(Fraction(9)) == IntegerValue(9)
+
+
+def test_witness_search_stops_at_its_limit():
+    # 2^61 - 1 is prime, far past the limit: no unbounded trial division.
+    cert = certificate_from_exact(Fraction(1, 2**61 - 1))
+    assert isinstance(cert, Inconclusive)
+    assert str(WITNESS_SEARCH_LIMIT) in cert.reason
+    # 2^17 - 1 = 131071 is the largest prime up to the limit.
+    assert WITNESS_SEARCH_LIMIT == 131072
+    cert = certificate_from_exact(Fraction(1, 131071 * (2**61 - 1)))
+    assert isinstance(cert, PrimeWitness) and cert.p == 131071
 
 
 # --- certified bound machinery --------------------------------------------------
@@ -157,13 +169,23 @@ def test_scan_direct_range(table60):
 
 
 def test_scan_matches_single_point_evaluation(table60):
+    # One decision behind both entry points: equal certificates at every
+    # point, m past the table included (auto degrades there, exact refuses).
+    for strategy in ("exact", "auto", "bound"):
+        m_hi = 30 if strategy == "exact" else 35
+        points = list(scan((1, m_hi), (1, 5), strategy, table60))
+        grid = [(m, n) for m in range(1, m_hi + 1) for n in range(1, 6)]
+        assert [(point.m, point.n) for point in points] == grid
+        for point in points:
+            expected = certify_non_integrality(point.m, point.n, strategy, table60)
+            assert point.certificate == expected, (strategy, point)
+    with pytest.raises(CapacityError):
+        list(scan((1, 35), (1, 5), "exact", table60))
+    with pytest.raises(CapacityError):
+        certify_non_integrality(35, 5, "exact", table60)
     for m, n in ((6, 3), (10, 5), (14, 7), (3, 11)):
         (point,) = scan((m, m), (n, n), "exact", table60)
-        expected = e_mn(EmnQuery(m, n), table60)
-        if isinstance(point.certificate, PrimeWitness):
-            assert point.certificate.value == expected
-        else:
-            assert point.certificate.value == expected
+        assert point.certificate.value == e_mn(EmnQuery(m, n), table60)
 
 
 def test_scan_bound_and_auto_strategies(table60):

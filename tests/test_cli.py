@@ -1,7 +1,10 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
+from torelli_euler import cli
 from torelli_euler.bernoulli import bernoulli_table, persist_table
 from torelli_euler.cli import main
 
@@ -58,6 +61,35 @@ def test_chi_spaces(capsys, space, g, n, expected):
 def test_chi_torelli_carries_hypothesis_note(capsys):
     _, out, _ = run(capsys, "chi", "--space", "torelli", "-g", "2")
     assert "finiteness hypothesis" in out
+
+
+def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(args):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setitem(cli._HANDLERS, "emn", broken)
+    code, _, err = run(capsys, "emn", "-m", "1", "-n", "1")
+    assert code == 1
+    assert "ValueError" in err and "usage error" not in err
+
+
+def test_scan_reversed_range_is_a_usage_error(capsys):
+    code, _, err = run(
+        capsys, "scan", "--m-min", "3", "--m-max", "2", "--n-min", "1", "--n-max", "1"
+    )
+    assert code == 2 and "usage error" in err
+
+
+def test_certify_integer_past_the_decimal_digit_limit():
+    # e(6,5000) is an integer of more than 4300 decimal digits.
+    proc = subprocess.run(
+        [sys.executable, "-m", "torelli_euler", "certify", "-m", "6", "-n", "5000",
+         "--strategy", "exact"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("e(6,5000): integer: ")
+    assert len(proc.stdout.split()[-1]) > 4300
 
 
 def test_chi_usage_errors(capsys):

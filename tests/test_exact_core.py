@@ -136,9 +136,23 @@ def test_interval_operations_enclose_exact_results():
         for n in (0, 1, 2, 3, 7):
             for x in _points(u):
                 assert (u**n).contains(x**n)
+                assert u.power(n, 16).contains(x**n)
         scalar = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
         for x in _points(u):
             assert u.scale(scalar).contains(x * scalar)
+
+
+def test_rounded_power_keeps_endpoints_small():
+    # (2pi)^200 unrounded carries ~33k-bit endpoints; rounded at 96 bits the
+    # enclosure stays valid, about as tight, and its endpoints stay small.
+    two_pi = pi_interval(64).scale(2)
+    exact = two_pi**200
+    rounded = two_pi.power(200, 96)
+    assert rounded.encloses(exact)
+    assert rounded.width < exact.width * Fraction(101, 100)
+    for endpoint in (rounded.lo, rounded.hi):
+        assert endpoint.numerator.bit_length() <= 600
+        assert endpoint.denominator.bit_length() <= 600
 
 
 def test_interval_division_by_zero_interval_is_an_error():
