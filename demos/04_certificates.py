@@ -5,12 +5,14 @@ The story for n = 1: e(m,1) is an integer through m = 5, picks up the prime
 691 in its denominator at m = 6, and from m = 14 on is certified to lie in
 (0, 1) by the interval bound alone.  A scan then covers a grid, and the
 closing-bound display for the wide window n <= 677 is evaluated in both of
-its readings.
+its readings.  The valuation ledger reaches the scan's witnesses from
+p-adic valuations alone.
 """
 
 from torelli_euler import (
     bernoulli_table,
     certify_non_integrality,
+    ledger_scan,
     monotone_decrease_check,
     scan,
     threshold_for_n,
@@ -40,6 +42,11 @@ for point in scan((4, 8), (1, 3), "exact", table):
     mark = " [691/3617]" if point.preferred_witness else ""
     print(f"  m={point.m} n={point.n}: "
           f"{certificate_text(point.certificate, 6)}{mark}")
+
+print("\nThe same block from the valuation ledger; e(m,n) is formed only")
+print("where neither 691 nor 3617 witnesses:")
+for point in ledger_scan((4, 8), (1, 3), table):
+    print(f"  m={point.m} n={point.n}: {certificate_text(point.certificate, 6)}")
 
 print("\nThe closing bound for the wide window n <= 677 has two readings:")
 threshold = wide_range_constant_form_threshold(45)

@@ -28,8 +28,10 @@ from .certify import (
     PrimeWitness,
     ScanPoint,
     ThresholdResult,
+    ValuationWitness,
     certificate_from_exact,
     certify_non_integrality,
+    ledger_scan,
     monotone_decrease_check,
     scan,
     single_term_interval,
@@ -54,6 +56,7 @@ from .exact_core import (
     Rational,
     RationalInterval,
     decimal_to_int,
+    factorial_valuation,
     int_to_decimal,
     is_probable_prime,
     p_adic_valuation,

@@ -1,10 +1,12 @@
 """Machine-checkable non-integrality certificates for e(m,n).
 
-Three certificate forms, each validated at construction time so that an
+Four certificate forms, each validated at construction time so that an
 unsound certificate cannot exist as an object:
 
   IntegerValue      e(m,n) reduced to denominator 1
   PrimeWitness      a prime with negative valuation in e(m,n)
+  ValuationWitness  the same, with v_p(e(m,n)) assembled from Legendre's
+                    formula and the p-adic valuations of zeta(1-2k)
   MagnitudeWitness  a certified bound 0 < e(m,n) < 1
 
 plus an explicit Inconclusive outcome which is never silently conflated
@@ -17,7 +19,9 @@ evaluated in rational interval arithmetic, together with its consecutive
 ratio, which certifies that the bound sequence decreases below 1 from some
 threshold on.  Exact certificates use exact rational arithmetic; witness
 primes are chosen deterministically (691, then 3617, then the smallest
-prime factor of the reduced denominator up to WITNESS_SEARCH_LIMIT).
+prime factor of the reduced denominator up to WITNESS_SEARCH_LIMIT).  The
+valuation ledger (`ledger_scan`) reaches the same witnesses over a grid
+without forming e(m,n) wherever 691 or 3617 suffices.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from typing import Callable, Iterator, Union
 from .bernoulli import BernoulliTable, CapacityError
 from .exact_core import (
     RationalInterval,
+    factorial_valuation,
+    is_probable_prime,
     p_adic_valuation,
     pi_interval,
     rising_factorial_ratio,
@@ -52,11 +58,13 @@ __all__ = [
     "STRATEGIES",
     "ScanPoint",
     "ThresholdResult",
+    "ValuationWitness",
     "WITNESS_PRIMES",
     "WITNESS_SEARCH_LIMIT",
     "WideRangeBoundForms",
     "certificate_from_exact",
     "certify_non_integrality",
+    "ledger_scan",
     "monotone_decrease_check",
     "scan",
     "single_term_interval",
@@ -83,8 +91,8 @@ MAX_WITNESSED_N = 677
 # off the witnessed window (largest: 108023, at m = 100, n = 100000).
 WITNESS_SEARCH_LIMIT = 1 << 17
 
-# Exact certificates by default stop at m = 200 (B_400); deep mode raises
-# the limit to cover the full witnessed grid.  Quadratic big-integer cost.
+# `auto` falls back to exact e(m,n) only up to m = 200 (B_400): each exact
+# value is a product of m big rationals, and its cost grows quadratically.
 DEFAULT_MAX_EXACT_M = 200
 
 
@@ -120,6 +128,49 @@ class PrimeWitness:
 
 
 @dataclass(frozen=True)
+class ValuationWitness:
+    """v_p(e(m,n)) < 0 for the prime p, read off valuations alone.
+
+    v_p(e(m,n)) = v_p((2m+n-1)!) - v_p((2m)!) - sum_{k<=m} v_p(zeta(1-2k)).
+    `zeta_valuations` lists (k, v_p(zeta(1-2k))) for the k <= m with a
+    nonzero valuation, k increasing; every k it omits counts as 0.  The
+    recheck recomputes the factorial terms by Legendre's formula and the sum
+    from the list.  The listed valuations themselves come from a validated
+    Bernoulli table, against which they can be checked again.
+    """
+
+    m: int
+    n: int
+    p: int
+    valuation: int
+    zeta_valuations: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        if self.m < 1 or self.n < 1:
+            raise CertificateError(f"need m, n >= 1, got m={self.m}, n={self.n}")
+        if not is_probable_prime(self.p):
+            raise CertificateError(f"witness {self.p} is not prime")
+        zeta_sum = previous = 0
+        for k, v in self.zeta_valuations:
+            if not previous < k <= self.m or v == 0:
+                raise CertificateError(
+                    f"zeta valuations must be nonzero, at increasing k in 1..{self.m}; "
+                    f"got ({k}, {v})"
+                )
+            zeta_sum += v
+            previous = k
+        recomputed = (
+            factorial_valuation(2 * self.m + self.n - 1, self.p)
+            - factorial_valuation(2 * self.m, self.p)
+            - zeta_sum
+        )
+        if recomputed != self.valuation or recomputed >= 0:
+            raise CertificateError(
+                f"claimed v_{self.p} = {self.valuation}, recomputed {recomputed}"
+            )
+
+
+@dataclass(frozen=True)
 class MagnitudeWitness:
     """0 < e(m,n) <= upper < 1, so e(m,n) is not an integer.
 
@@ -142,7 +193,7 @@ class Inconclusive:
     reason: str
 
 
-Certificate = Union[IntegerValue, PrimeWitness, MagnitudeWitness, Inconclusive]
+Certificate = Union[IntegerValue, PrimeWitness, ValuationWitness, MagnitudeWitness, Inconclusive]
 
 
 # Primes up to WITNESS_SEARCH_LIMIT in blocks of 128, each with its product:
@@ -369,7 +420,7 @@ class ScanPoint:
     @property
     def preferred_witness(self) -> bool | None:
         """For prime witnesses: whether p is one of the tried-first primes."""
-        if isinstance(self.certificate, PrimeWitness):
+        if isinstance(self.certificate, (PrimeWitness, ValuationWitness)):
             return self.certificate.p in WITNESS_PRIMES
         return None
 
@@ -432,6 +483,49 @@ def scan(
                 exact_value *= 2 * m + n
             if bound_value is not None:
                 bound_value = bound_value.scale(2 * m + n)
+
+
+def ledger_scan(
+    m_range: tuple[int, int],
+    n_range: tuple[int, int],
+    table: BernoulliTable,
+) -> Iterator[ScanPoint]:
+    """The certificates of an exact scan, from p-adic valuations where possible.
+
+    For each p in WITNESS_PRIMES a running ledger holds the nonzero
+    v_p(zeta(1-2k)) for k <= m, each taken once from the table, so
+    v_p(e(m,n)) costs two Legendre sums and no ~10^5-digit e(m,n) is formed.
+    The first prime with a negative valuation gives a ValuationWitness with
+    the p and valuation certificate_from_exact would report; a point neither
+    prime witnesses gets certificate_from_exact of the exact e(m,n),
+    evaluated afresh, so the ledger pays off where those two primes witness
+    nearly every point (the window 2m + n - 1 < 3617).
+    """
+    m_lo, m_hi = _validate_range(m_range, "m")
+    n_lo, n_hi = _validate_range(n_range, "n")
+    _check_request("exact", table, m_hi)
+    ledgers: dict[int, list[tuple[int, int]]] = {p: [] for p in WITNESS_PRIMES}
+    for m in range(1, m_hi + 1):
+        zeta = abs_zeta_one_minus_2k(m, table)
+        for p, entries in ledgers.items():
+            v = p_adic_valuation(zeta, p)
+            if v:
+                entries.append((m, v))
+        if m < m_lo:
+            continue
+        rows = [
+            (p, factorial_valuation(2 * m, p), sum(v for _, v in entries), tuple(entries))
+            for p, entries in ledgers.items()
+        ]
+        for n in range(n_lo, n_hi + 1):
+            for p, base, zeta_sum, entries in rows:
+                valuation = factorial_valuation(2 * m + n - 1, p) - base - zeta_sum
+                if valuation < 0:
+                    cert: Certificate = ValuationWitness(m, n, p, valuation, entries)
+                    break
+            else:
+                cert = certificate_from_exact(e_mn(EmnQuery(m, n), table))
+            yield ScanPoint(m=m, n=n, certificate=cert)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ __all__ = [
     "Rational",
     "RationalInterval",
     "decimal_to_int",
+    "factorial_valuation",
     "int_to_decimal",
     "is_probable_prime",
     "p_adic_valuation",
@@ -111,6 +112,17 @@ def p_adic_valuation(q: Fraction | int, p: int) -> int:
     if q == 0:
         raise ValueError("p-adic valuation of 0 is undefined")
     return _int_valuation(abs(q.numerator), p) - _int_valuation(q.denominator, p)
+
+
+def factorial_valuation(n: int, p: int) -> int:
+    """v_p(n!) by Legendre's formula, sum_{i>=1} floor(n / p^i), for a prime p."""
+    if n < 0 or p < 2:
+        raise ValueError(f"need n >= 0 and p >= 2, got n={n}, p={p}")
+    total = 0
+    while n:
+        n //= p
+        total += n
+    return total
 
 
 def _floor_to_bits(q: Fraction, bits: int) -> Fraction:

@@ -19,6 +19,7 @@ from .certify import (
     IntegerValue,
     MagnitudeWitness,
     PrimeWitness,
+    ValuationWitness,
 )
 from .exact_core import RationalInterval, decimal_to_int, int_to_decimal
 
@@ -93,6 +94,15 @@ def certificate_to_json(cert: Certificate) -> dict[str, Any]:
             "p": str(cert.p),
             "valuation": cert.valuation,
         }
+    if isinstance(cert, ValuationWitness):
+        return {
+            "kind": "valuation-witness",
+            "m": cert.m,
+            "n": cert.n,
+            "p": str(cert.p),
+            "valuation": cert.valuation,
+            "zeta_valuations": [[k, v] for k, v in cert.zeta_valuations],
+        }
     if isinstance(cert, MagnitudeWitness):
         return {
             "kind": "magnitude",
@@ -117,6 +127,14 @@ def certificate_from_json(obj: Any) -> Certificate:
             p=int(obj["p"]),
             valuation=int(obj["valuation"]),
         )
+    if kind == "valuation-witness":
+        return ValuationWitness(
+            m=int(obj["m"]),
+            n=int(obj["n"]),
+            p=int(obj["p"]),
+            valuation=int(obj["valuation"]),
+            zeta_valuations=tuple((int(k), int(v)) for k, v in obj["zeta_valuations"]),
+        )
     if kind == "magnitude":
         return MagnitudeWitness(
             upper=rational_from_json(obj["upper"]), statement=str(obj["statement"])
@@ -133,6 +151,12 @@ def certificate_text(cert: Certificate, digits: int = 12) -> str:
         return (
             f"non-integer (prime witness): v_{cert.p} = {cert.valuation} "
             f"of {format_rational(cert.value, digits)}"
+        )
+    if isinstance(cert, ValuationWitness):
+        listed = ", ".join(f"k={k}: {v}" for k, v in cert.zeta_valuations) or "none"
+        return (
+            f"non-integer (valuation witness): v_{cert.p} = {cert.valuation} "
+            f"of e({cert.m},{cert.n}); nonzero v_{cert.p}(zeta(1-2k)): {listed}"
         )
     if isinstance(cert, MagnitudeWitness):
         return (

@@ -5,7 +5,9 @@ the suite runs them in deterministic order, records pass/fail/inconclusive
 with a rendered witness, and never lets one check's failure stop the rest.
 Standard mode works over a Bernoulli table to index 600 and scans the wide
 grid to m = 200; deep mode extends the table to index 2940 and the scan to
-m = 1470 at quadratic big-integer cost.
+m = 1470.  The wide-grid scan reads each point's witness off the valuation
+ledger (`certify.ledger_scan`), so its cost is a few Legendre sums per
+point, not the exact ~10^5-digit e(m,n).
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from .certify import (
     IntegerValue,
     MAX_WITNESSED_N,
     PrimeWitness,
+    ValuationWitness,
     WITNESS_PRIMES,
     certify_non_integrality,
+    ledger_scan,
     monotone_decrease_check,
-    scan,
     single_term_interval,
     threshold_for_n,
     upper_bound_interval,
@@ -297,14 +300,14 @@ def _check_wide_grid_scan(ctx: dict) -> Outcome:
     other_witness: list[tuple[int, int, int]] = []
     preferred = 0
     prime_witnesses = 0
-    for point in scan((6, m_hi), (1, MAX_WITNESSED_N), "exact", table):
+    for point in ledger_scan((6, m_hi), (1, MAX_WITNESSED_N), table):
         total += 1
         cert = point.certificate
         if isinstance(cert, IntegerValue):
             integers.append((point.m, point.n))
         elif isinstance(cert, Inconclusive):
             inconclusive.append((point.m, point.n))
-        elif isinstance(cert, PrimeWitness):
+        elif isinstance(cert, (PrimeWitness, ValuationWitness)):
             prime_witnesses += 1
             if point.preferred_witness:
                 preferred += 1
@@ -536,8 +539,10 @@ def run_verification_suite(
     try:
         ctx["table"] = table = obtain_table(required, cache_path)
         status, witness = "pass", f"table through B_{table.max_index} (algorithm {table.algorithm})"
-    except (CacheError, CapacityError, MemoryError) as exc:
+    except CacheError as exc:
         status, witness = "fail", f"table validation failed: {exc}"
+    except (CapacityError, MemoryError) as exc:
+        status, witness = "fail", f"table build failed: {exc}"
     record("table-source", "Bernoulli table acquisition (infrastructure)", status, witness)
 
     for check_id, paper_ref, fn in _CHECKS:

@@ -28,7 +28,9 @@ from torelli_euler.certify import (
     IntegerValue,
     MagnitudeWitness,
     PrimeWitness,
+    ValuationWitness,
     certify_non_integrality,
+    ledger_scan,
     monotone_decrease_check,
     scan,
     single_term_interval,
@@ -103,10 +105,17 @@ def test_criterion_4_wide_grid_scan(table600):
     started = time.perf_counter()
     total = preferred = prime_witnesses = 0
     exceptions = []
-    for point in scan((6, 200), (1, 677), "exact", table600):
+    ledger = ledger_scan((6, 200), (1, 677), table600)
+    for point, ledger_point in zip(scan((6, 200), (1, 677), "exact", table600), ledger):
         total += 1
         cert = point.certificate
         assert not isinstance(cert, (IntegerValue, Inconclusive)), (point.m, point.n)
+        # The valuation ledger reaches the same witness without e(m,n).
+        witness = ledger_point.certificate
+        assert isinstance(witness, ValuationWitness), (point.m, point.n)
+        assert (ledger_point.m, ledger_point.n, witness.p, witness.valuation) == (
+            point.m, point.n, cert.p, cert.valuation
+        )
         if isinstance(cert, PrimeWitness):
             prime_witnesses += 1
             if point.preferred_witness:
@@ -115,6 +124,7 @@ def test_criterion_4_wide_grid_scan(table600):
                 exceptions.append((point.m, point.n, cert.p))
     elapsed = time.perf_counter() - started
     assert total == 195 * 677
+    assert next(ledger, None) is None
     assert prime_witnesses == total
     fraction = Fraction(preferred, prime_witnesses)
     # Expected to be all of them; an exception is reported, not failed.
@@ -239,12 +249,15 @@ def test_full_verification_suite_standard_via_cli(tmp_path):
           f"checks pass, exit 0 ({elapsed:.1f}s)")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("TORELLI_EULER_DEEP"),
-    reason="deep mode (m <= 1470, B_2940) takes on the order of an hour; "
-    "set TORELLI_EULER_DEEP=1 to run",
-)
 def test_deep_verification_suite():
+    started = time.perf_counter()
     report = run_verification_suite("deep")
     failing = [c for c in report.checks if c.status != "pass"]
     assert not failing, failing
+    assert len(report.checks) == 21
+    scan_check = next(c for c in report.checks if c.id == "wide-grid-scan")
+    assert scan_check.witness == (
+        "all 991805 points on m = 6..1470, n = 1..677 are non-integers"
+    )
+    elapsed = time.perf_counter() - started
+    print(f"\nverification suite (deep): all 21 checks pass ({elapsed:.1f}s)")

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torelli_euler.bernoulli import CapacityError
 from torelli_euler.certify import (
@@ -9,9 +10,12 @@ from torelli_euler.certify import (
     IntegerValue,
     MagnitudeWitness,
     PrimeWitness,
+    ValuationWitness,
+    WITNESS_PRIMES,
     WITNESS_SEARCH_LIMIT,
     certificate_from_exact,
     certify_non_integrality,
+    ledger_scan,
     monotone_decrease_check,
     scan,
     single_term_interval,
@@ -21,6 +25,8 @@ from torelli_euler.certify import (
     wide_range_constant_form_threshold,
 )
 from torelli_euler.euler_char import EmnQuery, e_mn
+from torelli_euler.exact_core import p_adic_valuation
+from torelli_euler.zeta_special import zeta_one_minus_2k
 
 
 # --- certificate soundness is enforced at construction -------------------------
@@ -33,6 +39,25 @@ def test_prime_witness_rejects_wrong_claims():
         PrimeWitness(value=Fraction(3, 2), p=3, valuation=-1)
     with pytest.raises(CertificateError):
         PrimeWitness(value=Fraction(3), p=3, valuation=1)  # nonnegative valuation
+
+
+def test_valuation_witness_rejects_wrong_claims():
+    # e(6,1) = 12!/12! / prod |zeta(1-2k)|; 691 divides zeta(-11) once.
+    assert ValuationWitness(6, 1, 691, -1, ((6, 1),)).valuation == -1
+    bad_claims = [
+        (6, 1, 691, -2, ((6, 1),)),  # valuation off by one
+        (6, 1, 691, 0, ()),  # nonnegative valuation
+        (6, 1, 693, -1, ((6, 1),)),  # p not prime
+        (6, 1, 691, -1, ((7, 1),)),  # k past m
+        (6, 1, 691, -1, ((0, 1),)),  # k below 1
+        (6, 1, 691, -1, ((5, 0), (6, 1))),  # zero entry
+        (6, 1, 691, -2, ((6, 1), (6, 1))),  # repeated k
+        (6, 1, 691, -1, ((3, 2), (2, -1))),  # k out of order
+        (0, 1, 691, -1, ()),  # m below 1
+    ]
+    for claim in bad_claims:
+        with pytest.raises(CertificateError):
+            ValuationWitness(*claim)
 
 
 def test_magnitude_witness_rejects_bounds_at_least_one():
@@ -261,3 +286,64 @@ def test_wide_range_forms_threshold():
     assert forms.constant_factor_product.hi < 1
     assert forms.per_index_product.lo > 1
     assert wide_range_bound_forms(36).constant_factor_product.lo > 1
+
+
+# --- the valuation ledger against the exact scan --------------------------------
+
+
+def test_ledger_scan_matches_exact_scan(table60):
+    # m = 1..5 reaches the exact fallback: integers and witnesses other than
+    # 691 and 3617.  Where the ledger witnesses, p and v_p must agree.
+    exact = list(scan((1, 30), (1, 40), "exact", table60))
+    ledger = list(ledger_scan((1, 30), (1, 40), table60))
+    assert [(a.m, a.n) for a in exact] == [(b.m, b.n) for b in ledger]
+    fallbacks = 0
+    for a, b in zip(exact, ledger):
+        if isinstance(b.certificate, ValuationWitness):
+            assert (b.certificate.p, b.certificate.valuation) == (
+                a.certificate.p, a.certificate.valuation
+            ), (a.m, a.n)
+            assert b.preferred_witness is True
+        else:
+            fallbacks += 1
+            assert b.certificate == a.certificate
+    assert 0 < fallbacks < len(ledger)
+
+
+def test_ledger_scan_validation(table60):
+    with pytest.raises(CapacityError):
+        next(ledger_scan((6, 31), (1, 1), table60))
+    for m_range, n_range in (((0, 3), (1, 1)), ((3, 2), (1, 1)), ((6, 6), (2, 1))):
+        with pytest.raises(ValueError):
+            next(ledger_scan(m_range, n_range, table60))
+
+
+def test_ledger_lists_every_nonzero_zeta_valuation(table600):
+    # For each witness prime, the certificate at its largest m lists exactly
+    # the k with nonzero v_p(zeta(1-2k)), with the table's values.
+    deepest = {}
+    for point in ledger_scan((6, 200), (1, 677), table600):
+        cert = point.certificate
+        assert isinstance(cert, ValuationWitness), (point.m, point.n)
+        if cert.m >= deepest.get(cert.p, cert).m:
+            deepest[cert.p] = cert
+    assert set(deepest) == set(WITNESS_PRIMES) and deepest[691].m == 200
+    for p, cert in deepest.items():
+        expected = []
+        for k in range(1, cert.m + 1):
+            v = p_adic_valuation(zeta_one_minus_2k(k, table600).value, p)
+            if v:
+                expected.append((k, v))
+        assert cert.zeta_valuations == tuple(expected), p
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 200), n=st.integers(1, 677))
+def test_ledger_matches_exact_certificate_at_random_points(table600, m, n):
+    (point,) = ledger_scan((m, m), (n, n), table600)
+    exact = certificate_from_exact(e_mn(EmnQuery(m, n), table600))
+    if isinstance(point.certificate, ValuationWitness):
+        assert isinstance(exact, PrimeWitness)
+        assert (point.certificate.p, point.certificate.valuation) == (exact.p, exact.valuation)
+    else:
+        assert point.certificate == exact

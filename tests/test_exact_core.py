@@ -6,6 +6,7 @@ import pytest
 
 from torelli_euler.exact_core import (
     RationalInterval,
+    factorial_valuation,
     is_probable_prime,
     p_adic_valuation,
     pi_interval,
@@ -58,6 +59,18 @@ def test_p_adic_valuation_examples():
     assert p_adic_valuation(Fraction(-691, 2730), 7) == -1
     assert p_adic_valuation(Fraction(-691, 2730), 691) == 1
     assert p_adic_valuation(Fraction(-691, 2730), 11) == 0
+
+
+def test_factorial_valuation_matches_factorials():
+    for p in (2, 3, 7, 691):
+        running = 0  # v_p(n!) = sum of v_p(j) for j = 1..n
+        for n in range(0, 1400):
+            running += p_adic_valuation(n, p) if n else 0
+            assert factorial_valuation(n, p) == running, (n, p)
+    assert factorial_valuation(100, 5) == p_adic_valuation(math.factorial(100), 5) == 24
+    for n, p in ((-1, 2), (5, 1), (5, 0)):
+        with pytest.raises(ValueError):
+            factorial_valuation(n, p)
 
 
 def test_p_adic_valuation_rejects_zero_and_nonprime():

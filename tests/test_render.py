@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 from torelli_euler.certify import (
+    CertificateError,
     Inconclusive,
     IntegerValue,
     MagnitudeWitness,
     PrimeWitness,
+    ValuationWitness,
+    ledger_scan,
 )
 from torelli_euler.render import (
     certificate_from_json,
@@ -80,6 +83,54 @@ def test_certificate_json_rejects_unsound_witness():
     blob = certificate_to_json(_sample_certificates()[1])
     blob["valuation"] = -2
     with pytest.raises(Exception):
+        certificate_from_json(blob)
+
+
+def _ledger_certificates(table600):
+    # e(200,677): the window (400, 1076] holds 691 once, and 691 divides
+    # zeta(-11) and zeta(-199); e(99,600) is witnessed by 3617 alone.
+    return [
+        next(ledger_scan((m, m), (n, n), table600)).certificate
+        for m, n in ((200, 677), (99, 600))
+    ]
+
+
+def test_valuation_witness_json_round_trip(table600):
+    certs = _ledger_certificates(table600)
+    assert certs == [
+        ValuationWitness(200, 677, 691, -1, ((6, 1), (100, 1))),
+        ValuationWitness(99, 600, 3617, -1, ((8, 1),)),
+    ]
+    for cert in certs:
+        blob = dumps(certificate_to_json(cert))
+        assert certificate_from_json(json.loads(blob)) == cert
+    assert certificate_to_json(certs[1]) == {
+        "kind": "valuation-witness",
+        "m": 99,
+        "n": 600,
+        "p": "3617",
+        "valuation": -1,
+        "zeta_valuations": [[8, 1]],
+    }
+    assert certificate_text(certs[0]) == (
+        "non-integer (valuation witness): v_691 = -1 of e(200,677); "
+        "nonzero v_691(zeta(1-2k)): k=6: 1, k=100: 1"
+    )
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda blob: blob.update(p="3617"),
+        lambda blob: blob.update(valuation=-2),
+        lambda blob: blob["zeta_valuations"][1].__setitem__(1, 2),
+    ],
+    ids=["p", "valuation", "listed-entry"],
+)
+def test_valuation_witness_json_rejects_tampering(table600, tamper):
+    blob = json.loads(dumps(certificate_to_json(_ledger_certificates(table600)[0])))
+    tamper(blob)
+    with pytest.raises(CertificateError):
         certificate_from_json(blob)
 
 

@@ -13,6 +13,7 @@ def test_table_capacity_failure_is_recorded(monkeypatch):
     source, *rest = report.checks
     assert source.id == "table-source" and source.status == "fail"
     assert "exhausted memory" in source.witness
+    assert "build failed" in source.witness and "validation" not in source.witness
     assert len(rest) == 20
     assert all(check.status == "inconclusive" for check in rest)
     assert not report.passed
