@@ -2,8 +2,9 @@
 """Bernoulli numbers two ways, and the law that pins their denominators.
 
 Walks through: building exact tables with the integer-only Seidel recurrence
-and the rational Akiyama-Tanigawa recurrence, the B_1 = -1/2 convention,
-the von Staudt-Clausen denominator law, and the tamper-evident text cache.
+and the Akiyama-Tanigawa recurrence (in integers scaled by lcm(1..N+1)),
+the B_1 = -1/2 convention, the von Staudt-Clausen denominator law, and the
+tamper-evident text cache.
 """
 
 from fractions import Fraction

@@ -1,13 +1,13 @@
 """Exact Bernoulli numbers under the convention B_1 = -1/2.
 
-Two independent O(n^2) algorithms are provided.  The default is the
-integer-only Seidel/tangent-number recurrence, which needs no intermediate
-rational reduction; the rational Akiyama-Tanigawa recurrence exists as a
-genuinely different code path whose agreement with the default is a strong
-cross-check.  Tables carry their convention and provenance explicitly, can
-be persisted to a line-based text cache, and are revalidated against all
-structural invariants (sign pattern, von Staudt-Clausen denominator law)
-whenever they are built or loaded.
+Two independent O(n^2) algorithms are provided, both in integers with no
+intermediate rational reduction.  The default is the Seidel/tangent-number
+recurrence; the Akiyama-Tanigawa recurrence, run on a row scaled by
+lcm(1..N+1), exists as a genuinely different code path whose agreement with
+the default is a strong cross-check.  Tables carry their convention and
+provenance explicitly, can be persisted to a line-based text cache, and are
+revalidated against all structural invariants (sign pattern, von
+Staudt-Clausen denominator law) whenever they are built or loaded.
 """
 
 from __future__ import annotations
@@ -108,15 +108,18 @@ def _seidel_values(max_index: int) -> list[Fraction]:
 
 
 def _akiyama_tanigawa_values(max_index: int) -> list[Fraction]:
-    # The triangular recurrence yields the B_1 = +1/2 convention; even
-    # indices agree between conventions, so only index 1 needs flipping.
-    row = [Fraction(0)] * (max_index + 1)
+    # The triangular recurrence on the rationals 1/(m+1), run on the row
+    # scaled by L = lcm(1..max_index+1): every entry stays an integer, and
+    # B_m = row[0] / L.  It yields the B_1 = +1/2 convention; even indices
+    # agree between conventions, so only index 1 needs flipping.
+    scale = math.lcm(*range(1, max_index + 2))
+    row = [0] * (max_index + 1)
     values: list[Fraction] = []
     for m in range(max_index + 1):
-        row[m] = Fraction(1, m + 1)
+        row[m] = scale // (m + 1)
         for j in range(m, 0, -1):
             row[j - 1] = j * (row[j - 1] - row[j])
-        values.append(row[0])
+        values.append(Fraction(row[0], scale))
     if max_index >= 1:
         values[1] = Fraction(-1, 2)
     return values
@@ -216,7 +219,8 @@ def bernoulli_table(max_index: int, algorithm: str = "seidel") -> BernoulliTable
     """Exact table of B_0..B_max_index.
 
     `seidel` runs the integer tangent-number recurrence and converts once at
-    the end; `akiyama-tanigawa` runs the rational triangular recurrence.
+    the end; `akiyama-tanigawa` runs the triangular recurrence on 1/(m+1)
+    scaled to integers by lcm(1..max_index+1), with one division per value.
     Both are quadratic in max_index.
     """
     if max_index < 0:

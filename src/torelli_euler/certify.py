@@ -27,6 +27,7 @@ without forming e(m,n) wherever 691 or 3617 suffices.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +36,7 @@ from typing import Callable, Iterator, Union
 from .bernoulli import BernoulliTable, CapacityError
 from .exact_core import (
     RationalInterval,
+    _dyadic_to_bits,
     factorial_valuation,
     is_probable_prime,
     p_adic_valuation,
@@ -273,12 +275,55 @@ class BoundSequence:
             raise ValueError("the bound product is positive; enclosure must show it")
 
 
+@lru_cache(maxsize=8)
+def _prefix_memo(precision: int) -> list[tuple[int, int, int, int]]:
+    """The prefixes of `_term_product` computed so far at this precision.
+
+    Entry m holds the lo and hi endpoints of the m-th prefix as dyadic pairs
+    (lo mantissa, lo exponent, hi mantissa, hi exponent), each mantissa odd
+    and of at most bits + 1 bits: an endpoint as a Fraction would carry a
+    power-of-two denominator of ~10^5 bits by m = 200.
+    """
+    return [(1, 0, 1, 0)]
+
+
+# Extending a memo reads its last entry and appends the next: two threads
+# doing so at once would file one prefix under two indices.
+_PREFIX_LOCK = threading.Lock()
+
+
+def _dyadic(q: Fraction) -> tuple[int, int]:
+    # Endpoints rounded by `outward` have a power-of-two denominator.
+    return q.numerator, 1 - q.denominator.bit_length()
+
+
+def _from_dyadic(mantissa: int, exponent: int) -> Fraction:
+    if exponent >= 0:
+        return Fraction(mantissa << exponent)
+    return Fraction(mantissa, 1 << -exponent)
+
+
 def _term_product(m: int, precision: int) -> RationalInterval:
+    """prod_{k<=m} single_term_interval(k, precision), rounded outward after each factor.
+
+    Prefixes are memoised per precision and extended in integer arithmetic:
+    all endpoints are positive, so a step multiplies lo by lo and hi by hi
+    and rounds each as `RationalInterval.outward` would, bit for bit.
+    """
     bits = max(precision, 16) + _GUARD_BITS
-    product = RationalInterval.point(1)
-    for k in range(1, m + 1):
-        product = (product * single_term_interval(k, precision)).outward(bits)
-    return product
+    memo = _prefix_memo(precision)
+    with _PREFIX_LOCK:
+        while len(memo) <= m:
+            lo, lo_exp, hi, hi_exp = memo[-1]
+            term = single_term_interval(len(memo), precision)
+            term_lo, term_lo_exp = _dyadic(term.lo)
+            term_hi, term_hi_exp = _dyadic(term.hi)
+            memo.append(
+                _dyadic_to_bits(lo * term_lo, lo_exp + term_lo_exp, bits, ceil=False)
+                + _dyadic_to_bits(hi * term_hi, hi_exp + term_hi_exp, bits, ceil=True)
+            )
+        lo, lo_exp, hi, hi_exp = memo[m]
+    return RationalInterval(_from_dyadic(lo, lo_exp), _from_dyadic(hi, hi_exp))
 
 
 def _ratio_next_interval(m: int, n: int, precision: int) -> RationalInterval:
@@ -445,9 +490,11 @@ def scan(
 
     Row-incremental evaluation: for fixed m, e(m,n+1) = e(m,n) * (2m+n) and
     likewise for the bound product, so a full grid costs one rational
-    update per point instead of one full product.  Each running value,
-    like the zeta product under it, is brought up to date only when a point
-    needs it.  Inconclusive points are reported and the scan continues.
+    update per point instead of one full product.  Each running value is
+    brought up to date only when a point needs it: the zeta product under
+    e(m,n) a factor at a time, the bound's term product from the prefix
+    memo of `_term_product`.  Inconclusive points are reported and the scan
+    continues.
     """
     m_lo, m_hi = _validate_range(m_range, "m")
     n_lo, n_hi = _validate_range(n_range, "n")

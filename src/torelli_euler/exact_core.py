@@ -139,6 +139,24 @@ def _ceil_to_bits(q: Fraction, bits: int) -> Fraction:
     return -_floor_to_bits(-q, bits)
 
 
+def _dyadic_to_bits(mantissa: int, exponent: int, bits: int, ceil: bool) -> tuple[int, int]:
+    """`_floor_to_bits` (or `_ceil_to_bits`) of mantissa * 2**exponent, in integers.
+
+    The same rule: keep the top bits + 1 bits of the mantissa, rounding the
+    rest down (or up), so the result is bit for bit the Fraction one's
+    without forming its power-of-two denominator.  Returns (mantissa,
+    exponent) with the mantissa odd, as in the reduced Fraction, or (0, 0).
+    """
+    if mantissa == 0:
+        return 0, 0
+    drop = mantissa.bit_length() - bits - 1
+    if drop > 0:
+        mantissa = -(-mantissa >> drop) if ceil else mantissa >> drop
+        exponent += drop
+    zeros = (mantissa & -mantissa).bit_length() - 1
+    return mantissa >> zeros, exponent + zeros
+
+
 @dataclass(frozen=True)
 class RationalInterval:
     """Closed interval with exact rational endpoints.

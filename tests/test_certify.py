@@ -3,8 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torelli_euler.certify as certify_module
 from torelli_euler.bernoulli import CapacityError
 from torelli_euler.certify import (
+    _GUARD_BITS,
+    _prefix_memo,
+    _term_product,
     CertificateError,
     Inconclusive,
     IntegerValue,
@@ -25,7 +29,7 @@ from torelli_euler.certify import (
     wide_range_constant_form_threshold,
 )
 from torelli_euler.euler_char import EmnQuery, e_mn
-from torelli_euler.exact_core import p_adic_valuation
+from torelli_euler.exact_core import RationalInterval, p_adic_valuation
 from torelli_euler.zeta_special import zeta_one_minus_2k
 
 
@@ -126,6 +130,55 @@ def test_threshold_for_n1(table60):
 def test_threshold_not_found_below_cap():
     result = threshold_for_n(1, m_cap=5)
     assert result.m_found is None and not result.found and result.chain == ()
+
+
+def _reference_term_products(m_max, precision):
+    # The Fraction loop the memo replaced, keeping every prefix on the way.
+    bits = max(precision, 16) + _GUARD_BITS
+    product = RationalInterval.point(1)
+    prefixes = [product]
+    for k in range(1, m_max + 1):
+        product = (product * single_term_interval(k, precision)).outward(bits)
+        prefixes.append(product)
+    return prefixes
+
+
+@pytest.mark.parametrize("precision", [8, 64, 128])
+def test_term_product_memo_matches_the_fraction_loop(precision):
+    reference = _reference_term_products(300, precision)
+
+    def check(ms):
+        for m in ms:
+            product = _term_product(m, precision)
+            assert (product.lo, product.hi) == (reference[m].lo, reference[m].hi), m
+
+    _prefix_memo.cache_clear()
+    check(range(300, -1, -1))  # one extension to 300, then lookups
+    check(range(301))
+    _prefix_memo.cache_clear()
+    check(range(301))  # one step per query
+
+
+def test_prefix_memo_stores_small_integers():
+    # Fraction endpoints would carry ~10^5-bit denominators at m = 300.
+    for precision in (8, 64, 128):
+        _term_product(300, precision)
+        bits = max(precision, 16) + _GUARD_BITS
+        memo = _prefix_memo(precision)
+        assert len(memo) >= 301
+        for entry in memo:
+            assert all(type(x) is int and x.bit_length() <= bits + 64 for x in entry)
+
+
+def test_prefix_memo_is_dropped_with_the_module_lru_caches():
+    # The memo lives behind an lru cache of the module, so clearing those
+    # caches starts it over as in a fresh process: every factor is rebuilt.
+    _term_product(50, 64)
+    for obj in vars(certify_module).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    _term_product(50, 64)
+    assert single_term_interval.cache_info().misses == 50
 
 
 # --- certification strategies ----------------------------------------------------

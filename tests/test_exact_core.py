@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from torelli_euler.exact_core import (
     RationalInterval,
+    _dyadic_to_bits,
     factorial_valuation,
     is_probable_prime,
     p_adic_valuation,
@@ -187,6 +189,23 @@ def test_interval_outward_rounding_encloses_and_stays_tight():
             assert abs(rounded.lo - u.lo) <= abs(u.lo) * Fraction(1, 2**46)
         if u.hi != 0:
             assert abs(rounded.hi - u.hi) <= abs(u.hi) * Fraction(1, 2**46)
+
+
+_dyadics = st.tuples(st.integers(-(2**400), 2**400), st.integers(-2000, 2000))
+
+
+def _dyadic_value(mantissa, exponent):
+    return Fraction(mantissa) * Fraction(2) ** exponent
+
+
+@given(a=_dyadics, b=_dyadics, bits=st.integers(16, 200))
+def test_dyadic_rounding_matches_outward(a, b, bits):
+    lo, hi = sorted([a, b], key=lambda d: _dyadic_value(*d))
+    rounded = RationalInterval(_dyadic_value(*lo), _dyadic_value(*hi)).outward(bits)
+    for (mantissa, exponent), ceil, expected in ((lo, False, rounded.lo), (hi, True, rounded.hi)):
+        result = _dyadic_to_bits(mantissa, exponent, bits, ceil)
+        assert _dyadic_value(*result) == expected
+        assert result == (0, 0) or result[0] % 2 == 1
 
 
 # --- pi ------------------------------------------------------------------------
