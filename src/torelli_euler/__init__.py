@@ -6,6 +6,7 @@ from .bernoulli import (
     CacheError,
     CacheFormatError,
     CacheMissingError,
+    CachePathError,
     CacheVersionError,
     CapacityError,
     TableInvariantError,

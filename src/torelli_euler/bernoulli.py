@@ -6,8 +6,11 @@ recurrence; the Akiyama-Tanigawa recurrence, run on a row scaled by
 lcm(1..N+1), exists as a genuinely different code path whose agreement with
 the default is a strong cross-check.  Tables carry their convention and
 provenance explicitly, can be persisted to a line-based text cache, and are
-revalidated against all structural invariants (sign pattern, von
-Staudt-Clausen denominator law) whenever they are built or loaded.
+revalidated against all structural invariants whenever they are built or
+loaded: the sign pattern, the von Staudt-Clausen denominator law, and its
+integrality form B_2k + sum 1/p in Z, checked as the equivalent congruence
+N + D/p = 0 (mod p) for each prime p of the squarefree denominator D of
+B_2k = N/D.  One sieve yields the primes of every denominator in a table.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .exact_core import decimal_to_int, int_to_decimal, is_probable_prime
+from .exact_core import decimal_to_int, int_to_decimal, primes_up_to
 
 __all__ = [
     "ALGORITHMS",
@@ -28,6 +31,7 @@ __all__ = [
     "CacheError",
     "CacheFormatError",
     "CacheMissingError",
+    "CachePathError",
     "CacheVersionError",
     "CapacityError",
     "TableInvariantError",
@@ -60,6 +64,10 @@ class CacheError(Exception):
 
 class CacheMissingError(CacheError):
     """Cache file does not exist."""
+
+
+class CachePathError(CacheError):
+    """Cache path names something other than a regular file, such as a directory."""
 
 
 class CacheFormatError(CacheError):
@@ -125,19 +133,30 @@ def _akiyama_tanigawa_values(max_index: int) -> list[Fraction]:
     return values
 
 
+def _von_staudt_clausen_steps(k_max: int) -> list[tuple[int, int]]:
+    """(p, step) for each prime p <= 2 k_max + 1, increasing.
+
+    The von Staudt-Clausen rule: (p - 1) | 2k exactly when k is a multiple
+    of `step`, which is 1 for p = 2 and 3 and (p - 1)/2 for odd p >= 5.  No
+    prime above 2k + 1 can qualify, so one sieve serves every k <= k_max.
+    """
+    return [(p, max((p - 1) // 2, 1)) for p in primes_up_to(2 * k_max + 1)]
+
+
+def _von_staudt_clausen_prime_lists(k_max: int) -> list[list[int]]:
+    # Entry k lists von_staudt_clausen_primes(k) for every k <= k_max at once.
+    lists: list[list[int]] = [[] for _ in range(k_max + 1)]
+    for p, step in _von_staudt_clausen_steps(k_max):
+        for k in range(step, k_max + 1, step):
+            lists[k].append(p)
+    return lists
+
+
 def von_staudt_clausen_primes(k: int) -> tuple[int, ...]:
-    """Primes p with (p - 1) dividing 2k, via the divisors of 2k."""
+    """Primes p with (p - 1) dividing 2k, increasing."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    two_k = 2 * k
-    divisors = set()
-    d = 1
-    while d * d <= two_k:
-        if two_k % d == 0:
-            divisors.add(d)
-            divisors.add(two_k // d)
-        d += 1
-    return tuple(sorted(d + 1 for d in divisors if is_probable_prime(d + 1)))
+    return tuple(p for p, step in _von_staudt_clausen_steps(k) if k % step == 0)
 
 
 def von_staudt_clausen_denominator(k: int) -> int:
@@ -196,22 +215,28 @@ def _validate_table(table: BernoulliTable) -> None:
     for n in range(3, table.max_index + 1, 2):
         if table.values[n] != 0:
             raise TableInvariantError(f"B_{n} must be 0, found {table.values[n]}")
+    prime_lists = _von_staudt_clausen_prime_lists(table.max_index // 2)
     for k in range(1, table.max_index // 2 + 1):
         b = table.values[2 * k]
-        primes = von_staudt_clausen_primes(k)
-        if b.denominator != math.prod(primes):
+        primes = prime_lists[k]
+        numerator, denominator = b.numerator, math.prod(primes)
+        if b.denominator != denominator:
             raise TableInvariantError(
                 f"denominator of B_{2 * k} violates the von Staudt-Clausen law: "
-                f"found {b.denominator}, expected {math.prod(primes)}"
+                f"found {b.denominator}, expected {denominator}"
             )
         # Full von Staudt-Clausen: B_2k + sum of 1/p must be an integer.
         # Strictly stronger than the denominator law (catches numerator
-        # corruption that happens to preserve the reduced denominator).
-        if (b + sum(Fraction(1, p) for p in primes)).denominator != 1:
+        # corruption that happens to preserve the reduced denominator).  As
+        # the denominator D is squarefree, it holds exactly when p divides
+        # N + D/p for each p | D: every other D/q is a multiple of p.  N is
+        # reduced modulo D once, which leaves it the same modulo each p.
+        residue = numerator % denominator
+        if any((residue + denominator // p) % p for p in primes):
             raise TableInvariantError(
                 f"B_{2 * k} + sum(1/p) is not an integer; numerator corrupt"
             )
-        if (b > 0) != (k % 2 == 1) or b == 0:
+        if (numerator > 0) != (k % 2 == 1) or numerator == 0:
             raise TableInvariantError(f"sign of B_{2 * k} is wrong: {b}")
 
 
@@ -327,12 +352,16 @@ def load_table(location: str | os.PathLike) -> BernoulliTable:
 
     Cached big numbers are a silent-corruption risk, so nothing in the file
     is trusted: the loaded values must pass the same checks a freshly built
-    table does (the von Staudt-Clausen law pins every denominator and the
-    integrality check pins every numerator modulo its denominator's primes).
+    table does (the von Staudt-Clausen law pins every denominator, and the
+    integrality check, in its congruence form N + D/p = 0 mod p for each
+    prime p of the denominator D, pins every numerator N modulo those
+    primes).  A path naming anything but a regular file is a CachePathError.
     """
     path = Path(location)
     if not path.exists():
         raise CacheMissingError(f"no cache file at {path}")
+    if not path.is_file():
+        raise CachePathError(f"cache path {path} is not a regular file")
     text = path.read_text(encoding="ascii")
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:

@@ -41,6 +41,7 @@ from .exact_core import (
     is_probable_prime,
     p_adic_valuation,
     pi_interval,
+    primes_up_to,
     rising_factorial_ratio,
 )
 from .euler_char import EmnQuery, e_mn
@@ -203,11 +204,7 @@ Certificate = Union[IntegerValue, PrimeWitness, ValuationWitness, MagnitudeWitne
 # residue to trial-divide by each prime of the block.
 @lru_cache(maxsize=1)
 def _prime_blocks() -> tuple[tuple[int, list[int]], ...]:
-    sieve = bytearray([0, 0]) + bytearray([1]) * (WITNESS_SEARCH_LIMIT - 1)
-    for d in range(2, math.isqrt(WITNESS_SEARCH_LIMIT) + 1):
-        if sieve[d]:
-            sieve[d * d :: d] = bytes(len(sieve[d * d :: d]))
-    primes = [p for p, flag in enumerate(sieve) if flag]
+    primes = primes_up_to(WITNESS_SEARCH_LIMIT)
     blocks = [primes[i : i + 128] for i in range(0, len(primes), 128)]
     return tuple((math.prod(block), block) for block in blocks)
 
@@ -247,18 +244,91 @@ def certificate_from_exact(value: Fraction) -> Certificate:
 _GUARD_BITS = 32
 
 
+# An interval with positive dyadic endpoints, held in integers as
+# (lo mantissa, lo exponent, hi mantissa, hi exponent): its endpoints as
+# Fractions would carry power-of-two denominators of ~10^5 bits.
+_Dyadic = tuple[int, int, int, int]
+
+_DYADIC_ONE: _Dyadic = (1, 0, 1, 0)
+
+
+def _dyadic(q: Fraction) -> tuple[int, int]:
+    # Endpoints rounded by `outward` have a power-of-two denominator.
+    return q.numerator, 1 - q.denominator.bit_length()
+
+
+def _from_dyadic(mantissa: int, exponent: int) -> Fraction:
+    if exponent >= 0:
+        return Fraction(mantissa << exponent)
+    return Fraction(mantissa, 1 << -exponent)
+
+
+def _dyadic_interval(interval: RationalInterval) -> _Dyadic:
+    return _dyadic(interval.lo) + _dyadic(interval.hi)
+
+
+def _interval_from_dyadic(entry: _Dyadic) -> RationalInterval:
+    lo, lo_exp, hi, hi_exp = entry
+    return RationalInterval(_from_dyadic(lo, lo_exp), _from_dyadic(hi, hi_exp))
+
+
+def _mul_outward(a: _Dyadic, b: _Dyadic, bits: int) -> _Dyadic:
+    """a * b rounded outward to `bits`, bit for bit as `RationalInterval` would.
+
+    Both intervals are positive, so the product's lo is lo * lo and its hi
+    is hi * hi, and each is rounded as `RationalInterval.outward` rounds.
+    """
+    lo, lo_exp, hi, hi_exp = a
+    b_lo, b_lo_exp, b_hi, b_hi_exp = b
+    return (
+        _dyadic_to_bits(lo * b_lo, lo_exp + b_lo_exp, bits, ceil=False)
+        + _dyadic_to_bits(hi * b_hi, hi_exp + b_hi_exp, bits, ceil=True)
+    )
+
+
+# Extending a memo reads its last entry and appends the next: two threads
+# doing so at once would file one entry under two indices.  Reentrant, as
+# extending the prefix memo builds single terms, which extend the chain.
+_MEMO_LOCK = threading.RLock()
+
+
+@lru_cache(maxsize=8)
+def _square_chain(bits: int) -> list[_Dyadic]:
+    """The repeated squares of 2pi computed so far, rounded outward to `bits`.
+
+    Entry i encloses (2pi)^(2^(i+1)), the factor for bit i of k.  Entry 0 is
+    (2pi)^2 from the pi enclosure at `bits`, each later entry the square of
+    the one before, all rounded outward to `bits`: the squares that
+    `RationalInterval.power(2k, bits)` forms on its way, whatever k.
+    """
+    two_pi = pi_interval(bits).scale(2)
+    return [_dyadic_interval((two_pi * two_pi).outward(bits))]
+
+
 @lru_cache(maxsize=8192)
 def single_term_interval(k: int, precision: int = 64) -> RationalInterval:
     """Enclosure of (2pi)^(2k) / (2 (2k-1)!), the k-th bound factor.
 
     The factor crosses 1 between k = 8 and k = 9, which is what makes the
-    bound sequence eventually decrease.
+    bound sequence eventually decrease.  (2pi)^(2k) multiplies in the
+    entries of `_square_chain` for the set bits of k, lowest first, rounding
+    outward after each multiply: bit for bit the enclosure
+    `(2pi).power(2k, bits)` gives, with the squares shared by every k at
+    one precision instead of rebuilt from the pi enclosure for each.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     bits = max(precision, 16) + _GUARD_BITS
-    power = pi_interval(bits).scale(2).power(2 * k, bits)
-    return power.scale(Fraction(1, 2 * math.factorial(2 * k - 1))).outward(bits)
+    chain = _square_chain(bits)
+    with _MEMO_LOCK:
+        while len(chain) < k.bit_length():
+            chain.append(_mul_outward(chain[-1], chain[-1], bits))
+    power = _DYADIC_ONE
+    for i in range(k.bit_length()):
+        if k >> i & 1:
+            power = _mul_outward(power, chain[i], bits)
+    factor = Fraction(1, 2 * math.factorial(2 * k - 1))
+    return _interval_from_dyadic(power).scale(factor).outward(bits)
 
 
 @dataclass(frozen=True)
@@ -276,31 +346,14 @@ class BoundSequence:
 
 
 @lru_cache(maxsize=8)
-def _prefix_memo(precision: int) -> list[tuple[int, int, int, int]]:
+def _prefix_memo(precision: int) -> list[_Dyadic]:
     """The prefixes of `_term_product` computed so far at this precision.
 
-    Entry m holds the lo and hi endpoints of the m-th prefix as dyadic pairs
-    (lo mantissa, lo exponent, hi mantissa, hi exponent), each mantissa odd
-    and of at most bits + 1 bits: an endpoint as a Fraction would carry a
-    power-of-two denominator of ~10^5 bits by m = 200.
+    Entry m holds the m-th prefix, each mantissa odd and of at most bits + 1
+    bits: an endpoint as a Fraction would carry a power-of-two denominator
+    of ~10^5 bits by m = 200.
     """
-    return [(1, 0, 1, 0)]
-
-
-# Extending a memo reads its last entry and appends the next: two threads
-# doing so at once would file one prefix under two indices.
-_PREFIX_LOCK = threading.Lock()
-
-
-def _dyadic(q: Fraction) -> tuple[int, int]:
-    # Endpoints rounded by `outward` have a power-of-two denominator.
-    return q.numerator, 1 - q.denominator.bit_length()
-
-
-def _from_dyadic(mantissa: int, exponent: int) -> Fraction:
-    if exponent >= 0:
-        return Fraction(mantissa << exponent)
-    return Fraction(mantissa, 1 << -exponent)
+    return [_DYADIC_ONE]
 
 
 def _term_product(m: int, precision: int) -> RationalInterval:
@@ -312,18 +365,12 @@ def _term_product(m: int, precision: int) -> RationalInterval:
     """
     bits = max(precision, 16) + _GUARD_BITS
     memo = _prefix_memo(precision)
-    with _PREFIX_LOCK:
+    with _MEMO_LOCK:
         while len(memo) <= m:
-            lo, lo_exp, hi, hi_exp = memo[-1]
             term = single_term_interval(len(memo), precision)
-            term_lo, term_lo_exp = _dyadic(term.lo)
-            term_hi, term_hi_exp = _dyadic(term.hi)
-            memo.append(
-                _dyadic_to_bits(lo * term_lo, lo_exp + term_lo_exp, bits, ceil=False)
-                + _dyadic_to_bits(hi * term_hi, hi_exp + term_hi_exp, bits, ceil=True)
-            )
-        lo, lo_exp, hi, hi_exp = memo[m]
-    return RationalInterval(_from_dyadic(lo, lo_exp), _from_dyadic(hi, hi_exp))
+            memo.append(_mul_outward(memo[-1], _dyadic_interval(term), bits))
+        entry = memo[m]
+    return _interval_from_dyadic(entry)
 
 
 def _ratio_next_interval(m: int, n: int, precision: int) -> RationalInterval:

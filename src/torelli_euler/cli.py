@@ -63,7 +63,8 @@ def _nonnegative_int(text: str) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache",
-        default=os.environ.get(CACHE_ENV_VAR),
+        # An empty variable means no cache, not the current directory.
+        default=os.environ.get(CACHE_ENV_VAR) or None,
         help=f"Bernoulli table cache file (default: ${CACHE_ENV_VAR})",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
@@ -137,22 +138,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
     max_index = 2 * args.max_k
-    if args.algorithm == "both":
-        table = obtain_table(max_index, args.cache)
-        other = bernoulli_table(max_index, "akiyama-tanigawa")
-        agreement = table.values == other.values
-    else:
-        table = obtain_table(max_index, args.cache, args.algorithm)
-        other = None
-        agreement = None
+    both = args.algorithm == "both"
+    table = obtain_table(max_index, args.cache, "seidel" if both else args.algorithm)
+    # A cached table may run past B_2K; only B_0..B_2K were asked for.
+    values = table.values[: max_index + 1]
+    agreement = None
+    if both:
+        agreement = values == bernoulli_table(max_index, "akiyama-tanigawa").values
     if args.format == "json":
         payload = {
-            "max_index": table.max_index,
+            "max_index": max_index,
             "algorithm": table.algorithm,
             "convention": table.convention,
             "values": [
-                {"n": n, "value": rational_to_json(table.values[n])}
-                for n in range(table.max_index + 1)
+                {"n": n, "value": rational_to_json(values[n])}
+                for n in range(max_index + 1)
                 if n < 2 or n % 2 == 0
             ],
         }
@@ -160,10 +160,10 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
             payload["agreement"] = agreement
         print(dumps(payload))
     else:
-        for n in range(table.max_index + 1):
+        for n in range(max_index + 1):
             if n >= 3 and n % 2 == 1:
                 continue
-            print(f"B_{n} = {format_rational(table.values[n], args.digits)}")
+            print(f"B_{n} = {format_rational(values[n], args.digits)}")
         if agreement is not None:
             print(f"agreement between algorithms: {'yes' if agreement else 'NO'}")
     if agreement is False:

@@ -10,6 +10,7 @@ certified computation; floats are for display only.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ __all__ = [
     "is_probable_prime",
     "p_adic_valuation",
     "pi_interval",
+    "primes_up_to",
     "rising_factorial_ratio",
 ]
 
@@ -77,6 +79,17 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """The primes p <= limit, increasing, by the sieve of Eratosthenes."""
+    if limit < 2:
+        return []
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
+    for d in range(2, math.isqrt(limit) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(sieve[d * d :: d]))
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
 def rising_factorial_ratio(a: int, b: int) -> int:

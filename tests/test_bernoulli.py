@@ -7,6 +7,7 @@ from torelli_euler.bernoulli import (
     BernoulliTable,
     CacheFormatError,
     CacheMissingError,
+    CachePathError,
     CacheVersionError,
     CapacityError,
     TableInvariantError,
@@ -16,7 +17,9 @@ from torelli_euler.bernoulli import (
     tangent_numbers,
     von_staudt_clausen_denominator,
     von_staudt_clausen_primes,
+    _von_staudt_clausen_prime_lists,
 )
+from torelli_euler.exact_core import is_probable_prime
 
 
 def _binomial_recurrence_bernoulli(limit):
@@ -79,6 +82,91 @@ def test_von_staudt_clausen_denominator(k, expected, primes):
     assert von_staudt_clausen_denominator(k) == expected
 
 
+def _reference_von_staudt_clausen_primes(k):
+    # The divisor-and-Miller-Rabin search the sieve replaced.
+    two_k = 2 * k
+    divisors = set()
+    d = 1
+    while d * d <= two_k:
+        if two_k % d == 0:
+            divisors.add(d)
+            divisors.add(two_k // d)
+        d += 1
+    return tuple(sorted(d + 1 for d in divisors if is_probable_prime(d + 1)))
+
+
+def test_von_staudt_clausen_sieve_matches_divisor_search():
+    lists = _von_staudt_clausen_prime_lists(1470)
+    for k in range(1, 1471):
+        reference = _reference_von_staudt_clausen_primes(k)
+        assert von_staudt_clausen_primes(k) == tuple(lists[k]) == reference, k
+
+
+def _reference_table_error(values):
+    # The per-k checks as they read with Fraction sums, in their order:
+    # the message the first failing check gives, or None.
+    for k in range(1, (len(values) - 1) // 2 + 1):
+        b = values[2 * k]
+        primes = _reference_von_staudt_clausen_primes(k)
+        if b.denominator != math.prod(primes):
+            return (
+                f"denominator of B_{2 * k} violates the von Staudt-Clausen law: "
+                f"found {b.denominator}, expected {math.prod(primes)}"
+            )
+        if (b + sum(Fraction(1, p) for p in primes)).denominator != 1:
+            return f"B_{2 * k} + sum(1/p) is not an integer; numerator corrupt"
+        if (b > 0) != (k % 2 == 1) or b == 0:
+            return f"sign of B_{2 * k} is wrong: {b}"
+    return None
+
+
+@pytest.fixture(scope="module")
+def table1200():
+    return bernoulli_table(1200)
+
+
+def _flip_sign_keeping_integrality(b, k):
+    # -(B + sum 1/p) - sum 1/p: the denominator and B + sum 1/p in Z both
+    # survive, so only the sign check can see it.
+    return -b - 2 * sum(Fraction(1, p) for p in _reference_von_staudt_clausen_primes(k))
+
+
+@pytest.mark.parametrize("index", [1198, 1200])
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda b, k: Fraction(b.numerator, b.denominator + 1),
+        lambda b, k: Fraction(b.numerator, 7 * b.denominator),
+        lambda b, k: Fraction(b.numerator + 1, b.denominator),
+        lambda b, k: Fraction(b.numerator - 1, b.denominator),
+        # Moves the residue modulo 3 and no other, to a unit: denominator kept.
+        lambda b, k: Fraction(b.numerator + 2 * (b.denominator // 3), b.denominator),
+        lambda b, k: -b,
+        _flip_sign_keeping_integrality,
+    ],
+    ids=[
+        "denominator+1",
+        "denominator*7",
+        "numerator+1",
+        "numerator-1",
+        "numerator-mod-3",
+        "negated",
+        "sign-only",
+    ],
+)
+def test_tampering_at_the_top_of_a_large_table(table1200, index, tamper):
+    # The congruence checks reject what the Fraction sums rejected, with the
+    # same message (a numerator +-1 may also change the reduced denominator).
+    assert _reference_table_error(table1200.values) is None
+    values = list(table1200.values)
+    values[index] = tamper(values[index], index // 2)
+    expected = _reference_table_error(values)
+    assert expected is not None
+    with pytest.raises(TableInvariantError) as info:
+        BernoulliTable(max_index=1200, values=tuple(values), algorithm="seidel")
+    assert str(info.value) == expected
+
+
 def test_von_staudt_clausen_law_and_integrality(table60):
     for k in range(1, 31):
         b = table60.even(k)
@@ -130,6 +218,11 @@ def test_round_trip_preserves_algorithm_tag(tmp_path):
 def test_load_missing_file(tmp_path):
     with pytest.raises(CacheMissingError):
         load_table(tmp_path / "absent.cache")
+
+
+def test_load_directory_is_a_cache_path_error(tmp_path):
+    with pytest.raises(CachePathError, match="not a regular file"):
+        load_table(tmp_path)
 
 
 def test_load_empty_file(tmp_path):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from torelli_euler.bernoulli import CapacityError
 from torelli_euler.certify import (
     _GUARD_BITS,
     _prefix_memo,
+    _square_chain,
     _term_product,
     CertificateError,
     Inconclusive,
@@ -29,7 +31,7 @@ from torelli_euler.certify import (
     wide_range_constant_form_threshold,
 )
 from torelli_euler.euler_char import EmnQuery, e_mn
-from torelli_euler.exact_core import RationalInterval, p_adic_valuation
+from torelli_euler.exact_core import RationalInterval, p_adic_valuation, pi_interval
 from torelli_euler.zeta_special import zeta_one_minus_2k
 
 
@@ -132,6 +134,30 @@ def test_threshold_not_found_below_cap():
     assert result.m_found is None and not result.found and result.chain == ()
 
 
+def _reference_single_term(k, precision):
+    # The body the square chain replaced: a fresh power of 2pi for each k.
+    bits = max(precision, 16) + _GUARD_BITS
+    power = pi_interval(bits).scale(2).power(2 * k, bits)
+    return power.scale(Fraction(1, 2 * math.factorial(2 * k - 1))).outward(bits)
+
+
+@pytest.mark.parametrize("precision", [8, 64, 128])
+def test_single_terms_from_the_square_chain_match_the_power(precision):
+    reference = {k: _reference_single_term(k, precision) for k in range(1, 401)}
+
+    def check(ks):
+        single_term_interval.cache_clear()  # the chain stays as it is
+        for k in ks:
+            term = single_term_interval(k, precision)
+            assert (term.lo, term.hi) == (reference[k].lo, reference[k].hi), k
+
+    _square_chain.cache_clear()
+    check(range(400, 0, -1))  # the whole chain at k = 400, then lookups
+    check(range(1, 401))
+    _square_chain.cache_clear()
+    check(range(1, 401))  # one more square at each power of two
+
+
 def _reference_term_products(m_max, precision):
     # The Fraction loop the memo replaced, keeping every prefix on the way.
     bits = max(precision, 16) + _GUARD_BITS
@@ -171,14 +197,17 @@ def test_prefix_memo_stores_small_integers():
 
 
 def test_prefix_memo_is_dropped_with_the_module_lru_caches():
-    # The memo lives behind an lru cache of the module, so clearing those
-    # caches starts it over as in a fresh process: every factor is rebuilt.
+    # The memo and the square chain live behind lru caches of the module, so
+    # clearing those caches starts them over as in a fresh process: every
+    # factor is rebuilt, from a chain rebuilt from the pi enclosure.
     _term_product(50, 64)
     for obj in vars(certify_module).values():
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
     _term_product(50, 64)
     assert single_term_interval.cache_info().misses == 50
+    assert _square_chain.cache_info().misses == 1
+    assert len(_square_chain(64 + _GUARD_BITS)) == (50).bit_length()
 
 
 # --- certification strategies ----------------------------------------------------

@@ -182,6 +182,46 @@ def test_cache_build_then_persist_and_env(capsys, tmp_path, monkeypatch):
     assert "max=20" in header
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bernoulli_prints_only_the_requested_indices_from_a_larger_cache(
+    capsys, tmp_path, fmt
+):
+    cache = tmp_path / "bern.cache"
+    persist_table(bernoulli_table(20), cache)
+    code, out, _ = run(
+        capsys, "bernoulli", "--max-k", "2", "--algorithm", "both",
+        "--cache", str(cache), "--format", fmt,
+    )
+    fresh = tmp_path / "fresh.cache"
+    fresh_code, fresh_out, _ = run(
+        capsys, "bernoulli", "--max-k", "2", "--algorithm", "both",
+        "--cache", str(fresh), "--format", fmt,
+    )
+    assert (code, out) == (fresh_code, fresh_out) == (0, out)
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["max_index"] == 4 and payload["agreement"] is True
+        assert [entry["n"] for entry in payload["values"]] == [0, 1, 2, 4]
+    else:
+        assert "B_4 = -1/30" in out and "B_6" not in out
+        assert "agreement between algorithms: yes" in out
+
+
+def test_empty_cache_variable_means_no_cache(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TORELLI_EULER_CACHE", "")
+    code, out, err = run(capsys, "zeta", "--k", "6")
+    assert (code, err) == (0, "") and "691/32760" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_path_naming_a_directory_is_a_cache_error(capsys, tmp_path):
+    code, out, err = run(capsys, "zeta", "--k", "6", "--cache", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith("cache error:") and "not a regular file" in err
+    assert "Traceback" not in err
+
+
 def test_corrupted_cache_is_diagnosed(capsys, tmp_path):
     cache = tmp_path / "bern.cache"
     persist_table(bernoulli_table(20), cache)
