@@ -6,13 +6,14 @@ The story for n = 1: e(m,1) is an integer through m = 5, picks up the prime
 (0, 1) by the interval bound alone.  A scan then covers a grid, and the
 closing-bound display for the wide window n <= 677 is evaluated in both of
 its readings.  The valuation ledger reaches the scan's witnesses from
-p-adic valuations alone.
+p-adic valuations alone, one witness per prime per row segment.
 """
 
 from torelli_euler import (
     bernoulli_table,
     certify_non_integrality,
     ledger_scan,
+    ledger_segments,
     monotone_decrease_check,
     scan,
     threshold_for_n,
@@ -47,6 +48,12 @@ print("\nThe same block from the valuation ledger; e(m,n) is formed only")
 print("where neither 691 nor 3617 witnesses:")
 for point in ledger_scan((4, 8), (1, 3), table):
     print(f"  m={point.m} n={point.n}: {certificate_text(point.certificate, 6)}")
+
+print("\nThe ledger holds that block as row segments: v_p(e(m,n)) never falls")
+print("as n grows, so one witness at a segment's last n covers the whole run:")
+for segment in ledger_segments((4, 8), (1, 3), table):
+    print(f"  m={segment.m} n={segment.n_first}..{segment.n_last}: "
+          f"{certificate_text(segment.certificate, 6)}")
 
 print("\nThe closing bound for the wide window n <= 677 has two readings:")
 threshold = wide_range_constant_form_threshold(45)

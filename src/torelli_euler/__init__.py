@@ -24,6 +24,7 @@ from .certify import (
     CertificateError,
     Inconclusive,
     IntegerValue,
+    LedgerSegment,
     MagnitudeWitness,
     MonotoneReport,
     PrimeWitness,
@@ -33,6 +34,7 @@ from .certify import (
     certificate_from_exact,
     certify_non_integrality,
     ledger_scan,
+    ledger_segments,
     monotone_decrease_check,
     scan,
     single_term_interval,

@@ -355,18 +355,31 @@ def load_table(location: str | os.PathLike) -> BernoulliTable:
     table does (the von Staudt-Clausen law pins every denominator, and the
     integrality check, in its congruence form N + D/p = 0 mod p for each
     prime p of the denominator D, pins every numerator N modulo those
-    primes).  A path naming anything but a regular file is a CachePathError.
+    primes).  A path naming anything but a regular file is a CachePathError;
+    a file that is not ASCII, or whose header declares more than twice as
+    many entries as it has lines, is a CacheFormatError.
     """
     path = Path(location)
     if not path.exists():
         raise CacheMissingError(f"no cache file at {path}")
     if not path.is_file():
         raise CachePathError(f"cache path {path} is not a regular file")
-    text = path.read_text(encoding="ascii")
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise CacheFormatError(f"cache file at {path} is not ASCII: {exc}") from exc
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise CacheFormatError(f"empty cache file at {path}")
     convention, algorithm, max_index = _parse_header(lines[0])
+    # A valid file through B_max has at least max / 2 entry lines (only odd
+    # zeros above index 1 are left out): a larger max is refused before a
+    # list that long is allocated.
+    if max_index > 2 * (len(lines) - 1):
+        raise CacheFormatError(
+            f"header declares max={max_index} but the file has only "
+            f"{len(lines) - 1} entry lines"
+        )
     values = [Fraction(0)] * (max_index + 1)
     seen: set[int] = set()
     for line in lines[1:]:

@@ -20,18 +20,20 @@ ratio, which certifies that the bound sequence decreases below 1 from some
 threshold on.  Exact certificates use exact rational arithmetic; witness
 primes are chosen deterministically (691, then 3617, then the smallest
 prime factor of the reduced denominator up to WITNESS_SEARCH_LIMIT).  The
-valuation ledger (`ledger_scan`) reaches the same witnesses over a grid
-without forming e(m,n) wherever 691 or 3617 suffices.
+valuation ledger (`ledger_segments`, point by point `ledger_scan`) reaches
+the same witnesses over a grid without forming e(m,n) wherever 691 or 3617
+suffices, with one witness per prime per row.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .bernoulli import BernoulliTable, CapacityError
 from .exact_core import (
@@ -54,6 +56,7 @@ __all__ = [
     "DEEP_MAX_M",
     "Inconclusive",
     "IntegerValue",
+    "LedgerSegment",
     "MAX_WITNESSED_N",
     "MagnitudeWitness",
     "MonotoneReport",
@@ -68,6 +71,7 @@ __all__ = [
     "certificate_from_exact",
     "certify_non_integrality",
     "ledger_scan",
+    "ledger_segments",
     "monotone_decrease_check",
     "scan",
     "single_term_interval",
@@ -579,21 +583,61 @@ def scan(
                 bound_value = bound_value.scale(2 * m + n)
 
 
-def ledger_scan(
+@dataclass(frozen=True)
+class LedgerSegment:
+    """The points (m, n_first), ..., (m, n_last) of one row under one certificate.
+
+    A ValuationWitness sits at (m, n_last) and covers the whole segment:
+    v_p((2m+n-1)!) never decreases as n grows, so neither does v_p(e(m,n)),
+    and a valuation negative at n_last is negative at every n before it.
+    Any other certificate covers a single point.
+    """
+
+    m: int
+    n_first: int
+    n_last: int
+    certificate: Certificate
+
+    def __post_init__(self) -> None:
+        if self.m < 1 or not 1 <= self.n_first <= self.n_last:
+            raise CertificateError(
+                f"need m >= 1 and 1 <= n_first <= n_last, got m={self.m}, "
+                f"n = {self.n_first}..{self.n_last}"
+            )
+        cert = self.certificate
+        if isinstance(cert, ValuationWitness):
+            if (cert.m, cert.n) != (self.m, self.n_last):
+                raise CertificateError(
+                    f"witness at ({cert.m}, {cert.n}) cannot cover the segment "
+                    f"ending at ({self.m}, {self.n_last})"
+                )
+        elif self.n_first != self.n_last:
+            raise CertificateError(
+                f"{type(cert).__name__} covers one point, not n = {self.n_first}..{self.n_last}"
+            )
+
+
+def _valuation_bar(m: int, p: int, entries: Iterable[tuple[int, int]]) -> int:
+    # v_p(e(m,n)) = v_p((2m+n-1)!) - bar, given the row's ledger entries.
+    return factorial_valuation(2 * m, p) + sum(v for _, v in entries)
+
+
+def ledger_segments(
     m_range: tuple[int, int],
     n_range: tuple[int, int],
     table: BernoulliTable,
-) -> Iterator[ScanPoint]:
-    """The certificates of an exact scan, from p-adic valuations where possible.
+) -> Iterator[LedgerSegment]:
+    """The certificates of an exact scan as row segments, from p-adic valuations.
 
     For each p in WITNESS_PRIMES a running ledger holds the nonzero
-    v_p(zeta(1-2k)) for k <= m, each taken once from the table, so
-    v_p(e(m,n)) costs two Legendre sums and no ~10^5-digit e(m,n) is formed.
-    The first prime with a negative valuation gives a ValuationWitness with
-    the p and valuation certificate_from_exact would report; a point neither
-    prime witnesses gets certificate_from_exact of the exact e(m,n),
-    evaluated afresh, so the ledger pays off where those two primes witness
-    nearly every point (the window 2m + n - 1 < 3617).
+    v_p(zeta(1-2k)) for k <= m, each taken once from the table.  As
+    v_p(e(m,n)) never decreases along a row, the points a prime witnesses
+    there form one run, whose end a bisection of the Legendre sum finds.
+    So each row is at most a 691 segment, then a 3617 segment, then single
+    points neither prime witnesses, certified by certificate_from_exact of
+    the exact e(m,n).  691 comes before 3617 as in certificate_from_exact,
+    so every point gets the p and valuation it would report.  For m >= 6 no
+    point of the window 2m + n - 1 < 3617 needs e(m,n).
     """
     m_lo, m_hi = _validate_range(m_range, "m")
     n_lo, n_hi = _validate_range(n_range, "n")
@@ -607,19 +651,43 @@ def ledger_scan(
                 entries.append((m, v))
         if m < m_lo:
             continue
-        rows = [
-            (p, factorial_valuation(2 * m, p), sum(v for _, v in entries), tuple(entries))
-            for p, entries in ledgers.items()
-        ]
-        for n in range(n_lo, n_hi + 1):
-            for p, base, zeta_sum, entries in rows:
-                valuation = factorial_valuation(2 * m + n - 1, p) - base - zeta_sum
-                if valuation < 0:
-                    cert: Certificate = ValuationWitness(m, n, p, valuation, entries)
-                    break
-            else:
-                cert = certificate_from_exact(e_mn(EmnQuery(m, n), table))
-            yield ScanPoint(m=m, n=n, certificate=cert)
+        n_first = n_lo
+        for p, entries in ledgers.items():
+            bar = _valuation_bar(m, p, entries)
+            n_last = n_first - 1 + bisect.bisect_left(
+                range(n_first, n_hi + 1), bar,
+                key=lambda n: factorial_valuation(2 * m + n - 1, p),
+            )
+            if n_last >= n_first:
+                valuation = factorial_valuation(2 * m + n_last - 1, p) - bar
+                witness = ValuationWitness(m, n_last, p, valuation, tuple(entries))
+                yield LedgerSegment(m, n_first, n_last, witness)
+                n_first = n_last + 1
+        for n in range(n_first, n_hi + 1):
+            yield LedgerSegment(m, n, n, certificate_from_exact(e_mn(EmnQuery(m, n), table)))
+
+
+def ledger_scan(
+    m_range: tuple[int, int],
+    n_range: tuple[int, int],
+    table: BernoulliTable,
+) -> Iterator[ScanPoint]:
+    """The certificates of an exact scan, point by point, from `ledger_segments`.
+
+    Each point of a witnessed segment gets its own ValuationWitness, with
+    the p and valuation certificate_from_exact would report; any other
+    segment is a single point and keeps its certificate.
+    """
+    for segment in ledger_segments(m_range, n_range, table):
+        m, cert = segment.m, segment.certificate
+        if not isinstance(cert, ValuationWitness):
+            yield ScanPoint(m=m, n=segment.n_first, certificate=cert)
+            continue
+        p, entries = cert.p, cert.zeta_valuations
+        bar = _valuation_bar(m, p, entries)
+        for n in range(segment.n_first, segment.n_last + 1):
+            valuation = factorial_valuation(2 * m + n - 1, p) - bar
+            yield ScanPoint(m=m, n=n, certificate=ValuationWitness(m, n, p, valuation, entries))
 
 
 @dataclass(frozen=True)

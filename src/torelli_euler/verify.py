@@ -5,9 +5,10 @@ the suite runs them in deterministic order, records pass/fail/inconclusive
 with a rendered witness, and never lets one check's failure stop the rest.
 Standard mode works over a Bernoulli table to index 600 and scans the wide
 grid to m = 200; deep mode extends the table to index 2940 and the scan to
-m = 1470.  The wide-grid scan reads each point's witness off the valuation
-ledger (`certify.ledger_scan`), so its cost is a few Legendre sums per
-point, not the exact ~10^5-digit e(m,n).
+m = 1470.  The wide-grid scan reads its witnesses off the valuation ledger
+as row segments (`certify.ledger_segments`): one rechecked witness per
+prime per row covers a run of points, so a row costs about ten Legendre
+sums per prime, and no exact ~10^5-digit e(m,n) is formed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .bernoulli import (
     load_table,
     obtain_table,
     persist_table,
-    von_staudt_clausen_primes,
+    _von_staudt_clausen_prime_lists,
 )
 from .certify import (
     DEEP_MAX_M,
@@ -38,7 +39,7 @@ from .certify import (
     ValuationWitness,
     WITNESS_PRIMES,
     certify_non_integrality,
-    ledger_scan,
+    ledger_segments,
     monotone_decrease_check,
     single_term_interval,
     threshold_for_n,
@@ -167,9 +168,10 @@ def _check_von_staudt_clausen(ctx: dict) -> Outcome:
     # Table construction already enforces the law; recheck the full form
     # here explicitly so the suite does not rest on constructor behavior.
     table: BernoulliTable = ctx["table"]
+    prime_lists = _von_staudt_clausen_prime_lists(300)
     for k in range(1, 301):
         b = table.even(k)
-        primes = von_staudt_clausen_primes(k)
+        primes = prime_lists[k]
         if b.denominator != math.prod(primes):
             return "fail", f"denominator law broken at 2k = {2 * k}"
         total = b + sum(Fraction(1, p) for p in primes)
@@ -301,19 +303,21 @@ def _check_wide_grid_scan(ctx: dict) -> Outcome:
     other_witness: list[tuple[int, int, int]] = []
     preferred = 0
     prime_witnesses = 0
-    for point in ledger_scan((6, m_hi), (1, MAX_WITNESSED_N), table):
-        total += 1
-        cert = point.certificate
+    for segment in ledger_segments((6, m_hi), (1, MAX_WITNESSED_N), table):
+        # Only a ValuationWitness covers more than its one point.
+        m, n, points = segment.m, segment.n_first, segment.n_last - segment.n_first + 1
+        total += points
+        cert = segment.certificate
         if isinstance(cert, IntegerValue):
-            integers.append((point.m, point.n))
+            integers.append((m, n))
         elif isinstance(cert, Inconclusive):
-            inconclusive.append((point.m, point.n))
+            inconclusive.append((m, n))
         elif isinstance(cert, (PrimeWitness, ValuationWitness)):
-            prime_witnesses += 1
-            if point.preferred_witness:
-                preferred += 1
+            prime_witnesses += points
+            if cert.p in WITNESS_PRIMES:
+                preferred += points
             else:
-                other_witness.append((point.m, point.n, cert.p))
+                other_witness.append((m, n, cert.p))
     ctx["scan_stats"] = {
         "m_hi": m_hi,
         "total": total,

@@ -296,3 +296,35 @@ def test_persist_overwrites_atomically(tmp_path):
     persist_table(bernoulli_table(20), path)
     assert load_table(path).max_index == 20
     assert list(tmp_path.iterdir()) == [path]  # no stray temp files
+
+
+def test_load_non_ascii_file_is_a_format_error(tmp_path):
+    path = tmp_path / "bern.cache"
+    persist_table(bernoulli_table(20), path)
+    path.write_bytes(path.read_bytes().replace(b"12 -691/2730", b"12 -691/2730\xc3\xa9"))
+    with pytest.raises(CacheFormatError, match="not ASCII"):
+        load_table(path)
+
+
+def test_load_refuses_a_max_past_twice_the_entry_lines(tmp_path):
+    # A table through B_20 has 12 entry lines.  A header claiming far more is
+    # refused before anything that size is allocated; a shortfall within
+    # twice the line count reaches the invariant checks as before.
+    path = tmp_path / "bern.cache"
+    persist_table(bernoulli_table(20), path)
+    text = path.read_text()
+    for declared in (25, 99999999999):
+        path.write_text(text.replace("max=20", f"max={declared}"))
+        with pytest.raises(CacheFormatError, match=f"declares max={declared} .* 12 entry lines"):
+            load_table(path)
+    path.write_text(text.replace("max=20", "max=24"))
+    with pytest.raises(TableInvariantError, match="denominator of B_22"):
+        load_table(path)
+
+
+def test_every_small_valid_table_passes_the_line_count_check(tmp_path):
+    path = tmp_path / "bern.cache"
+    for max_index in range(41):
+        table = bernoulli_table(max_index)
+        persist_table(table, path)
+        assert load_table(path) == table

@@ -14,6 +14,7 @@ from torelli_euler.certify import (
     CertificateError,
     Inconclusive,
     IntegerValue,
+    LedgerSegment,
     MagnitudeWitness,
     PrimeWitness,
     ValuationWitness,
@@ -22,6 +23,7 @@ from torelli_euler.certify import (
     certificate_from_exact,
     certify_non_integrality,
     ledger_scan,
+    ledger_segments,
     monotone_decrease_check,
     scan,
     single_term_interval,
@@ -31,7 +33,13 @@ from torelli_euler.certify import (
     wide_range_constant_form_threshold,
 )
 from torelli_euler.euler_char import EmnQuery, e_mn
-from torelli_euler.exact_core import RationalInterval, p_adic_valuation, pi_interval
+from torelli_euler import verify
+from torelli_euler.exact_core import (
+    RationalInterval,
+    factorial_valuation,
+    p_adic_valuation,
+    pi_interval,
+)
 from torelli_euler.zeta_special import zeta_one_minus_2k
 
 
@@ -429,3 +437,106 @@ def test_ledger_matches_exact_certificate_at_random_points(table600, m, n):
         assert (point.certificate.p, point.certificate.valuation) == (exact.p, exact.valuation)
     else:
         assert point.certificate == exact
+
+
+# --- the ledger's row segments ----------------------------------------------------
+
+
+def _valuation(witness, n):
+    # v_p(e(m,n)) for the witness's prime and ledger, at another n of its row.
+    m, p = witness.m, witness.p
+    zeta_sum = sum(v for _, v in witness.zeta_valuations)
+    return factorial_valuation(2 * m + n - 1, p) - factorial_valuation(2 * m, p) - zeta_sum
+
+
+@pytest.mark.parametrize("window", ["small", "standard"])
+def test_segments_expand_to_the_ledger_scan(table60, table600, window):
+    # The small window reaches the exact fallback (m <= 5); the standard one
+    # is the wide-grid scan of verify-paper.
+    if window == "small":
+        m_range, n_range, table = (1, 30), (1, 40), table60
+    else:
+        m_range, n_range, table = (6, 200), (1, 677), table600
+    segments = list(ledger_segments(m_range, n_range, table))
+    points = list(ledger_scan(m_range, n_range, table))
+    expanded = [
+        (segment, n)
+        for segment in segments
+        for n in range(segment.n_first, segment.n_last + 1)
+    ]
+    assert [(s.m, n) for s, n in expanded] == [(point.m, point.n) for point in points]
+    for (segment, n), point in zip(expanded, points):
+        cert = segment.certificate
+        if isinstance(cert, ValuationWitness):
+            assert point.certificate == ValuationWitness(
+                segment.m, n, cert.p, _valuation(cert, n), cert.zeta_valuations
+            )
+        else:
+            assert point.certificate == cert
+    witnessed = [s for s in segments if isinstance(s.certificate, ValuationWitness)]
+    if window == "small":
+        assert len(witnessed) < len(segments)
+    else:
+        assert len(segments) == len(witnessed) == 287
+
+
+@pytest.mark.parametrize("window", ["small", "standard"])
+def test_every_witnessed_segment_is_maximal(table60, table600, window):
+    if window == "small":
+        m_range, (n_lo, n_hi), table = (1, 30), (1, 40), table60
+    else:
+        m_range, (n_lo, n_hi), table = (6, 200), (1, 677), table600
+    rows = {}
+    for segment in ledger_segments(m_range, (n_lo, n_hi), table):
+        rows.setdefault(segment.m, []).append(segment)
+    for m, row in rows.items():
+        # Segments tile the row in order, each prime's run at most once.
+        assert row[0].n_first == n_lo and row[-1].n_last == n_hi
+        assert all(a.n_last + 1 == b.n_first for a, b in zip(row, row[1:]))
+        primes = [s.certificate.p for s in row if isinstance(s.certificate, ValuationWitness)]
+        assert primes == sorted(set(primes), key=WITNESS_PRIMES.index)
+        for segment in row:
+            cert = segment.certificate
+            if isinstance(cert, ValuationWitness) and segment.n_last < n_hi:
+                assert _valuation(cert, segment.n_last + 1) >= 0, (m, segment)
+
+
+def test_ledger_segment_rechecks_its_extent():
+    witness = ValuationWitness(6, 5, 691, -1, ((6, 1),))
+    assert LedgerSegment(6, 1, 5, witness).n_last == 5
+    assert LedgerSegment(1, 3, 3, IntegerValue(12)).certificate == IntegerValue(12)
+    bad_segments = [
+        (6, 5, 4, witness),  # n_first > n_last
+        (6, 0, 5, witness),  # n_first below 1
+        (0, 1, 1, IntegerValue(12)),  # m below 1
+        (6, 1, 4, witness),  # witness past n_last
+        (6, 1, 6, witness),  # witness before n_last
+        (7, 1, 5, witness),  # witness in another row
+        (1, 3, 4, IntegerValue(12)),  # a point certificate over two n
+        (2, 1, 3, Inconclusive("no witness")),
+    ]
+    for args in bad_segments:
+        with pytest.raises(CertificateError):
+            LedgerSegment(*args)
+
+
+def test_standard_wide_grid_check_builds_one_witness_per_segment(table600, monkeypatch):
+    # Reading segments, the check rechecks 287 witnesses, not one for each of
+    # its 132,015 points: a return to per-point work fails here.
+    built = []
+    recheck = ValuationWitness.__post_init__
+
+    def counting(self):
+        built.append(self)
+        recheck(self)
+
+    monkeypatch.setattr(ValuationWitness, "__post_init__", counting)
+    ctx = {"mode": "standard", "table": table600}
+    status, witness = verify._check_wide_grid_scan(ctx)
+    assert status == "pass" and "all 132015 points" in witness
+    assert 0 < len(built) < 1000
+    # Each segment counts its points, witnessed ones included.
+    assert ctx["scan_stats"] == {
+        "m_hi": 200, "total": 132015, "integers": [], "inconclusive": [],
+        "prime_witnesses": 132015, "preferred": 132015, "other_witness": [],
+    }

@@ -231,6 +231,28 @@ def test_corrupted_cache_is_diagnosed(capsys, tmp_path):
     assert "cache error" in err and "von Staudt" in err
 
 
+def _non_ascii_cache(path):
+    persist_table(bernoulli_table(20), path)
+    path.write_bytes(path.read_bytes() + "12 -691/2730\u00e9\n".encode())
+    return "not ASCII"
+
+
+def _huge_max_cache(path):
+    persist_table(bernoulli_table(20), path)
+    path.write_text(path.read_text().replace("max=20", "max=99999999999"))
+    return "declares max=99999999999"
+
+
+@pytest.mark.parametrize("corrupt", [_non_ascii_cache, _huge_max_cache])
+def test_unreadable_cache_is_a_cache_error(capsys, tmp_path, corrupt):
+    cache = tmp_path / "bad.cache"
+    diagnosis = corrupt(cache)
+    code, out, err = run(capsys, "zeta", "--k", "2", "--cache", str(cache))
+    assert code == 1 and out == ""
+    assert err.startswith("cache error:") and diagnosis in err
+    assert "Traceback" not in err
+
+
 def test_verify_paper_fails_on_tampered_cache(capsys, tmp_path):
     # With no valid table the suite reports the validation failure and the
     # dependent checks as inconclusive; nothing heavy runs.
