@@ -6,17 +6,19 @@ recurrence; the Akiyama-Tanigawa recurrence, run on a row scaled by
 lcm(1..N+1), exists as a genuinely different code path whose agreement with
 the default is a strong cross-check.  Tables carry their convention and
 provenance explicitly, can be persisted to a line-based text cache, and are
-revalidated against all structural invariants whenever they are built or
-loaded: the sign pattern, the von Staudt-Clausen denominator law, and its
-integrality form B_2k + sum 1/p in Z, checked as the equivalent congruence
-N + D/p = 0 (mod p) for each prime p of the squarefree denominator D of
-B_2k = N/D.  One sieve yields the primes of every denominator in a table.
+validated against all structural invariants whenever they are built or
+loaded (a load validates every entry it returns): the sign pattern, the von
+Staudt-Clausen denominator law, and its integrality form B_2k + sum 1/p in
+Z, checked as the equivalent congruence N + D/p = 0 (mod p) for each prime
+p of the squarefree denominator D of B_2k = N/D.  One sieve yields the
+primes of every denominator in a table.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -327,7 +329,22 @@ def _parse_header(line: str) -> tuple[str, str, int]:
     return fields["convention"], fields["algorithm"], max_index
 
 
-def _parse_entry(line: str, max_index: int) -> tuple[int, Fraction]:
+# The first token of an entry line: its index, read without copying the
+# value, which can run to thousands of digits.
+_INDEX_TOKEN = re.compile(r"\s*(\S+)")
+
+
+def _entry_index(line: str, max_index: int) -> int:
+    try:
+        n = int(_INDEX_TOKEN.match(line).group(1))
+    except ValueError as exc:
+        raise CacheFormatError(f"malformed cache line: {line!r}") from exc
+    if n < 0 or n > max_index:
+        raise CacheFormatError(f"index {n} outside table range 0..{max_index}")
+    return n
+
+
+def _parse_value(line: str) -> Fraction:
     tokens = line.split()
     if len(tokens) != 2:
         raise CacheFormatError(f"malformed cache line: {line!r}")
@@ -335,20 +352,17 @@ def _parse_entry(line: str, max_index: int) -> tuple[int, Fraction]:
     if not sep:
         raise CacheFormatError(f"malformed value in cache line: {line!r}")
     try:
-        n = int(tokens[0])
         num = decimal_to_int(num_str)
         den = decimal_to_int(den_str)
     except ValueError as exc:
         raise CacheFormatError(f"malformed cache line: {line!r}") from exc
-    if n < 0 or n > max_index:
-        raise CacheFormatError(f"index {n} outside table range 0..{max_index}")
     if den < 1:
         raise CacheFormatError(f"nonpositive denominator in cache line: {line!r}")
-    return n, Fraction(num, den)
+    return Fraction(num, den)
 
 
-def load_table(location: str | os.PathLike) -> BernoulliTable:
-    """Load a persisted table and revalidate every invariant.
+def load_table(location: str | os.PathLike, through: int | None = None) -> BernoulliTable:
+    """Load a persisted table and revalidate every entry it returns.
 
     Cached big numbers are a silent-corruption risk, so nothing in the file
     is trusted: the loaded values must pass the same checks a freshly built
@@ -358,7 +372,15 @@ def load_table(location: str | os.PathLike) -> BernoulliTable:
     primes).  A path naming anything but a regular file is a CachePathError;
     a file that is not ASCII, or whose header declares more than twice as
     many entries as it has lines, is a CacheFormatError.
+
+    With `through` below the header's max, the result is the table of
+    B_0..B_through: every line's index is still read and checked, but only
+    the values of the entries through B_through are parsed and validated,
+    so corruption above it is left to a load that reaches it.  Without
+    `through`, or with one at or past the max, the whole file is loaded.
     """
+    if through is not None and through < 0:
+        raise ValueError(f"through must be nonnegative, got {through}")
     path = Path(location)
     if not path.exists():
         raise CacheMissingError(f"no cache file at {path}")
@@ -368,7 +390,7 @@ def load_table(location: str | os.PathLike) -> BernoulliTable:
         text = path.read_text(encoding="ascii")
     except UnicodeDecodeError as exc:
         raise CacheFormatError(f"cache file at {path} is not ASCII: {exc}") from exc
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in text.splitlines() if line and not line.isspace()]
     if not lines:
         raise CacheFormatError(f"empty cache file at {path}")
     convention, algorithm, max_index = _parse_header(lines[0])
@@ -380,16 +402,18 @@ def load_table(location: str | os.PathLike) -> BernoulliTable:
             f"header declares max={max_index} but the file has only "
             f"{len(lines) - 1} entry lines"
         )
-    values = [Fraction(0)] * (max_index + 1)
+    last = max_index if through is None else min(through, max_index)
+    values = [Fraction(0)] * (last + 1)
     seen: set[int] = set()
     for line in lines[1:]:
-        n, value = _parse_entry(line, max_index)
+        n = _entry_index(line, max_index)
         if n in seen:
             raise CacheFormatError(f"duplicate entry for index {n}")
         seen.add(n)
-        values[n] = value
+        if n <= last:
+            values[n] = _parse_value(line)
     return BernoulliTable(
-        max_index=max_index,
+        max_index=last,
         values=tuple(values),
         algorithm=algorithm,
         convention=convention,
@@ -399,18 +423,22 @@ def load_table(location: str | os.PathLike) -> BernoulliTable:
 def obtain_table(
     required: int, cache: str | os.PathLike | None, algorithm: str = "seidel"
 ) -> BernoulliTable:
-    """A table through at least B_required, loaded from `cache` if it holds one.
+    """The table of B_0..B_required, loaded from `cache` if it holds one.
 
-    Any cached algorithm serves `seidel`; others need the same tag.  Failing
-    that, the table is built and, given a cache path, persisted there.
+    Any cached algorithm serves `seidel`; others need the same tag.  A cache
+    through B_required or further is read through B_required only, and
+    every value returned is validated.  Failing that, the table is built
+    and, given a cache path, persisted there, unless the cache already
+    holds a table at least as large (of another algorithm).
     """
     if cache is None:
         return bernoulli_table(required, algorithm)
     path = Path(cache)
-    if path.exists():
-        table = load_table(path)
-        if table.max_index >= required and algorithm in ("seidel", table.algorithm):
-            return table
+    cached = load_table(path, through=required) if path.exists() else None
+    large_enough = cached is not None and cached.max_index == required
+    if large_enough and algorithm in ("seidel", cached.algorithm):
+        return cached
     table = bernoulli_table(required, algorithm)
-    persist_table(table, path)
+    if not large_enough:
+        persist_table(table, path)
     return table

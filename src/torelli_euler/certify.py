@@ -39,6 +39,7 @@ from .bernoulli import BernoulliTable, CapacityError
 from .exact_core import (
     RationalInterval,
     _dyadic_to_bits,
+    _floor_ratio_to_bits,
     factorial_valuation,
     is_probable_prime,
     p_adic_valuation,
@@ -276,6 +277,31 @@ def _interval_from_dyadic(entry: _Dyadic) -> RationalInterval:
     return RationalInterval(_from_dyadic(lo, lo_exp), _from_dyadic(hi, hi_exp))
 
 
+def _dyadic_ratio(mantissa: int, exponent: int, divisor: int) -> tuple[int, int]:
+    # mantissa * 2**exponent / divisor in lowest terms, for an odd mantissa.
+    g = math.gcd(mantissa, divisor)
+    numerator, denominator = mantissa // g, divisor // g
+    if exponent < 0:
+        return numerator, denominator << -exponent
+    shift = min(exponent, (denominator & -denominator).bit_length() - 1)
+    return numerator << (exponent - shift), denominator >> shift
+
+
+def _divide_outward(entry: _Dyadic, divisor: int, bits: int) -> RationalInterval:
+    """entry / divisor rounded outward to `bits`, bit for bit as `RationalInterval` would.
+
+    The quotient of each endpoint is reduced by one gcd with the divisor,
+    without forming the endpoint's power-of-two denominator as a Fraction,
+    and rounded as `RationalInterval.outward` rounds.
+    """
+    lo, lo_exp, hi, hi_exp = entry
+    hi_num, hi_den = _dyadic_ratio(hi, hi_exp, divisor)
+    return RationalInterval(
+        _floor_ratio_to_bits(*_dyadic_ratio(lo, lo_exp, divisor), bits),
+        -_floor_ratio_to_bits(-hi_num, hi_den, bits),
+    )
+
+
 def _mul_outward(a: _Dyadic, b: _Dyadic, bits: int) -> _Dyadic:
     """a * b rounded outward to `bits`, bit for bit as `RationalInterval` would.
 
@@ -318,7 +344,8 @@ def single_term_interval(k: int, precision: int = 64) -> RationalInterval:
     entries of `_square_chain` for the set bits of k, lowest first, rounding
     outward after each multiply: bit for bit the enclosure
     `(2pi).power(2k, bits)` gives, with the squares shared by every k at
-    one precision instead of rebuilt from the pi enclosure for each.
+    one precision instead of rebuilt from the pi enclosure for each.  The
+    division by 2 (2k-1)! stays in integers as well.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -331,8 +358,7 @@ def single_term_interval(k: int, precision: int = 64) -> RationalInterval:
     for i in range(k.bit_length()):
         if k >> i & 1:
             power = _mul_outward(power, chain[i], bits)
-    factor = Fraction(1, 2 * math.factorial(2 * k - 1))
-    return _interval_from_dyadic(power).scale(factor).outward(bits)
+    return _divide_outward(power, 2 * math.factorial(2 * k - 1), bits)
 
 
 @dataclass(frozen=True)

@@ -140,8 +140,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
     max_index = 2 * args.max_k
     both = args.algorithm == "both"
     table = obtain_table(max_index, args.cache, "seidel" if both else args.algorithm)
-    # A cached table may run past B_2K; only B_0..B_2K were asked for.
-    values = table.values[: max_index + 1]
+    values = table.values
     agreement = None
     if both:
         agreement = values == bernoulli_table(max_index, "akiyama-tanigawa").values

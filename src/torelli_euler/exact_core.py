@@ -140,12 +140,17 @@ def factorial_valuation(n: int, p: int) -> int:
 
 def _floor_to_bits(q: Fraction, bits: int) -> Fraction:
     """Largest dyadic rational with about `bits` significant bits that is <= q."""
-    if q == 0:
+    return _floor_ratio_to_bits(q.numerator, q.denominator, bits)
+
+
+def _floor_ratio_to_bits(numerator: int, denominator: int, bits: int) -> Fraction:
+    """`_floor_to_bits` of numerator/denominator, given in lowest terms, denominator > 0."""
+    if numerator == 0:
         return _ZERO
-    shift = bits - (q.numerator.bit_length() - q.denominator.bit_length())
+    shift = bits - (numerator.bit_length() - denominator.bit_length())
     if shift >= 0:
-        return Fraction((q.numerator << shift) // q.denominator, 1 << shift)
-    return Fraction((q.numerator // (q.denominator << -shift)) << -shift)
+        return Fraction((numerator << shift) // denominator, 1 << shift)
+    return Fraction((numerator // (denominator << -shift)) << -shift)
 
 
 def _ceil_to_bits(q: Fraction, bits: int) -> Fraction:

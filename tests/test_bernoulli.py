@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from torelli_euler import bernoulli
 from torelli_euler.bernoulli import (
     BernoulliTable,
     CacheFormatError,
@@ -13,6 +14,7 @@ from torelli_euler.bernoulli import (
     TableInvariantError,
     bernoulli_table,
     load_table,
+    obtain_table,
     persist_table,
     tangent_numbers,
     von_staudt_clausen_denominator,
@@ -328,3 +330,83 @@ def test_every_small_valid_table_passes_the_line_count_check(tmp_path):
         table = bernoulli_table(max_index)
         persist_table(table, path)
         assert load_table(path) == table
+
+
+# --- prefix loads ---------------------------------------------------------------
+
+
+def _persisted(table, path):
+    persist_table(table, path)
+    return path
+
+
+def test_prefix_loads_equal_fresh_tables(tmp_path):
+    path = _persisted(bernoulli_table(120), tmp_path / "bern.cache")
+    original = path.read_bytes()
+    for required in range(121):
+        assert obtain_table(required, path) == bernoulli_table(required), required
+    assert path.read_bytes() == original
+    with pytest.raises(ValueError):
+        load_table(path, through=-1)
+
+
+def test_a_prefix_load_parses_only_the_entries_it_returns(table1200, tmp_path, monkeypatch):
+    path = _persisted(table1200, tmp_path / "bern.cache")
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return int(text)
+
+    monkeypatch.setattr(bernoulli, "decimal_to_int", counting)
+    assert obtain_table(12, path).values == table1200.values[:13]
+    prefix = [table1200.values[n] for n in (0, 1, 2, 4, 6, 8, 10, 12)]
+    assert parsed == [str(part) for b in prefix for part in (b.numerator, b.denominator)]
+
+
+def _tamper_b80(path):
+    # B_80's numerator plus one, written into a cache of B_0..B_100.
+    table = bernoulli_table(100)
+    persist_table(table, path)
+    b = table.values[80]
+    line = f"80 {b.numerator}/{b.denominator}"
+    path.write_text(path.read_text().replace(line, f"80 {b.numerator + 1}/{b.denominator}"))
+    values = list(table.values)
+    values[80] = Fraction(b.numerator + 1, b.denominator)
+    return values
+
+
+def test_corruption_above_the_request_is_left_to_the_load_that_reaches_it(tmp_path):
+    path = tmp_path / "bern.cache"
+    values = _tamper_b80(path)
+    tampered = path.read_bytes()
+    assert obtain_table(20, path) == bernoulli_table(20)
+    expected = _reference_table_error(values)
+    assert expected is not None and "B_80" in expected
+    with pytest.raises(TableInvariantError) as info:
+        obtain_table(80, path)
+    assert str(info.value) == expected
+    with pytest.raises(TableInvariantError) as info:
+        load_table(path)
+    assert str(info.value) == expected
+    assert path.read_bytes() == tampered
+
+
+@pytest.mark.parametrize("line", ["x80 1/6", "80x 1/6", "999 1/6", "100 1/6"])
+def test_bad_index_past_the_prefix_is_a_format_error(tmp_path, line):
+    # Malformed, out of range or duplicate: every line's index is checked.
+    path = _persisted(bernoulli_table(100), tmp_path / "bern.cache")
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(CacheFormatError):
+        obtain_table(20, path)
+    with pytest.raises(CacheFormatError):
+        load_table(path, through=20)
+
+
+def test_a_request_for_another_algorithm_keeps_a_larger_cache(tmp_path):
+    path = _persisted(bernoulli_table(100), tmp_path / "bern.cache")
+    original = path.read_bytes()
+    table = obtain_table(4, path, "akiyama-tanigawa")
+    assert table == bernoulli_table(4, "akiyama-tanigawa")
+    assert table.algorithm == "akiyama-tanigawa"
+    assert path.read_bytes() == original

@@ -207,6 +207,31 @@ def test_bernoulli_prints_only_the_requested_indices_from_a_larger_cache(
         assert "agreement between algorithms: yes" in out
 
 
+def test_another_algorithm_on_a_larger_cache_leaves_it_unchanged(capsys, tmp_path):
+    cache = tmp_path / "bern.cache"
+    persist_table(bernoulli_table(120), cache)
+    original = cache.read_bytes()
+    argv = ("bernoulli", "--max-k", "2", "--algorithm", "akiyama-tanigawa")
+    code, out, _ = run(capsys, *argv, "--cache", str(cache))
+    assert (code, out) == run(capsys, *argv)[:2]
+    assert cache.read_bytes() == original
+
+
+def test_corruption_above_the_request_fails_only_the_requests_that_reach_it(
+    capsys, tmp_path
+):
+    cache = tmp_path / "bern.cache"
+    table = bernoulli_table(100)
+    persist_table(table, cache)
+    b = table.values[80]
+    cache.write_text(cache.read_text().replace(f"80 {b.numerator}/", f"80 {b.numerator + 1}/"))
+    code, out, _ = run(capsys, "zeta", "--k", "6", "--cache", str(cache))
+    assert code == 0 and "691/32760" in out
+    code, out, err = run(capsys, "zeta", "--k", "40", "--cache", str(cache))
+    assert code == 1 and out == ""
+    assert err.startswith("cache error:") and "B_80" in err
+
+
 def test_empty_cache_variable_means_no_cache(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("TORELLI_EULER_CACHE", "")
