@@ -386,12 +386,13 @@ def _prefix_memo(precision: int) -> list[_Dyadic]:
     return [_DYADIC_ONE]
 
 
-def _term_product(m: int, precision: int) -> RationalInterval:
+def _term_product(m: int, precision: int) -> _Dyadic:
     """prod_{k<=m} single_term_interval(k, precision), rounded outward after each factor.
 
-    Prefixes are memoised per precision and extended in integer arithmetic:
-    all endpoints are positive, so a step multiplies lo by lo and hi by hi
-    and rounds each as `RationalInterval.outward` would, bit for bit.
+    Returned as the memo entry itself, in integers.  Prefixes are memoised
+    per precision and extended in integer arithmetic: all endpoints are
+    positive, so a step multiplies lo by lo and hi by hi and rounds each as
+    `RationalInterval.outward` would, bit for bit.
     """
     bits = max(precision, 16) + _GUARD_BITS
     memo = _prefix_memo(precision)
@@ -399,8 +400,7 @@ def _term_product(m: int, precision: int) -> RationalInterval:
         while len(memo) <= m:
             term = single_term_interval(len(memo), precision)
             memo.append(_mul_outward(memo[-1], _dyadic_interval(term), bits))
-        entry = memo[m]
-    return _interval_from_dyadic(entry)
+        return memo[m]
 
 
 def _ratio_next_interval(m: int, n: int, precision: int) -> RationalInterval:
@@ -408,17 +408,30 @@ def _ratio_next_interval(m: int, n: int, precision: int) -> RationalInterval:
     return single_term_interval(m + 1, precision).scale(factor)
 
 
+def _bound_sequence(m: int, n: int, prefix: int, precision: int) -> BoundSequence:
+    # prefix is the integer (2m+n-1)!/(2m)!.
+    return BoundSequence(
+        m=m,
+        n=n,
+        value=_interval_from_dyadic(_term_product(m, precision)).scale(prefix),
+        ratio_next=_ratio_next_interval(m, n, precision),
+    )
+
+
 def upper_bound_interval(m: int, n: int, precision: int = 64) -> BoundSequence:
     """Certified enclosure of U(m,n) together with the consecutive ratio."""
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    prefix = rising_factorial_ratio(2 * m + n - 1, 2 * m)
-    return BoundSequence(
-        m=m,
-        n=n,
-        value=_term_product(m, precision).scale(prefix),
-        ratio_next=_ratio_next_interval(m, n, precision),
-    )
+    return _bound_sequence(m, n, rising_factorial_ratio(2 * m + n - 1, 2 * m), precision)
+
+
+def _upper_end(m: int, n: int, precision: int) -> Fraction:
+    """`upper_bound_interval(m, n, precision).value.hi`, the one end a certificate reads.
+
+    No lo end and no ratio: one Fraction, reduced by one gcd.
+    """
+    _, _, hi, hi_exp = _term_product(m, precision)
+    return _from_dyadic(hi, hi_exp) * rising_factorial_ratio(2 * m + n - 1, 2 * m)
 
 
 @dataclass(frozen=True)
@@ -440,24 +453,39 @@ class ThresholdResult:
 
 
 def threshold_for_n(n: int, m_cap: int = 64, precision: int = 64) -> ThresholdResult:
-    """Scan m = 1..m_cap for the certified crossing of the bound below 1."""
+    """Scan m = 1..m_cap for the certified crossing of the bound below 1.
+
+    The comparisons run in integers.  ratio_next(m).hi < 1 cross-multiplies
+    the hi end of the next single term by the rational factor, from m_cap
+    down while it holds.  On that tail, U(m,n).hi < 1 compares the memo's hi
+    mantissa times the prefix (2m+n-1)!/(2m)! with a power of two, the
+    prefix stepped from one m to the next by an exact division.  Enclosures
+    are built only for the returned chain.
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if m_cap < 1:
         raise ValueError(f"m_cap must be positive, got {m_cap}")
-    sequences = [upper_bound_interval(m, n, precision) for m in range(1, m_cap + 1)]
     tail_start = m_cap + 1
-    for m in range(m_cap, 0, -1):
-        if sequences[m - 1].ratio_next.hi < 1:
-            tail_start = m
-        else:
+    while tail_start > 1:
+        m = tail_start - 1
+        # ratio_next(m).hi < 1, the factor of `_ratio_next_interval` cross-multiplied.
+        term = single_term_interval(m + 1, precision).hi
+        rise, fall = (2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1)
+        if term.numerator * rise >= term.denominator * fall:
             break
+        tail_start = m
+    prefix = rising_factorial_ratio(2 * tail_start + n - 1, 2 * tail_start)
+    chain: list[BoundSequence] = []
     for m in range(tail_start, m_cap + 1):
-        if sequences[m - 1].value.hi < 1:
-            return ThresholdResult(
-                n=n, m_cap=m_cap, m_found=m, chain=tuple(sequences[m - 1 :])
-            )
-    return ThresholdResult(n=n, m_cap=m_cap, m_found=None, chain=())
+        _, _, hi, hi_exp = _term_product(m, precision)
+        # U(m,n).hi = hi * 2**hi_exp * prefix, below 1 iff hi * prefix < 2**-hi_exp.
+        if chain or (hi * prefix).bit_length() <= -hi_exp:
+            chain.append(_bound_sequence(m, n, prefix, precision))
+        prefix = prefix * (2 * m + n) * (2 * m + n + 1) // ((2 * m + 1) * (2 * m + 2))
+    return ThresholdResult(
+        n=n, m_cap=m_cap, m_found=chain[0].m if chain else None, chain=tuple(chain)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +556,7 @@ def certify_non_integrality(
     _check_request(strategy, table, m)
     return _certify_point(
         m, n, strategy, table, max_exact_m,
-        upper=lambda: upper_bound_interval(m, n, precision).value.hi,
+        upper=lambda: _upper_end(m, n, precision),
         exact=lambda: e_mn(EmnQuery(m, n), table),
     )
 
@@ -567,11 +595,12 @@ def scan(
 
     Row-incremental evaluation: for fixed m, e(m,n+1) = e(m,n) * (2m+n) and
     likewise for the bound product, so a full grid costs one rational
-    update per point instead of one full product.  Each running value is
-    brought up to date only when a point needs it: the zeta product under
-    e(m,n) a factor at a time, the bound's term product from the prefix
-    memo of `_term_product`.  Inconclusive points are reported and the scan
-    continues.
+    update per point instead of one full product.  Of the bound only the
+    upper end is kept, the one end a certificate reads.  Each running value
+    is brought up to date only when a point needs it: the zeta product
+    under e(m,n) a factor at a time, the bound's term product from the
+    prefix memo of `_term_product`.  Inconclusive points are reported and
+    the scan continues.
     """
     m_lo, m_hi = _validate_range(m_range, "m")
     n_lo, n_hi = _validate_range(n_range, "n")
@@ -580,7 +609,7 @@ def scan(
 
     for m in range(m_lo, m_hi + 1):
         exact_value: Fraction | None = None
-        bound_value: RationalInterval | None = None
+        upper_end: Fraction | None = None
 
         def exact() -> Fraction:
             nonlocal exact_value, zeta_k, zeta_reciprocal_product
@@ -592,12 +621,10 @@ def scan(
             return exact_value
 
         def upper() -> Fraction:
-            nonlocal bound_value
-            if bound_value is None:
-                bound_value = _term_product(m, precision).scale(
-                    rising_factorial_ratio(2 * m + n - 1, 2 * m)
-                )
-            return bound_value.hi
+            nonlocal upper_end
+            if upper_end is None:
+                upper_end = _upper_end(m, n, precision)
+            return upper_end
 
         for n in range(n_lo, n_hi + 1):
             cert = _certify_point(m, n, strategy, table, max_exact_m, upper, exact)
@@ -605,8 +632,8 @@ def scan(
             # Advance the row: both running values gain the factor (2m+n).
             if exact_value is not None:
                 exact_value *= 2 * m + n
-            if bound_value is not None:
-                bound_value = bound_value.scale(2 * m + n)
+            if upper_end is not None:
+                upper_end *= 2 * m + n
 
 
 @dataclass(frozen=True)
@@ -779,7 +806,7 @@ def wide_range_bound_forms(m: int, precision: int = 64) -> WideRangeBoundForms:
         raise ValueError(f"m must be positive, got {m}")
     bits = max(precision, 16) + _GUARD_BITS
     prefix = rising_factorial_ratio(2 * m + MAX_WITNESSED_N, 2 * m)
-    per_index = _term_product(m, precision).scale(prefix)
+    per_index = _interval_from_dyadic(_term_product(m, precision)).scale(prefix)
     constant = single_term_interval(m + 1, precision).power(m, bits).scale(prefix)
     return WideRangeBoundForms(
         m=m, per_index_product=per_index, constant_factor_product=constant

@@ -38,12 +38,12 @@ from .certify import (
     PrimeWitness,
     ValuationWitness,
     WITNESS_PRIMES,
+    _upper_end,
     certify_non_integrality,
     ledger_segments,
     monotone_decrease_check,
     single_term_interval,
     threshold_for_n,
-    upper_bound_interval,
     wide_range_bound_forms,
     wide_range_constant_form_threshold,
 )
@@ -287,10 +287,13 @@ def _check_threshold_n1(ctx: dict) -> Outcome:
 def _check_bound_dominates(ctx: dict) -> Outcome:
     table: BernoulliTable = ctx["table"]
     for m in range(1, 51):
+        # e(m,n) and U(m,n) both gain the factor 2m+n from n to n+1.
+        exact, upper = e_mn(EmnQuery(m, 1), table), _upper_end(m, 1, 64)
         for n in range(1, 6):
-            exact = e_mn(EmnQuery(m, n), table)
-            if not exact <= upper_bound_interval(m, n).value.hi:
+            if not exact <= upper:
                 return "fail", f"bound fails to dominate at m={m}, n={n}"
+            exact *= 2 * m + n
+            upper *= 2 * m + n
     return "pass", "exact e(m,n) <= certified U(m,n) for m = 1..50, n = 1..5"
 
 

@@ -8,6 +8,7 @@ import torelli_euler.certify as certify_module
 from torelli_euler.bernoulli import CapacityError
 from torelli_euler.certify import (
     _GUARD_BITS,
+    _interval_from_dyadic,
     _prefix_memo,
     _square_chain,
     _term_product,
@@ -17,6 +18,7 @@ from torelli_euler.certify import (
     LedgerSegment,
     MagnitudeWitness,
     PrimeWitness,
+    ScanPoint,
     ValuationWitness,
     WITNESS_PRIMES,
     WITNESS_SEARCH_LIMIT,
@@ -142,6 +144,34 @@ def test_threshold_not_found_below_cap():
     assert result.m_found is None and not result.found and result.chain == ()
 
 
+def _reference_threshold(n, m_cap, precision=64):
+    # The all-m loop the integer search replaced: one enclosure per m.
+    sequences = [upper_bound_interval(m, n, precision) for m in range(1, m_cap + 1)]
+    tail_start = m_cap + 1
+    for m in range(m_cap, 0, -1):
+        if sequences[m - 1].ratio_next.hi < 1:
+            tail_start = m
+        else:
+            break
+    for m in range(tail_start, m_cap + 1):
+        if sequences[m - 1].value.hi < 1:
+            return m, tuple(sequences[m - 1 :])
+    return None, ()
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 100, 677, 1000])
+def test_threshold_matches_the_all_m_loop(n):
+    found = {}
+    for m_cap in (1, 5, 14, 30, 64, 100):
+        result = threshold_for_n(n, m_cap=m_cap)
+        m_found, chain = _reference_threshold(n, m_cap)
+        assert (result.m_found, result.chain) == (m_found, chain), m_cap
+        found[m_cap] = m_found
+    assert found[1] is None and found[5] is None
+    if n == 677:
+        assert found[64] == 55
+
+
 def _reference_single_term(k, precision):
     # The body the square chain replaced: a fresh power of 2pi for each k.
     bits = max(precision, 16) + _GUARD_BITS
@@ -183,7 +213,7 @@ def test_term_product_memo_matches_the_fraction_loop(precision):
 
     def check(ms):
         for m in ms:
-            product = _term_product(m, precision)
+            product = _interval_from_dyadic(_term_product(m, precision))
             assert (product.lo, product.hi) == (reference[m].lo, reference[m].hi), m
 
     _prefix_memo.cache_clear()
@@ -314,6 +344,37 @@ def test_scan_bound_and_auto_strategies(table60):
         for point in scan((13, 15), (1, 1), "auto", table60)
     ]
     assert kinds == ["PrimeWitness", "MagnitudeWitness", "MagnitudeWitness"]
+
+
+@pytest.mark.parametrize("block", [((10, 20), (1, 40)), ((53, 56), (600, 720))])
+def test_bound_points_read_the_hi_end_of_the_enclosure(table60, table600, block):
+    # Both blocks hold rows that cross 1 mid-row (m = 14..19 and 53..55);
+    # the second starts past n = 1.  The upper end must be the enclosure's
+    # hi end at every point, and the verdict must follow it.
+    m_range, n_range = block
+    hi = {
+        (m, n): upper_bound_interval(m, n).value.hi
+        for m in range(m_range[0], m_range[1] + 1)
+        for n in range(n_range[0], n_range[1] + 1)
+    }
+    assert min(hi.values()) < 1 <= max(hi.values())
+    table = table60 if m_range[1] <= 30 else table600
+    runs = [
+        (None, list(scan(m_range, n_range, "bound"))),
+        (None, list(scan(m_range, n_range, "auto"))),
+        (table, list(scan(m_range, n_range, "auto", table))),
+        (None, [ScanPoint(m, n, certify_non_integrality(m, n, "bound")) for m, n in hi]),
+    ]
+    for fallback, points in runs:
+        assert [(point.m, point.n) for point in points] == list(hi)
+        for point in points:
+            cert, upper = point.certificate, hi[point.m, point.n]
+            if upper < 1:
+                assert isinstance(cert, MagnitudeWitness) and cert.upper == upper, point
+            elif fallback is None:
+                assert isinstance(cert, Inconclusive), point
+            else:
+                assert isinstance(cert, PrimeWitness), point
 
 
 def test_scan_auto_degrades_past_table_capacity(table60):
