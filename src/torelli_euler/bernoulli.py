@@ -329,16 +329,23 @@ def _parse_header(line: str) -> tuple[str, str, int]:
     return fields["convention"], fields["algorithm"], max_index
 
 
-# The first token of an entry line: its index, read without copying the
-# value, which can run to thousands of digits.
-_INDEX_TOKEN = re.compile(r"\s*(\S+)")
+# The cache is read as bytes but split and tokenised as its ASCII text
+# would be: str.splitlines ends a line at \r, \v, \f and \x1c-\x1e as at
+# \n (a \r\n pair then leaves an empty line, dropped as every blank line
+# is), and str whitespace also takes in \x1c-\x1f.
+_STR_LINE_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
+_LINE_BREAKS = bytes.maketrans(_STR_LINE_BREAKS, b"\n" * len(_STR_LINE_BREAKS))
+# The first token of a line, its index on an entry line, read without
+# copying the value, which can run to thousands of digits; no match on a
+# blank line.
+_FIRST_TOKEN = re.compile(rb"[\s\x1c-\x1f]*([^\s\x1c-\x1f]+)")
 
 
-def _entry_index(line: str, max_index: int) -> int:
+def _entry_index(token: bytes, line: bytes, max_index: int) -> int:
     try:
-        n = int(_INDEX_TOKEN.match(line).group(1))
+        n = int(token)
     except ValueError as exc:
-        raise CacheFormatError(f"malformed cache line: {line!r}") from exc
+        raise CacheFormatError(f"malformed cache line: {line.decode()!r}") from exc
     if n < 0 or n > max_index:
         raise CacheFormatError(f"index {n} outside table range 0..{max_index}")
     return n
@@ -386,14 +393,20 @@ def load_table(location: str | os.PathLike, through: int | None = None) -> Berno
         raise CacheMissingError(f"no cache file at {path}")
     if not path.is_file():
         raise CachePathError(f"cache path {path} is not a regular file")
-    try:
-        text = path.read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        raise CacheFormatError(f"cache file at {path} is not ASCII: {exc}") from exc
-    lines = [line for line in text.splitlines() if line and not line.isspace()]
+    data = path.read_bytes()
+    if not data.isascii():
+        try:
+            data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise CacheFormatError(f"cache file at {path} is not ASCII: {exc}") from exc
+    if any(byte in data for byte in _STR_LINE_BREAKS):
+        data = data.translate(_LINE_BREAKS)
+    lines = [
+        (token[1], line) for line in data.split(b"\n") if (token := _FIRST_TOKEN.match(line))
+    ]
     if not lines:
         raise CacheFormatError(f"empty cache file at {path}")
-    convention, algorithm, max_index = _parse_header(lines[0])
+    convention, algorithm, max_index = _parse_header(lines[0][1].decode())
     # A valid file through B_max has at least max / 2 entry lines (only odd
     # zeros above index 1 are left out): a larger max is refused before a
     # list that long is allocated.
@@ -405,13 +418,13 @@ def load_table(location: str | os.PathLike, through: int | None = None) -> Berno
     last = max_index if through is None else min(through, max_index)
     values = [Fraction(0)] * (last + 1)
     seen: set[int] = set()
-    for line in lines[1:]:
-        n = _entry_index(line, max_index)
+    for token, line in lines[1:]:
+        n = _entry_index(token, line, max_index)
         if n in seen:
             raise CacheFormatError(f"duplicate entry for index {n}")
         seen.add(n)
         if n <= last:
-            values[n] = _parse_value(line)
+            values[n] = _parse_value(line.decode())
     return BernoulliTable(
         max_index=last,
         values=tuple(values),

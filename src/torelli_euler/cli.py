@@ -76,6 +76,54 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# Each command: its help line and its own arguments, (flag, add_argument
+# keywords) in help order.  Every command also takes the common options.
+_COMMANDS = {
+    "bernoulli": ("exact Bernoulli numbers B_0..B_2K", (
+        ("--max-k", dict(type=_nonnegative_int, required=True, metavar="K")),
+        ("--algorithm", dict(choices=("seidel", "akiyama-tanigawa", "both"), default="seidel")),
+    )),
+    "zeta": ("exact zeta(1-2K) plus decimal", (
+        ("--k", dict(type=_positive_int, required=True)),
+    )),
+    "chi": ("orbifold Euler characteristics", (
+        ("--space", dict(choices=("siegel", "moduli", "torelli"), required=True)),
+        ("-g", dict(type=_positive_int, required=True)),
+        ("-n", dict(type=_nonnegative_int, default=0)),
+    )),
+    "emn": ("exact e(m,n)", (
+        ("-m", dict(type=_positive_int, required=True)),
+        ("-n", dict(type=_positive_int, required=True)),
+    )),
+    "certify": ("non-integrality certificate for e(m,n)", (
+        ("-m", dict(type=_positive_int, required=True)),
+        ("-n", dict(type=_positive_int, required=True)),
+        ("--strategy", dict(choices=("auto", "exact", "bound"), default="auto")),
+    )),
+    "threshold": ("certified bound threshold for fixed n", (
+        ("-n", dict(type=_positive_int, required=True)),
+        ("--m-cap", dict(type=_positive_int, default=64)),
+    )),
+    "scan": ("certificates over a grid of (m, n)", (
+        ("--m-min", dict(type=_positive_int, required=True)),
+        ("--m-max", dict(type=_positive_int, required=True)),
+        ("--n-min", dict(type=_positive_int, required=True)),
+        ("--n-max", dict(type=_positive_int, required=True)),
+        ("--strategy", dict(choices=("auto", "exact", "bound"), default="exact")),
+    )),
+    "verify-paper": ("run the full verification suite", (
+        ("--deep", dict(action="store_true", help="extend the scan to m = 1470")),
+    )),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for flag, options in _COMMANDS[command][1]:
+        parser.add_argument(flag, **options)
+    _add_common(parser)
+    return parser
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torelli-euler",
@@ -85,54 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bernoulli", help="exact Bernoulli numbers B_0..B_2K")
-    p.add_argument("--max-k", type=_nonnegative_int, required=True, metavar="K")
-    p.add_argument(
-        "--algorithm",
-        choices=("seidel", "akiyama-tanigawa", "both"),
-        default="seidel",
-    )
-    _add_common(p)
-
-    p = sub.add_parser("zeta", help="exact zeta(1-2K) plus decimal")
-    p.add_argument("--k", type=_positive_int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("chi", help="orbifold Euler characteristics")
-    p.add_argument("--space", choices=("siegel", "moduli", "torelli"), required=True)
-    p.add_argument("-g", type=_positive_int, required=True)
-    p.add_argument("-n", type=_nonnegative_int, default=0)
-    _add_common(p)
-
-    p = sub.add_parser("emn", help="exact e(m,n)")
-    p.add_argument("-m", type=_positive_int, required=True)
-    p.add_argument("-n", type=_positive_int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("certify", help="non-integrality certificate for e(m,n)")
-    p.add_argument("-m", type=_positive_int, required=True)
-    p.add_argument("-n", type=_positive_int, required=True)
-    p.add_argument("--strategy", choices=("auto", "exact", "bound"), default="auto")
-    _add_common(p)
-
-    p = sub.add_parser("threshold", help="certified bound threshold for fixed n")
-    p.add_argument("-n", type=_positive_int, required=True)
-    p.add_argument("--m-cap", type=_positive_int, default=64)
-    _add_common(p)
-
-    p = sub.add_parser("scan", help="certificates over a grid of (m, n)")
-    p.add_argument("--m-min", type=_positive_int, required=True)
-    p.add_argument("--m-max", type=_positive_int, required=True)
-    p.add_argument("--n-min", type=_positive_int, required=True)
-    p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--strategy", choices=("auto", "exact", "bound"), default="exact")
-    _add_common(p)
-
-    p = sub.add_parser("verify-paper", help="run the full verification suite")
-    p.add_argument("--deep", action="store_true", help="extend the scan to m = 1470")
-    _add_common(p)
-
+    for command, (help_text, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(command, help=help_text), command)
     return parser
 
 
@@ -325,10 +327,20 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv else None
+    # A request builds only its own command's parser, which parses exactly as
+    # that subparser of the full parser does.  Help for the whole program,
+    # a missing or unknown command, and leftover arguments (reported with
+    # the top-level usage) go to the full parser.
+    if command in _COMMANDS:
+        parser = _add_command(argparse.ArgumentParser(prog=f"torelli-euler {command}"), command)
+        args, leftover = parser.parse_known_args(argv[1:])
+    if command not in _COMMANDS or leftover:
+        args = _build_parser().parse_args(argv)
+        command = args.command
     try:
-        return _HANDLERS[args.command](args)
+        return _HANDLERS[command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ certified computation; floats are for display only.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import sys
@@ -37,9 +38,55 @@ _ZERO = Fraction(0)
 # Strong pseudoprime witnesses; the test is deterministic for n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Above this bit length the builtin str(), quadratic in CPython 3.11, is
+# slower than a divide-and-conquer conversion through `decimal`, whose
+# libmpdec multiplies in subquadratic time (measured crossover: about
+# 40,000 bits).
+_STR_MAX_BITS = 40_000
+# Pieces of at most this many bits are converted by Decimal() directly.
+_DECIMAL_LEAF_BITS = 128
+
+
 def int_to_decimal(n: int) -> str:
     """Decimal digits of an integer of any size."""
-    return _without_digit_limit(str, n)
+    if n.bit_length() <= _STR_MAX_BITS:
+        return _without_digit_limit(str, n)
+    digits = str(_natural_to_decimal(abs(n)))
+    return "-" + digits if n < 0 else digits
+
+
+def _natural_to_decimal(n: int) -> decimal.Decimal:
+    # The algorithm of CPython 3.12's Lib/_pylong.py int_to_decimal: n splits
+    # at bit w2 into hi * 2**w2 + lo, the halves convert recursively, and the
+    # sum is formed exactly in Decimal; each power of two is built once.
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power_of_two(w: int) -> decimal.Decimal:
+        result = powers.get(w)
+        if result is None:
+            if w <= _DECIMAL_LEAF_BITS:
+                result = decimal.Decimal(2) ** w
+            elif w - 1 in powers:
+                result = powers[w - 1] + powers[w - 1]
+            else:
+                # The smaller half first, so the larger is one doubling away.
+                result = power_of_two(w >> 1) * power_of_two(w - (w >> 1))
+            powers[w] = result
+        return result
+
+    def convert(n: int, w: int) -> decimal.Decimal:
+        if w <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(n)
+        w2 = w >> 1
+        hi = n >> w2
+        return convert(n - (hi << w2), w2) + convert(hi, w - w2) * power_of_two(w2)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        return convert(n, n.bit_length())
 
 
 def decimal_to_int(text: str) -> int:
@@ -300,7 +347,9 @@ def _arctan_recip_interval(x: int, tail_bound: Fraction) -> RationalInterval:
         power *= xx
 
 
-@lru_cache(maxsize=64)
+# zeta_special.zeta_abs_lower_bound alone asks for a precision per k above
+# 16 (105 distinct ones for k <= 120); the cache holds all of them.
+@lru_cache(maxsize=256)
 def pi_interval(precision: int) -> RationalInterval:
     """Enclosure of pi with width <= 2**(1 - precision).
 

@@ -364,6 +364,38 @@ def test_a_prefix_load_parses_only_the_entries_it_returns(table1200, tmp_path, m
     assert parsed == [str(part) for b in prefix for part in (b.numerator, b.denominator)]
 
 
+# --- the byte reader ------------------------------------------------------------
+
+
+def test_line_ends_and_blank_lines_read_as_in_a_text_read(tmp_path):
+    # persist_table ends lines with \n only.  Other line ends, blank lines,
+    # and the line breaks (\v, \f, \x1c-\x1e) and whitespace (\x1f) that
+    # str knows beyond bytes split and tokenise as text would.
+    table = bernoulli_table(40)
+    path = _persisted(table, tmp_path / "bern.cache")
+    written = path.read_bytes()
+    for edited in (
+        written.replace(b"\n", b"\r\n"),
+        written.replace(b"\n", b"\r"),
+        written.replace(b"\n", b"\n  \n\t\n\n"),
+        written.replace(b"\n", b"\x0b").replace(b"\x0b12 ", b"\x0c\x1f12\x1f "),
+        written.replace(b"\n", b"\x1c \x1d\x1e\x1f"),
+    ):
+        path.write_bytes(edited)
+        assert load_table(path) == table, edited[:80]
+        assert load_table(path, through=12) == bernoulli_table(12), edited[:80]
+
+
+def test_non_ascii_past_the_prefix_is_reported_as_a_text_read_would(tmp_path):
+    path = _persisted(bernoulli_table(100), tmp_path / "bern.cache")
+    path.write_bytes(path.read_bytes().replace(b"\n80 ", b"\n80 \xe9"))
+    with pytest.raises(UnicodeDecodeError) as decoding:
+        path.read_text(encoding="ascii")
+    with pytest.raises(CacheFormatError) as info:
+        load_table(path, through=12)
+    assert str(info.value) == f"cache file at {path} is not ASCII: {decoding.value}"
+
+
 def _tamper_b80(path):
     # B_80's numerator plus one, written into a cache of B_0..B_100.
     table = bernoulli_table(100)

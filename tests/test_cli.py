@@ -297,3 +297,81 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+# --- one command's parser ---------------------------------------------------------
+
+_REQUIRED = {
+    "bernoulli": ["--max-k", "2"],
+    "zeta": ["--k", "6"],
+    "chi": ["--space", "siegel", "-g", "2"],
+    "emn": ["-m", "2", "-n", "1"],
+    "certify": ["-m", "6", "-n", "1"],
+    "threshold": ["-n", "1"],
+    "scan": ["--m-min", "6", "--m-max", "6", "--n-min", "1", "--n-max", "1"],
+    "verify-paper": [],
+}
+
+
+def _argvs_that_never_reach_a_handler(command):
+    required = _REQUIRED[command]
+    argvs = [
+        [command, "--help"],
+        [command, *required, "--digits", "x"],
+        [command, *required, "--format", "yaml"],
+        [command, *required, "--bogus"],
+        [command, *required, "extra"],
+        [command, *required, "--", "extra"],
+        [command, *required, "--cach"],
+    ]
+    if required:
+        argvs += [[command], [command, required[0], "x"]]
+    if command in ("certify", "scan"):
+        argvs.append([command, *required, "--strategy", "fastest"])
+    return argvs
+
+
+def _outcome(capsys, entry, argv):
+    try:
+        code = entry(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _through_the_full_parser(argv):
+    args = cli._build_parser().parse_args(argv)
+    return cli._HANDLERS[args.command](args)
+
+
+@pytest.mark.parametrize("command", list(_REQUIRED))
+def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal
+    for argv in _argvs_that_never_reach_a_handler(command):
+        expected = _outcome(capsys, _through_the_full_parser, argv)
+        assert expected[0] != 0 or argv[1] == "--help"
+        assert _outcome(capsys, main, argv) == expected, argv
+
+
+def test_top_level_argvs_answer_as_the_full_parser(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    abbreviated = ["zeta", "--k", "6", "--cach", str(tmp_path / "bern.cache")]
+    for argv in (["--help"], [], ["no-such-command"], ["-h", "zeta"], abbreviated):
+        assert _outcome(capsys, main, argv) == _outcome(capsys, _through_the_full_parser, argv)
+    assert (tmp_path / "bern.cache").exists()
+
+
+def test_a_request_builds_only_its_own_parser(capsys, monkeypatch):
+    def full_parser():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "_build_parser", full_parser)
+    code, out, _ = run(capsys, "zeta", "--k", "6")
+    assert code == 0 and "691/32760" in out
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["torelli-euler", "zeta", "--k", "6"])
+    assert main(None) == 0
+    assert "691/32760" in capsys.readouterr().out

@@ -1,14 +1,18 @@
+import contextlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from torelli_euler import exact_core
 from torelli_euler.exact_core import (
     RationalInterval,
     _dyadic_to_bits,
     factorial_valuation,
+    int_to_decimal,
     is_probable_prime,
     p_adic_valuation,
     pi_interval,
@@ -230,3 +234,52 @@ def test_pi_interval_nesting():
 def test_pi_interval_rejects_tiny_precision():
     with pytest.raises(ValueError):
         pi_interval(4)
+
+
+# --- int_to_decimal ----------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _digit_limit(limit):
+    """The interpreter's int-digit limit set to `limit`, then put back."""
+    original = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(original)
+
+
+@st.composite
+def _integers_around_the_cutoff(draw):
+    bits = draw(st.integers(0, 3 * exact_core._STR_MAX_BITS))
+    n = draw(st.randoms(use_true_random=False)).getrandbits(bits)
+    return -n if draw(st.booleans()) else n
+
+
+# 10^k has 3.32k bits: k = 12041 is the last power of ten below the cutoff.
+_POWERS_OF_TEN = [0, 1, 2, 12040, 12041, 12042, 12043, 20000, 45000]
+
+
+@settings(deadline=None)
+@given(n=_integers_around_the_cutoff())
+def test_int_to_decimal_matches_str(n):
+    with _digit_limit(0):
+        assert int_to_decimal(n) == str(n)
+
+
+@pytest.mark.parametrize("k", _POWERS_OF_TEN)
+def test_int_to_decimal_at_powers_of_ten(k):
+    with _digit_limit(0):
+        for n in (10**k, 10**k - 1, 10**k + 1):
+            for signed in (n, -n):
+                assert int_to_decimal(signed) == str(signed)
+    assert (10**12041).bit_length() <= exact_core._STR_MAX_BITS < (10**12042).bit_length()
+
+
+def test_int_to_decimal_under_the_default_digit_limit():
+    # A fresh interpreter refuses str() past 4300 digits; both sides of the
+    # cutoff must still convert.
+    for k in (5000, 15000):
+        with _digit_limit(sys.int_info.default_max_str_digits):
+            assert int_to_decimal(-(10**k - 1)) == "-" + "9" * k

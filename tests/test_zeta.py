@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from torelli_euler.bernoulli import CapacityError
+from torelli_euler.exact_core import pi_interval
 from torelli_euler.zeta_special import (
     abs_zeta_one_minus_2k,
     zeta_abs_lower_bound,
@@ -54,6 +55,16 @@ def test_lower_bound_small_cases(table60):
 def test_lower_bound_certified_for_first_hundred(table600):
     for k in range(1, 101):
         assert abs_zeta_one_minus_2k(k, table600) > zeta_abs_lower_bound(k, 64).hi
+
+
+def test_pi_cache_holds_every_precision_of_the_lower_bound():
+    pi_interval.cache_clear()
+    for k in range(1, 121):
+        zeta_abs_lower_bound(k)
+    misses = pi_interval.cache_info().misses
+    for k in range(1, 121):
+        zeta_abs_lower_bound(k)
+    assert pi_interval.cache_info().misses == misses
 
 
 def test_lower_bound_positive_even_at_low_precision():
