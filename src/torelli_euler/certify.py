@@ -40,6 +40,7 @@ from .exact_core import (
     RationalInterval,
     _dyadic_to_bits,
     _floor_ratio_to_bits,
+    dyadic_fraction,
     factorial_valuation,
     is_probable_prime,
     p_adic_valuation,
@@ -262,19 +263,16 @@ def _dyadic(q: Fraction) -> tuple[int, int]:
     return q.numerator, 1 - q.denominator.bit_length()
 
 
-def _from_dyadic(mantissa: int, exponent: int) -> Fraction:
-    if exponent >= 0:
-        return Fraction(mantissa << exponent)
-    return Fraction(mantissa, 1 << -exponent)
-
-
 def _dyadic_interval(interval: RationalInterval) -> _Dyadic:
     return _dyadic(interval.lo) + _dyadic(interval.hi)
 
 
-def _interval_from_dyadic(entry: _Dyadic) -> RationalInterval:
+def _interval_from_dyadic(entry: _Dyadic, factor: int = 1) -> RationalInterval:
+    # The entry scaled by a positive integer, each endpoint reduced by a shift.
     lo, lo_exp, hi, hi_exp = entry
-    return RationalInterval(_from_dyadic(lo, lo_exp), _from_dyadic(hi, hi_exp))
+    return RationalInterval(
+        dyadic_fraction(lo * factor, lo_exp), dyadic_fraction(hi * factor, hi_exp)
+    )
 
 
 def _dyadic_ratio(mantissa: int, exponent: int, divisor: int) -> tuple[int, int]:
@@ -413,7 +411,7 @@ def _bound_sequence(m: int, n: int, prefix: int, precision: int) -> BoundSequenc
     return BoundSequence(
         m=m,
         n=n,
-        value=_interval_from_dyadic(_term_product(m, precision)).scale(prefix),
+        value=_interval_from_dyadic(_term_product(m, precision), prefix),
         ratio_next=_ratio_next_interval(m, n, precision),
     )
 
@@ -428,10 +426,10 @@ def upper_bound_interval(m: int, n: int, precision: int = 64) -> BoundSequence:
 def _upper_end(m: int, n: int, precision: int) -> Fraction:
     """`upper_bound_interval(m, n, precision).value.hi`, the one end a certificate reads.
 
-    No lo end and no ratio: one Fraction, reduced by one gcd.
+    No lo end and no ratio: one Fraction, reduced by a shift.
     """
     _, _, hi, hi_exp = _term_product(m, precision)
-    return _from_dyadic(hi, hi_exp) * rising_factorial_ratio(2 * m + n - 1, 2 * m)
+    return dyadic_fraction(hi * rising_factorial_ratio(2 * m + n - 1, 2 * m), hi_exp)
 
 
 @dataclass(frozen=True)
@@ -806,7 +804,7 @@ def wide_range_bound_forms(m: int, precision: int = 64) -> WideRangeBoundForms:
         raise ValueError(f"m must be positive, got {m}")
     bits = max(precision, 16) + _GUARD_BITS
     prefix = rising_factorial_ratio(2 * m + MAX_WITNESSED_N, 2 * m)
-    per_index = _interval_from_dyadic(_term_product(m, precision)).scale(prefix)
+    per_index = _interval_from_dyadic(_term_product(m, precision), prefix)
     constant = single_term_interval(m + 1, precision).power(m, bits).scale(prefix)
     return WideRangeBoundForms(
         m=m, per_index_product=per_index, constant_factor_product=constant

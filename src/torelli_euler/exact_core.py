@@ -1,11 +1,14 @@
 """Exact arithmetic primitives shared by every other module.
 
 Values are plain `fractions.Fraction` objects (arbitrary precision, always
-reduced, denominator positive), re-exported here as `Rational`.  On top of
-that the module provides factorial-ratio products, p-adic valuations, and a
-small rational interval arithmetic whose only transcendental constant, pi,
-enters through a certified enclosure.  No float ever participates in a
-certified computation; floats are for display only.
+reduced, denominator positive), re-exported here as `Rational`.  Those with
+a power-of-two denominator, the endpoints of every rounded enclosure, are
+built by `dyadic_fraction`, which reduces them by a shift instead of a gcd.
+On top of that the module provides factorial-ratio products, p-adic
+valuations, and a small rational interval arithmetic whose only
+transcendental constant, pi, enters through a certified enclosure.  No
+float ever participates in a certified computation; floats are for display
+only.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +26,7 @@ __all__ = [
     "Rational",
     "RationalInterval",
     "decimal_to_int",
+    "dyadic_fraction",
     "factorial_valuation",
     "int_to_decimal",
     "is_probable_prime",
@@ -149,7 +154,21 @@ def rising_factorial_ratio(a: int, b: int) -> int:
         raise ValueError(f"arguments must be nonnegative, got b={b}")
     if b > a:
         raise ValueError(f"need b <= a, got a={a}, b={b}")
-    return math.prod(range(b + 1, a + 1))
+    return _range_product(b + 1, a + 1)
+
+
+# Runs of at most this many factors are multiplied one at a time (measured:
+# 32 to 256 perform alike from 676 to 10^5 factors).
+_PRODUCT_LEAF = 64
+
+
+def _range_product(start: int, stop: int) -> int:
+    # A balanced product tree: math.prod over one long run multiplies a
+    # growing product by a small factor each time, quadratic in its size.
+    if stop - start <= _PRODUCT_LEAF:
+        return math.prod(range(start, stop))
+    middle = (start + stop) >> 1
+    return _range_product(start, middle) * _range_product(middle, stop)
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -185,6 +204,35 @@ def factorial_valuation(n: int, p: int) -> int:
     return total
 
 
+class _LowestTerms:
+    # A numerator and a positive denominator already in lowest terms.  The
+    # `numbers.Rational` contract keeps them so, and `Fraction(r)` for such
+    # an r copies the two without a gcd.
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int) -> None:
+        self.numerator = numerator
+        self.denominator = denominator
+
+
+numbers.Rational.register(_LowestTerms)
+
+
+def dyadic_fraction(mantissa: int, exponent: int) -> Fraction:
+    """mantissa * 2**exponent as a Fraction in lowest terms.
+
+    The common factor of numerator and denominator is the power of two the
+    mantissa and 2**-exponent share, so no gcd of the (possibly huge)
+    mantissa against the denominator is needed.
+    """
+    if exponent >= 0:
+        return Fraction(mantissa << exponent)
+    if mantissa == 0:
+        return _ZERO
+    shift = min((mantissa & -mantissa).bit_length() - 1, -exponent)
+    return Fraction(_LowestTerms(mantissa >> shift, 1 << (-exponent - shift)))
+
+
 def _floor_to_bits(q: Fraction, bits: int) -> Fraction:
     """Largest dyadic rational with about `bits` significant bits that is <= q."""
     return _floor_ratio_to_bits(q.numerator, q.denominator, bits)
@@ -196,8 +244,8 @@ def _floor_ratio_to_bits(numerator: int, denominator: int, bits: int) -> Fractio
         return _ZERO
     shift = bits - (numerator.bit_length() - denominator.bit_length())
     if shift >= 0:
-        return Fraction((numerator << shift) // denominator, 1 << shift)
-    return Fraction((numerator // (denominator << -shift)) << -shift)
+        return dyadic_fraction((numerator << shift) // denominator, -shift)
+    return dyadic_fraction(numerator // (denominator << -shift), -shift)
 
 
 def _ceil_to_bits(q: Fraction, bits: int) -> Fraction:
@@ -239,7 +287,18 @@ class RationalInterval:
             object.__setattr__(self, "lo", Fraction(self.lo))
         if not isinstance(self.hi, Fraction):
             object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
+        lo, hi = self.lo, self.hi
+        lo_den, hi_den = lo.denominator, hi.denominator
+        if lo_den & (lo_den - 1) == 0 and hi_den & (hi_den - 1) == 0:
+            # Power-of-two denominators: cross-multiplying is a shift.
+            shift = lo_den.bit_length() - hi_den.bit_length()
+            if shift >= 0:
+                empty = lo.numerator > hi.numerator << shift
+            else:
+                empty = lo.numerator << -shift > hi.numerator
+        else:
+            empty = lo > hi
+        if empty:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
     @classmethod

@@ -12,6 +12,7 @@ from torelli_euler.certify import (
     _prefix_memo,
     _square_chain,
     _term_product,
+    BoundSequence,
     CertificateError,
     Inconclusive,
     IntegerValue,
@@ -144,9 +145,23 @@ def test_threshold_not_found_below_cap():
     assert result.m_found is None and not result.found and result.chain == ()
 
 
+def _reference_sequence(m, n, precision):
+    # U(m,n) formed from the memo entry as plain Fractions, reduced by gcds,
+    # and scaled by (2m+n-1)!/(2m)! taken one factor at a time.
+    lo, lo_exp, hi, hi_exp = _term_product(m, precision)
+    product = RationalInterval(Fraction(lo, 2**-lo_exp), Fraction(hi, 2**-hi_exp))
+    ratio = Fraction((2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1))
+    return BoundSequence(
+        m=m,
+        n=n,
+        value=product.scale(math.prod(range(2 * m + 1, 2 * m + n))),
+        ratio_next=single_term_interval(m + 1, precision).scale(ratio),
+    )
+
+
 def _reference_threshold(n, m_cap, precision=64):
     # The all-m loop the integer search replaced: one enclosure per m.
-    sequences = [upper_bound_interval(m, n, precision) for m in range(1, m_cap + 1)]
+    sequences = [_reference_sequence(m, n, precision) for m in range(1, m_cap + 1)]
     tail_start = m_cap + 1
     for m in range(m_cap, 0, -1):
         if sequences[m - 1].ratio_next.hi < 1:
@@ -170,6 +185,30 @@ def test_threshold_matches_the_all_m_loop(n):
     assert found[1] is None and found[5] is None
     if n == 677:
         assert found[64] == 55
+
+
+def test_threshold_matches_the_all_m_loop_at_large_n():
+    # Chain endpoints here carry prefixes of ~60,000 bits.
+    result = threshold_for_n(5000, m_cap=200)
+    assert (result.m_found, result.chain) == _reference_threshold(5000, 200)
+    assert result.m_found == 132
+
+
+def test_bound_path_takes_no_gcd_of_large_operands(monkeypatch):
+    # Endpoints with power-of-two denominators are reduced by shifts: a gcd
+    # of a prefix (2m+n-1)!/(2m)! against such a denominator would have two
+    # operands of thousands of bits.
+    large, gcd = [], math.gcd
+
+    def counting_gcd(*integers):
+        if len(integers) > 1 and all(abs(x).bit_length() > 1000 for x in integers):
+            large.append(integers)
+        return gcd(*integers)
+
+    monkeypatch.setattr(math, "gcd", counting_gcd)
+    assert threshold_for_n(677, m_cap=64).m_found == 55
+    assert isinstance(certify_non_integrality(150, 600, "bound"), MagnitudeWitness)
+    assert not large
 
 
 def _reference_single_term(k, precision):

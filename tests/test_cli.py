@@ -137,6 +137,15 @@ def test_threshold_json(capsys):
     assert payload["chain"][0]["m"] == 14
 
 
+def test_threshold_json_at_large_n(capsys):
+    # The chain's 50 enclosures carry prefixes (2m+n-1)!/(2m)! of ~300,000 bits.
+    code, out, _ = run(capsys, "threshold", "-n", "20000", "--m-cap", "300", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["m_found"] == 251
+    assert [entry["m"] for entry in payload["chain"]] == list(range(251, 301))
+
+
 def test_scan_text(capsys):
     code, out, _ = run(
         capsys, "scan", "--m-min", "6", "--m-max", "8", "--n-min", "1", "--n-max", "1"

@@ -5,12 +5,14 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from torelli_euler import exact_core
 from torelli_euler.exact_core import (
     RationalInterval,
+    _PRODUCT_LEAF,
     _dyadic_to_bits,
+    dyadic_fraction,
     factorial_valuation,
     int_to_decimal,
     is_probable_prime,
@@ -44,6 +46,19 @@ def test_rising_factorial_ratio_times_b_factorial_is_a_factorial():
     for a in range(0, 201):
         for b in {0, a, a // 2, rng.randint(0, a) if a else 0}:
             assert rising_factorial_ratio(a, b) * math.factorial(b) == math.factorial(a)
+
+
+@pytest.mark.parametrize(
+    "length", [0, 1, _PRODUCT_LEAF - 1, _PRODUCT_LEAF, _PRODUCT_LEAF + 1, 2 * _PRODUCT_LEAF + 1]
+)
+@pytest.mark.parametrize("b", [0, 1, 1000, 10**6])
+def test_rising_factorial_ratio_tree_matches_one_run_around_the_leaf(b, length):
+    assert rising_factorial_ratio(b + length, b) == math.prod(range(b + 1, b + length + 1))
+
+
+@given(b=st.integers(0, 10**9), length=st.integers(0, 20 * _PRODUCT_LEAF))
+def test_rising_factorial_ratio_tree_matches_one_run(b, length):
+    assert rising_factorial_ratio(b + length, b) == math.prod(range(b + 1, b + length + 1))
 
 
 # --- p-adic valuation --------------------------------------------------------
@@ -200,6 +215,45 @@ _dyadics = st.tuples(st.integers(-(2**400), 2**400), st.integers(-2000, 2000))
 
 def _dyadic_value(mantissa, exponent):
     return Fraction(mantissa) * Fraction(2) ** exponent
+
+
+# Signed mantissas with up to 300 trailing zeros.
+_mantissas = st.builds(
+    lambda base, zeros: base << zeros, st.integers(-(2**200), 2**200), st.integers(0, 300)
+)
+
+
+@given(mantissa=_mantissas, exponent=st.integers(-2000, 2000))
+@example(mantissa=0, exponent=-7)
+@example(mantissa=0, exponent=7)
+@example(mantissa=-(3 << 40), exponent=-40)
+def test_dyadic_fraction_is_the_reduced_fraction(mantissa, exponent):
+    result, expected = dyadic_fraction(mantissa, exponent), _dyadic_value(mantissa, exponent)
+    assert type(result) is Fraction
+    assert result == expected and hash(result) == hash(expected)
+    assert (result.numerator, result.denominator) == (expected.numerator, expected.denominator)
+
+
+_endpoints = st.one_of(
+    st.builds(_dyadic_value, st.integers(-(2**300), 2**300), st.integers(-600, 600)),
+    st.fractions(),
+    st.integers(-(10**30), 10**30),
+)
+
+
+@given(lo=_endpoints, hi=_endpoints, equal=st.booleans())
+def test_interval_construction_decides_as_the_fraction_comparison(lo, hi, equal):
+    # Dyadic/dyadic pairs take the shift comparison, any other pair the
+    # Fraction one; both must raise exactly when lo > hi, with one message.
+    if equal:
+        hi = lo
+    if Fraction(lo) > Fraction(hi):
+        with pytest.raises(ValueError) as raised:
+            RationalInterval(lo, hi)
+        assert str(raised.value) == f"empty interval: lo={Fraction(lo)} > hi={Fraction(hi)}"
+    else:
+        interval = RationalInterval(lo, hi)
+        assert (interval.lo, interval.hi) == (Fraction(lo), Fraction(hi))
 
 
 @given(a=_dyadics, b=_dyadics, bits=st.integers(16, 200))
