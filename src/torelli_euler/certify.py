@@ -39,7 +39,7 @@ from .bernoulli import BernoulliTable, CapacityError
 from .exact_core import (
     RationalInterval,
     _dyadic_to_bits,
-    _floor_ratio_to_bits,
+    _ratio_to_bits,
     dyadic_fraction,
     factorial_valuation,
     is_probable_prime,
@@ -285,19 +285,24 @@ def _dyadic_ratio(mantissa: int, exponent: int, divisor: int) -> tuple[int, int]
     return numerator << (exponent - shift), denominator >> shift
 
 
-def _divide_outward(entry: _Dyadic, divisor: int, bits: int) -> RationalInterval:
-    """entry / divisor rounded outward to `bits`, bit for bit as `RationalInterval` would.
+def _divide_to_bits(
+    mantissa: int, exponent: int, divisor: int, bits: int, ceil: bool
+) -> tuple[int, int]:
+    """mantissa * 2**exponent / divisor rounded down (or up) to `bits`, in integers.
 
-    The quotient of each endpoint is reduced by one gcd with the divisor,
-    without forming the endpoint's power-of-two denominator as a Fraction,
-    and rounded as `RationalInterval.outward` rounds.
+    Bit for bit the endpoint `RationalInterval.outward` makes of the
+    quotient: reduced by one gcd with the divisor, without forming the
+    power-of-two denominator, then rounded.  Returns (mantissa, exponent)
+    with the mantissa odd, as in the reduced Fraction.
     """
-    lo, lo_exp, hi, hi_exp = entry
-    hi_num, hi_den = _dyadic_ratio(hi, hi_exp, divisor)
-    return RationalInterval(
-        _floor_ratio_to_bits(*_dyadic_ratio(lo, lo_exp, divisor), bits),
-        -_floor_ratio_to_bits(-hi_num, hi_den, bits),
-    )
+    numerator, denominator = _dyadic_ratio(mantissa, exponent, divisor)
+    if ceil:
+        numerator = -numerator
+    mantissa, exponent = _ratio_to_bits(numerator, denominator, bits)
+    if ceil:
+        mantissa = -mantissa
+    zeros = (mantissa & -mantissa).bit_length() - 1
+    return mantissa >> zeros, exponent + zeros
 
 
 def _mul_outward(a: _Dyadic, b: _Dyadic, bits: int) -> _Dyadic:
@@ -316,21 +321,67 @@ def _mul_outward(a: _Dyadic, b: _Dyadic, bits: int) -> _Dyadic:
 
 # Extending a memo reads its last entry and appends the next: two threads
 # doing so at once would file one entry under two indices.  Reentrant, as
-# extending the prefix memo builds single terms, which extend the chain.
+# extending the prefix memo extends the single terms.
 _MEMO_LOCK = threading.RLock()
 
 
-@lru_cache(maxsize=8)
-def _square_chain(bits: int) -> list[_Dyadic]:
-    """The repeated squares of 2pi computed so far, rounded outward to `bits`.
+class _SingleTerms:
+    # At one precision: (2pi)^(2k) for k = 0..len(powers)-1, the single
+    # terms for k = 1..len(terms), term k at index k - 1, and 2 (2k+1)! for
+    # the last k, the next term's divisor.
+    __slots__ = ("powers", "terms", "divisor")
 
-    Entry i encloses (2pi)^(2^(i+1)), the factor for bit i of k.  Entry 0 is
-    (2pi)^2 from the pi enclosure at `bits`, each later entry the square of
-    the one before, all rounded outward to `bits`: the squares that
-    `RationalInterval.power(2k, bits)` forms on its way, whatever k.
+    def __init__(self) -> None:
+        self.powers: list[_Dyadic] = [_DYADIC_ONE]
+        self.terms: list[_Dyadic] = []
+        self.divisor = 2  # 2 * 1!
+
+
+@lru_cache(maxsize=8)
+def _single_term_memo(precision: int) -> _SingleTerms:
+    return _SingleTerms()
+
+
+def _next_power(powers: list[_Dyadic], bits: int) -> _Dyadic:
+    """(2pi)^(2j) for j = len(powers), bit for bit as `(2pi).power(2j, bits)` forms it.
+
+    That power multiplies in the squares (2pi)^(2^(i+1)) for the set bits
+    of j, lowest first, rounding outward after each multiply.  So it is the
+    power for j less its top bit times the power for the top bit alone; the
+    power for a power of two is the square of the power for its half, and
+    for j = 1 the square of 2pi from the pi enclosure.
     """
+    j = len(powers)
+    top = 1 << (j.bit_length() - 1)
+    if j > top:
+        return _mul_outward(powers[j - top], powers[top], bits)
+    if j > 1:
+        return _mul_outward(powers[top >> 1], powers[top >> 1], bits)
     two_pi = pi_interval(bits).scale(2)
-    return [_dyadic_interval((two_pi * two_pi).outward(bits))]
+    return _dyadic_interval((two_pi * two_pi).outward(bits))
+
+
+def _single_terms(k: int, precision: int) -> list[_Dyadic]:
+    """The single terms through k at this precision, in integers: term j at index j - 1.
+
+    The memo is extended in k order, one power of 2pi per term from two
+    earlier ones.  The divisor 2 (2k-1)! is carried from one term to the
+    next, times 2k (2k+1), and each endpoint of the quotient is rounded
+    outward as `RationalInterval.outward` rounds it.
+    """
+    bits = max(precision, 16) + _GUARD_BITS
+    memo = _single_term_memo(precision)
+    powers, terms = memo.powers, memo.terms
+    with _MEMO_LOCK:
+        for j in range(len(terms) + 1, k + 1):
+            powers.append(_next_power(powers, bits))
+            lo, lo_exp, hi, hi_exp = powers[j]
+            terms.append(
+                _divide_to_bits(lo, lo_exp, memo.divisor, bits, ceil=False)
+                + _divide_to_bits(hi, hi_exp, memo.divisor, bits, ceil=True)
+            )
+            memo.divisor *= 2 * j * (2 * j + 1)
+    return terms
 
 
 @lru_cache(maxsize=8192)
@@ -338,25 +389,12 @@ def single_term_interval(k: int, precision: int = 64) -> RationalInterval:
     """Enclosure of (2pi)^(2k) / (2 (2k-1)!), the k-th bound factor.
 
     The factor crosses 1 between k = 8 and k = 9, which is what makes the
-    bound sequence eventually decrease.  (2pi)^(2k) multiplies in the
-    entries of `_square_chain` for the set bits of k, lowest first, rounding
-    outward after each multiply: bit for bit the enclosure
-    `(2pi).power(2k, bits)` gives, with the squares shared by every k at
-    one precision instead of rebuilt from the pi enclosure for each.  The
-    division by 2 (2k-1)! stays in integers as well.
+    bound sequence eventually decrease.  Its endpoints are those of the
+    integer memo of `_single_terms`, as Fractions.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    bits = max(precision, 16) + _GUARD_BITS
-    chain = _square_chain(bits)
-    with _MEMO_LOCK:
-        while len(chain) < k.bit_length():
-            chain.append(_mul_outward(chain[-1], chain[-1], bits))
-    power = _DYADIC_ONE
-    for i in range(k.bit_length()):
-        if k >> i & 1:
-            power = _mul_outward(power, chain[i], bits)
-    return _divide_outward(power, 2 * math.factorial(2 * k - 1), bits)
+    return _interval_from_dyadic(_single_terms(k, precision)[k - 1])
 
 
 @dataclass(frozen=True)
@@ -395,9 +433,10 @@ def _term_product(m: int, precision: int) -> _Dyadic:
     bits = max(precision, 16) + _GUARD_BITS
     memo = _prefix_memo(precision)
     with _MEMO_LOCK:
-        while len(memo) <= m:
-            term = single_term_interval(len(memo), precision)
-            memo.append(_mul_outward(memo[-1], _dyadic_interval(term), bits))
+        if len(memo) <= m:
+            terms = _single_terms(m, precision)
+            for k in range(len(memo), m + 1):
+                memo.append(_mul_outward(memo[-1], terms[k - 1], bits))
         return memo[m]
 
 
@@ -450,15 +489,28 @@ class ThresholdResult:
         return self.m_found is not None
 
 
+def _product_fits(a: int, b: int, bits: int) -> bool:
+    """Whether (a * b).bit_length() <= bits, for positive a and b.
+
+    The product has the sum of the two bit lengths, or one bit less, so it
+    is formed only when `bits` is that sum less one.
+    """
+    size = a.bit_length() + b.bit_length()
+    if size - 1 == bits:
+        return (a * b).bit_length() <= bits
+    return size <= bits
+
+
 def threshold_for_n(n: int, m_cap: int = 64, precision: int = 64) -> ThresholdResult:
     """Scan m = 1..m_cap for the certified crossing of the bound below 1.
 
     The comparisons run in integers.  ratio_next(m).hi < 1 cross-multiplies
     the hi end of the next single term by the rational factor, from m_cap
     down while it holds.  On that tail, U(m,n).hi < 1 compares the memo's hi
-    mantissa times the prefix (2m+n-1)!/(2m)! with a power of two, the
-    prefix stepped from one m to the next by an exact division.  Enclosures
-    are built only for the returned chain.
+    mantissa times the prefix (2m+n-1)!/(2m)! with a power of two, from bit
+    lengths unless they leave it open, the prefix stepped from one m to the
+    next by an exact division.  Enclosures are built only for the returned
+    chain.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -478,7 +530,7 @@ def threshold_for_n(n: int, m_cap: int = 64, precision: int = 64) -> ThresholdRe
     for m in range(tail_start, m_cap + 1):
         _, _, hi, hi_exp = _term_product(m, precision)
         # U(m,n).hi = hi * 2**hi_exp * prefix, below 1 iff hi * prefix < 2**-hi_exp.
-        if chain or (hi * prefix).bit_length() <= -hi_exp:
+        if chain or _product_fits(hi, prefix, -hi_exp):
             chain.append(_bound_sequence(m, n, prefix, precision))
         prefix = prefix * (2 * m + n) * (2 * m + n + 1) // ((2 * m + 1) * (2 * m + 2))
     return ThresholdResult(
@@ -503,21 +555,26 @@ def _check_request(strategy: str, table: BernoulliTable | None, m_hi: int) -> No
             )
 
 
+# A Bernoulli table, a function that returns one when called, or None.
+_TableSource = Union[BernoulliTable, Callable[[], BernoulliTable], None]
+
+
 def _certify_point(
     m: int,
     n: int,
     strategy: str,
-    table: BernoulliTable | None,
+    table: _TableSource,
     max_exact_m: int,
     upper: Callable[[], Fraction],
-    exact: Callable[[], Fraction],
+    exact: Callable[[BernoulliTable], Fraction],
 ) -> Certificate:
     """The one certification decision, for a point of a checked request.
 
     `bound` and `auto` try the certified upper bound first; `exact`, and
     `auto` within max_exact_m and the table, then read the answer off
     e(m,n); anything else is Inconclusive.  `upper` (the hi end of U(m,n))
-    and `exact` (e(m,n)) are called only when the decision needs them.
+    and `exact` (e(m,n) from the table) are called only when the decision
+    needs them, and so is `table` when given as a function.
     """
     if strategy != "exact":
         hi = upper()
@@ -525,19 +582,21 @@ def _certify_point(
             return MagnitudeWitness(upper=hi, statement=f"0 < e({m},{n}) < 1")
         if strategy == "bound":
             return Inconclusive(f"certified upper bound for e({m},{n}) is not below 1")
-        if table is None or m > min(max_exact_m, table.max_index // 2):
+        if m <= max_exact_m and callable(table):
+            table = table()
+        if table is None or m > max_exact_m or m > table.max_index // 2:
             return Inconclusive(
                 f"upper bound for e({m},{n}) is not below 1 and exact evaluation "
                 f"is unavailable (limit m <= {max_exact_m}, table required)"
             )
-    return certificate_from_exact(exact())
+    return certificate_from_exact(exact(table))
 
 
 def certify_non_integrality(
     m: int,
     n: int,
     strategy: str = "auto",
-    table: BernoulliTable | None = None,
+    table: _TableSource = None,
     *,
     precision: int = 64,
     max_exact_m: int = DEFAULT_MAX_EXACT_M,
@@ -547,15 +606,20 @@ def certify_non_integrality(
     `exact` computes e(m,n) and reads the answer off its denominator;
     `bound` emits a magnitude witness when the certified U(m,n) < 1 and is
     otherwise inconclusive; `auto` tries the cheap certified bound first and
-    falls back to exact within the configured limit.
+    falls back to exact within the configured limit.  A `table` given as a
+    function is called only if the answer reads the table: at once for
+    `exact`, for `auto` only when the bound does not decide and m is
+    within the limit.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
+    if strategy == "exact" and callable(table):
+        table = table()
     _check_request(strategy, table, m)
     return _certify_point(
         m, n, strategy, table, max_exact_m,
         upper=lambda: _upper_end(m, n, precision),
-        exact=lambda: e_mn(EmnQuery(m, n), table),
+        exact=lambda table: e_mn(EmnQuery(m, n), table),
     )
 
 
@@ -609,7 +673,7 @@ def scan(
         exact_value: Fraction | None = None
         upper_end: Fraction | None = None
 
-        def exact() -> Fraction:
+        def exact(table: BernoulliTable) -> Fraction:
             nonlocal exact_value, zeta_k, zeta_reciprocal_product
             if exact_value is None:
                 while zeta_k < m:

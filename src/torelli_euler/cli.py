@@ -9,13 +9,13 @@ commands' argument checks.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
 
 from .bernoulli import CacheError, CapacityError, bernoulli_table, obtain_table
 from .certify import (
-    DEFAULT_MAX_EXACT_M,
     Inconclusive,
     certify_non_integrality,
     scan,
@@ -226,9 +226,9 @@ def _cmd_emn(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    table = None
-    if args.strategy == "exact" or (args.strategy == "auto" and args.m <= DEFAULT_MAX_EXACT_M):
-        table = obtain_table(2 * args.m, args.cache)
+    # Read or built only if the answer needs e(m,n): for `auto`, only when
+    # the bound does not decide.
+    table = functools.partial(obtain_table, 2 * args.m, args.cache)
     cert = certify_non_integrality(
         args.m, args.n, args.strategy, table, precision=args.precision
     )

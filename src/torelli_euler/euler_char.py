@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import BernoulliTable
-from .exact_core import rising_factorial_ratio
+from .exact_core import _tree_product, rising_factorial_ratio
 from .zeta_special import abs_zeta_one_minus_2k, zeta_one_minus_2k
 
 __all__ = [
@@ -89,14 +89,21 @@ class EmnQuery:
             raise ValueError(f"need m, n >= 1, got m={self.m}, n={self.n}")
 
 
+def _multiplied_out(values: list[Fraction]) -> tuple[int, int]:
+    # The product of the numerators and that of the denominators, each by
+    # one product tree, for the caller to reduce once: a running Fraction
+    # would take a gcd of its growing numerator and denominator per factor.
+    return (
+        _tree_product([q.numerator for q in values]),
+        _tree_product([q.denominator for q in values]),
+    )
+
+
 def siegel_zeta_product(g: int, table: BernoulliTable) -> Fraction:
     """Exact prod_{k=1..g} zeta(1-2k)."""
     if g < 1:
         raise ValueError(f"g must be positive, got {g}")
-    product = Fraction(1)
-    for k in range(1, g + 1):
-        product *= zeta_one_minus_2k(k, table).value
-    return product
+    return Fraction(*_multiplied_out([zeta_one_minus_2k(k, table).value for k in range(1, g + 1)]))
 
 
 def euler_siegel_quotient(g: int, table: BernoulliTable) -> EulerChar:
@@ -133,10 +140,10 @@ def chi_torelli(g: int, n: int, table: BernoulliTable) -> EulerChar:
 def e_mn(query: EmnQuery, table: BernoulliTable) -> Fraction:
     """e(m,n) = (2m+n-1)!/(2m)! * prod_{k=1..m} 1/|zeta(1-2k)|, exact and positive."""
     m, n = query.m, query.n
-    value = Fraction(rising_factorial_ratio(2 * m + n - 1, 2 * m))
-    for k in range(1, m + 1):
-        value /= abs_zeta_one_minus_2k(k, table)
-    return value
+    numerator, denominator = _multiplied_out(
+        [abs_zeta_one_minus_2k(k, table) for k in range(1, m + 1)]
+    )
+    return Fraction(rising_factorial_ratio(2 * m + n - 1, 2 * m) * denominator, numerator)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 __all__ = [
     "Rational",
@@ -48,8 +49,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # libmpdec multiplies in subquadratic time (measured crossover: about
 # 40,000 bits).
 _STR_MAX_BITS = 40_000
-# Pieces of at most this many bits are converted by Decimal() directly.
-_DECIMAL_LEAF_BITS = 128
+# Pieces of at most this many bits are converted by Decimal() directly
+# (measured from 80,000 to 300,000 bits: leaves of 512 to 8192 bits perform
+# alike, 4096 best by a little, all 10-15 % faster than 128).
+_DECIMAL_LEAF_BITS = 4096
 
 
 def int_to_decimal(n: int) -> str:
@@ -154,7 +157,7 @@ def rising_factorial_ratio(a: int, b: int) -> int:
         raise ValueError(f"arguments must be nonnegative, got b={b}")
     if b > a:
         raise ValueError(f"need b <= a, got a={a}, b={b}")
-    return _range_product(b + 1, a + 1)
+    return _tree_product(range(b + 1, a + 1))
 
 
 # Runs of at most this many factors are multiplied one at a time (measured:
@@ -162,13 +165,16 @@ def rising_factorial_ratio(a: int, b: int) -> int:
 _PRODUCT_LEAF = 64
 
 
-def _range_product(start: int, stop: int) -> int:
-    # A balanced product tree: math.prod over one long run multiplies a
-    # growing product by a small factor each time, quadratic in its size.
-    if stop - start <= _PRODUCT_LEAF:
-        return math.prod(range(start, stop))
-    middle = (start + stop) >> 1
-    return _range_product(start, middle) * _range_product(middle, stop)
+def _tree_product(factors: Sequence[int]) -> int:
+    """The product of a list or range of integers, by a balanced product tree.
+
+    math.prod over one long run multiplies a growing product by one factor
+    at a time, quadratic in the size of the result.
+    """
+    if len(factors) <= _PRODUCT_LEAF:
+        return math.prod(factors)
+    middle = len(factors) >> 1
+    return _tree_product(factors[:middle]) * _tree_product(factors[middle:])
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -242,10 +248,19 @@ def _floor_ratio_to_bits(numerator: int, denominator: int, bits: int) -> Fractio
     """`_floor_to_bits` of numerator/denominator, given in lowest terms, denominator > 0."""
     if numerator == 0:
         return _ZERO
+    return dyadic_fraction(*_ratio_to_bits(numerator, denominator, bits))
+
+
+def _ratio_to_bits(numerator: int, denominator: int, bits: int) -> tuple[int, int]:
+    """`_floor_ratio_to_bits` in integers: (mantissa, exponent), not reduced.
+
+    The quotient is floored to bits + 1 significant bits, counted from the
+    bit lengths of the two operands as given.
+    """
     shift = bits - (numerator.bit_length() - denominator.bit_length())
     if shift >= 0:
-        return dyadic_fraction((numerator << shift) // denominator, -shift)
-    return dyadic_fraction(numerator // (denominator << -shift), -shift)
+        return (numerator << shift) // denominator, -shift
+    return numerator // (denominator << -shift), -shift
 
 
 def _ceil_to_bits(q: Fraction, bits: int) -> Fraction:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,8 @@ from torelli_euler.certify import (
     _GUARD_BITS,
     _interval_from_dyadic,
     _prefix_memo,
-    _square_chain,
+    _single_term_memo,
+    _single_terms,
     _term_product,
     BoundSequence,
     CertificateError,
@@ -42,6 +45,7 @@ from torelli_euler.exact_core import (
     factorial_valuation,
     p_adic_valuation,
     pi_interval,
+    rising_factorial_ratio,
 )
 from torelli_euler.zeta_special import zeta_one_minus_2k
 
@@ -194,6 +198,41 @@ def test_threshold_matches_the_all_m_loop_at_large_n():
     assert result.m_found == 132
 
 
+def _threshold_by_products(n, m_cap, precision=64):
+    # The tail walk with U(m,n).hi < 1 read off the product hi * prefix
+    # itself, as before the bit-length test; the chain from fresh enclosures.
+    tail_start = m_cap + 1
+    while tail_start > 1:
+        m = tail_start - 1
+        ratio = Fraction((2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1))
+        if single_term_interval(m + 1, precision).hi * ratio >= 1:
+            break
+        tail_start = m
+    prefix = rising_factorial_ratio(2 * tail_start + n - 1, 2 * tail_start)
+    for m in range(tail_start, m_cap + 1):
+        _, _, hi, hi_exp = _term_product(m, precision)
+        if (hi * prefix).bit_length() <= -hi_exp:
+            return m, tuple(upper_bound_interval(k, n, precision) for k in range(m, m_cap + 1))
+        prefix = prefix * (2 * m + n) * (2 * m + n + 1) // ((2 * m + 1) * (2 * m + 2))
+    return None, ()
+
+
+@pytest.mark.parametrize(
+    "n, m_cap, m_found", [(1, 30, 14), (677, 64, 55), (5000, 200, 132), (20000, 300, 251)]
+)
+def test_threshold_chain_is_the_one_the_products_give(n, m_cap, m_found):
+    result = threshold_for_n(n, m_cap=m_cap)
+    assert (result.m_found, result.chain) == _threshold_by_products(n, m_cap)
+    assert result.m_found == m_found
+
+
+@given(st.integers(1, 2**300), st.integers(1, 2**300), st.integers(0, 700))
+def test_product_fits_decides_as_the_product(a, b, bits):
+    for x, y in ((a, b), (1 << (a.bit_length() - 1), b), (a, (1 << b.bit_length()) - 1)):
+        for budget in (bits, x.bit_length() + y.bit_length() - 1, x.bit_length() + y.bit_length()):
+            assert certify_module._product_fits(x, y, budget) == ((x * y).bit_length() <= budget)
+
+
 def test_bound_path_takes_no_gcd_of_large_operands(monkeypatch):
     # Endpoints with power-of-two denominators are reduced by shifts: a gcd
     # of a prefix (2m+n-1)!/(2m)! against such a denominator would have two
@@ -212,27 +251,45 @@ def test_bound_path_takes_no_gcd_of_large_operands(monkeypatch):
 
 
 def _reference_single_term(k, precision):
-    # The body the square chain replaced: a fresh power of 2pi for each k.
+    # A fresh power of 2pi for each k, divided and rounded as Fractions.
     bits = max(precision, 16) + _GUARD_BITS
     power = pi_interval(bits).scale(2).power(2 * k, bits)
     return power.scale(Fraction(1, 2 * math.factorial(2 * k - 1))).outward(bits)
 
 
+def _memo_term_interval(k, precision):
+    # The k-th entry of the integer single-term memo as Fractions.
+    return _interval_from_dyadic(_single_terms(k, precision)[k - 1])
+
+
 @pytest.mark.parametrize("precision", [8, 64, 128])
 def test_single_terms_from_the_square_chain_match_the_power(precision):
+    # Each power of 2pi comes from two earlier ones, the squares among them
+    # from the one before: the same multiplications, in the same order, as
+    # the binary powering of the reference.
     reference = {k: _reference_single_term(k, precision) for k in range(1, 401)}
 
     def check(ks):
-        single_term_interval.cache_clear()  # the chain stays as it is
+        single_term_interval.cache_clear()
         for k in ks:
-            term = single_term_interval(k, precision)
-            assert (term.lo, term.hi) == (reference[k].lo, reference[k].hi), k
+            for term in (_memo_term_interval(k, precision), single_term_interval(k, precision)):
+                assert (term.lo, term.hi) == (reference[k].lo, reference[k].hi), k
 
-    _square_chain.cache_clear()
-    check(range(400, 0, -1))  # the whole chain at k = 400, then lookups
+    _single_term_memo.cache_clear()
+    check(range(400, 0, -1))  # the whole memo at k = 400, then lookups
     check(range(1, 401))
-    _square_chain.cache_clear()
-    check(range(1, 401))  # one more square at each power of two
+    _single_term_memo.cache_clear()
+    check(range(1, 401))  # one term per query
+
+
+def test_single_term_memo_stores_odd_mantissas():
+    # Each term in the `_Dyadic` form: odd mantissas of at most bits + 1 bits.
+    for precision in (8, 64, 128):
+        bits = max(precision, 16) + _GUARD_BITS
+        for k, entry in enumerate(_single_terms(300, precision)[:300], start=1):
+            lo, _, hi, _ = entry
+            assert lo % 2 == 1 and hi % 2 == 1, k
+            assert lo.bit_length() <= bits + 1 and hi.bit_length() <= bits + 1, k
 
 
 def _reference_term_products(m_max, precision):
@@ -273,18 +330,75 @@ def test_prefix_memo_stores_small_integers():
             assert all(type(x) is int and x.bit_length() <= bits + 64 for x in entry)
 
 
-def test_prefix_memo_is_dropped_with_the_module_lru_caches():
-    # The memo and the square chain live behind lru caches of the module, so
-    # clearing those caches starts them over as in a fresh process: every
-    # factor is rebuilt, from a chain rebuilt from the pi enclosure.
+def test_prefix_memo_is_dropped_with_the_module_lru_caches(monkeypatch):
+    # The prefix memo and the single-term memo, with its powers of 2pi and
+    # its carried divisor, live behind lru caches of the module, so clearing
+    # those caches starts them over as in a fresh process: every factor is
+    # rebuilt, divided by a factorial carried from 1!, from powers rebuilt
+    # from the pi enclosure.
     _term_product(50, 64)
     for obj in vars(certify_module).values():
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
+    enclosures, divisors = [], []
+    enclose, divide = certify_module.pi_interval, certify_module._divide_to_bits
+
+    def recording_enclose(bits):
+        enclosures.append(bits)
+        return enclose(bits)
+
+    def recording_divide(mantissa, exponent, divisor, bits, ceil):
+        divisors.append(divisor)
+        return divide(mantissa, exponent, divisor, bits, ceil)
+
+    monkeypatch.setattr(certify_module, "pi_interval", recording_enclose)
+    monkeypatch.setattr(certify_module, "_divide_to_bits", recording_divide)
     _term_product(50, 64)
-    assert single_term_interval.cache_info().misses == 50
-    assert _square_chain.cache_info().misses == 1
-    assert len(_square_chain(64 + _GUARD_BITS)) == (50).bit_length()
+    assert enclosures == [64 + _GUARD_BITS]
+    assert divisors == [2 * math.factorial(2 * k - 1) for k in range(1, 51) for _ in ("lo", "hi")]
+    memo = _single_term_memo(64)
+    assert _single_term_memo.cache_info().misses == 1
+    assert (len(memo.powers), len(memo.terms)) == (51, 50)
+    assert memo.divisor == 2 * math.factorial(101)
+
+
+def test_memos_extended_from_many_threads_match_one_thread():
+    # Threads extending the single-term and prefix memos at once must file
+    # every entry under its own k, with the divisor carried once per term.
+    precision, m_max = 72, 400
+    expected = [_term_product(m, precision) for m in range(m_max + 1)]
+    memo = _single_term_memo(precision)
+    expected_memo = (list(memo.powers), list(memo.terms), memo.divisor)
+    results, errors = {}, []
+    start = threading.Barrier(8)
+
+    def work(worker):
+        try:
+            start.wait(timeout=60)
+            ms = range(m_max, -1, -1) if worker % 2 else range(0, m_max + 1, worker + 1)
+            results[worker] = {m: _term_product(m, precision) for m in ms}
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    _prefix_memo.cache_clear()
+    _single_term_memo.cache_clear()
+    try:
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors
+    assert len(results) == 8
+    for found in results.values():
+        assert all(entry == expected[m] for m, entry in found.items())
+    memo = _single_term_memo(precision)
+    assert (memo.powers, memo.terms, memo.divisor) == expected_memo
+    assert _prefix_memo(precision) == expected
 
 
 # --- certification strategies ----------------------------------------------------
@@ -315,6 +429,27 @@ def test_auto_strategy(table60):
     assert isinstance(certify_non_integrality(250, 1, "auto"), MagnitudeWitness)
     # Neither available: inconclusive, not an exception.
     assert isinstance(certify_non_integrality(13, 1, "auto"), Inconclusive)
+
+
+def test_a_table_function_is_called_only_when_the_answer_reads_the_table(table60):
+    calls = []
+
+    def table():
+        calls.append(None)
+        return table60
+
+    def certify(m, n, strategy, **limits):
+        calls.clear()
+        cert = certify_non_integrality(m, n, strategy, table, **limits)
+        assert cert == certify_non_integrality(m, n, strategy, table60, **limits)
+        return cert, len(calls)
+
+    assert certify(14, 1, "auto")[1] == 0  # the bound decides
+    assert certify(14, 1, "bound")[1] == 0
+    assert certify(6, 1, "auto") == (certify_non_integrality(6, 1, "exact", table60), 1)
+    assert certify(6, 1, "exact")[1] == 1
+    cert, count = certify(6, 1, "auto", max_exact_m=5)  # past the exact limit
+    assert isinstance(cert, Inconclusive) and count == 0
 
 
 def test_strategy_agreement_where_both_conclusive(table60):

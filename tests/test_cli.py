@@ -241,6 +241,27 @@ def test_corruption_above_the_request_fails_only_the_requests_that_reach_it(
     assert err.startswith("cache error:") and "B_80" in err
 
 
+def test_a_bound_decided_certify_leaves_the_cache_unread(capsys, tmp_path):
+    # `auto` reads the table only when the bound does not decide: a corrupt
+    # cache fails the requests that need e(m,n), and no other.
+    cache = tmp_path / "bern.cache"
+    persist_table(bernoulli_table(20), cache)
+    cache.write_text(cache.read_text().replace("12 -691/2730", "12 690/2730"))
+    original = cache.read_bytes()
+    code, out, err = run(capsys, "certify", "-m", "100", "-n", "300", "--cache", str(cache))
+    assert (code, err) == (0, "") and "0 < e(100,300) < 1" in out
+    assert cache.read_bytes() == original
+    code, out, err = run(capsys, "certify", "-m", "6", "-n", "1", "--cache", str(cache))
+    assert code == 1 and out == "" and err.startswith("cache error:")
+    assert cache.read_bytes() == original
+    code, out, err = run(capsys, "certify", "-m", "201", "-n", "20000", "--cache", str(cache))
+    assert (code, err) == (1, "") and "exact evaluation is unavailable" in out
+    assert cache.read_bytes() == original
+    persist_table(bernoulli_table(20), cache)
+    code, out, err = run(capsys, "certify", "-m", "6", "-n", "1", "--cache", str(cache))
+    assert (code, err) == (0, "") and "691" in out
+
+
 def test_empty_cache_variable_means_no_cache(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("TORELLI_EULER_CACHE", "")

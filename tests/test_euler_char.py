@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,9 @@ from torelli_euler.euler_char import (
     euler_siegel_quotient,
     siegel_zeta_product,
 )
+from torelli_euler.exact_core import rising_factorial_ratio
 from torelli_euler.render import decimal_string
-from torelli_euler.zeta_special import abs_zeta_one_minus_2k
+from torelli_euler.zeta_special import abs_zeta_one_minus_2k, zeta_one_minus_2k
 
 
 def test_descriptor_validation():
@@ -92,8 +94,6 @@ def test_emn_values(table60):
 
 
 def test_emn_equals_bernoulli_product_form(table60):
-    from torelli_euler.exact_core import rising_factorial_ratio
-
     for m, n in ((1, 1), (4, 3), (9, 6), (13, 2)):
         product = Fraction(rising_factorial_ratio(2 * m + n - 1, 2 * m))
         for k in range(1, m + 1):
@@ -115,3 +115,34 @@ def test_emn_positive_and_recurrences(table60):
 def test_emn_capacity(table60):
     with pytest.raises(CapacityError):
         e_mn(EmnQuery(31, 1), table60)
+
+
+def _running_division_e_mn(m, n, table):
+    # The loop the product trees replaced: one division of a running
+    # Fraction per zeta value.
+    value = Fraction(rising_factorial_ratio(2 * m + n - 1, 2 * m))
+    for k in range(1, m + 1):
+        value /= abs_zeta_one_minus_2k(k, table)
+    return value
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 677])
+def test_emn_by_product_trees_matches_the_running_division(table600, n):
+    for m in range(1, 61):
+        value = e_mn(EmnQuery(m, n), table600)
+        assert value == _running_division_e_mn(m, n, table600), m
+        assert math.gcd(value.numerator, value.denominator) == 1
+        assert (value.denominator == 1) == (m <= 5), m
+
+
+def test_emn_by_product_trees_at_the_top_of_the_standard_grid(table600):
+    value = e_mn(EmnQuery(200, 677), table600)
+    assert value == _running_division_e_mn(200, 677, table600)
+    assert math.gcd(value.numerator, value.denominator) == 1
+
+
+def test_siegel_product_matches_the_running_product(table600):
+    product = Fraction(1)
+    for g in range(1, 121):
+        product *= zeta_one_minus_2k(g, table600).value
+        assert siegel_zeta_product(g, table600) == product, g
