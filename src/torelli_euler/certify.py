@@ -37,9 +37,13 @@ from typing import Callable, Iterable, Iterator, Union
 
 from .bernoulli import BernoulliTable, CapacityError
 from .exact_core import (
+    _DYADIC_ONE,
     RationalInterval,
-    _dyadic_to_bits,
-    _ratio_to_bits,
+    _Dyadic,
+    _interval_from_dyadic,
+    _mul_outward,
+    _positive_power,
+    _ratios_outward,
     dyadic_fraction,
     factorial_valuation,
     is_probable_prime,
@@ -48,7 +52,7 @@ from .exact_core import (
     primes_up_to,
     rising_factorial_ratio,
 )
-from .euler_char import EmnQuery, e_mn
+from .euler_char import EmnQuery, _multiplied_out, e_mn
 from .zeta_special import abs_zeta_one_minus_2k
 
 __all__ = [
@@ -250,31 +254,6 @@ def certificate_from_exact(value: Fraction) -> Certificate:
 _GUARD_BITS = 32
 
 
-# An interval with positive dyadic endpoints, held in integers as
-# (lo mantissa, lo exponent, hi mantissa, hi exponent): its endpoints as
-# Fractions would carry power-of-two denominators of ~10^5 bits.
-_Dyadic = tuple[int, int, int, int]
-
-_DYADIC_ONE: _Dyadic = (1, 0, 1, 0)
-
-
-def _dyadic(q: Fraction) -> tuple[int, int]:
-    # Endpoints rounded by `outward` have a power-of-two denominator.
-    return q.numerator, 1 - q.denominator.bit_length()
-
-
-def _dyadic_interval(interval: RationalInterval) -> _Dyadic:
-    return _dyadic(interval.lo) + _dyadic(interval.hi)
-
-
-def _interval_from_dyadic(entry: _Dyadic, factor: int = 1) -> RationalInterval:
-    # The entry scaled by a positive integer, each endpoint reduced by a shift.
-    lo, lo_exp, hi, hi_exp = entry
-    return RationalInterval(
-        dyadic_fraction(lo * factor, lo_exp), dyadic_fraction(hi * factor, hi_exp)
-    )
-
-
 def _dyadic_ratio(mantissa: int, exponent: int, divisor: int) -> tuple[int, int]:
     # mantissa * 2**exponent / divisor in lowest terms, for an odd mantissa.
     g = math.gcd(mantissa, divisor)
@@ -283,40 +262,6 @@ def _dyadic_ratio(mantissa: int, exponent: int, divisor: int) -> tuple[int, int]
         return numerator, denominator << -exponent
     shift = min(exponent, (denominator & -denominator).bit_length() - 1)
     return numerator << (exponent - shift), denominator >> shift
-
-
-def _divide_to_bits(
-    mantissa: int, exponent: int, divisor: int, bits: int, ceil: bool
-) -> tuple[int, int]:
-    """mantissa * 2**exponent / divisor rounded down (or up) to `bits`, in integers.
-
-    Bit for bit the endpoint `RationalInterval.outward` makes of the
-    quotient: reduced by one gcd with the divisor, without forming the
-    power-of-two denominator, then rounded.  Returns (mantissa, exponent)
-    with the mantissa odd, as in the reduced Fraction.
-    """
-    numerator, denominator = _dyadic_ratio(mantissa, exponent, divisor)
-    if ceil:
-        numerator = -numerator
-    mantissa, exponent = _ratio_to_bits(numerator, denominator, bits)
-    if ceil:
-        mantissa = -mantissa
-    zeros = (mantissa & -mantissa).bit_length() - 1
-    return mantissa >> zeros, exponent + zeros
-
-
-def _mul_outward(a: _Dyadic, b: _Dyadic, bits: int) -> _Dyadic:
-    """a * b rounded outward to `bits`, bit for bit as `RationalInterval` would.
-
-    Both intervals are positive, so the product's lo is lo * lo and its hi
-    is hi * hi, and each is rounded as `RationalInterval.outward` rounds.
-    """
-    lo, lo_exp, hi, hi_exp = a
-    b_lo, b_lo_exp, b_hi, b_hi_exp = b
-    return (
-        _dyadic_to_bits(lo * b_lo, lo_exp + b_lo_exp, bits, ceil=False)
-        + _dyadic_to_bits(hi * b_hi, hi_exp + b_hi_exp, bits, ceil=True)
-    )
 
 
 # Extending a memo reads its last entry and appends the next: two threads
@@ -357,8 +302,7 @@ def _next_power(powers: list[_Dyadic], bits: int) -> _Dyadic:
         return _mul_outward(powers[j - top], powers[top], bits)
     if j > 1:
         return _mul_outward(powers[top >> 1], powers[top >> 1], bits)
-    two_pi = pi_interval(bits).scale(2)
-    return _dyadic_interval((two_pi * two_pi).outward(bits))
+    return _positive_power(pi_interval(bits).scale(2), 2, bits)
 
 
 def _single_terms(k: int, precision: int) -> list[_Dyadic]:
@@ -377,8 +321,11 @@ def _single_terms(k: int, precision: int) -> list[_Dyadic]:
             powers.append(_next_power(powers, bits))
             lo, lo_exp, hi, hi_exp = powers[j]
             terms.append(
-                _divide_to_bits(lo, lo_exp, memo.divisor, bits, ceil=False)
-                + _divide_to_bits(hi, hi_exp, memo.divisor, bits, ceil=True)
+                _ratios_outward(
+                    *_dyadic_ratio(lo, lo_exp, memo.divisor),
+                    *_dyadic_ratio(hi, hi_exp, memo.divisor),
+                    bits,
+                )
             )
             memo.divisor *= 2 * j * (2 * j + 1)
     return terms
@@ -462,13 +409,14 @@ def upper_bound_interval(m: int, n: int, precision: int = 64) -> BoundSequence:
     return _bound_sequence(m, n, rising_factorial_ratio(2 * m + n - 1, 2 * m), precision)
 
 
-def _upper_end(m: int, n: int, precision: int) -> Fraction:
+def _upper_end(m: int, n: int, precision: int) -> tuple[int, int]:
     """`upper_bound_interval(m, n, precision).value.hi`, the one end a certificate reads.
 
-    No lo end and no ratio: one Fraction, reduced by a shift.
+    In integers, as (top, exponent) for top * 2**exponent, with top the memo's
+    hi mantissa times (2m+n-1)!/(2m)!: no lo end, no ratio, no Fraction.
     """
     _, _, hi, hi_exp = _term_product(m, precision)
-    return dyadic_fraction(hi * rising_factorial_ratio(2 * m + n - 1, 2 * m), hi_exp)
+    return hi * rising_factorial_ratio(2 * m + n - 1, 2 * m), hi_exp
 
 
 @dataclass(frozen=True)
@@ -565,21 +513,25 @@ def _certify_point(
     strategy: str,
     table: _TableSource,
     max_exact_m: int,
-    upper: Callable[[], Fraction],
+    upper: Callable[[], tuple[int, int]],
     exact: Callable[[BernoulliTable], Fraction],
 ) -> Certificate:
     """The one certification decision, for a point of a checked request.
 
     `bound` and `auto` try the certified upper bound first; `exact`, and
     `auto` within max_exact_m and the table, then read the answer off
-    e(m,n); anything else is Inconclusive.  `upper` (the hi end of U(m,n))
-    and `exact` (e(m,n) from the table) are called only when the decision
-    needs them, and so is `table` when given as a function.
+    e(m,n); anything else is Inconclusive.  `upper` (the hi end of U(m,n),
+    as `_upper_end` gives it) and `exact` (e(m,n) from the table) are
+    called only when the decision needs them, and so is `table` when given
+    as a function.  top * 2**exponent < 1 for a positive top exactly when
+    top has at most -exponent bits; only a witness forms the Fraction.
     """
     if strategy != "exact":
-        hi = upper()
-        if hi < 1:
-            return MagnitudeWitness(upper=hi, statement=f"0 < e({m},{n}) < 1")
+        top, exponent = upper()
+        if top.bit_length() <= -exponent:
+            return MagnitudeWitness(
+                upper=dyadic_fraction(top, exponent), statement=f"0 < e({m},{n}) < 1"
+            )
         if strategy == "bound":
             return Inconclusive(f"certified upper bound for e({m},{n}) is not below 1")
         if m <= max_exact_m and callable(table):
@@ -656,13 +608,15 @@ def scan(
     """One certificate per grid point, yielded row by row.
 
     Row-incremental evaluation: for fixed m, e(m,n+1) = e(m,n) * (2m+n) and
-    likewise for the bound product, so a full grid costs one rational
-    update per point instead of one full product.  Of the bound only the
-    upper end is kept, the one end a certificate reads.  Each running value
-    is brought up to date only when a point needs it: the zeta product
-    under e(m,n) a factor at a time, the bound's term product from the
-    prefix memo of `_term_product`.  Inconclusive points are reported and
-    the scan continues.
+    likewise for the bound product, so a full grid costs one update per
+    point instead of one full product.  Of the bound only the upper end is
+    kept, the one end a certificate reads, as the integer top of
+    `_upper_end` over a fixed power of two.  Each running value is brought
+    up to date only when a point needs it: the zeta product under e(m,n)
+    multiplied out and reduced once on the first row that needs it, then a
+    factor at a time; the bound's term product from the prefix memo of
+    `_term_product`.  Inconclusive points are reported and the scan
+    continues.
     """
     m_lo, m_hi = _validate_range(m_range, "m")
     n_lo, n_hi = _validate_range(n_range, "n")
@@ -671,18 +625,24 @@ def scan(
 
     for m in range(m_lo, m_hi + 1):
         exact_value: Fraction | None = None
-        upper_end: Fraction | None = None
+        upper_end: tuple[int, int] | None = None
 
         def exact(table: BernoulliTable) -> Fraction:
             nonlocal exact_value, zeta_k, zeta_reciprocal_product
             if exact_value is None:
+                if zeta_k == 0:
+                    # As e_mn forms it: one product tree per side, one reduction.
+                    numerator, denominator = _multiplied_out(
+                        [abs_zeta_one_minus_2k(k, table) for k in range(1, m + 1)]
+                    )
+                    zeta_k, zeta_reciprocal_product = m, Fraction(denominator, numerator)
                 while zeta_k < m:
                     zeta_k += 1
                     zeta_reciprocal_product /= abs_zeta_one_minus_2k(zeta_k, table)
                 exact_value = zeta_reciprocal_product * rising_factorial_ratio(2 * m + n - 1, 2 * m)
             return exact_value
 
-        def upper() -> Fraction:
+        def upper() -> tuple[int, int]:
             nonlocal upper_end
             if upper_end is None:
                 upper_end = _upper_end(m, n, precision)
@@ -695,7 +655,7 @@ def scan(
             if exact_value is not None:
                 exact_value *= 2 * m + n
             if upper_end is not None:
-                upper_end *= 2 * m + n
+                upper_end = upper_end[0] * (2 * m + n), upper_end[1]
 
 
 @dataclass(frozen=True)
@@ -869,7 +829,9 @@ def wide_range_bound_forms(m: int, precision: int = 64) -> WideRangeBoundForms:
     bits = max(precision, 16) + _GUARD_BITS
     prefix = rising_factorial_ratio(2 * m + MAX_WITNESSED_N, 2 * m)
     per_index = _interval_from_dyadic(_term_product(m, precision), prefix)
-    constant = single_term_interval(m + 1, precision).power(m, bits).scale(prefix)
+    # single_term_interval(m + 1).power(m, bits).scale(prefix), scaled by shifts.
+    power = _positive_power(single_term_interval(m + 1, precision), m, bits)
+    constant = _interval_from_dyadic(power, prefix)
     return WideRangeBoundForms(
         m=m, per_index_product=per_index, constant_factor_product=constant
     )

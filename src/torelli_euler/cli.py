@@ -71,9 +71,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--digits", type=_positive_int, default=12, help="decimal digits in text output"
     )
-    parser.add_argument(
-        "--precision", type=_positive_int, default=128, help="interval precision in bits"
-    )
+
+
+# Read by the commands that evaluate the certified bound, and only by them.
+_PRECISION = (
+    "--precision", dict(type=_positive_int, default=128, help="interval precision in bits")
+)
 
 
 # Each command: its help line and its own arguments, (flag, add_argument
@@ -99,10 +102,12 @@ _COMMANDS = {
         ("-m", dict(type=_positive_int, required=True)),
         ("-n", dict(type=_positive_int, required=True)),
         ("--strategy", dict(choices=("auto", "exact", "bound"), default="auto")),
+        _PRECISION,
     )),
     "threshold": ("certified bound threshold for fixed n", (
         ("-n", dict(type=_positive_int, required=True)),
         ("--m-cap", dict(type=_positive_int, default=64)),
+        _PRECISION,
     )),
     "scan": ("certificates over a grid of (m, n)", (
         ("--m-min", dict(type=_positive_int, required=True)),
@@ -110,6 +115,7 @@ _COMMANDS = {
         ("--n-min", dict(type=_positive_int, required=True)),
         ("--n-max", dict(type=_positive_int, required=True)),
         ("--strategy", dict(choices=("auto", "exact", "bound"), default="exact")),
+        _PRECISION,
     )),
     "verify-paper": ("run the full verification suite", (
         ("--deep", dict(action="store_true", help="extend the scan to m = 1470")),

@@ -285,6 +285,78 @@ def _dyadic_to_bits(mantissa: int, exponent: int, bits: int, ceil: bool) -> tupl
     return mantissa >> zeros, exponent + zeros
 
 
+# An interval with positive dyadic endpoints, held in integers as
+# (lo mantissa, lo exponent, hi mantissa, hi exponent): its endpoints as
+# Fractions would carry power-of-two denominators of ~10^5 bits.
+_Dyadic = tuple[int, int, int, int]
+
+_DYADIC_ONE: _Dyadic = (1, 0, 1, 0)
+
+
+def _interval_from_dyadic(entry: _Dyadic, factor: int = 1) -> "RationalInterval":
+    """The entry scaled by a positive integer, each endpoint reduced by a shift."""
+    lo, lo_exp, hi, hi_exp = entry
+    return RationalInterval(
+        dyadic_fraction(lo * factor, lo_exp), dyadic_fraction(hi * factor, hi_exp)
+    )
+
+
+def _mul_outward(a: _Dyadic, b: _Dyadic, bits: int) -> _Dyadic:
+    """a * b rounded outward to `bits`, bit for bit as `RationalInterval` would.
+
+    Both intervals are positive, so the product's lo is lo * lo and its hi
+    is hi * hi, and each is rounded as `RationalInterval.outward` rounds.
+    """
+    lo, lo_exp, hi, hi_exp = a
+    b_lo, b_lo_exp, b_hi, b_hi_exp = b
+    return (
+        _dyadic_to_bits(lo * b_lo, lo_exp + b_lo_exp, bits, ceil=False)
+        + _dyadic_to_bits(hi * b_hi, hi_exp + b_hi_exp, bits, ceil=True)
+    )
+
+
+def _ratios_outward(
+    lo_num: int, lo_den: int, hi_num: int, hi_den: int, bits: int
+) -> _Dyadic:
+    """[lo_num/lo_den, hi_num/hi_den], each in lowest terms, rounded outward to `bits`.
+
+    Bit for bit `RationalInterval.outward` of the two Fractions, with odd
+    mantissas.  The hi end is floored negated, as `_ceil_to_bits` rounds it.
+    """
+    lo, lo_exp = _ratio_to_bits(lo_num, lo_den, bits)
+    hi, hi_exp = _ratio_to_bits(-hi_num, hi_den, bits)
+    lo_zeros, hi_zeros = (lo & -lo).bit_length() - 1, (hi & -hi).bit_length() - 1
+    return lo >> lo_zeros, lo_exp + lo_zeros, -(hi >> hi_zeros), hi_exp + hi_zeros
+
+
+def _positive_power(interval: "RationalInterval", n: int, bits: int) -> _Dyadic:
+    """`interval.power(n, bits)` for 0 < interval.lo, in integers.
+
+    The binary powering of `power`, in which each product of positive
+    intervals is lo * lo and hi * hi.  The first operand is the interval
+    itself; the first square of a reduced fraction is reduced as it stands,
+    numerator and denominator squared; every later operand has been rounded,
+    so is dyadic, and goes through `_mul_outward`.
+    """
+    lo, hi = interval.lo, interval.hi
+    result = _DYADIC_ONE
+    if n & 1:
+        result = _ratios_outward(lo.numerator, lo.denominator, hi.numerator, hi.denominator, bits)
+    n >>= 1
+    if n:
+        square = _ratios_outward(
+            lo.numerator**2, lo.denominator**2, hi.numerator**2, hi.denominator**2, bits
+        )
+        while True:
+            if n & 1:
+                result = _mul_outward(result, square, bits)
+            n >>= 1
+            if not n:
+                break
+            square = _mul_outward(square, square, bits)
+    return result
+
+
 @dataclass(frozen=True)
 class RationalInterval:
     """Closed interval with exact rational endpoints.
@@ -373,10 +445,17 @@ class RationalInterval:
 
         With `bits`, endpoints are rounded outward to about that many
         significant bits after every multiply, so their size stays near
-        `bits` however large n gets; without, no rounding takes place.
+        `bits` however large n gets; without, no rounding takes place.  A
+        strictly positive interval with `bits` is powered in integers by
+        `_positive_power`, whose endpoints are bit for bit those of the
+        Fraction loop below.  That loop stays for `bits=None`, where
+        endpoints are not dyadic, and for intervals reaching 0 or below,
+        where a product's ends are not lo * lo and hi * hi.
         """
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"interval power wants a nonnegative integer, got {n}")
+        if bits is not None and self.lo > 0:
+            return _interval_from_dyadic(_positive_power(self, n, bits))
         rounded = (lambda x: x) if bits is None else (lambda x: x.outward(bits))
         result, square = RationalInterval.point(1), self
         while n:
@@ -404,21 +483,27 @@ def _arctan_recip_interval(x: int, tail_bound: Fraction) -> RationalInterval:
     The Gregory series sum_k (-1)^k / ((2k+1) x^(2k+1)) alternates with
     strictly decreasing terms, so the truncation error is bounded by the
     first omitted term and the value lies between consecutive partial sums.
-    Summation stops once that bound drops to `tail_bound`.
+    Summation stops at the first term K at most `tail_bound`, found by
+    integer comparisons.  The partial sums through terms K - 1 and K are
+    then summed in integers over the one denominator
+    lcm(1, 3, ..., 2K+1) x^(2K+1) and reduced once each: the same
+    Fractions as a term-by-term sum.
     """
-    total = _ZERO
-    k = 0
-    power = x  # x^(2k+1)
+    bound_num, bound_den = tail_bound.numerator, tail_bound.denominator
     xx = x * x
-    while True:
-        term = Fraction(1, (2 * k + 1) * power)
-        if term <= tail_bound:
-            if k % 2 == 0:
-                return RationalInterval(total, total + term)
-            return RationalInterval(total - term, total)
-        total = total + term if k % 2 == 0 else total - term
-        k += 1
+    last, power = 0, x  # power = x^(2 last + 1)
+    # 1/((2k+1) x^(2k+1)) <= tail_bound, cross-multiplied.
+    while bound_num * (2 * last + 1) * power < bound_den:
+        last += 1
         power *= xx
+    odd_lcm = math.lcm(*range(1, 2 * last + 2, 2))
+    with_last = 0  # the sum through term `last` times the common denominator
+    for k in range(last + 1):
+        with_last = with_last * xx + (-1) ** k * (odd_lcm // (2 * k + 1))
+    without_last = with_last - (-1) ** last * (odd_lcm // (2 * last + 1))
+    denominator = odd_lcm * power
+    before, after = Fraction(without_last, denominator), Fraction(with_last, denominator)
+    return RationalInterval(before, after) if last % 2 == 0 else RationalInterval(after, before)
 
 
 # zeta_special.zeta_abs_lower_bound alone asks for a precision per k above
@@ -430,7 +515,9 @@ def pi_interval(precision: int) -> RationalInterval:
     Machin's identity pi = 16 arctan(1/5) - 4 arctan(1/239), each arctangent
     enclosed via its alternating series.  Enclosures at higher precision are
     nested inside lower-precision ones because the partial-sum brackets of an
-    alternating series are nested.
+    alternating series are nested.  Each series is summed in integers over
+    one common denominator and reduced once; Fractions being canonical, the
+    endpoints are bit for bit those of a term-by-term Fraction sum.
     """
     if precision < 8:
         raise ValueError(f"precision must be at least 8 bits, got {precision}")

@@ -48,7 +48,7 @@ from .certify import (
     wide_range_constant_form_threshold,
 )
 from .euler_char import EmnQuery, check_product_formula, chi_torelli, e_mn, euler_moduli
-from .exact_core import pi_interval
+from .exact_core import dyadic_fraction, pi_interval
 from .render import certificate_from_json, certificate_to_json, decimal_string
 from .zeta_special import abs_zeta_one_minus_2k, zeta_abs_lower_bound, zeta_one_minus_2k
 
@@ -287,13 +287,13 @@ def _check_threshold_n1(ctx: dict) -> Outcome:
 def _check_bound_dominates(ctx: dict) -> Outcome:
     table: BernoulliTable = ctx["table"]
     for m in range(1, 51):
-        # e(m,n) and U(m,n) both gain the factor 2m+n from n to n+1.
-        exact, upper = e_mn(EmnQuery(m, 1), table), _upper_end(m, 1, 64)
+        # e(m,n) and U(m,n) = top * 2**exponent both gain the factor 2m+n from n to n+1.
+        exact, (top, exponent) = e_mn(EmnQuery(m, 1), table), _upper_end(m, 1, 64)
         for n in range(1, 6):
-            if not exact <= upper:
+            if not exact <= dyadic_fraction(top, exponent):
                 return "fail", f"bound fails to dominate at m={m}, n={n}"
             exact *= 2 * m + n
-            upper *= 2 * m + n
+            top *= 2 * m + n
     return "pass", "exact e(m,n) <= certified U(m,n) for m = 1..50, n = 1..5"
 
 

@@ -42,12 +42,15 @@ from torelli_euler.euler_char import EmnQuery, e_mn
 from torelli_euler import verify
 from torelli_euler.exact_core import (
     RationalInterval,
+    dyadic_fraction,
     factorial_valuation,
     p_adic_valuation,
     pi_interval,
     rising_factorial_ratio,
 )
 from torelli_euler.zeta_special import zeta_one_minus_2k
+
+from interval_oracles import fraction_power
 
 
 # --- certificate soundness is enforced at construction -------------------------
@@ -238,6 +241,10 @@ def test_bound_path_takes_no_gcd_of_large_operands(monkeypatch):
     # of a prefix (2m+n-1)!/(2m)! against such a denominator would have two
     # operands of thousands of bits.
     large, gcd = [], math.gcd
+    # A dyadic interval with ~1,500-bit endpoints, to be powered at 1,200 bits.
+    dyadic = RationalInterval(
+        dyadic_fraction(3**900 + 1, -1500), dyadic_fraction(3**900 + 3, -1500)
+    )
 
     def counting_gcd(*integers):
         if len(integers) > 1 and all(abs(x).bit_length() > 1000 for x in integers):
@@ -247,13 +254,18 @@ def test_bound_path_takes_no_gcd_of_large_operands(monkeypatch):
     monkeypatch.setattr(math, "gcd", counting_gcd)
     assert threshold_for_n(677, m_cap=64).m_found == 55
     assert isinstance(certify_non_integrality(150, 600, "bound"), MagnitudeWitness)
+    points = list(scan((100, 109), (1, 20), "bound"))
+    assert all(isinstance(point.certificate, MagnitudeWitness) for point in points)
+    for m in (1, 30, 60):
+        wide_range_bound_forms(m)
+    dyadic.power(40, 1200)
     assert not large
 
 
 def _reference_single_term(k, precision):
     # A fresh power of 2pi for each k, divided and rounded as Fractions.
     bits = max(precision, 16) + _GUARD_BITS
-    power = pi_interval(bits).scale(2).power(2 * k, bits)
+    power = fraction_power(pi_interval(bits).scale(2), 2 * k, bits)
     return power.scale(Fraction(1, 2 * math.factorial(2 * k - 1))).outward(bits)
 
 
@@ -341,18 +353,18 @@ def test_prefix_memo_is_dropped_with_the_module_lru_caches(monkeypatch):
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
     enclosures, divisors = [], []
-    enclose, divide = certify_module.pi_interval, certify_module._divide_to_bits
+    enclose, divide = certify_module.pi_interval, certify_module._dyadic_ratio
 
     def recording_enclose(bits):
         enclosures.append(bits)
         return enclose(bits)
 
-    def recording_divide(mantissa, exponent, divisor, bits, ceil):
+    def recording_divide(mantissa, exponent, divisor):
         divisors.append(divisor)
-        return divide(mantissa, exponent, divisor, bits, ceil)
+        return divide(mantissa, exponent, divisor)
 
     monkeypatch.setattr(certify_module, "pi_interval", recording_enclose)
-    monkeypatch.setattr(certify_module, "_divide_to_bits", recording_divide)
+    monkeypatch.setattr(certify_module, "_dyadic_ratio", recording_divide)
     _term_product(50, 64)
     assert enclosures == [64 + _GUARD_BITS]
     assert divisors == [2 * math.factorial(2 * k - 1) for k in range(1, 51) for _ in ("lo", "hi")]
@@ -520,11 +532,12 @@ def test_scan_bound_and_auto_strategies(table60):
     assert kinds == ["PrimeWitness", "MagnitudeWitness", "MagnitudeWitness"]
 
 
-@pytest.mark.parametrize("block", [((10, 20), (1, 40)), ((53, 56), (600, 720))])
+@pytest.mark.parametrize("block", [((10, 20), (1, 120)), ((53, 56), (600, 720))])
 def test_bound_points_read_the_hi_end_of_the_enclosure(table60, table600, block):
-    # Both blocks hold rows that cross 1 mid-row (m = 14..19 and 53..55);
-    # the second starts past n = 1.  The upper end must be the enclosure's
-    # hi end at every point, and the verdict must follow it.
+    # Both blocks hold rows that cross 1 mid-row (m = 14..20 and 53..55);
+    # the second starts past n = 1.  The upper end, stepped along each row
+    # in integers, must be the enclosure's hi end at every point, and the
+    # verdict must follow it.
     m_range, n_range = block
     hi = {
         (m, n): upper_bound_interval(m, n).value.hi
@@ -549,6 +562,19 @@ def test_bound_points_read_the_hi_end_of_the_enclosure(table60, table600, block)
                 assert isinstance(cert, Inconclusive), point
             else:
                 assert isinstance(cert, PrimeWitness), point
+
+
+@pytest.mark.parametrize("m_lo", [1, 6, 150])
+def test_exact_scan_rows_are_e_mn(table600, m_lo):
+    # The first row multiplies its zeta product out at once, each later row
+    # divides by one more zeta value; both must give e(m,n) at every point.
+    points = list(scan((m_lo, m_lo + 3), (1, 4), "exact", table600))
+    assert [(point.m, point.n) for point in points] == [
+        (m, n) for m in range(m_lo, m_lo + 4) for n in range(1, 5)
+    ]
+    for point in points:
+        expected = certificate_from_exact(e_mn(EmnQuery(point.m, point.n), table600))
+        assert point.certificate == expected, (point.m, point.n)
 
 
 def test_scan_auto_degrades_past_table_capacity(table60):

@@ -405,3 +405,18 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["torelli-euler", "zeta", "--k", "6"])
     assert main(None) == 0
     assert "691/32760" in capsys.readouterr().out
+
+
+def test_precision_is_taken_only_by_the_bound_commands(capsys, monkeypatch):
+    # --precision sets the interval precision of the certified bound; the
+    # commands that never evaluate it reject the flag as argparse does.
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["zeta", "--k", "3"], ["emn", "-m", "2", "-n", "1"], ["verify-paper"]):
+        code, out, err = _outcome(capsys, main, [*argv, "--precision", "64"])
+        assert code == 2 and out == "" and "unrecognized arguments: --precision 64" in err
+    for command in ("certify", "threshold", "scan"):
+        code, out, _ = _outcome(capsys, main, [command, "--help"])
+        assert code == 0 and "--precision PRECISION" in out
+    code, out, _ = run(capsys, "certify", "-m", "14", "-n", "1", "--strategy", "bound",
+                       "--precision", "64")
+    assert code == 0 and "e(14,1) < 1" in out

@@ -22,6 +22,8 @@ from torelli_euler.exact_core import (
 )
 from torelli_euler.verify import PI_REFERENCE
 
+from interval_oracles import fraction_pi, fraction_power
+
 
 # --- rising_factorial_ratio -------------------------------------------------
 
@@ -189,6 +191,53 @@ def test_rounded_power_keeps_endpoints_small():
         assert endpoint.denominator.bit_length() <= 600
 
 
+def _same_endpoints(a, b):
+    # Equal Fractions are equal in lowest terms, so numerators and denominators match too.
+    return (a.lo, a.hi) == (b.lo, b.hi)
+
+
+# Strictly positive endpoints whose denominators are not powers of two.
+_non_dyadic = st.builds(
+    lambda numerator, odd, twos: Fraction(numerator, (2 * odd + 1) << twos),
+    st.integers(1, 2**200),
+    st.integers(1, 2**120),
+    st.integers(0, 64),
+)
+
+
+@given(lo=_non_dyadic, width=_non_dyadic | st.just(Fraction(0)), n=st.integers(0, 300),
+       bits=st.integers(8, 300))
+@settings(max_examples=150, deadline=None)
+def test_positive_power_is_the_fraction_loop_bit_for_bit(lo, width, n, bits):
+    interval = RationalInterval(lo, lo + width)
+    result = interval.power(n, bits)
+    assert _same_endpoints(result, fraction_power(interval, n, bits))
+    assert type(result.lo) is Fraction and type(result.hi) is Fraction
+
+
+def test_power_of_two_pi_is_the_fraction_loop_bit_for_bit():
+    # The case of zeta_abs_lower_bound(k): 2pi at max(64, 2k + 32) bits,
+    # raised to 2k with 32 bits more.
+    for k in range(1, 121):
+        effective = max(64, 2 * k + 32)
+        two_pi = pi_interval(effective).scale(2)
+        expected = fraction_power(two_pi, 2 * k, effective + 32)
+        assert _same_endpoints(two_pi.power(2 * k, effective + 32), expected), k
+
+
+def test_power_keeps_the_fraction_loop_off_the_positive_case():
+    # Unrounded, or over an interval reaching 0 or below, power is that loop.
+    for interval in (
+        RationalInterval(Fraction(1, 3), Fraction(5, 7)),
+        RationalInterval(Fraction(-2, 3), Fraction(5, 7)),
+        RationalInterval(Fraction(0), Fraction(9, 5)),
+        RationalInterval(Fraction(-9, 5), Fraction(-1, 3)),
+    ):
+        for n in (0, 1, 2, 7, 40):
+            assert _same_endpoints(interval.power(n), fraction_power(interval, n))
+            assert _same_endpoints(interval.power(n, 24), fraction_power(interval, n, 24))
+
+
 def test_interval_division_by_zero_interval_is_an_error():
     u = RationalInterval(Fraction(1), Fraction(2))
     z = RationalInterval(Fraction(-1), Fraction(1))
@@ -283,6 +332,17 @@ def test_pi_interval_contains_reference_and_meets_width():
 def test_pi_interval_nesting():
     assert pi_interval(16).encloses(pi_interval(64))
     assert pi_interval(64).encloses(pi_interval(128))
+
+
+def test_pi_interval_is_the_fraction_series_bit_for_bit():
+    # The integer sums over one denominator against the term-by-term
+    # Fraction sums, and each enclosure inside the one a bit coarser.
+    previous = None
+    for precision in range(8, 401):
+        enclosure = pi_interval(precision)
+        assert _same_endpoints(enclosure, fraction_pi(precision)), precision
+        assert previous is None or previous.encloses(enclosure), precision
+        previous = enclosure
 
 
 def test_pi_interval_rejects_tiny_precision():
