@@ -612,10 +612,10 @@ def scan(
     point instead of one full product.  Of the bound only the upper end is
     kept, the one end a certificate reads, as the integer top of
     `_upper_end` over a fixed power of two.  Each running value is brought
-    up to date only when a point needs it: the zeta product under e(m,n)
-    multiplied out and reduced once on the first row that needs it, then a
-    factor at a time; the bound's term product from the prefix memo of
-    `_term_product`.  Inconclusive points are reported and the scan
+    up to date only when a point needs it: the zeta factors the product
+    under e(m,n) still lacks multiplied out by one product tree per side
+    and folded in with one reduction; the bound's term product from the
+    prefix memo of `_term_product`.  Inconclusive points are reported and the scan
     continues.
     """
     m_lo, m_hi = _validate_range(m_range, "m")
@@ -630,15 +630,14 @@ def scan(
         def exact(table: BernoulliTable) -> Fraction:
             nonlocal exact_value, zeta_k, zeta_reciprocal_product
             if exact_value is None:
-                if zeta_k == 0:
-                    # As e_mn forms it: one product tree per side, one reduction.
+                if zeta_k < m:
+                    # The missing factors as e_mn forms them: one product
+                    # tree per side, folded in with one reduction.
                     numerator, denominator = _multiplied_out(
-                        [abs_zeta_one_minus_2k(k, table) for k in range(1, m + 1)]
+                        [abs_zeta_one_minus_2k(k, table) for k in range(zeta_k + 1, m + 1)]
                     )
-                    zeta_k, zeta_reciprocal_product = m, Fraction(denominator, numerator)
-                while zeta_k < m:
-                    zeta_k += 1
-                    zeta_reciprocal_product /= abs_zeta_one_minus_2k(zeta_k, table)
+                    zeta_k = m
+                    zeta_reciprocal_product *= Fraction(denominator, numerator)
                 exact_value = zeta_reciprocal_product * rising_factorial_ratio(2 * m + n - 1, 2 * m)
             return exact_value
 

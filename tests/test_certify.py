@@ -566,8 +566,8 @@ def test_bound_points_read_the_hi_end_of_the_enclosure(table60, table600, block)
 
 @pytest.mark.parametrize("m_lo", [1, 6, 150])
 def test_exact_scan_rows_are_e_mn(table600, m_lo):
-    # The first row multiplies its zeta product out at once, each later row
-    # divides by one more zeta value; both must give e(m,n) at every point.
+    # The first row multiplies its whole zeta product out, each later row
+    # folds in one more zeta value; both must give e(m,n) at every point.
     points = list(scan((m_lo, m_lo + 3), (1, 4), "exact", table600))
     assert [(point.m, point.n) for point in points] == [
         (m, n) for m in range(m_lo, m_lo + 4) for n in range(1, 5)
