@@ -40,6 +40,7 @@ from .exact_core import (
     _DYADIC_ONE,
     RationalInterval,
     _Dyadic,
+    _dyadic_quotient,
     _interval_from_dyadic,
     _mul_outward,
     _positive_power,
@@ -188,14 +189,17 @@ class MagnitudeWitness:
     """0 < e(m,n) <= upper < 1, so e(m,n) is not an integer.
 
     Positivity comes from the factor structure of e(m,n); `upper` is the hi
-    endpoint of a certified enclosure of the bound product.
+    endpoint of a certified enclosure of the bound product, an exact
+    Fraction: its denominator is positive, so 0 < upper < 1 is
+    0 < numerator < denominator.
     """
 
     upper: Fraction
     statement: str
 
     def __post_init__(self) -> None:
-        if not 0 < self.upper < 1:
+        upper = self.upper
+        if not (isinstance(upper, Fraction) and 0 < upper.numerator < upper.denominator):
             raise CertificateError(f"magnitude witness needs 0 < upper < 1, got {self.upper}")
 
 
@@ -354,7 +358,8 @@ class BoundSequence:
     ratio_next: RationalInterval
 
     def __post_init__(self) -> None:
-        if self.value.lo <= 0:
+        # lo <= 0, read off the numerator as the denominator is positive.
+        if self.value.lo.numerator <= 0:
             raise ValueError("the bound product is positive; enclosure must show it")
 
 
@@ -369,13 +374,13 @@ def _prefix_memo(precision: int) -> list[_Dyadic]:
     return [_DYADIC_ONE]
 
 
-def _term_product(m: int, precision: int) -> _Dyadic:
-    """prod_{k<=m} single_term_interval(k, precision), rounded outward after each factor.
+def _term_products(m: int, precision: int) -> list[_Dyadic]:
+    """The prefix memo at this precision, extended through m: entry j is
+    prod_{k<=j} single_term_interval(k, precision), rounded outward after each factor.
 
-    Returned as the memo entry itself, in integers.  Prefixes are memoised
-    per precision and extended in integer arithmetic: all endpoints are
-    positive, so a step multiplies lo by lo and hi by hi and rounds each as
-    `RationalInterval.outward` would, bit for bit.
+    Prefixes are memoised per precision and extended in integer arithmetic:
+    all endpoints are positive, so a step multiplies lo by lo and hi by hi
+    and rounds each as `RationalInterval.outward` would, bit for bit.
     """
     bits = max(precision, 16) + _GUARD_BITS
     memo = _prefix_memo(precision)
@@ -384,21 +389,40 @@ def _term_product(m: int, precision: int) -> _Dyadic:
             terms = _single_terms(m, precision)
             for k in range(len(memo), m + 1):
                 memo.append(_mul_outward(memo[-1], terms[k - 1], bits))
-        return memo[m]
+    return memo
 
 
-def _ratio_next_interval(m: int, n: int, precision: int) -> RationalInterval:
-    factor = Fraction((2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1))
-    return single_term_interval(m + 1, precision).scale(factor)
+def _term_product(m: int, precision: int) -> _Dyadic:
+    """The m-th entry of `_term_products`, in integers."""
+    return _term_products(m, precision)[m]
 
 
-def _bound_sequence(m: int, n: int, prefix: int, precision: int) -> BoundSequence:
-    # prefix is the integer (2m+n-1)!/(2m)!.
+def _ratio_next_interval(m: int, n: int, term: _Dyadic) -> RationalInterval:
+    """Enclosure of U(m+1,n)/U(m,n), from `term`, single term m+1 as the memo holds it.
+
+    The ratio is that term times (2m+n+1)(2m+n)/((2m+2)(2m+1)).  Each end is
+    one Fraction of two integers: the term's mantissa times (2m+n+1)(2m+n),
+    over (2m+2)(2m+1), the power of two on whichever side its exponent's
+    sign puts it.  Fractions being canonical, the endpoints are those of
+    `single_term_interval(m+1).scale(factor)`.
+    """
+    lo, lo_exp, hi, hi_exp = term
+    rise, fall = (2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1)
+    return RationalInterval(
+        _dyadic_quotient(lo * rise, lo_exp, fall), _dyadic_quotient(hi * rise, hi_exp, fall)
+    )
+
+
+def _bound_sequence(
+    m: int, n: int, prefix: int, product: _Dyadic, term: _Dyadic
+) -> BoundSequence:
+    # prefix is the integer (2m+n-1)!/(2m)!, product and term the memo
+    # entries of the m-th term product and of single term m+1.
     return BoundSequence(
         m=m,
         n=n,
-        value=_interval_from_dyadic(_term_product(m, precision), prefix),
-        ratio_next=_ratio_next_interval(m, n, precision),
+        value=_interval_from_dyadic(product, prefix),
+        ratio_next=_ratio_next_interval(m, n, term),
     )
 
 
@@ -406,7 +430,13 @@ def upper_bound_interval(m: int, n: int, precision: int = 64) -> BoundSequence:
     """Certified enclosure of U(m,n) together with the consecutive ratio."""
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    return _bound_sequence(m, n, rising_factorial_ratio(2 * m + n - 1, 2 * m), precision)
+    return _bound_sequence(
+        m,
+        n,
+        rising_factorial_ratio(2 * m + n - 1, 2 * m),
+        _term_product(m, precision),
+        _single_terms(m + 1, precision)[m],
+    )
 
 
 def _upper_end(m: int, n: int, precision: int) -> tuple[int, int]:
@@ -452,34 +482,40 @@ def _product_fits(a: int, b: int, bits: int) -> bool:
 def threshold_for_n(n: int, m_cap: int = 64, precision: int = 64) -> ThresholdResult:
     """Scan m = 1..m_cap for the certified crossing of the bound below 1.
 
-    The comparisons run in integers.  ratio_next(m).hi < 1 cross-multiplies
-    the hi end of the next single term by the rational factor, from m_cap
-    down while it holds.  On that tail, U(m,n).hi < 1 compares the memo's hi
-    mantissa times the prefix (2m+n-1)!/(2m)! with a power of two, from bit
-    lengths unless they leave it open, the prefix stepped from one m to the
-    next by an exact division.  Enclosures are built only for the returned
-    chain.
+    The comparisons run in integers, on the memo entries of `_single_terms`
+    and `_term_products`, each memo extended once.  ratio_next(m).hi < 1
+    cross-multiplies the hi mantissa of single term m+1 by the integer
+    factor, from m_cap down while it holds.  On that tail, U(m,n).hi < 1
+    compares the m-th prefix product's hi mantissa times the prefix
+    (2m+n-1)!/(2m)! with a power of two, from bit lengths unless they leave
+    it open, the prefix stepped from one m to the next by an exact division.
+    Enclosures are built only for the returned chain, each end straight from
+    its integers: the value's as the memo entry times the prefix reduced by
+    a shift, the ratio's as in `_ratio_next_interval`.  Both equal the
+    Fraction arithmetic on `single_term_interval` and `upper_bound_interval`.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if m_cap < 1:
         raise ValueError(f"m_cap must be positive, got {m_cap}")
+    terms = _single_terms(m_cap + 1, precision)
+    products = _term_products(m_cap, precision)
     tail_start = m_cap + 1
     while tail_start > 1:
         m = tail_start - 1
-        # ratio_next(m).hi < 1, the factor of `_ratio_next_interval` cross-multiplied.
-        term = single_term_interval(m + 1, precision).hi
+        # ratio_next(m).hi < 1: hi * 2**hi_exp * rise < fall, in integers.
+        _, _, hi, hi_exp = terms[m]
         rise, fall = (2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1)
-        if term.numerator * rise >= term.denominator * fall:
+        if hi * rise << max(hi_exp, 0) >= fall << max(-hi_exp, 0):
             break
         tail_start = m
     prefix = rising_factorial_ratio(2 * tail_start + n - 1, 2 * tail_start)
     chain: list[BoundSequence] = []
     for m in range(tail_start, m_cap + 1):
-        _, _, hi, hi_exp = _term_product(m, precision)
+        _, _, hi, hi_exp = products[m]
         # U(m,n).hi = hi * 2**hi_exp * prefix, below 1 iff hi * prefix < 2**-hi_exp.
         if chain or _product_fits(hi, prefix, -hi_exp):
-            chain.append(_bound_sequence(m, n, prefix, precision))
+            chain.append(_bound_sequence(m, n, prefix, products[m], terms[m]))
         prefix = prefix * (2 * m + n) * (2 * m + n + 1) // ((2 * m + 1) * (2 * m + 2))
     return ThresholdResult(
         n=n, m_cap=m_cap, m_found=chain[0].m if chain else None, chain=tuple(chain)

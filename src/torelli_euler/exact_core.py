@@ -53,6 +53,14 @@ _STR_MAX_BITS = 40_000
 # (measured from 80,000 to 300,000 bits: leaves of 512 to 8192 bits perform
 # alike, 4096 best by a little, all 10-15 % faster than 128).
 _DECIMAL_LEAF_BITS = 4096
+# Integer arithmetic in Decimal of any size, raising rather than rounding;
+# `decimal.localcontext` enters a copy of it.
+_EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, decimal.Inexact],
+)
 
 
 def int_to_decimal(n: int) -> str:
@@ -66,35 +74,34 @@ def int_to_decimal(n: int) -> str:
 def _natural_to_decimal(n: int) -> decimal.Decimal:
     # The algorithm of CPython 3.12's Lib/_pylong.py int_to_decimal: n splits
     # at bit w2 into hi * 2**w2 + lo, the halves convert recursively, and the
-    # sum is formed exactly in Decimal; each power of two is built once.
-    powers: dict[int, decimal.Decimal] = {}
-
-    def power_of_two(w: int) -> decimal.Decimal:
-        result = powers.get(w)
-        if result is None:
-            if w <= _DECIMAL_LEAF_BITS:
-                result = decimal.Decimal(2) ** w
-            elif w - 1 in powers:
-                result = powers[w - 1] + powers[w - 1]
-            else:
-                # The smaller half first, so the larger is one doubling away.
-                result = power_of_two(w >> 1) * power_of_two(w - (w >> 1))
-            powers[w] = result
-        return result
-
+    # sum is formed exactly in Decimal.
     def convert(n: int, w: int) -> decimal.Decimal:
         if w <= _DECIMAL_LEAF_BITS:
             return decimal.Decimal(n)
         w2 = w >> 1
         hi = n >> w2
-        return convert(n - (hi << w2), w2) + convert(hi, w - w2) * power_of_two(w2)
+        return convert(n - (hi << w2), w2) + convert(hi, w - w2) * _decimal_power_of_two(w2)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
+    with decimal.localcontext(_EXACT_DECIMAL):
         return convert(n, n.bit_length())
+
+
+# The split widths of integers of like size repeat, so the powers are shared
+# by every integer converted, as those of one JSON document are; the cache
+# holds the ones used most recently.
+@lru_cache(maxsize=1024)
+def _decimal_power_of_two(w: int) -> decimal.Decimal:
+    """2**w as an exact Decimal, whatever the caller's context.
+
+    A power above a leaf is the square of the power for half of w, doubled
+    once more when w is odd.
+    """
+    with decimal.localcontext(_EXACT_DECIMAL):
+        if w <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(2) ** w
+        half = _decimal_power_of_two(w >> 1)
+        square = half * half
+        return square + square if w & 1 else square
 
 
 def decimal_to_int(text: str) -> int:
@@ -237,6 +244,18 @@ def dyadic_fraction(mantissa: int, exponent: int) -> Fraction:
         return _ZERO
     shift = min((mantissa & -mantissa).bit_length() - 1, -exponent)
     return Fraction(_LowestTerms(mantissa >> shift, 1 << (-exponent - shift)))
+
+
+def _dyadic_quotient(numerator: int, exponent: int, denominator: int) -> Fraction:
+    """numerator * 2**exponent / denominator, for denominator > 0, as a Fraction.
+
+    One Fraction of two integers: the power of two goes onto the numerator
+    or the denominator by the exponent's sign, and the Fraction's one gcd
+    reduces the pair.
+    """
+    if exponent >= 0:
+        return Fraction(numerator << exponent, denominator)
+    return Fraction(numerator, denominator << -exponent)
 
 
 def _floor_to_bits(q: Fraction, bits: int) -> Fraction:
@@ -384,7 +403,8 @@ class RationalInterval:
             else:
                 empty = lo.numerator << -shift > hi.numerator
         else:
-            empty = lo > hi
+            # lo > hi, cross-multiplied over the positive denominators.
+            empty = lo.numerator * hi_den > hi.numerator * lo_den
         if empty:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
@@ -426,7 +446,7 @@ class RationalInterval:
     def scale(self, q: Fraction | int) -> "RationalInterval":
         """Multiply by an exact rational scalar."""
         q = Fraction(q)
-        if q >= 0:
+        if q.numerator >= 0:
             return RationalInterval(self.lo * q, self.hi * q)
         return RationalInterval(self.hi * q, self.lo * q)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import BernoulliTable, CapacityError
-from .exact_core import RationalInterval, pi_interval
+from .exact_core import RationalInterval, _dyadic_quotient, _positive_power, pi_interval
 
 __all__ = [
     "ZetaValue",
@@ -64,7 +64,12 @@ def zeta_abs_lower_bound(k: int, precision: int = 64) -> RationalInterval:
     the gap zeta(2k) - 1 ~ 2^(-2k); otherwise the strict comparison
     |zeta(1-2k)| > hi would become undecidable for k above ~30.  The power
     is rounded outward to 32 bits beyond that precision, which keeps its
-    endpoints small without eating into the margin.
+    endpoints small without eating into the margin.  It is taken in integers
+    from `_positive_power`, and each end of the enclosure is one Fraction of
+    two integers: 2 (2k-1)! over the power's hi (for lo) or lo (for hi)
+    mantissa, the power of two on whichever side its exponent's sign puts
+    it.  Fractions being canonical, the endpoints are those of
+    `(2pi).power(2k, bits).reciprocal().scale(2 (2k-1)!)`.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -72,5 +77,8 @@ def zeta_abs_lower_bound(k: int, precision: int = 64) -> RationalInterval:
         raise ValueError(f"precision must be at least 8 bits, got {precision}")
     effective = max(precision, 2 * k + 32)
     two_pi = pi_interval(effective).scale(2)
-    power = two_pi.power(2 * k, effective + 32)
-    return power.reciprocal().scale(2 * math.factorial(2 * k - 1))
+    lo, lo_exp, hi, hi_exp = _positive_power(two_pi, 2 * k, effective + 32)
+    numerator = 2 * math.factorial(2 * k - 1)
+    return RationalInterval(
+        _dyadic_quotient(numerator, -hi_exp, hi), _dyadic_quotient(numerator, -lo_exp, lo)
+    )

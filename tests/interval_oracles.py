@@ -23,6 +23,14 @@ def fraction_power(interval, n, bits=None):
     return result
 
 
+def fraction_scale(interval, q):
+    """The interval times the rational q, by Fraction multiplies after a Fraction sign test."""
+    q = Fraction(q)
+    if q >= 0:
+        return RationalInterval(interval.lo * q, interval.hi * q)
+    return RationalInterval(interval.hi * q, interval.lo * q)
+
+
 def fraction_arctan_recip(x, tail_bound):
     """arctan(1/x) between consecutive partial sums of its Gregory series, a term at a time.
 

@@ -48,9 +48,9 @@ from torelli_euler.exact_core import (
     pi_interval,
     rising_factorial_ratio,
 )
-from torelli_euler.zeta_special import zeta_one_minus_2k
+from torelli_euler.zeta_special import zeta_abs_lower_bound, zeta_one_minus_2k
 
-from interval_oracles import fraction_power
+from interval_oracles import fraction_power, fraction_scale
 
 
 # --- certificate soundness is enforced at construction -------------------------
@@ -89,6 +89,28 @@ def test_magnitude_witness_rejects_bounds_at_least_one():
         MagnitudeWitness(upper=Fraction(3, 2), statement="0 < e < 1")
     with pytest.raises(CertificateError):
         MagnitudeWitness(upper=Fraction(0), statement="0 < e < 1")
+
+
+@pytest.mark.parametrize(
+    "upper",
+    [0.5, 0, 1, Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 3)],
+    ids=repr,
+)
+def test_magnitude_witness_rejects_anything_but_a_fraction_strictly_between_0_and_1(upper):
+    # Floats are display-only: 0 < 0.5 < 1 holds, yet 0.5 is no certified bound.
+    with pytest.raises(CertificateError):
+        MagnitudeWitness(upper=upper, statement="0 < e < 1")
+
+
+@pytest.mark.parametrize("lo", [Fraction(0), Fraction(-1, 3), Fraction(-1, 2**80)], ids=str)
+def test_bound_sequence_rejects_an_enclosure_that_does_not_show_positivity(lo):
+    ratio = RationalInterval(Fraction(1, 3), Fraction(1, 2))
+    with pytest.raises(ValueError):
+        BoundSequence(m=1, n=1, value=RationalInterval(lo, Fraction(1)), ratio_next=ratio)
+    tiny = BoundSequence(
+        m=1, n=1, value=RationalInterval(Fraction(1, 2**80), Fraction(1)), ratio_next=ratio
+    )
+    assert tiny.value.lo > 0
 
 
 def test_certificate_from_exact_witness_order():
@@ -154,15 +176,16 @@ def test_threshold_not_found_below_cap():
 
 def _reference_sequence(m, n, precision):
     # U(m,n) formed from the memo entry as plain Fractions, reduced by gcds,
-    # and scaled by (2m+n-1)!/(2m)! taken one factor at a time.
+    # and scaled by (2m+n-1)!/(2m)! taken one factor at a time; the ratio as
+    # single_term_interval(m+1) times the factor, by Fraction multiplies.
     lo, lo_exp, hi, hi_exp = _term_product(m, precision)
     product = RationalInterval(Fraction(lo, 2**-lo_exp), Fraction(hi, 2**-hi_exp))
     ratio = Fraction((2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1))
     return BoundSequence(
         m=m,
         n=n,
-        value=product.scale(math.prod(range(2 * m + 1, 2 * m + n))),
-        ratio_next=single_term_interval(m + 1, precision).scale(ratio),
+        value=fraction_scale(product, math.prod(range(2 * m + 1, 2 * m + n))),
+        ratio_next=fraction_scale(single_term_interval(m + 1, precision), ratio),
     )
 
 
@@ -229,6 +252,24 @@ def test_threshold_chain_is_the_one_the_products_give(n, m_cap, m_found):
     assert result.m_found == m_found
 
 
+def _lowest_terms(interval):
+    return [(q.numerator, q.denominator) for q in (interval.lo, interval.hi)]
+
+
+@pytest.mark.parametrize("m_cap", [64, 200])
+@pytest.mark.parametrize("n", [1, 13, 100, 677, 5000])
+def test_threshold_chain_is_the_fraction_arithmetic_bit_for_bit(n, m_cap):
+    result = threshold_for_n(n, m_cap=m_cap)
+    # Only n = 5000 crosses above m = 64 (m0 = 132), leaving no chain there.
+    assert result.found == (n < 5000 or m_cap == 200)
+    assert [seq.m for seq in result.chain] == list(range(result.m_found or m_cap + 1, m_cap + 1))
+    for seq in result.chain:
+        reference = _reference_sequence(seq.m, n, 64)
+        assert seq.n == n and seq.value.hi < 1 and seq.ratio_next.hi < 1
+        assert _lowest_terms(seq.value) == _lowest_terms(reference.value), seq.m
+        assert _lowest_terms(seq.ratio_next) == _lowest_terms(reference.ratio_next), seq.m
+
+
 @given(st.integers(1, 2**300), st.integers(1, 2**300), st.integers(0, 700))
 def test_product_fits_decides_as_the_product(a, b, bits):
     for x, y in ((a, b), (1 << (a.bit_length() - 1), b), (a, (1 << b.bit_length()) - 1)):
@@ -254,11 +295,14 @@ def test_bound_path_takes_no_gcd_of_large_operands(monkeypatch):
     monkeypatch.setattr(math, "gcd", counting_gcd)
     assert threshold_for_n(677, m_cap=64).m_found == 55
     assert isinstance(certify_non_integrality(150, 600, "bound"), MagnitudeWitness)
+    assert upper_bound_interval(150, 600).value.hi < 1
     points = list(scan((100, 109), (1, 20), "bound"))
     assert all(isinstance(point.certificate, MagnitudeWitness) for point in points)
     for m in (1, 30, 60):
         wide_range_bound_forms(m)
     dyadic.power(40, 1200)
+    for k in (1, 60, 120):
+        zeta_abs_lower_bound(k)
     assert not large
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import math
 import random
 import sys
@@ -287,13 +288,26 @@ _endpoints = st.one_of(
     st.builds(_dyadic_value, st.integers(-(2**300), 2**300), st.integers(-600, 600)),
     st.fractions(),
     st.integers(-(10**30), 10**30),
+    # Signed, with an odd factor above 1 in the denominator.
+    st.builds(
+        lambda numerator, odd, twos: Fraction(numerator, (2 * odd + 1) << twos),
+        st.integers(-(2**200), 2**200),
+        st.integers(1, 2**120),
+        st.integers(0, 64),
+    ),
 )
 
 
 @given(lo=_endpoints, hi=_endpoints, equal=st.booleans())
+@example(lo=Fraction(-1, 3), hi=Fraction(-1, 3), equal=False)
+@example(lo=Fraction(-1, 3), hi=Fraction(-2, 3), equal=False)
+@example(lo=Fraction(-2, 3), hi=Fraction(-1, 3), equal=False)
+@example(lo=Fraction(1, 3), hi=Fraction(1, 4), equal=False)
+@example(lo=Fraction(-5, 6), hi=Fraction(1, 4), equal=False)
 def test_interval_construction_decides_as_the_fraction_comparison(lo, hi, equal):
     # Dyadic/dyadic pairs take the shift comparison, any other pair the
-    # Fraction one; both must raise exactly when lo > hi, with one message.
+    # cross-multiplication of numerators and denominators; both must raise
+    # exactly when lo > hi, with one message.
     if equal:
         hi = lo
     if Fraction(lo) > Fraction(hi):
@@ -397,3 +411,15 @@ def test_int_to_decimal_under_the_default_digit_limit():
     for k in (5000, 15000):
         with _digit_limit(sys.int_info.default_max_str_digits):
             assert int_to_decimal(-(10**k - 1)) == "-" + "9" * k
+
+
+def test_decimal_powers_of_two_are_exact_under_any_context():
+    # The shared powers are cached: one computed under a caller's rounding
+    # context would be served rounded to every later conversion.
+    exact_core._decimal_power_of_two.cache_clear()
+    try:
+        with decimal.localcontext(decimal.Context()):  # 28 digits
+            for w in (5, 4096, 4097, 10_000, 30_001):
+                assert str(exact_core._decimal_power_of_two(w)) == int_to_decimal(1 << w), w
+    finally:
+        exact_core._decimal_power_of_two.cache_clear()

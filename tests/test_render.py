@@ -10,6 +10,7 @@ from torelli_euler.certify import (
     MagnitudeWitness,
     PrimeWitness,
     ValuationWitness,
+    certify_non_integrality,
     ledger_scan,
 )
 from torelli_euler.render import (
@@ -93,6 +94,17 @@ def _ledger_certificates(table600):
         next(ledger_scan((m, m), (n, n), table600)).certificate
         for m, n in ((200, 677), (99, 600))
     ]
+
+
+def test_bound_witness_json_round_trip():
+    # A witness as the bound path builds it, with a power-of-two denominator.
+    cert = certify_non_integrality(150, 600, "bound")
+    assert isinstance(cert, MagnitudeWitness)
+    restored = certificate_from_json(json.loads(dumps(certificate_to_json(cert))))
+    assert restored == cert and type(restored.upper) is Fraction
+    assert (restored.upper.numerator, restored.upper.denominator) == (
+        cert.upper.numerator, cert.upper.denominator
+    )
 
 
 def test_valuation_witness_json_round_trip(table600):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from torelli_euler.zeta_special import (
     zeta_abs_lower_bound,
     zeta_one_minus_2k,
 )
+
+from interval_oracles import fraction_power, fraction_scale
 
 
 @pytest.mark.parametrize(
@@ -69,3 +72,19 @@ def test_pi_cache_holds_every_precision_of_the_lower_bound():
 
 def test_lower_bound_positive_even_at_low_precision():
     assert zeta_abs_lower_bound(3, 8).lo > 0
+
+
+@pytest.mark.parametrize("precision", [8, 64, 128])
+def test_lower_bound_is_the_fraction_arithmetic_bit_for_bit(precision):
+    # The power of 2pi, its reciprocal and the scale by 2 (2k-1)!, each formed
+    # as Fractions one operation at a time.
+    for k in range(1, 121):
+        effective = max(precision, 2 * k + 32)
+        power = fraction_power(pi_interval(effective).scale(2), 2 * k, effective + 32)
+        expected = fraction_scale(power.reciprocal(), 2 * math.factorial(2 * k - 1))
+        bound = zeta_abs_lower_bound(k, precision)
+        for end, expected_end in ((bound.lo, expected.lo), (bound.hi, expected.hi)):
+            assert type(end) is Fraction, k
+            assert (end.numerator, end.denominator) == (
+                expected_end.numerator, expected_end.denominator
+            ), k
