@@ -257,15 +257,9 @@ def certificate_from_exact(value: Fraction) -> Certificate:
 # is outward, so enclosures stay valid, only slightly wider.
 _GUARD_BITS = 32
 
-
-def _dyadic_ratio(mantissa: int, exponent: int, divisor: int) -> tuple[int, int]:
-    # mantissa * 2**exponent / divisor in lowest terms, for an odd mantissa.
-    g = math.gcd(mantissa, divisor)
-    numerator, denominator = mantissa // g, divisor // g
-    if exponent < 0:
-        return numerator, denominator << -exponent
-    shift = min(exponent, (denominator & -denominator).bit_length() - 1)
-    return numerator << (exponent - shift), denominator >> shift
+# The one precision of the certified bound: 64 significant bits and the
+# guard bits, to which every endpoint of its interval products is rounded.
+_BITS = 64 + _GUARD_BITS
 
 
 # Extending a memo reads its last entry and appends the next: two threads
@@ -275,9 +269,9 @@ _MEMO_LOCK = threading.RLock()
 
 
 class _SingleTerms:
-    # At one precision: (2pi)^(2k) for k = 0..len(powers)-1, the single
-    # terms for k = 1..len(terms), term k at index k - 1, and 2 (2k+1)! for
-    # the last k, the next term's divisor.
+    # (2pi)^(2k) for k = 0..len(powers)-1, the single terms for
+    # k = 1..len(terms), term k at index k - 1, and 2 (2k+1)! for the last
+    # k, the next term's divisor.
     __slots__ = ("powers", "terms", "divisor")
 
     def __init__(self) -> None:
@@ -286,13 +280,15 @@ class _SingleTerms:
         self.divisor = 2  # 2 * 1!
 
 
-@lru_cache(maxsize=8)
-def _single_term_memo(precision: int) -> _SingleTerms:
+# An lru cache, as `_prefix_memo` is, not a module-level object: clearing
+# the module's lru caches then starts both memos over as in a fresh process.
+@lru_cache(maxsize=1)
+def _single_term_memo() -> _SingleTerms:
     return _SingleTerms()
 
 
-def _next_power(powers: list[_Dyadic], bits: int) -> _Dyadic:
-    """(2pi)^(2j) for j = len(powers), bit for bit as `(2pi).power(2j, bits)` forms it.
+def _next_power(powers: list[_Dyadic]) -> _Dyadic:
+    """(2pi)^(2j) for j = len(powers), bit for bit as `(2pi).power(2j, _BITS)` forms it.
 
     That power multiplies in the squares (2pi)^(2^(i+1)) for the set bits
     of j, lowest first, rounding outward after each multiply.  So it is the
@@ -303,40 +299,38 @@ def _next_power(powers: list[_Dyadic], bits: int) -> _Dyadic:
     j = len(powers)
     top = 1 << (j.bit_length() - 1)
     if j > top:
-        return _mul_outward(powers[j - top], powers[top], bits)
+        return _mul_outward(powers[j - top], powers[top], _BITS)
     if j > 1:
-        return _mul_outward(powers[top >> 1], powers[top >> 1], bits)
-    return _positive_power(pi_interval(bits).scale(2), 2, bits)
+        return _mul_outward(powers[top >> 1], powers[top >> 1], _BITS)
+    return _positive_power(pi_interval(_BITS).scale(2), 2, _BITS)
 
 
-def _single_terms(k: int, precision: int) -> list[_Dyadic]:
-    """The single terms through k at this precision, in integers: term j at index j - 1.
+def _single_terms(k: int) -> list[_Dyadic]:
+    """The single terms through k, in integers: term j at index j - 1.
 
     The memo is extended in k order, one power of 2pi per term from two
     earlier ones.  The divisor 2 (2k-1)! is carried from one term to the
-    next, times 2k (2k+1), and each endpoint of the quotient is rounded
-    outward as `RationalInterval.outward` rounds it.
+    next, times 2k (2k+1), and each endpoint of the quotient, taken in
+    lowest terms, is rounded outward as `RationalInterval.outward` rounds it.
     """
-    bits = max(precision, 16) + _GUARD_BITS
-    memo = _single_term_memo(precision)
+    memo = _single_term_memo()
     powers, terms = memo.powers, memo.terms
     with _MEMO_LOCK:
         for j in range(len(terms) + 1, k + 1):
-            powers.append(_next_power(powers, bits))
+            powers.append(_next_power(powers))
             lo, lo_exp, hi, hi_exp = powers[j]
+            lo_q = _dyadic_quotient(lo, lo_exp, memo.divisor)
+            hi_q = _dyadic_quotient(hi, hi_exp, memo.divisor)
             terms.append(
                 _ratios_outward(
-                    *_dyadic_ratio(lo, lo_exp, memo.divisor),
-                    *_dyadic_ratio(hi, hi_exp, memo.divisor),
-                    bits,
+                    lo_q.numerator, lo_q.denominator, hi_q.numerator, hi_q.denominator, _BITS
                 )
             )
             memo.divisor *= 2 * j * (2 * j + 1)
     return terms
 
 
-@lru_cache(maxsize=8192)
-def single_term_interval(k: int, precision: int = 64) -> RationalInterval:
+def single_term_interval(k: int) -> RationalInterval:
     """Enclosure of (2pi)^(2k) / (2 (2k-1)!), the k-th bound factor.
 
     The factor crosses 1 between k = 8 and k = 9, which is what makes the
@@ -345,7 +339,7 @@ def single_term_interval(k: int, precision: int = 64) -> RationalInterval:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return _interval_from_dyadic(_single_terms(k, precision)[k - 1])
+    return _interval_from_dyadic(_single_terms(k)[k - 1])
 
 
 @dataclass(frozen=True)
@@ -363,47 +357,46 @@ class BoundSequence:
             raise ValueError("the bound product is positive; enclosure must show it")
 
 
-@lru_cache(maxsize=8)
-def _prefix_memo(precision: int) -> list[_Dyadic]:
-    """The prefixes of `_term_product` computed so far at this precision.
+@lru_cache(maxsize=1)
+def _prefix_memo() -> list[_Dyadic]:
+    """The prefixes of `_term_product` computed so far.
 
-    Entry m holds the m-th prefix, each mantissa odd and of at most bits + 1
-    bits: an endpoint as a Fraction would carry a power-of-two denominator
-    of ~10^5 bits by m = 200.
+    Entry m holds the m-th prefix, each mantissa odd and of at most
+    _BITS + 1 bits: an endpoint as a Fraction would carry a power-of-two
+    denominator of ~10^5 bits by m = 200.
     """
     return [_DYADIC_ONE]
 
 
-def _term_products(m: int, precision: int) -> list[_Dyadic]:
-    """The prefix memo at this precision, extended through m: entry j is
-    prod_{k<=j} single_term_interval(k, precision), rounded outward after each factor.
+def _term_products(m: int) -> list[_Dyadic]:
+    """The prefix memo, extended through m: entry j is
+    prod_{k<=j} single_term_interval(k), rounded outward after each factor.
 
-    Prefixes are memoised per precision and extended in integer arithmetic:
-    all endpoints are positive, so a step multiplies lo by lo and hi by hi
-    and rounds each as `RationalInterval.outward` would, bit for bit.
+    Prefixes are extended in integer arithmetic: all endpoints are
+    positive, so a step multiplies lo by lo and hi by hi and rounds each as
+    `RationalInterval.outward` would, bit for bit.
     """
-    bits = max(precision, 16) + _GUARD_BITS
-    memo = _prefix_memo(precision)
+    memo = _prefix_memo()
     with _MEMO_LOCK:
         if len(memo) <= m:
-            terms = _single_terms(m, precision)
+            terms = _single_terms(m)
             for k in range(len(memo), m + 1):
-                memo.append(_mul_outward(memo[-1], terms[k - 1], bits))
+                memo.append(_mul_outward(memo[-1], terms[k - 1], _BITS))
     return memo
 
 
-def _term_product(m: int, precision: int) -> _Dyadic:
+def _term_product(m: int) -> _Dyadic:
     """The m-th entry of `_term_products`, in integers."""
-    return _term_products(m, precision)[m]
+    return _term_products(m)[m]
 
 
 def _ratio_next_interval(m: int, n: int, term: _Dyadic) -> RationalInterval:
     """Enclosure of U(m+1,n)/U(m,n), from `term`, single term m+1 as the memo holds it.
 
     The ratio is that term times (2m+n+1)(2m+n)/((2m+2)(2m+1)).  Each end is
-    one Fraction of two integers: the term's mantissa times (2m+n+1)(2m+n),
-    over (2m+2)(2m+1), the power of two on whichever side its exponent's
-    sign puts it.  Fractions being canonical, the endpoints are those of
+    one quotient in lowest terms: the term's mantissa times (2m+n+1)(2m+n),
+    over (2m+2)(2m+1), times the power of two of its exponent.  Lowest terms
+    being unique, the endpoints are those of
     `single_term_interval(m+1).scale(factor)`.
     """
     lo, lo_exp, hi, hi_exp = term
@@ -426,7 +419,7 @@ def _bound_sequence(
     )
 
 
-def upper_bound_interval(m: int, n: int, precision: int = 64) -> BoundSequence:
+def upper_bound_interval(m: int, n: int) -> BoundSequence:
     """Certified enclosure of U(m,n) together with the consecutive ratio."""
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
@@ -434,18 +427,18 @@ def upper_bound_interval(m: int, n: int, precision: int = 64) -> BoundSequence:
         m,
         n,
         rising_factorial_ratio(2 * m + n - 1, 2 * m),
-        _term_product(m, precision),
-        _single_terms(m + 1, precision)[m],
+        _term_product(m),
+        _single_terms(m + 1)[m],
     )
 
 
-def _upper_end(m: int, n: int, precision: int) -> tuple[int, int]:
-    """`upper_bound_interval(m, n, precision).value.hi`, the one end a certificate reads.
+def _upper_end(m: int, n: int) -> tuple[int, int]:
+    """`upper_bound_interval(m, n).value.hi`, the one end a certificate reads.
 
     In integers, as (top, exponent) for top * 2**exponent, with top the memo's
     hi mantissa times (2m+n-1)!/(2m)!: no lo end, no ratio, no Fraction.
     """
-    _, _, hi, hi_exp = _term_product(m, precision)
+    _, _, hi, hi_exp = _term_product(m)
     return hi * rising_factorial_ratio(2 * m + n - 1, 2 * m), hi_exp
 
 
@@ -479,7 +472,7 @@ def _product_fits(a: int, b: int, bits: int) -> bool:
     return size <= bits
 
 
-def threshold_for_n(n: int, m_cap: int = 64, precision: int = 64) -> ThresholdResult:
+def threshold_for_n(n: int, m_cap: int = 64) -> ThresholdResult:
     """Scan m = 1..m_cap for the certified crossing of the bound below 1.
 
     The comparisons run in integers, on the memo entries of `_single_terms`
@@ -498,8 +491,8 @@ def threshold_for_n(n: int, m_cap: int = 64, precision: int = 64) -> ThresholdRe
         raise ValueError(f"n must be positive, got {n}")
     if m_cap < 1:
         raise ValueError(f"m_cap must be positive, got {m_cap}")
-    terms = _single_terms(m_cap + 1, precision)
-    products = _term_products(m_cap, precision)
+    terms = _single_terms(m_cap + 1)
+    products = _term_products(m_cap)
     tail_start = m_cap + 1
     while tail_start > 1:
         m = tail_start - 1
@@ -586,7 +579,6 @@ def certify_non_integrality(
     strategy: str = "auto",
     table: _TableSource = None,
     *,
-    precision: int = 64,
     max_exact_m: int = DEFAULT_MAX_EXACT_M,
 ) -> Certificate:
     """Certificate for e(m,n) under the chosen strategy.
@@ -606,7 +598,7 @@ def certify_non_integrality(
     _check_request(strategy, table, m)
     return _certify_point(
         m, n, strategy, table, max_exact_m,
-        upper=lambda: _upper_end(m, n, precision),
+        upper=lambda: _upper_end(m, n),
         exact=lambda table: e_mn(EmnQuery(m, n), table),
     )
 
@@ -638,7 +630,6 @@ def scan(
     strategy: str = "exact",
     table: BernoulliTable | None = None,
     *,
-    precision: int = 64,
     max_exact_m: int = DEFAULT_MAX_EXACT_M,
 ) -> Iterator[ScanPoint]:
     """One certificate per grid point, yielded row by row.
@@ -680,7 +671,7 @@ def scan(
         def upper() -> tuple[int, int]:
             nonlocal upper_end
             if upper_end is None:
-                upper_end = _upper_end(m, n, precision)
+                upper_end = _upper_end(m, n)
             return upper_end
 
         for n in range(n_lo, n_hi + 1):
@@ -857,24 +848,23 @@ class WideRangeBoundForms:
     constant_factor_product: RationalInterval
 
 
-def wide_range_bound_forms(m: int, precision: int = 64) -> WideRangeBoundForms:
+def wide_range_bound_forms(m: int) -> WideRangeBoundForms:
     """Both readings of the closing bound, sharing the (2m+677)!/(2m)! prefix."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    bits = max(precision, 16) + _GUARD_BITS
     prefix = rising_factorial_ratio(2 * m + MAX_WITNESSED_N, 2 * m)
-    per_index = _interval_from_dyadic(_term_product(m, precision), prefix)
-    # single_term_interval(m + 1).power(m, bits).scale(prefix), scaled by shifts.
-    power = _positive_power(single_term_interval(m + 1, precision), m, bits)
+    per_index = _interval_from_dyadic(_term_product(m), prefix)
+    # single_term_interval(m + 1).power(m, _BITS).scale(prefix), scaled by shifts.
+    power = _positive_power(single_term_interval(m + 1), m, _BITS)
     constant = _interval_from_dyadic(power, prefix)
     return WideRangeBoundForms(
         m=m, per_index_product=per_index, constant_factor_product=constant
     )
 
 
-def wide_range_constant_form_threshold(m_cap: int = 60, precision: int = 64) -> int | None:
+def wide_range_constant_form_threshold(m_cap: int = 60) -> int | None:
     """Smallest m <= m_cap with the constant-factor form certified below 1."""
     for m in range(1, m_cap + 1):
-        if wide_range_bound_forms(m, precision).constant_factor_product.hi < 1:
+        if wide_range_bound_forms(m).constant_factor_product.hi < 1:
             return m
     return None

@@ -73,12 +73,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-# Read by the commands that evaluate the certified bound, and only by them.
-_PRECISION = (
-    "--precision", dict(type=_positive_int, default=128, help="interval precision in bits")
-)
-
-
 # Each command: its help line and its own arguments, (flag, add_argument
 # keywords) in help order.  Every command also takes the common options.
 _COMMANDS = {
@@ -102,12 +96,10 @@ _COMMANDS = {
         ("-m", dict(type=_positive_int, required=True)),
         ("-n", dict(type=_positive_int, required=True)),
         ("--strategy", dict(choices=("auto", "exact", "bound"), default="auto")),
-        _PRECISION,
     )),
     "threshold": ("certified bound threshold for fixed n", (
         ("-n", dict(type=_positive_int, required=True)),
         ("--m-cap", dict(type=_positive_int, default=64)),
-        _PRECISION,
     )),
     "scan": ("certificates over a grid of (m, n)", (
         ("--m-min", dict(type=_positive_int, required=True)),
@@ -115,7 +107,6 @@ _COMMANDS = {
         ("--n-min", dict(type=_positive_int, required=True)),
         ("--n-max", dict(type=_positive_int, required=True)),
         ("--strategy", dict(choices=("auto", "exact", "bound"), default="exact")),
-        _PRECISION,
     )),
     "verify-paper": ("run the full verification suite", (
         ("--deep", dict(action="store_true", help="extend the scan to m = 1470")),
@@ -235,9 +226,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     # Read or built only if the answer needs e(m,n): for `auto`, only when
     # the bound does not decide.
     table = functools.partial(obtain_table, 2 * args.m, args.cache)
-    cert = certify_non_integrality(
-        args.m, args.n, args.strategy, table, precision=args.precision
-    )
+    cert = certify_non_integrality(args.m, args.n, args.strategy, table)
     if args.format == "json":
         payload = certificate_to_json(cert)
         payload.update({"m": args.m, "n": args.n})
@@ -248,7 +237,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    result = threshold_for_n(args.n, m_cap=args.m_cap, precision=args.precision)
+    result = threshold_for_n(args.n, m_cap=args.m_cap)
     if args.format == "json":
         print(
             dumps(
@@ -274,13 +263,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.m_min > args.m_max or args.n_min > args.n_max:
         raise UsageError("each range needs its minimum at most its maximum")
     table = None if args.strategy == "bound" else obtain_table(2 * args.m_max, args.cache)
-    points = scan(
-        (args.m_min, args.m_max),
-        (args.n_min, args.n_max),
-        args.strategy,
-        table,
-        precision=args.precision,
-    )
+    points = scan((args.m_min, args.m_max), (args.n_min, args.n_max), args.strategy, table)
     any_inconclusive = False
     if args.format == "json":
         rows = []

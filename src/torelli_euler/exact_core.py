@@ -228,7 +228,15 @@ class _LowestTerms:
         self.denominator = denominator
 
 
-numbers.Rational.register(_LowestTerms)
+class _Registered(numbers.Rational):
+    # _LowestTerms is registered through this abstract subclass, not with
+    # numbers.Rational itself: the ABC caches a class it finds that way, so
+    # the isinstance test in `Fraction(r)` stays in C.  For a class
+    # registered directly it would run ABCMeta.__subclasscheck__ each time.
+    __slots__ = ()
+
+
+_Registered.register(_LowestTerms)
 
 
 def dyadic_fraction(mantissa: int, exponent: int) -> Fraction:
@@ -246,35 +254,35 @@ def dyadic_fraction(mantissa: int, exponent: int) -> Fraction:
     return Fraction(_LowestTerms(mantissa >> shift, 1 << (-exponent - shift)))
 
 
-def _dyadic_quotient(numerator: int, exponent: int, denominator: int) -> Fraction:
-    """numerator * 2**exponent / denominator, for denominator > 0, as a Fraction.
+def _dyadic_quotient(numerator: int, exponent: int, denominator: int) -> _LowestTerms:
+    """numerator * 2**exponent / denominator, for denominator > 0, in lowest terms.
 
-    One Fraction of two integers: the power of two goes onto the numerator
-    or the denominator by the exponent's sign, and the Fraction's one gcd
-    reduces the pair.
+    A rational whose numerator and denominator can be read off, and which
+    `Fraction()`, and with it `RationalInterval`, copies without a gcd.
+    One gcd of the two integers as given reduces the pair; the power of two
+    then goes onto the numerator or the denominator by the exponent's sign,
+    less the twos the other side can cancel, found by a shift.  So the gcd
+    never sees the power of two.
     """
-    if exponent >= 0:
-        return Fraction(numerator << exponent, denominator)
-    return Fraction(numerator, denominator << -exponent)
-
-
-def _floor_to_bits(q: Fraction, bits: int) -> Fraction:
-    """Largest dyadic rational with about `bits` significant bits that is <= q."""
-    return _floor_ratio_to_bits(q.numerator, q.denominator, bits)
-
-
-def _floor_ratio_to_bits(numerator: int, denominator: int, bits: int) -> Fraction:
-    """`_floor_to_bits` of numerator/denominator, given in lowest terms, denominator > 0."""
     if numerator == 0:
-        return _ZERO
-    return dyadic_fraction(*_ratio_to_bits(numerator, denominator, bits))
+        return _LowestTerms(0, 1)
+    g = math.gcd(numerator, denominator)
+    numerator, denominator = numerator // g, denominator // g
+    if exponent >= 0:
+        shift = min(exponent, (denominator & -denominator).bit_length() - 1)
+        numerator, denominator = numerator << (exponent - shift), denominator >> shift
+    else:
+        shift = min(-exponent, (numerator & -numerator).bit_length() - 1)
+        numerator, denominator = numerator >> shift, denominator << (-exponent - shift)
+    return _LowestTerms(numerator, denominator)
 
 
 def _ratio_to_bits(numerator: int, denominator: int, bits: int) -> tuple[int, int]:
-    """`_floor_ratio_to_bits` in integers: (mantissa, exponent), not reduced.
+    """numerator/denominator, denominator > 0, floored to about `bits` significant bits.
 
-    The quotient is floored to bits + 1 significant bits, counted from the
-    bit lengths of the two operands as given.
+    Returns (mantissa, exponent), not reduced: the quotient is floored to
+    bits + 1 significant bits, counted from the bit lengths of the two
+    operands as given.
     """
     shift = bits - (numerator.bit_length() - denominator.bit_length())
     if shift >= 0:
@@ -282,16 +290,12 @@ def _ratio_to_bits(numerator: int, denominator: int, bits: int) -> tuple[int, in
     return numerator // (denominator << -shift), -shift
 
 
-def _ceil_to_bits(q: Fraction, bits: int) -> Fraction:
-    return -_floor_to_bits(-q, bits)
-
-
 def _dyadic_to_bits(mantissa: int, exponent: int, bits: int, ceil: bool) -> tuple[int, int]:
-    """`_floor_to_bits` (or `_ceil_to_bits`) of mantissa * 2**exponent, in integers.
+    """mantissa * 2**exponent rounded down (or up) as `RationalInterval.outward` rounds.
 
-    The same rule: keep the top bits + 1 bits of the mantissa, rounding the
-    rest down (or up), so the result is bit for bit the Fraction one's
-    without forming its power-of-two denominator.  Returns (mantissa,
+    The same rule as `_ratio_to_bits`: keep the top bits + 1 bits of the
+    mantissa, rounding the rest down (or up), so the result is bit for bit
+    `outward`'s without forming its power-of-two denominator.  Returns (mantissa,
     exponent) with the mantissa odd, as in the reduced Fraction, or (0, 0).
     """
     if mantissa == 0:
@@ -340,7 +344,7 @@ def _ratios_outward(
     """[lo_num/lo_den, hi_num/hi_den], each in lowest terms, rounded outward to `bits`.
 
     Bit for bit `RationalInterval.outward` of the two Fractions, with odd
-    mantissas.  The hi end is floored negated, as `_ceil_to_bits` rounds it.
+    mantissas.  The hi end is floored negated, as `outward` rounds it.
     """
     lo, lo_exp = _ratio_to_bits(lo_num, lo_den, bits)
     hi, hi_exp = _ratio_to_bits(-hi_num, hi_den, bits)
@@ -492,9 +496,14 @@ class RationalInterval:
         """Round endpoints outward to about `bits` significant bits.
 
         Keeps the enclosure valid while stopping endpoint denominators from
-        blowing up in long interval products.
+        blowing up in long interval products.  lo is floored by
+        `_ratio_to_bits`, hi ceiled as the negation of -hi floored.
         """
-        return RationalInterval(_floor_to_bits(self.lo, bits), _ceil_to_bits(self.hi, bits))
+        lo, hi = self.lo, self.hi
+        return RationalInterval(
+            dyadic_fraction(*_ratio_to_bits(lo.numerator, lo.denominator, bits)),
+            -dyadic_fraction(*_ratio_to_bits(-hi.numerator, hi.denominator, bits)),
+        )
 
 
 def _arctan_recip_interval(x: int, tail_bound: Fraction) -> RationalInterval:

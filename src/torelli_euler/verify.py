@@ -204,7 +204,7 @@ def _check_zeta_product_14(ctx: dict) -> Outcome:
 def _check_zeta_lower_bounds(ctx: dict) -> Outcome:
     table: BernoulliTable = ctx["table"]
     for k in range(1, 101):
-        bound = zeta_abs_lower_bound(k, 64)
+        bound = zeta_abs_lower_bound(k)
         if not abs_zeta_one_minus_2k(k, table) > bound.hi:
             return "fail", f"|zeta(1-2k)| does not clear the bound at k = {k}"
     return "pass", "|zeta(1-2k)| exceeds the certified bound for k = 1..100"
@@ -269,10 +269,10 @@ def _check_monotone(ctx: dict) -> Outcome:
 
 def _check_single_terms(ctx: dict) -> Outcome:
     for k in range(1, 9):
-        if not single_term_interval(k, 64).lo > 1:
+        if not single_term_interval(k).lo > 1:
             return "fail", f"term at k = {k} is not certified above 1"
     for k in range(9, 101):
-        if not single_term_interval(k, 64).hi < 1:
+        if not single_term_interval(k).hi < 1:
             return "fail", f"term at k = {k} is not certified below 1"
     return "pass", "term > 1 for k = 1..8 and term < 1 for k = 9..100, certified"
 
@@ -288,7 +288,7 @@ def _check_bound_dominates(ctx: dict) -> Outcome:
     table: BernoulliTable = ctx["table"]
     for m in range(1, 51):
         # e(m,n) and U(m,n) = top * 2**exponent both gain the factor 2m+n from n to n+1.
-        exact, (top, exponent) = e_mn(EmnQuery(m, 1), table), _upper_end(m, 1, 64)
+        exact, (top, exponent) = e_mn(EmnQuery(m, 1), table), _upper_end(m, 1)
         for n in range(1, 6):
             if not exact <= dyadic_fraction(top, exponent):
                 return "fail", f"bound fails to dominate at m={m}, n={n}"

@@ -56,26 +56,24 @@ def abs_zeta_one_minus_2k(k: int, table: BernoulliTable) -> Fraction:
     return abs(zeta_one_minus_2k(k, table).value)
 
 
-def zeta_abs_lower_bound(k: int, precision: int = 64) -> RationalInterval:
+def zeta_abs_lower_bound(k: int) -> RationalInterval:
     """Enclosure of 2 (2k-1)! / (2pi)^(2k), a strict lower bound for |zeta(1-2k)|.
 
-    Only the hi endpoint is used downstream, as a certified bound.  The
-    internal pi precision grows like 2k so the enclosure stays tighter than
-    the gap zeta(2k) - 1 ~ 2^(-2k); otherwise the strict comparison
-    |zeta(1-2k)| > hi would become undecidable for k above ~30.  The power
-    is rounded outward to 32 bits beyond that precision, which keeps its
-    endpoints small without eating into the margin.  It is taken in integers
-    from `_positive_power`, and each end of the enclosure is one Fraction of
-    two integers: 2 (2k-1)! over the power's hi (for lo) or lo (for hi)
-    mantissa, the power of two on whichever side its exponent's sign puts
-    it.  Fractions being canonical, the endpoints are those of
-    `(2pi).power(2k, bits).reciprocal().scale(2 (2k-1)!)`.
+    Only the hi endpoint is used downstream, as a certified bound.  The pi
+    precision is 64 bits or 2k + 32, whichever is larger: growing like 2k,
+    it keeps the enclosure tighter than the gap zeta(2k) - 1 ~ 2^(-2k);
+    otherwise the strict comparison |zeta(1-2k)| > hi would become
+    undecidable for k above ~30.  The power is rounded outward to 32 bits
+    beyond that precision, which keeps its endpoints small without eating
+    into the margin.  It is taken in integers from `_positive_power`, and
+    each end of the enclosure is one quotient in lowest terms: 2 (2k-1)!
+    over the power's hi (for lo) or lo (for hi) mantissa, times the power
+    of two of its exponent.  Lowest terms being unique, the endpoints are
+    those of `(2pi).power(2k, bits).reciprocal().scale(2 (2k-1)!)`.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if precision < 8:
-        raise ValueError(f"precision must be at least 8 bits, got {precision}")
-    effective = max(precision, 2 * k + 32)
+    effective = max(64, 2 * k + 32)
     two_pi = pi_interval(effective).scale(2)
     lo, lo_exp, hi, hi_exp = _positive_power(two_pi, 2 * k, effective + 32)
     numerator = 2 * math.factorial(2 * k - 1)

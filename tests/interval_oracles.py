@@ -2,12 +2,34 @@
 
 Each loop forms its values as plain `Fraction`s, one operation at a time,
 and shares no code with the library's integer paths beyond
-`RationalInterval` and its `outward` rounding.
+`RationalInterval` and its `outward` rounding, which `fraction_outward`
+pins in turn.
 """
 
+import math
 from fractions import Fraction
 
 from torelli_euler.exact_core import RationalInterval
+
+
+def _fraction_to_bits(q, bits, rounding):
+    # q rounded at 2**-s by `rounding` (floor or ceil), with
+    # s = bits - (|numerator| bit length - denominator bit length).
+    s = bits - (abs(q.numerator).bit_length() - q.denominator.bit_length())
+    scale = Fraction(2) ** s
+    return Fraction(rounding(q * scale)) / scale
+
+
+def fraction_outward(interval, bits):
+    """The interval rounded outward as `RationalInterval.outward` specifies, in Fractions.
+
+    lo becomes floor(lo 2^s) / 2^s and hi ceil(hi 2^s) / 2^s, each with its
+    own s = bits - (|numerator|.bit_length() - denominator.bit_length()).
+    """
+    return RationalInterval(
+        _fraction_to_bits(interval.lo, bits, math.floor),
+        _fraction_to_bits(interval.hi, bits, math.ceil),
+    )
 
 
 def fraction_power(interval, n, bits=None):

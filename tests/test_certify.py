@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import torelli_euler.certify as certify_module
 from torelli_euler.bernoulli import CapacityError
 from torelli_euler.certify import (
+    _BITS,
     _GUARD_BITS,
     _interval_from_dyadic,
     _prefix_memo,
@@ -174,24 +175,24 @@ def test_threshold_not_found_below_cap():
     assert result.m_found is None and not result.found and result.chain == ()
 
 
-def _reference_sequence(m, n, precision):
+def _reference_sequence(m, n):
     # U(m,n) formed from the memo entry as plain Fractions, reduced by gcds,
     # and scaled by (2m+n-1)!/(2m)! taken one factor at a time; the ratio as
     # single_term_interval(m+1) times the factor, by Fraction multiplies.
-    lo, lo_exp, hi, hi_exp = _term_product(m, precision)
+    lo, lo_exp, hi, hi_exp = _term_product(m)
     product = RationalInterval(Fraction(lo, 2**-lo_exp), Fraction(hi, 2**-hi_exp))
     ratio = Fraction((2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1))
     return BoundSequence(
         m=m,
         n=n,
         value=fraction_scale(product, math.prod(range(2 * m + 1, 2 * m + n))),
-        ratio_next=fraction_scale(single_term_interval(m + 1, precision), ratio),
+        ratio_next=fraction_scale(single_term_interval(m + 1), ratio),
     )
 
 
-def _reference_threshold(n, m_cap, precision=64):
+def _reference_threshold(n, m_cap):
     # The all-m loop the integer search replaced: one enclosure per m.
-    sequences = [_reference_sequence(m, n, precision) for m in range(1, m_cap + 1)]
+    sequences = [_reference_sequence(m, n) for m in range(1, m_cap + 1)]
     tail_start = m_cap + 1
     for m in range(m_cap, 0, -1):
         if sequences[m - 1].ratio_next.hi < 1:
@@ -224,21 +225,21 @@ def test_threshold_matches_the_all_m_loop_at_large_n():
     assert result.m_found == 132
 
 
-def _threshold_by_products(n, m_cap, precision=64):
+def _threshold_by_products(n, m_cap):
     # The tail walk with U(m,n).hi < 1 read off the product hi * prefix
     # itself, as before the bit-length test; the chain from fresh enclosures.
     tail_start = m_cap + 1
     while tail_start > 1:
         m = tail_start - 1
         ratio = Fraction((2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1))
-        if single_term_interval(m + 1, precision).hi * ratio >= 1:
+        if single_term_interval(m + 1).hi * ratio >= 1:
             break
         tail_start = m
     prefix = rising_factorial_ratio(2 * tail_start + n - 1, 2 * tail_start)
     for m in range(tail_start, m_cap + 1):
-        _, _, hi, hi_exp = _term_product(m, precision)
+        _, _, hi, hi_exp = _term_product(m)
         if (hi * prefix).bit_length() <= -hi_exp:
-            return m, tuple(upper_bound_interval(k, n, precision) for k in range(m, m_cap + 1))
+            return m, tuple(upper_bound_interval(k, n) for k in range(m, m_cap + 1))
         prefix = prefix * (2 * m + n) * (2 * m + n + 1) // ((2 * m + 1) * (2 * m + 2))
     return None, ()
 
@@ -264,7 +265,7 @@ def test_threshold_chain_is_the_fraction_arithmetic_bit_for_bit(n, m_cap):
     assert result.found == (n < 5000 or m_cap == 200)
     assert [seq.m for seq in result.chain] == list(range(result.m_found or m_cap + 1, m_cap + 1))
     for seq in result.chain:
-        reference = _reference_sequence(seq.m, n, 64)
+        reference = _reference_sequence(seq.m, n)
         assert seq.n == n and seq.value.hi < 1 and seq.ratio_next.hi < 1
         assert _lowest_terms(seq.value) == _lowest_terms(reference.value), seq.m
         assert _lowest_terms(seq.ratio_next) == _lowest_terms(reference.ratio_next), seq.m
@@ -306,19 +307,24 @@ def test_bound_path_takes_no_gcd_of_large_operands(monkeypatch):
     assert not large
 
 
+# The precision of the certified bound in significant bits, to which the
+# references below add the guard bits themselves.
+_SIGNIFICANT_BITS = [64]
+
+
 def _reference_single_term(k, precision):
     # A fresh power of 2pi for each k, divided and rounded as Fractions.
-    bits = max(precision, 16) + _GUARD_BITS
+    bits = precision + _GUARD_BITS
     power = fraction_power(pi_interval(bits).scale(2), 2 * k, bits)
     return power.scale(Fraction(1, 2 * math.factorial(2 * k - 1))).outward(bits)
 
 
-def _memo_term_interval(k, precision):
+def _memo_term_interval(k):
     # The k-th entry of the integer single-term memo as Fractions.
-    return _interval_from_dyadic(_single_terms(k, precision)[k - 1])
+    return _interval_from_dyadic(_single_terms(k)[k - 1])
 
 
-@pytest.mark.parametrize("precision", [8, 64, 128])
+@pytest.mark.parametrize("precision", _SIGNIFICANT_BITS)
 def test_single_terms_from_the_square_chain_match_the_power(precision):
     # Each power of 2pi comes from two earlier ones, the squares among them
     # from the one before: the same multiplications, in the same order, as
@@ -326,9 +332,8 @@ def test_single_terms_from_the_square_chain_match_the_power(precision):
     reference = {k: _reference_single_term(k, precision) for k in range(1, 401)}
 
     def check(ks):
-        single_term_interval.cache_clear()
         for k in ks:
-            for term in (_memo_term_interval(k, precision), single_term_interval(k, precision)):
+            for term in (_memo_term_interval(k), single_term_interval(k)):
                 assert (term.lo, term.hi) == (reference[k].lo, reference[k].hi), k
 
     _single_term_memo.cache_clear()
@@ -340,32 +345,30 @@ def test_single_terms_from_the_square_chain_match_the_power(precision):
 
 def test_single_term_memo_stores_odd_mantissas():
     # Each term in the `_Dyadic` form: odd mantissas of at most bits + 1 bits.
-    for precision in (8, 64, 128):
-        bits = max(precision, 16) + _GUARD_BITS
-        for k, entry in enumerate(_single_terms(300, precision)[:300], start=1):
-            lo, _, hi, _ = entry
-            assert lo % 2 == 1 and hi % 2 == 1, k
-            assert lo.bit_length() <= bits + 1 and hi.bit_length() <= bits + 1, k
+    for k, entry in enumerate(_single_terms(300)[:300], start=1):
+        lo, _, hi, _ = entry
+        assert lo % 2 == 1 and hi % 2 == 1, k
+        assert lo.bit_length() <= _BITS + 1 and hi.bit_length() <= _BITS + 1, k
 
 
 def _reference_term_products(m_max, precision):
     # The Fraction loop the memo replaced, keeping every prefix on the way.
-    bits = max(precision, 16) + _GUARD_BITS
+    bits = precision + _GUARD_BITS
     product = RationalInterval.point(1)
     prefixes = [product]
     for k in range(1, m_max + 1):
-        product = (product * single_term_interval(k, precision)).outward(bits)
+        product = (product * single_term_interval(k)).outward(bits)
         prefixes.append(product)
     return prefixes
 
 
-@pytest.mark.parametrize("precision", [8, 64, 128])
+@pytest.mark.parametrize("precision", _SIGNIFICANT_BITS)
 def test_term_product_memo_matches_the_fraction_loop(precision):
     reference = _reference_term_products(300, precision)
 
     def check(ms):
         for m in ms:
-            product = _interval_from_dyadic(_term_product(m, precision))
+            product = _interval_from_dyadic(_term_product(m))
             assert (product.lo, product.hi) == (reference[m].lo, reference[m].hi), m
 
     _prefix_memo.cache_clear()
@@ -377,13 +380,11 @@ def test_term_product_memo_matches_the_fraction_loop(precision):
 
 def test_prefix_memo_stores_small_integers():
     # Fraction endpoints would carry ~10^5-bit denominators at m = 300.
-    for precision in (8, 64, 128):
-        _term_product(300, precision)
-        bits = max(precision, 16) + _GUARD_BITS
-        memo = _prefix_memo(precision)
-        assert len(memo) >= 301
-        for entry in memo:
-            assert all(type(x) is int and x.bit_length() <= bits + 64 for x in entry)
+    _term_product(300)
+    memo = _prefix_memo()
+    assert len(memo) >= 301
+    for entry in memo:
+        assert all(type(x) is int and x.bit_length() <= _BITS + 64 for x in entry)
 
 
 def test_prefix_memo_is_dropped_with_the_module_lru_caches(monkeypatch):
@@ -392,12 +393,12 @@ def test_prefix_memo_is_dropped_with_the_module_lru_caches(monkeypatch):
     # those caches starts them over as in a fresh process: every factor is
     # rebuilt, divided by a factorial carried from 1!, from powers rebuilt
     # from the pi enclosure.
-    _term_product(50, 64)
+    _term_product(50)
     for obj in vars(certify_module).values():
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
     enclosures, divisors = [], []
-    enclose, divide = certify_module.pi_interval, certify_module._dyadic_ratio
+    enclose, divide = certify_module.pi_interval, certify_module._dyadic_quotient
 
     def recording_enclose(bits):
         enclosures.append(bits)
@@ -408,11 +409,11 @@ def test_prefix_memo_is_dropped_with_the_module_lru_caches(monkeypatch):
         return divide(mantissa, exponent, divisor)
 
     monkeypatch.setattr(certify_module, "pi_interval", recording_enclose)
-    monkeypatch.setattr(certify_module, "_dyadic_ratio", recording_divide)
-    _term_product(50, 64)
+    monkeypatch.setattr(certify_module, "_dyadic_quotient", recording_divide)
+    _term_product(50)
     assert enclosures == [64 + _GUARD_BITS]
     assert divisors == [2 * math.factorial(2 * k - 1) for k in range(1, 51) for _ in ("lo", "hi")]
-    memo = _single_term_memo(64)
+    memo = _single_term_memo()
     assert _single_term_memo.cache_info().misses == 1
     assert (len(memo.powers), len(memo.terms)) == (51, 50)
     assert memo.divisor == 2 * math.factorial(101)
@@ -421,9 +422,9 @@ def test_prefix_memo_is_dropped_with_the_module_lru_caches(monkeypatch):
 def test_memos_extended_from_many_threads_match_one_thread():
     # Threads extending the single-term and prefix memos at once must file
     # every entry under its own k, with the divisor carried once per term.
-    precision, m_max = 72, 400
-    expected = [_term_product(m, precision) for m in range(m_max + 1)]
-    memo = _single_term_memo(precision)
+    m_max = 400
+    expected = [_term_product(m) for m in range(m_max + 1)]
+    memo = _single_term_memo()
     expected_memo = (list(memo.powers), list(memo.terms), memo.divisor)
     results, errors = {}, []
     start = threading.Barrier(8)
@@ -432,7 +433,7 @@ def test_memos_extended_from_many_threads_match_one_thread():
         try:
             start.wait(timeout=60)
             ms = range(m_max, -1, -1) if worker % 2 else range(0, m_max + 1, worker + 1)
-            results[worker] = {m: _term_product(m, precision) for m in ms}
+            results[worker] = {m: _term_product(m) for m in ms}
         except Exception as exc:  # noqa: BLE001 - reported by the assertion below
             errors.append(exc)
 
@@ -452,9 +453,9 @@ def test_memos_extended_from_many_threads_match_one_thread():
     assert len(results) == 8
     for found in results.values():
         assert all(entry == expected[m] for m, entry in found.items())
-    memo = _single_term_memo(precision)
+    memo = _single_term_memo()
     assert (memo.powers, memo.terms, memo.divisor) == expected_memo
-    assert _prefix_memo(precision) == expected
+    assert _prefix_memo() == expected
 
 
 # --- certification strategies ----------------------------------------------------

@@ -6,7 +6,9 @@ import pytest
 
 from torelli_euler import cli
 from torelli_euler.bernoulli import bernoulli_table, persist_table
+from torelli_euler.certify import certify_non_integrality, threshold_for_n
 from torelli_euler.cli import main
+from torelli_euler.render import bound_sequence_to_json, rational_to_json
 
 
 def run(capsys, *argv):
@@ -407,16 +409,25 @@ def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
     assert "691/32760" in capsys.readouterr().out
 
 
-def test_precision_is_taken_only_by_the_bound_commands(capsys, monkeypatch):
-    # --precision sets the interval precision of the certified bound; the
-    # commands that never evaluate it reject the flag as argparse does.
+def test_precision_is_taken_by_no_command(capsys, monkeypatch):
+    # The certified bound has one precision: no command takes --precision.
     monkeypatch.setenv("COLUMNS", "80")
-    for argv in (["zeta", "--k", "3"], ["emn", "-m", "2", "-n", "1"], ["verify-paper"]):
-        code, out, err = _outcome(capsys, main, [*argv, "--precision", "64"])
-        assert code == 2 and out == "" and "unrecognized arguments: --precision 64" in err
-    for command in ("certify", "threshold", "scan"):
+    for command, required in _REQUIRED.items():
+        code, out, err = _outcome(capsys, main, [command, *required, "--precision", "64"])
+        assert code == 2 and out == "", command
+        assert "unrecognized arguments: --precision 64" in err, command
         code, out, _ = _outcome(capsys, main, [command, "--help"])
-        assert code == 0 and "--precision PRECISION" in out
-    code, out, _ = run(capsys, "certify", "-m", "14", "-n", "1", "--strategy", "bound",
-                       "--precision", "64")
-    assert code == 0 and "e(14,1) < 1" in out
+        assert code == 0 and "--precision" not in out, command
+
+
+def test_cli_bounds_are_the_library_bounds(capsys):
+    code, out, _ = run(capsys, "threshold", "-n", "13", "--format", "json")
+    assert code == 0
+    chain = [bound_sequence_to_json(seq) for seq in threshold_for_n(13).chain]
+    assert chain and json.loads(out)["chain"] == chain
+    code, out, _ = run(
+        capsys, "certify", "-m", "14", "-n", "1", "--strategy", "bound", "--format", "json"
+    )
+    assert code == 0
+    upper = certify_non_integrality(14, 1, "bound").upper
+    assert json.loads(out)["upper"] == rational_to_json(upper)

@@ -12,6 +12,7 @@ from torelli_euler import exact_core
 from torelli_euler.exact_core import (
     RationalInterval,
     _PRODUCT_LEAF,
+    _dyadic_quotient,
     _dyadic_to_bits,
     dyadic_fraction,
     factorial_valuation,
@@ -23,7 +24,7 @@ from torelli_euler.exact_core import (
 )
 from torelli_euler.verify import PI_REFERENCE
 
-from interval_oracles import fraction_pi, fraction_power
+from interval_oracles import fraction_outward, fraction_pi, fraction_power
 
 
 # --- rising_factorial_ratio -------------------------------------------------
@@ -284,6 +285,25 @@ def test_dyadic_fraction_is_the_reduced_fraction(mantissa, exponent):
     assert (result.numerator, result.denominator) == (expected.numerator, expected.denominator)
 
 
+@given(
+    numerator=_mantissas,
+    exponent=st.integers(-2000, 2000),
+    denominator=st.builds(
+        lambda odd, twos: odd << twos, st.integers(1, 2**200), st.integers(0, 300)
+    ),
+)
+@example(numerator=0, exponent=-7, denominator=3)
+@example(numerator=0, exponent=7, denominator=3)
+@example(numerator=-(3 << 40), exponent=-40, denominator=6 << 50)
+@example(numerator=5, exponent=3, denominator=3 << 10)
+@example(numerator=5 << 10, exponent=-3, denominator=3)
+def test_dyadic_quotient_is_the_reduced_fraction(numerator, exponent, denominator):
+    result = _dyadic_quotient(numerator, exponent, denominator)
+    expected = _dyadic_value(numerator, exponent) / denominator
+    assert (result.numerator, result.denominator) == (expected.numerator, expected.denominator)
+    assert Fraction(result) == expected
+
+
 _endpoints = st.one_of(
     st.builds(_dyadic_value, st.integers(-(2**300), 2**300), st.integers(-600, 600)),
     st.fractions(),
@@ -317,6 +337,22 @@ def test_interval_construction_decides_as_the_fraction_comparison(lo, hi, equal)
     else:
         interval = RationalInterval(lo, hi)
         assert (interval.lo, interval.hi) == (Fraction(lo), Fraction(hi))
+
+
+@given(a=_endpoints, b=_endpoints, bits=st.integers(1, 200))
+@example(a=0, b=0, bits=16)
+@example(a=0, b=Fraction(5, 3), bits=8)
+@example(a=Fraction(-5, 3), b=0, bits=8)
+@example(a=Fraction(-7, 3), b=Fraction(-1, 3), bits=4)
+@example(a=Fraction(-7, 3), b=Fraction(11, 5), bits=4)
+@example(a=-(2**80) - 1, b=2**80 + 1, bits=32)
+def test_outward_is_the_fraction_floor_and_ceil(a, b, bits):
+    # Zero, negative and mixed-sign endpoints; lo floored, hi ceiled, each
+    # at the power of two its own bit lengths give.
+    interval = RationalInterval(*sorted((Fraction(a), Fraction(b))))
+    rounded, expected = interval.outward(bits), fraction_outward(interval, bits)
+    assert (rounded.lo, rounded.hi) == (expected.lo, expected.hi)
+    assert rounded.encloses(interval)
 
 
 @given(a=_dyadics, b=_dyadics, bits=st.integers(16, 200))
