@@ -64,6 +64,7 @@ __all__ = [
     "Inconclusive",
     "IntegerValue",
     "LedgerSegment",
+    "MAX_EXACT_M",
     "MAX_WITNESSED_N",
     "MagnitudeWitness",
     "MonotoneReport",
@@ -107,7 +108,7 @@ WITNESS_SEARCH_LIMIT = 1 << 17
 
 # `auto` falls back to exact e(m,n) only up to m = 200 (B_400): each exact
 # value is a product of m big rationals, and its cost grows quadratically.
-DEFAULT_MAX_EXACT_M = 200
+MAX_EXACT_M = 200
 
 
 class CertificateError(ValueError):
@@ -532,77 +533,6 @@ def _check_request(strategy: str, table: BernoulliTable | None, m_hi: int) -> No
             )
 
 
-# A Bernoulli table, a function that returns one when called, or None.
-_TableSource = Union[BernoulliTable, Callable[[], BernoulliTable], None]
-
-
-def _certify_point(
-    m: int,
-    n: int,
-    strategy: str,
-    table: _TableSource,
-    max_exact_m: int,
-    upper: Callable[[], tuple[int, int]],
-    exact: Callable[[BernoulliTable], Fraction],
-) -> Certificate:
-    """The one certification decision, for a point of a checked request.
-
-    `bound` and `auto` try the certified upper bound first; `exact`, and
-    `auto` within max_exact_m and the table, then read the answer off
-    e(m,n); anything else is Inconclusive.  `upper` (the hi end of U(m,n),
-    as `_upper_end` gives it) and `exact` (e(m,n) from the table) are
-    called only when the decision needs them, and so is `table` when given
-    as a function.  top * 2**exponent < 1 for a positive top exactly when
-    top has at most -exponent bits; only a witness forms the Fraction.
-    """
-    if strategy != "exact":
-        top, exponent = upper()
-        if top.bit_length() <= -exponent:
-            return MagnitudeWitness(
-                upper=dyadic_fraction(top, exponent), statement=f"0 < e({m},{n}) < 1"
-            )
-        if strategy == "bound":
-            return Inconclusive(f"certified upper bound for e({m},{n}) is not below 1")
-        if m <= max_exact_m and callable(table):
-            table = table()
-        if table is None or m > max_exact_m or m > table.max_index // 2:
-            return Inconclusive(
-                f"upper bound for e({m},{n}) is not below 1 and exact evaluation "
-                f"is unavailable (limit m <= {max_exact_m}, table required)"
-            )
-    return certificate_from_exact(exact(table))
-
-
-def certify_non_integrality(
-    m: int,
-    n: int,
-    strategy: str = "auto",
-    table: _TableSource = None,
-    *,
-    max_exact_m: int = DEFAULT_MAX_EXACT_M,
-) -> Certificate:
-    """Certificate for e(m,n) under the chosen strategy.
-
-    `exact` computes e(m,n) and reads the answer off its denominator;
-    `bound` emits a magnitude witness when the certified U(m,n) < 1 and is
-    otherwise inconclusive; `auto` tries the cheap certified bound first and
-    falls back to exact within the configured limit.  A `table` given as a
-    function is called only if the answer reads the table: at once for
-    `exact`, for `auto` only when the bound does not decide and m is
-    within the limit.
-    """
-    if m < 1 or n < 1:
-        raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    if strategy == "exact" and callable(table):
-        table = table()
-    _check_request(strategy, table, m)
-    return _certify_point(
-        m, n, strategy, table, max_exact_m,
-        upper=lambda: _upper_end(m, n),
-        exact=lambda table: e_mn(EmnQuery(m, n), table),
-    )
-
-
 @dataclass(frozen=True)
 class ScanPoint:
     m: int
@@ -617,6 +547,96 @@ class ScanPoint:
         return None
 
 
+# A Bernoulli table, a function that returns one when called, or None.
+_TableSource = Union[BernoulliTable, Callable[[], BernoulliTable], None]
+
+
+def _certificates(
+    m_lo: int, m_hi: int, n_lo: int, n_hi: int, strategy: str, table: _TableSource
+) -> Iterator[ScanPoint]:
+    """The one certification decision, at each point of a grid, row by row.
+
+    `bound` and `auto` try the certified upper bound first; `exact`, and
+    `auto` within MAX_EXACT_M and the table, then read the answer off
+    e(m,n); anything else is Inconclusive.  A `table` given as a function
+    is called once, only if the answer reads the table: at once for
+    `exact`, for `auto` only when the bound does not decide and
+    m <= MAX_EXACT_M.
+
+    Row-incremental evaluation: for fixed m, e(m,n+1) = e(m,n) * (2m+n) and
+    likewise for the bound product, so a full grid costs one update per
+    point instead of one full product.  Of the bound only the upper end is
+    kept, the one end a certificate reads, as the integer top of
+    `_upper_end` over a fixed power of two: top * 2**exponent < 1 exactly
+    when top has at most -exponent bits, and only a witness forms the
+    Fraction.  Each running value is brought up to date only when a point
+    needs it: the zeta factors the product under e(m,n) still lacks
+    multiplied out by one product tree per side, as `e_mn` forms them, and
+    folded in with one reduction; the bound's term product from the prefix
+    memo of `_term_product`.
+    """
+    if strategy == "exact" and callable(table):
+        table = table()
+    _check_request(strategy, table, m_hi)
+    zeta_k, zeta_reciprocal_product = 0, Fraction(1)  # prod_{k<=zeta_k} 1/|zeta(1-2k)|
+    for m in range(m_lo, m_hi + 1):
+        exact_value: Fraction | None = None
+        top: int | None = None
+        for n in range(n_lo, n_hi + 1):
+            cert: Certificate | None = None
+            if strategy != "exact":
+                if top is None:
+                    top, exponent = _upper_end(m, n)
+                if top.bit_length() <= -exponent:
+                    cert = MagnitudeWitness(
+                        upper=dyadic_fraction(top, exponent), statement=f"0 < e({m},{n}) < 1"
+                    )
+                elif strategy == "bound":
+                    cert = Inconclusive(f"certified upper bound for e({m},{n}) is not below 1")
+                else:
+                    if m <= MAX_EXACT_M and callable(table):
+                        table = table()
+                    if table is None or m > MAX_EXACT_M or m > table.max_index // 2:
+                        cert = Inconclusive(
+                            f"upper bound for e({m},{n}) is not below 1 and exact evaluation "
+                            f"is unavailable (limit m <= {MAX_EXACT_M}, table required)"
+                        )
+            if cert is None:
+                if exact_value is None:
+                    if zeta_k < m:
+                        numerator, denominator = _multiplied_out(
+                            [abs_zeta_one_minus_2k(k, table) for k in range(zeta_k + 1, m + 1)]
+                        )
+                        zeta_k = m
+                        zeta_reciprocal_product *= Fraction(denominator, numerator)
+                    exact_value = zeta_reciprocal_product * rising_factorial_ratio(
+                        2 * m + n - 1, 2 * m
+                    )
+                cert = certificate_from_exact(exact_value)
+            yield ScanPoint(m=m, n=n, certificate=cert)
+            # Advance the row: both running values gain the factor (2m+n).
+            if exact_value is not None:
+                exact_value *= 2 * m + n
+            if top is not None:
+                top *= 2 * m + n
+
+
+def certify_non_integrality(
+    m: int, n: int, strategy: str = "auto", table: _TableSource = None
+) -> Certificate:
+    """Certificate for e(m,n) under the chosen strategy: a scan of one point.
+
+    `exact` computes e(m,n) and reads the answer off its denominator;
+    `bound` emits a magnitude witness when the certified U(m,n) < 1 and is
+    otherwise inconclusive; `auto` tries the cheap certified bound first and
+    falls back to exact up to m = MAX_EXACT_M.  A `table` given as a
+    function is called only if the answer reads the table.
+    """
+    if m < 1 or n < 1:
+        raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
+    return next(_certificates(m, m, n, n, strategy, table)).certificate
+
+
 def _validate_range(bounds: tuple[int, int], name: str) -> tuple[int, int]:
     lo, hi = bounds
     if lo < 1 or hi < lo:
@@ -628,60 +648,16 @@ def scan(
     m_range: tuple[int, int],
     n_range: tuple[int, int],
     strategy: str = "exact",
-    table: BernoulliTable | None = None,
-    *,
-    max_exact_m: int = DEFAULT_MAX_EXACT_M,
+    table: _TableSource = None,
 ) -> Iterator[ScanPoint]:
     """One certificate per grid point, yielded row by row.
 
-    Row-incremental evaluation: for fixed m, e(m,n+1) = e(m,n) * (2m+n) and
-    likewise for the bound product, so a full grid costs one update per
-    point instead of one full product.  Of the bound only the upper end is
-    kept, the one end a certificate reads, as the integer top of
-    `_upper_end` over a fixed power of two.  Each running value is brought
-    up to date only when a point needs it: the zeta factors the product
-    under e(m,n) still lacks multiplied out by one product tree per side
-    and folded in with one reduction; the bound's term product from the
-    prefix memo of `_term_product`.  Inconclusive points are reported and the scan
-    continues.
+    Each point is decided by `_certificates`, as `certify_non_integrality`
+    decides one; inconclusive points are reported and the scan continues.
     """
     m_lo, m_hi = _validate_range(m_range, "m")
     n_lo, n_hi = _validate_range(n_range, "n")
-    _check_request(strategy, table, m_hi)
-    zeta_k, zeta_reciprocal_product = 0, Fraction(1)  # prod_{k<=zeta_k} 1/|zeta(1-2k)|
-
-    for m in range(m_lo, m_hi + 1):
-        exact_value: Fraction | None = None
-        upper_end: tuple[int, int] | None = None
-
-        def exact(table: BernoulliTable) -> Fraction:
-            nonlocal exact_value, zeta_k, zeta_reciprocal_product
-            if exact_value is None:
-                if zeta_k < m:
-                    # The missing factors as e_mn forms them: one product
-                    # tree per side, folded in with one reduction.
-                    numerator, denominator = _multiplied_out(
-                        [abs_zeta_one_minus_2k(k, table) for k in range(zeta_k + 1, m + 1)]
-                    )
-                    zeta_k = m
-                    zeta_reciprocal_product *= Fraction(denominator, numerator)
-                exact_value = zeta_reciprocal_product * rising_factorial_ratio(2 * m + n - 1, 2 * m)
-            return exact_value
-
-        def upper() -> tuple[int, int]:
-            nonlocal upper_end
-            if upper_end is None:
-                upper_end = _upper_end(m, n)
-            return upper_end
-
-        for n in range(n_lo, n_hi + 1):
-            cert = _certify_point(m, n, strategy, table, max_exact_m, upper, exact)
-            yield ScanPoint(m=m, n=n, certificate=cert)
-            # Advance the row: both running values gain the factor (2m+n).
-            if exact_value is not None:
-                exact_value *= 2 * m + n
-            if upper_end is not None:
-                upper_end = upper_end[0] * (2 * m + n), upper_end[1]
+    yield from _certificates(m_lo, m_hi, n_lo, n_hi, strategy, table)
 
 
 @dataclass(frozen=True)
@@ -812,11 +788,7 @@ def monotone_decrease_check(
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     m_lo, m_hi = _validate_range(m_range, "m")
-    if 2 * m_hi > table.max_index:
-        raise CapacityError(
-            f"monotonicity up to m={m_hi} needs B_{2 * m_hi}, "
-            f"table stops at B_{table.max_index}"
-        )
+    _check_request("exact", table, m_hi)
     current = e_mn(EmnQuery(m_lo, n), table)
     increasing: list[int] = []
     for m in range(m_lo, m_hi):

@@ -262,7 +262,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.m_min > args.m_max or args.n_min > args.n_max:
         raise UsageError("each range needs its minimum at most its maximum")
-    table = None if args.strategy == "bound" else obtain_table(2 * args.m_max, args.cache)
+    # Read or built only if some point's answer needs e(m,n), as for certify.
+    table = functools.partial(obtain_table, 2 * args.m_max, args.cache)
     points = scan((args.m_min, args.m_max), (args.n_min, args.n_max), args.strategy, table)
     any_inconclusive = False
     if args.format == "json":

@@ -68,7 +68,10 @@ def rational_to_json(q: Fraction) -> dict[str, str]:
 def rational_from_json(obj: Any) -> Fraction:
     if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
         raise ValueError(f"not a rational object: {obj!r}")
-    return Fraction(decimal_to_int(obj["num"]), decimal_to_int(obj["den"]))
+    denominator = decimal_to_int(obj["den"])
+    if denominator <= 0:
+        raise ValueError(f"rational denominator must be positive: {obj!r}")
+    return Fraction(decimal_to_int(obj["num"]), denominator)
 
 
 def interval_to_json(interval: RationalInterval) -> dict[str, Any]:
@@ -119,28 +122,31 @@ def certificate_from_json(obj: Any) -> Certificate:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"not a certificate object: {obj!r}")
     kind = obj["kind"]
-    if kind == "integer":
-        return IntegerValue(value=decimal_to_int(obj["value"]))
-    if kind == "prime-witness":
-        return PrimeWitness(
-            value=rational_from_json(obj["value"]),
-            p=int(obj["p"]),
-            valuation=int(obj["valuation"]),
-        )
-    if kind == "valuation-witness":
-        return ValuationWitness(
-            m=int(obj["m"]),
-            n=int(obj["n"]),
-            p=int(obj["p"]),
-            valuation=int(obj["valuation"]),
-            zeta_valuations=tuple((int(k), int(v)) for k, v in obj["zeta_valuations"]),
-        )
-    if kind == "magnitude":
-        return MagnitudeWitness(
-            upper=rational_from_json(obj["upper"]), statement=str(obj["statement"])
-        )
-    if kind == "inconclusive":
-        return Inconclusive(reason=str(obj["reason"]))
+    try:
+        if kind == "integer":
+            return IntegerValue(value=decimal_to_int(obj["value"]))
+        if kind == "prime-witness":
+            return PrimeWitness(
+                value=rational_from_json(obj["value"]),
+                p=int(obj["p"]),
+                valuation=int(obj["valuation"]),
+            )
+        if kind == "valuation-witness":
+            return ValuationWitness(
+                m=int(obj["m"]),
+                n=int(obj["n"]),
+                p=int(obj["p"]),
+                valuation=int(obj["valuation"]),
+                zeta_valuations=tuple((int(k), int(v)) for k, v in obj["zeta_valuations"]),
+            )
+        if kind == "magnitude":
+            return MagnitudeWitness(
+                upper=rational_from_json(obj["upper"]), statement=str(obj["statement"])
+            )
+        if kind == "inconclusive":
+            return Inconclusive(reason=str(obj["reason"]))
+    except (KeyError, TypeError) as exc:  # a missing field, or one of the wrong type
+        raise ValueError(f"malformed {kind} certificate: {exc!r}") from None
     raise ValueError(f"unknown certificate kind {kind!r}")
 
 

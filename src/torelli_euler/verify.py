@@ -47,10 +47,17 @@ from .certify import (
     wide_range_bound_forms,
     wide_range_constant_form_threshold,
 )
-from .euler_char import EmnQuery, check_product_formula, chi_torelli, e_mn, euler_moduli
+from .euler_char import (
+    EmnQuery,
+    check_product_formula,
+    chi_torelli,
+    e_mn,
+    euler_moduli,
+    siegel_zeta_product,
+)
 from .exact_core import dyadic_fraction, pi_interval
 from .render import certificate_from_json, certificate_to_json, decimal_string
-from .zeta_special import abs_zeta_one_minus_2k, zeta_abs_lower_bound, zeta_one_minus_2k
+from .zeta_special import abs_zeta_one_minus_2k, zeta_abs_lower_bound
 
 __all__ = [
     "CheckResult",
@@ -184,10 +191,7 @@ def _check_zeta_product_14(ctx: dict) -> Outcome:
     # The reported value -297203.11 is the product rounded to two decimals;
     # the exact expansion begins -297203.109482..., so a truncating renderer
     # shows -297203.10.  Both facts are asserted so neither can drift.
-    product = Fraction(1)
-    for k in range(1, 15):
-        product *= zeta_one_minus_2k(k, ctx["table"]).value
-    ctx["zeta_product_14"] = product
+    product = siegel_zeta_product(14, ctx["table"])
     rendered = decimal_string(product, 6)
     if rendered != "-297203.109482…":
         return "fail", f"product renders as {rendered}"

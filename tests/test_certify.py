@@ -495,17 +495,17 @@ def test_a_table_function_is_called_only_when_the_answer_reads_the_table(table60
         calls.append(None)
         return table60
 
-    def certify(m, n, strategy, **limits):
+    def certify(m, n, strategy):
         calls.clear()
-        cert = certify_non_integrality(m, n, strategy, table, **limits)
-        assert cert == certify_non_integrality(m, n, strategy, table60, **limits)
+        cert = certify_non_integrality(m, n, strategy, table)
+        assert cert == certify_non_integrality(m, n, strategy, table60)
         return cert, len(calls)
 
     assert certify(14, 1, "auto")[1] == 0  # the bound decides
     assert certify(14, 1, "bound")[1] == 0
     assert certify(6, 1, "auto") == (certify_non_integrality(6, 1, "exact", table60), 1)
     assert certify(6, 1, "exact")[1] == 1
-    cert, count = certify(6, 1, "auto", max_exact_m=5)  # past the exact limit
+    cert, count = certify(201, 20000, "auto")  # past the exact limit, bound undecided
     assert isinstance(cert, Inconclusive) and count == 0
 
 
@@ -671,6 +671,15 @@ def test_monotone_values_below_one_past_fourteen(table60):
     assert report.strictly_decreasing
     for m in range(14, 21):
         assert e_mn(EmnQuery(m, 1), table60) < 1
+
+
+def test_monotone_check_validation(table60):
+    with pytest.raises(CapacityError):
+        monotone_decrease_check(1, (14, 31), table60)
+    with pytest.raises(ValueError):
+        monotone_decrease_check(0, (14, 20), table60)
+    with pytest.raises(ValueError):
+        monotone_decrease_check(1, (14, 20), None)
 
 
 # --- the closing bound for the wide window ---------------------------------------

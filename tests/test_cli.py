@@ -244,15 +244,21 @@ def test_corruption_above_the_request_fails_only_the_requests_that_reach_it(
 
 
 def test_a_bound_decided_certify_leaves_the_cache_unread(capsys, tmp_path):
-    # `auto` reads the table only when the bound does not decide: a corrupt
-    # cache fails the requests that need e(m,n), and no other.
+    # `auto` reads the table only when the bound does not decide, in certify
+    # and scan alike: a corrupt cache fails the requests that need e(m,n),
+    # and no other.
     cache = tmp_path / "bern.cache"
     persist_table(bernoulli_table(20), cache)
     cache.write_text(cache.read_text().replace("12 -691/2730", "12 690/2730"))
     original = cache.read_bytes()
-    code, out, err = run(capsys, "certify", "-m", "100", "-n", "300", "--cache", str(cache))
-    assert (code, err) == (0, "") and "0 < e(100,300) < 1" in out
-    assert cache.read_bytes() == original
+    for request in (
+        ("certify", "-m", "100", "-n", "300"),
+        ("scan", "--m-min", "100", "--m-max", "101", "--n-min", "300", "--n-max", "301",
+         "--strategy", "auto"),
+    ):
+        code, out, err = run(capsys, *request, "--cache", str(cache))
+        assert (code, err) == (0, "") and "0 < e(100,300) < 1" in out
+        assert cache.read_bytes() == original
     code, out, err = run(capsys, "certify", "-m", "6", "-n", "1", "--cache", str(cache))
     assert code == 1 and out == "" and err.startswith("cache error:")
     assert cache.read_bytes() == original

@@ -87,6 +87,22 @@ def test_certificate_json_rejects_unsound_witness():
         certificate_from_json(blob)
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"kind": "magnitude", "upper": {"num": "1", "den": "0"}, "statement": "x"},
+        {"kind": "prime-witness", "value": {"num": "1", "den": "-691"}, "p": "691",
+         "valuation": -1},
+        {"kind": "integer"},
+        {"kind": "integer", "value": None},
+    ],
+    ids=["zero-denominator", "negative-denominator", "missing-field", "field-type"],
+)
+def test_malformed_certificate_json_is_a_value_error(blob):
+    with pytest.raises(ValueError):
+        certificate_from_json(blob)
+
+
 def _ledger_certificates(table600):
     # e(200,677): the window (400, 1076] holds 691 once, and 691 divides
     # zeta(-11) and zeta(-199); e(99,600) is witnessed by 3617 alone.
