@@ -72,6 +72,7 @@ from .zeta_special import (
     abs_zeta_one_minus_2k,
     zeta_abs_lower_bound,
     zeta_one_minus_2k,
+    zeta_product,
 )
 
 __version__ = "0.1.0"

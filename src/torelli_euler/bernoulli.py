@@ -178,6 +178,9 @@ class BernoulliTable:
     values: tuple[Fraction, ...]
     algorithm: str
     convention: str = field(default=CONVENTION)
+    # zeta(1-2k) values and products formed from this table so far, kept and
+    # extended by `zeta_special`; outside the table's identity, repr and cache.
+    _zeta_memo: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _validate_table(self)

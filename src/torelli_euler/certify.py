@@ -53,7 +53,7 @@ from .exact_core import (
     primes_up_to,
     rising_factorial_ratio,
 )
-from .euler_char import EmnQuery, _multiplied_out, e_mn
+from .euler_char import EmnQuery, e_mn
 from .zeta_special import abs_zeta_one_minus_2k
 
 __all__ = [
@@ -569,16 +569,13 @@ def _certificates(
     kept, the one end a certificate reads, as the integer top of
     `_upper_end` over a fixed power of two: top * 2**exponent < 1 exactly
     when top has at most -exponent bits, and only a witness forms the
-    Fraction.  Each running value is brought up to date only when a point
-    needs it: the zeta factors the product under e(m,n) still lacks
-    multiplied out by one product tree per side, as `e_mn` forms them, and
-    folded in with one reduction; the bound's term product from the prefix
-    memo of `_term_product`.
+    Fraction.  Each running value is formed only when a point of its row
+    needs it: e(m,n) by `e_mn`, from the table's running zeta product; the
+    bound's term product from the prefix memo of `_term_product`.
     """
     if strategy == "exact" and callable(table):
         table = table()
     _check_request(strategy, table, m_hi)
-    zeta_k, zeta_reciprocal_product = 0, Fraction(1)  # prod_{k<=zeta_k} 1/|zeta(1-2k)|
     for m in range(m_lo, m_hi + 1):
         exact_value: Fraction | None = None
         top: int | None = None
@@ -603,15 +600,7 @@ def _certificates(
                         )
             if cert is None:
                 if exact_value is None:
-                    if zeta_k < m:
-                        numerator, denominator = _multiplied_out(
-                            [abs_zeta_one_minus_2k(k, table) for k in range(zeta_k + 1, m + 1)]
-                        )
-                        zeta_k = m
-                        zeta_reciprocal_product *= Fraction(denominator, numerator)
-                    exact_value = zeta_reciprocal_product * rising_factorial_ratio(
-                        2 * m + n - 1, 2 * m
-                    )
+                    exact_value = e_mn(EmnQuery(m, n), table)
                 cert = certificate_from_exact(exact_value)
             yield ScanPoint(m=m, n=n, certificate=cert)
             # Advance the row: both running values gain the factor (2m+n).
@@ -792,8 +781,7 @@ def monotone_decrease_check(
     current = e_mn(EmnQuery(m_lo, n), table)
     increasing: list[int] = []
     for m in range(m_lo, m_hi):
-        step = Fraction((2 * m + n) * (2 * m + n + 1), (2 * m + 1) * (2 * m + 2))
-        nxt = current * step / abs_zeta_one_minus_2k(m + 1, table)
+        nxt = e_mn(EmnQuery(m + 1, n), table)
         if nxt >= current:
             increasing.append(m)
         current = nxt

@@ -11,7 +11,11 @@ Three closed formulas over a Bernoulli table:
 plus the quantity e(m,n) = (2m+n-1)!/(2m)! * prod_{k=1..m} 1/|zeta(1-2k)|
 whose integrality is the subject of the certify module.  The product
 identity e(moduli) = chi_Q(torelli) * e(siegel-quotient) is checkable
-exactly and the two sides here deliberately go through different code paths.
+exactly.  Every zeta product is the table's one running product of
+`zeta_special.zeta_product`; what stays independent is the left side, which
+reads the single value zeta(1-2g) and no product, against the right, which
+reads the running product at g-1 and at g: the identity holds only if
+moving the product by one factor multiplies in exactly that value.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import BernoulliTable
-from .exact_core import _tree_product, rising_factorial_ratio
-from .zeta_special import abs_zeta_one_minus_2k, zeta_one_minus_2k
+from .exact_core import rising_factorial_ratio
+from .zeta_special import zeta_one_minus_2k, zeta_product
 
 __all__ = [
     "EmnQuery",
@@ -89,21 +93,11 @@ class EmnQuery:
             raise ValueError(f"need m, n >= 1, got m={self.m}, n={self.n}")
 
 
-def _multiplied_out(values: list[Fraction]) -> tuple[int, int]:
-    # The product of the numerators and that of the denominators, each by
-    # one product tree, for the caller to reduce once: a running Fraction
-    # would take a gcd of its growing numerator and denominator per factor.
-    return (
-        _tree_product([q.numerator for q in values]),
-        _tree_product([q.denominator for q in values]),
-    )
-
-
 def siegel_zeta_product(g: int, table: BernoulliTable) -> Fraction:
     """Exact prod_{k=1..g} zeta(1-2k)."""
     if g < 1:
         raise ValueError(f"g must be positive, got {g}")
-    return Fraction(*_multiplied_out([zeta_one_minus_2k(k, table).value for k in range(1, g + 1)]))
+    return zeta_product(g, table)
 
 
 def euler_siegel_quotient(g: int, table: BernoulliTable) -> EulerChar:
@@ -140,10 +134,9 @@ def chi_torelli(g: int, n: int, table: BernoulliTable) -> EulerChar:
 def e_mn(query: EmnQuery, table: BernoulliTable) -> Fraction:
     """e(m,n) = (2m+n-1)!/(2m)! * prod_{k=1..m} 1/|zeta(1-2k)|, exact and positive."""
     m, n = query.m, query.n
-    numerator, denominator = _multiplied_out(
-        [abs_zeta_one_minus_2k(k, table) for k in range(1, m + 1)]
-    )
-    return Fraction(rising_factorial_ratio(2 * m + n - 1, 2 * m) * denominator, numerator)
+    # A quotient by Fraction operators: its gcds are taken against the
+    # rising factorial, not between the product's numerator and denominator.
+    return rising_factorial_ratio(2 * m + n - 1, 2 * m) / abs(zeta_product(m, table))
 
 
 @dataclass(frozen=True)
@@ -162,7 +155,7 @@ class ProductFormulaCheck:
 
 
 def check_product_formula(g: int, n: int, table: BernoulliTable) -> ProductFormulaCheck:
-    """Evaluate the two sides through their independent code paths."""
+    """Evaluate both sides exactly: the left from zeta(1-2g), the right from products."""
     return ProductFormulaCheck(
         g=g,
         n=n,

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torelli_euler.certify as certify_module
-from torelli_euler.bernoulli import CapacityError
+from torelli_euler.bernoulli import BernoulliTable, CapacityError
 from torelli_euler.certify import (
     _BITS,
     _GUARD_BITS,
@@ -49,7 +50,7 @@ from torelli_euler.exact_core import (
     pi_interval,
     rising_factorial_ratio,
 )
-from torelli_euler.zeta_special import zeta_abs_lower_bound, zeta_one_minus_2k
+from torelli_euler.zeta_special import zeta_abs_lower_bound, zeta_one_minus_2k, zeta_product
 
 from interval_oracles import fraction_power, fraction_scale
 
@@ -419,43 +420,76 @@ def test_prefix_memo_is_dropped_with_the_module_lru_caches(monkeypatch):
     assert memo.divisor == 2 * math.factorial(101)
 
 
-def test_memos_extended_from_many_threads_match_one_thread():
-    # Threads extending the single-term and prefix memos at once must file
-    # every entry under its own k, with the divisor carried once per term.
+def _bound_memos_case():
+    # The single-term and prefix memos, started over after one thread's pass.
     m_max = 400
+
+    def state():
+        memo = _single_term_memo()
+        return list(memo.powers), list(memo.terms), memo.divisor, list(_prefix_memo())
+
     expected = [_term_product(m) for m in range(m_max + 1)]
-    memo = _single_term_memo()
-    expected_memo = (list(memo.powers), list(memo.terms), memo.divisor)
-    results, errors = {}, []
-    start = threading.Barrier(8)
-
-    def work(worker):
-        try:
-            start.wait(timeout=60)
-            ms = range(m_max, -1, -1) if worker % 2 else range(0, m_max + 1, worker + 1)
-            results[worker] = {m: _term_product(m) for m in ms}
-        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
+    expected_state = state()
     _prefix_memo.cache_clear()
     _single_term_memo.cache_clear()
-    try:
-        sys.setswitchinterval(1e-6)
-        threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads) and not errors
-    assert len(results) == 8
-    for found in results.values():
-        assert all(entry == expected[m] for m, entry in found.items())
-    memo = _single_term_memo()
-    assert (memo.powers, memo.terms, memo.divisor) == expected_memo
-    assert _prefix_memo() == expected
+    orders = [
+        range(m_max, -1, -1) if worker % 2 else range(0, m_max + 1, worker + 1)
+        for worker in range(8)
+    ]
+    return _term_product, orders, expected, state, expected_state
+
+
+def _shared_table_case(table):
+    # One table's zeta memo, fresh, against another's read by one thread.
+    m_max = 120
+    alone, shared = (BernoulliTable(table.max_index, table.values, table.algorithm) for _ in "ab")
+
+    def state():
+        memo = shared._zeta_memo
+        return memo.values, memo.product == expected[memo.m]
+
+    expected = [zeta_product(m, alone) for m in range(m_max + 1)]
+    orders = [random.Random(worker).sample(range(m_max + 1), m_max + 1) for worker in range(8)]
+    return (
+        lambda m: zeta_product(m, shared), orders, expected, state, (alone._zeta_memo.values, True)
+    )
+
+
+def test_memos_extended_from_many_threads_match_one_thread(table600):
+    # Threads extending the single-term and prefix memos at once must file
+    # every entry under its own k, with the divisor carried once per term.
+    # Threads moving one table's running zeta product in shuffled orders
+    # must each read the product at their own m, with each zeta value filed
+    # under its own k.
+    for read, orders, expected, state, expected_state in (
+        _bound_memos_case(),
+        _shared_table_case(table600),
+    ):
+        results, errors = {}, []
+        start = threading.Barrier(8)
+
+        def work(worker):
+            try:
+                start.wait(timeout=60)
+                results[worker] = {m: read(m) for m in orders[worker]}
+            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors
+        assert len(results) == 8
+        for found in results.values():
+            assert all(entry == expected[m] for m, entry in found.items())
+        assert state() == expected_state
 
 
 # --- certification strategies ----------------------------------------------------
