@@ -17,12 +17,15 @@ upper-bound product
 
 evaluated in rational interval arithmetic, together with its consecutive
 ratio, which certifies that the bound sequence decreases below 1 from some
-threshold on.  Exact certificates use exact rational arithmetic; witness
-primes are chosen deterministically (691, then 3617, then the smallest
-prime factor of the reduced denominator up to WITNESS_SEARCH_LIMIT).  The
-valuation ledger (`ledger_segments`, point by point `ledger_scan`) reaches
-the same witnesses over a grid without forming e(m,n) wherever 691 or 3617
-suffices, with one witness per prime per row.
+threshold on.  Its powers of 2pi, single terms and prefix products are
+memoised one end at a time, lo rounded down and hi rounded up, and each
+end's memo is extended only when that end is read: a certificate reads the
+hi end alone, an enclosure both.  Exact certificates use exact rational
+arithmetic; witness primes are chosen deterministically (691, then 3617,
+then the smallest prime factor of the reduced denominator up to
+WITNESS_SEARCH_LIMIT).  The valuation ledger (`ledger_segments`, point by
+point `ledger_scan`) reaches the same witnesses over a grid without forming
+e(m,n) wherever 691 or 3617 suffices, with one witness per prime per row.
 """
 
 from __future__ import annotations
@@ -37,14 +40,13 @@ from typing import Callable, Iterable, Iterator, Union
 
 from .bernoulli import BernoulliTable, CapacityError
 from .exact_core import (
-    _DYADIC_ONE,
     RationalInterval,
     _Dyadic,
     _dyadic_quotient,
+    _dyadic_to_bits,
     _interval_from_dyadic,
-    _mul_outward,
     _positive_power,
-    _ratios_outward,
+    _rounded_ratio,
     dyadic_fraction,
     factorial_valuation,
     is_probable_prime,
@@ -265,70 +267,87 @@ _BITS = 64 + _GUARD_BITS
 
 # Extending a memo reads its last entry and appends the next: two threads
 # doing so at once would file one entry under two indices.  Reentrant, as
-# extending the prefix memo extends the single terms.
+# extending the prefix products extends the single terms.
 _MEMO_LOCK = threading.RLock()
 
+# One end of a positive dyadic interval, (mantissa, exponent) for
+# mantissa * 2**exponent, the mantissa odd.
+_End = tuple[int, int]
 
-class _SingleTerms:
-    # (2pi)^(2k) for k = 0..len(powers)-1, the single terms for
-    # k = 1..len(terms), term k at index k - 1, and 2 (2k+1)! for the last
-    # k, the next term's divisor.
-    __slots__ = ("powers", "terms", "divisor")
+
+class _BoundEnd:
+    # One end of the bound's interval products, lo rounded down or hi rounded
+    # up: (2pi)^(2k) for k = 0..len(powers)-1, the single terms for
+    # k = 1..len(terms), term k at index k - 1, the prefix products for
+    # m = 0..len(products)-1, and 2 (2k+1)! for the last term's k, the next
+    # term's divisor.
+    __slots__ = ("powers", "terms", "products", "divisor")
 
     def __init__(self) -> None:
-        self.powers: list[_Dyadic] = [_DYADIC_ONE]
-        self.terms: list[_Dyadic] = []
+        self.powers: list[_End] = [(1, 0)]
+        self.terms: list[_End] = []
+        self.products: list[_End] = [(1, 0)]
         self.divisor = 2  # 2 * 1!
 
 
-# An lru cache, as `_prefix_memo` is, not a module-level object: clearing
-# the module's lru caches then starts both memos over as in a fresh process.
-@lru_cache(maxsize=1)
-def _single_term_memo() -> _SingleTerms:
-    return _SingleTerms()
+# The memo of each end, ceil=False for lo and ceil=True for hi, each filled
+# only when that end is read.  An lru cache, not a module-level object:
+# clearing the module's lru caches then starts both ends over as in a
+# fresh process.
+@lru_cache(maxsize=2)
+def _bound_end(ceil: bool) -> _BoundEnd:
+    return _BoundEnd()
 
 
-def _next_power(powers: list[_Dyadic]) -> _Dyadic:
-    """(2pi)^(2j) for j = len(powers), bit for bit as `(2pi).power(2j, _BITS)` forms it.
+def _next_power(powers: list[_End], ceil: bool) -> _End:
+    """One end of (2pi)^(2j), j = len(powers), bit for bit as `(2pi).power(2j, _BITS)`.
 
     That power multiplies in the squares (2pi)^(2^(i+1)) for the set bits
     of j, lowest first, rounding outward after each multiply.  So it is the
     power for j less its top bit times the power for the top bit alone; the
     power for a power of two is the square of the power for its half, and
-    for j = 1 the square of 2pi from the pi enclosure.
+    for j = 1 the square of 2pi from the pi enclosure.  Each end of a
+    product of positive intervals is the product of the same ends.
     """
     j = len(powers)
     top = 1 << (j.bit_length() - 1)
     if j > top:
-        return _mul_outward(powers[j - top], powers[top], _BITS)
-    if j > 1:
-        return _mul_outward(powers[top >> 1], powers[top >> 1], _BITS)
-    return _positive_power(pi_interval(_BITS).scale(2), 2, _BITS)
+        (a, a_exp), (b, b_exp) = powers[j - top], powers[top]
+    elif j > 1:
+        (a, a_exp) = (b, b_exp) = powers[top >> 1]
+    else:
+        two_pi = pi_interval(_BITS).scale(2)
+        end = two_pi.hi if ceil else two_pi.lo
+        return _rounded_ratio(end.numerator**2, end.denominator**2, _BITS, ceil)
+    return _dyadic_to_bits(a * b, a_exp + b_exp, _BITS, ceil)
 
 
-def _single_terms(k: int) -> list[_Dyadic]:
-    """The single terms through k, in integers: term j at index j - 1.
+def _single_terms(k: int, ceil: bool) -> list[_End]:
+    """One end of the single terms through k, in integers: term j at index j - 1.
 
-    The memo is extended in k order, one power of 2pi per term from two
-    earlier ones.  The divisor 2 (2k-1)! is carried from one term to the
-    next, times 2k (2k+1), and each endpoint of the quotient, taken in
-    lowest terms, is rounded outward as `RationalInterval.outward` rounds it.
+    The end's memo is extended in k order, one power of 2pi per term from
+    two earlier ones.  The divisor 2 (2k-1)! is carried from one term to
+    the next, times 2k (2k+1), and the quotient, taken in lowest terms, is
+    rounded down (ceil=False) or up as `RationalInterval.outward` rounds
+    the lo or hi end.
     """
-    memo = _single_term_memo()
+    memo = _bound_end(ceil)
     powers, terms = memo.powers, memo.terms
-    with _MEMO_LOCK:
-        for j in range(len(terms) + 1, k + 1):
-            powers.append(_next_power(powers))
-            lo, lo_exp, hi, hi_exp = powers[j]
-            lo_q = _dyadic_quotient(lo, lo_exp, memo.divisor)
-            hi_q = _dyadic_quotient(hi, hi_exp, memo.divisor)
-            terms.append(
-                _ratios_outward(
-                    lo_q.numerator, lo_q.denominator, hi_q.numerator, hi_q.denominator, _BITS
+    if len(terms) < k:
+        with _MEMO_LOCK:
+            for j in range(len(terms) + 1, k + 1):
+                powers.append(_next_power(powers, ceil))
+                quotient = _dyadic_quotient(*powers[j], memo.divisor)
+                terms.append(
+                    _rounded_ratio(quotient.numerator, quotient.denominator, _BITS, ceil)
                 )
-            )
-            memo.divisor *= 2 * j * (2 * j + 1)
+                memo.divisor *= 2 * j * (2 * j + 1)
     return terms
+
+
+def _single_term(k: int) -> _Dyadic:
+    """Both ends of single term k, in integers."""
+    return _single_terms(k, ceil=False)[k - 1] + _single_terms(k, ceil=True)[k - 1]
 
 
 def single_term_interval(k: int) -> RationalInterval:
@@ -336,11 +355,11 @@ def single_term_interval(k: int) -> RationalInterval:
 
     The factor crosses 1 between k = 8 and k = 9, which is what makes the
     bound sequence eventually decrease.  Its endpoints are those of the
-    integer memo of `_single_terms`, as Fractions.
+    integer memos of `_single_terms`, as Fractions.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return _interval_from_dyadic(_single_terms(k)[k - 1])
+    return _interval_from_dyadic(_single_term(k))
 
 
 @dataclass(frozen=True)
@@ -358,37 +377,31 @@ class BoundSequence:
             raise ValueError("the bound product is positive; enclosure must show it")
 
 
-@lru_cache(maxsize=1)
-def _prefix_memo() -> list[_Dyadic]:
-    """The prefixes of `_term_product` computed so far.
+def _term_products(m: int, ceil: bool) -> list[_End]:
+    """One end of the prefix products, its memo extended through m: entry j
+    is that end of prod_{k<=j} single_term_interval(k), rounded outward
+    after each factor.
 
-    Entry m holds the m-th prefix, each mantissa odd and of at most
-    _BITS + 1 bits: an endpoint as a Fraction would carry a power-of-two
-    denominator of ~10^5 bits by m = 200.
+    Each end of a product of positive intervals is the product of the same
+    ends, so a step multiplies the end's last prefix by its single term and
+    rounds as `RationalInterval.outward` would, bit for bit.  Each mantissa
+    is odd and of at most _BITS + 1 bits: an endpoint as a Fraction would
+    carry a power-of-two denominator of ~10^5 bits by m = 200.
     """
-    return [_DYADIC_ONE]
-
-
-def _term_products(m: int) -> list[_Dyadic]:
-    """The prefix memo, extended through m: entry j is
-    prod_{k<=j} single_term_interval(k), rounded outward after each factor.
-
-    Prefixes are extended in integer arithmetic: all endpoints are
-    positive, so a step multiplies lo by lo and hi by hi and rounds each as
-    `RationalInterval.outward` would, bit for bit.
-    """
-    memo = _prefix_memo()
-    with _MEMO_LOCK:
-        if len(memo) <= m:
-            terms = _single_terms(m)
-            for k in range(len(memo), m + 1):
-                memo.append(_mul_outward(memo[-1], terms[k - 1], _BITS))
-    return memo
+    memo = _bound_end(ceil)
+    products = memo.products
+    if len(products) <= m:
+        with _MEMO_LOCK:
+            terms = _single_terms(m, ceil)
+            for k in range(len(products), m + 1):
+                (p, p_exp), (t, t_exp) = products[-1], terms[k - 1]
+                products.append(_dyadic_to_bits(p * t, p_exp + t_exp, _BITS, ceil))
+    return products
 
 
 def _term_product(m: int) -> _Dyadic:
-    """The m-th entry of `_term_products`, in integers."""
-    return _term_products(m)[m]
+    """Both ends of the m-th prefix product, in integers."""
+    return _term_products(m, ceil=False)[m] + _term_products(m, ceil=True)[m]
 
 
 def _ratio_next_interval(m: int, n: int, term: _Dyadic) -> RationalInterval:
@@ -410,8 +423,8 @@ def _ratio_next_interval(m: int, n: int, term: _Dyadic) -> RationalInterval:
 def _bound_sequence(
     m: int, n: int, prefix: int, product: _Dyadic, term: _Dyadic
 ) -> BoundSequence:
-    # prefix is the integer (2m+n-1)!/(2m)!, product and term the memo
-    # entries of the m-th term product and of single term m+1.
+    # prefix is the integer (2m+n-1)!/(2m)!, product and term both ends of
+    # the m-th term product and of single term m+1, as the memos hold them.
     return BoundSequence(
         m=m,
         n=n,
@@ -429,17 +442,18 @@ def upper_bound_interval(m: int, n: int) -> BoundSequence:
         n,
         rising_factorial_ratio(2 * m + n - 1, 2 * m),
         _term_product(m),
-        _single_terms(m + 1)[m],
+        _single_term(m + 1),
     )
 
 
 def _upper_end(m: int, n: int) -> tuple[int, int]:
     """`upper_bound_interval(m, n).value.hi`, the one end a certificate reads.
 
-    In integers, as (top, exponent) for top * 2**exponent, with top the memo's
-    hi mantissa times (2m+n-1)!/(2m)!: no lo end, no ratio, no Fraction.
+    In integers, as (top, exponent) for top * 2**exponent, with top the hi
+    memo's mantissa times (2m+n-1)!/(2m)!: no lo end, no ratio, no Fraction.
+    Only the hi memo is extended.
     """
-    _, _, hi, hi_exp = _term_product(m)
+    hi, hi_exp = _term_products(m, ceil=True)[m]
     return hi * rising_factorial_ratio(2 * m + n - 1, 2 * m), hi_exp
 
 
@@ -476,29 +490,30 @@ def _product_fits(a: int, b: int, bits: int) -> bool:
 def threshold_for_n(n: int, m_cap: int = 64) -> ThresholdResult:
     """Scan m = 1..m_cap for the certified crossing of the bound below 1.
 
-    The comparisons run in integers, on the memo entries of `_single_terms`
-    and `_term_products`, each memo extended once.  ratio_next(m).hi < 1
-    cross-multiplies the hi mantissa of single term m+1 by the integer
-    factor, from m_cap down while it holds.  On that tail, U(m,n).hi < 1
-    compares the m-th prefix product's hi mantissa times the prefix
-    (2m+n-1)!/(2m)! with a power of two, from bit lengths unless they leave
-    it open, the prefix stepped from one m to the next by an exact division.
-    Enclosures are built only for the returned chain, each end straight from
-    its integers: the value's as the memo entry times the prefix reduced by
-    a shift, the ratio's as in `_ratio_next_interval`.  Both equal the
-    Fraction arithmetic on `single_term_interval` and `upper_bound_interval`.
+    The comparisons run in integers, on the hi memo entries of
+    `_single_terms` and `_term_products`, each end's memo extended once.
+    ratio_next(m).hi < 1 cross-multiplies the hi mantissa of single term
+    m+1 by the integer factor, from m_cap down while it holds.  On that
+    tail, U(m,n).hi < 1 compares the m-th prefix product's hi mantissa times
+    the prefix (2m+n-1)!/(2m)! with a power of two, from bit lengths unless
+    they leave it open, the prefix stepped from one m to the next by an
+    exact division.  Enclosures are built only for the returned chain, each
+    end straight from its integers: the value's as the end's memo entry
+    times the prefix reduced by a shift, the ratio's as in
+    `_ratio_next_interval`.  Both equal the Fraction arithmetic on
+    `single_term_interval` and `upper_bound_interval`.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if m_cap < 1:
         raise ValueError(f"m_cap must be positive, got {m_cap}")
-    terms = _single_terms(m_cap + 1)
-    products = _term_products(m_cap)
+    lo_terms, hi_terms = _single_terms(m_cap + 1, ceil=False), _single_terms(m_cap + 1, ceil=True)
+    lo_products, hi_products = _term_products(m_cap, ceil=False), _term_products(m_cap, ceil=True)
     tail_start = m_cap + 1
     while tail_start > 1:
         m = tail_start - 1
         # ratio_next(m).hi < 1: hi * 2**hi_exp * rise < fall, in integers.
-        _, _, hi, hi_exp = terms[m]
+        hi, hi_exp = hi_terms[m]
         rise, fall = (2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1)
         if hi * rise << max(hi_exp, 0) >= fall << max(-hi_exp, 0):
             break
@@ -506,10 +521,14 @@ def threshold_for_n(n: int, m_cap: int = 64) -> ThresholdResult:
     prefix = rising_factorial_ratio(2 * tail_start + n - 1, 2 * tail_start)
     chain: list[BoundSequence] = []
     for m in range(tail_start, m_cap + 1):
-        _, _, hi, hi_exp = products[m]
+        hi, hi_exp = hi_products[m]
         # U(m,n).hi = hi * 2**hi_exp * prefix, below 1 iff hi * prefix < 2**-hi_exp.
         if chain or _product_fits(hi, prefix, -hi_exp):
-            chain.append(_bound_sequence(m, n, prefix, products[m], terms[m]))
+            chain.append(
+                _bound_sequence(
+                    m, n, prefix, lo_products[m] + hi_products[m], lo_terms[m] + hi_terms[m]
+                )
+            )
         prefix = prefix * (2 * m + n) * (2 * m + n + 1) // ((2 * m + 1) * (2 * m + 2))
     return ThresholdResult(
         n=n, m_cap=m_cap, m_found=chain[0].m if chain else None, chain=tuple(chain)
@@ -571,7 +590,7 @@ def _certificates(
     when top has at most -exponent bits, and only a witness forms the
     Fraction.  Each running value is formed only when a point of its row
     needs it: e(m,n) by `e_mn`, from the table's running zeta product; the
-    bound's term product from the prefix memo of `_term_product`.
+    bound's from the hi memo alone, by `_upper_end`.
     """
     if strategy == "exact" and callable(table):
         table = table()

@@ -53,6 +53,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Text output rounds to at most this many digits: rounding forms 10**digits,
+# and `emn -m 200 -n 677` takes 1.3 s at 10^6 digits and 18 s at 10^7.
+_MAX_DIGITS = 100_000
+
+
+def _digits(text: str) -> int:
+    value = _positive_int(text)
+    if value > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"expected at most {_MAX_DIGITS} digits, got {text}")
+    return value
+
+
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -69,7 +81,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(
-        "--digits", type=_positive_int, default=12, help="decimal digits in text output"
+        "--digits",
+        type=_digits,
+        default=12,
+        help=f"decimal digits in text output, 1 to {_MAX_DIGITS}",
     )
 
 

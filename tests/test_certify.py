@@ -12,11 +12,13 @@ from torelli_euler.bernoulli import BernoulliTable, CapacityError
 from torelli_euler.certify import (
     _BITS,
     _GUARD_BITS,
+    _bound_end,
     _interval_from_dyadic,
-    _prefix_memo,
-    _single_term_memo,
+    _single_term,
     _single_terms,
     _term_product,
+    _term_products,
+    _upper_end,
     BoundSequence,
     CertificateError,
     Inconclusive,
@@ -321,8 +323,10 @@ def _reference_single_term(k, precision):
 
 
 def _memo_term_interval(k):
-    # The k-th entry of the integer single-term memo as Fractions.
-    return _interval_from_dyadic(_single_terms(k)[k - 1])
+    # The k-th entries of the two integer single-term memos as Fractions.
+    return _interval_from_dyadic(
+        _single_terms(k, ceil=False)[k - 1] + _single_terms(k, ceil=True)[k - 1]
+    )
 
 
 @pytest.mark.parametrize("precision", _SIGNIFICANT_BITS)
@@ -337,30 +341,75 @@ def test_single_terms_from_the_square_chain_match_the_power(precision):
             for term in (_memo_term_interval(k), single_term_interval(k)):
                 assert (term.lo, term.hi) == (reference[k].lo, reference[k].hi), k
 
-    _single_term_memo.cache_clear()
+    _bound_end.cache_clear()
     check(range(400, 0, -1))  # the whole memo at k = 400, then lookups
     check(range(1, 401))
-    _single_term_memo.cache_clear()
+    _bound_end.cache_clear()
     check(range(1, 401))  # one term per query
 
 
 def test_single_term_memo_stores_odd_mantissas():
-    # Each term in the `_Dyadic` form: odd mantissas of at most bits + 1 bits.
-    for k, entry in enumerate(_single_terms(300)[:300], start=1):
-        lo, _, hi, _ = entry
-        assert lo % 2 == 1 and hi % 2 == 1, k
-        assert lo.bit_length() <= _BITS + 1 and hi.bit_length() <= _BITS + 1, k
+    # Each term of each end as (mantissa, exponent): an odd mantissa of at
+    # most bits + 1 bits.
+    for ceil in (False, True):
+        for k, (mantissa, _) in enumerate(_single_terms(300, ceil)[:300], start=1):
+            assert mantissa % 2 == 1, (ceil, k)
+            assert mantissa.bit_length() <= _BITS + 1, (ceil, k)
 
 
 def _reference_term_products(m_max, precision):
-    # The Fraction loop the memo replaced, keeping every prefix on the way.
+    # The Fraction loop the memo replaced, keeping every prefix on the way,
+    # over single terms that are themselves Fraction references.
     bits = precision + _GUARD_BITS
     product = RationalInterval.point(1)
     prefixes = [product]
     for k in range(1, m_max + 1):
-        product = (product * single_term_interval(k)).outward(bits)
+        product = (product * _reference_single_term(k, precision)).outward(bits)
         prefixes.append(product)
     return prefixes
+
+
+@pytest.fixture(scope="module")
+def reference_to_300():
+    # The single terms k = 1..300 and the prefix products m = 0..300.
+    terms = [_reference_single_term(k, 64) for k in range(1, 301)]
+    return terms, _reference_term_products(300, 64)
+
+
+@pytest.mark.parametrize("ceil", [False, True], ids=["lo", "hi"])
+def test_each_end_of_the_memos_is_that_end_of_the_fraction_loop(ceil, reference_to_300):
+    # Each end's memo, filled alone from cold, holds that end of every
+    # reference single term and prefix product; the other end's memo stays
+    # empty.
+    terms, products = reference_to_300
+
+    def end(interval):
+        return interval.hi if ceil else interval.lo
+
+    _bound_end.cache_clear()
+    memo_products = _term_products(300, ceil)
+    memo_terms = _single_terms(300, ceil)
+    other = _bound_end(not ceil)
+    assert (other.powers, other.terms, other.products) == ([(1, 0)], [], [(1, 0)])
+    assert len(memo_terms) == 300 and len(memo_products) == 301
+    for k, (mantissa, exponent) in enumerate(memo_terms, start=1):
+        assert dyadic_fraction(mantissa, exponent) == end(terms[k - 1]), k
+    for m, (mantissa, exponent) in enumerate(memo_products):
+        assert dyadic_fraction(mantissa, exponent) == end(products[m]), m
+
+
+def test_bound_decisions_extend_only_the_hi_memo():
+    # A certificate reads the upper end of U(m,n) alone: a bound-decided
+    # certify, bound scan or auto point leaves both lo memos empty.
+    _bound_end.cache_clear()
+    assert isinstance(certify_non_integrality(150, 600, "bound"), MagnitudeWitness)
+    assert isinstance(certify_non_integrality(250, 1, "auto"), MagnitudeWitness)
+    points = list(scan((100, 109), (1, 20), "bound"))
+    assert all(isinstance(point.certificate, MagnitudeWitness) for point in points)
+    assert _bound_end.cache_info().currsize == 1
+    lo, hi = _bound_end(False), _bound_end(True)
+    assert (lo.powers, lo.terms, lo.products, lo.divisor) == ([(1, 0)], [], [(1, 0)], 2)
+    assert (len(hi.terms), len(hi.products)) == (250, 251)
 
 
 @pytest.mark.parametrize("precision", _SIGNIFICANT_BITS)
@@ -372,28 +421,28 @@ def test_term_product_memo_matches_the_fraction_loop(precision):
             product = _interval_from_dyadic(_term_product(m))
             assert (product.lo, product.hi) == (reference[m].lo, reference[m].hi), m
 
-    _prefix_memo.cache_clear()
+    _bound_end.cache_clear()
     check(range(300, -1, -1))  # one extension to 300, then lookups
     check(range(301))
-    _prefix_memo.cache_clear()
+    _bound_end.cache_clear()
     check(range(301))  # one step per query
 
 
 def test_prefix_memo_stores_small_integers():
     # Fraction endpoints would carry ~10^5-bit denominators at m = 300.
-    _term_product(300)
-    memo = _prefix_memo()
-    assert len(memo) >= 301
-    for entry in memo:
-        assert all(type(x) is int and x.bit_length() <= _BITS + 64 for x in entry)
+    for ceil in (False, True):
+        memo = _term_products(300, ceil)
+        assert len(memo) >= 301
+        for entry in memo:
+            assert all(type(x) is int and x.bit_length() <= _BITS + 64 for x in entry)
 
 
 def test_prefix_memo_is_dropped_with_the_module_lru_caches(monkeypatch):
-    # The prefix memo and the single-term memo, with its powers of 2pi and
-    # its carried divisor, live behind lru caches of the module, so clearing
-    # those caches starts them over as in a fresh process: every factor is
-    # rebuilt, divided by a factorial carried from 1!, from powers rebuilt
-    # from the pi enclosure.
+    # Each end's memo, with its powers of 2pi, single terms, prefix products
+    # and carried divisor, lives behind an lru cache of the module, so
+    # clearing those caches starts both over as in a fresh process: every
+    # factor is rebuilt, divided by a factorial carried from 1!, from powers
+    # rebuilt from the pi enclosure, once per end.
     _term_product(50)
     for obj in vars(certify_module).values():
         if callable(getattr(obj, "cache_clear", None)):
@@ -412,31 +461,39 @@ def test_prefix_memo_is_dropped_with_the_module_lru_caches(monkeypatch):
     monkeypatch.setattr(certify_module, "pi_interval", recording_enclose)
     monkeypatch.setattr(certify_module, "_dyadic_quotient", recording_divide)
     _term_product(50)
-    assert enclosures == [64 + _GUARD_BITS]
-    assert divisors == [2 * math.factorial(2 * k - 1) for k in range(1, 51) for _ in ("lo", "hi")]
-    memo = _single_term_memo()
-    assert _single_term_memo.cache_info().misses == 1
-    assert (len(memo.powers), len(memo.terms)) == (51, 50)
-    assert memo.divisor == 2 * math.factorial(101)
+    assert enclosures == [64 + _GUARD_BITS] * 2
+    assert divisors == [2 * math.factorial(2 * k - 1) for _ in ("lo", "hi") for k in range(1, 51)]
+    assert _bound_end.cache_info().misses == 2
+    for ceil in (False, True):
+        memo = _bound_end(ceil)
+        assert (len(memo.powers), len(memo.terms), len(memo.products)) == (51, 50, 51)
+        assert memo.divisor == 2 * math.factorial(101)
 
 
 def _bound_memos_case():
-    # The single-term and prefix memos, started over after one thread's pass.
+    # Both ends' memos, started over after one thread's pass.
     m_max = 400
 
     def state():
-        memo = _single_term_memo()
-        return list(memo.powers), list(memo.terms), memo.divisor, list(_prefix_memo())
+        return [
+            (list(memo.powers), list(memo.terms), list(memo.products), memo.divisor)
+            for memo in (_bound_end(False), _bound_end(True))
+        ]
 
-    expected = [_term_product(m) for m in range(m_max + 1)]
+    def read(m):
+        # The hi prefix alone, then both ends of a single term with no prefix
+        # step around it, then both ends of the prefix: each end's memo is
+        # extended along every path at once.
+        return _upper_end(m, 1), _single_term(m + 1), _term_product(m)
+
+    expected = [read(m) for m in range(m_max + 1)]
     expected_state = state()
-    _prefix_memo.cache_clear()
-    _single_term_memo.cache_clear()
+    _bound_end.cache_clear()
     orders = [
         range(m_max, -1, -1) if worker % 2 else range(0, m_max + 1, worker + 1)
         for worker in range(8)
     ]
-    return _term_product, orders, expected, state, expected_state
+    return read, orders, expected, state, expected_state
 
 
 def _shared_table_case(table):
@@ -456,8 +513,9 @@ def _shared_table_case(table):
 
 
 def test_memos_extended_from_many_threads_match_one_thread(table600):
-    # Threads extending the single-term and prefix memos at once must file
-    # every entry under its own k, with the divisor carried once per term.
+    # Threads extending both ends' single-term and prefix memos at once must
+    # file every entry under its own k, with the divisor carried once per
+    # term.
     # Threads moving one table's running zeta product in shuffled orders
     # must each read the product at their own m, with each zeta value filed
     # under its own k.

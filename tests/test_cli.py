@@ -337,6 +337,16 @@ def test_usage_error_exit_code():
     assert info.value.code == 2
 
 
+def test_digits_above_the_limit_are_a_usage_error(capsys):
+    # 10**(10^8) would take longer than any request should: rejected by the
+    # parser before the table or the value is formed.
+    for digits in ("100001", "100000000"):
+        code, out, err = _outcome(capsys, main, ["zeta", "--k", "1", "--digits", digits])
+        assert code == 2 and out == "" and "at most 100000 digits" in err, digits
+    code, out, _ = run(capsys, "zeta", "--k", "1", "--digits", "100000")
+    assert code == 0 and "-1/12" in out
+
+
 # --- one command's parser ---------------------------------------------------------
 
 _REQUIRED = {

@@ -12,8 +12,10 @@ from torelli_euler import exact_core
 from torelli_euler.exact_core import (
     RationalInterval,
     _PRODUCT_LEAF,
+    _PRODUCT_LEAF_BITS,
     _dyadic_quotient,
     _dyadic_to_bits,
+    _tree_product,
     dyadic_fraction,
     factorial_valuation,
     int_to_decimal,
@@ -63,6 +65,39 @@ def test_rising_factorial_ratio_tree_matches_one_run_around_the_leaf(b, length):
 @given(b=st.integers(0, 10**9), length=st.integers(0, 20 * _PRODUCT_LEAF))
 def test_rising_factorial_ratio_tree_matches_one_run(b, length):
     assert rising_factorial_ratio(b + length, b) == math.prod(range(b + 1, b + length + 1))
+
+
+@pytest.mark.parametrize("bits", [1, 64, 1000, 2048, 2049, 4096, 4097, 10_000])
+def test_tree_product_of_wide_factors_is_the_product(bits):
+    # Runs shorten as the factors widen, down to single factors past
+    # _PRODUCT_LEAF_BITS; the factors grow, shrink and change sign.
+    rng = random.Random(bits)
+    for length in (0, 1, 2, 3, 5, 65):
+        factors = [rng.getrandbits(bits) * rng.choice((-1, 1)) for _ in range(length)]
+        by_size = sorted(factors, key=abs)
+        for ordered in (factors, by_size, by_size[::-1], factors + [1 << _PRODUCT_LEAF_BITS]):
+            assert _tree_product(ordered) == math.prod(ordered), length
+
+
+@given(st.lists(st.integers(-(2**6000), 2**6000), max_size=40))
+def test_tree_product_is_the_product(factors):
+    assert _tree_product(factors) == math.prod(factors)
+
+
+def test_tree_product_runs_shorten_as_factors_widen(monkeypatch):
+    # Small factors go in runs of up to _PRODUCT_LEAF; factors of 1,500 bits
+    # in runs of 4096 // 1500 = 2, and factors past _PRODUCT_LEAF_BITS alone.
+    runs, prod = [], math.prod
+    monkeypatch.setattr(math, "prod", lambda factors: runs.append(len(factors)) or prod(factors))
+    rng = random.Random(1)
+    for factors, longest in (
+        (range(1, 1025), _PRODUCT_LEAF),
+        ([rng.getrandbits(1500) | 1 << 1499 for _ in range(200)], 2),
+        ([rng.getrandbits(5000) | 1 << 4999 for _ in range(50)], 1),
+    ):
+        runs.clear()
+        _tree_product(factors)
+        assert max(runs) == longest and sum(runs) == len(factors)
 
 
 # --- p-adic valuation --------------------------------------------------------
