@@ -2,8 +2,8 @@
 
 Exit codes: 0 when everything requested passed or computed, 1 when any
 check failed or was inconclusive and on every other error (cache, capacity,
-internal, the last with a traceback), 2 only for argparse errors and the
-commands' argument checks.
+a stdout closed by its reader, internal, the last with a traceback), 2 only
+for argparse errors and the commands' argument checks.
 """
 
 from __future__ import annotations
@@ -345,7 +345,16 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         command = args.command
     try:
-        return _HANDLERS[command](args)
+        status = _HANDLERS[command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early: not a fault of the program.  Point
+        # stdout at devnull, so that the flush at exit prints nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

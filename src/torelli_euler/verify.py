@@ -2,7 +2,11 @@
 
 Every computer-checkable claim in scope is a named check with a stable id;
 the suite runs them in deterministic order, records pass/fail/inconclusive
-with a rendered witness, and never lets one check's failure stop the rest.
+with a rendered witness and the check's wall time (`CheckResult.elapsed_s`,
+table acquisition included for `table-source`), and never lets one check's
+failure stop the rest.  `_CHECKS` is the one encoding of each claim: the
+acceptance tests run the suite and assert every check, rather than
+restating them.
 Standard mode works over a Bernoulli table to index 600 and scans the wide
 grid to m = 200; deep mode extends the table to index 2940 and the scan to
 m = 1470.  The wide-grid scan reads its witnesses off the valuation ledger
@@ -13,9 +17,11 @@ sums per prime, and no exact ~10^5-digit e(m,n) is formed.
 
 from __future__ import annotations
 
+import json
 import math
 import tempfile
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
@@ -56,7 +62,7 @@ from .euler_char import (
     siegel_zeta_product,
 )
 from .exact_core import dyadic_fraction, pi_interval
-from .render import certificate_from_json, certificate_to_json, decimal_string
+from .render import certificate_from_json, certificate_to_json, decimal_string, dumps
 from .zeta_special import abs_zeta_one_minus_2k, zeta_abs_lower_bound
 
 __all__ = [
@@ -68,6 +74,7 @@ __all__ = [
     "run_verification_suite",
 ]
 
+MODES = ("standard", "deep")
 STANDARD_TABLE_INDEX = 600
 DEEP_TABLE_INDEX = 2 * DEEP_MAX_M
 STANDARD_SCAN_MAX_M = 200
@@ -85,10 +92,16 @@ class CheckResult:
     paper_ref: str
     status: str  # pass | fail | inconclusive
     witness: str
+    elapsed_s: float  # wall time of the check, in seconds
 
     def __post_init__(self) -> None:
+        if not all(isinstance(text, str) for text in (self.id, self.paper_ref, self.witness)):
+            raise ValueError("id, paper_ref and witness must be strings")
         if self.status not in ("pass", "fail", "inconclusive"):
             raise ValueError(f"bad status {self.status!r}")
+        elapsed = self.elapsed_s
+        if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)) or not elapsed >= 0:
+            raise ValueError(f"elapsed_s must be a number of seconds >= 0, got {elapsed!r}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +110,8 @@ class VerificationReport:
     checks: tuple[CheckResult, ...]
 
     def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be 'standard' or 'deep', got {self.mode!r}")
         ids = [check.id for check in self.checks]
         if len(ids) != len(set(ids)):
             raise ValueError("check ids must be unique")
@@ -117,30 +132,21 @@ class VerificationReport:
 def report_to_json(report: VerificationReport) -> dict[str, Any]:
     return {
         "mode": report.mode,
-        "checks": [
-            {
-                "id": check.id,
-                "paper_ref": check.paper_ref,
-                "status": check.status,
-                "witness": check.witness,
-            }
-            for check in report.checks
-        ],
+        "checks": [asdict(check) for check in report.checks],
         "summary": report.summary,
     }
 
 
 def report_from_json(obj: Any) -> VerificationReport:
-    checks = tuple(
-        CheckResult(
-            id=entry["id"],
-            paper_ref=entry["paper_ref"],
-            status=entry["status"],
-            witness=entry["witness"],
+    """The inverse of `report_to_json`; malformed input raises ValueError."""
+    try:
+        checks = tuple(
+            CheckResult(**{field.name: entry[field.name] for field in fields(CheckResult)})
+            for entry in obj["checks"]
         )
-        for entry in obj["checks"]
-    )
-    report = VerificationReport(mode=str(obj["mode"]), checks=checks)
+        report = VerificationReport(mode=obj["mode"], checks=checks)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed verification report: {exc!r}") from None
     if obj.get("summary") != report.summary:
         raise ValueError("summary does not match the checks")
     return report
@@ -190,11 +196,13 @@ def _check_von_staudt_clausen(ctx: dict) -> Outcome:
 def _check_zeta_product_14(ctx: dict) -> Outcome:
     # The reported value -297203.11 is the product rounded to two decimals;
     # the exact expansion begins -297203.109482..., so a truncating renderer
-    # shows -297203.10.  Both facts are asserted so neither can drift.
+    # shows -297203.10.  All three renderings are asserted so none can drift.
     product = siegel_zeta_product(14, ctx["table"])
     rendered = decimal_string(product, 6)
     if rendered != "-297203.109482…":
         return "fail", f"product renders as {rendered}"
+    if decimal_string(product, 2) != "-297203.10…":
+        return "fail", f"product truncates to {decimal_string(product, 2)}"
     hundredths = round(product * 100)  # round-half-even is exact here
     if Fraction(hundredths, 100) != Fraction(-29720311, 100):
         return "fail", f"product does not round to -297203.11 (got {hundredths}/100)"
@@ -414,10 +422,12 @@ def _check_json_round_trip(ctx: dict) -> Outcome:
         certify_non_integrality(14, 1, "bound"),
         certify_non_integrality(13, 1, "bound"),
     ]
-    for cert in certificates:
-        if certificate_from_json(certificate_to_json(cert)) != cert:
-            return "fail", f"round trip changed {cert!r}"
     kinds = [certificate_to_json(cert)["kind"] for cert in certificates]
+    if kinds != ["integer", "prime-witness", "magnitude", "inconclusive"]:
+        return "fail", f"certificate kinds {kinds}, not one of each in order"
+    for cert in certificates:
+        if certificate_from_json(json.loads(dumps(certificate_to_json(cert)))) != cert:
+            return "fail", f"round trip changed {cert!r}"
     return "pass", f"certificate kinds {kinds} round trip through JSON"
 
 
@@ -535,37 +545,38 @@ def run_verification_suite(
     A failing or erroring check (including resource exhaustion in deep mode)
     is recorded and the remaining checks still run.
     """
-    if mode not in ("standard", "deep"):
+    if mode not in MODES:
         raise ValueError(f"mode must be 'standard' or 'deep', got {mode!r}")
     checks: list[CheckResult] = []
 
-    def record(check_id: str, paper_ref: str, status: str, witness: str) -> None:
-        checks.append(
-            CheckResult(id=check_id, paper_ref=paper_ref, status=status, witness=witness)
-        )
+    def record(check_id: str, paper_ref: str, started: float, outcome: Outcome) -> None:
+        elapsed = time.perf_counter() - started
+        checks.append(CheckResult(check_id, paper_ref, *outcome, elapsed_s=elapsed))
         if echo:
             echo(_format_check_line(checks[-1]))
 
     ctx: dict = {"mode": mode}
     required = DEEP_TABLE_INDEX if mode == "deep" else STANDARD_TABLE_INDEX
+    started = time.perf_counter()
     try:
         ctx["table"] = table = obtain_table(required, cache_path)
-        status, witness = "pass", f"table through B_{table.max_index} (algorithm {table.algorithm})"
+        outcome = "pass", f"table through B_{table.max_index} (algorithm {table.algorithm})"
     except CacheError as exc:
-        status, witness = "fail", f"table validation failed: {exc}"
+        outcome = "fail", f"table validation failed: {exc}"
     except (CapacityError, MemoryError) as exc:
-        status, witness = "fail", f"table build failed: {exc}"
-    record("table-source", "Bernoulli table acquisition (infrastructure)", status, witness)
+        outcome = "fail", f"table build failed: {exc}"
+    record("table-source", "Bernoulli table acquisition (infrastructure)", started, outcome)
 
     for check_id, paper_ref, fn in _CHECKS:
+        started = time.perf_counter()
         if "table" not in ctx:
-            status, witness = "inconclusive", "no valid Bernoulli table"
+            outcome = "inconclusive", "no valid Bernoulli table"
         else:
             try:
-                status, witness = fn(ctx)
+                outcome = fn(ctx)
             except Exception as exc:  # noqa: BLE001 - one check must not stop the rest
-                status, witness = "fail", f"{type(exc).__name__}: {exc}"
-        record(check_id, paper_ref, status, witness)
+                outcome = "fail", f"{type(exc).__name__}: {exc}"
+        record(check_id, paper_ref, started, outcome)
     return VerificationReport(mode=mode, checks=tuple(checks))
 
 

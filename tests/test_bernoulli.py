@@ -68,6 +68,16 @@ def test_cross_algorithm_agreement_to_120():
     assert bernoulli_table(120).values == bernoulli_table(120, "akiyama-tanigawa").values
 
 
+def test_table_to_600_matches_sympy(table600):
+    # The table the verification suite's Bernoulli claims rest on, against
+    # an independent implementation.  Even indices only: sympy takes
+    # B_1 = +1/2, the table -1/2.
+    sympy = pytest.importorskip("sympy")
+    for n in range(0, 601, 2):
+        b = sympy.bernoulli(n)
+        assert table600.bernoulli(n) == Fraction(int(b.p), int(b.q)), n
+
+
 def test_sign_alternation_and_odd_zeros(table60):
     for k in range(1, 31):
         assert (table60.even(k) > 0) == (k % 2 == 1)

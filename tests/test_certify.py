@@ -669,12 +669,15 @@ def test_scan_bound_and_auto_strategies(table60):
     assert kinds == ["PrimeWitness", "MagnitudeWitness", "MagnitudeWitness"]
 
 
-@pytest.mark.parametrize("block", [((10, 20), (1, 120)), ((53, 56), (600, 720))])
+@pytest.mark.parametrize(
+    "block", [((10, 20), (1, 120)), ((53, 56), (600, 720)), ((1, 50), (1, 5))]
+)
 def test_bound_points_read_the_hi_end_of_the_enclosure(table60, table600, block):
-    # Both blocks hold rows that cross 1 mid-row (m = 14..20 and 53..55);
-    # the second starts past n = 1.  The upper end, stepped along each row
-    # in integers, must be the enclosure's hi end at every point, and the
-    # verdict must follow it.
+    # The first two blocks hold rows that cross 1 mid-row (m = 14..20 and
+    # 53..55); the second starts past n = 1.  The third is the window of
+    # verify's bound-dominates-exact, which reads `_upper_end`.  The upper
+    # end, stepped along each row in integers, must be the enclosure's hi
+    # end at every point, and the verdict must follow it.
     m_range, n_range = block
     hi = {
         (m, n): upper_bound_interval(m, n).value.hi
@@ -682,6 +685,7 @@ def test_bound_points_read_the_hi_end_of_the_enclosure(table60, table600, block)
         for n in range(n_range[0], n_range[1] + 1)
     }
     assert min(hi.values()) < 1 <= max(hi.values())
+    assert all(dyadic_fraction(*_upper_end(m, n)) == upper for (m, n), upper in hi.items())
     table = table60 if m_range[1] <= 30 else table600
     runs = [
         (None, list(scan(m_range, n_range, "bound"))),
@@ -698,7 +702,7 @@ def test_bound_points_read_the_hi_end_of_the_enclosure(table60, table600, block)
             elif fallback is None:
                 assert isinstance(cert, Inconclusive), point
             else:
-                assert isinstance(cert, PrimeWitness), point
+                assert cert == certificate_from_exact(e_mn(EmnQuery(point.m, point.n), fallback))
 
 
 @pytest.mark.parametrize("m_lo", [1, 6, 150])

@@ -94,6 +94,29 @@ def test_certify_integer_past_the_decimal_digit_limit():
     assert len(proc.stdout.split()[-1]) > 4300
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bernoulli", "--max-k", "300"],
+        ["scan", "--m-min", "6", "--m-max", "30", "--n-min", "1", "--n-max", "50"],
+    ],
+    ids=["bernoulli", "scan"],
+)
+def test_a_stdout_closed_by_its_reader_exits_1_quietly(argv):
+    # As `... | head -c 20`: each listing (250-430 KB) outlasts the pipe's
+    # buffer, so the writer meets the closed pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torelli_euler", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 def test_chi_usage_errors(capsys):
     code, _, err = run(capsys, "chi", "--space", "torelli", "-g", "1")
     assert code == 2 and "usage error" in err

@@ -179,31 +179,51 @@ def test_report_json_round_trip():
     report = VerificationReport(
         mode="standard",
         checks=(
-            CheckResult(id="a", paper_ref="r1", status="pass", witness="w1"),
-            CheckResult(id="b", paper_ref="r2", status="fail", witness="w2"),
-            CheckResult(id="c", paper_ref="r3", status="inconclusive", witness="w3"),
+            CheckResult(id="a", paper_ref="r1", status="pass", witness="w1", elapsed_s=0.0),
+            CheckResult(id="b", paper_ref="r2", status="fail", witness="w2", elapsed_s=0.1),
+            CheckResult(id="c", paper_ref="r3", status="inconclusive", witness="w3", elapsed_s=3),
         ),
     )
     blob = dumps(report_to_json(report))
-    assert report_from_json(json.loads(blob)) == report
+    restored = report_from_json(json.loads(blob))
+    assert restored == report
+    assert [check.elapsed_s for check in restored.checks] == [0.0, 0.1, 3]
     assert report.summary == {"pass": 1, "fail": 1, "inconclusive": 1}
     assert not report.passed
 
 
 def test_report_rejects_duplicate_ids_and_bad_summary():
+    check = CheckResult(id="a", paper_ref="r", status="pass", witness="w", elapsed_s=0.5)
     with pytest.raises(ValueError):
-        VerificationReport(
-            mode="standard",
-            checks=(
-                CheckResult(id="a", paper_ref="r", status="pass", witness="w"),
-                CheckResult(id="a", paper_ref="r", status="pass", witness="w"),
-            ),
-        )
-    report = VerificationReport(
-        mode="standard",
-        checks=(CheckResult(id="a", paper_ref="r", status="pass", witness="w"),),
-    )
-    blob = report_to_json(report)
-    blob["summary"]["fail"] = 3
-    with pytest.raises(ValueError):
-        report_from_json(blob)
+        VerificationReport(mode="standard", checks=(check, check))
+    good = report_to_json(VerificationReport(mode="standard", checks=(check,)))
+
+    def edited(edit):
+        blob = json.loads(json.dumps(good))
+        edit(blob)
+        return blob
+
+    def check_with(**changes):
+        return edited(lambda blob: blob["checks"][0].update(changes))
+
+    malformed = [
+        edited(lambda blob: blob["summary"].update(fail=3)),
+        {"mode": "standard"},
+        [],
+        None,
+        edited(lambda blob: blob.update(checks={"a": 1})),
+        edited(lambda blob: blob.update(mode="bogus")),
+        edited(lambda blob: blob.pop("mode")),
+        edited(lambda blob: blob["checks"][0].pop("paper_ref")),
+        edited(lambda blob: blob["checks"][0].pop("elapsed_s")),
+        check_with(elapsed_s="0.5"),
+        check_with(elapsed_s=True),
+        check_with(elapsed_s=-1.0),
+        check_with(id=7),
+        check_with(witness=None),
+        check_with(status="passed"),
+    ]
+    for blob in malformed:
+        with pytest.raises(ValueError):
+            report_from_json(blob)
+    assert report_from_json(good).checks == (check,)
