@@ -69,7 +69,9 @@ class CacheMissingError(CacheError):
 
 
 class CachePathError(CacheError):
-    """Cache path names something other than a regular file, such as a directory."""
+    """Cache path names something other than a regular file, such as a directory,
+    or the operating system fails to read or write it (a missing parent
+    directory, no permission, a full disk)."""
 
 
 class CacheFormatError(CacheError):
@@ -280,6 +282,9 @@ def _header_line(table: BernoulliTable) -> str:
 def persist_table(table: BernoulliTable, location: str | os.PathLike) -> None:
     """Write the table to `location` atomically (temp file, then rename).
 
+    An operating-system failure to create, write or rename the file is a
+    CachePathError, and leaves no temp file behind.
+
     Format: one header line, then `<n> <numerator>/<denominator>` per entry
     in decimal; odd zero entries above index 1 are omitted.
     """
@@ -290,15 +295,20 @@ def persist_table(table: BernoulliTable, location: str | os.PathLike) -> None:
             continue
         v = table.values[n]
         lines.append(f"{n} {int_to_decimal(v.numerator)}/{int_to_decimal(v.denominator)}")
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as handle:
-            handle.write("\n".join(lines) + "\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+        fd, tmp_name = tempfile.mkstemp(
+            dir=path.parent or Path("."), prefix=path.name, suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="ascii") as handle:
+                handle.write("\n".join(lines) + "\n")
+            os.replace(tmp_name, path)
+        except BaseException:
+            if os.path.exists(tmp_name):
+                os.unlink(tmp_name)
+            raise
+    except OSError as exc:
+        raise CachePathError(f"cannot write cache file {path}: {exc.strerror or exc}") from exc
 
 
 def _parse_header(line: str) -> tuple[str, str, int]:
@@ -379,7 +389,8 @@ def load_table(location: str | os.PathLike, through: int | None = None) -> Berno
     table does (the von Staudt-Clausen law pins every denominator, and the
     integrality check, in its congruence form N + D/p = 0 mod p for each
     prime p of the denominator D, pins every numerator N modulo those
-    primes).  A path naming anything but a regular file is a CachePathError;
+    primes).  A path naming anything but a regular file, or a file the
+    operating system fails to read, is a CachePathError;
     a file that is not ASCII, or whose header declares more than twice as
     many entries as it has lines, is a CacheFormatError.
 
@@ -396,7 +407,10 @@ def load_table(location: str | os.PathLike, through: int | None = None) -> Berno
         raise CacheMissingError(f"no cache file at {path}")
     if not path.is_file():
         raise CachePathError(f"cache path {path} is not a regular file")
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise CachePathError(f"cannot read cache file {path}: {exc.strerror or exc}") from exc
     if not data.isascii():
         try:
             data.decode("ascii")

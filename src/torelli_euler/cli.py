@@ -12,7 +12,6 @@ import argparse
 import functools
 import os
 import sys
-import traceback
 
 from .bernoulli import CacheError, CapacityError, bernoulli_table, obtain_table
 from .certify import (
@@ -37,7 +36,6 @@ from .render import (
     format_rational,
     rational_to_json,
 )
-from .verify import report_to_json, run_verification_suite
 
 CACHE_ENV_VAR = "TORELLI_EULER_CACHE"
 
@@ -305,6 +303,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
+    from .verify import report_to_json, run_verification_suite
+
     mode = "deep" if args.deep else "standard"
     echo = print if args.format == "text" else None
     report = run_verification_suite(mode, cache_path=args.cache, echo=echo)
@@ -365,6 +365,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # noqa: BLE001 - an internal fault: its traceback names the type
+        import traceback
+
         traceback.print_exc()
         return 1
 

@@ -8,7 +8,6 @@ are {"num": ..., "den": ...} objects and certificates are tagged by "kind".
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Any
 
@@ -176,4 +175,6 @@ def certificate_text(cert: Certificate, digits: int = 12) -> str:
 
 def dumps(obj: Any) -> str:
     """Canonical JSON: sorted keys, two-space indent, UTF-8 text."""
+    import json  # only JSON output pays for the import
+
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)

@@ -29,6 +29,7 @@ from typing import Any, Callable
 from .bernoulli import (
     BernoulliTable,
     CacheError,
+    CachePathError,
     CapacityError,
     bernoulli_table,
     load_table,
@@ -561,6 +562,8 @@ def run_verification_suite(
     try:
         ctx["table"] = table = obtain_table(required, cache_path)
         outcome = "pass", f"table through B_{table.max_index} (algorithm {table.algorithm})"
+    except CachePathError as exc:
+        outcome = "fail", f"cache error: {exc}"
     except CacheError as exc:
         outcome = "fail", f"table validation failed: {exc}"
     except (CapacityError, MemoryError) as exc:

@@ -1,5 +1,7 @@
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +310,33 @@ def test_persist_overwrites_atomically(tmp_path):
     persist_table(bernoulli_table(20), path)
     assert load_table(path).max_index == 20
     assert list(tmp_path.iterdir()) == [path]  # no stray temp files
+
+
+def test_persist_into_a_missing_directory_is_a_cache_path_error(tmp_path):
+    path = tmp_path / "absent" / "bern.cache"
+    with pytest.raises(CachePathError, match=re.escape(f"cannot write cache file {path}: ")):
+        persist_table(bernoulli_table(10), path)
+
+
+def test_a_failed_rename_is_a_cache_path_error_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    (target / "inner").mkdir(parents=True)  # os.replace cannot put a file here
+    with pytest.raises(CachePathError, match=re.escape(f"cannot write cache file {target}: ")):
+        persist_table(bernoulli_table(10), target)
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_a_failed_read_is_a_cache_path_error(tmp_path, monkeypatch):
+    path = tmp_path / "bern.cache"
+    persist_table(bernoulli_table(10), path)
+
+    def denied(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_bytes", denied)
+    message = f"cannot read cache file {path}: Permission denied"
+    with pytest.raises(CachePathError, match=re.escape(message)):
+        load_table(path)
 
 
 def test_load_non_ascii_file_is_a_format_error(tmp_path):

@@ -73,6 +73,7 @@ def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
     code, _, err = run(capsys, "emn", "-m", "1", "-n", "1")
     assert code == 1
     assert "ValueError" in err and "usage error" not in err
+    assert "Traceback (most recent call last)" in err
 
 
 def test_scan_reversed_range_is_a_usage_error(capsys):
@@ -264,6 +265,19 @@ def test_corruption_above_the_request_fails_only_the_requests_that_reach_it(
     code, out, err = run(capsys, "zeta", "--k", "40", "--cache", str(cache))
     assert code == 1 and out == ""
     assert err.startswith("cache error:") and "B_80" in err
+
+
+def test_an_unwritable_cache_is_a_cache_error_not_a_traceback(tmp_path):
+    cache = tmp_path / "absent" / "bern.cache"
+    proc = subprocess.run(
+        [sys.executable, "-m", "torelli_euler", "zeta", "--k", "3", "--cache", str(cache)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        f"cache error: cannot write cache file {cache}: No such file or directory\n"
+    )
+    assert not (tmp_path / "absent").exists()
 
 
 def test_a_bound_decided_certify_leaves_the_cache_unread(capsys, tmp_path):

@@ -41,3 +41,14 @@ def test_unreadable_cache_is_recorded_as_a_failed_table_source(tmp_path, corrupt
     assert source.witness.startswith("table validation failed: ") and diagnosis in source.witness
     assert len(rest) == 20
     assert all(check.status == "inconclusive" for check in rest)
+
+
+def test_an_unwritable_cache_is_recorded_as_a_cache_error(tmp_path):
+    cache = tmp_path / "absent" / "bern.cache"
+    report = verify.run_verification_suite("standard", cache_path=str(cache))
+    source, *rest = report.checks
+    assert source.id == "table-source" and source.status == "fail"
+    assert source.witness == (
+        f"cache error: cannot write cache file {cache}: No such file or directory"
+    )
+    assert all(check.status == "inconclusive" for check in rest)
