@@ -20,11 +20,10 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .exact_core import decimal_to_int, int_to_decimal, primes_up_to
+from .exact_core import _Record, decimal_to_int, int_to_decimal, primes_up_to
 
 __all__ = [
     "ALGORITHMS",
@@ -168,21 +167,32 @@ def von_staudt_clausen_denominator(k: int) -> int:
     return math.prod(von_staudt_clausen_primes(k))
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
+class BernoulliTable(_Record):
     """Immutable table of exact B_0 .. B_max_index with provenance.
 
     Construction validates every invariant, so a table object that exists is
     known-good regardless of where its values came from.
     """
 
-    max_index: int
-    values: tuple[Fraction, ...]
-    algorithm: str
-    convention: str = field(default=CONVENTION)
-    # zeta(1-2k) values and products formed from this table so far, kept and
-    # extended by `zeta_special`; outside the table's identity, repr and cache.
-    _zeta_memo: object = field(default=None, init=False, compare=False, repr=False)
+    _fields = ("max_index", "values", "algorithm", "convention")
+    # _zeta_memo: zeta(1-2k) values and products formed from this table so
+    # far, kept and extended by `zeta_special`; not a field, so outside the
+    # table's identity, repr and cache.
+    __slots__ = _fields + ("_zeta_memo",)
+
+    def __init__(
+        self,
+        max_index: int,
+        values: tuple[Fraction, ...],
+        algorithm: str,
+        convention: str = CONVENTION,
+    ) -> None:
+        object.__setattr__(self, "max_index", max_index)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "algorithm", algorithm)
+        object.__setattr__(self, "convention", convention)
+        object.__setattr__(self, "_zeta_memo", None)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _validate_table(self)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Union
@@ -42,6 +41,7 @@ from .bernoulli import BernoulliTable, CapacityError
 from .exact_core import (
     RationalInterval,
     _Dyadic,
+    _Record,
     _dyadic_quotient,
     _dyadic_to_bits,
     _interval_from_dyadic,
@@ -117,24 +117,30 @@ class CertificateError(ValueError):
     """A certificate failed its own soundness recheck at construction."""
 
 
-@dataclass(frozen=True)
-class IntegerValue:
+class IntegerValue(_Record):
     """e(m,n) is the integer `value`."""
 
-    value: int
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int) -> None:
+        object.__setattr__(self, "value", value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not isinstance(self.value, int):
             raise CertificateError(f"integer certificate holds {self.value!r}")
 
 
-@dataclass(frozen=True)
-class PrimeWitness:
+class PrimeWitness(_Record):
     """v_p(value) < 0 for the prime p, so value is not an integer."""
 
-    value: Fraction
-    p: int
-    valuation: int
+    __slots__ = _fields = ("value", "p", "valuation")
+
+    def __init__(self, value: Fraction, p: int, valuation: int) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "valuation", valuation)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         recomputed = p_adic_valuation(self.value, self.p)
@@ -144,8 +150,7 @@ class PrimeWitness:
             )
 
 
-@dataclass(frozen=True)
-class ValuationWitness:
+class ValuationWitness(_Record):
     """v_p(e(m,n)) < 0 for the prime p, read off valuations alone.
 
     v_p(e(m,n)) = v_p((2m+n-1)!) - v_p((2m)!) - sum_{k<=m} v_p(zeta(1-2k)).
@@ -156,11 +161,17 @@ class ValuationWitness:
     Bernoulli table, against which they can be checked again.
     """
 
-    m: int
-    n: int
-    p: int
-    valuation: int
-    zeta_valuations: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("m", "n", "p", "valuation", "zeta_valuations")
+
+    def __init__(
+        self, m: int, n: int, p: int, valuation: int, zeta_valuations: tuple[tuple[int, int], ...]
+    ) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "zeta_valuations", zeta_valuations)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
@@ -187,8 +198,7 @@ class ValuationWitness:
             )
 
 
-@dataclass(frozen=True)
-class MagnitudeWitness:
+class MagnitudeWitness(_Record):
     """0 < e(m,n) <= upper < 1, so e(m,n) is not an integer.
 
     Positivity comes from the factor structure of e(m,n); `upper` is the hi
@@ -197,8 +207,12 @@ class MagnitudeWitness:
     0 < numerator < denominator.
     """
 
-    upper: Fraction
-    statement: str
+    __slots__ = _fields = ("upper", "statement")
+
+    def __init__(self, upper: Fraction, statement: str) -> None:
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "statement", statement)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         upper = self.upper
@@ -206,11 +220,13 @@ class MagnitudeWitness:
             raise CertificateError(f"magnitude witness needs 0 < upper < 1, got {self.upper}")
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(_Record):
     """Neither certified; a distinct outcome, never an implicit answer."""
 
-    reason: str
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason: str) -> None:
+        object.__setattr__(self, "reason", reason)
 
 
 Certificate = Union[IntegerValue, PrimeWitness, ValuationWitness, MagnitudeWitness, Inconclusive]
@@ -362,14 +378,19 @@ def single_term_interval(k: int) -> RationalInterval:
     return _interval_from_dyadic(_single_term(k))
 
 
-@dataclass(frozen=True)
-class BoundSequence:
+class BoundSequence(_Record):
     """Certified enclosures of U(m,n) and of the ratio U(m+1,n)/U(m,n)."""
 
-    m: int
-    n: int
-    value: RationalInterval
-    ratio_next: RationalInterval
+    __slots__ = _fields = ("m", "n", "value", "ratio_next")
+
+    def __init__(
+        self, m: int, n: int, value: RationalInterval, ratio_next: RationalInterval
+    ) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "ratio_next", ratio_next)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # lo <= 0, read off the numerator as the denominator is positive.
@@ -457,18 +478,22 @@ def _upper_end(m: int, n: int) -> tuple[int, int]:
     return hi * rising_factorial_ratio(2 * m + n - 1, 2 * m), hi_exp
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(_Record):
     """Smallest m0 with U(m0,n) certified below 1 and a certified decreasing tail.
 
     For every m >= m0 up to the cap, ratio_next < 1, so the bound sequence
     (and with it e(m,n)) stays below 1 on the whole checked tail.
     """
 
-    n: int
-    m_cap: int
-    m_found: int | None
-    chain: tuple[BoundSequence, ...]
+    __slots__ = _fields = ("n", "m_cap", "m_found", "chain")
+
+    def __init__(
+        self, n: int, m_cap: int, m_found: int | None, chain: tuple[BoundSequence, ...]
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m_cap", m_cap)
+        object.__setattr__(self, "m_found", m_found)
+        object.__setattr__(self, "chain", chain)
 
     @property
     def found(self) -> bool:
@@ -552,11 +577,13 @@ def _check_request(strategy: str, table: BernoulliTable | None, m_hi: int) -> No
             )
 
 
-@dataclass(frozen=True)
-class ScanPoint:
-    m: int
-    n: int
-    certificate: Certificate
+class ScanPoint(_Record):
+    __slots__ = _fields = ("m", "n", "certificate")
+
+    def __init__(self, m: int, n: int, certificate: Certificate) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "certificate", certificate)
 
     @property
     def preferred_witness(self) -> bool | None:
@@ -668,8 +695,7 @@ def scan(
     yield from _certificates(m_lo, m_hi, n_lo, n_hi, strategy, table)
 
 
-@dataclass(frozen=True)
-class LedgerSegment:
+class LedgerSegment(_Record):
     """The points (m, n_first), ..., (m, n_last) of one row under one certificate.
 
     A ValuationWitness sits at (m, n_last) and covers the whole segment:
@@ -678,10 +704,14 @@ class LedgerSegment:
     Any other certificate covers a single point.
     """
 
-    m: int
-    n_first: int
-    n_last: int
-    certificate: Certificate
+    __slots__ = _fields = ("m", "n_first", "n_last", "certificate")
+
+    def __init__(self, m: int, n_first: int, n_last: int, certificate: Certificate) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n_first", n_first)
+        object.__setattr__(self, "n_last", n_last)
+        object.__setattr__(self, "certificate", certificate)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.m < 1 or not 1 <= self.n_first <= self.n_last:
@@ -775,14 +805,22 @@ def ledger_scan(
             yield ScanPoint(m=m, n=n, certificate=ValuationWitness(m, n, p, valuation, entries))
 
 
-@dataclass(frozen=True)
-class MonotoneReport:
+class MonotoneReport(_Record):
     """Exact comparison of consecutive e(m,n) over a range of m."""
 
-    n: int
-    m_lo: int
-    m_hi: int
-    increasing_steps: tuple[int, ...]  # m where e(m+1,n) >= e(m,n)
+    __slots__ = _fields = ("n", "m_lo", "m_hi", "increasing_steps")
+
+    def __init__(
+        self,
+        n: int,
+        m_lo: int,
+        m_hi: int,
+        increasing_steps: tuple[int, ...],  # m where e(m+1,n) >= e(m,n)
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m_lo", m_lo)
+        object.__setattr__(self, "m_hi", m_hi)
+        object.__setattr__(self, "increasing_steps", increasing_steps)
 
     @property
     def strictly_decreasing(self) -> bool:
@@ -820,11 +858,18 @@ def monotone_decrease_check(
 # reading first drops below 1 at m = 37.
 
 
-@dataclass(frozen=True)
-class WideRangeBoundForms:
-    m: int
-    per_index_product: RationalInterval
-    constant_factor_product: RationalInterval
+class WideRangeBoundForms(_Record):
+    __slots__ = _fields = ("m", "per_index_product", "constant_factor_product")
+
+    def __init__(
+        self,
+        m: int,
+        per_index_product: RationalInterval,
+        constant_factor_product: RationalInterval,
+    ) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "per_index_product", per_index_product)
+        object.__setattr__(self, "constant_factor_product", constant_factor_product)
 
 
 def wide_range_bound_forms(m: int) -> WideRangeBoundForms:

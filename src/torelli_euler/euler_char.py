@@ -20,11 +20,10 @@ moving the product by one factor multiplies in exactly that value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import BernoulliTable
-from .exact_core import rising_factorial_ratio
+from .exact_core import _Record, rising_factorial_ratio
 from .zeta_special import zeta_one_minus_2k, zeta_product
 
 __all__ = [
@@ -49,17 +48,20 @@ SPACE_KINDS = ("siegel-quotient", "moduli", "torelli")
 TORELLI_FORMULA_NOTE = "formula value under the finiteness hypothesis"
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
+class SpaceDescriptor(_Record):
     """Which space an Euler characteristic belongs to.
 
     Genus starts at 2 for the marked-point spaces; the Siegel quotient also
     admits g = 1, needed to bootstrap products over k = 1..g-1.
     """
 
-    kind: str
-    g: int
-    n: int = 0
+    __slots__ = _fields = ("kind", "g", "n")
+
+    def __init__(self, kind: str, g: int, n: int = 0) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in SPACE_KINDS:
@@ -73,20 +75,26 @@ class SpaceDescriptor:
             raise ValueError("the Siegel quotient carries no marked points")
 
 
-@dataclass(frozen=True)
-class EulerChar:
-    space: SpaceDescriptor
-    value: Fraction
+class EulerChar(_Record):
+    __slots__ = _fields = ("space", "value")
+
+    def __init__(self, space: SpaceDescriptor, value: Fraction) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "value", value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.value == 0:
             raise ValueError("every formula in scope is a product of nonzero factors")
 
 
-@dataclass(frozen=True)
-class EmnQuery:
-    m: int
-    n: int
+class EmnQuery(_Record):
+    __slots__ = _fields = ("m", "n")
+
+    def __init__(self, m: int, n: int) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
@@ -139,15 +147,19 @@ def e_mn(query: EmnQuery, table: BernoulliTable) -> Fraction:
     return rising_factorial_ratio(2 * m + n - 1, 2 * m) / abs(zeta_product(m, table))
 
 
-@dataclass(frozen=True)
-class ProductFormulaCheck:
+class ProductFormulaCheck(_Record):
     """Exact evaluation of both sides of e(moduli) = chi_Q(torelli) * e(siegel)."""
 
-    g: int
-    n: int
-    moduli: Fraction
-    torelli: Fraction
-    siegel: Fraction
+    __slots__ = _fields = ("g", "n", "moduli", "torelli", "siegel")
+
+    def __init__(
+        self, g: int, n: int, moduli: Fraction, torelli: Fraction, siegel: Fraction
+    ) -> None:
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "torelli", torelli)
+        object.__setattr__(self, "siegel", siegel)
 
     @property
     def holds(self) -> bool:

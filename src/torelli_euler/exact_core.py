@@ -18,7 +18,6 @@ import itertools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -46,9 +45,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Above this bit length the builtin str(), quadratic in CPython 3.11, is
 # slower than a divide-and-conquer conversion through `decimal`, whose
-# libmpdec multiplies in subquadratic time (measured crossover: about
-# 40,000 bits).
-_STR_MAX_BITS = 40_000
+# libmpdec multiplies in subquadratic time.  Measured by
+# tools/str_crossover.py on a 2-core container: the two tie within 3 % from
+# 20,000 to 32,200 bits, and from 32,400 bits on the divide-and-conquer
+# conversion is 30-35 % faster.
+_STR_MAX_BITS = 32_000
 # Pieces of at most this many bits are converted by Decimal() directly
 # (measured from 80,000 to 300,000 bits: leaves of 512 to 8192 bits perform
 # alike, 4096 best by a little, all 10-15 % faster than 128).
@@ -63,6 +64,12 @@ _EXACT_DECIMAL = decimal.Context(
 )
 
 
+# Rendering converts an integer again within a few calls: the points of a
+# scan row share their denominator, and the text line of a point converts
+# at most four integers (numerator, denominator, whole and fractional
+# digits).  So the last four conversions are kept, each holding one integer
+# and its digits.
+@lru_cache(maxsize=4)
 def int_to_decimal(n: int) -> str:
     """Decimal digits of an integer of any size."""
     if n.bit_length() <= _STR_MAX_BITS:
@@ -410,8 +417,49 @@ def _positive_power(interval: "RationalInterval", n: int, bits: int) -> _Dyadic:
     return result
 
 
-@dataclass(frozen=True)
-class RationalInterval:
+class _Record:
+    """Base of the package's immutable value records.
+
+    A record lists its fields, in declaration order, in `_fields` and holds
+    them in slots; its `__init__` takes them by those names and sets them
+    through `object.__setattr__`, then calls `__post_init__` where the class
+    has one, to normalise or validate them.  Equality (within one class
+    only), hash and repr are over the fields alone, the repr in the form
+    `Name(field=value, ...)`.  The methods are written out, not generated
+    when the module loads: a fresh process would pay for generating them,
+    and for the modules that generate them, on every command.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through `__init__`, so revalidated.
+        return self.__class__, self._values()
+
+
+class RationalInterval(_Record):
     """Closed interval with exact rational endpoints.
 
     Every operation returns an enclosure of the exact image of its operands,
@@ -419,14 +467,14 @@ class RationalInterval:
     contains zero is an error rather than an unbounded interval.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = _fields = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        object.__setattr__(self, "lo", lo if isinstance(lo, Fraction) else Fraction(lo))
+        object.__setattr__(self, "hi", hi if isinstance(hi, Fraction) else Fraction(hi))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.lo, Fraction):
-            object.__setattr__(self, "lo", Fraction(self.lo))
-        if not isinstance(self.hi, Fraction):
-            object.__setattr__(self, "hi", Fraction(self.hi))
         lo, hi = self.lo, self.hi
         lo_den, hi_den = lo.denominator, hi.denominator
         if lo_den & (lo_den - 1) == 0 and hi_den & (hi_den - 1) == 0:

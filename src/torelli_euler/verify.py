@@ -21,7 +21,6 @@ import json
 import math
 import tempfile
 import time
-from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
@@ -62,7 +61,7 @@ from .euler_char import (
     euler_moduli,
     siegel_zeta_product,
 )
-from .exact_core import dyadic_fraction, pi_interval
+from .exact_core import _Record, dyadic_fraction, pi_interval
 from .render import certificate_from_json, certificate_to_json, decimal_string, dumps
 from .zeta_special import abs_zeta_one_minus_2k, zeta_abs_lower_bound
 
@@ -87,13 +86,23 @@ PI_REFERENCE = Fraction(
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    id: str
-    paper_ref: str
-    status: str  # pass | fail | inconclusive
-    witness: str
-    elapsed_s: float  # wall time of the check, in seconds
+class CheckResult(_Record):
+    __slots__ = _fields = ("id", "paper_ref", "status", "witness", "elapsed_s")
+
+    def __init__(
+        self,
+        id: str,
+        paper_ref: str,
+        status: str,  # pass | fail | inconclusive
+        witness: str,
+        elapsed_s: float,  # wall time of the check, in seconds
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "paper_ref", paper_ref)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "elapsed_s", elapsed_s)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not all(isinstance(text, str) for text in (self.id, self.paper_ref, self.witness)):
@@ -105,10 +114,13 @@ class CheckResult:
             raise ValueError(f"elapsed_s must be a number of seconds >= 0, got {elapsed!r}")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    mode: str
-    checks: tuple[CheckResult, ...]
+class VerificationReport(_Record):
+    __slots__ = _fields = ("mode", "checks")
+
+    def __init__(self, mode: str, checks: tuple[CheckResult, ...]) -> None:
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "checks", checks)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -133,7 +145,9 @@ class VerificationReport:
 def report_to_json(report: VerificationReport) -> dict[str, Any]:
     return {
         "mode": report.mode,
-        "checks": [asdict(check) for check in report.checks],
+        "checks": [
+            {name: getattr(check, name) for name in CheckResult._fields} for check in report.checks
+        ],
         "summary": report.summary,
     }
 
@@ -142,7 +156,7 @@ def report_from_json(obj: Any) -> VerificationReport:
     """The inverse of `report_to_json`; malformed input raises ValueError."""
     try:
         checks = tuple(
-            CheckResult(**{field.name: entry[field.name] for field in fields(CheckResult)})
+            CheckResult(**{name: entry[name] for name in CheckResult._fields})
             for entry in obj["checks"]
         )
         report = VerificationReport(mode=obj["mode"], checks=checks)

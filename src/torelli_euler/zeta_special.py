@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import BernoulliTable, CapacityError
 from .exact_core import (
     RationalInterval,
+    _Record,
     _dyadic_quotient,
     _positive_power,
     _tree_product,
@@ -35,12 +35,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ZetaValue:
+class ZetaValue(_Record):
     """zeta(1-2k) for a positive integer k."""
 
-    k: int
-    value: Fraction
+    __slots__ = _fields = ("k", "value")
+
+    def __init__(self, k: int, value: Fraction) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "value", value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.k < 1:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ from torelli_euler import cli
 from torelli_euler.bernoulli import bernoulli_table, persist_table
 from torelli_euler.certify import certify_non_integrality, threshold_for_n
 from torelli_euler.cli import main
+from torelli_euler.exact_core import int_to_decimal
 from torelli_euler.render import bound_sequence_to_json, rational_to_json
 
 
@@ -193,6 +195,36 @@ def test_scan_json(capsys):
     assert code == 0
     kinds = [row["certificate"]["kind"] for row in payload["points"]]
     assert kinds == ["integer", "integer"]
+
+
+# The integers a scan's output converts to decimal, read back off the output.
+_CONVERTED = {
+    "json": r'"(?:num|den|value)": "(\d+)"',
+    "text": r"integer: (\d+)|of (\d+)/(\d+) ≈ (\d+)\.(\d+)|upper bound (\d+)\.(\d+)",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("strategy, m_min", [("exact", 4), ("bound", 14)])
+def test_scan_converts_each_distinct_integer_once(capsys, monkeypatch, fmt, strategy, m_min):
+    # The points of a row share the denominator of e(m,n) or of its bound,
+    # and text repeats whole digits of 0: each is converted once.
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    int_to_decimal.cache_clear()
+    _, out, _ = run(
+        capsys, "scan", "--m-min", str(m_min), "--m-max", str(m_min + 4), "--n-min", "1",
+        "--n-max", "12", "--strategy", strategy, "--format", fmt,
+    )
+    info = int_to_decimal.cache_info()
+    found = [
+        int(digits)
+        for match in re.findall(_CONVERTED[fmt], out)
+        for digits in ((match,) if isinstance(match, str) else match)
+        if digits
+    ]
+    assert len(set(found)) < len(found)  # the output repeats integers
+    assert info.misses == len(set(found))
+    assert info.hits + info.misses == len(found)
 
 
 def test_scan_inconclusive_exit(capsys):

@@ -456,8 +456,8 @@ def _integers_around_the_cutoff(draw):
     return -n if draw(st.booleans()) else n
 
 
-# 10^k has 3.32k bits: k = 12041 is the last power of ten below the cutoff.
-_POWERS_OF_TEN = [0, 1, 2, 12040, 12041, 12042, 12043, 20000, 45000]
+# 10^k has 3.32k bits: k = 9632 is the last power of ten below the cutoff.
+_POWERS_OF_TEN = [0, 1, 2, 9631, 9632, 9633, 9634, 12040, 12041, 12042, 12043, 20000, 45000]
 
 
 @settings(deadline=None)
@@ -473,7 +473,7 @@ def test_int_to_decimal_at_powers_of_ten(k):
         for n in (10**k, 10**k - 1, 10**k + 1):
             for signed in (n, -n):
                 assert int_to_decimal(signed) == str(signed)
-    assert (10**12041).bit_length() <= exact_core._STR_MAX_BITS < (10**12042).bit_length()
+    assert (10**9632).bit_length() <= exact_core._STR_MAX_BITS < (10**9633).bit_length()
 
 
 def test_int_to_decimal_under_the_default_digit_limit():

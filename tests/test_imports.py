@@ -1,5 +1,5 @@
 """The import budget: the verification suite, json and traceback load only
-when a command or a caller uses them."""
+when a command or a caller uses them, and dataclasses and inspect never."""
 
 import subprocess
 import sys
@@ -9,7 +9,9 @@ import pytest
 import torelli_euler
 from torelli_euler import verify as verify_module
 
-_DEFERRED = ("torelli_euler.verify", "json", "traceback")
+# The package's records are written out, not generated: no command loads these.
+_NEVER = ("dataclasses", "inspect")
+_DEFERRED = ("torelli_euler.verify", "json", "traceback", *_NEVER)
 
 
 def _new_modules(code: str) -> set[str]:
@@ -51,7 +53,21 @@ def test_every_command_but_verify_paper_leaves_the_suite_unloaded():
         ]
     )
     new = _new_modules(code)
-    assert "torelli_euler.verify" not in new and "json" not in new
+    assert not new & {"torelli_euler.verify", "json", *_NEVER}
+
+
+def test_verify_paper_loads_neither_dataclasses_nor_inspect(tmp_path):
+    code = "\n".join(
+        [
+            "import contextlib, io",
+            "from torelli_euler import cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    assert cli.main(['verify-paper', '--cache', {str(tmp_path / 'b.cache')!r}]) == 0",
+        ]
+    )
+    new = _new_modules(code)
+    assert "torelli_euler.verify" in new
+    assert not new & set(_NEVER)
 
 
 def test_the_deferred_names_are_the_verify_modules_own():

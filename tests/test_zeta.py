@@ -1,5 +1,7 @@
+import copy
 import functools
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -205,8 +207,15 @@ def test_a_filled_memo_leaves_equality_repr_and_the_cache_file_alone(table60, tm
     e_mn(EmnQuery(30, 5), filled)
     siegel_zeta_product(7, filled)
     zeta_one_minus_2k(3, filled)
+    assert filled._zeta_memo.values and fresh._zeta_memo is None
     assert filled == fresh and hash(filled) == hash(fresh)
-    assert repr(filled) == repr(fresh)
+    assert repr(filled) == repr(fresh) == (
+        f"BernoulliTable(max_index={table60.max_index}, values={table60.values!r}, "
+        "algorithm='seidel', convention='minus-half')"
+    )
+    # A copy is rebuilt from the fields alone: equal, revalidated, its memo empty.
+    for clone in (copy.copy(filled), pickle.loads(pickle.dumps(filled))):
+        assert clone == filled and clone._zeta_memo is None
     persist_table(filled, tmp_path / "filled.txt")
     persist_table(fresh, tmp_path / "fresh.txt")
     assert (tmp_path / "filled.txt").read_bytes() == (tmp_path / "fresh.txt").read_bytes()
