@@ -17,6 +17,7 @@ from .bernoulli import (
     TableInvariantError,
     bernoulli_table,
     load_table,
+    obtain_bernoulli,
     obtain_table,
     persist_table,
     tangent_numbers,

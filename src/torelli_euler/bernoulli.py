@@ -11,17 +11,22 @@ loaded (a load validates every entry it returns): the sign pattern, the von
 Staudt-Clausen denominator law, and its integrality form B_2k + sum 1/p in
 Z, checked as the equivalent congruence N + D/p = 0 (mod p) for each prime
 p of the squarefree denominator D of B_2k = N/D.  One sieve yields the
-primes of every denominator in a table.
+primes of every denominator in a table.  A single number, B_n, is read from
+a cache by `obtain_bernoulli`, which parses that entry alone and applies
+the same per-entry checks to it; every read of a cache checks the whole
+file's bytes, header, line count and line indices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from .exact_core import _Record, decimal_to_int, int_to_decimal, primes_up_to
 
@@ -38,6 +43,7 @@ __all__ = [
     "TableInvariantError",
     "bernoulli_table",
     "load_table",
+    "obtain_bernoulli",
     "obtain_table",
     "persist_table",
     "tangent_numbers",
@@ -225,21 +231,33 @@ def _validate_table(table: BernoulliTable) -> None:
         raise TableInvariantError(
             f"expected {table.max_index + 1} values, found {len(table.values)}"
         )
-    if table.values[0] != 1:
-        raise TableInvariantError(f"B_0 must be 1, found {table.values[0]}")
-    if table.max_index >= 1 and table.values[1] != Fraction(-1, 2):
-        raise TableInvariantError(f"B_1 must be -1/2, found {table.values[1]}")
-    for n in range(3, table.max_index + 1, 2):
-        if table.values[n] != 0:
-            raise TableInvariantError(f"B_{n} must be 0, found {table.values[n]}")
-    prime_lists = _von_staudt_clausen_prime_lists(table.max_index // 2)
-    for k in range(1, table.max_index // 2 + 1):
-        b = table.values[2 * k]
-        primes = prime_lists[k]
+    top = table.max_index
+    prime_lists = _von_staudt_clausen_prime_lists(top // 2)
+    # B_0, B_1 and the odd zeros first, then the even entries upward: the
+    # first failure reported is the first in that order.
+    for n in itertools.chain(range(min(top, 1) + 1), range(3, top + 1, 2), range(2, top + 1, 2)):
+        _check_entry(n, table.values[n], prime_lists[n // 2])
+
+
+def _check_entry(n: int, b: Fraction, primes: Sequence[int]) -> None:
+    """Raise TableInvariantError unless `b` passes every check on B_n.
+
+    `primes` are von_staudt_clausen_primes(n // 2), read for even n >= 2.
+    """
+    if n == 0:
+        if b != 1:
+            raise TableInvariantError(f"B_0 must be 1, found {b}")
+    elif n == 1:
+        if b != Fraction(-1, 2):
+            raise TableInvariantError(f"B_1 must be -1/2, found {b}")
+    elif n % 2:
+        if b != 0:
+            raise TableInvariantError(f"B_{n} must be 0, found {b}")
+    else:
         numerator, denominator = b.numerator, math.prod(primes)
         if b.denominator != denominator:
             raise TableInvariantError(
-                f"denominator of B_{2 * k} violates the von Staudt-Clausen law: "
+                f"denominator of B_{n} violates the von Staudt-Clausen law: "
                 f"found {b.denominator}, expected {denominator}"
             )
         # Full von Staudt-Clausen: B_2k + sum of 1/p must be an integer.
@@ -251,10 +269,10 @@ def _validate_table(table: BernoulliTable) -> None:
         residue = numerator % denominator
         if any((residue + denominator // p) % p for p in primes):
             raise TableInvariantError(
-                f"B_{2 * k} + sum(1/p) is not an integer; numerator corrupt"
+                f"B_{n} + sum(1/p) is not an integer; numerator corrupt"
             )
-        if (numerator > 0) != (k % 2 == 1) or numerator == 0:
-            raise TableInvariantError(f"sign of B_{2 * k} is wrong: {b}")
+        if (numerator > 0) != (n % 4 == 2) or numerator == 0:
+            raise TableInvariantError(f"sign of B_{n} is wrong: {b}")
 
 
 def bernoulli_table(max_index: int, algorithm: str = "seidel") -> BernoulliTable:
@@ -391,28 +409,15 @@ def _parse_value(line: str) -> Fraction:
     return Fraction(num, den)
 
 
-def load_table(location: str | os.PathLike, through: int | None = None) -> BernoulliTable:
-    """Load a persisted table and revalidate every entry it returns.
+def _read_cache(path: Path) -> tuple[str, str, int, Iterator[tuple[int, bytes]]]:
+    """The header's convention, algorithm and max of the cache at `path`,
+    and its entry lines, each as (index, line) in file order.
 
-    Cached big numbers are a silent-corruption risk, so nothing in the file
-    is trusted: the loaded values must pass the same checks a freshly built
-    table does (the von Staudt-Clausen law pins every denominator, and the
-    integrality check, in its congruence form N + D/p = 0 mod p for each
-    prime p of the denominator D, pins every numerator N modulo those
-    primes).  A path naming anything but a regular file, or a file the
-    operating system fails to read, is a CachePathError;
-    a file that is not ASCII, or whose header declares more than twice as
-    many entries as it has lines, is a CacheFormatError.
-
-    With `through` below the header's max, the result is the table of
-    B_0..B_through: every line's index is still read and checked, but only
-    the values of the entries through B_through are parsed and validated,
-    so corruption above it is left to a load that reaches it.  Without
-    `through`, or with one at or past the max, the whole file is loaded.
+    The file is read once, and its bytes, header and line count are checked
+    here; each line's index is checked (in range, not seen before) as the
+    entries are iterated, so a caller that parses values on the way reports
+    the first fault in file order.
     """
-    if through is not None and through < 0:
-        raise ValueError(f"through must be nonnegative, got {through}")
-    path = Path(location)
     if not path.exists():
         raise CacheMissingError(f"no cache file at {path}")
     if not path.is_file():
@@ -442,14 +447,46 @@ def load_table(location: str | os.PathLike, through: int | None = None) -> Berno
             f"header declares max={max_index} but the file has only "
             f"{len(lines) - 1} entry lines"
         )
-    last = max_index if through is None else min(through, max_index)
-    values = [Fraction(0)] * (last + 1)
+    return convention, algorithm, max_index, _indexed_entries(lines[1:], max_index)
+
+
+def _indexed_entries(
+    lines: list[tuple[bytes, bytes]], max_index: int
+) -> Iterator[tuple[int, bytes]]:
     seen: set[int] = set()
-    for token, line in lines[1:]:
+    for token, line in lines:
         n = _entry_index(token, line, max_index)
         if n in seen:
             raise CacheFormatError(f"duplicate entry for index {n}")
         seen.add(n)
+        yield n, line
+
+
+def load_table(location: str | os.PathLike, through: int | None = None) -> BernoulliTable:
+    """Load a persisted table and revalidate every entry it returns.
+
+    Cached big numbers are a silent-corruption risk, so nothing in the file
+    is trusted: the loaded values must pass the same checks a freshly built
+    table does (the von Staudt-Clausen law pins every denominator, and the
+    integrality check, in its congruence form N + D/p = 0 mod p for each
+    prime p of the denominator D, pins every numerator N modulo those
+    primes).  A path naming anything but a regular file, or a file the
+    operating system fails to read, is a CachePathError;
+    a file that is not ASCII, or whose header declares more than twice as
+    many entries as it has lines, is a CacheFormatError.
+
+    With `through` below the header's max, the result is the table of
+    B_0..B_through: every line's index is still read and checked, but only
+    the values of the entries through B_through are parsed and validated,
+    so corruption above it is left to a load that reaches it.  Without
+    `through`, or with one at or past the max, the whole file is loaded.
+    """
+    if through is not None and through < 0:
+        raise ValueError(f"through must be nonnegative, got {through}")
+    convention, algorithm, max_index, entries = _read_cache(Path(location))
+    last = max_index if through is None else min(through, max_index)
+    values = [Fraction(0)] * (last + 1)
+    for n, line in entries:
         if n <= last:
             values[n] = _parse_value(line.decode())
     return BernoulliTable(
@@ -458,6 +495,30 @@ def load_table(location: str | os.PathLike, through: int | None = None) -> Berno
         algorithm=algorithm,
         convention=convention,
     )
+
+
+def obtain_bernoulli(n: int, cache: str | os.PathLike | None) -> Fraction:
+    """B_n, read from `cache` alone when it holds a table through B_n.
+
+    That file is read and checked as `load_table` checks it (its bytes, its
+    header, its line count and every line's index), but only the value of
+    B_n is parsed, and validated by the checks a table applies to that
+    entry: corruption in other entries is left to the requests that read
+    them.  Otherwise the value is `obtain_table(n, cache).values[n]`: the
+    table is built, and persisted in place of a missing or smaller cache.
+    """
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    if cache is not None and Path(cache).exists():
+        _, _, max_index, entries = _read_cache(Path(cache))
+        if n <= max_index:
+            value = Fraction(0)
+            for index, line in entries:
+                if index == n:
+                    value = _parse_value(line.decode())
+            _check_entry(n, value, von_staudt_clausen_primes(n // 2) if n >= 2 else ())
+            return value
+    return obtain_table(n, cache).values[n]
 
 
 def obtain_table(

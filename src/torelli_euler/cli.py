@@ -13,7 +13,13 @@ import functools
 import os
 import sys
 
-from .bernoulli import CacheError, CapacityError, bernoulli_table, obtain_table
+from .bernoulli import (
+    CacheError,
+    CapacityError,
+    bernoulli_table,
+    obtain_bernoulli,
+    obtain_table,
+)
 from .certify import (
     Inconclusive,
     certify_non_integrality,
@@ -36,6 +42,7 @@ from .render import (
     format_rational,
     rational_to_json,
 )
+from .zeta_special import ZetaValue
 
 CACHE_ENV_VAR = "TORELLI_EULER_CACHE"
 
@@ -183,10 +190,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
-    from .zeta_special import zeta_one_minus_2k
-
-    table = obtain_table(2 * args.k, args.cache)
-    zeta = zeta_one_minus_2k(args.k, table)
+    zeta = ZetaValue(args.k, -obtain_bernoulli(2 * args.k, args.cache) / (2 * args.k))
     if args.format == "json":
         print(dumps({"k": zeta.k, "value": rational_to_json(zeta.value)}))
     else:

@@ -162,36 +162,37 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def rising_factorial_ratio(a: int, b: int) -> int:
-    """a!/b! computed as the telescoped product (b+1)(b+2)...a.
+    """a!/b!, the telescoped product (b+1)(b+2)...a.
 
     The empty product (a == b) is 1.  Rejects b > a: no formula in scope
-    ever needs a falling ratio.
+    ever needs a falling ratio.  math.perm(a, a - b) is that product,
+    formed in C.
     """
     if b < 0:
         raise ValueError(f"arguments must be nonnegative, got b={b}")
     if b > a:
         raise ValueError(f"need b <= a, got a={a}, b={b}")
-    return _tree_product(range(b + 1, a + 1))
+    return math.perm(a, a - b)
 
 
 # A leaf of the product tree multiplies a run of factors one at a time: at
 # most _PRODUCT_LEAF of them, and fewer when they are wide, so that the run
 # times the last factor's bit length stays within _PRODUCT_LEAF_BITS.
-# Measured on 2 cores: runs of 32 to 256 perform alike on the 11- to 17-bit
-# factors of rising factorials (676 to 10^5 of them); on the 1,900- to
-# 10,500-bit zeta numerators of `zeta_product` (m = 200 to 800) runs of 2
-# beat runs of 64 by 22-31 %, as the tree reaches Karatsuba sizes sooner.
+# Measured on 2 cores: on the 1,900- to 10,500-bit zeta numerators of
+# `zeta_product` (m = 200 to 800) runs of 2 beat runs of 64 by 22-31 %, as
+# the tree reaches Karatsuba sizes sooner.  Runs of 64 serve factors of up
+# to 64 bits, such as the zeta numerators and denominators of low k.
 _PRODUCT_LEAF = 64
 _PRODUCT_LEAF_BITS = 4096
 
 
 def _tree_product(factors: Sequence[int]) -> int:
-    """The product of a list or range of integers, by a balanced product tree.
+    """The product of a list of integers, by a balanced product tree.
 
     math.prod over one long run multiplies a growing product by one factor
     at a time, quadratic in the size of the result.  The run length of the
-    leaves is set once, from the last factor's bit length: the largest in a
-    range, and nearly so among the growing zeta numerators.
+    leaves is set once, from the last factor's bit length: nearly the
+    largest among the growing zeta numerators.
     """
     size = factors[-1].bit_length() if factors else 0
     if size * _PRODUCT_LEAF <= _PRODUCT_LEAF_BITS:

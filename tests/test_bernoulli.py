@@ -16,6 +16,7 @@ from torelli_euler.bernoulli import (
     TableInvariantError,
     bernoulli_table,
     load_table,
+    obtain_bernoulli,
     obtain_table,
     persist_table,
     tangent_numbers,
@@ -383,7 +384,9 @@ def test_prefix_loads_equal_fresh_tables(tmp_path):
     path = _persisted(bernoulli_table(120), tmp_path / "bern.cache")
     original = path.read_bytes()
     for required in range(121):
-        assert obtain_table(required, path) == bernoulli_table(required), required
+        fresh = bernoulli_table(required)
+        assert obtain_table(required, path) == fresh, required
+        assert obtain_bernoulli(required, path) == fresh.values[required], required
     assert path.read_bytes() == original
     with pytest.raises(ValueError):
         load_table(path, through=-1)
@@ -401,6 +404,28 @@ def test_a_prefix_load_parses_only_the_entries_it_returns(table1200, tmp_path, m
     assert obtain_table(12, path).values == table1200.values[:13]
     prefix = [table1200.values[n] for n in (0, 1, 2, 4, 6, 8, 10, 12)]
     assert parsed == [str(part) for b in prefix for part in (b.numerator, b.denominator)]
+
+
+def test_a_single_entry_read_checks_the_entry_as_a_table_does(tmp_path):
+    # An entry that no persisted table has: a nonzero odd entry, and a
+    # missing even one (read as 0, as a table load reads it).
+    path = _persisted(bernoulli_table(40), tmp_path / "bern.cache")
+    written = path.read_text()
+    for text, n, message in (
+        (written + "13 1/2\n", 13, "B_13 must be 0, found 1/2"),
+        (re.sub(r"\n20 [^\n]*", "", written), 20,
+         "denominator of B_20 violates the von Staudt-Clausen law: found 1, expected 330"),
+    ):
+        path.write_text(text)
+        with pytest.raises(TableInvariantError) as info:
+            load_table(path)
+        assert str(info.value) == message
+        with pytest.raises(TableInvariantError) as info:
+            obtain_bernoulli(n, path)
+        assert str(info.value) == message
+        assert obtain_bernoulli(12, path) == Fraction(-691, 2730)
+    with pytest.raises(ValueError):
+        obtain_bernoulli(-1, path)
 
 
 # --- the byte reader ------------------------------------------------------------
@@ -423,6 +448,7 @@ def test_line_ends_and_blank_lines_read_as_in_a_text_read(tmp_path):
         path.write_bytes(edited)
         assert load_table(path) == table, edited[:80]
         assert load_table(path, through=12) == bernoulli_table(12), edited[:80]
+        assert [obtain_bernoulli(n, path) for n in range(41)] == list(table.values), edited[:80]
 
 
 def test_non_ascii_past_the_prefix_is_reported_as_a_text_read_would(tmp_path):
@@ -460,6 +486,11 @@ def test_corruption_above_the_request_is_left_to_the_load_that_reaches_it(tmp_pa
     with pytest.raises(TableInvariantError) as info:
         load_table(path)
     assert str(info.value) == expected
+    # One entry read alone: only the tampered entry fails, with that message.
+    assert obtain_bernoulli(100, path) == bernoulli_table(100).values[100]
+    with pytest.raises(TableInvariantError) as info:
+        obtain_bernoulli(80, path)
+    assert str(info.value) == expected
     assert path.read_bytes() == tampered
 
 
@@ -470,8 +501,10 @@ def test_bad_index_past_the_prefix_is_a_format_error(tmp_path, line):
     path.write_text(path.read_text() + line + "\n")
     with pytest.raises(CacheFormatError):
         obtain_table(20, path)
-    with pytest.raises(CacheFormatError):
+    with pytest.raises(CacheFormatError) as info:
         load_table(path, through=20)
+    with pytest.raises(CacheFormatError, match=re.escape(str(info.value))):
+        obtain_bernoulli(20, path)
 
 
 def test_a_request_for_another_algorithm_keeps_a_larger_cache(tmp_path):

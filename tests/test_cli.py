@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from torelli_euler import cli
-from torelli_euler.bernoulli import bernoulli_table, persist_table
+from torelli_euler import bernoulli, cli
+from torelli_euler.bernoulli import TableInvariantError, bernoulli_table, load_table, persist_table
 from torelli_euler.certify import certify_non_integrality, threshold_for_n
 from torelli_euler.cli import main
 from torelli_euler.exact_core import int_to_decimal
@@ -297,6 +297,56 @@ def test_corruption_above_the_request_fails_only_the_requests_that_reach_it(
     code, out, err = run(capsys, "zeta", "--k", "40", "--cache", str(cache))
     assert code == 1 and out == ""
     assert err.startswith("cache error:") and "B_80" in err
+
+
+def test_zeta_parses_only_the_entry_it_prints(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "bern.cache"
+    table = bernoulli_table(1200)
+    persist_table(table, cache)
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return int(text)
+
+    monkeypatch.setattr(bernoulli, "decimal_to_int", counting)
+    code, out, err = run(capsys, "zeta", "--k", "40", "--cache", str(cache))
+    b = table.values[80]
+    assert parsed == [str(b.numerator), str(b.denominator)]
+    assert (code, out, err) == (0, *run(capsys, "zeta", "--k", "40")[1:])
+
+
+def test_zeta_serves_an_entry_of_a_cache_corrupted_elsewhere(capsys, tmp_path):
+    # The tampered B_12 fails the requests that read it, with the message a
+    # table load gives, and no other.
+    cache = tmp_path / "bern.cache"
+    persist_table(bernoulli_table(100), cache)
+    cache.write_text(cache.read_text().replace("\n12 -691/2730\n", "\n12 -689/2730\n"))
+    original = cache.read_bytes()
+    assert (0, *run(capsys, "zeta", "--k", "40")[1:]) == run(
+        capsys, "zeta", "--k", "40", "--cache", str(cache)
+    )
+    with pytest.raises(TableInvariantError) as info:
+        load_table(cache)
+    assert "B_12" in str(info.value)
+    code, out, err = run(capsys, "zeta", "--k", "6", "--cache", str(cache))
+    assert (code, out, err) == (1, "", f"cache error: {info.value}\n")
+    assert cache.read_bytes() == original
+
+
+def test_zeta_past_a_smaller_cache_rebuilds_it(capsys, tmp_path):
+    # The file written is the persisted table through B_2K, and a corrupt
+    # smaller cache is still refused as a table load refuses it.
+    cache, expected = tmp_path / "bern.cache", tmp_path / "expected.cache"
+    persist_table(bernoulli_table(20), cache)
+    persist_table(bernoulli_table(80), expected)
+    assert run(capsys, "zeta", "--k", "40", "--cache", str(cache)) == run(capsys, "zeta", "--k", "40")
+    assert cache.read_bytes() == expected.read_bytes()
+    persist_table(bernoulli_table(20), cache)
+    cache.write_text(cache.read_text().replace("12 -691/2730", "12 690/2730"))
+    code, out, err = run(capsys, "zeta", "--k", "40", "--cache", str(cache))
+    assert (code, out) == (1, "") and err.startswith("cache error:") and "B_12" in err
+    assert "max=20" in cache.read_text().splitlines()[0]
 
 
 def test_an_unwritable_cache_is_a_cache_error_not_a_traceback(tmp_path):

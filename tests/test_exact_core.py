@@ -63,8 +63,13 @@ def test_rising_factorial_ratio_tree_matches_one_run_around_the_leaf(b, length):
 
 
 @given(b=st.integers(0, 10**9), length=st.integers(0, 20 * _PRODUCT_LEAF))
-def test_rising_factorial_ratio_tree_matches_one_run(b, length):
-    assert rising_factorial_ratio(b + length, b) == math.prod(range(b + 1, b + length + 1))
+@example(b=0, length=0)
+@example(b=7, length=0)
+@example(b=0, length=1)
+@example(b=0, length=500)
+def test_rising_factorial_ratio_is_the_plain_product(b, length):
+    a = b + length
+    assert rising_factorial_ratio(a, b) == math.prod(range(b + 1, a + 1))
 
 
 @pytest.mark.parametrize("bits", [1, 64, 1000, 2048, 2049, 4096, 4097, 10_000])
