@@ -25,17 +25,17 @@ arithmetic; witness primes are chosen deterministically (691, then 3617,
 then the smallest prime factor of the reduced denominator up to
 WITNESS_SEARCH_LIMIT).  The valuation ledger (`ledger_segments`, point by
 point `ledger_scan`) reaches the same witnesses over a grid without forming
-e(m,n) wherever 691 or 3617 suffices, with one witness per prime per row.
+e(m,n) wherever 691 or 3617 suffices, with one witness per prime per row,
+whose run ends where Legendre's formula, inverted, meets the prime's bar.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .bernoulli import BernoulliTable, CapacityError
 from .exact_core import (
@@ -80,6 +80,7 @@ __all__ = [
     "WideRangeBoundForms",
     "certificate_from_exact",
     "certify_non_integrality",
+    "first_n_reaching",
     "ledger_scan",
     "ledger_segments",
     "monotone_decrease_check",
@@ -732,9 +733,24 @@ class LedgerSegment(_Record):
             )
 
 
-def _valuation_bar(m: int, p: int, entries: Iterable[tuple[int, int]]) -> int:
-    # v_p(e(m,n)) = v_p((2m+n-1)!) - bar, given the row's ledger entries.
-    return factorial_valuation(2 * m, p) + sum(v for _, v in entries)
+def first_n_reaching(m: int, p: int, bar: int) -> int:
+    """The least n >= 1 with D_p(m,n) = v_p((2m+n-1)!) - v_p((2m)!) >= bar.
+
+    Legendre's formula inverted, not searched: v_p(N!) changes only at
+    multiples of p, and v_p((pM)!) = M + v_p(M!), so n = max(1, pM - 2m + 1)
+    for the least M >= 0 with M + v_p(M!) >= bar + v_p((2m)!), bisected.
+    """
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
+    target = bar + factorial_valuation(2 * m, p)
+    lo, hi = 0, max(target, 0)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid + factorial_valuation(mid, p) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(1, p * lo - 2 * m + 1)
 
 
 def ledger_segments(
@@ -745,12 +761,12 @@ def ledger_segments(
     """The certificates of an exact scan as row segments, from p-adic valuations.
 
     For each p in WITNESS_PRIMES a running ledger holds the nonzero
-    v_p(zeta(1-2k)) for k <= m, each taken once from the table.  As
-    v_p(e(m,n)) never decreases along a row, the points a prime witnesses
-    there form one run, whose end a bisection of the Legendre sum finds.
-    So each row is at most a 691 segment, then a 3617 segment, then single
-    points neither prime witnesses, certified by certificate_from_exact of
-    the exact e(m,n).  691 comes before 3617 as in certificate_from_exact,
+    v_p(zeta(1-2k)) for k <= m, each taken once from the table; their sum is
+    the bar.  As v_p(e(m,n)) never decreases along a row, a prime's points
+    there form one run, which `first_n_reaching` ends by inverting Legendre's
+    formula.  So each row is at most a 691 segment, then a 3617 segment, then
+    single points neither prime witnesses, certified by certificate_from_exact
+    of the exact e(m,n).  691 comes before 3617 as in certificate_from_exact,
     so every point gets the p and valuation it would report.  For m >= 6 no
     point of the window 2m + n - 1 < 3617 needs e(m,n).
     """
@@ -768,14 +784,11 @@ def ledger_segments(
             continue
         n_first = n_lo
         for p, entries in ledgers.items():
-            bar = _valuation_bar(m, p, entries)
-            n_last = n_first - 1 + bisect.bisect_left(
-                range(n_first, n_hi + 1), bar,
-                key=lambda n: factorial_valuation(2 * m + n - 1, p),
-            )
+            bar = sum(v for _, v in entries)
+            n_last = min(n_hi, first_n_reaching(m, p, bar) - 1)
             if n_last >= n_first:
-                valuation = factorial_valuation(2 * m + n_last - 1, p) - bar
-                witness = ValuationWitness(m, n_last, p, valuation, tuple(entries))
+                diff = factorial_valuation(2 * m + n_last - 1, p) - factorial_valuation(2 * m, p)
+                witness = ValuationWitness(m, n_last, p, diff - bar, tuple(entries))
                 yield LedgerSegment(m, n_first, n_last, witness)
                 n_first = n_last + 1
         for n in range(n_first, n_hi + 1):
@@ -799,10 +812,10 @@ def ledger_scan(
             yield ScanPoint(m=m, n=segment.n_first, certificate=cert)
             continue
         p, entries = cert.p, cert.zeta_valuations
-        bar = _valuation_bar(m, p, entries)
+        bar = sum(v for _, v in entries)
         for n in range(segment.n_first, segment.n_last + 1):
-            valuation = factorial_valuation(2 * m + n - 1, p) - bar
-            yield ScanPoint(m=m, n=n, certificate=ValuationWitness(m, n, p, valuation, entries))
+            diff = factorial_valuation(2 * m + n - 1, p) - factorial_valuation(2 * m, p)
+            yield ScanPoint(m=m, n=n, certificate=ValuationWitness(m, n, p, diff - bar, entries))
 
 
 class MonotoneReport(_Record):

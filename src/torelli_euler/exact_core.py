@@ -377,19 +377,6 @@ def _rounded_ratio(numerator: int, denominator: int, bits: int, ceil: bool) -> t
     return mantissa >> zeros, exponent + zeros
 
 
-def _ratios_outward(
-    lo_num: int, lo_den: int, hi_num: int, hi_den: int, bits: int
-) -> _Dyadic:
-    """[lo_num/lo_den, hi_num/hi_den], each in lowest terms, rounded outward to `bits`.
-
-    Bit for bit `RationalInterval.outward` of the two Fractions, with odd
-    mantissas.
-    """
-    return _rounded_ratio(lo_num, lo_den, bits, ceil=False) + _rounded_ratio(
-        hi_num, hi_den, bits, ceil=True
-    )
-
-
 def _positive_power(interval: "RationalInterval", n: int, bits: int) -> _Dyadic:
     """`interval.power(n, bits)` for 0 < interval.lo, in integers.
 
@@ -402,12 +389,12 @@ def _positive_power(interval: "RationalInterval", n: int, bits: int) -> _Dyadic:
     lo, hi = interval.lo, interval.hi
     result = _DYADIC_ONE
     if n & 1:
-        result = _ratios_outward(lo.numerator, lo.denominator, hi.numerator, hi.denominator, bits)
+        lo_end = _rounded_ratio(lo.numerator, lo.denominator, bits, ceil=False)
+        result = lo_end + _rounded_ratio(hi.numerator, hi.denominator, bits, ceil=True)
     n >>= 1
     if n:
-        square = _ratios_outward(
-            lo.numerator**2, lo.denominator**2, hi.numerator**2, hi.denominator**2, bits
-        )
+        lo_end = _rounded_ratio(lo.numerator**2, lo.denominator**2, bits, ceil=False)
+        square = lo_end + _rounded_ratio(hi.numerator**2, hi.denominator**2, bits, ceil=True)
         while True:
             if n & 1:
                 result = _mul_outward(result, square, bits)

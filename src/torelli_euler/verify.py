@@ -11,8 +11,8 @@ Standard mode works over a Bernoulli table to index 600 and scans the wide
 grid to m = 200; deep mode extends the table to index 2940 and the scan to
 m = 1470.  The wide-grid scan reads its witnesses off the valuation ledger
 as row segments (`certify.ledger_segments`): one rechecked witness per
-prime per row covers a run of points, so a row costs about ten Legendre
-sums per prime, and no exact ~10^5-digit e(m,n) is formed.
+prime per row covers a run of points, ended by inverting Legendre's formula
+in a few Legendre sums, and no exact ~10^5-digit e(m,n) is formed.
 """
 
 from __future__ import annotations

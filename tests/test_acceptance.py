@@ -101,6 +101,13 @@ def test_full_verification_suite_standard_via_cli(standard_cli_run, standard_rep
     assert [check.id for check in standard_report.checks] == list(CHECK_IDS)
     assert set(BUDGETS) <= set(CHECK_IDS)
     assert cache.exists()
+    witnesses = {check.id: check.witness for check in standard_report.checks}
+    assert witnesses["wide-grid-scan"] == (
+        "all 132015 points on m = 6..200, n = 1..677 are non-integers"
+    )
+    assert witnesses["witness-prime-coverage"] == (
+        "132015/132015 prime witnesses use p in {3617, 691} (fraction 1)"
+    )
 
 
 def test_deep_verification_suite(deep_report):

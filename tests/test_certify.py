@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torelli_euler.certify as certify_module
-from torelli_euler.bernoulli import BernoulliTable, CapacityError
+from torelli_euler.bernoulli import BernoulliTable, CapacityError, bernoulli_table
 from torelli_euler.certify import (
     _BITS,
     _GUARD_BITS,
@@ -32,6 +32,7 @@ from torelli_euler.certify import (
     WITNESS_SEARCH_LIMIT,
     certificate_from_exact,
     certify_non_integrality,
+    first_n_reaching,
     ledger_scan,
     ledger_segments,
     monotone_decrease_check,
@@ -50,6 +51,7 @@ from torelli_euler.exact_core import (
     factorial_valuation,
     p_adic_valuation,
     pi_interval,
+    primes_up_to,
     rising_factorial_ratio,
 )
 from torelli_euler.zeta_special import zeta_abs_lower_bound, zeta_one_minus_2k, zeta_product
@@ -850,14 +852,65 @@ def test_ledger_matches_exact_certificate_at_random_points(table600, m, n):
         assert point.certificate == exact
 
 
+# --- the first n at which a prime's bar is met ------------------------------------
+
+
+def _diff(m, n, p):
+    # D_p(m,n) = v_p((2m+n-1)!) - v_p((2m)!), which never decreases in n.
+    return factorial_valuation(2 * m + n - 1, p) - factorial_valuation(2 * m, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from(primes_up_to(10**4)), m=st.integers(1, 10**4), bar=st.integers(-3, 20)
+)
+def test_first_n_reaching_is_where_the_diff_meets_the_bar(p, m, bar):
+    # D_p is monotone in n, so this makes n the least n >= 1 reaching the bar.
+    n = first_n_reaching(m, p, bar)
+    assert _diff(m, n, p) >= bar
+    assert n == 1 or _diff(m, n - 1, p) < bar
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from(primes_up_to(50)), m=st.integers(1, 10**4), bar=st.integers(-3, 8))
+def test_first_n_reaching_is_a_linear_scan(p, m, bar):
+    n = 1
+    while _diff(m, n, p) < bar:
+        n += 1
+    assert first_n_reaching(m, p, bar) == n
+
+
+def _row_frontier(m, table):
+    # The least n with e(m,n) in Z: the largest first n over the primes that
+    # divide a numerator of |zeta(1-2k)|, k <= 11.
+    bars = {
+        p: sum(p_adic_valuation(zeta_one_minus_2k(k, table).value, p) for k in range(1, m + 1))
+        for p in (691, 3617, 43867, 283, 617, 131, 593)
+    }
+    return max(first_n_reaching(m, p, bar) for p, bar in bars.items())
+
+
+def test_row_frontiers_are_exact():
+    table = bernoulli_table(30)
+    frontiers = [_row_frontier(m, table) for m in range(6, 12)]
+    assert frontiers == [680, 678, 3602, 43850, 43848, 43846]
+    for m, frontier in zip(range(6, 12), frontiers):
+        assert e_mn(EmnQuery(m, frontier - 1), table).denominator != 1, m
+        assert e_mn(EmnQuery(m, frontier), table).denominator == 1, m
+
+
+def test_first_n_reaching_needs_a_row():
+    assert first_n_reaching(1, 691, 0) == 1
+    with pytest.raises(ValueError):
+        first_n_reaching(0, 691, 1)
+
+
 # --- the ledger's row segments ----------------------------------------------------
 
 
 def _valuation(witness, n):
     # v_p(e(m,n)) for the witness's prime and ledger, at another n of its row.
-    m, p = witness.m, witness.p
-    zeta_sum = sum(v for _, v in witness.zeta_valuations)
-    return factorial_valuation(2 * m + n - 1, p) - factorial_valuation(2 * m, p) - zeta_sum
+    return _diff(witness.m, n, witness.p) - sum(v for _, v in witness.zeta_valuations)
 
 
 @pytest.mark.parametrize("window", ["small", "standard"])
