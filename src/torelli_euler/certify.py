@@ -18,8 +18,8 @@ upper-bound product
 evaluated in rational interval arithmetic, together with its consecutive
 ratio, which certifies that the bound sequence decreases below 1 from some
 threshold on.  Its powers of 2pi, single terms and prefix products are
-memoised one end at a time, lo rounded down and hi rounded up, and each
-end's memo is extended only when that end is read: a certificate reads the
+memoised one end at a time, lo rounded down and hi rounded up; `_bound_memo`
+extends an end's memo only when that end is read: a certificate reads the
 hi end alone, an enclosure both.  Exact certificates use exact rational
 arithmetic; witness primes are chosen deterministically (691, then 3617,
 then the smallest prime factor of the reduced denominator up to
@@ -283,9 +283,8 @@ _BITS = 64 + _GUARD_BITS
 
 
 # Extending a memo reads its last entry and appends the next: two threads
-# doing so at once would file one entry under two indices.  Reentrant, as
-# extending the prefix products extends the single terms.
-_MEMO_LOCK = threading.RLock()
+# doing so at once would file one entry under two indices.
+_MEMO_LOCK = threading.Lock()
 
 # One end of a positive dyadic interval, (mantissa, exponent) for
 # mantissa * 2**exponent, the mantissa odd.
@@ -297,7 +296,8 @@ class _BoundEnd:
     # up: (2pi)^(2k) for k = 0..len(powers)-1, the single terms for
     # k = 1..len(terms), term k at index k - 1, the prefix products for
     # m = 0..len(products)-1, and 2 (2k+1)! for the last term's k, the next
-    # term's divisor.
+    # term's divisor.  `_bound_memo` keeps len(powers) == len(products) ==
+    # len(terms) + 1.
     __slots__ = ("powers", "terms", "products", "divisor")
 
     def __init__(self) -> None:
@@ -339,32 +339,42 @@ def _next_power(powers: list[_End], ceil: bool) -> _End:
     return _dyadic_to_bits(a * b, a_exp + b_exp, _BITS, ceil)
 
 
-def _single_terms(k: int, ceil: bool) -> list[_End]:
-    """One end of the single terms through k, in integers: term j at index j - 1.
+def _bound_memo(k: int, ceil: bool) -> _BoundEnd:
+    """One end's memo, extended through single term k and prefix product k.
 
-    The end's memo is extended in k order, one power of 2pi per term from
-    two earlier ones.  The divisor 2 (2k-1)! is carried from one term to
-    the next, times 2k (2k+1), and the quotient, taken in lowest terms, is
-    rounded down (ceil=False) or up as `RationalInterval.outward` rounds
-    the lo or hi end.
+    Step j appends (2pi)^(2j), from two earlier powers, then single term j,
+    then prefix product j.  The term's divisor 2 (2j-1)! is carried from one
+    term to the next, times 2j (2j+1), and the quotient, taken in lowest
+    terms, is rounded down (ceil=False) or up as `RationalInterval.outward`
+    rounds the lo or hi end.  Each end of a product of positive intervals is
+    the product of the same ends, so the prefix step multiplies the last
+    prefix by the term and rounds the same way, bit for bit.  Each mantissa
+    is odd and of at most _BITS + 1 bits: an endpoint as a Fraction would
+    carry a power-of-two denominator of ~10^5 bits by m = 200.
+
+    Readers test `products`, which each step appends last, so that a
+    reader that sees prefix product k sees single term k and power k too.
     """
     memo = _bound_end(ceil)
-    powers, terms = memo.powers, memo.terms
-    if len(terms) < k:
+    if len(memo.products) <= k:
         with _MEMO_LOCK:
-            for j in range(len(terms) + 1, k + 1):
+            powers, terms, products = memo.powers, memo.terms, memo.products
+            for j in range(len(products), k + 1):
                 powers.append(_next_power(powers, ceil))
                 quotient = _dyadic_quotient(*powers[j], memo.divisor)
-                terms.append(
-                    _rounded_ratio(quotient.numerator, quotient.denominator, _BITS, ceil)
+                term, term_exp = _rounded_ratio(
+                    quotient.numerator, quotient.denominator, _BITS, ceil
                 )
+                terms.append((term, term_exp))
+                prefix, prefix_exp = products[-1]
+                products.append(_dyadic_to_bits(prefix * term, prefix_exp + term_exp, _BITS, ceil))
                 memo.divisor *= 2 * j * (2 * j + 1)
-    return terms
+    return memo
 
 
 def _single_term(k: int) -> _Dyadic:
     """Both ends of single term k, in integers."""
-    return _single_terms(k, ceil=False)[k - 1] + _single_terms(k, ceil=True)[k - 1]
+    return _bound_memo(k, ceil=False).terms[k - 1] + _bound_memo(k, ceil=True).terms[k - 1]
 
 
 def single_term_interval(k: int) -> RationalInterval:
@@ -372,7 +382,7 @@ def single_term_interval(k: int) -> RationalInterval:
 
     The factor crosses 1 between k = 8 and k = 9, which is what makes the
     bound sequence eventually decrease.  Its endpoints are those of the
-    integer memos of `_single_terms`, as Fractions.
+    integer memos of `_bound_memo`, as Fractions.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -399,59 +409,32 @@ class BoundSequence(_Record):
             raise ValueError("the bound product is positive; enclosure must show it")
 
 
-def _term_products(m: int, ceil: bool) -> list[_End]:
-    """One end of the prefix products, its memo extended through m: entry j
-    is that end of prod_{k<=j} single_term_interval(k), rounded outward
-    after each factor.
-
-    Each end of a product of positive intervals is the product of the same
-    ends, so a step multiplies the end's last prefix by its single term and
-    rounds as `RationalInterval.outward` would, bit for bit.  Each mantissa
-    is odd and of at most _BITS + 1 bits: an endpoint as a Fraction would
-    carry a power-of-two denominator of ~10^5 bits by m = 200.
-    """
-    memo = _bound_end(ceil)
-    products = memo.products
-    if len(products) <= m:
-        with _MEMO_LOCK:
-            terms = _single_terms(m, ceil)
-            for k in range(len(products), m + 1):
-                (p, p_exp), (t, t_exp) = products[-1], terms[k - 1]
-                products.append(_dyadic_to_bits(p * t, p_exp + t_exp, _BITS, ceil))
-    return products
-
-
 def _term_product(m: int) -> _Dyadic:
     """Both ends of the m-th prefix product, in integers."""
-    return _term_products(m, ceil=False)[m] + _term_products(m, ceil=True)[m]
-
-
-def _ratio_next_interval(m: int, n: int, term: _Dyadic) -> RationalInterval:
-    """Enclosure of U(m+1,n)/U(m,n), from `term`, single term m+1 as the memo holds it.
-
-    The ratio is that term times (2m+n+1)(2m+n)/((2m+2)(2m+1)).  Each end is
-    one quotient in lowest terms: the term's mantissa times (2m+n+1)(2m+n),
-    over (2m+2)(2m+1), times the power of two of its exponent.  Lowest terms
-    being unique, the endpoints are those of
-    `single_term_interval(m+1).scale(factor)`.
-    """
-    lo, lo_exp, hi, hi_exp = term
-    rise, fall = (2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1)
-    return RationalInterval(
-        _dyadic_quotient(lo * rise, lo_exp, fall), _dyadic_quotient(hi * rise, hi_exp, fall)
-    )
+    return _bound_memo(m, ceil=False).products[m] + _bound_memo(m, ceil=True).products[m]
 
 
 def _bound_sequence(
     m: int, n: int, prefix: int, product: _Dyadic, term: _Dyadic
 ) -> BoundSequence:
-    # prefix is the integer (2m+n-1)!/(2m)!, product and term both ends of
-    # the m-th term product and of single term m+1, as the memos hold them.
+    """U(m,n) and U(m+1,n)/U(m,n) from both ends of `_bound_memo` entries.
+
+    prefix is the integer (2m+n-1)!/(2m)!, product and term both ends of
+    the m-th prefix product and of single term m+1.  The ratio is that term
+    times (2m+n+1)(2m+n)/((2m+2)(2m+1)), each end one quotient in lowest
+    terms: the term's mantissa times (2m+n+1)(2m+n), over (2m+2)(2m+1),
+    times the power of two of its exponent.  Lowest terms being unique, the
+    endpoints are those of `single_term_interval(m+1).scale(factor)`.
+    """
+    lo, lo_exp, hi, hi_exp = term
+    rise, fall = (2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1)
     return BoundSequence(
         m=m,
         n=n,
         value=_interval_from_dyadic(product, prefix),
-        ratio_next=_ratio_next_interval(m, n, term),
+        ratio_next=RationalInterval(
+            _dyadic_quotient(lo * rise, lo_exp, fall), _dyadic_quotient(hi * rise, hi_exp, fall)
+        ),
     )
 
 
@@ -475,7 +458,7 @@ def _upper_end(m: int, n: int) -> tuple[int, int]:
     memo's mantissa times (2m+n-1)!/(2m)!: no lo end, no ratio, no Fraction.
     Only the hi memo is extended.
     """
-    hi, hi_exp = _term_products(m, ceil=True)[m]
+    hi, hi_exp = _bound_memo(m, ceil=True).products[m]
     return hi * rising_factorial_ratio(2 * m + n - 1, 2 * m), hi_exp
 
 
@@ -516,8 +499,8 @@ def _product_fits(a: int, b: int, bits: int) -> bool:
 def threshold_for_n(n: int, m_cap: int = 64) -> ThresholdResult:
     """Scan m = 1..m_cap for the certified crossing of the bound below 1.
 
-    The comparisons run in integers, on the hi memo entries of
-    `_single_terms` and `_term_products`, each end's memo extended once.
+    The comparisons run in integers, on the hi entries of `_bound_memo`,
+    each end's memo extended once.
     ratio_next(m).hi < 1 cross-multiplies the hi mantissa of single term
     m+1 by the integer factor, from m_cap down while it holds.  On that
     tail, U(m,n).hi < 1 compares the m-th prefix product's hi mantissa times
@@ -526,15 +509,15 @@ def threshold_for_n(n: int, m_cap: int = 64) -> ThresholdResult:
     exact division.  Enclosures are built only for the returned chain, each
     end straight from its integers: the value's as the end's memo entry
     times the prefix reduced by a shift, the ratio's as in
-    `_ratio_next_interval`.  Both equal the Fraction arithmetic on
+    `_bound_sequence`.  Both equal the Fraction arithmetic on
     `single_term_interval` and `upper_bound_interval`.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if m_cap < 1:
         raise ValueError(f"m_cap must be positive, got {m_cap}")
-    lo_terms, hi_terms = _single_terms(m_cap + 1, ceil=False), _single_terms(m_cap + 1, ceil=True)
-    lo_products, hi_products = _term_products(m_cap, ceil=False), _term_products(m_cap, ceil=True)
+    lo_end, hi_end = _bound_memo(m_cap + 1, ceil=False), _bound_memo(m_cap + 1, ceil=True)
+    hi_terms, hi_products = hi_end.terms, hi_end.products
     tail_start = m_cap + 1
     while tail_start > 1:
         m = tail_start - 1
@@ -552,7 +535,7 @@ def threshold_for_n(n: int, m_cap: int = 64) -> ThresholdResult:
         if chain or _product_fits(hi, prefix, -hi_exp):
             chain.append(
                 _bound_sequence(
-                    m, n, prefix, lo_products[m] + hi_products[m], lo_terms[m] + hi_terms[m]
+                    m, n, prefix, lo_end.products[m] + hi_products[m], lo_end.terms[m] + hi_terms[m]
                 )
             )
         prefix = prefix * (2 * m + n) * (2 * m + n + 1) // ((2 * m + 1) * (2 * m + 2))
@@ -742,6 +725,8 @@ def first_n_reaching(m: int, p: int, bar: int) -> int:
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
+    if not is_probable_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     target = bar + factorial_valuation(2 * m, p)
     lo, hi = 0, max(target, 0)
     while lo < hi:

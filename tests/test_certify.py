@@ -13,11 +13,10 @@ from torelli_euler.certify import (
     _BITS,
     _GUARD_BITS,
     _bound_end,
+    _bound_memo,
     _interval_from_dyadic,
     _single_term,
-    _single_terms,
     _term_product,
-    _term_products,
     _upper_end,
     BoundSequence,
     CertificateError,
@@ -327,7 +326,7 @@ def _reference_single_term(k, precision):
 def _memo_term_interval(k):
     # The k-th entries of the two integer single-term memos as Fractions.
     return _interval_from_dyadic(
-        _single_terms(k, ceil=False)[k - 1] + _single_terms(k, ceil=True)[k - 1]
+        _bound_memo(k, ceil=False).terms[k - 1] + _bound_memo(k, ceil=True).terms[k - 1]
     )
 
 
@@ -354,7 +353,7 @@ def test_single_term_memo_stores_odd_mantissas():
     # Each term of each end as (mantissa, exponent): an odd mantissa of at
     # most bits + 1 bits.
     for ceil in (False, True):
-        for k, (mantissa, _) in enumerate(_single_terms(300, ceil)[:300], start=1):
+        for k, (mantissa, _) in enumerate(_bound_memo(300, ceil).terms[:300], start=1):
             assert mantissa % 2 == 1, (ceil, k)
             assert mantissa.bit_length() <= _BITS + 1, (ceil, k)
 
@@ -389,8 +388,8 @@ def test_each_end_of_the_memos_is_that_end_of_the_fraction_loop(ceil, reference_
         return interval.hi if ceil else interval.lo
 
     _bound_end.cache_clear()
-    memo_products = _term_products(300, ceil)
-    memo_terms = _single_terms(300, ceil)
+    memo_products = _bound_memo(300, ceil).products
+    memo_terms = _bound_memo(300, ceil).terms
     other = _bound_end(not ceil)
     assert (other.powers, other.terms, other.products) == ([(1, 0)], [], [(1, 0)])
     assert len(memo_terms) == 300 and len(memo_products) == 301
@@ -414,6 +413,42 @@ def test_bound_decisions_extend_only_the_hi_memo():
     assert (len(hi.terms), len(hi.products)) == (250, 251)
 
 
+@pytest.fixture(scope="module")
+def bound_memos_in_one_call():
+    # Both ends' memos, each extended through m = 151 by one call from cold.
+    _bound_end.cache_clear()
+    memos = [_bound_memo(151, ceil) for ceil in (False, True)]
+    _bound_end.cache_clear()
+    return memos
+
+
+# A read of the bound memos and its arguments: k, m <= 150 throughout.
+_BOUND_READS = st.one_of(
+    st.tuples(st.just(_single_term), st.integers(1, 150)),
+    st.tuples(st.just(_term_product), st.integers(0, 150)),
+    st.tuples(st.just(_upper_end), st.integers(1, 150), st.just(1)),
+    st.tuples(st.just(threshold_for_n), st.integers(1, 677), st.integers(1, 150)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(reads=st.lists(_BOUND_READS, max_size=5))
+def test_any_reads_leave_each_memo_whole(bound_memos_in_one_call, reads):
+    # Whatever reads extend them, in whatever order, each end's memo holds
+    # one power and one prefix product more than single terms, the divisor
+    # of the next term, and the entries of the memo extended in one call.
+    _bound_end.cache_clear()
+    for read, *args in reads:
+        read(*args)
+    for ceil, whole in zip((False, True), bound_memos_in_one_call):
+        memo = _bound_end(ceil)
+        assert len(memo.powers) == len(memo.products) == len(memo.terms) + 1
+        assert memo.divisor == 2 * math.factorial(2 * len(memo.terms) + 1)
+        assert memo.powers == whole.powers[: len(memo.powers)]
+        assert memo.terms == whole.terms[: len(memo.terms)]
+        assert memo.products == whole.products[: len(memo.products)]
+
+
 @pytest.mark.parametrize("precision", _SIGNIFICANT_BITS)
 def test_term_product_memo_matches_the_fraction_loop(precision):
     reference = _reference_term_products(300, precision)
@@ -433,7 +468,7 @@ def test_term_product_memo_matches_the_fraction_loop(precision):
 def test_prefix_memo_stores_small_integers():
     # Fraction endpoints would carry ~10^5-bit denominators at m = 300.
     for ceil in (False, True):
-        memo = _term_products(300, ceil)
+        memo = _bound_memo(300, ceil).products
         assert len(memo) >= 301
         for entry in memo:
             assert all(type(x) is int and x.bit_length() <= _BITS + 64 for x in entry)
@@ -903,6 +938,14 @@ def test_first_n_reaching_needs_a_row():
     assert first_n_reaching(1, 691, 0) == 1
     with pytest.raises(ValueError):
         first_n_reaching(0, 691, 1)
+
+
+def test_first_n_reaching_needs_a_prime():
+    # Legendre's formula is v_p(N!) for a prime p alone: for p = 4 its sum
+    # would give n = 5 at m = 6, bar 1, which means nothing.
+    for p in (-7, 0, 1, 4, 6, 691 * 3617):
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            first_n_reaching(6, p, 1)
 
 
 # --- the ledger's row segments ----------------------------------------------------
