@@ -12,7 +12,6 @@ p-adic valuations alone, one witness per prime per row segment.
 from torelli_euler import (
     bernoulli_table,
     certify_non_integrality,
-    ledger_scan,
     ledger_segments,
     monotone_decrease_check,
     scan,
@@ -44,13 +43,9 @@ for point in scan((4, 8), (1, 3), "exact", table):
     print(f"  m={point.m} n={point.n}: "
           f"{certificate_text(point.certificate, 6)}{mark}")
 
-print("\nThe same block from the valuation ledger; e(m,n) is formed only")
-print("where neither 691 nor 3617 witnesses:")
-for point in ledger_scan((4, 8), (1, 3), table):
-    print(f"  m={point.m} n={point.n}: {certificate_text(point.certificate, 6)}")
-
-print("\nThe ledger holds that block as row segments: v_p(e(m,n)) never falls")
-print("as n grows, so one witness at a segment's last n covers the whole run:")
+print("\nThe same block from the valuation ledger, as row segments: e(m,n) is")
+print("formed only where neither 691 nor 3617 witnesses, and v_p(e(m,n)) never")
+print("falls as n grows, so one witness at a segment's last n covers the whole run:")
 for segment in ledger_segments((4, 8), (1, 3), table):
     print(f"  m={segment.m} n={segment.n_first}..{segment.n_last}: "
           f"{certificate_text(segment.certificate, 6)}")

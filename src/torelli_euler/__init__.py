@@ -39,7 +39,6 @@ from .certify import (
     ValuationWitness,
     certificate_from_exact,
     certify_non_integrality,
-    ledger_scan,
     ledger_segments,
     monotone_decrease_check,
     scan,

@@ -23,10 +23,10 @@ extends an end's memo only when that end is read: a certificate reads the
 hi end alone, an enclosure both.  Exact certificates use exact rational
 arithmetic; witness primes are chosen deterministically (691, then 3617,
 then the smallest prime factor of the reduced denominator up to
-WITNESS_SEARCH_LIMIT).  The valuation ledger (`ledger_segments`, point by
-point `ledger_scan`) reaches the same witnesses over a grid without forming
-e(m,n) wherever 691 or 3617 suffices, with one witness per prime per row,
-whose run ends where Legendre's formula, inverted, meets the prime's bar.
+WITNESS_SEARCH_LIMIT).  The valuation ledger (`ledger_segments`) reaches
+the same witnesses over a grid as row segments, without forming e(m,n)
+wherever 691 or 3617 suffices: one witness per prime per row, whose run ends
+where Legendre's formula, inverted, meets the prime's bar.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ __all__ = [
     "certificate_from_exact",
     "certify_non_integrality",
     "first_n_reaching",
-    "ledger_scan",
     "ledger_segments",
     "monotone_decrease_check",
     "scan",
@@ -721,12 +720,11 @@ def first_n_reaching(m: int, p: int, bar: int) -> int:
 
     Legendre's formula inverted, not searched: v_p(N!) changes only at
     multiples of p, and v_p((pM)!) = M + v_p(M!), so n = max(1, pM - 2m + 1)
-    for the least M >= 0 with M + v_p(M!) >= bar + v_p((2m)!), bisected.
+    for the least M >= 0 with M + v_p(M!) >= bar + v_p((2m)!), bisected.  A
+    p that is not prime is refused by `factorial_valuation`.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    if not is_probable_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     target = bar + factorial_valuation(2 * m, p)
     lo, hi = 0, max(target, 0)
     while lo < hi:
@@ -750,10 +748,10 @@ def ledger_segments(
     the bar.  As v_p(e(m,n)) never decreases along a row, a prime's points
     there form one run, which `first_n_reaching` ends by inverting Legendre's
     formula.  So each row is at most a 691 segment, then a 3617 segment, then
-    single points neither prime witnesses, certified by certificate_from_exact
-    of the exact e(m,n).  691 comes before 3617 as in certificate_from_exact,
-    so every point gets the p and valuation it would report.  For m >= 6 no
-    point of the window 2m + n - 1 < 3617 needs e(m,n).
+    single points neither prime witnesses, certified by the exact scan's one
+    walk along the rest of the row.  691 comes before 3617 as in
+    certificate_from_exact, so every point gets the p and valuation it would
+    report.  For m >= 6 no point of the window 2m + n - 1 < 3617 needs e(m,n).
     """
     m_lo, m_hi = _validate_range(m_range, "m")
     n_lo, n_hi = _validate_range(n_range, "n")
@@ -776,31 +774,8 @@ def ledger_segments(
                 witness = ValuationWitness(m, n_last, p, diff - bar, tuple(entries))
                 yield LedgerSegment(m, n_first, n_last, witness)
                 n_first = n_last + 1
-        for n in range(n_first, n_hi + 1):
-            yield LedgerSegment(m, n, n, certificate_from_exact(e_mn(EmnQuery(m, n), table)))
-
-
-def ledger_scan(
-    m_range: tuple[int, int],
-    n_range: tuple[int, int],
-    table: BernoulliTable,
-) -> Iterator[ScanPoint]:
-    """The certificates of an exact scan, point by point, from `ledger_segments`.
-
-    Each point of a witnessed segment gets its own ValuationWitness, with
-    the p and valuation certificate_from_exact would report; any other
-    segment is a single point and keeps its certificate.
-    """
-    for segment in ledger_segments(m_range, n_range, table):
-        m, cert = segment.m, segment.certificate
-        if not isinstance(cert, ValuationWitness):
-            yield ScanPoint(m=m, n=segment.n_first, certificate=cert)
-            continue
-        p, entries = cert.p, cert.zeta_valuations
-        bar = sum(v for _, v in entries)
-        for n in range(segment.n_first, segment.n_last + 1):
-            diff = factorial_valuation(2 * m + n - 1, p) - factorial_valuation(2 * m, p)
-            yield ScanPoint(m=m, n=n, certificate=ValuationWitness(m, n, p, diff - bar, entries))
+        for point in _certificates(m, m, n_first, n_hi, "exact", table):
+            yield LedgerSegment(m, point.n, point.n, point.certificate)
 
 
 class MonotoneReport(_Record):

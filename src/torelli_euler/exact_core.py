@@ -231,8 +231,10 @@ def p_adic_valuation(q: Fraction | int, p: int) -> int:
 
 def factorial_valuation(n: int, p: int) -> int:
     """v_p(n!) by Legendre's formula, sum_{i>=1} floor(n / p^i), for a prime p."""
-    if n < 0 or p < 2:
-        raise ValueError(f"need n >= 0 and p >= 2, got n={n}, p={p}")
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
+    if not is_probable_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     total = 0
     while n:
         n //= p

@@ -12,7 +12,10 @@ grid to m = 200; deep mode extends the table to index 2940 and the scan to
 m = 1470.  The wide-grid scan reads its witnesses off the valuation ledger
 as row segments (`certify.ledger_segments`): one rechecked witness per
 prime per row covers a run of points, ended by inverting Legendre's formula
-in a few Legendre sums, and no exact ~10^5-digit e(m,n) is formed.
+in a few Legendre sums, and no exact ~10^5-digit e(m,n) is formed.  The
+segments are formed once per run, by `_wide_grid` for whichever of
+`wide-grid-scan` and `witness-prime-coverage` asks first; the other reads
+the same tuple.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .certify import (
     DEEP_MAX_M,
     Inconclusive,
     IntegerValue,
+    LedgerSegment,
     MAX_WITNESSED_N,
     PrimeWitness,
     ValuationWitness,
@@ -324,44 +328,30 @@ def _check_bound_dominates(ctx: dict) -> Outcome:
     return "pass", "exact e(m,n) <= certified U(m,n) for m = 1..50, n = 1..5"
 
 
+def _wide_grid(ctx: dict) -> tuple[int, tuple[LedgerSegment, ...]]:
+    """The wide grid's last row and its ledger segments, formed the first time a check asks."""
+    if "wide_grid" not in ctx:
+        m_hi = DEEP_MAX_M if ctx["mode"] == "deep" else STANDARD_SCAN_MAX_M
+        segments = ledger_segments((6, m_hi), (1, MAX_WITNESSED_N), ctx["table"])
+        ctx["wide_grid"] = m_hi, tuple(segments)
+    return ctx["wide_grid"]
+
+
+def _points(segment: LedgerSegment) -> int:
+    # Only a ValuationWitness covers more than its one point.
+    return segment.n_last - segment.n_first + 1
+
+
 def _check_wide_grid_scan(ctx: dict) -> Outcome:
-    table: BernoulliTable = ctx["table"]
-    m_hi = DEEP_MAX_M if ctx["mode"] == "deep" else STANDARD_SCAN_MAX_M
-    total = 0
-    integers: list[tuple[int, int]] = []
-    inconclusive: list[tuple[int, int]] = []
-    other_witness: list[tuple[int, int, int]] = []
-    preferred = 0
-    prime_witnesses = 0
-    for segment in ledger_segments((6, m_hi), (1, MAX_WITNESSED_N), table):
-        # Only a ValuationWitness covers more than its one point.
-        m, n, points = segment.m, segment.n_first, segment.n_last - segment.n_first + 1
-        total += points
-        cert = segment.certificate
-        if isinstance(cert, IntegerValue):
-            integers.append((m, n))
-        elif isinstance(cert, Inconclusive):
-            inconclusive.append((m, n))
-        elif isinstance(cert, (PrimeWitness, ValuationWitness)):
-            prime_witnesses += points
-            if cert.p in WITNESS_PRIMES:
-                preferred += points
-            else:
-                other_witness.append((m, n, cert.p))
-    ctx["scan_stats"] = {
-        "m_hi": m_hi,
-        "total": total,
-        "integers": integers,
-        "inconclusive": inconclusive,
-        "prime_witnesses": prime_witnesses,
-        "preferred": preferred,
-        "other_witness": other_witness,
-    }
+    m_hi, segments = _wide_grid(ctx)
+    integers = [(s.m, s.n_first) for s in segments if isinstance(s.certificate, IntegerValue)]
+    inconclusive = [(s.m, s.n_first) for s in segments if isinstance(s.certificate, Inconclusive)]
     if integers or inconclusive:
         return (
             "fail",
             f"integer points {integers[:5]}, inconclusive points {inconclusive[:5]}",
         )
+    total = sum(map(_points, segments))
     return (
         "pass",
         f"all {total} points on m = 6..{m_hi}, n = 1..{MAX_WITNESSED_N} are non-integers",
@@ -369,17 +359,22 @@ def _check_wide_grid_scan(ctx: dict) -> Outcome:
 
 
 def _check_witness_coverage(ctx: dict) -> Outcome:
-    stats = ctx.get("scan_stats")
-    if stats is None:
-        return "inconclusive", "wide-grid scan did not run"
-    pw = stats["prime_witnesses"]
+    _, segments = _wide_grid(ctx)
+    pw = preferred = 0
+    exceptions: list[tuple[int, int, int]] = []
+    for segment in segments:
+        cert = segment.certificate
+        if isinstance(cert, (PrimeWitness, ValuationWitness)):
+            pw += _points(segment)
+            if cert.p in WITNESS_PRIMES:
+                preferred += _points(segment)
+            else:
+                exceptions.append((segment.m, segment.n_first, cert.p))
     if pw == 0:
         return "inconclusive", "no prime witnesses were emitted"
-    fraction = Fraction(stats["preferred"], pw)
-    exceptions = stats["other_witness"]
     witness = (
-        f"{stats['preferred']}/{pw} prime witnesses use p in {set(WITNESS_PRIMES)}"
-        f" (fraction {fraction})"
+        f"{preferred}/{pw} prime witnesses use p in {set(WITNESS_PRIMES)}"
+        f" (fraction {Fraction(preferred, pw)})"
     )
     if exceptions:
         witness += f"; exceptions (m, n, p): {exceptions[:10]}"

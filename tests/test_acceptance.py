@@ -24,10 +24,12 @@ from torelli_euler.certify import (
     IntegerValue,
     PrimeWitness,
     ValuationWitness,
-    ledger_scan,
+    ledger_segments,
     scan,
 )
 from torelli_euler.verify import MODES, _CHECKS, report_from_json, run_verification_suite
+
+from test_certify import _points, _valuation
 
 CHECK_IDS = ("table-source", *(check_id for check_id, _, _ in _CHECKS))
 
@@ -123,15 +125,16 @@ def test_criterion_4_wide_grid_scan(table600):
     started = time.perf_counter()
     total = preferred = prime_witnesses = 0
     exceptions = []
-    ledger = ledger_scan((6, 200), (1, 677), table600)
-    for point, ledger_point in zip(scan((6, 200), (1, 677), "exact", table600), ledger):
+    # Each point of the ledger, with the segment whose witness covers it.
+    ledger = iter(_points(ledger_segments((6, 200), (1, 677), table600)))
+    for point, (segment, n) in zip(scan((6, 200), (1, 677), "exact", table600), ledger):
         total += 1
         cert = point.certificate
         assert not isinstance(cert, (IntegerValue, Inconclusive)), (point.m, point.n)
         # The valuation ledger reaches the same witness without e(m,n).
-        witness = ledger_point.certificate
+        witness = segment.certificate
         assert isinstance(witness, ValuationWitness), (point.m, point.n)
-        assert (ledger_point.m, ledger_point.n, witness.p, witness.valuation) == (
+        assert (segment.m, n, witness.p, _valuation(witness, n)) == (
             point.m, point.n, cert.p, cert.valuation
         )
         if isinstance(cert, PrimeWitness):

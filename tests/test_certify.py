@@ -32,7 +32,6 @@ from torelli_euler.certify import (
     certificate_from_exact,
     certify_non_integrality,
     first_n_reaching,
-    ledger_scan,
     ledger_segments,
     monotone_decrease_check,
     scan,
@@ -831,38 +830,40 @@ def test_wide_range_forms_threshold():
 
 def test_ledger_scan_matches_exact_scan(table60):
     # m = 1..5 reaches the exact fallback: integers and witnesses other than
-    # 691 and 3617.  Where the ledger witnesses, p and v_p must agree.
+    # 691 and 3617.  Where the ledger witnesses, p and v_p must agree at
+    # every point of the segment.
     exact = list(scan((1, 30), (1, 40), "exact", table60))
-    ledger = list(ledger_scan((1, 30), (1, 40), table60))
-    assert [(a.m, a.n) for a in exact] == [(b.m, b.n) for b in ledger]
+    ledger = _points(ledger_segments((1, 30), (1, 40), table60))
+    assert [(a.m, a.n) for a in exact] == [(segment.m, n) for segment, n in ledger]
     fallbacks = 0
-    for a, b in zip(exact, ledger):
-        if isinstance(b.certificate, ValuationWitness):
-            assert (b.certificate.p, b.certificate.valuation) == (
+    for a, (segment, n) in zip(exact, ledger):
+        cert = segment.certificate
+        if isinstance(cert, ValuationWitness):
+            assert (cert.p, _valuation(cert, n)) == (
                 a.certificate.p, a.certificate.valuation
             ), (a.m, a.n)
-            assert b.preferred_witness is True
+            assert cert.p in WITNESS_PRIMES
         else:
             fallbacks += 1
-            assert b.certificate == a.certificate
+            assert cert == a.certificate
     assert 0 < fallbacks < len(ledger)
 
 
 def test_ledger_scan_validation(table60):
     with pytest.raises(CapacityError):
-        next(ledger_scan((6, 31), (1, 1), table60))
+        next(ledger_segments((6, 31), (1, 1), table60))
     for m_range, n_range in (((0, 3), (1, 1)), ((3, 2), (1, 1)), ((6, 6), (2, 1))):
         with pytest.raises(ValueError):
-            next(ledger_scan(m_range, n_range, table60))
+            next(ledger_segments(m_range, n_range, table60))
 
 
 def test_ledger_lists_every_nonzero_zeta_valuation(table600):
     # For each witness prime, the certificate at its largest m lists exactly
     # the k with nonzero v_p(zeta(1-2k)), with the table's values.
     deepest = {}
-    for point in ledger_scan((6, 200), (1, 677), table600):
-        cert = point.certificate
-        assert isinstance(cert, ValuationWitness), (point.m, point.n)
+    for segment in ledger_segments((6, 200), (1, 677), table600):
+        cert = segment.certificate
+        assert isinstance(cert, ValuationWitness), (segment.m, segment.n_first)
         if cert.m >= deepest.get(cert.p, cert).m:
             deepest[cert.p] = cert
     assert set(deepest) == set(WITNESS_PRIMES) and deepest[691].m == 200
@@ -878,13 +879,13 @@ def test_ledger_lists_every_nonzero_zeta_valuation(table600):
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(1, 200), n=st.integers(1, 677))
 def test_ledger_matches_exact_certificate_at_random_points(table600, m, n):
-    (point,) = ledger_scan((m, m), (n, n), table600)
+    (segment,) = ledger_segments((m, m), (n, n), table600)
     exact = certificate_from_exact(e_mn(EmnQuery(m, n), table600))
-    if isinstance(point.certificate, ValuationWitness):
+    if isinstance(segment.certificate, ValuationWitness):
         assert isinstance(exact, PrimeWitness)
-        assert (point.certificate.p, point.certificate.valuation) == (exact.p, exact.valuation)
+        assert (segment.certificate.p, segment.certificate.valuation) == (exact.p, exact.valuation)
     else:
-        assert point.certificate == exact
+        assert segment.certificate == exact
 
 
 # --- the first n at which a prime's bar is met ------------------------------------
@@ -956,30 +957,32 @@ def _valuation(witness, n):
     return _diff(witness.m, n, witness.p) - sum(v for _, v in witness.zeta_valuations)
 
 
+def _points(segments):
+    # Each point the segments cover, in order, with the segment covering it.
+    return [(s, n) for s in segments for n in range(s.n_first, s.n_last + 1)]
+
+
 @pytest.mark.parametrize("window", ["small", "standard"])
 def test_segments_expand_to_the_ledger_scan(table60, table600, window):
     # The small window reaches the exact fallback (m <= 5); the standard one
-    # is the wide-grid scan of verify-paper.
+    # is the wide-grid scan of verify-paper.  The segments cover the grid
+    # point by point, row by row, and a witness holds at every n of its run.
     if window == "small":
         m_range, n_range, table = (1, 30), (1, 40), table60
     else:
         m_range, n_range, table = (6, 200), (1, 677), table600
     segments = list(ledger_segments(m_range, n_range, table))
-    points = list(ledger_scan(m_range, n_range, table))
-    expanded = [
-        (segment, n)
-        for segment in segments
-        for n in range(segment.n_first, segment.n_last + 1)
+    expanded = _points(segments)
+    (m_lo, m_hi), (n_lo, n_hi) = m_range, n_range
+    assert [(s.m, n) for s, n in expanded] == [
+        (m, n) for m in range(m_lo, m_hi + 1) for n in range(n_lo, n_hi + 1)
     ]
-    assert [(s.m, n) for s, n in expanded] == [(point.m, point.n) for point in points]
-    for (segment, n), point in zip(expanded, points):
+    for segment, n in expanded:
         cert = segment.certificate
         if isinstance(cert, ValuationWitness):
-            assert point.certificate == ValuationWitness(
-                segment.m, n, cert.p, _valuation(cert, n), cert.zeta_valuations
-            )
+            assert _valuation(cert, n) <= _valuation(cert, segment.n_last) == cert.valuation < 0
         else:
-            assert point.certificate == cert
+            assert segment.n_first == segment.n_last == n
     witnessed = [s for s in segments if isinstance(s.certificate, ValuationWitness)]
     if window == "small":
         assert len(witnessed) < len(segments)
@@ -1042,8 +1045,13 @@ def test_standard_wide_grid_check_builds_one_witness_per_segment(table600, monke
     status, witness = verify._check_wide_grid_scan(ctx)
     assert status == "pass" and "all 132015 points" in witness
     assert 0 < len(built) < 1000
-    # Each segment counts its points, witnessed ones included.
-    assert ctx["scan_stats"] == {
-        "m_hi": 200, "total": 132015, "integers": [], "inconclusive": [],
-        "prime_witnesses": 132015, "preferred": 132015, "other_witness": [],
-    }
+    # The coverage check reads the same segments: it builds no witness of
+    # its own, and counts every point of each segment.
+    scanned = len(built)
+    coverage = verify._check_witness_coverage(ctx)
+    assert coverage == (
+        "pass", "132015/132015 prime witnesses use p in {3617, 691} (fraction 1)"
+    )
+    assert len(built) == scanned
+    # Run alone, without the scan before it, it forms the segments itself.
+    assert verify._check_witness_coverage({"mode": "standard", "table": table600}) == coverage

@@ -11,7 +11,7 @@ from torelli_euler.certify import (
     PrimeWitness,
     ValuationWitness,
     certify_non_integrality,
-    ledger_scan,
+    ledger_segments,
 )
 from torelli_euler.render import (
     certificate_from_json,
@@ -107,7 +107,7 @@ def _ledger_certificates(table600):
     # e(200,677): the window (400, 1076] holds 691 once, and 691 divides
     # zeta(-11) and zeta(-199); e(99,600) is witnessed by 3617 alone.
     return [
-        next(ledger_scan((m, m), (n, n), table600)).certificate
+        next(ledger_segments((m, m), (n, n), table600)).certificate
         for m, n in ((200, 677), (99, 600))
     ]
 

@@ -3,20 +3,24 @@
     python3 tools/record_construction.py src [OTHER/src ...] [--repeats 40]
 
 Each source directory's copy of the package is loaded into this one process
-under its own name, and the copies are timed in turn within each repeat, so
-that drift of the host's speed falls on all of them alike.  A repeat times a
-loop of `--number` constructions per record.  Prints one JSON object: per
-source directory and record, the nanoseconds one construction takes as the
-minimum, the median and the quartiles over the repeats, and, for every
-directory after the first, in how many repeats it was faster than the first.
-The arguments are fixed, so the validation each record does on construction
-is the same work in every copy.
+under its own name and labelled by its position, "a" for the first, "b" for
+the second and so on, so the same directory may be given twice.  Each repeat
+times each record in every copy back to back, in order on even repeats and
+in reverse on odd ones, so that drift of the host's speed and the order of
+the copies fall on all of them alike.  A timing is a loop of `--number`
+constructions.  Prints one JSON object: the directory of each label, and per
+label and record the nanoseconds one construction takes as the minimum, the
+median and the quartiles over the repeats, and, for every copy after the
+first, in how many repeats it was faster than the first.  The arguments are
+fixed, so the validation each record does on construction is the same work
+in every copy.
 """
 
 import argparse
 import importlib
 import json
 import statistics
+import string
 import sys
 import time
 from fractions import Fraction
@@ -65,17 +69,23 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=40)
     parser.add_argument("--number", type=int, default=20_000)
     args = parser.parse_args()
-    cases = {src: _cases(_load(src)) for src in args.src}
-    samples = {src: {name: [] for name in cases[src]} for src in args.src}
-    for _ in range(args.repeats):
-        for src in args.src:
-            for name, build in cases[src].items():
-                samples[src][name].append(_time_ns(build, args.number))
-    first = args.src[0]
-    result = {}
-    for src in args.src:
-        result[src] = {}
-        for name, values in samples[src].items():
+    if len(args.src) > len(string.ascii_lowercase):
+        parser.error(f"at most {len(string.ascii_lowercase)} source directories")
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2 for quartiles")
+    labels = string.ascii_lowercase[: len(args.src)]
+    cases = {label: _cases(_load(src)) for label, src in zip(labels, args.src)}
+    names = list(cases[labels[0]])
+    samples = {label: {name: [] for name in names} for label in labels}
+    for repeat in range(args.repeats):
+        for name in names:
+            for label in labels if repeat % 2 == 0 else labels[::-1]:
+                samples[label][name].append(_time_ns(cases[label][name], args.number))
+    first = labels[0]
+    result = {"src": dict(zip(labels, args.src))}
+    for label in labels:
+        result[label] = {}
+        for name, values in samples[label].items():
             q1, median, q3 = statistics.quantiles(values, n=4)
             entry = {
                 "min_ns": round(min(values), 1),
@@ -83,10 +93,10 @@ def main() -> None:
                 "q1_ns": round(q1, 1),
                 "q3_ns": round(q3, 1),
             }
-            if src != first:
+            if label != first:
                 base = samples[first][name]
                 entry["faster_than_first"] = sum(a < b for a, b in zip(values, base))
-            result[src][name] = entry
+            result[label][name] = entry
     print(json.dumps(result, indent=1))
 
 
