@@ -54,19 +54,19 @@ def test_rising_factorial_ratio_times_b_factorial_is_a_factorial():
             assert rising_factorial_ratio(a, b) * math.factorial(b) == math.factorial(a)
 
 
-def _around_the_leaf(test):
-    # Explicit examples at lengths around _PRODUCT_LEAF, for small and large b.
-    leaf = _PRODUCT_LEAF
-    for b in (0, 1, 1000, 10**6):
-        for length in (0, 1, leaf - 1, leaf, leaf + 1, 2 * leaf + 1):
-            test = example(b=b, length=length)(test)
-    return test
+@pytest.mark.parametrize(
+    "length", [0, 1, _PRODUCT_LEAF - 1, _PRODUCT_LEAF, _PRODUCT_LEAF + 1, 2 * _PRODUCT_LEAF + 1]
+)
+@pytest.mark.parametrize("b", [0, 1, 1000, 10**6])
+def test_rising_factorial_ratio_tree_matches_one_run_around_the_leaf(b, length):
+    assert rising_factorial_ratio(b + length, b) == math.prod(range(b + 1, b + length + 1))
 
 
 @given(b=st.integers(0, 10**9), length=st.integers(0, 20 * _PRODUCT_LEAF))
+@example(b=0, length=0)
 @example(b=7, length=0)
+@example(b=0, length=1)
 @example(b=0, length=500)
-@_around_the_leaf
 def test_rising_factorial_ratio_is_the_plain_product(b, length):
     a = b + length
     assert rising_factorial_ratio(a, b) == math.prod(range(b + 1, a + 1))
