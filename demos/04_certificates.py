@@ -12,8 +12,8 @@ p-adic valuations alone, one witness per prime per row segment.
 from torelli_euler import (
     bernoulli_table,
     certify_non_integrality,
+    e_mn,
     ledger_segments,
-    monotone_decrease_check,
     scan,
     threshold_for_n,
     wide_range_bound_forms,
@@ -33,9 +33,10 @@ result = threshold_for_n(1, m_cap=30)
 print(f"  U(m,1) certified below 1 from m = {result.m_found}, with every")
 print(f"  consecutive ratio below 1 through the cap ({len(result.chain)} links)")
 
-report = monotone_decrease_check(1, (1, 20), table)
+values = [e_mn(m, 1, table) for m in range(1, 21)]
+steps = tuple(m for m in range(1, 20) if values[m] >= values[m - 1])
 print(f"\ne(m,1) rises up to m = 8 and falls from m = 9 on; increasing steps "
-      f"in 1..20: {report.increasing_steps}")
+      f"in 1..20: {steps}")
 
 print("\nA small exact scan (m = 4..8, n = 1..3):")
 for point in scan((4, 8), (1, 3), "exact", table):

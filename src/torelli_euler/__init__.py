@@ -32,7 +32,6 @@ from .certify import (
     IntegerValue,
     LedgerSegment,
     MagnitudeWitness,
-    MonotoneReport,
     PrimeWitness,
     ScanPoint,
     ThresholdResult,
@@ -40,7 +39,6 @@ from .certify import (
     certificate_from_exact,
     certify_non_integrality,
     ledger_segments,
-    monotone_decrease_check,
     scan,
     single_term_interval,
     threshold_for_n,
@@ -49,7 +47,6 @@ from .certify import (
     wide_range_constant_form_threshold,
 )
 from .euler_char import (
-    EmnQuery,
     EulerChar,
     ProductFormulaCheck,
     SpaceDescriptor,

@@ -20,9 +20,9 @@ ratio, which certifies that the bound sequence decreases below 1 from some
 threshold on.  Its powers of 2pi, single terms and prefix products are
 memoised one end at a time, lo rounded down and hi rounded up; `_bound_memo`
 extends an end's memo only when that end is read: a certificate reads the
-hi end alone, an enclosure both.  Exact certificates use exact rational
-arithmetic; witness primes are chosen deterministically (691, then 3617,
-then the smallest prime factor of the reduced denominator up to
+hi end alone, an enclosure both.  Exact certificates read the exact e(m,n)
+of `euler_char.e_mn`; witness primes are chosen deterministically (691,
+then 3617, then the smallest prime factor of the reduced denominator up to
 WITNESS_SEARCH_LIMIT).  The valuation ledger (`ledger_segments`) reaches
 the same witnesses over a grid as row segments, without forming e(m,n)
 wherever 691 or 3617 suffices: one witness per prime per row, whose run ends
@@ -45,6 +45,7 @@ from .exact_core import (
     _dyadic_quotient,
     _dyadic_to_bits,
     _interval_from_dyadic,
+    _legendre,
     _positive_power,
     _rounded_ratio,
     dyadic_fraction,
@@ -55,7 +56,7 @@ from .exact_core import (
     primes_up_to,
     rising_factorial_ratio,
 )
-from .euler_char import EmnQuery, e_mn
+from .euler_char import e_mn
 from .zeta_special import abs_zeta_one_minus_2k
 
 __all__ = [
@@ -69,7 +70,6 @@ __all__ = [
     "MAX_EXACT_M",
     "MAX_WITNESSED_N",
     "MagnitudeWitness",
-    "MonotoneReport",
     "PrimeWitness",
     "STRATEGIES",
     "ScanPoint",
@@ -82,7 +82,6 @@ __all__ = [
     "certify_non_integrality",
     "first_n_reaching",
     "ledger_segments",
-    "monotone_decrease_check",
     "scan",
     "single_term_interval",
     "threshold_for_n",
@@ -188,8 +187,8 @@ class ValuationWitness(_Record):
             zeta_sum += v
             previous = k
         recomputed = (
-            factorial_valuation(2 * self.m + self.n - 1, self.p)
-            - factorial_valuation(2 * self.m, self.p)
+            _legendre(2 * self.m + self.n - 1, self.p)
+            - _legendre(2 * self.m, self.p)
             - zeta_sum
         )
         if recomputed != self.valuation or recomputed >= 0:
@@ -571,7 +570,7 @@ class ScanPoint(_Record):
     @property
     def preferred_witness(self) -> bool | None:
         """For prime witnesses: whether p is one of the tried-first primes."""
-        if isinstance(self.certificate, (PrimeWitness, ValuationWitness)):
+        if isinstance(self.certificate, PrimeWitness):
             return self.certificate.p in WITNESS_PRIMES
         return None
 
@@ -629,7 +628,7 @@ def _certificates(
                         )
             if cert is None:
                 if exact_value is None:
-                    exact_value = e_mn(EmnQuery(m, n), table)
+                    exact_value = e_mn(m, n, table)
                 cert = certificate_from_exact(exact_value)
             yield ScanPoint(m=m, n=n, certificate=cert)
             # Advance the row: both running values gain the factor (2m+n).
@@ -721,7 +720,7 @@ def first_n_reaching(m: int, p: int, bar: int) -> int:
     Legendre's formula inverted, not searched: v_p(N!) changes only at
     multiples of p, and v_p((pM)!) = M + v_p(M!), so n = max(1, pM - 2m + 1)
     for the least M >= 0 with M + v_p(M!) >= bar + v_p((2m)!), bisected.  A
-    p that is not prime is refused by `factorial_valuation`.
+    p that is not prime is refused once, by `factorial_valuation` on entry.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
@@ -729,7 +728,7 @@ def first_n_reaching(m: int, p: int, bar: int) -> int:
     lo, hi = 0, max(target, 0)
     while lo < hi:
         mid = (lo + hi) // 2
-        if mid + factorial_valuation(mid, p) >= target:
+        if mid + _legendre(mid, p) >= target:
             hi = mid
         else:
             lo = mid + 1
@@ -770,54 +769,12 @@ def ledger_segments(
             bar = sum(v for _, v in entries)
             n_last = min(n_hi, first_n_reaching(m, p, bar) - 1)
             if n_last >= n_first:
-                diff = factorial_valuation(2 * m + n_last - 1, p) - factorial_valuation(2 * m, p)
+                diff = _legendre(2 * m + n_last - 1, p) - _legendre(2 * m, p)
                 witness = ValuationWitness(m, n_last, p, diff - bar, tuple(entries))
                 yield LedgerSegment(m, n_first, n_last, witness)
                 n_first = n_last + 1
         for point in _certificates(m, m, n_first, n_hi, "exact", table):
             yield LedgerSegment(m, point.n, point.n, point.certificate)
-
-
-class MonotoneReport(_Record):
-    """Exact comparison of consecutive e(m,n) over a range of m."""
-
-    __slots__ = _fields = ("n", "m_lo", "m_hi", "increasing_steps")
-
-    def __init__(
-        self,
-        n: int,
-        m_lo: int,
-        m_hi: int,
-        increasing_steps: tuple[int, ...],  # m where e(m+1,n) >= e(m,n)
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m_lo", m_lo)
-        object.__setattr__(self, "m_hi", m_hi)
-        object.__setattr__(self, "increasing_steps", increasing_steps)
-
-    @property
-    def strictly_decreasing(self) -> bool:
-        return not self.increasing_steps
-
-
-def monotone_decrease_check(
-    n: int, m_range: tuple[int, int], table: BernoulliTable
-) -> MonotoneReport:
-    """Verify e(m+1,n) < e(m,n) exactly for each consecutive pair in range."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    m_lo, m_hi = _validate_range(m_range, "m")
-    _check_request("exact", table, m_hi)
-    current = e_mn(EmnQuery(m_lo, n), table)
-    increasing: list[int] = []
-    for m in range(m_lo, m_hi):
-        nxt = e_mn(EmnQuery(m + 1, n), table)
-        if nxt >= current:
-            increasing.append(m)
-        current = nxt
-    return MonotoneReport(
-        n=n, m_lo=m_lo, m_hi=m_hi, increasing_steps=tuple(increasing)
-    )
 
 
 # ---------------------------------------------------------------------------

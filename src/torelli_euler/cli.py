@@ -27,7 +27,6 @@ from .certify import (
     threshold_for_n,
 )
 from .euler_char import (
-    EmnQuery,
     TORELLI_FORMULA_NOTE,
     chi_torelli,
     e_mn,
@@ -58,16 +57,30 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _at_most(limit: int, text: str, unit: str = "") -> int:
+    value = _positive_int(text)
+    if value > limit:
+        raise argparse.ArgumentTypeError(f"expected at most {limit}{unit}, got {text}")
+    return value
+
+
 # Text output rounds to at most this many digits: rounding forms 10**digits,
 # and `emn -m 200 -n 677` takes 1.3 s at 10^6 digits and 18 s at 10^7.
 _MAX_DIGITS = 100_000
 
 
 def _digits(text: str) -> int:
-    value = _positive_int(text)
-    if value > _MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"expected at most {_MAX_DIGITS} digits, got {text}")
-    return value
+    return _at_most(_MAX_DIGITS, text, " digits")
+
+
+# `threshold --format json` prints the whole chain: at n = 1 and cap 700,
+# 358 MB in 46 s on a 2-core container.  700 still admits n = 100000
+# (m0 = 539) and n = 2^17 (m0 = 614).
+_MAX_M_CAP = 700
+
+
+def _m_cap(text: str) -> int:
+    return _at_most(_MAX_M_CAP, text)
 
 
 def _nonnegative_int(text: str) -> int:
@@ -119,7 +132,7 @@ _COMMANDS = {
     )),
     "threshold": ("certified bound threshold for fixed n", (
         ("-n", dict(type=_positive_int, required=True)),
-        ("--m-cap", dict(type=_positive_int, default=64)),
+        ("--m-cap", dict(type=_m_cap, default=64, help=f"largest m, at most {_MAX_M_CAP}")),
     )),
     "scan": ("certificates over a grid of (m, n)", (
         ("--m-min", dict(type=_positive_int, required=True)),
@@ -231,7 +244,7 @@ def _cmd_chi(args: argparse.Namespace) -> int:
 
 def _cmd_emn(args: argparse.Namespace) -> int:
     table = obtain_table(2 * args.m, args.cache)
-    value = e_mn(EmnQuery(args.m, args.n), table)
+    value = e_mn(args.m, args.n, table)
     if args.format == "json":
         print(dumps({"m": args.m, "n": args.n, "value": rational_to_json(value)}))
     else:

@@ -27,7 +27,6 @@ from .exact_core import _Record, rising_factorial_ratio
 from .zeta_special import zeta_one_minus_2k, zeta_product
 
 __all__ = [
-    "EmnQuery",
     "EulerChar",
     "ProductFormulaCheck",
     "SPACE_KINDS",
@@ -88,19 +87,6 @@ class EulerChar(_Record):
             raise ValueError("every formula in scope is a product of nonzero factors")
 
 
-class EmnQuery(_Record):
-    __slots__ = _fields = ("m", "n")
-
-    def __init__(self, m: int, n: int) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"need m, n >= 1, got m={self.m}, n={self.n}")
-
-
 def siegel_zeta_product(g: int, table: BernoulliTable) -> Fraction:
     """Exact prod_{k=1..g} zeta(1-2k)."""
     if g < 1:
@@ -139,9 +125,10 @@ def chi_torelli(g: int, n: int, table: BernoulliTable) -> EulerChar:
     return EulerChar(space=space, value=value)
 
 
-def e_mn(query: EmnQuery, table: BernoulliTable) -> Fraction:
+def e_mn(m: int, n: int, table: BernoulliTable) -> Fraction:
     """e(m,n) = (2m+n-1)!/(2m)! * prod_{k=1..m} 1/|zeta(1-2k)|, exact and positive."""
-    m, n = query.m, query.n
+    if m < 1 or n < 1:
+        raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
     # A quotient by Fraction operators: its gcds are taken against the
     # rising factorial, not between the product's numerator and denominator.
     return rising_factorial_ratio(2 * m + n - 1, 2 * m) / abs(zeta_product(m, table))

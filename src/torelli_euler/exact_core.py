@@ -235,6 +235,11 @@ def factorial_valuation(n: int, p: int) -> int:
         raise ValueError(f"need n >= 0, got n={n}")
     if not is_probable_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    return _legendre(n, p)
+
+
+def _legendre(n: int, p: int) -> int:
+    # Legendre's sum for n >= 0, with p unchecked: the caller has checked it.
     total = 0
     while n:
         n //= p

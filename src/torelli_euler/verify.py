@@ -15,7 +15,8 @@ prime per row covers a run of points, ended by inverting Legendre's formula
 in a few Legendre sums, and no exact ~10^5-digit e(m,n) is formed.  The
 segments are formed once per run, by `_wide_grid` for whichever of
 `wide-grid-scan` and `witness-prime-coverage` asks first; the other reads
-the same tuple.
+the same tuple.  Likewise `_column` forms the n = 1 column, e(m,1) for
+m = 1..100 in one exact scan, once for the six checks that read it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .bernoulli import (
     _von_staudt_clausen_prime_lists,
 )
 from .certify import (
+    Certificate,
     DEEP_MAX_M,
     Inconclusive,
     IntegerValue,
@@ -51,17 +53,15 @@ from .certify import (
     _upper_end,
     certify_non_integrality,
     ledger_segments,
-    monotone_decrease_check,
+    scan,
     single_term_interval,
     threshold_for_n,
     wide_range_bound_forms,
     wide_range_constant_form_threshold,
 )
 from .euler_char import (
-    EmnQuery,
     check_product_formula,
     chi_torelli,
-    e_mn,
     euler_moduli,
     siegel_zeta_product,
 )
@@ -263,20 +263,25 @@ def _check_spot_values(ctx: dict) -> Outcome:
     return "pass", "moduli(2,0) = -1/240, torelli chi(2,0) = 6, torelli chi(3,0) = 360"
 
 
+def _column(ctx: dict) -> tuple[Certificate, ...]:
+    """The exact certificates of e(m,1) at index m - 1, m = 1..100, formed on first use."""
+    if "column" not in ctx:
+        points = scan((1, 100), (1, 1), "exact", ctx["table"])
+        ctx["column"] = tuple(point.certificate for point in points)
+    return ctx["column"]
+
+
 def _check_small_m_integers(ctx: dict) -> Outcome:
-    table: BernoulliTable = ctx["table"]
     for m, expected in ((1, 12), (2, 1440)):
-        cert = certify_non_integrality(m, 1, "exact", table)
+        cert = _column(ctx)[m - 1]
         if not isinstance(cert, IntegerValue) or cert.value != expected:
             return "fail", f"e({m},1) gave {cert!r}"
     return "pass", "e(1,1) = 12 and e(2,1) = 1440, both integers"
 
 
 def _check_direct_6_13(ctx: dict) -> Outcome:
-    table: BernoulliTable = ctx["table"]
     witnesses = []
-    for m in range(6, 14):
-        cert = certify_non_integrality(m, 1, "exact", table)
+    for m, cert in enumerate(_column(ctx)[5:13], 6):
         if not isinstance(cert, PrimeWitness):
             return "fail", f"e({m},1) gave {cert!r}"
         witnesses.append(f"m={m}: p={cert.p}")
@@ -284,17 +289,17 @@ def _check_direct_6_13(ctx: dict) -> Outcome:
 
 
 def _check_magnitude_tail(ctx: dict) -> Outcome:
-    table: BernoulliTable = ctx["table"]
-    for m in range(14, 101):
-        if not e_mn(EmnQuery(m, 1), table) < 1:
+    for m, cert in enumerate(_column(ctx)[13:], 14):
+        if not cert.value < 1:
             return "fail", f"e({m},1) is not below 1"
     return "pass", "exact e(m,1) < 1 for m = 14..100"
 
 
 def _check_monotone(ctx: dict) -> Outcome:
-    report = monotone_decrease_check(1, (9, 100), ctx["table"])
-    if not report.strictly_decreasing:
-        return "fail", f"increasing steps at m in {report.increasing_steps}"
+    values = [cert.value for cert in _column(ctx)[8:]]
+    increasing = tuple(m for m, (now, nxt) in enumerate(zip(values, values[1:]), 9) if nxt >= now)
+    if increasing:
+        return "fail", f"increasing steps at m in {increasing}"
     return "pass", "e(m,1) strictly decreasing for m = 9..100"
 
 
@@ -316,10 +321,9 @@ def _check_threshold_n1(ctx: dict) -> Outcome:
 
 
 def _check_bound_dominates(ctx: dict) -> Outcome:
-    table: BernoulliTable = ctx["table"]
-    for m in range(1, 51):
+    for m, cert in enumerate(_column(ctx)[:50], 1):
         # e(m,n) and U(m,n) = top * 2**exponent both gain the factor 2m+n from n to n+1.
-        exact, (top, exponent) = e_mn(EmnQuery(m, 1), table), _upper_end(m, 1)
+        exact, (top, exponent) = cert.value, _upper_end(m, 1)
         for n in range(1, 6):
             if not exact <= dyadic_fraction(top, exponent):
                 return "fail", f"bound fails to dominate at m={m}, n={n}"
@@ -425,10 +429,9 @@ def _check_cache_round_trip(ctx: dict) -> Outcome:
 
 
 def _check_json_round_trip(ctx: dict) -> Outcome:
-    table: BernoulliTable = ctx["table"]
     certificates = [
-        certify_non_integrality(1, 1, "exact", table),
-        certify_non_integrality(6, 1, "exact", table),
+        _column(ctx)[0],
+        _column(ctx)[5],
         certify_non_integrality(14, 1, "bound"),
         certify_non_integrality(13, 1, "bound"),
     ]

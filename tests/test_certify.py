@@ -33,7 +33,6 @@ from torelli_euler.certify import (
     certify_non_integrality,
     first_n_reaching,
     ledger_segments,
-    monotone_decrease_check,
     scan,
     single_term_interval,
     threshold_for_n,
@@ -41,7 +40,7 @@ from torelli_euler.certify import (
     wide_range_bound_forms,
     wide_range_constant_form_threshold,
 )
-from torelli_euler.euler_char import EmnQuery, e_mn
+from torelli_euler.euler_char import e_mn
 from torelli_euler import verify
 from torelli_euler.exact_core import (
     RationalInterval,
@@ -595,7 +594,7 @@ def test_exact_certificates(table60):
     cert = certify_non_integrality(6, 1, "exact", table60)
     assert isinstance(cert, PrimeWitness)
     assert cert.p == 691 and cert.valuation == -1
-    assert cert.value == e_mn(EmnQuery(6, 1), table60)
+    assert cert.value == e_mn(6, 1, table60)
 
 
 def test_bound_certificates():
@@ -689,7 +688,7 @@ def test_scan_matches_single_point_evaluation(table60):
         certify_non_integrality(35, 5, "exact", table60)
     for m, n in ((6, 3), (10, 5), (14, 7), (3, 11)):
         (point,) = scan((m, m), (n, n), "exact", table60)
-        assert point.certificate.value == e_mn(EmnQuery(m, n), table60)
+        assert point.certificate.value == e_mn(m, n, table60)
 
 
 def test_scan_bound_and_auto_strategies(table60):
@@ -738,7 +737,7 @@ def test_bound_points_read_the_hi_end_of_the_enclosure(table60, table600, block)
             elif fallback is None:
                 assert isinstance(cert, Inconclusive), point
             else:
-                assert cert == certificate_from_exact(e_mn(EmnQuery(point.m, point.n), fallback))
+                assert cert == certificate_from_exact(e_mn(point.m, point.n, fallback))
 
 
 @pytest.mark.parametrize("m_lo", [1, 6, 150])
@@ -750,7 +749,7 @@ def test_exact_scan_rows_are_e_mn(table600, m_lo):
         (m, n) for m in range(m_lo, m_lo + 4) for n in range(1, 5)
     ]
     for point in points:
-        expected = certificate_from_exact(e_mn(EmnQuery(point.m, point.n), table600))
+        expected = certificate_from_exact(e_mn(point.m, point.n, table600))
         assert point.certificate == expected, (point.m, point.n)
 
 
@@ -787,31 +786,23 @@ def test_scan_validation(table60):
 # --- monotonicity ---------------------------------------------------------------
 
 
+def _increasing_steps(m_lo, m_hi, table):
+    """The m in m_lo..m_hi-1 with e(m+1,1) >= e(m,1)."""
+    return tuple(m for m in range(m_lo, m_hi) if e_mn(m + 1, 1, table) >= e_mn(m, 1, table))
+
+
 def test_monotone_decrease_tail(table600):
-    report = monotone_decrease_check(1, (9, 50), table600)
-    assert report.strictly_decreasing
+    assert _increasing_steps(9, 50, table600) == ()
 
 
 def test_monotone_identifies_increasing_steps(table60):
-    report = monotone_decrease_check(1, (1, 8), table60)
-    assert not report.strictly_decreasing
-    assert report.increasing_steps == (1, 2, 3, 4, 5, 6, 7)
+    assert _increasing_steps(1, 8, table60) == (1, 2, 3, 4, 5, 6, 7)
 
 
 def test_monotone_values_below_one_past_fourteen(table60):
-    report = monotone_decrease_check(1, (14, 20), table60)
-    assert report.strictly_decreasing
+    assert _increasing_steps(14, 20, table60) == ()
     for m in range(14, 21):
-        assert e_mn(EmnQuery(m, 1), table60) < 1
-
-
-def test_monotone_check_validation(table60):
-    with pytest.raises(CapacityError):
-        monotone_decrease_check(1, (14, 31), table60)
-    with pytest.raises(ValueError):
-        monotone_decrease_check(0, (14, 20), table60)
-    with pytest.raises(ValueError):
-        monotone_decrease_check(1, (14, 20), None)
+        assert e_mn(m, 1, table60) < 1
 
 
 # --- the closing bound for the wide window ---------------------------------------
@@ -880,7 +871,7 @@ def test_ledger_lists_every_nonzero_zeta_valuation(table600):
 @given(m=st.integers(1, 200), n=st.integers(1, 677))
 def test_ledger_matches_exact_certificate_at_random_points(table600, m, n):
     (segment,) = ledger_segments((m, m), (n, n), table600)
-    exact = certificate_from_exact(e_mn(EmnQuery(m, n), table600))
+    exact = certificate_from_exact(e_mn(m, n, table600))
     if isinstance(segment.certificate, ValuationWitness):
         assert isinstance(exact, PrimeWitness)
         assert (segment.certificate.p, segment.certificate.valuation) == (exact.p, exact.valuation)
@@ -931,8 +922,8 @@ def test_row_frontiers_are_exact():
     frontiers = [_row_frontier(m, table) for m in range(6, 12)]
     assert frontiers == [680, 678, 3602, 43850, 43848, 43846]
     for m, frontier in zip(range(6, 12), frontiers):
-        assert e_mn(EmnQuery(m, frontier - 1), table).denominator != 1, m
-        assert e_mn(EmnQuery(m, frontier), table).denominator == 1, m
+        assert e_mn(m, frontier - 1, table).denominator != 1, m
+        assert e_mn(m, frontier, table).denominator == 1, m
 
 
 def test_first_n_reaching_needs_a_row():

@@ -466,6 +466,20 @@ def test_digits_above_the_limit_are_a_usage_error(capsys):
     assert code == 0 and "-1/12" in out
 
 
+def test_m_cap_above_the_limit_is_a_usage_error(capsys, monkeypatch):
+    # At n = 1 the JSON chain to cap 700 is already 358 MB: a larger cap is
+    # refused by the parser, before any bound is formed.
+    def computed(*args, **kwargs):
+        raise AssertionError("threshold_for_n was called")
+
+    monkeypatch.setattr(cli, "threshold_for_n", computed)
+    for cap in ("701", "100000000"):
+        code, out, err = _outcome(capsys, main, ["threshold", "-n", "1", "--m-cap", cap])
+        assert code == 2 and out == "" and f"at most 700, got {cap}" in err, cap
+    # The documented `threshold -n 100000 --m-cap 700` still parses.
+    assert cli._m_cap("700") == 700
+
+
 # --- one command's parser ---------------------------------------------------------
 
 _REQUIRED = {

@@ -5,7 +5,6 @@ import pytest
 
 from torelli_euler.bernoulli import CapacityError
 from torelli_euler.euler_char import (
-    EmnQuery,
     SpaceDescriptor,
     check_product_formula,
     chi_torelli,
@@ -31,11 +30,10 @@ def test_descriptor_validation():
         SpaceDescriptor(kind="surface", g=2)
 
 
-def test_emn_query_validation():
-    with pytest.raises(ValueError):
-        EmnQuery(0, 1)
-    with pytest.raises(ValueError):
-        EmnQuery(1, 0)
+def test_emn_query_validation(table60):
+    for m, n in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match=f"need m, n >= 1, got m={m}, n={n}"):
+            e_mn(m, n, table60)
 
 
 def test_siegel_quotient_values(table60):
@@ -86,9 +84,9 @@ def test_torelli_reciprocal_identity(table60):
 
 
 def test_emn_values(table60):
-    assert e_mn(EmnQuery(1, 1), table60) == 12
-    assert e_mn(EmnQuery(2, 1), table60) == 1440
-    value = e_mn(EmnQuery(6, 1), table60)
+    assert e_mn(1, 1, table60) == 12
+    assert e_mn(2, 1, table60) == 1440
+    value = e_mn(6, 1, table60)
     assert value.denominator % 691 == 0
     assert value == Fraction(12 * 120 * 252 * 240 * 132 * 32760, 691)
 
@@ -98,23 +96,23 @@ def test_emn_equals_bernoulli_product_form(table60):
         product = Fraction(rising_factorial_ratio(2 * m + n - 1, 2 * m))
         for k in range(1, m + 1):
             product *= Fraction(2 * k) / abs(table60.even(k))
-        assert e_mn(EmnQuery(m, n), table60) == product
+        assert e_mn(m, n, table60) == product
 
 
 def test_emn_positive_and_recurrences(table60):
     for m in range(1, 16):
         for n in range(1, 6):
-            value = e_mn(EmnQuery(m, n), table60)
+            value = e_mn(m, n, table60)
             assert value > 0
-            assert e_mn(EmnQuery(m, n + 1), table60) / value == 2 * m + n
+            assert e_mn(m, n + 1, table60) / value == 2 * m + n
     for m in range(1, 15):
-        ratio = e_mn(EmnQuery(m + 1, 1), table60) / e_mn(EmnQuery(m, 1), table60)
+        ratio = e_mn(m + 1, 1, table60) / e_mn(m, 1, table60)
         assert ratio == 1 / abs_zeta_one_minus_2k(m + 1, table60)
 
 
 def test_emn_capacity(table60):
     with pytest.raises(CapacityError):
-        e_mn(EmnQuery(31, 1), table60)
+        e_mn(31, 1, table60)
 
 
 def _running_division_e_mn(m, n, table):
@@ -129,14 +127,14 @@ def _running_division_e_mn(m, n, table):
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 677])
 def test_emn_by_product_trees_matches_the_running_division(table600, n):
     for m in range(1, 61):
-        value = e_mn(EmnQuery(m, n), table600)
+        value = e_mn(m, n, table600)
         assert value == _running_division_e_mn(m, n, table600), m
         assert math.gcd(value.numerator, value.denominator) == 1
         assert (value.denominator == 1) == (m <= 5), m
 
 
 def test_emn_by_product_trees_at_the_top_of_the_standard_grid(table600):
-    value = e_mn(EmnQuery(200, 677), table600)
+    value = e_mn(200, 677, table600)
     assert value == _running_division_e_mn(200, 677, table600)
     assert math.gcd(value.numerator, value.denominator) == 1
 

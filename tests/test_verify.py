@@ -2,6 +2,7 @@ import pytest
 
 from torelli_euler import verify
 from torelli_euler.bernoulli import CapacityError, bernoulli_table, persist_table
+from torelli_euler.certify import scan
 
 
 def test_table_capacity_failure_is_recorded(monkeypatch):
@@ -52,3 +53,35 @@ def test_an_unwritable_cache_is_recorded_as_a_cache_error(tmp_path):
         f"cache error: cannot write cache file {cache}: No such file or directory"
     )
     assert all(check.status == "inconclusive" for check in rest)
+
+
+# The checks that read e(m,1) from the suite's one n = 1 column.
+_COLUMN_CHECKS = (
+    "integer-small-m",
+    "direct-6-13",
+    "magnitude-tail",
+    "monotone-decrease",
+    "bound-dominates-exact",
+    "json-round-trip",
+)
+
+
+@pytest.mark.parametrize("check_id", _COLUMN_CHECKS)
+def test_a_column_check_passes_alone(check_id, table600):
+    # Run first on a fresh context, the check forms the column itself.
+    check = next(fn for cid, _, fn in verify._CHECKS if cid == check_id)
+    status, witness = check({"mode": "standard", "table": table600})
+    assert status == "pass", witness
+
+
+def test_the_column_is_formed_once_per_run(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "scan", counted)
+    report = verify.run_verification_suite("standard")
+    assert report.passed
+    assert calls == [((1, 100), (1, 1), "exact")]

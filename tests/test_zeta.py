@@ -17,7 +17,7 @@ from torelli_euler.bernoulli import (
     persist_table,
 )
 from torelli_euler.certify import certificate_from_exact, certify_non_integrality, scan
-from torelli_euler.euler_char import EmnQuery, e_mn, siegel_zeta_product
+from torelli_euler.euler_char import e_mn, siegel_zeta_product
 from torelli_euler.exact_core import pi_interval
 from torelli_euler.zeta_special import (
     ZetaValue,
@@ -157,7 +157,7 @@ def test_memo_answers_as_an_independent_fraction_loop_in_any_order(requests):
     for kind, m, n in requests:
         expected = _reference_e_mn(m, n, products400)
         if kind == "e_mn":
-            assert e_mn(EmnQuery(m, n), table) == expected, (m, n)
+            assert e_mn(m, n, table) == expected, (m, n)
         elif kind == "siegel":
             assert siegel_zeta_product(m, table) == products400[m], m
         else:
@@ -187,7 +187,7 @@ def test_requests_past_the_table_raise_as_before_and_leave_the_memo_sound(table6
         (lambda: abs_zeta_one_minus_2k(40, table), "zeta(1-2k) for k=40 needs B_80, table stops at B_60"),
         (lambda: zeta_product(31, table), lacking),
         (lambda: siegel_zeta_product(45, table), lacking),
-        (lambda: e_mn(EmnQuery(31, 1), table), lacking),
+        (lambda: e_mn(31, 1, table), lacking),
         (
             lambda: certify_non_integrality(31, 1, "exact", table),
             "exact e(m,n) up to m=31 needs B_62, table stops at B_60",
@@ -199,12 +199,12 @@ def test_requests_past_the_table_raise_as_before_and_leave_the_memo_sound(table6
         assert type(excinfo.value) is CapacityError and str(excinfo.value) == message
     for m in (12, 30, 1, 29, 30):
         assert zeta_product(m, table) == products[m], m
-        assert e_mn(EmnQuery(m, 3), table) == _reference_e_mn(m, 3, products), m
+        assert e_mn(m, 3, table) == _reference_e_mn(m, 3, products), m
 
 
 def test_a_filled_memo_leaves_equality_repr_and_the_cache_file_alone(table60, tmp_path):
     filled, fresh = _fresh(table60), _fresh(table60)
-    e_mn(EmnQuery(30, 5), filled)
+    e_mn(30, 5, filled)
     siegel_zeta_product(7, filled)
     zeta_one_minus_2k(3, filled)
     assert filled._zeta_memo.values and fresh._zeta_memo is None
@@ -221,7 +221,7 @@ def test_a_filled_memo_leaves_equality_repr_and_the_cache_file_alone(table60, tm
     assert (tmp_path / "filled.txt").read_bytes() == (tmp_path / "fresh.txt").read_bytes()
     loaded = load_table(tmp_path / "filled.txt")
     assert loaded == filled and repr(loaded) == repr(filled)
-    assert e_mn(EmnQuery(30, 5), loaded) == e_mn(EmnQuery(30, 5), filled)
+    assert e_mn(30, 5, loaded) == e_mn(30, 5, filled)
 
 
 def test_one_standard_suite_forms_each_zeta_value_once(monkeypatch):
@@ -263,7 +263,7 @@ def test_memo_stays_the_size_of_its_values_after_a_scan_and_a_descent():
     for point in scan((1, 200), (1, 1), "exact", table):
         assert point.certificate == certificate_from_exact(_reference_e_mn(point.m, 1, products400))
     for m in range(200, 0, -1):
-        assert e_mn(EmnQuery(m, 1), table) == 1 / abs(products400[m]), m
+        assert e_mn(m, 1, table) == 1 / abs(products400[m]), m
     memo = table._zeta_memo
     value_bits = sum(_bits_held(zeta.value) for zeta in memo.values.values())
     # A product per m would hold about 200/3 times the values' bits.
