@@ -17,10 +17,11 @@ upper-bound product
 
 evaluated in rational interval arithmetic, together with its consecutive
 ratio, which certifies that the bound sequence decreases below 1 from some
-threshold on.  Its powers of 2pi, single terms and prefix products are
-memoised one end at a time, lo rounded down and hi rounded up; `_bound_memo`
-extends an end's memo only when that end is read: a certificate reads the
-hi end alone, an enclosure both.  Exact certificates read the exact e(m,n)
+threshold on.  Its single terms, each from the one before times
+(2pi)^2 / ((2k-2)(2k-1)), and its prefix products are memoised one end at a
+time, lo rounded down and hi rounded up; `_bound_memo` extends an end's memo
+only when that end is read: a certificate reads the hi end alone, an
+enclosure both.  Exact certificates read the exact e(m,n)
 of `euler_char.e_mn`; witness primes are chosen deterministically (691,
 then 3617, then the smallest prime factor of the reduced denominator up to
 WITNESS_SEARCH_LIMIT).  The valuation ledger (`ledger_segments`) reaches
@@ -291,82 +292,64 @@ _End = tuple[int, int]
 
 class _BoundEnd:
     # One end of the bound's interval products, lo rounded down or hi rounded
-    # up: (2pi)^(2k) for k = 0..len(powers)-1, the single terms for
-    # k = 1..len(terms), term k at index k - 1, the prefix products for
-    # m = 0..len(products)-1, and 2 (2k+1)! for the last term's k, the next
-    # term's divisor.  `_bound_memo` keeps len(powers) == len(products) ==
-    # len(terms) + 1.
-    __slots__ = ("powers", "terms", "products", "divisor")
+    # up: `square`, that end of (2pi)^2 rounded to _BITS; the single terms
+    # for k = 1..len(terms), term k at index k - 1; and the prefix products
+    # for m = 0..len(products)-1.  `_bound_memo` keeps
+    # len(products) == len(terms) + 1.
+    __slots__ = ("square", "terms", "products")
 
-    def __init__(self) -> None:
-        self.powers: list[_End] = [(1, 0)]
-        self.terms: list[_End] = []
-        self.products: list[_End] = [(1, 0)]
-        self.divisor = 2  # 2 * 1!
-
-
-# The memo of each end, ceil=False for lo and ceil=True for hi, each filled
-# only when that end is read.  An lru cache, not a module-level object:
-# clearing the module's lru caches then starts both ends over as in a
-# fresh process.
-@lru_cache(maxsize=2)
-def _bound_end(ceil: bool) -> _BoundEnd:
-    return _BoundEnd()
-
-
-def _next_power(powers: list[_End], ceil: bool) -> _End:
-    """One end of (2pi)^(2j), j = len(powers), bit for bit as `(2pi).power(2j, _BITS)`.
-
-    That power multiplies in the squares (2pi)^(2^(i+1)) for the set bits
-    of j, lowest first, rounding outward after each multiply.  So it is the
-    power for j less its top bit times the power for the top bit alone; the
-    power for a power of two is the square of the power for its half, and
-    for j = 1 the square of 2pi from the pi enclosure.  Each end of a
-    product of positive intervals is the product of the same ends.
-    """
-    j = len(powers)
-    top = 1 << (j.bit_length() - 1)
-    if j > top:
-        (a, a_exp), (b, b_exp) = powers[j - top], powers[top]
-    elif j > 1:
-        (a, a_exp) = (b, b_exp) = powers[top >> 1]
-    else:
+    def __init__(self, ceil: bool) -> None:
         two_pi = pi_interval(_BITS).scale(2)
         end = two_pi.hi if ceil else two_pi.lo
-        return _rounded_ratio(end.numerator**2, end.denominator**2, _BITS, ceil)
-    return _dyadic_to_bits(a * b, a_exp + b_exp, _BITS, ceil)
+        self.square = _rounded_ratio(end.numerator**2, end.denominator**2, _BITS, ceil)
+        self.terms: list[_End] = []
+        self.products: list[_End] = [(1, 0)]
+
+
+# The memo of each end, ceil=False for lo and ceil=True for hi, each made
+# and filled only when that end is read.  An lru cache, not a module-level
+# object: clearing the module's lru caches then starts both ends over as in
+# a fresh process.
+@lru_cache(maxsize=2)
+def _bound_end(ceil: bool) -> _BoundEnd:
+    return _BoundEnd(ceil)
 
 
 def _bound_memo(k: int, ceil: bool) -> _BoundEnd:
     """One end's memo, extended through single term k and prefix product k.
 
-    Step j appends (2pi)^(2j), from two earlier powers, then single term j,
-    then prefix product j.  The term's divisor 2 (2j-1)! is carried from one
-    term to the next, times 2j (2j+1), and the quotient, taken in lowest
-    terms, is rounded down (ceil=False) or up as `RationalInterval.outward`
-    rounds the lo or hi end.  Each end of a product of positive intervals is
-    the product of the same ends, so the prefix step multiplies the last
-    prefix by the term and rounds the same way, bit for bit.  Each mantissa
-    is odd and of at most _BITS + 1 bits: an endpoint as a Fraction would
-    carry a power-of-two denominator of ~10^5 bits by m = 200.
+    Step j appends single term j, then prefix product j.  With S the
+    memo's end of (2pi)^2, term 1 is S/2 and term j is term j-1 times
+    S / ((2j-2)(2j-1)): the two mantissas' product over that divisor, in
+    lowest terms, is rounded down (ceil=False) or up as
+    `RationalInterval.outward` rounds the lo or hi end, and the exponents
+    are added after, which moves no bit.  Each end of a product of positive
+    intervals is the product of the same ends, so the prefix step
+    multiplies the last prefix by the term and rounds the same way, bit for
+    bit.  Each mantissa is odd and of at most _BITS + 1 bits, so no step
+    forms an integer wider than two mantissas: an endpoint as a Fraction
+    would carry a power-of-two denominator of ~10^5 bits by m = 200.
 
     Readers test `products`, which each step appends last, so that a
-    reader that sees prefix product k sees single term k and power k too.
+    reader that sees prefix product k sees single term k too.
     """
     memo = _bound_end(ceil)
     if len(memo.products) <= k:
         with _MEMO_LOCK:
-            powers, terms, products = memo.powers, memo.terms, memo.products
+            (square, square_exp), terms, products = memo.square, memo.terms, memo.products
             for j in range(len(products), k + 1):
-                powers.append(_next_power(powers, ceil))
-                quotient = _dyadic_quotient(*powers[j], memo.divisor)
-                term, term_exp = _rounded_ratio(
-                    quotient.numerator, quotient.denominator, _BITS, ceil
-                )
+                if terms:
+                    last, last_exp = terms[-1]
+                    quotient = _dyadic_quotient(last * square, 0, (2 * j - 2) * (2 * j - 1))
+                    term, term_exp = _rounded_ratio(
+                        quotient.numerator, quotient.denominator, _BITS, ceil
+                    )
+                    term_exp += last_exp + square_exp
+                else:
+                    term, term_exp = square, square_exp - 1
                 terms.append((term, term_exp))
                 prefix, prefix_exp = products[-1]
                 products.append(_dyadic_to_bits(prefix * term, prefix_exp + term_exp, _BITS, ceil))
-                memo.divisor *= 2 * j * (2 * j + 1)
     return memo
 
 

@@ -247,7 +247,16 @@ def _threshold_by_products(n, m_cap):
 
 
 @pytest.mark.parametrize(
-    "n, m_cap, m_found", [(1, 30, 14), (677, 64, 55), (5000, 200, 132), (20000, 300, 251)]
+    "n, m_cap, m_found",
+    [
+        (1, 30, 14),
+        (13, 64, 16),
+        (100, 64, 27),
+        (677, 64, 55),
+        (1000, 64, 64),
+        (5000, 200, 132),
+        (20000, 300, 251),
+    ],
 )
 def test_threshold_chain_is_the_one_the_products_give(n, m_cap, m_found):
     result = threshold_for_n(n, m_cap=m_cap)
@@ -313,12 +322,40 @@ def test_bound_path_takes_no_gcd_of_large_operands(monkeypatch):
 # references below add the guard bits themselves.
 _SIGNIFICANT_BITS = [64]
 
+# The precision of the independent oracle, far past the bound's own.
+_ORACLE_BITS = 256
+
 
 def _reference_single_term(k, precision):
     # A fresh power of 2pi for each k, divided and rounded as Fractions.
     bits = precision + _GUARD_BITS
     power = fraction_power(pi_interval(bits).scale(2), 2 * k, bits)
     return power.scale(Fraction(1, 2 * math.factorial(2 * k - 1))).outward(bits)
+
+
+def _reference_single_terms(k_max, precision):
+    # Terms 1..k_max by the ratio recurrence, as Fractions rounded outward
+    # at each step: with S the square of the 2pi enclosure, term 1 is S/2
+    # and term k is term k-1 times S / ((2k-2)(2k-1)).
+    bits = precision + _GUARD_BITS
+    two_pi = pi_interval(bits).scale(2)
+    square = (two_pi * two_pi).outward(bits)
+    terms = [fraction_scale(square, Fraction(1, 2)).outward(bits)]
+    for k in range(2, k_max + 1):
+        ratio = Fraction(1, (2 * k - 2) * (2 * k - 1))
+        terms.append(fraction_scale(terms[-1] * square, ratio).outward(bits))
+    return terms
+
+
+def _reference_term_products(terms, precision):
+    # The Fraction loop the memo replaced, keeping every prefix on the way.
+    bits = precision + _GUARD_BITS
+    product = RationalInterval.point(1)
+    prefixes = [product]
+    for term in terms:
+        product = (product * term).outward(bits)
+        prefixes.append(product)
+    return prefixes
 
 
 def _memo_term_interval(k):
@@ -329,11 +366,11 @@ def _memo_term_interval(k):
 
 
 @pytest.mark.parametrize("precision", _SIGNIFICANT_BITS)
-def test_single_terms_from_the_square_chain_match_the_power(precision):
-    # Each power of 2pi comes from two earlier ones, the squares among them
-    # from the one before: the same multiplications, in the same order, as
-    # the binary powering of the reference.
-    reference = {k: _reference_single_term(k, precision) for k in range(1, 401)}
+def test_single_terms_match_the_ratio_recurrence(precision):
+    # Each term comes from the one before, both ends bit for bit as the
+    # Fraction recurrence: filled in one call, read warm, and one term per
+    # query.
+    reference = dict(enumerate(_reference_single_terms(400, precision), start=1))
 
     def check(ks):
         for k in ks:
@@ -347,6 +384,46 @@ def test_single_terms_from_the_square_chain_match_the_power(precision):
     check(range(1, 401))  # one term per query
 
 
+def test_single_terms_and_prefixes_enclose_a_fresh_power_of_2pi():
+    # Against an oracle that shares no step with the recurrence, at 256
+    # significant bits: every single term to k = 400 and every prefix
+    # product to m = 300 holds the oracle's enclosure.
+    terms = [_reference_single_term(k, _ORACLE_BITS) for k in range(1, 401)]
+    products = _reference_term_products(terms[:300], _ORACLE_BITS)
+    for k, reference in enumerate(terms, start=1):
+        term = single_term_interval(k)
+        assert term.lo <= reference.lo and reference.hi <= term.hi, k
+    for m, reference in enumerate(products):
+        product = _interval_from_dyadic(_term_product(m))
+        assert product.lo <= reference.lo and reference.hi <= product.hi, m
+
+
+def test_memo_steps_work_on_narrow_integers(monkeypatch):
+    # Filling both ends from cold to k = 700 hands the memo kernels nothing
+    # wider than the one-time square of the 2pi enclosure: each step works
+    # on two mantissas and a divisor of a few bits, never on a factorial.
+    widest = {}
+
+    def recording(name):
+        kernel = getattr(certify_module, name)
+
+        def record(*args):
+            widths = [abs(x).bit_length() for x in args if type(x) is int]
+            widest[name] = max([widest.get(name, 0), *widths])
+            return kernel(*args)
+
+        return record
+
+    for name in ("_dyadic_quotient", "_rounded_ratio", "_dyadic_to_bits"):
+        monkeypatch.setattr(certify_module, name, recording(name))
+    _bound_end.cache_clear()
+    for ceil in (False, True):
+        assert len(_bound_memo(700, ceil).terms) == 700
+    _bound_end.cache_clear()
+    assert set(widest) == {"_dyadic_quotient", "_rounded_ratio", "_dyadic_to_bits"}
+    assert max(widest.values()) <= 1000, widest
+
+
 def test_single_term_memo_stores_odd_mantissas():
     # Each term of each end as (mantissa, exponent): an odd mantissa of at
     # most bits + 1 bits.
@@ -356,23 +433,11 @@ def test_single_term_memo_stores_odd_mantissas():
             assert mantissa.bit_length() <= _BITS + 1, (ceil, k)
 
 
-def _reference_term_products(m_max, precision):
-    # The Fraction loop the memo replaced, keeping every prefix on the way,
-    # over single terms that are themselves Fraction references.
-    bits = precision + _GUARD_BITS
-    product = RationalInterval.point(1)
-    prefixes = [product]
-    for k in range(1, m_max + 1):
-        product = (product * _reference_single_term(k, precision)).outward(bits)
-        prefixes.append(product)
-    return prefixes
-
-
 @pytest.fixture(scope="module")
 def reference_to_300():
     # The single terms k = 1..300 and the prefix products m = 0..300.
-    terms = [_reference_single_term(k, 64) for k in range(1, 301)]
-    return terms, _reference_term_products(300, 64)
+    terms = _reference_single_terms(300, 64)
+    return terms, _reference_term_products(terms, 64)
 
 
 @pytest.mark.parametrize("ceil", [False, True], ids=["lo", "hi"])
@@ -389,7 +454,7 @@ def test_each_end_of_the_memos_is_that_end_of_the_fraction_loop(ceil, reference_
     memo_products = _bound_memo(300, ceil).products
     memo_terms = _bound_memo(300, ceil).terms
     other = _bound_end(not ceil)
-    assert (other.powers, other.terms, other.products) == ([(1, 0)], [], [(1, 0)])
+    assert (other.terms, other.products) == ([], [(1, 0)])
     assert len(memo_terms) == 300 and len(memo_products) == 301
     for k, (mantissa, exponent) in enumerate(memo_terms, start=1):
         assert dyadic_fraction(mantissa, exponent) == end(terms[k - 1]), k
@@ -407,7 +472,7 @@ def test_bound_decisions_extend_only_the_hi_memo():
     assert all(isinstance(point.certificate, MagnitudeWitness) for point in points)
     assert _bound_end.cache_info().currsize == 1
     lo, hi = _bound_end(False), _bound_end(True)
-    assert (lo.powers, lo.terms, lo.products, lo.divisor) == ([(1, 0)], [], [(1, 0)], 2)
+    assert (lo.terms, lo.products) == ([], [(1, 0)])
     assert (len(hi.terms), len(hi.products)) == (250, 251)
 
 
@@ -433,23 +498,22 @@ _BOUND_READS = st.one_of(
 @given(reads=st.lists(_BOUND_READS, max_size=5))
 def test_any_reads_leave_each_memo_whole(bound_memos_in_one_call, reads):
     # Whatever reads extend them, in whatever order, each end's memo holds
-    # one power and one prefix product more than single terms, the divisor
-    # of the next term, and the entries of the memo extended in one call.
+    # one prefix product more than single terms, and the square and entries
+    # of the memo extended in one call.
     _bound_end.cache_clear()
     for read, *args in reads:
         read(*args)
     for ceil, whole in zip((False, True), bound_memos_in_one_call):
         memo = _bound_end(ceil)
-        assert len(memo.powers) == len(memo.products) == len(memo.terms) + 1
-        assert memo.divisor == 2 * math.factorial(2 * len(memo.terms) + 1)
-        assert memo.powers == whole.powers[: len(memo.powers)]
+        assert len(memo.products) == len(memo.terms) + 1
+        assert memo.square == whole.square
         assert memo.terms == whole.terms[: len(memo.terms)]
         assert memo.products == whole.products[: len(memo.products)]
 
 
 @pytest.mark.parametrize("precision", _SIGNIFICANT_BITS)
 def test_term_product_memo_matches_the_fraction_loop(precision):
-    reference = _reference_term_products(300, precision)
+    reference = _reference_term_products(_reference_single_terms(300, precision), precision)
 
     def check(ms):
         for m in ms:
@@ -473,11 +537,11 @@ def test_prefix_memo_stores_small_integers():
 
 
 def test_prefix_memo_is_dropped_with_the_module_lru_caches(monkeypatch):
-    # Each end's memo, with its powers of 2pi, single terms, prefix products
-    # and carried divisor, lives behind an lru cache of the module, so
-    # clearing those caches starts both over as in a fresh process: every
-    # factor is rebuilt, divided by a factorial carried from 1!, from powers
-    # rebuilt from the pi enclosure, once per end.
+    # Each end's memo, with its square of 2pi, single terms and prefix
+    # products, lives behind an lru cache of the module, so clearing those
+    # caches starts both over as in a fresh process: the square is rebuilt
+    # from the pi enclosure, once per end, and every term after the first
+    # from the one before, divided by (2k-2)(2k-1).
     _term_product(50)
     for obj in vars(certify_module).values():
         if callable(getattr(obj, "cache_clear", None)):
@@ -489,20 +553,19 @@ def test_prefix_memo_is_dropped_with_the_module_lru_caches(monkeypatch):
         enclosures.append(bits)
         return enclose(bits)
 
-    def recording_divide(mantissa, exponent, divisor):
+    def recording_divide(numerator, exponent, divisor):
         divisors.append(divisor)
-        return divide(mantissa, exponent, divisor)
+        return divide(numerator, exponent, divisor)
 
     monkeypatch.setattr(certify_module, "pi_interval", recording_enclose)
     monkeypatch.setattr(certify_module, "_dyadic_quotient", recording_divide)
     _term_product(50)
     assert enclosures == [64 + _GUARD_BITS] * 2
-    assert divisors == [2 * math.factorial(2 * k - 1) for _ in ("lo", "hi") for k in range(1, 51)]
+    assert divisors == [(2 * k - 2) * (2 * k - 1) for _ in ("lo", "hi") for k in range(2, 51)]
     assert _bound_end.cache_info().misses == 2
     for ceil in (False, True):
         memo = _bound_end(ceil)
-        assert (len(memo.powers), len(memo.terms), len(memo.products)) == (51, 50, 51)
-        assert memo.divisor == 2 * math.factorial(101)
+        assert (len(memo.terms), len(memo.products)) == (50, 51)
 
 
 def _bound_memos_case():
@@ -511,7 +574,7 @@ def _bound_memos_case():
 
     def state():
         return [
-            (list(memo.powers), list(memo.terms), list(memo.products), memo.divisor)
+            (memo.square, list(memo.terms), list(memo.products))
             for memo in (_bound_end(False), _bound_end(True))
         ]
 
@@ -549,8 +612,8 @@ def _shared_table_case(table):
 
 def test_memos_extended_from_many_threads_match_one_thread(table600):
     # Threads extending both ends' single-term and prefix memos at once must
-    # file every entry under its own k, with the divisor carried once per
-    # term.
+    # file every entry under its own k, each term stepped once from the one
+    # before.
     # Threads moving one table's running zeta product in shuffled orders
     # must each read the product at their own m, with each zeta value filed
     # under its own k.

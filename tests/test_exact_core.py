@@ -54,12 +54,33 @@ def test_rising_factorial_ratio_times_b_factorial_is_a_factorial():
             assert rising_factorial_ratio(a, b) * math.factorial(b) == math.factorial(a)
 
 
-@pytest.mark.parametrize(
-    "length", [0, 1, _PRODUCT_LEAF - 1, _PRODUCT_LEAF, _PRODUCT_LEAF + 1, 2 * _PRODUCT_LEAF + 1]
-)
+# Lengths around the run of factors a leaf of `_tree_product` multiplies.
+_AROUND_THE_LEAF = [
+    0, 1, _PRODUCT_LEAF - 1, _PRODUCT_LEAF, _PRODUCT_LEAF + 1, 2 * _PRODUCT_LEAF + 1
+]
+
+
+@pytest.mark.parametrize("length", _AROUND_THE_LEAF)
 @pytest.mark.parametrize("b", [0, 1, 1000, 10**6])
 def test_rising_factorial_ratio_tree_matches_one_run_around_the_leaf(b, length):
-    assert rising_factorial_ratio(b + length, b) == math.prod(range(b + 1, b + length + 1))
+    # The factors b+1..b+length, 1 to 20 bits wide, by the product tree.
+    factors = list(range(b + 1, b + length + 1))
+    assert _tree_product(factors) == rising_factorial_ratio(b + length, b)
+
+
+@pytest.mark.parametrize("length", _AROUND_THE_LEAF)
+def test_tree_product_matches_one_run_around_the_leaf(length):
+    # Factors of 1 to 64 bits, the last 64 bits wide: the widest that still
+    # leaves runs of _PRODUCT_LEAF factors.
+    assert 64 * _PRODUCT_LEAF <= _PRODUCT_LEAF_BITS
+    rng = random.Random(length)
+    factors = [rng.getrandbits(rng.randint(1, 64)) | 1 for _ in range(length)]
+    if factors:
+        factors[-1] |= 1 << 63
+    product = 1
+    for factor in factors:
+        product *= factor
+    assert _tree_product(factors) == product
 
 
 @given(b=st.integers(0, 10**9), length=st.integers(0, 20 * _PRODUCT_LEAF))
