@@ -58,7 +58,6 @@ from .euler_char import (
     siegel_zeta_product,
 )
 from .exact_core import (
-    Rational,
     RationalInterval,
     decimal_to_int,
     factorial_valuation,

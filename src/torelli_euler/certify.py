@@ -299,9 +299,8 @@ class _BoundEnd:
     __slots__ = ("square", "terms", "products")
 
     def __init__(self, ceil: bool) -> None:
-        two_pi = pi_interval(_BITS).scale(2)
-        end = two_pi.hi if ceil else two_pi.lo
-        self.square = _rounded_ratio(end.numerator**2, end.denominator**2, _BITS, ceil)
+        square = _positive_power(pi_interval(_BITS).scale(2), 2, _BITS)
+        self.square = square[2:] if ceil else square[:2]
         self.terms: list[_End] = []
         self.products: list[_End] = [(1, 0)]
 

@@ -1,14 +1,13 @@
 """Exact arithmetic primitives shared by every other module.
 
 Values are plain `fractions.Fraction` objects (arbitrary precision, always
-reduced, denominator positive), re-exported here as `Rational`.  Those with
-a power-of-two denominator, the endpoints of every rounded enclosure, are
-built by `dyadic_fraction`, which reduces them by a shift instead of a gcd.
-On top of that the module provides factorial-ratio products, p-adic
-valuations, and a small rational interval arithmetic whose only
-transcendental constant, pi, enters through a certified enclosure.  No
-float ever participates in a certified computation; floats are for display
-only.
+reduced, denominator positive).  Those with a power-of-two denominator,
+the endpoints of every rounded enclosure, are built by `dyadic_fraction`,
+which reduces them by a shift instead of a gcd.  On top of that the module
+provides factorial-ratio products, p-adic valuations, and a small rational
+interval arithmetic whose only transcendental constant, pi, enters through
+a certified enclosure.  No float ever participates in a certified
+computation; floats are for display only.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from functools import lru_cache
 from typing import Sequence
 
 __all__ = [
-    "Rational",
     "RationalInterval",
     "decimal_to_int",
     "dyadic_fraction",
@@ -35,8 +33,6 @@ __all__ = [
     "primes_up_to",
     "rising_factorial_ratio",
 ]
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 
@@ -385,13 +381,13 @@ def _rounded_ratio(numerator: int, denominator: int, bits: int, ceil: bool) -> t
 
 
 def _positive_power(interval: "RationalInterval", n: int, bits: int) -> _Dyadic:
-    """`interval.power(n, bits)` for 0 < interval.lo, in integers.
+    """x**n over an interval with 0 < lo, rounded outward to `bits`, in integers.
 
-    The binary powering of `power`, in which each product of positive
-    intervals is lo * lo and hi * hi.  The first operand is the interval
-    itself; the first square of a reduced fraction is reduced as it stands,
-    numerator and denominator squared; every later operand has been rounded,
-    so is dyadic, and goes through `_mul_outward`.
+    Binary powering, in which each product of positive intervals is
+    lo * lo and hi * hi, rounded outward after every multiply.  The first
+    operand is the interval itself; the first square of a reduced fraction
+    is reduced as it stands, numerator and denominator squared; every later
+    operand has been rounded, so is dyadic, and goes through `_mul_outward`.
     """
     lo, hi = interval.lo, interval.hi
     result = _DYADIC_ONE
@@ -458,8 +454,7 @@ class RationalInterval(_Record):
     """Closed interval with exact rational endpoints.
 
     Every operation returns an enclosure of the exact image of its operands,
-    so chained computations stay certified.  Division by an interval that
-    contains zero is an error rather than an unbounded interval.
+    so chained computations stay certified.
     """
 
     __slots__ = _fields = ("lo", "hi")
@@ -485,26 +480,12 @@ class RationalInterval(_Record):
         if empty:
             raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
-    @classmethod
-    def point(cls, q: Fraction | int) -> "RationalInterval":
-        q = Fraction(q)
-        return cls(q, q)
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 
     def contains(self, q: Fraction | int) -> bool:
         return self.lo <= q <= self.hi
-
-    def encloses(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def __neg__(self) -> "RationalInterval":
-        return RationalInterval(-self.hi, -self.lo)
-
-    def __add__(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(self.lo + other.lo, self.hi + other.hi)
 
     def __sub__(self, other: "RationalInterval") -> "RationalInterval":
         return RationalInterval(self.lo - other.hi, self.hi - other.lo)
@@ -527,41 +508,18 @@ class RationalInterval(_Record):
             return RationalInterval(self.lo * q, self.hi * q)
         return RationalInterval(self.hi * q, self.lo * q)
 
-    def reciprocal(self) -> "RationalInterval":
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError("interval containing zero has no reciprocal")
-        return RationalInterval(1 / self.hi, 1 / self.lo)
+    def power(self, n: int, bits: int) -> "RationalInterval":
+        """Enclosure of x**n over a strictly positive interval, by binary powering.
 
-    def __truediv__(self, other: "RationalInterval") -> "RationalInterval":
-        if not isinstance(other, RationalInterval):
-            return NotImplemented
-        return self * other.reciprocal()
-
-    def power(self, n: int, bits: int | None = None) -> "RationalInterval":
-        """Enclosure of x**n over the interval, by binary exponentiation.
-
-        With `bits`, endpoints are rounded outward to about that many
-        significant bits after every multiply, so their size stays near
-        `bits` however large n gets; without, no rounding takes place.  A
-        strictly positive interval with `bits` is powered in integers by
-        `_positive_power`, whose endpoints are bit for bit those of the
-        Fraction loop below.  That loop stays for `bits=None`, where
-        endpoints are not dyadic, and for intervals reaching 0 or below,
-        where a product's ends are not lo * lo and hi * hi.
+        Endpoints are rounded outward to about `bits` significant bits after
+        every multiply, so their size stays near `bits` however large n
+        gets.  The powering runs in integers, in `_positive_power`.
         """
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"interval power wants a nonnegative integer, got {n}")
-        if bits is not None and self.lo > 0:
-            return _interval_from_dyadic(_positive_power(self, n, bits))
-        rounded = (lambda x: x) if bits is None else (lambda x: x.outward(bits))
-        result, square = RationalInterval.point(1), self
-        while n:
-            if n & 1:
-                result = rounded(result * square)
-            n >>= 1
-            if n:
-                square = rounded(square * square)
-        return result
+        if self.lo <= 0 or not isinstance(bits, int):
+            raise ValueError(f"interval power wants 0 < lo and integer bits, got {self.lo}, {bits}")
+        return _interval_from_dyadic(_positive_power(self, n, bits))
 
     __pow__ = power
 

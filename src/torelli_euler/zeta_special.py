@@ -152,7 +152,8 @@ def zeta_abs_lower_bound(k: int) -> RationalInterval:
     each end of the enclosure is one quotient in lowest terms: 2 (2k-1)!
     over the power's hi (for lo) or lo (for hi) mantissa, times the power
     of two of its exponent.  Lowest terms being unique, the endpoints are
-    those of `(2pi).power(2k, bits).reciprocal().scale(2 (2k-1)!)`.
+    the Fractions 2 (2k-1)! / hi and 2 (2k-1)! / lo of
+    `(2pi).power(2k, bits)`.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")

@@ -35,7 +35,7 @@ def fraction_outward(interval, bits):
 def fraction_power(interval, n, bits=None):
     """x**n over the interval by binary powering, rounded outward to `bits` after every multiply."""
     rounded = (lambda x: x) if bits is None else (lambda x: x.outward(bits))
-    result, square = RationalInterval.point(1), interval
+    result, square = RationalInterval(1, 1), interval
     while n:
         if n & 1:
             result = rounded(result * square)
@@ -43,6 +43,17 @@ def fraction_power(interval, n, bits=None):
         if n:
             square = rounded(square * square)
     return result
+
+
+def fraction_reciprocal(interval):
+    """1/x over an interval of one sign, by two Fraction divisions."""
+    assert not interval.lo <= 0 <= interval.hi
+    return RationalInterval(1 / interval.hi, 1 / interval.lo)
+
+
+def encloses(outer, inner):
+    """Whether the interval `outer` holds all of `inner`."""
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def fraction_scale(interval, q):

@@ -350,7 +350,7 @@ def _reference_single_terms(k_max, precision):
 def _reference_term_products(terms, precision):
     # The Fraction loop the memo replaced, keeping every prefix on the way.
     bits = precision + _GUARD_BITS
-    product = RationalInterval.point(1)
+    product = RationalInterval(1, 1)
     prefixes = [product]
     for term in terms:
         product = (product * term).outward(bits)

@@ -26,7 +26,7 @@ from torelli_euler.exact_core import (
 )
 from torelli_euler.verify import PI_REFERENCE
 
-from interval_oracles import fraction_outward, fraction_pi, fraction_power
+from interval_oracles import encloses, fraction_outward, fraction_pi, fraction_power
 
 
 # --- rising_factorial_ratio -------------------------------------------------
@@ -228,15 +228,16 @@ def test_interval_operations_enclose_exact_results():
         v = _random_interval(rng)
         for x in _points(u):
             for y in _points(v):
-                assert (u + v).contains(x + y)
                 assert (u - v).contains(x - y)
                 assert (u * v).contains(x * y)
-                if not v.contains(0):
-                    assert (u / v).contains(x / y)
         for n in (0, 1, 2, 3, 7):
+            if u.lo <= 0:
+                with pytest.raises(ValueError):
+                    u.power(n, 16)
+                continue
             for x in _points(u):
-                assert (u**n).contains(x**n)
                 assert u.power(n, 16).contains(x**n)
+                assert pow(u, n, 16).contains(x**n)
         scalar = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
         for x in _points(u):
             assert u.scale(scalar).contains(x * scalar)
@@ -246,9 +247,9 @@ def test_rounded_power_keeps_endpoints_small():
     # (2pi)^200 unrounded carries ~33k-bit endpoints; rounded at 96 bits the
     # enclosure stays valid, about as tight, and its endpoints stay small.
     two_pi = pi_interval(64).scale(2)
-    exact = two_pi**200
+    exact = fraction_power(two_pi, 200)
     rounded = two_pi.power(200, 96)
-    assert rounded.encloses(exact)
+    assert encloses(rounded, exact)
     assert rounded.width < exact.width * Fraction(101, 100)
     for endpoint in (rounded.lo, rounded.hi):
         assert endpoint.numerator.bit_length() <= 600
@@ -289,26 +290,18 @@ def test_power_of_two_pi_is_the_fraction_loop_bit_for_bit():
         assert _same_endpoints(two_pi.power(2 * k, effective + 32), expected), k
 
 
-def test_power_keeps_the_fraction_loop_off_the_positive_case():
-    # Unrounded, or over an interval reaching 0 or below, power is that loop.
-    for interval in (
-        RationalInterval(Fraction(1, 3), Fraction(5, 7)),
-        RationalInterval(Fraction(-2, 3), Fraction(5, 7)),
-        RationalInterval(Fraction(0), Fraction(9, 5)),
-        RationalInterval(Fraction(-9, 5), Fraction(-1, 3)),
+def test_power_wants_a_positive_interval_rounded_bits_and_a_natural_exponent():
+    positive = RationalInterval(Fraction(1, 3), Fraction(5, 7))
+    for interval, n, bits in (
+        (positive, 2, None),
+        (positive, -1, 24),
+        (positive, Fraction(1, 2), 24),
+        (RationalInterval(Fraction(-2, 3), Fraction(5, 7)), 2, 24),
+        (RationalInterval(Fraction(0), Fraction(9, 5)), 2, 24),
+        (RationalInterval(Fraction(-9, 5), Fraction(-1, 3)), 2, 24),
     ):
-        for n in (0, 1, 2, 7, 40):
-            assert _same_endpoints(interval.power(n), fraction_power(interval, n))
-            assert _same_endpoints(interval.power(n, 24), fraction_power(interval, n, 24))
-
-
-def test_interval_division_by_zero_interval_is_an_error():
-    u = RationalInterval(Fraction(1), Fraction(2))
-    z = RationalInterval(Fraction(-1), Fraction(1))
-    with pytest.raises(ZeroDivisionError):
-        u / z
-    with pytest.raises(ZeroDivisionError):
-        z.reciprocal()
+        with pytest.raises(ValueError):
+            interval.power(n, bits)
 
 
 def test_interval_outward_rounding_encloses_and_stays_tight():
@@ -316,7 +309,7 @@ def test_interval_outward_rounding_encloses_and_stays_tight():
     for _ in range(100):
         u = _random_interval(rng)
         rounded = u.outward(48)
-        assert rounded.encloses(u)
+        assert encloses(rounded, u)
         if u.lo != 0:
             assert abs(rounded.lo - u.lo) <= abs(u.lo) * Fraction(1, 2**46)
         if u.hi != 0:
@@ -414,7 +407,7 @@ def test_outward_is_the_fraction_floor_and_ceil(a, b, bits):
     interval = RationalInterval(*sorted((Fraction(a), Fraction(b))))
     rounded, expected = interval.outward(bits), fraction_outward(interval, bits)
     assert (rounded.lo, rounded.hi) == (expected.lo, expected.hi)
-    assert rounded.encloses(interval)
+    assert encloses(rounded, interval)
 
 
 @given(a=_dyadics, b=_dyadics, bits=st.integers(16, 200))
@@ -442,8 +435,8 @@ def test_pi_interval_contains_reference_and_meets_width():
 
 
 def test_pi_interval_nesting():
-    assert pi_interval(16).encloses(pi_interval(64))
-    assert pi_interval(64).encloses(pi_interval(128))
+    assert encloses(pi_interval(16), pi_interval(64))
+    assert encloses(pi_interval(64), pi_interval(128))
 
 
 def test_pi_interval_is_the_fraction_series_bit_for_bit():
@@ -453,7 +446,7 @@ def test_pi_interval_is_the_fraction_series_bit_for_bit():
     for precision in range(8, 401):
         enclosure = pi_interval(precision)
         assert _same_endpoints(enclosure, fraction_pi(precision)), precision
-        assert previous is None or previous.encloses(enclosure), precision
+        assert previous is None or encloses(previous, enclosure), precision
         previous = enclosure
 
 
