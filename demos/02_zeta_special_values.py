@@ -20,7 +20,7 @@ table = bernoulli_table(60)
 print("Exact values (sign alternates like (-1)^k):")
 for k in (1, 2, 3, 6, 8, 14):
     zeta = zeta_one_minus_2k(k, table)
-    print(f"  zeta(1-2k), k={k:>2}: {format_rational(zeta.value, 8)}")
+    print(f"  zeta(1-2k), k={k:>2}: {format_rational(zeta, 8)}")
 
 print("\npi is only ever an enclosure; at 128 bits:")
 enclosure = pi_interval(128)

@@ -11,8 +11,7 @@ from torelli_euler import (
     check_product_formula,
     chi_torelli,
     euler_moduli,
-    euler_siegel_quotient,
-    siegel_zeta_product,
+    zeta_product,
 )
 from torelli_euler.render import decimal_string, format_rational
 
@@ -20,9 +19,9 @@ table = bernoulli_table(80)
 
 print("Siegel quotient, moduli space, and Torelli space at small genus:")
 for g in (2, 3, 4):
-    siegel = euler_siegel_quotient(g, table).value
-    moduli = euler_moduli(g, 0, table).value
-    torelli = chi_torelli(g, 0, table).value
+    siegel = zeta_product(g, table)
+    moduli = euler_moduli(g, 0, table)
+    torelli = chi_torelli(g, 0, table)
     print(f"  g={g}: siegel {format_rational(siegel, 10)}")
     print(f"       moduli {format_rational(moduli, 10)}")
     print(f"       torelli chi_Q {format_rational(torelli, 10)} "
@@ -30,7 +29,7 @@ for g in (2, 3, 4):
 
 print("\nMarked points flip signs and grow factorially:")
 for n in (0, 1, 2, 3):
-    print(f"  moduli g=2, n={n}: {format_rational(euler_moduli(2, n, table).value, 8)}")
+    print(f"  moduli g=2, n={n}: {format_rational(euler_moduli(2, n, table), 8)}")
 
 print("\nProduct identity, exact on a grid:")
 checks = [check_product_formula(g, n, table) for g in range(2, 21) for n in range(0, 6)]
@@ -39,7 +38,7 @@ example = check_product_formula(2, 0, table)
 print(f"  e.g. g=2, n=0: {example.torelli} * {example.siegel} = {example.moduli}")
 
 print("\nThe 14-factor zeta product (the computer-assisted number):")
-product = siegel_zeta_product(14, table)
+product = zeta_product(14, table)
 print("  exact  =", product)
 print("  decimal =", decimal_string(product, 8))
 print("  (printed elsewhere as -297203.11, which is this value rounded to 2 decimals)")

@@ -47,15 +47,11 @@ from .certify import (
     wide_range_constant_form_threshold,
 )
 from .euler_char import (
-    EulerChar,
     ProductFormulaCheck,
-    SpaceDescriptor,
     check_product_formula,
     chi_torelli,
     e_mn,
     euler_moduli,
-    euler_siegel_quotient,
-    siegel_zeta_product,
 )
 from .exact_core import (
     RationalInterval,
@@ -68,7 +64,6 @@ from .exact_core import (
     rising_factorial_ratio,
 )
 from .zeta_special import (
-    ZetaValue,
     abs_zeta_one_minus_2k,
     zeta_abs_lower_bound,
     zeta_one_minus_2k,

@@ -26,13 +26,7 @@ from .certify import (
     scan,
     threshold_for_n,
 )
-from .euler_char import (
-    TORELLI_FORMULA_NOTE,
-    chi_torelli,
-    e_mn,
-    euler_moduli,
-    euler_siegel_quotient,
-)
+from .euler_char import TORELLI_FORMULA_NOTE, chi_torelli, e_mn, euler_moduli
 from .render import (
     bound_sequence_to_json,
     certificate_text,
@@ -41,7 +35,7 @@ from .render import (
     format_rational,
     rational_to_json,
 )
-from .zeta_special import ZetaValue
+from .zeta_special import zeta_product
 
 CACHE_ENV_VAR = "TORELLI_EULER_CACHE"
 
@@ -203,11 +197,11 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
-    zeta = ZetaValue(args.k, -obtain_bernoulli(2 * args.k, args.cache) / (2 * args.k))
+    zeta = -obtain_bernoulli(2 * args.k, args.cache) / (2 * args.k)
     if args.format == "json":
-        print(dumps({"k": zeta.k, "value": rational_to_json(zeta.value)}))
+        print(dumps({"k": args.k, "value": rational_to_json(zeta)}))
     else:
-        print(f"zeta(1-2k) for k={args.k}: {format_rational(zeta.value, args.digits)}")
+        print(f"zeta(1-2k) for k={args.k}: {format_rational(zeta, args.digits)}")
     return 0
 
 
@@ -218,25 +212,19 @@ def _cmd_chi(args: argparse.Namespace) -> int:
         raise UsageError("the Siegel quotient carries no marked points")
     table = obtain_table(2 * args.g, args.cache)
     if args.space == "siegel":
-        result = euler_siegel_quotient(args.g, table)
+        space, value = "siegel-quotient", zeta_product(args.g, table)
     elif args.space == "moduli":
-        result = euler_moduli(args.g, args.n, table)
+        space, value = "moduli", euler_moduli(args.g, args.n, table)
     else:
-        result = chi_torelli(args.g, args.n, table)
+        space, value = "torelli", chi_torelli(args.g, args.n, table)
     note = TORELLI_FORMULA_NOTE if args.space == "torelli" else None
     if args.format == "json":
-        payload = {
-            "space": result.space.kind,
-            "g": result.space.g,
-            "n": result.space.n,
-            "value": rational_to_json(result.value),
-        }
+        payload = {"space": space, "g": args.g, "n": args.n, "value": rational_to_json(value)}
         if note:
             payload["note"] = note
         print(dumps(payload))
     else:
-        label = f"{result.space.kind} (g={result.space.g}, n={result.space.n})"
-        print(f"{label}: {format_rational(result.value, args.digits)}")
+        print(f"{space} (g={args.g}, n={args.n}): {format_rational(value, args.digits)}")
         if note:
             print(f"note: {note}")
     return 0

@@ -2,7 +2,7 @@
 
 Three closed formulas over a Bernoulli table:
 
-  siegel-quotient   e = prod_{k=1..g} zeta(1-2k)
+  siegel-quotient   e = prod_{k=1..g} zeta(1-2k)                 (zeta_product)
   moduli            e = zeta(1-2g)/(2-2g)                        (n = 0)
                     e = (-1)^(n-1) (2g+n-3)!/(2g-2)! zeta(1-2g)  (n > 0)
   torelli           chi_Q = same prefactors with the reciprocal zeta product
@@ -27,19 +27,12 @@ from .exact_core import _Record, rising_factorial_ratio
 from .zeta_special import zeta_one_minus_2k, zeta_product
 
 __all__ = [
-    "EulerChar",
     "ProductFormulaCheck",
-    "SPACE_KINDS",
-    "SpaceDescriptor",
     "check_product_formula",
     "chi_torelli",
     "e_mn",
     "euler_moduli",
-    "euler_siegel_quotient",
-    "siegel_zeta_product",
 ]
-
-SPACE_KINDS = ("siegel-quotient", "moduli", "torelli")
 
 # chi_Q(torelli) is derived under a finiteness hypothesis on rational
 # homology; the formula value is computed unconditionally and reports carry
@@ -47,82 +40,27 @@ SPACE_KINDS = ("siegel-quotient", "moduli", "torelli")
 TORELLI_FORMULA_NOTE = "formula value under the finiteness hypothesis"
 
 
-class SpaceDescriptor(_Record):
-    """Which space an Euler characteristic belongs to.
-
-    Genus starts at 2 for the marked-point spaces; the Siegel quotient also
-    admits g = 1, needed to bootstrap products over k = 1..g-1.
-    """
-
-    __slots__ = _fields = ("kind", "g", "n")
-
-    def __init__(self, kind: str, g: int, n: int = 0) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "n", n)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.kind not in SPACE_KINDS:
-            raise ValueError(f"kind must be one of {SPACE_KINDS}, got {self.kind!r}")
-        min_g = 1 if self.kind == "siegel-quotient" else 2
-        if self.g < min_g:
-            raise ValueError(f"{self.kind} needs genus >= {min_g}, got {self.g}")
-        if self.n < 0:
-            raise ValueError(f"marked points must be nonnegative, got {self.n}")
-        if self.kind == "siegel-quotient" and self.n != 0:
-            raise ValueError("the Siegel quotient carries no marked points")
-
-
-class EulerChar(_Record):
-    __slots__ = _fields = ("space", "value")
-
-    def __init__(self, space: SpaceDescriptor, value: Fraction) -> None:
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "value", value)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.value == 0:
-            raise ValueError("every formula in scope is a product of nonzero factors")
-
-
-def siegel_zeta_product(g: int, table: BernoulliTable) -> Fraction:
-    """Exact prod_{k=1..g} zeta(1-2k)."""
-    if g < 1:
-        raise ValueError(f"g must be positive, got {g}")
-    return zeta_product(g, table)
-
-
-def euler_siegel_quotient(g: int, table: BernoulliTable) -> EulerChar:
-    """Orbifold Euler characteristic of the Siegel modular quotient."""
-    return EulerChar(
-        space=SpaceDescriptor(kind="siegel-quotient", g=g),
-        value=siegel_zeta_product(g, table),
-    )
-
-
-def _marked_point_prefactor(g: int, n: int) -> Fraction:
-    # Shared by the moduli and torelli formulas: 1/(2-2g) for n = 0 and
-    # (-1)^(n-1) (2g+n-3)!/(2g-2)! for n > 0.
+def _marked_point_prefactor(space: str, g: int, n: int) -> Fraction:
+    # Shared by the moduli and torelli formulas, which both need g >= 2 and
+    # n >= 0: 1/(2-2g) for n = 0 and (-1)^(n-1) (2g+n-3)!/(2g-2)! for n > 0.
+    if g < 2:
+        raise ValueError(f"{space} needs genus >= 2, got {g}")
+    if n < 0:
+        raise ValueError(f"marked points must be nonnegative, got {n}")
     if n == 0:
         return Fraction(1, 2 - 2 * g)
     sign = 1 if n % 2 == 1 else -1
     return Fraction(sign * rising_factorial_ratio(2 * g + n - 3, 2 * g - 2))
 
 
-def euler_moduli(g: int, n: int, table: BernoulliTable) -> EulerChar:
+def euler_moduli(g: int, n: int, table: BernoulliTable) -> Fraction:
     """Orbifold Euler characteristic of genus-g moduli space with n marked points."""
-    space = SpaceDescriptor(kind="moduli", g=g, n=n)
-    value = _marked_point_prefactor(g, n) * zeta_one_minus_2k(g, table).value
-    return EulerChar(space=space, value=value)
+    return _marked_point_prefactor("moduli", g, n) * zeta_one_minus_2k(g, table)
 
 
-def chi_torelli(g: int, n: int, table: BernoulliTable) -> EulerChar:
+def chi_torelli(g: int, n: int, table: BernoulliTable) -> Fraction:
     """chi_Q of genus-g Torelli space with n marked points (formula value)."""
-    space = SpaceDescriptor(kind="torelli", g=g, n=n)
-    value = _marked_point_prefactor(g, n) / siegel_zeta_product(g - 1, table)
-    return EulerChar(space=space, value=value)
+    return _marked_point_prefactor("torelli", g, n) / zeta_product(g - 1, table)
 
 
 def e_mn(m: int, n: int, table: BernoulliTable) -> Fraction:
@@ -158,7 +96,7 @@ def check_product_formula(g: int, n: int, table: BernoulliTable) -> ProductFormu
     return ProductFormulaCheck(
         g=g,
         n=n,
-        moduli=euler_moduli(g, n, table).value,
-        torelli=chi_torelli(g, n, table).value,
-        siegel=euler_siegel_quotient(g, table).value,
+        moduli=euler_moduli(g, n, table),
+        torelli=chi_torelli(g, n, table),
+        siegel=zeta_product(g, table),
     )

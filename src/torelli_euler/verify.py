@@ -59,15 +59,10 @@ from .certify import (
     wide_range_bound_forms,
     wide_range_constant_form_threshold,
 )
-from .euler_char import (
-    check_product_formula,
-    chi_torelli,
-    euler_moduli,
-    siegel_zeta_product,
-)
+from .euler_char import check_product_formula, chi_torelli, euler_moduli
 from .exact_core import _Record, dyadic_fraction, pi_interval
 from .render import certificate_from_json, certificate_to_json, decimal_string, dumps
-from .zeta_special import abs_zeta_one_minus_2k, zeta_abs_lower_bound
+from .zeta_special import abs_zeta_one_minus_2k, zeta_abs_lower_bound, zeta_product
 
 __all__ = [
     "CheckResult",
@@ -216,7 +211,7 @@ def _check_zeta_product_14(ctx: dict) -> Outcome:
     # The reported value -297203.11 is the product rounded to two decimals;
     # the exact expansion begins -297203.109482..., so a truncating renderer
     # shows -297203.10.  All three renderings are asserted so none can drift.
-    product = siegel_zeta_product(14, ctx["table"])
+    product = zeta_product(14, ctx["table"])
     rendered = decimal_string(product, 6)
     if rendered != "-297203.109482…":
         return "fail", f"product renders as {rendered}"
@@ -253,9 +248,9 @@ def _check_product_formula(ctx: dict) -> Outcome:
 def _check_spot_values(ctx: dict) -> Outcome:
     table: BernoulliTable = ctx["table"]
     observed = (
-        euler_moduli(2, 0, table).value,
-        chi_torelli(2, 0, table).value,
-        chi_torelli(3, 0, table).value,
+        euler_moduli(2, 0, table),
+        chi_torelli(2, 0, table),
+        chi_torelli(3, 0, table),
     )
     expected = (Fraction(-1, 240), Fraction(6), Fraction(360))
     if observed != expected:

@@ -19,7 +19,6 @@ from fractions import Fraction
 from .bernoulli import BernoulliTable, CapacityError
 from .exact_core import (
     RationalInterval,
-    _Record,
     _dyadic_quotient,
     _positive_power,
     _tree_product,
@@ -27,31 +26,11 @@ from .exact_core import (
 )
 
 __all__ = [
-    "ZetaValue",
     "abs_zeta_one_minus_2k",
     "zeta_abs_lower_bound",
     "zeta_one_minus_2k",
     "zeta_product",
 ]
-
-
-class ZetaValue(_Record):
-    """zeta(1-2k) for a positive integer k."""
-
-    __slots__ = _fields = ("k", "value")
-
-    def __init__(self, k: int, value: Fraction) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "value", value)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
-        if self.value == 0:
-            raise ValueError("zeta(1-2k) is never zero")
-        if (self.value > 0) != (self.k % 2 == 0):
-            raise ValueError(f"sign of zeta(1-2{self.k}) must be (-1)^{self.k}")
 
 
 # Dividing out more factors than this costs more than forming the product
@@ -71,7 +50,7 @@ class _ZetaMemo:
     __slots__ = ("values", "m", "product")
 
     def __init__(self) -> None:
-        self.values: dict[int, ZetaValue] = {}
+        self.values: dict[int, Fraction] = {}
         self.m = 0
         self.product = Fraction(1)
 
@@ -85,7 +64,7 @@ def _memo(table: BernoulliTable) -> _ZetaMemo:
     return memo
 
 
-def _value(k: int, table: BernoulliTable, memo: _ZetaMemo) -> ZetaValue:
+def _value(k: int, table: BernoulliTable, memo: _ZetaMemo) -> Fraction:
     # The caller holds _ZETA_LOCK.
     value = memo.values.get(k)
     if value is None:
@@ -93,11 +72,11 @@ def _value(k: int, table: BernoulliTable, memo: _ZetaMemo) -> ZetaValue:
             raise CapacityError(
                 f"zeta(1-2k) for k={k} needs B_{2 * k}, table stops at B_{table.max_index}"
             )
-        value = memo.values[k] = ZetaValue(k=k, value=-table.even(k) / (2 * k))
+        value = memo.values[k] = -table.even(k) / (2 * k)
     return value
 
 
-def zeta_one_minus_2k(k: int, table: BernoulliTable) -> ZetaValue:
+def zeta_one_minus_2k(k: int, table: BernoulliTable) -> Fraction:
     """Exact zeta(1-2k) = -B_2k/(2k), reduced, formed once per table."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -107,7 +86,7 @@ def zeta_one_minus_2k(k: int, table: BernoulliTable) -> ZetaValue:
 
 def abs_zeta_one_minus_2k(k: int, table: BernoulliTable) -> Fraction:
     """|zeta(1-2k)| as an exact rational."""
-    return abs(zeta_one_minus_2k(k, table).value)
+    return abs(zeta_one_minus_2k(k, table))
 
 
 def zeta_product(m: int, table: BernoulliTable) -> Fraction:
@@ -129,7 +108,7 @@ def zeta_product(m: int, table: BernoulliTable) -> Fraction:
             memo.m, memo.product = 0, Fraction(1)
         if m != memo.m:
             lo, hi = sorted((memo.m, m))
-            factors = [_value(k, table, memo).value for k in range(lo + 1, hi + 1)]
+            factors = [_value(k, table, memo) for k in range(lo + 1, hi + 1)]
             step = Fraction(
                 _tree_product([q.numerator for q in factors]),
                 _tree_product([q.denominator for q in factors]),

@@ -924,7 +924,7 @@ def test_ledger_lists_every_nonzero_zeta_valuation(table600):
     for p, cert in deepest.items():
         expected = []
         for k in range(1, cert.m + 1):
-            v = p_adic_valuation(zeta_one_minus_2k(k, table600).value, p)
+            v = p_adic_valuation(zeta_one_minus_2k(k, table600), p)
             if v:
                 expected.append((k, v))
         assert cert.zeta_valuations == tuple(expected), p
@@ -974,7 +974,7 @@ def _row_frontier(m, table):
     # The least n with e(m,n) in Z: the largest first n over the primes that
     # divide a numerator of |zeta(1-2k)|, k <= 11.
     bars = {
-        p: sum(p_adic_valuation(zeta_one_minus_2k(k, table).value, p) for k in range(1, m + 1))
+        p: sum(p_adic_valuation(zeta_one_minus_2k(k, table), p) for k in range(1, m + 1))
         for p in (691, 3617, 43867, 283, 617, 131, 593)
     }
     return max(first_n_reaching(m, p, bar) for p, bar in bars.items())

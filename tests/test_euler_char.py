@@ -4,30 +4,20 @@ from fractions import Fraction
 import pytest
 
 from torelli_euler.bernoulli import CapacityError
-from torelli_euler.euler_char import (
-    SpaceDescriptor,
-    check_product_formula,
-    chi_torelli,
-    e_mn,
-    euler_moduli,
-    euler_siegel_quotient,
-    siegel_zeta_product,
-)
+from torelli_euler.euler_char import check_product_formula, chi_torelli, e_mn, euler_moduli
 from torelli_euler.exact_core import rising_factorial_ratio
 from torelli_euler.render import decimal_string
-from torelli_euler.zeta_special import abs_zeta_one_minus_2k, zeta_one_minus_2k
+from torelli_euler.zeta_special import abs_zeta_one_minus_2k, zeta_one_minus_2k, zeta_product
 
 
-def test_descriptor_validation():
-    SpaceDescriptor(kind="siegel-quotient", g=1)
-    with pytest.raises(ValueError):
-        SpaceDescriptor(kind="moduli", g=1)
-    with pytest.raises(ValueError):
-        SpaceDescriptor(kind="torelli", g=2, n=-1)
-    with pytest.raises(ValueError):
-        SpaceDescriptor(kind="siegel-quotient", g=2, n=1)
-    with pytest.raises(ValueError):
-        SpaceDescriptor(kind="surface", g=2)
+def test_euler_characteristics_are_fractions_on_their_domain(table60):
+    assert type(zeta_one_minus_2k(2, table60)) is Fraction
+    for space, formula in (("moduli", euler_moduli), ("torelli", chi_torelli)):
+        assert type(formula(2, 0, table60)) is Fraction
+        with pytest.raises(ValueError, match=f"^{space} needs genus >= 2, got 1$"):
+            formula(1, 0, table60)
+        with pytest.raises(ValueError, match="^marked points must be nonnegative, got -1$"):
+            formula(2, -1, table60)
 
 
 def test_emn_query_validation(table60):
@@ -37,12 +27,12 @@ def test_emn_query_validation(table60):
 
 
 def test_siegel_quotient_values(table60):
-    assert euler_siegel_quotient(1, table60).value == Fraction(-1, 12)
-    assert euler_siegel_quotient(2, table60).value == Fraction(-1, 1440)
+    assert zeta_product(1, table60) == Fraction(-1, 12)
+    assert zeta_product(2, table60) == Fraction(-1, 1440)
 
 
 def test_siegel_product_14_decimal(table60):
-    value = siegel_zeta_product(14, table60)
+    value = zeta_product(14, table60)
     assert decimal_string(value, 6) == "-297203.109482…"
 
 
@@ -55,7 +45,7 @@ def test_siegel_product_14_decimal(table60):
     ],
 )
 def test_moduli_values(g, n, expected, table60):
-    assert euler_moduli(g, n, table60).value == expected
+    assert euler_moduli(g, n, table60) == expected
 
 
 @pytest.mark.parametrize(
@@ -63,7 +53,7 @@ def test_moduli_values(g, n, expected, table60):
     [(2, 0, Fraction(6)), (3, 0, Fraction(360)), (2, 1, Fraction(-12))],
 )
 def test_torelli_values(g, n, expected, table60):
-    assert chi_torelli(g, n, table60).value == expected
+    assert chi_torelli(g, n, table60) == expected
 
 
 def test_product_formula_examples(table60):
@@ -79,8 +69,8 @@ def test_product_formula_grid(table60):
 
 def test_torelli_reciprocal_identity(table60):
     for g in range(2, 13):
-        chi = chi_torelli(g, 0, table60).value
-        assert chi * (2 - 2 * g) * siegel_zeta_product(g - 1, table60) == 1
+        chi = chi_torelli(g, 0, table60)
+        assert chi * (2 - 2 * g) * zeta_product(g - 1, table60) == 1
 
 
 def test_emn_values(table60):
@@ -142,5 +132,5 @@ def test_emn_by_product_trees_at_the_top_of_the_standard_grid(table600):
 def test_siegel_product_matches_the_running_product(table600):
     product = Fraction(1)
     for g in range(1, 121):
-        product *= zeta_one_minus_2k(g, table600).value
-        assert siegel_zeta_product(g, table600) == product, g
+        product *= zeta_one_minus_2k(g, table600)
+        assert zeta_product(g, table600) == product, g

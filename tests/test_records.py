@@ -10,8 +10,8 @@ import pytest
 from torelli_euler import (
     BernoulliTable,
     BoundSequence,
+    CertificateError,
     CheckResult,
-    EulerChar,
     Inconclusive,
     IntegerValue,
     LedgerSegment,
@@ -20,11 +20,9 @@ from torelli_euler import (
     ProductFormulaCheck,
     RationalInterval,
     ScanPoint,
-    SpaceDescriptor,
     ThresholdResult,
     ValuationWitness,
     VerificationReport,
-    ZetaValue,
     bernoulli_table,
 )
 from torelli_euler.bernoulli import CONVENTION
@@ -74,18 +72,12 @@ def _records():
             WideRangeBoundForms(3, iv, iv),
             f"WideRangeBoundForms(m=3, per_index_product={_IV}, constant_factor_product={_IV})",
         ),
-        (SpaceDescriptor("moduli", 2), "SpaceDescriptor(kind='moduli', g=2, n=0)"),
-        (
-            EulerChar(SpaceDescriptor("torelli", 3, 1), Fraction(-1, 2)),
-            "EulerChar(space=SpaceDescriptor(kind='torelli', g=3, n=1), value=Fraction(-1, 2))",
-        ),
         (
             ProductFormulaCheck(2, 0, Fraction(1), Fraction(2), Fraction(3)),
             "ProductFormulaCheck(g=2, n=0, moduli=Fraction(1, 1), torelli=Fraction(2, 1), "
             "siegel=Fraction(3, 1))",
         ),
         (iv, _IV),
-        (ZetaValue(1, Fraction(-1, 12)), "ZetaValue(k=1, value=Fraction(-1, 12))"),
         (check, _CR),
         (
             VerificationReport("standard", (check,)),
@@ -98,16 +90,16 @@ _NAMES = [type(record).__name__ for record, _ in _records()]
 
 
 def test_every_record_is_covered_once():
-    assert len(_NAMES) == len(set(_NAMES)) == 18
+    assert len(_NAMES) == len(set(_NAMES)) == 15
 
 
-@pytest.mark.parametrize("index", range(18), ids=_NAMES)
+@pytest.mark.parametrize("index", range(15), ids=_NAMES)
 def test_repr_is_the_dataclass_text(index):
     record, text = _records()[index]
     assert repr(record) == text
 
 
-@pytest.mark.parametrize("index", range(18), ids=_NAMES)
+@pytest.mark.parametrize("index", range(15), ids=_NAMES)
 def test_equal_records_compare_and_hash_equal(index):
     record, twin = _records()[index][0], _records()[index][0]
     assert record is not twin
@@ -121,14 +113,14 @@ def test_records_of_different_classes_never_compare_equal():
         for b in records:
             assert (a == b) is (a is b)
     # Same field values, another class: not equal, and no error either way.
-    zeta = ZetaValue(1, Fraction(-1, 12))
-    assert zeta != (1, Fraction(-1, 12)) and (1, Fraction(-1, 12)) != zeta
+    witness = PrimeWitness(Fraction(1, 691), 691, -1)
+    assert witness != (Fraction(1, 691), 691, -1) and (Fraction(1, 691), 691, -1) != witness
     assert IntegerValue(12) != 12
     point = RationalInterval(Fraction(1, 2), Fraction(1, 2))
     assert point != RationalInterval(Fraction(1, 2), Fraction(2, 3))
 
 
-@pytest.mark.parametrize("index", range(18), ids=_NAMES)
+@pytest.mark.parametrize("index", range(15), ids=_NAMES)
 def test_fields_cannot_be_assigned_or_deleted(index):
     record = _records()[index][0]
     for name in record._fields:
@@ -141,7 +133,7 @@ def test_fields_cannot_be_assigned_or_deleted(index):
     assert repr(record) == _records()[index][1]
 
 
-@pytest.mark.parametrize("index", range(18), ids=_NAMES)
+@pytest.mark.parametrize("index", range(15), ids=_NAMES)
 def test_copies_and_pickles_are_equal_records(index):
     record = _records()[index][0]
     for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
@@ -149,8 +141,6 @@ def test_copies_and_pickles_are_equal_records(index):
 
 
 def test_construction_by_keyword_with_the_defaults():
-    assert SpaceDescriptor(kind="moduli", g=2) == SpaceDescriptor("moduli", 2, 0)
-    assert SpaceDescriptor(kind="moduli", g=2).n == 0
     values = bernoulli_table(4).values
     table = BernoulliTable(max_index=4, values=values, algorithm="seidel")
     assert table.convention == CONVENTION == "minus-half"
@@ -161,17 +151,15 @@ def test_construction_by_keyword_with_the_defaults():
     check = CheckResult(id="x", paper_ref="ref", status="pass", witness="w", elapsed_s=0.5)
     assert check == CheckResult("x", "ref", "pass", "w", 0.5)
     with pytest.raises(TypeError):
-        SpaceDescriptor("moduli")
+        ScanPoint(6, 1)
     with pytest.raises(TypeError):
-        ZetaValue(1, Fraction(-1, 12), 2)
+        IntegerValue(12, 13)
 
 
 def test_construction_still_validates():
     with pytest.raises(ValueError):
         RationalInterval(Fraction(1, 2), Fraction(1, 3))
-    with pytest.raises(ValueError):
-        SpaceDescriptor("moduli", 1)
-    with pytest.raises(ValueError):
-        ZetaValue(1, Fraction(1, 12))
+    with pytest.raises(CertificateError):
+        PrimeWitness(Fraction(1, 691), 691, 1)
     with pytest.raises(ValueError):
         CheckResult("x", "ref", "maybe", "w", 0.5)

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[1]
-_RECORDS = ["RationalInterval", "ZetaValue", "PrimeWitness", "MagnitudeWitness", "ScanPoint"]
+_RECORDS = ["RationalInterval", "PrimeWitness", "MagnitudeWitness", "ScanPoint"]
 
 
 def _bench_files():

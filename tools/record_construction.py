@@ -44,11 +44,9 @@ def _cases(te):
     lo, hi = Fraction(5, 1 << 70), Fraction(7, 1 << 69)
     value = Fraction(12, 691 * 5)
     upper = Fraction(3, 1 << 40)
-    zeta = Fraction(-1, 12)
     witness = te.MagnitudeWitness(upper, "0 < e(14,1) < 1")
     return {
         "RationalInterval": lambda: te.RationalInterval(lo, hi),
-        "ZetaValue": lambda: te.ZetaValue(1, zeta),
         "PrimeWitness": lambda: te.PrimeWitness(value, 691, -1),
         "MagnitudeWitness": lambda: te.MagnitudeWitness(upper, "0 < e(14,1) < 1"),
         "ScanPoint": lambda: te.ScanPoint(14, 1, witness),
