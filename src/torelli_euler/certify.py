@@ -43,12 +43,10 @@ from .exact_core import (
     RationalInterval,
     _Dyadic,
     _Record,
-    _dyadic_quotient,
-    _dyadic_to_bits,
     _interval_from_dyadic,
     _legendre,
     _positive_power,
-    _rounded_ratio,
+    _round_to_bits,
     dyadic_fraction,
     factorial_valuation,
     is_probable_prime,
@@ -319,15 +317,14 @@ def _bound_memo(k: int, ceil: bool) -> _BoundEnd:
 
     Step j appends single term j, then prefix product j.  With S the
     memo's end of (2pi)^2, term 1 is S/2 and term j is term j-1 times
-    S / ((2j-2)(2j-1)): the two mantissas' product over that divisor, in
-    lowest terms, is rounded down (ceil=False) or up as
-    `RationalInterval.outward` rounds the lo or hi end, and the exponents
-    are added after, which moves no bit.  Each end of a product of positive
-    intervals is the product of the same ends, so the prefix step
-    multiplies the last prefix by the term and rounds the same way, bit for
-    bit.  Each mantissa is odd and of at most _BITS + 1 bits, so no step
-    forms an integer wider than two mantissas: an endpoint as a Fraction
-    would carry a power-of-two denominator of ~10^5 bits by m = 200.
+    S / ((2j-2)(2j-1)), and prefix product j is prefix product j-1 times
+    term j: each end of a product of positive intervals is the product of
+    the same ends.  Each step is one `_round_to_bits` of the two mantissas'
+    product over the divisor (1 for the prefix), in lowest terms, with the
+    exponents' sum, rounded down (ceil=False) or up.  Each mantissa is odd
+    and of at most _BITS + 1 bits, so no step forms an integer wider than
+    two mantissas: an endpoint as a Fraction would carry a power-of-two
+    denominator of ~10^5 bits by m = 200.
 
     Readers test `products`, which each step appends last, so that a
     reader that sees prefix product k sees single term k too.
@@ -339,16 +336,17 @@ def _bound_memo(k: int, ceil: bool) -> _BoundEnd:
             for j in range(len(products), k + 1):
                 if terms:
                     last, last_exp = terms[-1]
-                    quotient = _dyadic_quotient(last * square, 0, (2 * j - 2) * (2 * j - 1))
-                    term, term_exp = _rounded_ratio(
-                        quotient.numerator, quotient.denominator, _BITS, ceil
+                    quotient = dyadic_fraction(last * square, 0, (2 * j - 2) * (2 * j - 1))
+                    term, term_exp = _round_to_bits(
+                        quotient.numerator, last_exp + square_exp, quotient.denominator, _BITS, ceil
                     )
-                    term_exp += last_exp + square_exp
                 else:
                     term, term_exp = square, square_exp - 1
                 terms.append((term, term_exp))
                 prefix, prefix_exp = products[-1]
-                products.append(_dyadic_to_bits(prefix * term, prefix_exp + term_exp, _BITS, ceil))
+                products.append(
+                    _round_to_bits(prefix * term, prefix_exp + term_exp, 1, _BITS, ceil)
+                )
     return memo
 
 
@@ -401,10 +399,10 @@ def _bound_sequence(
 
     prefix is the integer (2m+n-1)!/(2m)!, product and term both ends of
     the m-th prefix product and of single term m+1.  The ratio is that term
-    times (2m+n+1)(2m+n)/((2m+2)(2m+1)), each end one quotient in lowest
-    terms: the term's mantissa times (2m+n+1)(2m+n), over (2m+2)(2m+1),
-    times the power of two of its exponent.  Lowest terms being unique, the
-    endpoints are those of `single_term_interval(m+1).scale(factor)`.
+    times (2m+n+1)(2m+n)/((2m+2)(2m+1)), each end one `dyadic_fraction` of
+    the term's mantissa times (2m+n+1)(2m+n), its exponent, and
+    (2m+2)(2m+1).  Lowest terms being unique, the endpoints are those of
+    `single_term_interval(m+1).scale(factor)`.
     """
     lo, lo_exp, hi, hi_exp = term
     rise, fall = (2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1)
@@ -413,7 +411,7 @@ def _bound_sequence(
         n=n,
         value=_interval_from_dyadic(product, prefix),
         ratio_next=RationalInterval(
-            _dyadic_quotient(lo * rise, lo_exp, fall), _dyadic_quotient(hi * rise, hi_exp, fall)
+            dyadic_fraction(lo * rise, lo_exp, fall), dyadic_fraction(hi * rise, hi_exp, fall)
         ),
     )
 
@@ -464,18 +462,6 @@ class ThresholdResult(_Record):
         return self.m_found is not None
 
 
-def _product_fits(a: int, b: int, bits: int) -> bool:
-    """Whether (a * b).bit_length() <= bits, for positive a and b.
-
-    The product has the sum of the two bit lengths, or one bit less, so it
-    is formed only when `bits` is that sum less one.
-    """
-    size = a.bit_length() + b.bit_length()
-    if size - 1 == bits:
-        return (a * b).bit_length() <= bits
-    return size <= bits
-
-
 def threshold_for_n(n: int, m_cap: int = 64) -> ThresholdResult:
     """Scan m = 1..m_cap for the certified crossing of the bound below 1.
 
@@ -483,9 +469,9 @@ def threshold_for_n(n: int, m_cap: int = 64) -> ThresholdResult:
     each end's memo extended once.
     ratio_next(m).hi < 1 cross-multiplies the hi mantissa of single term
     m+1 by the integer factor, from m_cap down while it holds.  On that
-    tail, U(m,n).hi < 1 compares the m-th prefix product's hi mantissa times
-    the prefix (2m+n-1)!/(2m)! with a power of two, from bit lengths unless
-    they leave it open, the prefix stepped from one m to the next by an
+    tail, U(m,n).hi < 1 holds when the m-th prefix product's hi mantissa
+    times the prefix (2m+n-1)!/(2m)! has at most -exponent bits, the rule
+    `_certificates` reads, the prefix stepped from one m to the next by an
     exact division.  Enclosures are built only for the returned chain, each
     end straight from its integers: the value's as the end's memo entry
     times the prefix reduced by a shift, the ratio's as in
@@ -512,7 +498,7 @@ def threshold_for_n(n: int, m_cap: int = 64) -> ThresholdResult:
     for m in range(tail_start, m_cap + 1):
         hi, hi_exp = hi_products[m]
         # U(m,n).hi = hi * 2**hi_exp * prefix, below 1 iff hi * prefix < 2**-hi_exp.
-        if chain or _product_fits(hi, prefix, -hi_exp):
+        if chain or (hi * prefix).bit_length() <= -hi_exp:
             chain.append(
                 _bound_sequence(
                     m, n, prefix, lo_end.products[m] + hi_products[m], lo_end.terms[m] + hi_terms[m]

@@ -1,13 +1,16 @@
 """Exact arithmetic primitives shared by every other module.
 
 Values are plain `fractions.Fraction` objects (arbitrary precision, always
-reduced, denominator positive).  Those with a power-of-two denominator,
-the endpoints of every rounded enclosure, are built by `dyadic_fraction`,
-which reduces them by a shift instead of a gcd.  On top of that the module
-provides factorial-ratio products, p-adic valuations, and a small rational
-interval arithmetic whose only transcendental constant, pi, enters through
-a certified enclosure.  No float ever participates in a certified
-computation; floats are for display only.
+reduced, denominator positive).  Every rounded endpoint is rounded by one
+rule, `_round_to_bits`: the exact quotient floored or ceiled to a number of
+significant bits, kept in integers as an odd mantissa and an exponent.
+`dyadic_fraction` turns such a pair, over an optional integer denominator,
+into a Fraction, moving the power of two by a shift and taking no gcd of
+it.  On top of that the module provides factorial-ratio products, p-adic
+valuations, and a small rational interval arithmetic whose only
+transcendental constant, pi, enters through a certified enclosure.  No
+float ever participates in a certified computation; floats are for
+display only.
 """
 
 from __future__ import annotations
@@ -265,81 +268,69 @@ class _Registered(numbers.Rational):
 _Registered.register(_LowestTerms)
 
 
-def dyadic_fraction(mantissa: int, exponent: int) -> Fraction:
-    """mantissa * 2**exponent as a Fraction in lowest terms.
-
-    The common factor of numerator and denominator is the power of two the
-    mantissa and 2**-exponent share, so no gcd of the (possibly huge)
-    mantissa against the denominator is needed.
-    """
-    if exponent >= 0:
-        return Fraction(mantissa << exponent)
-    if mantissa == 0:
-        return _ZERO
-    shift = min((mantissa & -mantissa).bit_length() - 1, -exponent)
-    return Fraction(_LowestTerms(mantissa >> shift, 1 << (-exponent - shift)))
-
-
-def _dyadic_quotient(numerator: int, exponent: int, denominator: int) -> _LowestTerms:
+def dyadic_fraction(numerator: int, exponent: int, denominator: int = 1) -> Fraction:
     """numerator * 2**exponent / denominator, for denominator > 0, in lowest terms.
 
-    A rational whose numerator and denominator can be read off, and which
-    `Fraction()`, and with it `RationalInterval`, copies without a gcd.
-    One gcd of the two integers as given reduces the pair; the power of two
-    then goes onto the numerator or the denominator by the exponent's sign,
-    less the twos the other side can cancel, found by a shift.  So the gcd
-    never sees the power of two.
+    One gcd of numerator and denominator as given reduces the pair, and none
+    is taken when the denominator is 1.  The power of two then goes onto the
+    numerator or the denominator by the exponent's sign, less the twos the
+    other side can cancel, found by a shift.  So no gcd ever sees the power
+    of two, and the Fraction copies the reduced pair without one.
     """
     if numerator == 0:
-        return _LowestTerms(0, 1)
-    g = math.gcd(numerator, denominator)
-    numerator, denominator = numerator // g, denominator // g
+        return _ZERO
+    if denominator != 1:
+        g = math.gcd(numerator, denominator)
+        numerator, denominator = numerator // g, denominator // g
     if exponent >= 0:
         shift = min(exponent, (denominator & -denominator).bit_length() - 1)
         numerator, denominator = numerator << (exponent - shift), denominator >> shift
     else:
         shift = min(-exponent, (numerator & -numerator).bit_length() - 1)
         numerator, denominator = numerator >> shift, denominator << (-exponent - shift)
-    return _LowestTerms(numerator, denominator)
+    return Fraction(_LowestTerms(numerator, denominator))
 
 
-def _ratio_to_bits(numerator: int, denominator: int, bits: int) -> tuple[int, int]:
-    """numerator/denominator, denominator > 0, floored to about `bits` significant bits.
+def _round_to_bits(
+    numerator: int, exponent: int, denominator: int, bits: int, ceil: bool
+) -> tuple[int, int]:
+    """numerator * 2**exponent / denominator, denominator > 0, rounded to `bits`.
 
-    Returns (mantissa, exponent), not reduced: the quotient is floored to
-    bits + 1 significant bits, counted from the bit lengths of the two
-    operands as given.
+    The one rounding rule of every certified endpoint: the quotient is
+    floored (or, with `ceil`, ceiled) to bits + 1 significant bits, counted
+    from the bit lengths of numerator and denominator.  These must be in
+    lowest terms but for twos they share, which move both bit lengths
+    alike, so the result is that of the reduced Fraction, and the exponent
+    only shifts it.  A denominator of 1 is rounded by a shift.  Returns
+    (mantissa, exponent) with the mantissa odd, as in the reduced Fraction,
+    or (0, 0).
     """
-    shift = bits - (numerator.bit_length() - denominator.bit_length())
-    if shift >= 0:
-        return (numerator << shift) // denominator, -shift
-    return numerator // (denominator << -shift), -shift
-
-
-def _dyadic_to_bits(mantissa: int, exponent: int, bits: int, ceil: bool) -> tuple[int, int]:
-    """mantissa * 2**exponent rounded down (or up) as `RationalInterval.outward` rounds.
-
-    The same rule as `_ratio_to_bits`: keep the top bits + 1 bits of the
-    mantissa, rounding the rest down (or up), so the result is bit for bit
-    `outward`'s without forming its power-of-two denominator.  Returns (mantissa,
-    exponent) with the mantissa odd, as in the reduced Fraction, or (0, 0).
-    """
-    if mantissa == 0:
+    if ceil:
+        numerator = -numerator
+    if denominator == 1:
+        drop = numerator.bit_length() - bits - 1
+        if drop > 0:
+            numerator >>= drop
+            exponent += drop
+    else:
+        shift = bits - (numerator.bit_length() - denominator.bit_length())
+        if shift >= 0:
+            numerator = (numerator << shift) // denominator
+        else:
+            numerator //= denominator << -shift
+        exponent -= shift
+    if ceil:
+        numerator = -numerator
+    if numerator == 0:
         return 0, 0
-    drop = mantissa.bit_length() - bits - 1
-    if drop > 0:
-        mantissa = -(-mantissa >> drop) if ceil else mantissa >> drop
-        exponent += drop
-    zeros = (mantissa & -mantissa).bit_length() - 1
-    return mantissa >> zeros, exponent + zeros
+    zeros = (numerator & -numerator).bit_length() - 1
+    return numerator >> zeros, exponent + zeros
 
 
 # An interval with positive dyadic endpoints, held in integers as
 # (lo mantissa, lo exponent, hi mantissa, hi exponent): its endpoints as
 # Fractions would carry power-of-two denominators of ~10^5 bits.
 _Dyadic = tuple[int, int, int, int]
-
-_DYADIC_ONE: _Dyadic = (1, 0, 1, 0)
 
 
 def _interval_from_dyadic(entry: _Dyadic, factor: int = 1) -> "RationalInterval":
@@ -350,61 +341,32 @@ def _interval_from_dyadic(entry: _Dyadic, factor: int = 1) -> "RationalInterval"
     )
 
 
-def _mul_outward(a: _Dyadic, b: _Dyadic, bits: int) -> _Dyadic:
-    """a * b rounded outward to `bits`, bit for bit as `RationalInterval` would.
-
-    Both intervals are positive, so the product's lo is lo * lo and its hi
-    is hi * hi, and each is rounded as `RationalInterval.outward` rounds.
-    """
-    lo, lo_exp, hi, hi_exp = a
-    b_lo, b_lo_exp, b_hi, b_hi_exp = b
-    return (
-        _dyadic_to_bits(lo * b_lo, lo_exp + b_lo_exp, bits, ceil=False)
-        + _dyadic_to_bits(hi * b_hi, hi_exp + b_hi_exp, bits, ceil=True)
-    )
-
-
-def _rounded_ratio(numerator: int, denominator: int, bits: int, ceil: bool) -> tuple[int, int]:
-    """numerator/denominator > 0, in lowest terms, rounded down (or up) to `bits`.
-
-    Bit for bit the lo (or hi) end of `RationalInterval.outward` of the
-    Fraction, as (mantissa, exponent) with the mantissa odd.  Rounding up
-    floors the negation, as `outward` rounds hi.
-    """
-    if ceil:
-        mantissa, exponent = _ratio_to_bits(-numerator, denominator, bits)
-        mantissa = -mantissa
-    else:
-        mantissa, exponent = _ratio_to_bits(numerator, denominator, bits)
-    zeros = (mantissa & -mantissa).bit_length() - 1
-    return mantissa >> zeros, exponent + zeros
-
-
 def _positive_power(interval: "RationalInterval", n: int, bits: int) -> _Dyadic:
     """x**n over an interval with 0 < lo, rounded outward to `bits`, in integers.
 
-    Binary powering, in which each product of positive intervals is
-    lo * lo and hi * hi, rounded outward after every multiply.  The first
-    operand is the interval itself; the first square of a reduced fraction
-    is reduced as it stands, numerator and denominator squared; every later
-    operand has been rounded, so is dyadic, and goes through `_mul_outward`.
+    Binary powering, one end at a time: each end of a product of positive
+    intervals is the product of the same ends, lo rounded down and hi up
+    by `_round_to_bits` after every multiply.  The first square is the
+    end's numerator and denominator squared; every later operand has been
+    rounded, so is dyadic, and its products are rounded by a shift.
     """
-    lo, hi = interval.lo, interval.hi
-    result = _DYADIC_ONE
-    if n & 1:
-        lo_end = _rounded_ratio(lo.numerator, lo.denominator, bits, ceil=False)
-        result = lo_end + _rounded_ratio(hi.numerator, hi.denominator, bits, ceil=True)
-    n >>= 1
-    if n:
-        lo_end = _rounded_ratio(lo.numerator**2, lo.denominator**2, bits, ceil=False)
-        square = lo_end + _rounded_ratio(hi.numerator**2, hi.denominator**2, bits, ceil=True)
-        while True:
-            if n & 1:
-                result = _mul_outward(result, square, bits)
-            n >>= 1
-            if not n:
-                break
-            square = _mul_outward(square, square, bits)
+    result: tuple[int, ...] = ()
+    for end, ceil in ((interval.lo, False), (interval.hi, True)):
+        numerator, denominator = end.numerator, end.denominator
+        power = _round_to_bits(numerator, 0, denominator, bits, ceil) if n & 1 else (1, 0)
+        k = n >> 1
+        if k:
+            square = _round_to_bits(numerator**2, 0, denominator**2, bits, ceil)
+            while True:
+                if k & 1:
+                    power = _round_to_bits(
+                        power[0] * square[0], power[1] + square[1], 1, bits, ceil
+                    )
+                k >>= 1
+                if not k:
+                    break
+                square = _round_to_bits(square[0] ** 2, 2 * square[1], 1, bits, ceil)
+        result += power
     return result
 
 
@@ -442,7 +404,9 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(
+            f"{name}={_without_digit_limit(repr, getattr(self, name))}" for name in self._fields
+        )
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
@@ -527,13 +491,13 @@ class RationalInterval(_Record):
         """Round endpoints outward to about `bits` significant bits.
 
         Keeps the enclosure valid while stopping endpoint denominators from
-        blowing up in long interval products.  lo is floored by
-        `_ratio_to_bits`, hi ceiled as the negation of -hi floored.
+        blowing up in long interval products.  lo is floored and hi ceiled
+        to bits + 1 significant bits by `_round_to_bits`.
         """
         lo, hi = self.lo, self.hi
         return RationalInterval(
-            dyadic_fraction(*_ratio_to_bits(lo.numerator, lo.denominator, bits)),
-            -dyadic_fraction(*_ratio_to_bits(-hi.numerator, hi.denominator, bits)),
+            dyadic_fraction(*_round_to_bits(lo.numerator, 0, lo.denominator, bits, False)),
+            dyadic_fraction(*_round_to_bits(hi.numerator, 0, hi.denominator, bits, True)),
         )
 
 

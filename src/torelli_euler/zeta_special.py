@@ -19,9 +19,9 @@ from fractions import Fraction
 from .bernoulli import BernoulliTable, CapacityError
 from .exact_core import (
     RationalInterval,
-    _dyadic_quotient,
     _positive_power,
     _tree_product,
+    dyadic_fraction,
     pi_interval,
 )
 
@@ -128,11 +128,10 @@ def zeta_abs_lower_bound(k: int) -> RationalInterval:
     undecidable for k above ~30.  The power is rounded outward to 32 bits
     beyond that precision, which keeps its endpoints small without eating
     into the margin.  It is taken in integers from `_positive_power`, and
-    each end of the enclosure is one quotient in lowest terms: 2 (2k-1)!
-    over the power's hi (for lo) or lo (for hi) mantissa, times the power
-    of two of its exponent.  Lowest terms being unique, the endpoints are
-    the Fractions 2 (2k-1)! / hi and 2 (2k-1)! / lo of
-    `(2pi).power(2k, bits)`.
+    each end of the enclosure is one `dyadic_fraction`: 2 (2k-1)! over the
+    power's hi (for lo) or lo (for hi) mantissa, times 2 to the negated
+    exponent.  Lowest terms being unique, the endpoints are the Fractions
+    2 (2k-1)! / hi and 2 (2k-1)! / lo of `(2pi).power(2k, bits)`.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -141,5 +140,5 @@ def zeta_abs_lower_bound(k: int) -> RationalInterval:
     lo, lo_exp, hi, hi_exp = _positive_power(two_pi, 2 * k, effective + 32)
     numerator = 2 * math.factorial(2 * k - 1)
     return RationalInterval(
-        _dyadic_quotient(numerator, -hi_exp, hi), _dyadic_quotient(numerator, -lo_exp, lo)
+        dyadic_fraction(numerator, -hi_exp, hi), dyadic_fraction(numerator, -lo_exp, lo)
     )

@@ -282,13 +282,6 @@ def test_threshold_chain_is_the_fraction_arithmetic_bit_for_bit(n, m_cap):
         assert _lowest_terms(seq.ratio_next) == _lowest_terms(reference.ratio_next), seq.m
 
 
-@given(st.integers(1, 2**300), st.integers(1, 2**300), st.integers(0, 700))
-def test_product_fits_decides_as_the_product(a, b, bits):
-    for x, y in ((a, b), (1 << (a.bit_length() - 1), b), (a, (1 << b.bit_length()) - 1)):
-        for budget in (bits, x.bit_length() + y.bit_length() - 1, x.bit_length() + y.bit_length()):
-            assert certify_module._product_fits(x, y, budget) == ((x * y).bit_length() <= budget)
-
-
 def test_bound_path_takes_no_gcd_of_large_operands(monkeypatch):
     # Endpoints with power-of-two denominators are reduced by shifts: a gcd
     # of a prefix (2m+n-1)!/(2m)! against such a denominator would have two
@@ -414,13 +407,13 @@ def test_memo_steps_work_on_narrow_integers(monkeypatch):
 
         return record
 
-    for name in ("_dyadic_quotient", "_rounded_ratio", "_dyadic_to_bits"):
+    for name in ("dyadic_fraction", "_round_to_bits"):
         monkeypatch.setattr(certify_module, name, recording(name))
     _bound_end.cache_clear()
     for ceil in (False, True):
         assert len(_bound_memo(700, ceil).terms) == 700
     _bound_end.cache_clear()
-    assert set(widest) == {"_dyadic_quotient", "_rounded_ratio", "_dyadic_to_bits"}
+    assert set(widest) == {"dyadic_fraction", "_round_to_bits"}
     assert max(widest.values()) <= 1000, widest
 
 
@@ -547,7 +540,7 @@ def test_prefix_memo_is_dropped_with_the_module_lru_caches(monkeypatch):
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
     enclosures, divisors = [], []
-    enclose, divide = certify_module.pi_interval, certify_module._dyadic_quotient
+    enclose, divide = certify_module.pi_interval, certify_module.dyadic_fraction
 
     def recording_enclose(bits):
         enclosures.append(bits)
@@ -558,7 +551,7 @@ def test_prefix_memo_is_dropped_with_the_module_lru_caches(monkeypatch):
         return divide(numerator, exponent, divisor)
 
     monkeypatch.setattr(certify_module, "pi_interval", recording_enclose)
-    monkeypatch.setattr(certify_module, "_dyadic_quotient", recording_divide)
+    monkeypatch.setattr(certify_module, "dyadic_fraction", recording_divide)
     _term_product(50)
     assert enclosures == [64 + _GUARD_BITS] * 2
     assert divisors == [(2 * k - 2) * (2 * k - 1) for _ in ("lo", "hi") for k in range(2, 51)]

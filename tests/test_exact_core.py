@@ -13,8 +13,7 @@ from torelli_euler.exact_core import (
     RationalInterval,
     _PRODUCT_LEAF,
     _PRODUCT_LEAF_BITS,
-    _dyadic_quotient,
-    _dyadic_to_bits,
+    _round_to_bits,
     _tree_product,
     dyadic_fraction,
     factorial_valuation,
@@ -329,34 +328,28 @@ _mantissas = st.builds(
 )
 
 
-@given(mantissa=_mantissas, exponent=st.integers(-2000, 2000))
-@example(mantissa=0, exponent=-7)
-@example(mantissa=0, exponent=7)
-@example(mantissa=-(3 << 40), exponent=-40)
-def test_dyadic_fraction_is_the_reduced_fraction(mantissa, exponent):
-    result, expected = dyadic_fraction(mantissa, exponent), _dyadic_value(mantissa, exponent)
-    assert type(result) is Fraction
-    assert result == expected and hash(result) == hash(expected)
-    assert (result.numerator, result.denominator) == (expected.numerator, expected.denominator)
-
-
-@given(
-    numerator=_mantissas,
-    exponent=st.integers(-2000, 2000),
-    denominator=st.builds(
-        lambda odd, twos: odd << twos, st.integers(1, 2**200), st.integers(0, 300)
-    ),
+# Positive denominators with up to 300 trailing zeros, and 1, which takes no gcd.
+_denominators = st.just(1) | st.builds(
+    lambda odd, twos: odd << twos, st.integers(1, 2**200), st.integers(0, 300)
 )
+
+
+@given(numerator=_mantissas, exponent=st.integers(-2000, 2000), denominator=_denominators)
+@example(numerator=0, exponent=-7, denominator=1)
+@example(numerator=0, exponent=7, denominator=1)
+@example(numerator=-(3 << 40), exponent=-40, denominator=1)
 @example(numerator=0, exponent=-7, denominator=3)
 @example(numerator=0, exponent=7, denominator=3)
 @example(numerator=-(3 << 40), exponent=-40, denominator=6 << 50)
 @example(numerator=5, exponent=3, denominator=3 << 10)
 @example(numerator=5 << 10, exponent=-3, denominator=3)
-def test_dyadic_quotient_is_the_reduced_fraction(numerator, exponent, denominator):
-    result = _dyadic_quotient(numerator, exponent, denominator)
+def test_dyadic_fraction_is_the_reduced_fraction(numerator, exponent, denominator):
+    result = dyadic_fraction(numerator, exponent, denominator)
     expected = _dyadic_value(numerator, exponent) / denominator
+    assert denominator != 1 or dyadic_fraction(numerator, exponent) == result
+    assert type(result) is Fraction
+    assert result == expected and hash(result) == hash(expected)
     assert (result.numerator, result.denominator) == (expected.numerator, expected.denominator)
-    assert Fraction(result) == expected
 
 
 _endpoints = st.one_of(
@@ -415,9 +408,37 @@ def test_dyadic_rounding_matches_outward(a, b, bits):
     lo, hi = sorted([a, b], key=lambda d: _dyadic_value(*d))
     rounded = RationalInterval(_dyadic_value(*lo), _dyadic_value(*hi)).outward(bits)
     for (mantissa, exponent), ceil, expected in ((lo, False, rounded.lo), (hi, True, rounded.hi)):
-        result = _dyadic_to_bits(mantissa, exponent, bits, ceil)
+        result = _round_to_bits(mantissa, exponent, 1, bits, ceil)
         assert _dyadic_value(*result) == expected
         assert result == (0, 0) or result[0] % 2 == 1
+
+
+@given(
+    numerator=_mantissas,
+    exponent=st.integers(-2000, 2000),
+    denominator=_denominators,
+    twos=st.integers(0, 300),
+    bits=st.integers(1, 200),
+    ceil=st.booleans(),
+)
+@example(numerator=-(3 << 40), exponent=-40, denominator=1, twos=0, bits=8, ceil=True)
+@example(numerator=5 << 10, exponent=3, denominator=3 << 10, twos=7, bits=1, ceil=False)
+def test_round_to_bits_is_outward_shifted_by_the_exponent(
+    numerator, exponent, denominator, twos, bits, ceil
+):
+    # The exponent only shifts the result, and twos shared by numerator and
+    # denominator change nothing: the rounding is the Fraction floor (or
+    # ceil) of the reduced quotient, to an odd mantissa or (0, 0).
+    g = math.gcd(numerator, denominator)
+    numerator, denominator = numerator // g, denominator // g
+    mantissa, shift = _round_to_bits(numerator, 0, denominator, bits, ceil)
+    result = _round_to_bits(numerator, exponent, denominator, bits, ceil)
+    assert result == (mantissa, shift + exponent if mantissa else 0)
+    assert _round_to_bits(numerator << twos, exponent, denominator << twos, bits, ceil) == result
+    assert result == (0, 0) or result[0] % 2 == 1
+    quotient = Fraction(numerator, denominator)
+    rounded = fraction_outward(RationalInterval(quotient, quotient), bits)
+    assert _dyadic_value(mantissa, shift) == (rounded.hi if ceil else rounded.lo)
 
 
 # --- pi ------------------------------------------------------------------------
@@ -494,6 +515,20 @@ def test_int_to_decimal_at_powers_of_ten(k):
             for signed in (n, -n):
                 assert int_to_decimal(signed) == str(signed)
     assert (10**9632).bit_length() <= exact_core._STR_MAX_BITS < (10**9633).bit_length()
+
+
+def test_record_repr_under_the_default_digit_limit():
+    # A bound-decided certificate and the bound's enclosure at (150, 600)
+    # carry integers of over 4300 digits; a fresh interpreter must still
+    # print them.
+    from torelli_euler.certify import certify_non_integrality, upper_bound_interval
+
+    records = (certify_non_integrality(150, 600, "bound"), upper_bound_interval(150, 600))
+    with _digit_limit(0):
+        expected = [repr(record) for record in records]
+    assert max(len(text) for text in expected) > sys.int_info.default_max_str_digits
+    with _digit_limit(sys.int_info.default_max_str_digits):
+        assert [repr(record) for record in records] == expected
 
 
 def test_int_to_decimal_under_the_default_digit_limit():
