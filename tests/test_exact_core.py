@@ -328,6 +328,19 @@ _mantissas = st.builds(
 )
 
 
+@given(mantissa=_mantissas, exponent=st.integers(-2000, 2000))
+@example(mantissa=0, exponent=-7)
+@example(mantissa=0, exponent=7)
+@example(mantissa=-(3 << 40), exponent=-40)
+def test_dyadic_fraction_is_the_reduced_fraction(mantissa, exponent):
+    # The default denominator of 1 takes no gcd; passing it explicitly agrees.
+    result, expected = dyadic_fraction(mantissa, exponent), _dyadic_value(mantissa, exponent)
+    assert dyadic_fraction(mantissa, exponent, 1) == result
+    assert type(result) is Fraction
+    assert result == expected and hash(result) == hash(expected)
+    assert (result.numerator, result.denominator) == (expected.numerator, expected.denominator)
+
+
 # Positive denominators with up to 300 trailing zeros, and 1, which takes no gcd.
 _denominators = st.just(1) | st.builds(
     lambda odd, twos: odd << twos, st.integers(1, 2**200), st.integers(0, 300)
@@ -335,15 +348,12 @@ _denominators = st.just(1) | st.builds(
 
 
 @given(numerator=_mantissas, exponent=st.integers(-2000, 2000), denominator=_denominators)
-@example(numerator=0, exponent=-7, denominator=1)
-@example(numerator=0, exponent=7, denominator=1)
-@example(numerator=-(3 << 40), exponent=-40, denominator=1)
 @example(numerator=0, exponent=-7, denominator=3)
 @example(numerator=0, exponent=7, denominator=3)
 @example(numerator=-(3 << 40), exponent=-40, denominator=6 << 50)
 @example(numerator=5, exponent=3, denominator=3 << 10)
 @example(numerator=5 << 10, exponent=-3, denominator=3)
-def test_dyadic_fraction_is_the_reduced_fraction(numerator, exponent, denominator):
+def test_dyadic_quotient_is_the_reduced_fraction(numerator, exponent, denominator):
     result = dyadic_fraction(numerator, exponent, denominator)
     expected = _dyadic_value(numerator, exponent) / denominator
     assert denominator != 1 or dyadic_fraction(numerator, exponent) == result
