@@ -392,24 +392,22 @@ def _term_product(m: int) -> _Dyadic:
     return _bound_memo(m, ceil=False).products[m] + _bound_memo(m, ceil=True).products[m]
 
 
-def _bound_sequence(
-    m: int, n: int, prefix: int, product: _Dyadic, term: _Dyadic
-) -> BoundSequence:
+def _bound_sequence(m: int, n: int, prefix: int) -> BoundSequence:
     """U(m,n) and U(m+1,n)/U(m,n) from both ends of `_bound_memo` entries.
 
-    prefix is the integer (2m+n-1)!/(2m)!, product and term both ends of
-    the m-th prefix product and of single term m+1.  The ratio is that term
+    prefix is the integer (2m+n-1)!/(2m)!.  The value is both ends of the
+    m-th prefix product times the prefix.  The ratio is single term m+1
     times (2m+n+1)(2m+n)/((2m+2)(2m+1)), each end one `dyadic_fraction` of
     the term's mantissa times (2m+n+1)(2m+n), its exponent, and
     (2m+2)(2m+1).  Lowest terms being unique, the endpoints are those of
     `single_term_interval(m+1).scale(factor)`.
     """
-    lo, lo_exp, hi, hi_exp = term
+    lo, lo_exp, hi, hi_exp = _single_term(m + 1)
     rise, fall = (2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1)
     return BoundSequence(
         m=m,
         n=n,
-        value=_interval_from_dyadic(product, prefix),
+        value=_interval_from_dyadic(_term_product(m), prefix),
         ratio_next=RationalInterval(
             dyadic_fraction(lo * rise, lo_exp, fall), dyadic_fraction(hi * rise, hi_exp, fall)
         ),
@@ -420,13 +418,7 @@ def upper_bound_interval(m: int, n: int) -> BoundSequence:
     """Certified enclosure of U(m,n) together with the consecutive ratio."""
     if m < 1 or n < 1:
         raise ValueError(f"need m, n >= 1, got m={m}, n={n}")
-    return _bound_sequence(
-        m,
-        n,
-        rising_factorial_ratio(2 * m + n - 1, 2 * m),
-        _term_product(m),
-        _single_term(m + 1),
-    )
+    return _bound_sequence(m, n, rising_factorial_ratio(2 * m + n - 1, 2 * m))
 
 
 def _upper_end(m: int, n: int) -> tuple[int, int]:
@@ -441,10 +433,11 @@ def _upper_end(m: int, n: int) -> tuple[int, int]:
 
 
 class ThresholdResult(_Record):
-    """Smallest m0 with U(m0,n) certified below 1 and a certified decreasing tail.
+    """Least m0 with U(m,n) and its ratio certified below 1 for m = m0..m_cap.
 
-    For every m >= m0 up to the cap, ratio_next < 1, so the bound sequence
-    (and with it e(m,n)) stays below 1 on the whole checked tail.
+    chain holds the `BoundSequence` of each such m in increasing order, so
+    the bound (and with it e(m,n)) stays below 1 on the whole checked tail;
+    it is empty, and m_found None, when a test fails at m_cap itself.
     """
 
     __slots__ = _fields = ("n", "m_cap", "m_found", "chain")
@@ -463,51 +456,39 @@ class ThresholdResult(_Record):
 
 
 def threshold_for_n(n: int, m_cap: int = 64) -> ThresholdResult:
-    """Scan m = 1..m_cap for the certified crossing of the bound below 1.
+    """Walk m = m_cap down to 1 while U(m,n) and its ratio are certified below 1.
 
-    The comparisons run in integers, on the hi entries of `_bound_memo`,
-    each end's memo extended once.
-    ratio_next(m).hi < 1 cross-multiplies the hi mantissa of single term
-    m+1 by the integer factor, from m_cap down while it holds.  On that
-    tail, U(m,n).hi < 1 holds when the m-th prefix product's hi mantissa
-    times the prefix (2m+n-1)!/(2m)! has at most -exponent bits, the rule
-    `_certificates` reads, the prefix stepped from one m to the next by an
-    exact division.  Enclosures are built only for the returned chain, each
-    end straight from its integers: the value's as the end's memo entry
-    times the prefix reduced by a shift, the ratio's as in
-    `_bound_sequence`.  Both equal the Fraction arithmetic on
-    `single_term_interval` and `upper_bound_interval`.
+    Both tests run in integers, on the hi entries of `_bound_memo`:
+    ratio_next(m).hi < 1 cross-multiplies single term m+1 by the factor
+    (2m+n+1)(2m+n)/((2m+2)(2m+1)), and U(m,n).hi < 1 holds when the m-th
+    prefix product's mantissa times the prefix (2m+n-1)!/(2m)! has at most
+    -exponent bits, the rule `_certificates` reads.  The prefix is formed
+    once, at m_cap, and stepped down by an exact division at each m that
+    passes.  Each such m adds its `_bound_sequence` to the chain; the walk
+    stops at the first m where either test fails.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if m_cap < 1:
         raise ValueError(f"m_cap must be positive, got {m_cap}")
-    lo_end, hi_end = _bound_memo(m_cap + 1, ceil=False), _bound_memo(m_cap + 1, ceil=True)
-    hi_terms, hi_products = hi_end.terms, hi_end.products
-    tail_start = m_cap + 1
-    while tail_start > 1:
-        m = tail_start - 1
+    hi_end = _bound_memo(m_cap + 1, ceil=True)
+    prefix = rising_factorial_ratio(2 * m_cap + n - 1, 2 * m_cap)
+    chain: list[BoundSequence] = []
+    for m in range(m_cap, 0, -1):
         # ratio_next(m).hi < 1: hi * 2**hi_exp * rise < fall, in integers.
-        hi, hi_exp = hi_terms[m]
+        hi, hi_exp = hi_end.terms[m]
         rise, fall = (2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1)
         if hi * rise << max(hi_exp, 0) >= fall << max(-hi_exp, 0):
             break
-        tail_start = m
-    prefix = rising_factorial_ratio(2 * tail_start + n - 1, 2 * tail_start)
-    chain: list[BoundSequence] = []
-    for m in range(tail_start, m_cap + 1):
-        hi, hi_exp = hi_products[m]
         # U(m,n).hi = hi * 2**hi_exp * prefix, below 1 iff hi * prefix < 2**-hi_exp.
-        if chain or (hi * prefix).bit_length() <= -hi_exp:
-            chain.append(
-                _bound_sequence(
-                    m, n, prefix, lo_end.products[m] + hi_products[m], lo_end.terms[m] + hi_terms[m]
-                )
-            )
-        prefix = prefix * (2 * m + n) * (2 * m + n + 1) // ((2 * m + 1) * (2 * m + 2))
-    return ThresholdResult(
-        n=n, m_cap=m_cap, m_found=chain[0].m if chain else None, chain=tuple(chain)
-    )
+        hi, hi_exp = hi_end.products[m]
+        if (hi * prefix).bit_length() > -hi_exp:
+            break
+        chain.append(_bound_sequence(m, n, prefix))
+        prefix = prefix * (2 * m - 1) * (2 * m) // ((2 * m + n - 2) * (2 * m + n - 1))
+    chain.reverse()
+    m_found = chain[0].m if chain else None
+    return ThresholdResult(n=n, m_cap=m_cap, m_found=m_found, chain=tuple(chain))
 
 
 # ---------------------------------------------------------------------------

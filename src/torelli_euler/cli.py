@@ -87,8 +87,9 @@ def _nonnegative_int(text: str) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache",
-        # An empty variable means no cache, not the current directory.
-        default=os.environ.get(CACHE_ENV_VAR) or None,
+        # Empty, typed or from the variable, means no cache (argparse types a str default).
+        type=lambda path: path or None,
+        default=os.environ.get(CACHE_ENV_VAR),
         help=f"Bernoulli table cache file (default: ${CACHE_ENV_VAR})",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")

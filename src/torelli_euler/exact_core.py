@@ -277,11 +277,13 @@ def dyadic_fraction(numerator: int, exponent: int, denominator: int = 1) -> Frac
     other side can cancel, found by a shift.  So no gcd ever sees the power
     of two, and the Fraction copies the reduced pair without one.
     """
-    if numerator == 0:
-        return _ZERO
     if denominator != 1:
+        if denominator < 1:
+            raise ValueError(f"denominator must be positive, got {denominator}")
         g = math.gcd(numerator, denominator)
         numerator, denominator = numerator // g, denominator // g
+    if numerator == 0:
+        return _ZERO
     if exponent >= 0:
         shift = min(exponent, (denominator & -denominator).bit_length() - 1)
         numerator, denominator = numerator << (exponent - shift), denominator >> shift

@@ -227,6 +227,15 @@ def test_threshold_matches_the_all_m_loop_at_large_n():
     assert result.m_found == 132
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3000), m_cap=st.integers(1, 120))
+def test_threshold_is_the_all_m_loop_at_random_n_and_cap(n, m_cap):
+    # Past the fixed lists: the walk stopped by the ratio test at the cap,
+    # and by the value test at the cap and below it.
+    result = threshold_for_n(n, m_cap=m_cap)
+    assert (result.m_found, result.chain) == _reference_threshold(n, m_cap)
+
+
 def _threshold_by_products(n, m_cap):
     # The tail walk with U(m,n).hi < 1 read off the product hi * prefix
     # itself, as before the bit-length test; the chain from fresh enclosures.

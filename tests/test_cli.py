@@ -249,6 +249,16 @@ def test_cache_build_then_persist_and_env(capsys, tmp_path, monkeypatch):
     assert "max=20" in header
 
 
+def test_an_empty_cache_option_overrides_the_variable(capsys, tmp_path, monkeypatch):
+    # --cache '' means no cache, as an empty variable does: nothing is written
+    # to the variable's path, and no directory is taken for a cache file.
+    cache = tmp_path / "bern.cache"
+    monkeypatch.setenv("TORELLI_EULER_CACHE", str(cache))
+    code, out, err = run(capsys, "zeta", "--k", "6", "--cache", "")
+    assert (code, err) == (0, "") and "691/32760" in out
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_bernoulli_prints_only_the_requested_indices_from_a_larger_cache(
     capsys, tmp_path, fmt

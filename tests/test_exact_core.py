@@ -362,6 +362,15 @@ def test_dyadic_quotient_is_the_reduced_fraction(numerator, exponent, denominato
     assert (result.numerator, result.denominator) == (expected.numerator, expected.denominator)
 
 
+@pytest.mark.parametrize("numerator", [1, 0])
+@pytest.mark.parametrize("denominator", [0, -1, -3])
+def test_dyadic_fraction_refuses_a_denominator_below_one(numerator, denominator):
+    # Fraction(1, -3) would compare as positive, 1/0 was a shift error and
+    # 0/0 came back as 0.
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        dyadic_fraction(numerator, 0, denominator)
+
+
 _endpoints = st.one_of(
     st.builds(_dyadic_value, st.integers(-(2**300), 2**300), st.integers(-600, 600)),
     st.fractions(),
