@@ -62,7 +62,6 @@ __all__ = [
     "BoundSequence",
     "Certificate",
     "CertificateError",
-    "DEEP_MAX_M",
     "Inconclusive",
     "IntegerValue",
     "LedgerSegment",
@@ -96,9 +95,8 @@ STRATEGIES = ("auto", "exact", "bound")
 # prefactor while the window (2m, 2m+n-1] stays below them.
 WITNESS_PRIMES = (691, 3617)
 
-# Largest m and n for which that window stays below 3617 on the whole grid:
-# 2*1470 + 677 - 1 = 3616.
-DEEP_MAX_M = 1470
+# The paper's bound on n: e(m,n) is not an integer for every m >= 6 and
+# n <= 677, and e(7,678) is one.
 MAX_WITNESSED_N = 677
 
 # Trial division for a witness prime stops here: a denominator with no prime

@@ -136,9 +136,7 @@ _COMMANDS = {
         ("--n-max", dict(type=_positive_int, required=True)),
         ("--strategy", dict(choices=("auto", "exact", "bound"), default="exact")),
     )),
-    "verify-paper": ("run the full verification suite", (
-        ("--deep", dict(action="store_true", help="extend the scan to m = 1470")),
-    )),
+    "verify-paper": ("run the full verification suite", ()),
 }
 
 
@@ -311,9 +309,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
     from .verify import report_to_json, run_verification_suite
 
-    mode = "deep" if args.deep else "standard"
     echo = print if args.format == "text" else None
-    report = run_verification_suite(mode, cache_path=args.cache, echo=echo)
+    report = run_verification_suite("standard", cache_path=args.cache, echo=echo)
     if args.format == "json":
         print(dumps(report_to_json(report)))
     else:

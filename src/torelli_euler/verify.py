@@ -7,16 +7,16 @@ table acquisition included for `table-source`), and never lets one check's
 failure stop the rest.  `_CHECKS` is the one encoding of each claim: the
 acceptance tests run the suite and assert every check, rather than
 restating them.
-Standard mode works over a Bernoulli table to index 600 and scans the wide
-grid to m = 200; deep mode extends the table to index 2940 and the scan to
-m = 1470.  The wide-grid scan reads its witnesses off the valuation ledger
-as row segments (`certify.ledger_segments`): one rechecked witness per
-prime per row covers a run of points, ended by inverting Legendre's formula
-in a few Legendre sums, and no exact ~10^5-digit e(m,n) is formed.  The
-segments are formed once per run, by `_wide_grid` for whichever of
-`wide-grid-scan` and `witness-prime-coverage` asks first; the other reads
-the same tuple.  Likewise `_column` forms the n = 1 column, e(m,1) for
-m = 1..100 in one exact scan, once for the six checks that read it.
+The suite works over a Bernoulli table to index 600.  `wide-grid-scan`
+reads its witnesses for m = 6..200 off the valuation ledger as row segments
+(`certify.ledger_segments`): one rechecked witness per prime per row covers
+a run of points, ended by inverting Legendre's formula, and no exact
+~10^5-digit e(m,n) is formed.  `whole-claim` proves the claim for every
+m >= 6 from the rows of those segments below the bound's threshold
+(`_prove_claim`).  Each shared record is formed once per run, by the first
+check that asks: the segments by `_wide_grid`, the threshold at n = 677 by
+`_claim_threshold`, and the n = 1 column, e(m,1) for m = 1..100 in one
+exact scan, by `_column`.
 """
 
 from __future__ import annotations
@@ -41,13 +41,14 @@ from .bernoulli import (
     _von_staudt_clausen_prime_lists,
 )
 from .certify import (
+    BoundSequence,
     Certificate,
-    DEEP_MAX_M,
     Inconclusive,
     IntegerValue,
     LedgerSegment,
     MAX_WITNESSED_N,
     PrimeWitness,
+    ThresholdResult,
     ValuationWitness,
     WITNESS_PRIMES,
     _upper_end,
@@ -60,7 +61,7 @@ from .certify import (
     wide_range_constant_form_threshold,
 )
 from .euler_char import check_product_formula, chi_torelli, euler_moduli
-from .exact_core import _Record, dyadic_fraction, pi_interval
+from .exact_core import _Record, dyadic_fraction, p_adic_valuation, pi_interval
 from .render import certificate_from_json, certificate_to_json, decimal_string, dumps
 from .zeta_special import abs_zeta_one_minus_2k, zeta_abs_lower_bound, zeta_product
 
@@ -73,9 +74,7 @@ __all__ = [
     "run_verification_suite",
 ]
 
-MODES = ("standard", "deep")
 STANDARD_TABLE_INDEX = 600
-DEEP_TABLE_INDEX = 2 * DEEP_MAX_M
 STANDARD_SCAN_MAX_M = 200
 
 # Published 50-digit reference value of pi, used as the containment oracle
@@ -122,8 +121,8 @@ class VerificationReport(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be 'standard' or 'deep', got {self.mode!r}")
+        if self.mode != "standard":
+            raise ValueError(f"mode must be 'standard', got {self.mode!r}")
         ids = [check.id for check in self.checks]
         if len(ids) != len(set(ids)):
             raise ValueError("check ids must be unique")
@@ -327,12 +326,11 @@ def _check_bound_dominates(ctx: dict) -> Outcome:
     return "pass", "exact e(m,n) <= certified U(m,n) for m = 1..50, n = 1..5"
 
 
-def _wide_grid(ctx: dict) -> tuple[int, tuple[LedgerSegment, ...]]:
-    """The wide grid's last row and its ledger segments, formed the first time a check asks."""
+def _wide_grid(ctx: dict) -> tuple[LedgerSegment, ...]:
+    """The wide grid's ledger segments, formed the first time a check asks."""
     if "wide_grid" not in ctx:
-        m_hi = DEEP_MAX_M if ctx["mode"] == "deep" else STANDARD_SCAN_MAX_M
-        segments = ledger_segments((6, m_hi), (1, MAX_WITNESSED_N), ctx["table"])
-        ctx["wide_grid"] = m_hi, tuple(segments)
+        window = (6, STANDARD_SCAN_MAX_M), (1, MAX_WITNESSED_N)
+        ctx["wide_grid"] = tuple(ledger_segments(*window, ctx["table"]))
     return ctx["wide_grid"]
 
 
@@ -342,7 +340,7 @@ def _points(segment: LedgerSegment) -> int:
 
 
 def _check_wide_grid_scan(ctx: dict) -> Outcome:
-    m_hi, segments = _wide_grid(ctx)
+    segments = _wide_grid(ctx)
     integers = [(s.m, s.n_first) for s in segments if isinstance(s.certificate, IntegerValue)]
     inconclusive = [(s.m, s.n_first) for s in segments if isinstance(s.certificate, Inconclusive)]
     if integers or inconclusive:
@@ -353,12 +351,13 @@ def _check_wide_grid_scan(ctx: dict) -> Outcome:
     total = sum(map(_points, segments))
     return (
         "pass",
-        f"all {total} points on m = 6..{m_hi}, n = 1..{MAX_WITNESSED_N} are non-integers",
+        f"all {total} points on m = 6..{STANDARD_SCAN_MAX_M}, n = 1..{MAX_WITNESSED_N} "
+        "are non-integers",
     )
 
 
 def _check_witness_coverage(ctx: dict) -> Outcome:
-    _, segments = _wide_grid(ctx)
+    segments = _wide_grid(ctx)
     pw = preferred = 0
     exceptions: list[tuple[int, int, int]] = []
     for segment in segments:
@@ -382,18 +381,104 @@ def _check_witness_coverage(ctx: dict) -> Outcome:
     return "pass", witness
 
 
+def _claim_threshold(ctx: dict) -> ThresholdResult:
+    """The bound's threshold at n = MAX_WITNESSED_N, formed the first time a check asks."""
+    if "claim_threshold" not in ctx:
+        ctx["claim_threshold"] = threshold_for_n(MAX_WITNESSED_N)
+    return ctx["claim_threshold"]
+
+
+# ratio_next(m+1,n)/ratio_next(m,n) = A (2pi)^2/((2m+3)(2m+2)), with x = 2m, j = n - 1 and
+# A = (x+j+4)(x+j+3)(x+2)(x+1)/((x+4)(x+3)(x+j+2)(x+j+1)).  A's denominator minus its
+# numerator, as (power of x, power of j, coefficient):
+_RATIO_GAP = ((2, 1, 4), (1, 2, 4), (1, 1, 20), (0, 2, 10), (0, 1, 22))
+
+
+def _prove_claim(
+    segments: tuple[LedgerSegment, ...],
+    link: BoundSequence,
+    n_max: int,
+    table: BernoulliTable,
+    gap: tuple[tuple[int, int, int], ...] = _RATIO_GAP,
+) -> Outcome:
+    """e(m,n) is not an integer for every m >= 6 and n <= n_max.
+
+    Rows m = 6..m0-1, m0 = link.m: valuation witnesses over n = 1..n_max, in
+    row order, listing the table's zeta valuations.  From m0 on, U(m,n) <=
+    U(m,n_max) <= U(m0,n_max) < 1: U gains 2m+n from n to n+1, and its ratio,
+    below 1 at m0, falls in m, as A <= 1 and (2pi)^2 < 42 <= (2m+3)(2m+2).
+    A's gap has degree at most 4 in x and in j, so a `gap` of such degrees
+    that agrees with it on x, j = 0..4 is it.
+    """
+    m0 = link.m
+    if link.n != n_max or m0 < 2 or not (link.value.hi < 1 and link.ratio_next.hi < 1):
+        return "fail", f"U({m0},{link.n}) and its ratio are not both certified below 1"
+    if any(c < 0 or a > 4 or b > 4 for a, b, c in gap) or any(
+        (x + 4) * (x + 3) * (y + 2) * (y + 1) - (y + 4) * (y + 3) * (x + 2) * (x + 1)
+        != sum(c * x**a * j**b for a, b, c in gap)
+        for x, j, y in ((x, j, x + j) for x in range(5) for j in range(5))
+    ):
+        return "fail", f"gap {gap} is not A's with degrees <= 4 and no negative coefficient"
+    if not (2 * pi_interval(64).hi) ** 2 < 42:
+        return "fail", "(2pi)^2 is not certified below 42"
+    rows = [segment for segment in segments if segment.m < m0]
+    m, n_next = 6, 1
+    listed: dict[int, list[tuple[int, int]]] = {}  # per prime, the nonzero v_p(zeta(1-2k)), k < m0
+    for segment in rows:
+        cert = segment.certificate
+        if (segment.m, segment.n_first) != (m, n_next) or not isinstance(cert, ValuationWitness):
+            return "fail", f"no valuation witness starts at (m, n) = ({m}, {n_next})"
+        if cert.p not in listed:
+            zetas = enumerate((abs_zeta_one_minus_2k(k, table) for k in range(1, m0)), 1)
+            listed[cert.p] = [(k, v) for k, z in zetas if (v := p_adic_valuation(z, cert.p))]
+        if cert.zeta_valuations != tuple(kv for kv in listed[cert.p] if kv[0] <= m):
+            return "fail", f"the witness at ({m}, {cert.n}) lists zeta valuations not the table's"
+        m, n_next = (m + 1, 1) if segment.n_last >= n_max else (m, segment.n_last + 1)
+    if m < m0:
+        return "fail", f"no valuation witness starts at (m, n) = ({m}, {n_next})"
+    return (
+        "pass",
+        f"rows m = 6..{m0 - 1} by {len(rows)} valuation witnesses; from m0 = {m0} on, "
+        f"0 < e(m,n) <= U(m,n) <= U({m0},{n_max}) < 1, as U rises in n and its ratio, "
+        "below 1 at m0, falls in m; the one premise not computed, zeta(2k) > 1, gives "
+        "e(m,n) <= U(m,n)",
+    )
+
+
+def _check_whole_claim(ctx: dict) -> Outcome:
+    result = _claim_threshold(ctx)
+    if not result.found:
+        return "fail", f"U(m,{result.n}) is not certified below 1 at m = {result.m_cap}"
+    return _prove_claim(_wide_grid(ctx), result.chain[0], MAX_WITNESSED_N, ctx["table"])
+
+
+def _check_claim_sharp(ctx: dict) -> Outcome:
+    # Row m first meets an integer at n = N(m): N(7) = 678 and N(6) = 680.
+    for m, n in ((7, 678), (6, 680)):
+        below, at = (certify_non_integrality(m, k, "exact", ctx["table"]) for k in (n - 1, n))
+        witnessed = isinstance(below, PrimeWitness) and below.p == 691
+        if not (witnessed and isinstance(at, IntegerValue)):
+            kinds = type(below).__name__, type(at).__name__
+            return "fail", f"e({m},{n - 1}) and e({m},{n}) gave {kinds}"
+    return "pass", "e(7,678) and e(6,680) are integers; e(7,677) and e(6,679) have v_691 < 0"
+
+
 def _check_closing_bound_forms(ctx: dict) -> Outcome:
     threshold = wide_range_constant_form_threshold(m_cap=45)
     forms = wide_range_bound_forms(37)
+    m0 = _claim_threshold(ctx).m_found
     if threshold != 37:
         return "fail", f"constant-factor reading crosses 1 at m = {threshold}"
     if not forms.constant_factor_product.hi < 1 < forms.per_index_product.lo:
         return "fail", "expected ordering of the two readings fails at m = 37"
+    if m0 != 55:
+        return "fail", f"U(m,{MAX_WITNESSED_N}) and its ratio are below 1 from m0 = {m0}"
     return (
         "pass",
         "constant-factor reading first dips below 1 at m = 37; the per-index "
         "reading is still far above 1 there (the two readings of the closing "
-        "display disagree and are both reported)",
+        "display disagree and are both reported); the reading that closes the "
+        f"argument is U(m,{MAX_WITNESSED_N}), below 1 with its ratio from m0 = 55 on",
     )
 
 
@@ -512,13 +597,23 @@ _CHECKS: tuple[tuple[str, str, Callable[[dict], Outcome]], ...] = (
     ),
     (
         "wide-grid-scan",
-        "e(m,n) non-integer for m >= 6 and n <= 677",
+        "e(m,n) non-integer for m = 6..200 and n <= 677",
         _check_wide_grid_scan,
     ),
     (
         "witness-prime-coverage",
         "691 and 3617 witness the whole wide grid",
         _check_witness_coverage,
+    ),
+    (
+        "whole-claim",
+        "e(m,n) non-integer for m >= 6 and n <= 677",
+        _check_whole_claim,
+    ),
+    (
+        "claim-sharp",
+        "n <= 677 is sharp: e(7,678) and e(6,680) are integers",
+        _check_claim_sharp,
     ),
     (
         "closing-bound-forms",
@@ -550,11 +645,12 @@ def run_verification_suite(
 ) -> VerificationReport:
     """Run every check and collect a report.
 
-    A failing or erroring check (including resource exhaustion in deep mode)
-    is recorded and the remaining checks still run.
+    `standard` is the one mode.  A failing or erroring check (including
+    resource exhaustion in the table build) is recorded and the remaining
+    checks still run.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be 'standard' or 'deep', got {mode!r}")
+    if mode != "standard":
+        raise ValueError(f"mode must be 'standard', got {mode!r}")
     checks: list[CheckResult] = []
 
     def record(check_id: str, paper_ref: str, started: float, outcome: Outcome) -> None:
@@ -563,11 +659,10 @@ def run_verification_suite(
         if echo:
             echo(_format_check_line(checks[-1]))
 
-    ctx: dict = {"mode": mode}
-    required = DEEP_TABLE_INDEX if mode == "deep" else STANDARD_TABLE_INDEX
+    ctx: dict = {}
     started = time.perf_counter()
     try:
-        ctx["table"] = table = obtain_table(required, cache_path)
+        ctx["table"] = table = obtain_table(STANDARD_TABLE_INDEX, cache_path)
         outcome = "pass", f"table through B_{table.max_index} (algorithm {table.algorithm})"
     except CachePathError as exc:
         outcome = "fail", f"cache error: {exc}"

@@ -1,10 +1,10 @@
-"""Acceptance suite: every check of the verification registry, in both modes.
+"""Acceptance suite: every check of the verification registry.
 
 `verify._CHECKS` is the one encoding of each paper claim.  The suite runs
-once per mode (standard through the CLI in JSON, deep in-process), and one
-test per (mode, check id) asserts that the check passed, within its time
-budget where it has one.  Run with `pytest -s tests/test_acceptance.py` to
-see one line per check with its elapsed time and budget.
+once, through the CLI in JSON, and one test per check id asserts that the
+check passed, within its time budget where it has one.  Run with
+`pytest -s tests/test_acceptance.py` to see one line per check with its
+elapsed time and budget.
 
 Two earlier per-criterion tests stay, as they restate no check: criterion 4,
 the exact scan as the oracle of the valuation ledger, and criterion 8, the
@@ -27,7 +27,7 @@ from torelli_euler.certify import (
     ledger_segments,
     scan,
 )
-from torelli_euler.verify import MODES, _CHECKS, report_from_json, run_verification_suite
+from torelli_euler.verify import _CHECKS, report_from_json
 
 from test_certify import _points, _valuation
 
@@ -77,20 +77,14 @@ def standard_report(standard_cli_run):
     return report_from_json(json.loads(proc.stdout))
 
 
-@pytest.fixture(scope="module")
-def deep_report():
-    return run_verification_suite("deep")
-
-
-@pytest.mark.parametrize(
-    "mode, check_id", [(mode, check_id) for mode in MODES for check_id in CHECK_IDS]
-)
-def test_check_passes_within_budget(request, mode, check_id):
-    checks = {check.id: check for check in request.getfixturevalue(f"{mode}_report").checks}
+# Each case is named for the report's mode, "standard", the one the suite has.
+@pytest.mark.parametrize("check_id", CHECK_IDS, ids=lambda check_id: f"standard-{check_id}")
+def test_check_passes_within_budget(standard_report, check_id):
+    checks = {check.id: check for check in standard_report.checks}
     assert check_id in checks
     check, budget = checks[check_id], BUDGETS.get(check_id)
     limit = f", budget {budget:g}s" if budget is not None else ""
-    print(f"\n{mode} {check_id}: {check.status.upper()} ({check.elapsed_s:.3f}s{limit})")
+    print(f"\n{check_id}: {check.status.upper()} ({check.elapsed_s:.3f}s{limit})")
     assert check.status == "pass", check.witness
     if budget is not None:
         assert check.elapsed_s < budget
@@ -110,14 +104,9 @@ def test_full_verification_suite_standard_via_cli(standard_cli_run, standard_rep
     assert witnesses["witness-prime-coverage"] == (
         "132015/132015 prime witnesses use p in {3617, 691} (fraction 1)"
     )
-
-
-def test_deep_verification_suite(deep_report):
-    assert deep_report.mode == "deep" and deep_report.passed
-    assert [check.id for check in deep_report.checks] == list(CHECK_IDS)
-    scan_check = next(c for c in deep_report.checks if c.id == "wide-grid-scan")
-    assert scan_check.witness == (
-        "all 991805 points on m = 6..1470, n = 1..677 are non-integers"
+    assert witnesses["whole-claim"].startswith(
+        "rows m = 6..54 by 96 valuation witnesses; from m0 = 55 on, "
+        "0 < e(m,n) <= U(m,n) <= U(55,677) < 1"
     )
 
 

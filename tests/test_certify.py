@@ -1097,7 +1097,7 @@ def test_standard_wide_grid_check_builds_one_witness_per_segment(table600, monke
         recheck(self)
 
     monkeypatch.setattr(ValuationWitness, "__post_init__", counting)
-    ctx = {"mode": "standard", "table": table600}
+    ctx = {"table": table600}
     status, witness = verify._check_wide_grid_scan(ctx)
     assert status == "pass" and "all 132015 points" in witness
     assert 0 < len(built) < 1000
@@ -1110,4 +1110,4 @@ def test_standard_wide_grid_check_builds_one_witness_per_segment(table600, monke
     )
     assert len(built) == scanned
     # Run alone, without the scan before it, it forms the segments itself.
-    assert verify._check_witness_coverage({"mode": "standard", "table": table600}) == coverage
+    assert verify._check_witness_coverage({"table": table600}) == coverage

@@ -466,6 +466,11 @@ def test_usage_error_exit_code():
     assert info.value.code == 2
 
 
+def test_verify_paper_has_no_deep_option(capsys):
+    code, out, err = _outcome(capsys, main, ["verify-paper", "--deep"])
+    assert code == 2 and out == "" and "unrecognized arguments: --deep" in err
+
+
 def test_digits_above_the_limit_are_a_usage_error(capsys):
     # 10**(10^8) would take longer than any request should: rejected by the
     # parser before the table or the value is formed.

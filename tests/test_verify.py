@@ -1,8 +1,19 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torelli_euler import verify
 from torelli_euler.bernoulli import CapacityError, bernoulli_table, persist_table
-from torelli_euler.certify import scan
+from torelli_euler.certify import (
+    CertificateError,
+    LedgerSegment,
+    MagnitudeWitness,
+    ValuationWitness,
+    certify_non_integrality,
+    ledger_segments,
+    scan,
+    threshold_for_n,
+    upper_bound_interval,
+)
 
 
 def test_table_capacity_failure_is_recorded(monkeypatch):
@@ -12,12 +23,12 @@ def test_table_capacity_failure_is_recorded(monkeypatch):
         raise CapacityError(f"table build for max_index={required} exhausted memory")
 
     monkeypatch.setattr(verify, "obtain_table", exhausted)
-    report = verify.run_verification_suite("deep")
+    report = verify.run_verification_suite("standard")
     source, *rest = report.checks
     assert source.id == "table-source" and source.status == "fail"
     assert "exhausted memory" in source.witness
     assert "build failed" in source.witness and "validation" not in source.witness
-    assert len(rest) == 20
+    assert len(rest) == 22
     assert all(check.status == "inconclusive" for check in rest)
     assert not report.passed
 
@@ -32,7 +43,7 @@ def test_table_capacity_failure_is_recorded(monkeypatch):
 )
 def test_unreadable_cache_is_recorded_as_a_failed_table_source(tmp_path, corrupt, diagnosis):
     # The suite still reports every check: the table source as failed with
-    # the cache diagnosis, the 20 checks that need the table as inconclusive.
+    # the cache diagnosis, the 22 checks that need the table as inconclusive.
     cache = tmp_path / "bad.cache"
     persist_table(bernoulli_table(20), cache)
     cache.write_bytes(corrupt(cache.read_bytes()))
@@ -40,7 +51,7 @@ def test_unreadable_cache_is_recorded_as_a_failed_table_source(tmp_path, corrupt
     source, *rest = report.checks
     assert source.id == "table-source" and source.status == "fail"
     assert source.witness.startswith("table validation failed: ") and diagnosis in source.witness
-    assert len(rest) == 20
+    assert len(rest) == 22
     assert all(check.status == "inconclusive" for check in rest)
 
 
@@ -70,7 +81,7 @@ _COLUMN_CHECKS = (
 def test_a_column_check_passes_alone(check_id, table600):
     # Run first on a fresh context, the check forms the column itself.
     check = next(fn for cid, _, fn in verify._CHECKS if cid == check_id)
-    status, witness = check({"mode": "standard", "table": table600})
+    status, witness = check({"table": table600})
     assert status == "pass", witness
 
 
@@ -85,3 +96,105 @@ def test_the_column_is_formed_once_per_run(monkeypatch):
     report = verify.run_verification_suite("standard")
     assert report.passed
     assert calls == [((1, 100), (1, 1), "exact")]
+
+
+def test_standard_is_the_one_mode():
+    with pytest.raises(ValueError, match="mode must be 'standard', got 'deep'"):
+        verify.run_verification_suite("deep")
+
+
+# --- the whole claim from its parts ------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def claim_parts(table600):
+    # The rows below m0 = 55 and the first link of the bound's chain at n = 677.
+    segments = tuple(ledger_segments((6, 54), (1, 677), table600))
+    return segments, threshold_for_n(677).chain[0], 677, table600
+
+
+def test_the_whole_claim_holds_on_its_parts(claim_parts):
+    status, witness = verify._prove_claim(*claim_parts)
+    assert status == "pass"
+    assert witness.startswith("rows m = 6..54 by 96 valuation witnesses; from m0 = 55 on, ")
+    assert "zeta(2k) > 1" in witness
+
+
+def _reissued(segments, index, p):
+    # The witness of one segment reissued for the prime p, with its valuation
+    # and zeta valuations kept.
+    segment = segments[index]
+    cert = segment.certificate
+    forged = ValuationWitness(cert.m, cert.n, p, cert.valuation, cert.zeta_valuations)
+    forged_segment = LedgerSegment(segment.m, segment.n_first, segment.n_last, forged)
+    return (*segments[:index], forged_segment, *segments[index + 1 :])
+
+
+def _raised_n_max(segments, link, n_max, table):
+    # Row 7 meets an integer at n = 678.
+    segments = tuple(ledger_segments((6, 54), (1, 678), table))
+    return segments, threshold_for_n(678).chain[0], 678, table
+
+
+_TAMPERED = {
+    # Rows 6 and 7 have one segment each, rows 8 on two: segment 10 opens row 12.
+    "segment-dropped": (
+        lambda segments, *rest: (segments[:10] + segments[11:], *rest),
+        "no valuation witness starts at (m, n) = (12, 1)",
+    ),
+    "rows-short-of-m0": (
+        lambda segments, *rest: (tuple(s for s in segments if s.m < 40), *rest),
+        "no valuation witness starts at (m, n) = (40, 1)",
+    ),
+    # The diff of 3617 is 0 on row 6, so the reissued witness rechecks; its
+    # zeta valuation at k = 6 is 691's, not the table's for 3617.
+    "witness-prime-changed": (
+        lambda segments, *rest: (_reissued(segments, 0, 3617), *rest),
+        "the witness at (6, 677) lists zeta valuations not the table's",
+    ),
+    "m0-lowered-to-54": (
+        lambda segments, link, *rest: (segments, upper_bound_interval(54, 677), *rest),
+        "U(54,677) and its ratio are not both certified below 1",
+    ),
+    "n_max-raised-to-678": (
+        _raised_n_max,
+        "no valuation witness starts at (m, n) = (7, 678)",
+    ),
+    "gap-coefficient-negative": (
+        lambda *parts: (*parts, verify._RATIO_GAP[:4] + ((0, 1, -22),)),
+        "is not A's with degrees <= 4 and no negative coefficient",
+    ),
+    "gap-coefficient-changed": (
+        lambda *parts: (*parts, verify._RATIO_GAP[:4] + ((0, 1, 23),)),
+        "is not A's with degrees <= 4 and no negative coefficient",
+    ),
+    # x(x-1)(x-2)(x-3)(x-4) vanishes on x = 0..4: the sum agrees with A's gap
+    # on the whole grid, but its degree in x is 5.
+    "gap-plus-a-quintic-zero-on-the-grid": (
+        lambda *parts: (
+            *parts,
+            verify._RATIO_GAP + ((5, 0, 1), (4, 0, -10), (3, 0, 35), (2, 0, -50), (1, 0, 24)),
+        ),
+        "is not A's with degrees <= 4 and no negative coefficient",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_TAMPERED))
+def test_a_tampered_part_of_the_whole_claim_is_rejected(claim_parts, case):
+    tamper, diagnosis = _TAMPERED[case]
+    status, witness = verify._prove_claim(*tamper(*claim_parts))
+    assert status == "fail" and diagnosis in witness
+
+
+def test_a_witness_prime_changed_so_that_it_witnesses_nothing_is_refused(claim_parts):
+    # v_683 of (2m+n-1)!/(2m)! is 1 on row 6 at n = 677: the reissued valuation is 0.
+    with pytest.raises(CertificateError):
+        _reissued(claim_parts[0], 0, 683)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(55, 600), n=st.integers(1, 677))
+def test_the_bound_certifies_every_point_past_m0(m, n):
+    # The conclusion of the whole claim's bound part, past the chain's cap of 64.
+    assert isinstance(certify_non_integrality(m, n, "bound"), MagnitudeWitness)
