@@ -4,71 +4,14 @@ machine-checkable certificates that e(m,n) is not an integer.
 The verification suite (`verify`, and `CheckResult`, `VerificationReport`
 and `run_verification_suite` from it) loads on first use, so importing the
 package or running a command other than `verify-paper` does not compile it.
+The rest of the namespace is the `__all__` of each of the five eager layers.
 """
 
-from .bernoulli import (
-    BernoulliTable,
-    CacheError,
-    CacheFormatError,
-    CacheMissingError,
-    CachePathError,
-    CacheVersionError,
-    CapacityError,
-    TableInvariantError,
-    bernoulli_table,
-    load_table,
-    obtain_bernoulli,
-    obtain_table,
-    persist_table,
-    tangent_numbers,
-    von_staudt_clausen_denominator,
-    von_staudt_clausen_primes,
-)
-from .certify import (
-    BoundSequence,
-    Certificate,
-    CertificateError,
-    Inconclusive,
-    IntegerValue,
-    LedgerSegment,
-    MagnitudeWitness,
-    PrimeWitness,
-    ScanPoint,
-    ThresholdResult,
-    ValuationWitness,
-    certificate_from_exact,
-    certify_non_integrality,
-    ledger_segments,
-    scan,
-    single_term_interval,
-    threshold_for_n,
-    upper_bound_interval,
-    wide_range_bound_forms,
-    wide_range_constant_form_threshold,
-)
-from .euler_char import (
-    ProductFormulaCheck,
-    check_product_formula,
-    chi_torelli,
-    e_mn,
-    euler_moduli,
-)
-from .exact_core import (
-    RationalInterval,
-    decimal_to_int,
-    factorial_valuation,
-    int_to_decimal,
-    is_probable_prime,
-    p_adic_valuation,
-    pi_interval,
-    rising_factorial_ratio,
-)
-from .zeta_special import (
-    abs_zeta_one_minus_2k,
-    zeta_abs_lower_bound,
-    zeta_one_minus_2k,
-    zeta_product,
-)
+from .bernoulli import *
+from .certify import *
+from .euler_char import *
+from .exact_core import *
+from .zeta_special import *
 
 __version__ = "0.1.0"
 

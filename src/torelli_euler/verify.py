@@ -3,16 +3,17 @@
 Every computer-checkable claim in scope is a named check with a stable id;
 the suite runs them in deterministic order, records pass/fail/inconclusive
 with a rendered witness and the check's wall time (`CheckResult.elapsed_s`,
-table acquisition included for `table-source`), and never lets one check's
-failure stop the rest.  `_CHECKS` is the one encoding of each claim: the
-acceptance tests run the suite and assert every check, rather than
-restating them.
-The suite works over a Bernoulli table to index 600.  `wide-grid-scan`
+table acquisition included for the first check, the table's source), and
+never lets one check's failure stop the rest.  Each other check registers
+itself in `_CHECKS` with `_check`, which names its id and paper reference,
+in definition order: the acceptance tests run the suite and assert every
+check, rather than restating them.
+The suite works over a Bernoulli table to index 600.  The wide-grid scan
 reads its witnesses for m = 6..200 off the valuation ledger as row segments
 (`certify.ledger_segments`): one rechecked witness per prime per row covers
 a run of points, ended by inverting Legendre's formula, and no exact
-~10^5-digit e(m,n) is formed.  `whole-claim` proves the claim for every
-m >= 6 from the rows of those segments below the bound's threshold
+~10^5-digit e(m,n) is formed.  The check of the whole claim proves it for
+every m >= 6 from the rows of those segments below the bound's threshold
 (`_prove_claim`).  Each shared record is formed once per run, by the first
 check that asks: the segments by `_wide_grid`, the threshold at n = 677 by
 `_claim_threshold`, and the n = 1 column, e(m,1) for m = 1..100 in one
@@ -169,8 +170,23 @@ def report_from_json(obj: Any) -> VerificationReport:
 # Individual checks.  Each returns (status, witness).
 
 Outcome = tuple[str, str]
+Check = Callable[[dict], Outcome]
+
+# (id, paper_ref, check) for each check after the table's source, in the suite's order.
+_CHECKS: list[tuple[str, str, Check]] = []
 
 
+def _check(check_id: str, paper_ref: str) -> Callable[[Check], Check]:
+    """Register the decorated check under `check_id`, after those defined above it."""
+
+    def register(fn: Check) -> Check:
+        _CHECKS.append((check_id, paper_ref, fn))
+        return fn
+
+    return register
+
+
+@_check("bernoulli-cross-check", "agreement of two independent Bernoulli recurrences")
 def _check_cross_algorithms(ctx: dict) -> Outcome:
     limit = STANDARD_TABLE_INDEX
     other = bernoulli_table(limit, algorithm="akiyama-tanigawa")
@@ -181,6 +197,7 @@ def _check_cross_algorithms(ctx: dict) -> Outcome:
     return "pass", f"seidel and akiyama-tanigawa identical through index {limit}"
 
 
+@_check("bernoulli-irregular-numerators", "691 and 3617 as numerators of B_12 and B_16")
 def _check_irregular_numerators(ctx: dict) -> Outcome:
     table: BernoulliTable = ctx["table"]
     n12 = abs(table.bernoulli(12).numerator)
@@ -190,6 +207,7 @@ def _check_irregular_numerators(ctx: dict) -> Outcome:
     return "pass", "|num B_12| = 691 and |num B_16| = 3617"
 
 
+@_check("von-staudt-clausen", "denominator law for Bernoulli numbers")
 def _check_von_staudt_clausen(ctx: dict) -> Outcome:
     # Table construction already enforces the law; recheck the full form
     # here explicitly so the suite does not rest on constructor behavior.
@@ -198,14 +216,16 @@ def _check_von_staudt_clausen(ctx: dict) -> Outcome:
     for k in range(1, 301):
         b = table.even(k)
         primes = prime_lists[k]
-        if b.denominator != math.prod(primes):
+        denominator = math.prod(primes)
+        if b.denominator != denominator:
             return "fail", f"denominator law broken at 2k = {2 * k}"
-        total = b + sum(Fraction(1, p) for p in primes)
-        if total.denominator != 1:
+        # Over that denominator, B_2k + sum 1/p has the numerator below.
+        if (b.numerator + sum(denominator // p for p in primes)) % denominator:
             return "fail", f"B_2k + sum 1/p not an integer at 2k = {2 * k}"
     return "pass", "denominator law and integrality hold for k = 1..300"
 
 
+@_check("zeta-product-14", "decimal expansion of the product of zeta(1-2k), k = 1..14")
 def _check_zeta_product_14(ctx: dict) -> Outcome:
     # The reported value -297203.11 is the product rounded to two decimals;
     # the exact expansion begins -297203.109482..., so a truncating renderer
@@ -226,6 +246,7 @@ def _check_zeta_product_14(ctx: dict) -> Outcome:
     )
 
 
+@_check("zeta-lower-bound", "strict bound |zeta(1-2k)| > 2(2k-1)!/(2pi)^2k")
 def _check_zeta_lower_bounds(ctx: dict) -> Outcome:
     table: BernoulliTable = ctx["table"]
     for k in range(1, 101):
@@ -235,6 +256,7 @@ def _check_zeta_lower_bounds(ctx: dict) -> Outcome:
     return "pass", "|zeta(1-2k)| exceeds the certified bound for k = 1..100"
 
 
+@_check("euler-product-formula", "moduli = torelli x siegel-quotient Euler characteristic identity")
 def _check_product_formula(ctx: dict) -> Outcome:
     table: BernoulliTable = ctx["table"]
     for g in range(2, 31):
@@ -244,6 +266,7 @@ def _check_product_formula(ctx: dict) -> Outcome:
     return "pass", "identity holds exactly for g = 2..30, n = 0..10"
 
 
+@_check("euler-spot-values", "closed-form Euler characteristic spot values")
 def _check_spot_values(ctx: dict) -> Outcome:
     table: BernoulliTable = ctx["table"]
     observed = (
@@ -265,6 +288,7 @@ def _column(ctx: dict) -> tuple[Certificate, ...]:
     return ctx["column"]
 
 
+@_check("integer-small-m", "integer values e(1,1) = 12 and e(2,1) = 1440")
 def _check_small_m_integers(ctx: dict) -> Outcome:
     for m, expected in ((1, 12), (2, 1440)):
         cert = _column(ctx)[m - 1]
@@ -273,6 +297,7 @@ def _check_small_m_integers(ctx: dict) -> Outcome:
     return "pass", "e(1,1) = 12 and e(2,1) = 1440, both integers"
 
 
+@_check("direct-6-13", "non-integrality of e(m,1) for m = 6..13 by direct calculation")
 def _check_direct_6_13(ctx: dict) -> Outcome:
     witnesses = []
     for m, cert in enumerate(_column(ctx)[5:13], 6):
@@ -282,6 +307,7 @@ def _check_direct_6_13(ctx: dict) -> Outcome:
     return "pass", "; ".join(witnesses)
 
 
+@_check("magnitude-tail", "e(m,1) < 1 for all m >= 14")
 def _check_magnitude_tail(ctx: dict) -> Outcome:
     for m, cert in enumerate(_column(ctx)[13:], 14):
         if not cert.value < 1:
@@ -289,6 +315,7 @@ def _check_magnitude_tail(ctx: dict) -> Outcome:
     return "pass", "exact e(m,1) < 1 for m = 14..100"
 
 
+@_check("monotone-decrease", "e(m,1) strictly decreasing for m >= 9")
 def _check_monotone(ctx: dict) -> Outcome:
     values = [cert.value for cert in _column(ctx)[8:]]
     increasing = tuple(m for m, (now, nxt) in enumerate(zip(values, values[1:]), 9) if nxt >= now)
@@ -297,6 +324,7 @@ def _check_monotone(ctx: dict) -> Outcome:
     return "pass", "e(m,1) strictly decreasing for m = 9..100"
 
 
+@_check("single-term-threshold", "(2pi)^2k/(2(2k-1)!) < 1 exactly for k >= 9")
 def _check_single_terms(ctx: dict) -> Outcome:
     for k in range(1, 9):
         if not single_term_interval(k).lo > 1:
@@ -307,6 +335,7 @@ def _check_single_terms(ctx: dict) -> Outcome:
     return "pass", "term > 1 for k = 1..8 and term < 1 for k = 9..100, certified"
 
 
+@_check("threshold-n1", "bound sequence for n = 1 crosses below 1 at m = 14")
 def _check_threshold_n1(ctx: dict) -> Outcome:
     result = threshold_for_n(1, m_cap=30)
     if result.m_found != 14:
@@ -314,6 +343,7 @@ def _check_threshold_n1(ctx: dict) -> Outcome:
     return "pass", "bound sequence for n = 1 certified below 1 from m = 14 on"
 
 
+@_check("bound-dominates-exact", "e(m,n) below the certified upper-bound product")
 def _check_bound_dominates(ctx: dict) -> Outcome:
     for m, cert in enumerate(_column(ctx)[:50], 1):
         # e(m,n) and U(m,n) = top * 2**exponent both gain the factor 2m+n from n to n+1.
@@ -339,6 +369,7 @@ def _points(segment: LedgerSegment) -> int:
     return segment.n_last - segment.n_first + 1
 
 
+@_check("wide-grid-scan", "e(m,n) non-integer for m = 6..200 and n <= 677")
 def _check_wide_grid_scan(ctx: dict) -> Outcome:
     segments = _wide_grid(ctx)
     integers = [(s.m, s.n_first) for s in segments if isinstance(s.certificate, IntegerValue)]
@@ -356,6 +387,7 @@ def _check_wide_grid_scan(ctx: dict) -> Outcome:
     )
 
 
+@_check("witness-prime-coverage", "691 and 3617 witness the whole wide grid")
 def _check_witness_coverage(ctx: dict) -> Outcome:
     segments = _wide_grid(ctx)
     pw = preferred = 0
@@ -445,6 +477,7 @@ def _prove_claim(
     )
 
 
+@_check("whole-claim", "e(m,n) non-integer for m >= 6 and n <= 677")
 def _check_whole_claim(ctx: dict) -> Outcome:
     result = _claim_threshold(ctx)
     if not result.found:
@@ -452,6 +485,7 @@ def _check_whole_claim(ctx: dict) -> Outcome:
     return _prove_claim(_wide_grid(ctx), result.chain[0], MAX_WITNESSED_N, ctx["table"])
 
 
+@_check("claim-sharp", "n <= 677 is sharp: e(7,678) and e(6,680) are integers")
 def _check_claim_sharp(ctx: dict) -> Outcome:
     # Row m first meets an integer at n = N(m): N(7) = 678 and N(6) = 680.
     for m, n in ((7, 678), (6, 680)):
@@ -463,6 +497,7 @@ def _check_claim_sharp(ctx: dict) -> Outcome:
     return "pass", "e(7,678) and e(6,680) are integers; e(7,677) and e(6,679) have v_691 < 0"
 
 
+@_check("closing-bound-forms", "two readings of the closing bound display for the wide window")
 def _check_closing_bound_forms(ctx: dict) -> Outcome:
     threshold = wide_range_constant_form_threshold(m_cap=45)
     forms = wide_range_bound_forms(37)
@@ -482,6 +517,7 @@ def _check_closing_bound_forms(ctx: dict) -> Outcome:
     )
 
 
+@_check("pi-enclosure", "certified pi enclosure (infrastructure)")
 def _check_pi_enclosure(ctx: dict) -> Outcome:
     enclosure = pi_interval(128)
     if enclosure.width > Fraction(1, 1 << 120):
@@ -491,6 +527,7 @@ def _check_pi_enclosure(ctx: dict) -> Outcome:
     return "pass", "pi enclosed at 128 bits, width <= 2^-120, reference value inside"
 
 
+@_check("cache-round-trip", "cache persistence with invariant revalidation (infrastructure)")
 def _check_cache_round_trip(ctx: dict) -> Outcome:
     small = bernoulli_table(100)
     with tempfile.TemporaryDirectory() as tmp:
@@ -508,6 +545,7 @@ def _check_cache_round_trip(ctx: dict) -> Outcome:
         return "fail", "tampered cache was accepted"
 
 
+@_check("json-round-trip", "lossless certificate serialization (infrastructure)")
 def _check_json_round_trip(ctx: dict) -> Outcome:
     certificates = [
         _column(ctx)[0],
@@ -522,120 +560,6 @@ def _check_json_round_trip(ctx: dict) -> Outcome:
         if certificate_from_json(json.loads(dumps(certificate_to_json(cert)))) != cert:
             return "fail", f"round trip changed {cert!r}"
     return "pass", f"certificate kinds {kinds} round trip through JSON"
-
-
-_CHECKS: tuple[tuple[str, str, Callable[[dict], Outcome]], ...] = (
-    (
-        "bernoulli-cross-check",
-        "agreement of two independent Bernoulli recurrences",
-        _check_cross_algorithms,
-    ),
-    (
-        "bernoulli-irregular-numerators",
-        "691 and 3617 as numerators of B_12 and B_16",
-        _check_irregular_numerators,
-    ),
-    (
-        "von-staudt-clausen",
-        "denominator law for Bernoulli numbers",
-        _check_von_staudt_clausen,
-    ),
-    (
-        "zeta-product-14",
-        "decimal expansion of the product of zeta(1-2k), k = 1..14",
-        _check_zeta_product_14,
-    ),
-    (
-        "zeta-lower-bound",
-        "strict bound |zeta(1-2k)| > 2(2k-1)!/(2pi)^2k",
-        _check_zeta_lower_bounds,
-    ),
-    (
-        "euler-product-formula",
-        "moduli = torelli x siegel-quotient Euler characteristic identity",
-        _check_product_formula,
-    ),
-    (
-        "euler-spot-values",
-        "closed-form Euler characteristic spot values",
-        _check_spot_values,
-    ),
-    (
-        "integer-small-m",
-        "integer values e(1,1) = 12 and e(2,1) = 1440",
-        _check_small_m_integers,
-    ),
-    (
-        "direct-6-13",
-        "non-integrality of e(m,1) for m = 6..13 by direct calculation",
-        _check_direct_6_13,
-    ),
-    (
-        "magnitude-tail",
-        "e(m,1) < 1 for all m >= 14",
-        _check_magnitude_tail,
-    ),
-    (
-        "monotone-decrease",
-        "e(m,1) strictly decreasing for m >= 9",
-        _check_monotone,
-    ),
-    (
-        "single-term-threshold",
-        "(2pi)^2k/(2(2k-1)!) < 1 exactly for k >= 9",
-        _check_single_terms,
-    ),
-    (
-        "threshold-n1",
-        "bound sequence for n = 1 crosses below 1 at m = 14",
-        _check_threshold_n1,
-    ),
-    (
-        "bound-dominates-exact",
-        "e(m,n) below the certified upper-bound product",
-        _check_bound_dominates,
-    ),
-    (
-        "wide-grid-scan",
-        "e(m,n) non-integer for m = 6..200 and n <= 677",
-        _check_wide_grid_scan,
-    ),
-    (
-        "witness-prime-coverage",
-        "691 and 3617 witness the whole wide grid",
-        _check_witness_coverage,
-    ),
-    (
-        "whole-claim",
-        "e(m,n) non-integer for m >= 6 and n <= 677",
-        _check_whole_claim,
-    ),
-    (
-        "claim-sharp",
-        "n <= 677 is sharp: e(7,678) and e(6,680) are integers",
-        _check_claim_sharp,
-    ),
-    (
-        "closing-bound-forms",
-        "two readings of the closing bound display for the wide window",
-        _check_closing_bound_forms,
-    ),
-    (
-        "pi-enclosure",
-        "certified pi enclosure (infrastructure)",
-        _check_pi_enclosure,
-    ),
-    (
-        "cache-round-trip",
-        "cache persistence with invariant revalidation (infrastructure)",
-        _check_cache_round_trip,
-    ),
-    (
-        "json-round-trip",
-        "lossless certificate serialization (infrastructure)",
-        _check_json_round_trip,
-    ),
-)
 
 
 def run_verification_suite(

@@ -1,6 +1,7 @@
 """The import budget: the verification suite, json and traceback load only
 when a command or a caller uses them, and dataclasses and inspect never."""
 
+import importlib
 import subprocess
 import sys
 
@@ -84,6 +85,15 @@ def test_dir_lists_the_deferred_names():
     for name in ("verify", "CheckResult", "VerificationReport", "run_verification_suite"):
         assert name in names
     assert "certify_non_integrality" in names and names == sorted(names)
+
+
+@pytest.mark.parametrize(
+    "layer", ["bernoulli", "certify", "euler_char", "exact_core", "zeta_special"]
+)
+def test_the_package_exports_each_eager_layers_public_names(layer):
+    module = importlib.import_module(f"torelli_euler.{layer}")
+    for name in module.__all__:
+        assert getattr(torelli_euler, name) is getattr(module, name), name
 
 
 def test_an_unknown_name_is_an_attribute_error_naming_the_module():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,34 @@ from torelli_euler.certify import (
 )
 
 
+# The report's check ids, in the suite's order.
+_CHECK_IDS = (
+    "table-source",
+    "bernoulli-cross-check",
+    "bernoulli-irregular-numerators",
+    "von-staudt-clausen",
+    "zeta-product-14",
+    "zeta-lower-bound",
+    "euler-product-formula",
+    "euler-spot-values",
+    "integer-small-m",
+    "direct-6-13",
+    "magnitude-tail",
+    "monotone-decrease",
+    "single-term-threshold",
+    "threshold-n1",
+    "bound-dominates-exact",
+    "wide-grid-scan",
+    "witness-prime-coverage",
+    "whole-claim",
+    "claim-sharp",
+    "closing-bound-forms",
+    "pi-enclosure",
+    "cache-round-trip",
+    "json-round-trip",
+)
+
+
 def test_table_capacity_failure_is_recorded(monkeypatch):
     # A table build that runs out of resources surfaces as CapacityError;
     # the suite records it and marks every table-dependent check.
@@ -28,7 +58,7 @@ def test_table_capacity_failure_is_recorded(monkeypatch):
     assert source.id == "table-source" and source.status == "fail"
     assert "exhausted memory" in source.witness
     assert "build failed" in source.witness and "validation" not in source.witness
-    assert len(rest) == 22
+    assert tuple(check.id for check in report.checks) == _CHECK_IDS
     assert all(check.status == "inconclusive" for check in rest)
     assert not report.passed
 
@@ -64,6 +94,39 @@ def test_an_unwritable_cache_is_recorded_as_a_cache_error(tmp_path):
         f"cache error: cannot write cache file {cache}: No such file or directory"
     )
     assert all(check.status == "inconclusive" for check in rest)
+
+
+def test_every_check_function_is_registered_once():
+    # A check that lost its decorator would drop out of the report unnoticed.
+    defined = {fn for name, fn in vars(verify).items() if name.startswith("_check_")}
+    registered = [fn for _, _, fn in verify._CHECKS]
+    assert len(registered) == len(set(registered))
+    assert set(registered) == defined
+
+
+class _StubTable:
+    # The table's even-index values, with B_2k replaced at one k.
+    def __init__(self, table, k, value):
+        self.table, self.k, self.value = table, k, value
+
+    def even(self, k):
+        return self.value if k == self.k else self.table.even(k)
+
+
+@pytest.mark.parametrize(
+    "tamper, diagnosis",
+    [
+        # B_300 = a/d: a + 1 shares 330 with d and a - 1 shares 2, so a - 6 is
+        # the nearest move of a that keeps the denominator d.
+        (lambda b: Fraction(b.numerator - 6, b.denominator), "B_2k + sum 1/p not an integer"),
+        (lambda b: Fraction(b.numerator, b.denominator * 17), "denominator law broken"),
+    ],
+    ids=["numerator-moved", "extra-prime"],
+)
+def test_von_staudt_clausen_fails_on_a_tampered_value(table600, tamper, diagnosis):
+    check = next(fn for cid, _, fn in verify._CHECKS if cid == "von-staudt-clausen")
+    status, witness = check({"table": _StubTable(table600, 150, tamper(table600.even(150)))})
+    assert (status, witness) == ("fail", f"{diagnosis} at 2k = 300")
 
 
 # The checks that read e(m,1) from the suite's one n = 1 column.
