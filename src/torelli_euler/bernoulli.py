@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import re
 import tempfile
@@ -94,19 +95,23 @@ class TableInvariantError(CacheError):
 def tangent_numbers(count: int) -> list[int]:
     """First `count` tangent numbers T_1, T_2, ... (1, 2, 16, 272, ...).
 
-    In-place Seidel/boustrophedon recurrence; integers throughout.
+    The Seidel triangle of Brent and Harvey, t_1[j] = (j-1)! and
+    t_k[j] = (j-k) t_k[j-1] + (j-k+2) t_{k-1}[j] for j >= k, gives
+    T_k = t_k[k].  Here each entry is divided by a factorial: with i = j - k,
+    s_k[j] = t_k[j] / i!, so s_k[j] * (j-k)! = t_k[j] and every s is an
+    integer.  Then s_1[j] = 1 and s_k[j] = s_k[j-1] + (i+1)(i+2) s_{k-1}[j]:
+    each pass is one running sum of the weighted entries of the pass before,
+    and T_k = s_k[k] is its first entry.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    t = [0] * (count + 1)
-    if count >= 1:
-        t[1] = 1
-    for k in range(2, count + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, count + 1):
-        for j in range(k, count + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
+    weights = [(i + 1) * (i + 2) for i in range(count - 1)]
+    row = [1] * count
+    tangents: list[int] = []
+    while row:
+        tangents.append(row[0])
+        row = list(itertools.accumulate(map(operator.mul, weights, row[1:])))
+    return tangents
 
 
 def _seidel_values(max_index: int) -> list[Fraction]:

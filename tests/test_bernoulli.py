@@ -36,9 +36,33 @@ def _binomial_recurrence_bernoulli(limit):
     return values
 
 
+def _in_place_tangent_numbers(count):
+    # Reference: the unscaled in-place Seidel/boustrophedon loop of Brent and
+    # Harvey, each entry starting at (j-1)!.
+    t = [0] * (count + 1)
+    if count >= 1:
+        t[1] = 1
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
 def test_tangent_numbers_known_values():
     assert tangent_numbers(7) == [1, 2, 16, 272, 7936, 353792, 22368256]
     assert tangent_numbers(0) == []
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 300, 600])
+def test_tangent_numbers_match_the_in_place_loop(count):
+    assert tangent_numbers(count) == _in_place_tangent_numbers(count)
+
+
+def test_tangent_numbers_refuse_a_negative_count():
+    with pytest.raises(ValueError, match="count must be nonnegative, got -1"):
+        tangent_numbers(-1)
 
 
 @pytest.mark.parametrize("algorithm", ["seidel", "akiyama-tanigawa"])
