@@ -13,7 +13,6 @@ from torelli_euler import (
     zeta_one_minus_2k,
 )
 from torelli_euler.render import decimal_string, format_rational
-from torelli_euler.zeta_special import abs_zeta_one_minus_2k
 
 table = bernoulli_table(60)
 
@@ -32,7 +31,7 @@ print("\nCertified lower bound 2(2k-1)!/(2pi)^(2k) < |zeta(1-2k)|:")
 print(f"  {'k':>3} {'bound hi endpoint':>24} {'exact |zeta|':>24}")
 for k in (1, 2, 5, 9, 15, 30):
     bound = zeta_abs_lower_bound(k)
-    exact = abs_zeta_one_minus_2k(k, table)
+    exact = abs(zeta_one_minus_2k(k, table))
     assert exact > bound.hi
     print(f"  {k:>3} {decimal_string(bound.hi, 12):>24} {decimal_string(exact, 12):>24}")
 print("  strict inequality certified at every k shown (and for k = 1..100 in the tests)")

@@ -27,7 +27,7 @@ import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .exact_core import _Record, decimal_to_int, int_to_decimal, primes_up_to
 
@@ -48,7 +48,6 @@ __all__ = [
     "obtain_table",
     "persist_table",
     "tangent_numbers",
-    "von_staudt_clausen_denominator",
     "von_staudt_clausen_primes",
 ]
 
@@ -171,11 +170,6 @@ def von_staudt_clausen_primes(k: int) -> tuple[int, ...]:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     return tuple(p for p, step in _von_staudt_clausen_steps(k) if k % step == 0)
-
-
-def von_staudt_clausen_denominator(k: int) -> int:
-    """denominator(B_2k) = product of primes p with (p - 1) | 2k."""
-    return math.prod(von_staudt_clausen_primes(k))
 
 
 class BernoulliTable(_Record):
@@ -387,17 +381,11 @@ _LINE_BREAKS = bytes.maketrans(_STR_LINE_BREAKS, b"\n" * len(_STR_LINE_BREAKS))
 _FIRST_TOKEN = re.compile(rb"[\s\x1c-\x1f]*([^\s\x1c-\x1f]+)")
 
 
-def _entry_index(token: bytes, line: bytes, max_index: int) -> int:
-    try:
-        n = int(token)
-    except ValueError as exc:
-        raise CacheFormatError(f"malformed cache line: {line.decode()!r}") from exc
-    if n < 0 or n > max_index:
-        raise CacheFormatError(f"index {n} outside table range 0..{max_index}")
-    return n
-
-
-def _parse_value(line: str) -> Fraction:
+def _parse_value(entry: bytes | None) -> Fraction:
+    # An entry the file leaves out reads as 0, as each odd zero past B_1 is.
+    if entry is None:
+        return Fraction(0)
+    line = entry.decode()
     tokens = line.split()
     if len(tokens) != 2:
         raise CacheFormatError(f"malformed cache line: {line!r}")
@@ -414,14 +402,14 @@ def _parse_value(line: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _read_cache(path: Path) -> tuple[str, str, int, Iterator[tuple[int, bytes]]]:
+def _read_cache(path: Path) -> tuple[str, str, int, dict[int, bytes]]:
     """The header's convention, algorithm and max of the cache at `path`,
-    and its entry lines, each as (index, line) in file order.
+    and its entry lines by index.
 
-    The file is read once, and its bytes, header and line count are checked
-    here; each line's index is checked (in range, not seen before) as the
-    entries are iterated, so a caller that parses values on the way reports
-    the first fault in file order.
+    The file is read once, and its bytes, header, line count and every
+    line's index (an integer in range, not seen before) are checked here,
+    before any value is parsed: a fault in an index is reported ahead of
+    one in a value, wherever the two stand in the file.
     """
     if not path.exists():
         raise CacheMissingError(f"no cache file at {path}")
@@ -452,19 +440,18 @@ def _read_cache(path: Path) -> tuple[str, str, int, Iterator[tuple[int, bytes]]]
             f"header declares max={max_index} but the file has only "
             f"{len(lines) - 1} entry lines"
         )
-    return convention, algorithm, max_index, _indexed_entries(lines[1:], max_index)
-
-
-def _indexed_entries(
-    lines: list[tuple[bytes, bytes]], max_index: int
-) -> Iterator[tuple[int, bytes]]:
-    seen: set[int] = set()
-    for token, line in lines:
-        n = _entry_index(token, line, max_index)
-        if n in seen:
+    entries: dict[int, bytes] = {}
+    for token, line in lines[1:]:
+        try:
+            n = int(token)
+        except ValueError as exc:
+            raise CacheFormatError(f"malformed cache line: {line.decode()!r}") from exc
+        if n < 0 or n > max_index:
+            raise CacheFormatError(f"index {n} outside table range 0..{max_index}")
+        if n in entries:
             raise CacheFormatError(f"duplicate entry for index {n}")
-        seen.add(n)
-        yield n, line
+        entries[n] = line
+    return convention, algorithm, max_index, entries
 
 
 def load_table(location: str | os.PathLike, through: int | None = None) -> BernoulliTable:
@@ -490,13 +477,9 @@ def load_table(location: str | os.PathLike, through: int | None = None) -> Berno
         raise ValueError(f"through must be nonnegative, got {through}")
     convention, algorithm, max_index, entries = _read_cache(Path(location))
     last = max_index if through is None else min(through, max_index)
-    values = [Fraction(0)] * (last + 1)
-    for n, line in entries:
-        if n <= last:
-            values[n] = _parse_value(line.decode())
     return BernoulliTable(
         max_index=last,
-        values=tuple(values),
+        values=tuple(_parse_value(entries.get(n)) for n in range(last + 1)),
         algorithm=algorithm,
         convention=convention,
     )
@@ -517,10 +500,7 @@ def obtain_bernoulli(n: int, cache: str | os.PathLike | None) -> Fraction:
     if cache is not None and Path(cache).exists():
         _, _, max_index, entries = _read_cache(Path(cache))
         if n <= max_index:
-            value = Fraction(0)
-            for index, line in entries:
-                if index == n:
-                    value = _parse_value(line.decode())
+            value = _parse_value(entries.get(n))
             _check_entry(n, value, von_staudt_clausen_primes(n // 2) if n >= 2 else ())
             return value
     return obtain_table(n, cache).values[n]

@@ -56,7 +56,7 @@ from .exact_core import (
     rising_factorial_ratio,
 )
 from .euler_char import e_mn
-from .zeta_special import abs_zeta_one_minus_2k
+from .zeta_special import zeta_one_minus_2k
 
 __all__ = [
     "BoundSequence",
@@ -704,7 +704,7 @@ def ledger_segments(
     _check_request("exact", table, m_hi)
     ledgers: dict[int, list[tuple[int, int]]] = {p: [] for p in WITNESS_PRIMES}
     for m in range(1, m_hi + 1):
-        zeta = abs_zeta_one_minus_2k(m, table)
+        zeta = zeta_one_minus_2k(m, table)
         for p, entries in ledgers.items():
             v = p_adic_valuation(zeta, p)
             if v:

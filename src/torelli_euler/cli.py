@@ -51,8 +51,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _at_most(limit: int, text: str, unit: str = "") -> int:
-    value = _positive_int(text)
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    return value
+
+
+def _at_most(limit: int, text: str, unit: str = "", parse=_positive_int) -> int:
+    value = parse(text)
     if value > limit:
         raise argparse.ArgumentTypeError(f"expected at most {limit}{unit}, got {text}")
     return value
@@ -77,11 +84,28 @@ def _m_cap(text: str) -> int:
     return _at_most(_MAX_M_CAP, text)
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
+# `zeta --k K` builds B_0..B_2K in time about cubic in K: 1.7 s cold at
+# K = 1500 and 12.7 s at K = 3000 (2-core container), so a K mistyped as
+# 30000 would run for hours.  A table past B_3000 is refused before any is
+# read or built: `--max-k`, `--k`, `chi -g` and `emn -m` above 1500 by the
+# parser, `certify` and `scan` with `--strategy exact` by `_exact_table`.
+_MAX_TABLE_INDEX = 3000
+
+
+def _table_k(text: str) -> int:
+    return _at_most(_MAX_TABLE_INDEX // 2, text)
+
+
+def _max_k(text: str) -> int:
+    return _at_most(_MAX_TABLE_INDEX // 2, text, parse=_nonnegative_int)
+
+
+def _exact_table(m: int, strategy: str) -> None:
+    if strategy == "exact" and 2 * m > _MAX_TABLE_INDEX:
+        raise UsageError(
+            f"--strategy exact takes m at most {_MAX_TABLE_INDEX // 2} "
+            f"(a table through B_{_MAX_TABLE_INDEX}), got {m}"
+        )
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -105,19 +129,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 # keywords) in help order.  Every command also takes the common options.
 _COMMANDS = {
     "bernoulli": ("exact Bernoulli numbers B_0..B_2K", (
-        ("--max-k", dict(type=_nonnegative_int, required=True, metavar="K")),
+        ("--max-k", dict(type=_max_k, required=True, metavar="K")),
         ("--algorithm", dict(choices=("seidel", "akiyama-tanigawa", "both"), default="seidel")),
     )),
     "zeta": ("exact zeta(1-2K) plus decimal", (
-        ("--k", dict(type=_positive_int, required=True)),
+        ("--k", dict(type=_table_k, required=True)),
     )),
     "chi": ("orbifold Euler characteristics", (
         ("--space", dict(choices=("siegel", "moduli", "torelli"), required=True)),
-        ("-g", dict(type=_positive_int, required=True)),
+        ("-g", dict(type=_table_k, required=True)),
         ("-n", dict(type=_nonnegative_int, default=0)),
     )),
     "emn": ("exact e(m,n)", (
-        ("-m", dict(type=_positive_int, required=True)),
+        ("-m", dict(type=_table_k, required=True)),
         ("-n", dict(type=_positive_int, required=True)),
     )),
     "certify": ("non-integrality certificate for e(m,n)", (
@@ -240,6 +264,7 @@ def _cmd_emn(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    _exact_table(args.m, args.strategy)
     # Read or built only if the answer needs e(m,n): for `auto`, only when
     # the bound does not decide.
     table = functools.partial(obtain_table, 2 * args.m, args.cache)
@@ -279,6 +304,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.m_min > args.m_max or args.n_min > args.n_max:
         raise UsageError("each range needs its minimum at most its maximum")
+    _exact_table(args.m_max, args.strategy)
     # Read or built only if some point's answer needs e(m,n), as for certify.
     table = functools.partial(obtain_table, 2 * args.m_max, args.cache)
     points = scan((args.m_min, args.m_max), (args.n_min, args.n_max), args.strategy, table)

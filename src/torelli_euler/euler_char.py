@@ -9,13 +9,9 @@ Three closed formulas over a Bernoulli table:
                     over k = 1..g-1
 
 plus the quantity e(m,n) = (2m+n-1)!/(2m)! * prod_{k=1..m} 1/|zeta(1-2k)|
-whose integrality is the subject of the certify module.  The product
-identity e(moduli) = chi_Q(torelli) * e(siegel-quotient) is checkable
-exactly.  Every zeta product is the table's one running product of
-`zeta_special.zeta_product`; what stays independent is the left side, which
-reads the single value zeta(1-2g) and no product, against the right, which
-reads the running product at g-1 and at g: the identity holds only if
-moving the product by one factor multiplies in exactly that value.
+whose integrality is the subject of the certify module.  Each is a plain
+Fraction; the identity e(moduli) = chi_Q(torelli) * e(siegel-quotient)
+that ties the first three together is checked by the verification suite.
 """
 
 from __future__ import annotations
@@ -23,16 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bernoulli import BernoulliTable
-from .exact_core import _Record, rising_factorial_ratio
+from .exact_core import rising_factorial_ratio
 from .zeta_special import zeta_one_minus_2k, zeta_product
 
-__all__ = [
-    "ProductFormulaCheck",
-    "check_product_formula",
-    "chi_torelli",
-    "e_mn",
-    "euler_moduli",
-]
+__all__ = ["chi_torelli", "e_mn", "euler_moduli"]
 
 # chi_Q(torelli) is derived under a finiteness hypothesis on rational
 # homology; the formula value is computed unconditionally and reports carry
@@ -70,33 +60,3 @@ def e_mn(m: int, n: int, table: BernoulliTable) -> Fraction:
     # A quotient by Fraction operators: its gcds are taken against the
     # rising factorial, not between the product's numerator and denominator.
     return rising_factorial_ratio(2 * m + n - 1, 2 * m) / abs(zeta_product(m, table))
-
-
-class ProductFormulaCheck(_Record):
-    """Exact evaluation of both sides of e(moduli) = chi_Q(torelli) * e(siegel)."""
-
-    __slots__ = _fields = ("g", "n", "moduli", "torelli", "siegel")
-
-    def __init__(
-        self, g: int, n: int, moduli: Fraction, torelli: Fraction, siegel: Fraction
-    ) -> None:
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "moduli", moduli)
-        object.__setattr__(self, "torelli", torelli)
-        object.__setattr__(self, "siegel", siegel)
-
-    @property
-    def holds(self) -> bool:
-        return self.moduli == self.torelli * self.siegel
-
-
-def check_product_formula(g: int, n: int, table: BernoulliTable) -> ProductFormulaCheck:
-    """Evaluate both sides exactly: the left from zeta(1-2g), the right from products."""
-    return ProductFormulaCheck(
-        g=g,
-        n=n,
-        moduli=euler_moduli(g, n, table),
-        torelli=chi_torelli(g, n, table),
-        siegel=zeta_product(g, table),
-    )

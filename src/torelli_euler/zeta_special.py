@@ -2,12 +2,14 @@
 
 zeta(1-2k) = -B_2k / (2k) is rational; every exact value comes from a
 Bernoulli table, and so does every product prod_{k<=m} zeta(1-2k) the
-package forms.  Both are formed here, once per table: each table carries a
-memo of the values asked for so far and one running product, moved to
-whatever m is asked next.  The functional-equation expression
-zeta(1-2k) = (-1)^k 2 (2k-1)! / (2pi)^(2k) * zeta(2k) is used only for the
-magnitude bound 2 (2k-1)! / (2pi)^(2k) < |zeta(1-2k)|, evaluated in rational
-interval arithmetic.
+package forms.  Both are formed here, once per table, and signed: each
+table carries a memo of the values asked for so far and one running
+product, moved to whatever m is asked next.  A caller that needs
+|zeta(1-2k)| takes `abs` of the value; a p-adic valuation reads it signed.
+The functional-equation expression zeta(1-2k) = (-1)^k 2 (2k-1)! /
+(2pi)^(2k) * zeta(2k) is used only for the magnitude bound
+2 (2k-1)! / (2pi)^(2k) < |zeta(1-2k)|, evaluated in rational interval
+arithmetic.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .exact_core import (
 )
 
 __all__ = [
-    "abs_zeta_one_minus_2k",
     "zeta_abs_lower_bound",
     "zeta_one_minus_2k",
     "zeta_product",
@@ -82,11 +83,6 @@ def zeta_one_minus_2k(k: int, table: BernoulliTable) -> Fraction:
         raise ValueError(f"k must be positive, got {k}")
     with _ZETA_LOCK:
         return _value(k, table, _memo(table))
-
-
-def abs_zeta_one_minus_2k(k: int, table: BernoulliTable) -> Fraction:
-    """|zeta(1-2k)| as an exact rational."""
-    return abs(zeta_one_minus_2k(k, table))
 
 
 def zeta_product(m: int, table: BernoulliTable) -> Fraction:

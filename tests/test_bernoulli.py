@@ -20,7 +20,6 @@ from torelli_euler.bernoulli import (
     obtain_table,
     persist_table,
     tangent_numbers,
-    von_staudt_clausen_denominator,
     von_staudt_clausen_primes,
     _von_staudt_clausen_prime_lists,
 )
@@ -118,7 +117,7 @@ def test_sign_alternation_and_odd_zeros(table60):
 )
 def test_von_staudt_clausen_denominator(k, expected, primes):
     assert von_staudt_clausen_primes(k) == primes
-    assert von_staudt_clausen_denominator(k) == expected
+    assert math.prod(von_staudt_clausen_primes(k)) == expected
 
 
 def _reference_von_staudt_clausen_primes(k):
@@ -450,6 +449,44 @@ def test_a_single_entry_read_checks_the_entry_as_a_table_does(tmp_path):
         assert obtain_bernoulli(12, path) == Fraction(-691, 2730)
     with pytest.raises(ValueError):
         obtain_bernoulli(-1, path)
+
+
+def test_an_index_fault_is_reported_ahead_of_a_value_fault(tmp_path):
+    # Every line's index is checked before any value is parsed: a malformed
+    # B_4 and a duplicate index on the last line report the duplicate, as
+    # does a read that needs only the malformed entry.
+    path = _persisted(bernoulli_table(40), tmp_path / "bern.cache")
+    path.write_text(path.read_text().replace("\n4 -1/30\n", "\n4 -1/thirty\n") + "2 1/6\n")
+    reads = (
+        lambda: load_table(path),
+        lambda: load_table(path, through=4),
+        lambda: obtain_table(12, path),
+        lambda: obtain_bernoulli(4, path),
+    )
+    for read in reads:
+        with pytest.raises(CacheFormatError, match="^duplicate entry for index 2$"):
+            read()
+
+
+def test_an_entry_left_out_reads_as_zero(tmp_path):
+    # B_20 left out reads as 0, which the von Staudt-Clausen law refuses in
+    # every read that reaches it; the odd entries, all left out, read as 0.
+    table = bernoulli_table(40)
+    path = _persisted(table, tmp_path / "bern.cache")
+    path.write_text(re.sub(r"\n20 [^\n]*", "", path.read_text()))
+    message = "denominator of B_20 violates the von Staudt-Clausen law: found 1, expected 330"
+    for read in (
+        lambda: obtain_bernoulli(20, path),
+        lambda: load_table(path),
+        lambda: load_table(path, through=20),
+        lambda: obtain_table(31, path),
+    ):
+        with pytest.raises(TableInvariantError, match=f"^{re.escape(message)}$"):
+            read()
+    assert load_table(path, through=19) == bernoulli_table(19)
+    assert obtain_table(18, path) == bernoulli_table(18)
+    assert [obtain_bernoulli(n, path) for n in range(3, 41, 2)] == [0] * 19
+    assert obtain_bernoulli(22, path) == table.values[22]
 
 
 # --- the byte reader ------------------------------------------------------------

@@ -495,6 +495,33 @@ def test_m_cap_above_the_limit_is_a_usage_error(capsys, monkeypatch):
     assert cli._m_cap("700") == 700
 
 
+def test_a_table_past_b_3000_is_a_usage_error(capsys, monkeypatch):
+    # A table through B_2K takes time about cubic in K: every request for
+    # one past B_3000 is refused before any table is read or built.
+    def acquired(*args, **kwargs):
+        raise AssertionError("a table was read or built")
+
+    for name in ("bernoulli_table", "obtain_bernoulli", "obtain_table"):
+        monkeypatch.setattr(cli, name, acquired)
+    requests = [
+        ["bernoulli", "--max-k", "1501"],
+        ["zeta", "--k", "1501"],
+        ["zeta", "--k", "30000"],
+        ["chi", "--space", "torelli", "-g", "1501"],
+        ["emn", "-m", "1501", "-n", "1"],
+        ["certify", "-m", "1501", "-n", "1", "--strategy", "exact"],
+        ["scan", "--m-min", "1", "--m-max", "1501", "--n-min", "1", "--n-max", "1"],
+    ]
+    for argv in requests:
+        code, out, err = _outcome(capsys, main, argv)
+        assert code == 2 and out == "" and "at most 1500" in err, argv
+    # Where the bound decides, m is not capped: no table is read or built.
+    for strategy in ("auto", "bound"):
+        code, out, _ = run(capsys, "certify", "-m", "1501", "-n", "1", "--strategy", strategy)
+        assert code == 0 and "magnitude witness" in out, strategy
+    assert cli._table_k("1500") == cli._max_k("1500") == 1500 and cli._max_k("0") == 0
+
+
 # --- one command's parser ---------------------------------------------------------
 
 _REQUIRED = {
