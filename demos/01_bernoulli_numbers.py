@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Bernoulli numbers two ways, and the law that pins their denominators.
+"""Bernoulli numbers from one recurrence, and the law that pins their denominators.
 
-Walks through: building exact tables with the integer-only Seidel recurrence
-and the Akiyama-Tanigawa recurrence (in integers scaled by lcm(1..N+1)),
-the B_1 = -1/2 convention, the von Staudt-Clausen denominator law, and the
+Walks through: building an exact table with the integer-only Seidel
+recurrence (tangent numbers, converted to rationals once at the end), the
+B_1 = -1/2 convention, the von Staudt-Clausen denominator law, and the
 tamper-evident text cache.
 """
 
@@ -23,12 +23,15 @@ from torelli_euler import (
 print("Tangent numbers seed the integer-only route to Bernoulli numbers:")
 print("  T_1..T_7 =", tangent_numbers(7))
 
-seidel = bernoulli_table(30, "seidel")
-akiyama = bernoulli_table(30, "akiyama-tanigawa")
-print("\nTwo genuinely different recurrences, one table "
-      f"(agree: {seidel.values == akiyama.values}):")
+seidel = bernoulli_table(30)
+tangents = tangent_numbers(15)
+print("\nB_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), one division per value:")
 for n in (0, 1, 2, 4, 12, 16):
     print(f"  B_{n:<2} = {seidel.bernoulli(n)}")
+for k in (6, 8):
+    four_k = 4**k
+    b = Fraction((-1) ** (k - 1) * 2 * k * tangents[k - 1], four_k * (four_k - 1))
+    print(f"  from T_{k} = {tangents[k - 1]}: B_{2*k} = {b} (table agrees: {b == seidel.even(k)})")
 print("  convention marker:", seidel.convention, "(from z/(e^z - 1))")
 
 print("\nvon Staudt-Clausen: denominator(B_2k) = product of primes p with (p-1) | 2k")

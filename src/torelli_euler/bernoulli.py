@@ -1,20 +1,18 @@
 """Exact Bernoulli numbers under the convention B_1 = -1/2.
 
-Two independent O(n^2) algorithms are provided, both in integers with no
-intermediate rational reduction.  The default is the Seidel/tangent-number
-recurrence; the Akiyama-Tanigawa recurrence, run on a row scaled by
-lcm(1..N+1), exists as a genuinely different code path whose agreement with
-the default is a strong cross-check.  Tables carry their convention and
-provenance explicitly, can be persisted to a line-based text cache, and are
-validated against all structural invariants whenever they are built or
-loaded (a load validates every entry it returns): the sign pattern, the von
-Staudt-Clausen denominator law, and its integrality form B_2k + sum 1/p in
-Z, checked as the equivalent congruence N + D/p = 0 (mod p) for each prime
-p of the squarefree denominator D of B_2k = N/D.  One sieve yields the
-primes of every denominator in a table.  A single number, B_n, is read from
-a cache by `obtain_bernoulli`, which parses that entry alone and applies
-the same per-entry checks to it; every read of a cache checks the whole
-file's bytes, header, line count and line indices.
+One O(n^2) algorithm builds them, in integers with no intermediate rational
+reduction: the Seidel/tangent-number triangle of Brent and Harvey, with one
+conversion to rationals at the end.  Tables carry their convention
+explicitly, can be persisted to a line-based text cache, and are validated
+against all structural invariants whenever they are built or loaded (a load
+validates every entry it returns): the sign pattern, the von Staudt-Clausen
+denominator law, and its integrality form B_2k + sum 1/p in Z, checked as
+the equivalent congruence N + D/p = 0 (mod p) for each prime p of the
+squarefree denominator D of B_2k = N/D.  One sieve yields the primes of
+every denominator in a table.  A single number, B_n, is read from a cache by
+`obtain_bernoulli`, which parses that entry alone and applies the same
+per-entry checks to it; every read of a cache checks the whole file's bytes,
+header, line count and line indices.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from typing import Sequence
 from .exact_core import _Record, decimal_to_int, int_to_decimal, primes_up_to
 
 __all__ = [
-    "ALGORITHMS",
     "BernoulliTable",
     "CONVENTION",
     "CacheError",
@@ -55,10 +52,11 @@ __all__ = [
 # flips the sign of B_1, so the marker is recorded everywhere a table goes.
 CONVENTION = "minus-half"
 
-ALGORITHMS = ("seidel", "akiyama-tanigawa")
-
 _HEADER_MAGIC = "BERN"
 _HEADER_VERSION = "v1"
+# Every table is written with the first tag.  A v1 file may carry either,
+# as the format once had a second build algorithm, and both load alike.
+_HEADER_ALGORITHMS = ("seidel", "akiyama-tanigawa")
 
 
 class CapacityError(ValueError):
@@ -128,24 +126,6 @@ def _seidel_values(max_index: int) -> list[Fraction]:
     return values
 
 
-def _akiyama_tanigawa_values(max_index: int) -> list[Fraction]:
-    # The triangular recurrence on the rationals 1/(m+1), run on the row
-    # scaled by L = lcm(1..max_index+1): every entry stays an integer, and
-    # B_m = row[0] / L.  It yields the B_1 = +1/2 convention; even indices
-    # agree between conventions, so only index 1 needs flipping.
-    scale = math.lcm(*range(1, max_index + 2))
-    row = [0] * (max_index + 1)
-    values: list[Fraction] = []
-    for m in range(max_index + 1):
-        row[m] = scale // (m + 1)
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-        values.append(Fraction(row[0], scale))
-    if max_index >= 1:
-        values[1] = Fraction(-1, 2)
-    return values
-
-
 def _von_staudt_clausen_steps(k_max: int) -> list[tuple[int, int]]:
     """(p, step) for each prime p <= 2 k_max + 1, increasing.
 
@@ -173,13 +153,13 @@ def von_staudt_clausen_primes(k: int) -> tuple[int, ...]:
 
 
 class BernoulliTable(_Record):
-    """Immutable table of exact B_0 .. B_max_index with provenance.
+    """Immutable table of exact B_0 .. B_max_index.
 
     Construction validates every invariant, so a table object that exists is
     known-good regardless of where its values came from.
     """
 
-    _fields = ("max_index", "values", "algorithm", "convention")
+    _fields = ("max_index", "values", "convention")
     # _zeta_memo: zeta(1-2k) values and products formed from this table so
     # far, kept and extended by `zeta_special`; not a field, so outside the
     # table's identity, repr and cache.
@@ -189,12 +169,10 @@ class BernoulliTable(_Record):
         self,
         max_index: int,
         values: tuple[Fraction, ...],
-        algorithm: str,
         convention: str = CONVENTION,
     ) -> None:
         object.__setattr__(self, "max_index", max_index)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "algorithm", algorithm)
         object.__setattr__(self, "convention", convention)
         object.__setattr__(self, "_zeta_memo", None)
         self.__post_init__()
@@ -218,8 +196,6 @@ class BernoulliTable(_Record):
 
 
 def _validate_table(table: BernoulliTable) -> None:
-    if table.algorithm not in ALGORITHMS:
-        raise TableInvariantError(f"unknown algorithm tag {table.algorithm!r}")
     if table.convention != CONVENTION:
         raise TableInvariantError(
             f"unsupported convention {table.convention!r}, expected {CONVENTION!r}"
@@ -274,35 +250,22 @@ def _check_entry(n: int, b: Fraction, primes: Sequence[int]) -> None:
             raise TableInvariantError(f"sign of B_{n} is wrong: {b}")
 
 
-def bernoulli_table(max_index: int, algorithm: str = "seidel") -> BernoulliTable:
-    """Exact table of B_0..B_max_index.
-
-    `seidel` runs the integer tangent-number recurrence and converts once at
-    the end; `akiyama-tanigawa` runs the triangular recurrence on 1/(m+1)
-    scaled to integers by lcm(1..max_index+1), with one division per value.
-    Both are quadratic in max_index.
-    """
+def bernoulli_table(max_index: int) -> BernoulliTable:
+    """Exact table of B_0..B_max_index, by the integer tangent-number
+    recurrence, converted once at the end; quadratic in max_index."""
     if max_index < 0:
         raise ValueError(f"max_index must be nonnegative, got {max_index}")
-    if algorithm == "seidel":
-        build = _seidel_values
-    elif algorithm == "akiyama-tanigawa":
-        build = _akiyama_tanigawa_values
-    else:
-        raise ValueError(
-            f"algorithm must be 'seidel' or 'akiyama-tanigawa', got {algorithm!r}"
-        )
     try:
-        values = build(max_index)
+        values = _seidel_values(max_index)
     except MemoryError as exc:
         raise CapacityError(f"table build for max_index={max_index} exhausted memory") from exc
-    return BernoulliTable(max_index=max_index, values=tuple(values), algorithm=algorithm)
+    return BernoulliTable(max_index=max_index, values=tuple(values))
 
 
 def _header_line(table: BernoulliTable) -> str:
     return (
         f"{_HEADER_MAGIC} {_HEADER_VERSION} convention={table.convention} "
-        f"algorithm={table.algorithm} max={table.max_index}"
+        f"algorithm={_HEADER_ALGORITHMS[0]} max={table.max_index}"
     )
 
 
@@ -338,7 +301,8 @@ def persist_table(table: BernoulliTable, location: str | os.PathLike) -> None:
         raise CachePathError(f"cannot write cache file {path}: {exc.strerror or exc}") from exc
 
 
-def _parse_header(line: str) -> tuple[str, str, int]:
+def _parse_header(line: str) -> int:
+    """The max of a valid v1 header line."""
     tokens = line.split()
     if len(tokens) != 5 or tokens[0] != _HEADER_MAGIC:
         raise CacheFormatError(f"bad cache header: {line!r}")
@@ -358,7 +322,7 @@ def _parse_header(line: str) -> tuple[str, str, int]:
         raise CacheFormatError(
             f"unsupported convention {fields['convention']!r} in cache header"
         )
-    if fields["algorithm"] not in ALGORITHMS:
+    if fields["algorithm"] not in _HEADER_ALGORITHMS:
         raise CacheFormatError(f"unknown algorithm {fields['algorithm']!r} in cache header")
     try:
         max_index = int(fields["max"])
@@ -366,7 +330,7 @@ def _parse_header(line: str) -> tuple[str, str, int]:
         raise CacheFormatError(f"bad max field in {line!r}") from exc
     if max_index < 0:
         raise CacheFormatError(f"negative max in {line!r}")
-    return fields["convention"], fields["algorithm"], max_index
+    return max_index
 
 
 # The cache is read as bytes but split and tokenised as its ASCII text
@@ -402,9 +366,8 @@ def _parse_value(entry: bytes | None) -> Fraction:
     return Fraction(num, den)
 
 
-def _read_cache(path: Path) -> tuple[str, str, int, dict[int, bytes]]:
-    """The header's convention, algorithm and max of the cache at `path`,
-    and its entry lines by index.
+def _read_cache(path: Path) -> tuple[int, dict[int, bytes]]:
+    """The header's max of the cache at `path`, and its entry lines by index.
 
     The file is read once, and its bytes, header, line count and every
     line's index (an integer in range, not seen before) are checked here,
@@ -431,7 +394,7 @@ def _read_cache(path: Path) -> tuple[str, str, int, dict[int, bytes]]:
     ]
     if not lines:
         raise CacheFormatError(f"empty cache file at {path}")
-    convention, algorithm, max_index = _parse_header(lines[0][1].decode())
+    max_index = _parse_header(lines[0][1].decode())
     # A valid file through B_max has at least max / 2 entry lines (only odd
     # zeros above index 1 are left out): a larger max is refused before a
     # list that long is allocated.
@@ -451,7 +414,7 @@ def _read_cache(path: Path) -> tuple[str, str, int, dict[int, bytes]]:
         if n in entries:
             raise CacheFormatError(f"duplicate entry for index {n}")
         entries[n] = line
-    return convention, algorithm, max_index, entries
+    return max_index, entries
 
 
 def load_table(location: str | os.PathLike, through: int | None = None) -> BernoulliTable:
@@ -475,13 +438,10 @@ def load_table(location: str | os.PathLike, through: int | None = None) -> Berno
     """
     if through is not None and through < 0:
         raise ValueError(f"through must be nonnegative, got {through}")
-    convention, algorithm, max_index, entries = _read_cache(Path(location))
+    max_index, entries = _read_cache(Path(location))
     last = max_index if through is None else min(through, max_index)
     return BernoulliTable(
-        max_index=last,
-        values=tuple(_parse_value(entries.get(n)) for n in range(last + 1)),
-        algorithm=algorithm,
-        convention=convention,
+        max_index=last, values=tuple(_parse_value(entries.get(n)) for n in range(last + 1))
     )
 
 
@@ -498,7 +458,7 @@ def obtain_bernoulli(n: int, cache: str | os.PathLike | None) -> Fraction:
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     if cache is not None and Path(cache).exists():
-        _, _, max_index, entries = _read_cache(Path(cache))
+        max_index, entries = _read_cache(Path(cache))
         if n <= max_index:
             value = _parse_value(entries.get(n))
             _check_entry(n, value, von_staudt_clausen_primes(n // 2) if n >= 2 else ())
@@ -506,25 +466,20 @@ def obtain_bernoulli(n: int, cache: str | os.PathLike | None) -> Fraction:
     return obtain_table(n, cache).values[n]
 
 
-def obtain_table(
-    required: int, cache: str | os.PathLike | None, algorithm: str = "seidel"
-) -> BernoulliTable:
+def obtain_table(required: int, cache: str | os.PathLike | None) -> BernoulliTable:
     """The table of B_0..B_required, loaded from `cache` if it holds one.
 
-    Any cached algorithm serves `seidel`; others need the same tag.  A cache
-    through B_required or further is read through B_required only, and
-    every value returned is validated.  Failing that, the table is built
-    and, given a cache path, persisted there, unless the cache already
-    holds a table at least as large (of another algorithm).
+    A cache through B_required or further is read through B_required only,
+    and every value returned is validated.  Failing that, the table is built
+    and, given a cache path, persisted there.
     """
     if cache is None:
-        return bernoulli_table(required, algorithm)
+        return bernoulli_table(required)
     path = Path(cache)
-    cached = load_table(path, through=required) if path.exists() else None
-    large_enough = cached is not None and cached.max_index == required
-    if large_enough and algorithm in ("seidel", cached.algorithm):
-        return cached
-    table = bernoulli_table(required, algorithm)
-    if not large_enough:
-        persist_table(table, path)
+    if path.exists():
+        cached = load_table(path, through=required)
+        if cached.max_index == required:
+            return cached
+    table = bernoulli_table(required)
+    persist_table(table, path)
     return table

@@ -186,17 +186,6 @@ def _check(check_id: str, paper_ref: str) -> Callable[[Check], Check]:
     return register
 
 
-@_check("bernoulli-cross-check", "agreement of two independent Bernoulli recurrences")
-def _check_cross_algorithms(ctx: dict) -> Outcome:
-    limit = STANDARD_TABLE_INDEX
-    other = bernoulli_table(limit, algorithm="akiyama-tanigawa")
-    table: BernoulliTable = ctx["table"]
-    for n in range(limit + 1):
-        if table.values[n] != other.values[n]:
-            return "fail", f"first disagreement at index {n}"
-    return "pass", f"seidel and akiyama-tanigawa identical through index {limit}"
-
-
 @_check("bernoulli-irregular-numerators", "691 and 3617 as numerators of B_12 and B_16")
 def _check_irregular_numerators(ctx: dict) -> Outcome:
     table: BernoulliTable = ctx["table"]
@@ -592,7 +581,7 @@ def run_verification_suite(
     started = time.perf_counter()
     try:
         ctx["table"] = table = obtain_table(STANDARD_TABLE_INDEX, cache_path)
-        outcome = "pass", f"table through B_{table.max_index} (algorithm {table.algorithm})"
+        outcome = "pass", f"table through B_{table.max_index}"
     except CachePathError as exc:
         outcome = "fail", f"cache error: {exc}"
     except CacheError as exc:

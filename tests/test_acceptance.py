@@ -40,7 +40,6 @@ BUDGETS = {
     "magnitude-tail": 15.0,
     "monotone-decrease": 15.0,
     # the Bernoulli engine (60 s)
-    "bernoulli-cross-check": 40.0,
     "bernoulli-irregular-numerators": 10.0,
     "von-staudt-clausen": 10.0,
     # Euler characteristics (5 s)

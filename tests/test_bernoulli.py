@@ -49,6 +49,33 @@ def _in_place_tangent_numbers(count):
     return t[1:]
 
 
+def _akiyama_tanigawa_values(max_index):
+    # Reference: the Akiyama-Tanigawa recurrence (Kaneko, J. Integer Seq. 3
+    # (2000)), a triangle on the rationals 1/(m+1) that shares no step with
+    # the tangent numbers, run on the row scaled by L = lcm(1..max_index+1)
+    # so that every entry stays an integer, and B_m = row[0] / L.  It yields
+    # B_1 = +1/2; even indices agree between conventions, so only index 1
+    # is flipped.
+    scale = math.lcm(*range(1, max_index + 2))
+    row = [0] * (max_index + 1)
+    values = []
+    for m in range(max_index + 1):
+        row[m] = scale // (m + 1)
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        values.append(Fraction(row[0], scale))
+    if max_index >= 1:
+        values[1] = Fraction(-1, 2)
+    return tuple(values)
+
+
+# The table's values, and the reference recurrence: two independent builds.
+_BUILDS = {
+    "seidel": lambda max_index: bernoulli_table(max_index).values,
+    "akiyama-tanigawa": _akiyama_tanigawa_values,
+}
+
+
 def test_tangent_numbers_known_values():
     assert tangent_numbers(7) == [1, 2, 16, 272, 7936, 353792, 22368256]
     assert tangent_numbers(0) == []
@@ -64,19 +91,15 @@ def test_tangent_numbers_refuse_a_negative_count():
         tangent_numbers(-1)
 
 
-@pytest.mark.parametrize("algorithm", ["seidel", "akiyama-tanigawa"])
+@pytest.mark.parametrize("algorithm", list(_BUILDS))
 def test_tiny_tables(algorithm):
-    zero = bernoulli_table(0, algorithm)
-    assert zero.values == (Fraction(1),)
-    one = bernoulli_table(1, algorithm)
-    assert one.values == (Fraction(1), Fraction(-1, 2))
+    assert _BUILDS[algorithm](0) == (Fraction(1),)
+    assert _BUILDS[algorithm](1) == (Fraction(1), Fraction(-1, 2))
 
 
-@pytest.mark.parametrize("algorithm", ["seidel", "akiyama-tanigawa"])
+@pytest.mark.parametrize("algorithm", list(_BUILDS))
 def test_tables_match_definitional_recurrence(algorithm):
-    oracle = _binomial_recurrence_bernoulli(60)
-    table = bernoulli_table(60, algorithm)
-    assert list(table.values) == oracle
+    assert list(_BUILDS[algorithm](60)) == _binomial_recurrence_bernoulli(60)
 
 
 def test_fixed_values(table60):
@@ -90,8 +113,9 @@ def test_fixed_values(table60):
     assert table60.bernoulli(16).numerator == -3617
 
 
-def test_cross_algorithm_agreement_to_120():
-    assert bernoulli_table(120).values == bernoulli_table(120, "akiyama-tanigawa").values
+def test_table_to_600_matches_the_akiyama_tanigawa_reference(table600):
+    # Entry by entry, over the range of the table the verification suite reads.
+    assert table600.values == _akiyama_tanigawa_values(600)
 
 
 def test_table_to_600_matches_sympy(table600):
@@ -201,7 +225,7 @@ def test_tampering_at_the_top_of_a_large_table(table1200, index, tamper):
     expected = _reference_table_error(values)
     assert expected is not None
     with pytest.raises(TableInvariantError) as info:
-        BernoulliTable(max_index=1200, values=tuple(values), algorithm="seidel")
+        BernoulliTable(max_index=1200, values=tuple(values))
     assert str(info.value) == expected
 
 
@@ -218,8 +242,8 @@ def test_accessor_capacity_and_validation_errors(table60):
         table60.bernoulli(61)
     with pytest.raises(ValueError):
         table60.bernoulli(-1)
-    with pytest.raises(ValueError):
-        bernoulli_table(10, "newton")
+    with pytest.raises(TypeError):  # one algorithm: the build takes no name
+        bernoulli_table(10, "seidel")
     with pytest.raises(ValueError):
         bernoulli_table(-1)
 
@@ -228,11 +252,11 @@ def test_tampered_values_cannot_form_a_table(table60):
     bad = list(table60.values)
     bad[12] = Fraction(-690, 2730)
     with pytest.raises(TableInvariantError):
-        BernoulliTable(max_index=60, values=tuple(bad), algorithm="seidel")
+        BernoulliTable(max_index=60, values=tuple(bad))
     bad = list(table60.values)
     bad[12] = Fraction(-689, 2730)  # denominator law survives, integrality must not
     with pytest.raises(TableInvariantError):
-        BernoulliTable(max_index=60, values=tuple(bad), algorithm="seidel")
+        BernoulliTable(max_index=60, values=tuple(bad))
 
 
 # --- cache --------------------------------------------------------------------
@@ -245,12 +269,22 @@ def test_persist_load_round_trip(tmp_path):
     assert load_table(path) == table
 
 
-def test_round_trip_preserves_algorithm_tag(tmp_path):
-    table = bernoulli_table(12, "akiyama-tanigawa")
+def test_written_header_is_the_v1_seidel_header(tmp_path):
     path = tmp_path / "bern.cache"
-    persist_table(table, path)
-    loaded = load_table(path)
-    assert loaded == table and loaded.algorithm == "akiyama-tanigawa"
+    persist_table(bernoulli_table(12), path)
+    header = path.read_text().splitlines()[0]
+    assert header == "BERN v1 convention=minus-half algorithm=seidel max=12"
+
+
+def test_load_accepts_the_akiyama_tanigawa_tag_of_v1(tmp_path):
+    # A v1 file may carry either tag the format has had; both load alike.
+    path = tmp_path / "bern.cache"
+    persist_table(bernoulli_table(12), path)
+    path.write_text(
+        path.read_text().replace("algorithm=seidel", "algorithm=akiyama-tanigawa")
+    )
+    assert load_table(path) == bernoulli_table(12)
+    assert obtain_table(12, path) == bernoulli_table(12)
 
 
 def test_load_missing_file(tmp_path):
@@ -566,12 +600,3 @@ def test_bad_index_past_the_prefix_is_a_format_error(tmp_path, line):
         load_table(path, through=20)
     with pytest.raises(CacheFormatError, match=re.escape(str(info.value))):
         obtain_bernoulli(20, path)
-
-
-def test_a_request_for_another_algorithm_keeps_a_larger_cache(tmp_path):
-    path = _persisted(bernoulli_table(100), tmp_path / "bern.cache")
-    original = path.read_bytes()
-    table = obtain_table(4, path, "akiyama-tanigawa")
-    assert table == bernoulli_table(4, "akiyama-tanigawa")
-    assert table.algorithm == "akiyama-tanigawa"
-    assert path.read_bytes() == original

@@ -599,7 +599,7 @@ def _bound_memos_case():
 def _shared_table_case(table):
     # One table's zeta memo, fresh, against another's read by one thread.
     m_max = 120
-    alone, shared = (BernoulliTable(table.max_index, table.values, table.algorithm) for _ in "ab")
+    alone, shared = (BernoulliTable(table.max_index, table.values) for _ in "ab")
 
     def state():
         memo = shared._zeta_memo

@@ -33,10 +33,12 @@ def test_zeta_json(capsys):
 
 
 def test_bernoulli_text_and_both(capsys):
-    code, out, _ = run(capsys, "bernoulli", "--max-k", "8", "--algorithm", "both")
+    code, out, _ = run(capsys, "bernoulli", "--max-k", "8")
     assert code == 0
     assert "B_12 = -691/2730" in out
-    assert "agreement between algorithms: yes" in out
+    # One algorithm builds every table: `--algorithm` is no option.
+    code, out, _ = _outcome(capsys, main, ["bernoulli", "--max-k", "8", "--algorithm", "both"])
+    assert (code, out) == (2, "")
 
 
 def test_bernoulli_json(capsys):
@@ -266,32 +268,19 @@ def test_bernoulli_prints_only_the_requested_indices_from_a_larger_cache(
     cache = tmp_path / "bern.cache"
     persist_table(bernoulli_table(20), cache)
     code, out, _ = run(
-        capsys, "bernoulli", "--max-k", "2", "--algorithm", "both",
-        "--cache", str(cache), "--format", fmt,
+        capsys, "bernoulli", "--max-k", "2", "--cache", str(cache), "--format", fmt,
     )
     fresh = tmp_path / "fresh.cache"
     fresh_code, fresh_out, _ = run(
-        capsys, "bernoulli", "--max-k", "2", "--algorithm", "both",
-        "--cache", str(fresh), "--format", fmt,
+        capsys, "bernoulli", "--max-k", "2", "--cache", str(fresh), "--format", fmt,
     )
     assert (code, out) == (fresh_code, fresh_out) == (0, out)
     if fmt == "json":
         payload = json.loads(out)
-        assert payload["max_index"] == 4 and payload["agreement"] is True
+        assert payload["max_index"] == 4
         assert [entry["n"] for entry in payload["values"]] == [0, 1, 2, 4]
     else:
         assert "B_4 = -1/30" in out and "B_6" not in out
-        assert "agreement between algorithms: yes" in out
-
-
-def test_another_algorithm_on_a_larger_cache_leaves_it_unchanged(capsys, tmp_path):
-    cache = tmp_path / "bern.cache"
-    persist_table(bernoulli_table(120), cache)
-    original = cache.read_bytes()
-    argv = ("bernoulli", "--max-k", "2", "--algorithm", "akiyama-tanigawa")
-    code, out, _ = run(capsys, *argv, "--cache", str(cache))
-    assert (code, out) == run(capsys, *argv)[:2]
-    assert cache.read_bytes() == original
 
 
 def test_corruption_above_the_request_fails_only_the_requests_that_reach_it(
@@ -501,7 +490,7 @@ def test_a_table_past_b_3000_is_a_usage_error(capsys, monkeypatch):
     def acquired(*args, **kwargs):
         raise AssertionError("a table was read or built")
 
-    for name in ("bernoulli_table", "obtain_bernoulli", "obtain_table"):
+    for name in ("obtain_bernoulli", "obtain_table"):
         monkeypatch.setattr(cli, name, acquired)
     requests = [
         ["bernoulli", "--max-k", "1501"],
@@ -520,6 +509,33 @@ def test_a_table_past_b_3000_is_a_usage_error(capsys, monkeypatch):
         code, out, _ = run(capsys, "certify", "-m", "1501", "-n", "1", "--strategy", strategy)
         assert code == 0 and "magnitude witness" in out, strategy
     assert cli._table_k("1500") == cli._max_k("1500") == 1500 and cli._max_k("0") == 0
+
+
+def test_an_n_past_the_cap_is_a_usage_error(capsys, monkeypatch):
+    # (2m+n-1)!/(2m)! at n = 3 * 10^6 ran past 60 s: every n above 2^17 is
+    # refused by the parser, before any value is formed.
+    def computed(*args, **kwargs):
+        raise AssertionError("a value was computed")
+
+    for name in ("certify_non_integrality", "scan", "threshold_for_n", "e_mn",
+                 "chi_torelli", "euler_moduli", "obtain_table"):
+        monkeypatch.setattr(cli, name, computed)
+    requests = [
+        ["certify", "-m", "6", "-n", "3000000", "--strategy", "bound"],
+        ["certify", "-m", "1600", "-n", "1000000"],
+        ["certify", "-m", "6", "-n", "131073"],
+        ["emn", "-m", "6", "-n", "131073"],
+        ["chi", "--space", "torelli", "-g", "3", "-n", "131073"],
+        ["chi", "--space", "moduli", "-g", "3", "-n", "131073"],
+        ["threshold", "-n", "131073"],
+        ["scan", "--m-min", "6", "--m-max", "6", "--n-min", "1", "--n-max", "131073"],
+        ["scan", "--m-min", "6", "--m-max", "6", "--n-min", "131073", "--n-max", "131073"],
+    ]
+    for argv in requests:
+        code, out, err = _outcome(capsys, main, argv)
+        assert code == 2 and out == "" and "at most 131072" in err, argv
+    # The documented `threshold -n 131072 --m-cap 700` still parses.
+    assert cli._n("131072") == 131072 and cli._marked_points("0") == 0
 
 
 # --- one command's parser ---------------------------------------------------------

@@ -43,8 +43,7 @@ def _records():
         (
             bernoulli_table(4),
             "BernoulliTable(max_index=4, values=(Fraction(1, 1), Fraction(-1, 2), "
-            "Fraction(1, 6), Fraction(0, 1), Fraction(-1, 30)), algorithm='seidel', "
-            "convention='minus-half')",
+            "Fraction(1, 6), Fraction(0, 1), Fraction(-1, 30)), convention='minus-half')",
         ),
         (IntegerValue(12), "IntegerValue(value=12)"),
         (
@@ -136,9 +135,9 @@ def test_copies_and_pickles_are_equal_records(index):
 
 def test_construction_by_keyword_with_the_defaults():
     values = bernoulli_table(4).values
-    table = BernoulliTable(max_index=4, values=values, algorithm="seidel")
+    table = BernoulliTable(max_index=4, values=values)
     assert table.convention == CONVENTION == "minus-half"
-    assert table == BernoulliTable(4, values, "seidel", CONVENTION)
+    assert table == BernoulliTable(4, values, CONVENTION)
     witness = ValuationWitness(m=6, n=1, p=691, valuation=-1, zeta_valuations=((6, 1),))
     assert ScanPoint(m=6, n=1, certificate=witness) == ScanPoint(6, 1, witness)
     assert RationalInterval(lo=1, hi=2) == RationalInterval(Fraction(1), Fraction(2))

@@ -21,7 +21,6 @@ from torelli_euler.certify import (
 # The report's check ids, in the suite's order.
 _CHECK_IDS = (
     "table-source",
-    "bernoulli-cross-check",
     "bernoulli-irregular-numerators",
     "von-staudt-clausen",
     "zeta-product-14",
@@ -73,7 +72,7 @@ def test_table_capacity_failure_is_recorded(monkeypatch):
 )
 def test_unreadable_cache_is_recorded_as_a_failed_table_source(tmp_path, corrupt, diagnosis):
     # The suite still reports every check: the table source as failed with
-    # the cache diagnosis, the 22 checks that need the table as inconclusive.
+    # the cache diagnosis, the 21 checks that need the table as inconclusive.
     cache = tmp_path / "bad.cache"
     persist_table(bernoulli_table(20), cache)
     cache.write_bytes(corrupt(cache.read_bytes()))
@@ -81,7 +80,7 @@ def test_unreadable_cache_is_recorded_as_a_failed_table_source(tmp_path, corrupt
     source, *rest = report.checks
     assert source.id == "table-source" and source.status == "fail"
     assert source.witness.startswith("table validation failed: ") and diagnosis in source.witness
-    assert len(rest) == 22
+    assert len(rest) == 21
     assert all(check.status == "inconclusive" for check in rest)
 
 

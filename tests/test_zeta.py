@@ -107,7 +107,7 @@ def test_lower_bound_is_the_fraction_arithmetic_bit_for_bit(precision):
 
 def _fresh(table):
     # An equal table whose memo is empty, without building the values again.
-    return BernoulliTable(table.max_index, table.values, table.algorithm)
+    return BernoulliTable(table.max_index, table.values)
 
 
 def _reference_products(table, m_max):
@@ -210,7 +210,7 @@ def test_a_filled_memo_leaves_equality_repr_and_the_cache_file_alone(table60, tm
     assert filled == fresh and hash(filled) == hash(fresh)
     assert repr(filled) == repr(fresh) == (
         f"BernoulliTable(max_index={table60.max_index}, values={table60.values!r}, "
-        "algorithm='seidel', convention='minus-half')"
+        "convention='minus-half')"
     )
     # A copy is rebuilt from the fields alone: equal, revalidated, its memo empty.
     for clone in (copy.copy(filled), pickle.loads(pickle.dumps(filled))):
