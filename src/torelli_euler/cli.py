@@ -15,6 +15,7 @@ import sys
 
 from .bernoulli import CacheError, CapacityError, obtain_bernoulli, obtain_table
 from .certify import (
+    STRATEGIES,
     Inconclusive,
     certify_non_integrality,
     scan,
@@ -80,9 +81,12 @@ def _m_cap(text: str) -> int:
 
 # `zeta --k K` builds B_0..B_2K in time about cubic in K: 1.7 s cold at
 # K = 1500 and 12.7 s at K = 3000 (2-core container), so a K mistyped as
-# 30000 would run for hours.  A table past B_3000 is refused before any is
-# read or built: `--max-k`, `--k`, `chi -g` and `emn -m` above 1500 by the
-# parser, `certify` and `scan` with `--strategy exact` by `_exact_table`.
+# 30000 would run for hours.  A table past B_3000 is refused by the parser
+# before any is read or built: `--max-k`, `--k`, `chi -g`, `emn -m`,
+# `certify -m` and `scan --m-min/--m-max` above 1500.  The cap on m holds
+# under every strategy: the bound alone at m = 10^5 runs out of memory, and
+# m0 is at most 614 for every n up to 2^17, so past 1500 the bound only
+# repeats its magnitude witness.
 _MAX_TABLE_INDEX = 3000
 
 
@@ -108,14 +112,6 @@ def _n(text: str) -> int:
 
 def _marked_points(text: str) -> int:
     return _at_most(_MAX_N, text, parse=_nonnegative_int)
-
-
-def _exact_table(m: int, strategy: str) -> None:
-    if strategy == "exact" and 2 * m > _MAX_TABLE_INDEX:
-        raise UsageError(
-            f"--strategy exact takes m at most {_MAX_TABLE_INDEX // 2} "
-            f"(a table through B_{_MAX_TABLE_INDEX}), got {m}"
-        )
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -154,20 +150,20 @@ _COMMANDS = {
         ("-n", dict(type=_n, required=True)),
     )),
     "certify": ("non-integrality certificate for e(m,n)", (
-        ("-m", dict(type=_positive_int, required=True)),
+        ("-m", dict(type=_table_k, required=True)),
         ("-n", dict(type=_n, required=True)),
-        ("--strategy", dict(choices=("auto", "exact", "bound"), default="auto")),
+        ("--strategy", dict(choices=STRATEGIES, default="auto")),
     )),
     "threshold": ("certified bound threshold for fixed n", (
         ("-n", dict(type=_n, required=True)),
         ("--m-cap", dict(type=_m_cap, default=64, help=f"largest m, at most {_MAX_M_CAP}")),
     )),
     "scan": ("certificates over a grid of (m, n)", (
-        ("--m-min", dict(type=_positive_int, required=True)),
-        ("--m-max", dict(type=_positive_int, required=True)),
+        ("--m-min", dict(type=_table_k, required=True)),
+        ("--m-max", dict(type=_table_k, required=True)),
         ("--n-min", dict(type=_n, required=True)),
         ("--n-max", dict(type=_n, required=True)),
-        ("--strategy", dict(choices=("auto", "exact", "bound"), default="exact")),
+        ("--strategy", dict(choices=STRATEGIES, default="exact")),
     )),
     "verify-paper": ("run the full verification suite", ()),
 }
@@ -258,7 +254,6 @@ def _cmd_emn(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    _exact_table(args.m, args.strategy)
     # Read or built only if the answer needs e(m,n): for `auto`, only when
     # the bound does not decide.
     table = functools.partial(obtain_table, 2 * args.m, args.cache)
@@ -298,7 +293,6 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.m_min > args.m_max or args.n_min > args.n_max:
         raise UsageError("each range needs its minimum at most its maximum")
-    _exact_table(args.m_max, args.strategy)
     # Read or built only if some point's answer needs e(m,n), as for certify.
     table = functools.partial(obtain_table, 2 * args.m_max, args.cache)
     points = scan((args.m_min, args.m_max), (args.n_min, args.n_max), args.strategy, table)

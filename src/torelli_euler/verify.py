@@ -8,26 +8,22 @@ never lets one check's failure stop the rest.  Each other check registers
 itself in `_CHECKS` with `_check`, which names its id and paper reference,
 in definition order: the acceptance tests run the suite and assert every
 check, rather than restating them.
-The suite works over a Bernoulli table to index 600.  The wide-grid scan
-reads its witnesses for m = 6..200 off the valuation ledger as row segments
-(`certify.ledger_segments`): one rechecked witness per prime per row covers
-a run of points, ended by inverting Legendre's formula, and no exact
-~10^5-digit e(m,n) is formed.  The check of the whole claim proves it for
-every m >= 6 from the rows of those segments below the bound's threshold
-(`_prove_claim`).  Each shared record is formed once per run, by the first
-check that asks: the segments by `_wide_grid`, the threshold at n = 677 by
-`_claim_threshold`, and the n = 1 column, e(m,1) for m = 1..100 in one
-exact scan, by `_column`.
+The suite works over a Bernoulli table to index 600.  The check of the
+whole claim proves it for every m >= 6 and n <= 677 (`_prove_claim`): the
+rows below the bound's threshold m0 by witnesses read off the valuation
+ledger as row segments (`certify.ledger_segments`), where one rechecked
+witness per prime per row covers a run of points, ended by inverting
+Legendre's formula, and no exact ~10^5-digit e(m,n) is formed; the rows
+from m0 on by the bound.  Each shared record is formed once per run, by the
+first check that asks: the threshold at n = 677 by `_claim_threshold`, and
+the n = 1 column, e(m,1) for m = 1..100 in one exact scan, by `_column`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import tempfile
 import time
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Callable
 
 from .bernoulli import (
@@ -35,23 +31,18 @@ from .bernoulli import (
     CacheError,
     CachePathError,
     CapacityError,
-    bernoulli_table,
-    load_table,
     obtain_table,
-    persist_table,
     _von_staudt_clausen_prime_lists,
 )
 from .certify import (
     BoundSequence,
     Certificate,
-    Inconclusive,
     IntegerValue,
     LedgerSegment,
     MAX_WITNESSED_N,
     PrimeWitness,
     ThresholdResult,
     ValuationWitness,
-    WITNESS_PRIMES,
     _upper_end,
     certify_non_integrality,
     ledger_segments,
@@ -63,7 +54,7 @@ from .certify import (
 )
 from .euler_char import chi_torelli, euler_moduli
 from .exact_core import _Record, dyadic_fraction, p_adic_valuation, pi_interval
-from .render import certificate_from_json, certificate_to_json, decimal_string, dumps
+from .render import decimal_string
 from .zeta_special import zeta_abs_lower_bound, zeta_one_minus_2k, zeta_product
 
 __all__ = [
@@ -76,7 +67,6 @@ __all__ = [
 ]
 
 STANDARD_TABLE_INDEX = 600
-STANDARD_SCAN_MAX_M = 200
 
 # Published 50-digit reference value of pi, used as the containment oracle
 # for the certified enclosure.
@@ -350,63 +340,6 @@ def _check_bound_dominates(ctx: dict) -> Outcome:
     return "pass", "exact e(m,n) <= certified U(m,n) for m = 1..50, n = 1..5"
 
 
-def _wide_grid(ctx: dict) -> tuple[LedgerSegment, ...]:
-    """The wide grid's ledger segments, formed the first time a check asks."""
-    if "wide_grid" not in ctx:
-        window = (6, STANDARD_SCAN_MAX_M), (1, MAX_WITNESSED_N)
-        ctx["wide_grid"] = tuple(ledger_segments(*window, ctx["table"]))
-    return ctx["wide_grid"]
-
-
-def _points(segment: LedgerSegment) -> int:
-    # Only a ValuationWitness covers more than its one point.
-    return segment.n_last - segment.n_first + 1
-
-
-@_check("wide-grid-scan", "e(m,n) non-integer for m = 6..200 and n <= 677")
-def _check_wide_grid_scan(ctx: dict) -> Outcome:
-    segments = _wide_grid(ctx)
-    integers = [(s.m, s.n_first) for s in segments if isinstance(s.certificate, IntegerValue)]
-    inconclusive = [(s.m, s.n_first) for s in segments if isinstance(s.certificate, Inconclusive)]
-    if integers or inconclusive:
-        return (
-            "fail",
-            f"integer points {integers[:5]}, inconclusive points {inconclusive[:5]}",
-        )
-    total = sum(map(_points, segments))
-    return (
-        "pass",
-        f"all {total} points on m = 6..{STANDARD_SCAN_MAX_M}, n = 1..{MAX_WITNESSED_N} "
-        "are non-integers",
-    )
-
-
-@_check("witness-prime-coverage", "691 and 3617 witness the whole wide grid")
-def _check_witness_coverage(ctx: dict) -> Outcome:
-    segments = _wide_grid(ctx)
-    pw = preferred = 0
-    exceptions: list[tuple[int, int, int]] = []
-    for segment in segments:
-        cert = segment.certificate
-        if isinstance(cert, (PrimeWitness, ValuationWitness)):
-            pw += _points(segment)
-            if cert.p in WITNESS_PRIMES:
-                preferred += _points(segment)
-            else:
-                exceptions.append((segment.m, segment.n_first, cert.p))
-    if pw == 0:
-        return "inconclusive", "no prime witnesses were emitted"
-    witness = (
-        f"{preferred}/{pw} prime witnesses use p in {set(WITNESS_PRIMES)}"
-        f" (fraction {Fraction(preferred, pw)})"
-    )
-    if exceptions:
-        witness += f"; exceptions (m, n, p): {exceptions[:10]}"
-    # An exception is reported, not failed: which prime certifies a point is
-    # an observation about the argument, not about non-integrality itself.
-    return "pass", witness
-
-
 def _claim_threshold(ctx: dict) -> ThresholdResult:
     """The bound's threshold at n = MAX_WITNESSED_N, formed the first time a check asks."""
     if "claim_threshold" not in ctx:
@@ -462,9 +395,13 @@ def _prove_claim(
         m, n_next = (m + 1, 1) if segment.n_last >= n_max else (m, segment.n_last + 1)
     if m < m0:
         return "fail", f"no valuation witness starts at (m, n) = ({m}, {n_next})"
+    split = ", ".join(
+        f"{sum(segment.certificate.p == p for segment in rows)} with p = {p}" for p in listed
+    )
     return (
         "pass",
-        f"rows m = 6..{m0 - 1} by {len(rows)} valuation witnesses; from m0 = {m0} on, "
+        f"rows m = 6..{m0 - 1} by {len(rows)} valuation witnesses ({split}); "
+        f"from m0 = {m0} on, "
         f"0 < e(m,n) <= U(m,n) <= U({m0},{n_max}) < 1, as U rises in n and its ratio, "
         "below 1 at m0, falls in m; the one premise not computed, zeta(2k) > 1, gives "
         "e(m,n) <= U(m,n)",
@@ -476,7 +413,9 @@ def _check_whole_claim(ctx: dict) -> Outcome:
     result = _claim_threshold(ctx)
     if not result.found:
         return "fail", f"U(m,{result.n}) is not certified below 1 at m = {result.m_cap}"
-    return _prove_claim(_wide_grid(ctx), result.chain[0], MAX_WITNESSED_N, ctx["table"])
+    link, table = result.chain[0], ctx["table"]
+    segments = tuple(ledger_segments((6, link.m - 1), (1, MAX_WITNESSED_N), table))
+    return _prove_claim(segments, link, MAX_WITNESSED_N, table)
 
 
 @_check("claim-sharp", "n <= 677 is sharp: e(7,678) and e(6,680) are integers")
@@ -519,41 +458,6 @@ def _check_pi_enclosure(ctx: dict) -> Outcome:
     if not enclosure.contains(PI_REFERENCE):
         return "fail", "reference value of pi falls outside the enclosure"
     return "pass", "pi enclosed at 128 bits, width <= 2^-120, reference value inside"
-
-
-@_check("cache-round-trip", "cache persistence with invariant revalidation (infrastructure)")
-def _check_cache_round_trip(ctx: dict) -> Outcome:
-    small = bernoulli_table(100)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "bern.cache"
-        persist_table(small, path)
-        if load_table(path) != small:
-            return "fail", "round trip changed the table"
-        # A tampered numerator must be rejected by revalidation.
-        text = path.read_text(encoding="ascii").replace("-691/2730", "-690/2730")
-        path.write_text(text, encoding="ascii")
-        try:
-            load_table(path)
-        except CacheError as exc:
-            return "pass", f"round trip exact; tampered line rejected ({exc})"
-        return "fail", "tampered cache was accepted"
-
-
-@_check("json-round-trip", "lossless certificate serialization (infrastructure)")
-def _check_json_round_trip(ctx: dict) -> Outcome:
-    certificates = [
-        _column(ctx)[0],
-        _column(ctx)[5],
-        certify_non_integrality(14, 1, "bound"),
-        certify_non_integrality(13, 1, "bound"),
-    ]
-    kinds = [certificate_to_json(cert)["kind"] for cert in certificates]
-    if kinds != ["integer", "prime-witness", "magnitude", "inconclusive"]:
-        return "fail", f"certificate kinds {kinds}, not one of each in order"
-    for cert in certificates:
-        if certificate_from_json(json.loads(dumps(certificate_to_json(cert)))) != cert:
-            return "fail", f"round trip changed {cert!r}"
-    return "pass", f"certificate kinds {kinds} round trip through JSON"
 
 
 def run_verification_suite(

@@ -1021,7 +1021,7 @@ def _points(segments):
 @pytest.mark.parametrize("window", ["small", "standard"])
 def test_segments_expand_to_the_ledger_scan(table60, table600, window):
     # The small window reaches the exact fallback (m <= 5); the standard one
-    # is the wide-grid scan of verify-paper.  The segments cover the grid
+    # is the grid m = 6..200 of acceptance criterion 4.  The segments cover the grid
     # point by point, row by row, and a witness holds at every n of its run.
     if window == "small":
         m_range, n_range, table = (1, 30), (1, 40), table60
@@ -1087,8 +1087,9 @@ def test_ledger_segment_rechecks_its_extent():
 
 
 def test_standard_wide_grid_check_builds_one_witness_per_segment(table600, monkeypatch):
-    # Reading segments, the check rechecks 287 witnesses, not one for each of
-    # its 132,015 points: a return to per-point work fails here.
+    # Reading segments, the check of the whole claim rechecks one witness for
+    # each of its 96 segments, rows m = 6..54, not one for each of their
+    # 33,173 points: a return to per-point work fails here.
     built = []
     recheck = ValuationWitness.__post_init__
 
@@ -1097,17 +1098,6 @@ def test_standard_wide_grid_check_builds_one_witness_per_segment(table600, monke
         recheck(self)
 
     monkeypatch.setattr(ValuationWitness, "__post_init__", counting)
-    ctx = {"table": table600}
-    status, witness = verify._check_wide_grid_scan(ctx)
-    assert status == "pass" and "all 132015 points" in witness
-    assert 0 < len(built) < 1000
-    # The coverage check reads the same segments: it builds no witness of
-    # its own, and counts every point of each segment.
-    scanned = len(built)
-    coverage = verify._check_witness_coverage(ctx)
-    assert coverage == (
-        "pass", "132015/132015 prime witnesses use p in {3617, 691} (fraction 1)"
-    )
-    assert len(built) == scanned
-    # Run alone, without the scan before it, it forms the segments itself.
-    assert verify._check_witness_coverage({"table": table600}) == coverage
+    status, witness = verify._check_whole_claim({"table": table600})
+    assert status == "pass" and witness.startswith("rows m = 6..54 by 96 valuation witnesses ")
+    assert len(built) == 96

@@ -486,11 +486,16 @@ def test_m_cap_above_the_limit_is_a_usage_error(capsys, monkeypatch):
 
 def test_a_table_past_b_3000_is_a_usage_error(capsys, monkeypatch):
     # A table through B_2K takes time about cubic in K: every request for
-    # one past B_3000 is refused before any table is read or built.
-    def acquired(*args, **kwargs):
-        raise AssertionError("a table was read or built")
+    # one past B_3000 is refused before any table is read or built.  So is
+    # every m past 1500 under every strategy: the bound alone at m = 10^5
+    # ran out of memory, and m0 <= 614 for every n <= 2^17.
+    code, out, _ = run(capsys, "certify", "-m", "1500", "-n", "1")
+    assert code == 0 and "magnitude witness" in out
 
-    for name in ("obtain_bernoulli", "obtain_table"):
+    def acquired(*args, **kwargs):
+        raise AssertionError("a table was read or built, or a value computed")
+
+    for name in ("obtain_bernoulli", "obtain_table", "certify_non_integrality", "scan"):
         monkeypatch.setattr(cli, name, acquired)
     requests = [
         ["bernoulli", "--max-k", "1501"],
@@ -499,15 +504,17 @@ def test_a_table_past_b_3000_is_a_usage_error(capsys, monkeypatch):
         ["chi", "--space", "torelli", "-g", "1501"],
         ["emn", "-m", "1501", "-n", "1"],
         ["certify", "-m", "1501", "-n", "1", "--strategy", "exact"],
+        ["certify", "-m", "1501", "-n", "1"],
+        ["certify", "-m", "100000", "-n", "1", "--strategy", "bound"],
+        ["certify", "-m", "1600", "-n", "1000000"],
         ["scan", "--m-min", "1", "--m-max", "1501", "--n-min", "1", "--n-max", "1"],
+        ["scan", "--m-min", "1", "--m-max", "1501", "--n-min", "1", "--n-max", "1",
+         "--strategy", "bound"],
+        ["scan", "--m-min", "1501", "--m-max", "1501", "--n-min", "1", "--n-max", "1"],
     ]
     for argv in requests:
         code, out, err = _outcome(capsys, main, argv)
         assert code == 2 and out == "" and "at most 1500" in err, argv
-    # Where the bound decides, m is not capped: no table is read or built.
-    for strategy in ("auto", "bound"):
-        code, out, _ = run(capsys, "certify", "-m", "1501", "-n", "1", "--strategy", strategy)
-        assert code == 0 and "magnitude witness" in out, strategy
     assert cli._table_k("1500") == cli._max_k("1500") == 1500 and cli._max_k("0") == 0
 
 
@@ -522,7 +529,7 @@ def test_an_n_past_the_cap_is_a_usage_error(capsys, monkeypatch):
         monkeypatch.setattr(cli, name, computed)
     requests = [
         ["certify", "-m", "6", "-n", "3000000", "--strategy", "bound"],
-        ["certify", "-m", "1600", "-n", "1000000"],
+        ["certify", "-m", "1500", "-n", "1000000"],
         ["certify", "-m", "6", "-n", "131073"],
         ["emn", "-m", "6", "-n", "131073"],
         ["chi", "--space", "torelli", "-g", "3", "-n", "131073"],

@@ -63,8 +63,16 @@ def _sample_certificates():
     ]
 
 
-def test_certificate_json_round_trip():
-    for cert in _sample_certificates():
+def test_certificate_json_round_trip(table600):
+    # Besides the samples, one of each kind as the library computes it: exact
+    # e(1,1) and e(6,1), bound e(14,1) and e(13,1).
+    computed = [
+        *(certify_non_integrality(m, 1, "exact", table600) for m in (1, 6)),
+        *(certify_non_integrality(m, 1, "bound") for m in (14, 13)),
+    ]
+    kinds = [certificate_to_json(cert)["kind"] for cert in computed]
+    assert kinds == ["integer", "prime-witness", "magnitude", "inconclusive"]
+    for cert in _sample_certificates() + computed:
         blob = dumps(certificate_to_json(cert))
         assert certificate_from_json(json.loads(blob)) == cert
 

@@ -34,14 +34,10 @@ _CHECK_IDS = (
     "single-term-threshold",
     "threshold-n1",
     "bound-dominates-exact",
-    "wide-grid-scan",
-    "witness-prime-coverage",
     "whole-claim",
     "claim-sharp",
     "closing-bound-forms",
     "pi-enclosure",
-    "cache-round-trip",
-    "json-round-trip",
 )
 
 
@@ -72,7 +68,7 @@ def test_table_capacity_failure_is_recorded(monkeypatch):
 )
 def test_unreadable_cache_is_recorded_as_a_failed_table_source(tmp_path, corrupt, diagnosis):
     # The suite still reports every check: the table source as failed with
-    # the cache diagnosis, the 21 checks that need the table as inconclusive.
+    # the cache diagnosis, the 17 checks that need the table as inconclusive.
     cache = tmp_path / "bad.cache"
     persist_table(bernoulli_table(20), cache)
     cache.write_bytes(corrupt(cache.read_bytes()))
@@ -80,7 +76,7 @@ def test_unreadable_cache_is_recorded_as_a_failed_table_source(tmp_path, corrupt
     source, *rest = report.checks
     assert source.id == "table-source" and source.status == "fail"
     assert source.witness.startswith("table validation failed: ") and diagnosis in source.witness
-    assert len(rest) == 21
+    assert len(rest) == 17
     assert all(check.status == "inconclusive" for check in rest)
 
 
@@ -135,7 +131,6 @@ _COLUMN_CHECKS = (
     "magnitude-tail",
     "monotone-decrease",
     "bound-dominates-exact",
-    "json-round-trip",
 )
 
 
@@ -178,7 +173,10 @@ def claim_parts(table600):
 def test_the_whole_claim_holds_on_its_parts(claim_parts):
     status, witness = verify._prove_claim(*claim_parts)
     assert status == "pass"
-    assert witness.startswith("rows m = 6..54 by 96 valuation witnesses; from m0 = 55 on, ")
+    assert witness.startswith(
+        "rows m = 6..54 by 96 valuation witnesses (49 with p = 691, 47 with p = 3617); "
+        "from m0 = 55 on, "
+    )
     assert "zeta(2k) > 1" in witness
 
 
