@@ -295,8 +295,10 @@ class _BoundEnd:
     __slots__ = ("square", "terms", "products")
 
     def __init__(self, ceil: bool) -> None:
-        square = _positive_power(pi_interval(_BITS).scale(2), 2, _BITS)
-        self.square = square[2:] if ceil else square[:2]
+        # pi^2 with both exponents raised by 2: the ends of pi have odd
+        # denominators, so the mantissas are those of (2pi)^2.
+        lo, lo_exp, hi, hi_exp = _positive_power(pi_interval(_BITS), 2, _BITS)
+        self.square = (hi, hi_exp + 2) if ceil else (lo, lo_exp + 2)
         self.terms: list[_End] = []
         self.products: list[_End] = [(1, 0)]
 

@@ -15,11 +15,13 @@ display only.
 
 from __future__ import annotations
 
+import bisect
 import decimal
 import itertools
 import math
 import numbers
 import sys
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -503,33 +505,63 @@ class RationalInterval(_Record):
         )
 
 
-def _arctan_recip_interval(x: int, tail_bound: Fraction) -> RationalInterval:
-    """Enclose arctan(1/x) for integer x >= 2.
+class _GregorySeries:
+    # The Gregory series arctan(1/x) = sum_k (-1)^k / ((2k+1) x^(2k+1)) for
+    # an odd x >= 3, grown one term at a time.  Partial sum K is
+    # numerators[K] / (lcms[K] x^(2K+1)), with lcms[K] = lcm(1, 3, ..., 2K+1),
+    # and tails[K] = (2K+1) x^(2K+1) is the reciprocal of term K.  Each step
+    # appends tails[K] last, so a reader that sees it sees the rest of K.
+    __slots__ = ("x", "numerators", "lcms", "tails")
 
-    The Gregory series sum_k (-1)^k / ((2k+1) x^(2k+1)) alternates with
-    strictly decreasing terms, so the truncation error is bounded by the
-    first omitted term and the value lies between consecutive partial sums.
-    Summation stops at the first term K at most `tail_bound`, found by
-    integer comparisons.  The partial sums through terms K - 1 and K are
-    then summed in integers over the one denominator
-    lcm(1, 3, ..., 2K+1) x^(2K+1) and reduced once each: the same
-    Fractions as a term-by-term sum.
-    """
-    bound_num, bound_den = tail_bound.numerator, tail_bound.denominator
-    xx = x * x
-    last, power = 0, x  # power = x^(2 last + 1)
-    # 1/((2k+1) x^(2k+1)) <= tail_bound, cross-multiplied.
-    while bound_num * (2 * last + 1) * power < bound_den:
-        last += 1
-        power *= xx
-    odd_lcm = math.lcm(*range(1, 2 * last + 2, 2))
-    with_last = 0  # the sum through term `last` times the common denominator
-    for k in range(last + 1):
-        with_last = with_last * xx + (-1) ** k * (odd_lcm // (2 * k + 1))
-    without_last = with_last - (-1) ** last * (odd_lcm // (2 * last + 1))
-    denominator = odd_lcm * power
-    before, after = Fraction(without_last, denominator), Fraction(with_last, denominator)
-    return RationalInterval(before, after) if last % 2 == 0 else RationalInterval(after, before)
+    def __init__(self, x: int) -> None:
+        self.x = x
+        self.numerators = [1]
+        self.lcms = [1]
+        self.tails = [x]
+
+    def bracket(self, bound: int) -> tuple[int, int, int]:
+        """(lo, hi, d) with arctan(1/x) in [lo/d, hi/d] and hi - lo <= d/bound.
+
+        The ends are the partial sums through terms K - 1 and K, for the
+        first K whose term is at most 1/bound, found by a binary search of
+        the tails after growing the series to it; d = lcms[K] x^(2K+1).
+        Step K sets numerators[K] = numerators[K-1] x^2 lcms[K]/lcms[K-1]
+        + (-1)^K lcms[K]/(2K+1).
+        """
+        tails = self.tails
+        if tails[-1] < bound:
+            with _SERIES_LOCK:
+                xx = self.x * self.x
+                while tails[-1] < bound:
+                    k = len(tails)
+                    lcm = self.lcms[-1]
+                    step = (2 * k + 1) // math.gcd(lcm, 2 * k + 1)
+                    lcm *= step
+                    term = lcm // (2 * k + 1)
+                    self.numerators.append(
+                        self.numerators[-1] * xx * step + (-term if k & 1 else term)
+                    )
+                    self.lcms.append(lcm)
+                    tails.append(tails[-1] // (2 * k - 1) * xx * (2 * k + 1))
+        k = bisect.bisect_left(tails, bound)
+        with_last = self.numerators[k]
+        term = self.lcms[k] // (2 * k + 1)
+        if k & 1:
+            return with_last, with_last + term, term * tails[k]
+        return with_last - term, with_last, term * tails[k]
+
+
+# Growing a series reads its last term and appends the next: two threads
+# doing so at once could append one term twice.
+_SERIES_LOCK = threading.Lock()
+
+
+# One series per x, shared by every precision.  An lru cache, not a
+# module-level object: clearing the module's lru caches then starts both
+# series over as in a fresh process.
+@lru_cache(maxsize=2)
+def _gregory_series(x: int) -> _GregorySeries:
+    return _GregorySeries(x)
 
 
 # zeta_special.zeta_abs_lower_bound alone asks for a precision per k above
@@ -539,15 +571,22 @@ def pi_interval(precision: int) -> RationalInterval:
     """Enclosure of pi with width <= 2**(1 - precision).
 
     Machin's identity pi = 16 arctan(1/5) - 4 arctan(1/239), each arctangent
-    enclosed via its alternating series.  Enclosures at higher precision are
-    nested inside lower-precision ones because the partial-sum brackets of an
-    alternating series are nested.  Each series is summed in integers over
-    one common denominator and reduced once; Fractions being canonical, the
-    endpoints are bit for bit those of a term-by-term Fraction sum.
+    enclosed between consecutive partial sums of its alternating Gregory
+    series, which therefore nest: an enclosure at a higher precision lies
+    inside one at a lower.  The two series are shared by every precision and
+    grown a term at a time on demand, so a new precision pays only for terms
+    no precision has needed before.  Each series' last term K is the first
+    at most 2**-(precision + 5) for x = 5 and 2**-(precision + 3) for
+    x = 239, found by a binary search of the stored tails (2K+1) x^(2K+1).
+    Both ends of pi are formed in integers over the product of the two
+    series' denominators and reduced once each; Fractions being canonical,
+    they are bit for bit those of a term-by-term Fraction sum.
     """
     if precision < 8:
         raise ValueError(f"precision must be at least 8 bits, got {precision}")
-    budget = Fraction(1, 1 << precision)
-    a5 = _arctan_recip_interval(5, budget / 32)
-    a239 = _arctan_recip_interval(239, budget / 8)
-    return a5.scale(16) - a239.scale(4)
+    lo5, hi5, d5 = _gregory_series(5).bracket(1 << (precision + 5))
+    lo239, hi239, d239 = _gregory_series(239).bracket(1 << (precision + 3))
+    return RationalInterval(
+        Fraction(16 * lo5 * d239 - 4 * hi239 * d5, d5 * d239),
+        Fraction(16 * hi5 * d239 - 4 * lo239 * d5, d5 * d239),
+    )

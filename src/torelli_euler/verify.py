@@ -457,7 +457,15 @@ def _check_pi_enclosure(ctx: dict) -> Outcome:
         return "fail", f"width {decimal_string(enclosure.width, 45)} exceeds 2^-120"
     if not enclosure.contains(PI_REFERENCE):
         return "fail", "reference value of pi falls outside the enclosure"
-    return "pass", "pi enclosed at 128 bits, width <= 2^-120, reference value inside"
+    # The two rational premises a recheck of the bound can rest on.
+    if not Fraction(333, 106) < enclosure.lo:
+        return "fail", "the enclosure does not lie above 333/106"
+    if not enclosure.hi < Fraction(22, 7):
+        return "fail", "the enclosure does not lie below 22/7"
+    return (
+        "pass",
+        "pi enclosed at 128 bits, width <= 2^-120, reference value inside, 333/106 < pi < 22/7",
+    )
 
 
 def run_verification_suite(

@@ -123,18 +123,25 @@ def zeta_abs_lower_bound(k: int) -> RationalInterval:
     otherwise the strict comparison |zeta(1-2k)| > hi would become
     undecidable for k above ~30.  The power is rounded outward to 32 bits
     beyond that precision, which keeps its endpoints small without eating
-    into the margin.  It is taken in integers from `_positive_power`, and
-    each end of the enclosure is one `dyadic_fraction`: 2 (2k-1)! over the
-    power's hi (for lo) or lo (for hi) mantissa, times 2 to the negated
-    exponent.  Lowest terms being unique, the endpoints are the Fractions
-    2 (2k-1)! / hi and 2 (2k-1)! / lo of `(2pi).power(2k, bits)`.
+    into the margin.  It is taken in integers from `_positive_power` as
+    pi^(2k), with 2k added to both exponents for the factor 2^(2k).  The
+    ends of pi have odd denominators (those of the two Gregory series are
+    odd), so doubling an end adds one to its numerator's bit length and
+    nothing to its denominator's: `_round_to_bits` keeps the mantissa and
+    moves the exponent by one, and every rounded product after it is that
+    of (2pi)'s ends shifted.  So the mantissas are those of
+    `(2pi).power(2k, bits)`.  Each end of the enclosure is one
+    `dyadic_fraction`: 2 (2k-1)! over the power's hi (for lo) or lo (for
+    hi) mantissa, times 2 to the negated exponent.  Lowest terms being
+    unique, the endpoints are the Fractions 2 (2k-1)! / hi and
+    2 (2k-1)! / lo of `(2pi).power(2k, bits)`.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     effective = max(64, 2 * k + 32)
-    two_pi = pi_interval(effective).scale(2)
-    lo, lo_exp, hi, hi_exp = _positive_power(two_pi, 2 * k, effective + 32)
+    lo, lo_exp, hi, hi_exp = _positive_power(pi_interval(effective), 2 * k, effective + 32)
     numerator = 2 * math.factorial(2 * k - 1)
     return RationalInterval(
-        dyadic_fraction(numerator, -hi_exp, hi), dyadic_fraction(numerator, -lo_exp, lo)
+        dyadic_fraction(numerator, -hi_exp - 2 * k, hi),
+        dyadic_fraction(numerator, -lo_exp - 2 * k, lo),
     )

@@ -44,6 +44,7 @@ from torelli_euler.euler_char import e_mn
 from torelli_euler import verify
 from torelli_euler.exact_core import (
     RationalInterval,
+    _gregory_series,
     dyadic_fraction,
     factorial_valuation,
     p_adic_valuation,
@@ -612,6 +613,25 @@ def _shared_table_case(table):
     )
 
 
+def _pi_series_case():
+    # Both Gregory series of pi_interval, started over after one thread's
+    # pass, asked at shuffled precisions.
+    p_max = 400
+
+    def state():
+        return [
+            (list(series.numerators), list(series.lcms), list(series.tails))
+            for series in (_gregory_series(5), _gregory_series(239))
+        ]
+
+    expected = [None] * 8 + [pi_interval(p) for p in range(8, p_max + 1)]
+    expected_state = state()
+    pi_interval.cache_clear()
+    _gregory_series.cache_clear()
+    orders = [random.Random(worker).sample(range(8, p_max + 1), p_max - 7) for worker in range(8)]
+    return pi_interval, orders, expected, state, expected_state
+
+
 def test_memos_extended_from_many_threads_match_one_thread(table600):
     # Threads extending both ends' single-term and prefix memos at once must
     # file every entry under its own k, each term stepped once from the one
@@ -619,10 +639,12 @@ def test_memos_extended_from_many_threads_match_one_thread(table600):
     # Threads moving one table's running zeta product in shuffled orders
     # must each read the product at their own m, with each zeta value filed
     # under its own k.
-    for read, orders, expected, state, expected_state in (
-        _bound_memos_case(),
-        _shared_table_case(table600),
-    ):
+    # Threads growing pi's two shared series from cleared caches must append
+    # each term once, and read every enclosure as one thread does.
+    # Each case is set up just before its threads start: the bound memos'
+    # threads grow the pi series too.
+    for case in (_bound_memos_case, lambda: _shared_table_case(table600), _pi_series_case):
+        read, orders, expected, state, expected_state = case()
         results, errors = {}, []
         start = threading.Barrier(8)
 

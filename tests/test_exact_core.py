@@ -490,6 +490,26 @@ def test_pi_interval_is_the_fraction_series_bit_for_bit():
         previous = enclosure
 
 
+def test_cleared_caches_start_the_pi_series_over():
+    # As before every CLI request of the benchmark, and as in a fresh
+    # process: with every lru cache of the module cleared, both series are
+    # back at their first term, and a later enclosure is the same.
+    at96 = pi_interval(96)
+    pi_interval(400)
+    assert len(exact_core._gregory_series(5).tails) > 1
+    for obj in vars(exact_core).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    for x in (5, 239):
+        series = exact_core._gregory_series(x)
+        assert (series.numerators, series.lcms, series.tails) == ([1], [1], [x])
+    again = pi_interval(96)
+    assert _same_endpoints(again, at96) and _same_endpoints(again, fraction_pi(96))
+    # Grown only as far as 96 bits need: the first term at most 2^-101.
+    series = exact_core._gregory_series(5)
+    assert series.tails[-2] < 1 << 101 <= series.tails[-1]
+
+
 def test_pi_interval_rejects_tiny_precision():
     with pytest.raises(ValueError):
         pi_interval(4)

@@ -16,6 +16,7 @@ from torelli_euler.certify import (
     threshold_for_n,
     upper_bound_interval,
 )
+from torelli_euler.exact_core import RationalInterval
 
 
 # The report's check ids, in the suite's order.
@@ -122,6 +123,23 @@ def test_von_staudt_clausen_fails_on_a_tampered_value(table600, tamper, diagnosi
     check = next(fn for cid, _, fn in verify._CHECKS if cid == "von-staudt-clausen")
     status, witness = check({"table": _StubTable(table600, 150, tamper(table600.even(150)))})
     assert (status, witness) == ("fail", f"{diagnosis} at 2k = 300")
+
+
+def test_pi_enclosure_states_its_rational_premises(monkeypatch):
+    check = next(fn for cid, _, fn in verify._CHECKS if cid == "pi-enclosure")
+    assert check({}) == (
+        "pass",
+        "pi enclosed at 128 bits, width <= 2^-120, reference value inside, 333/106 < pi < 22/7",
+    )
+    # An enclosure that meets the width and holds the reference but reaches
+    # either premise's bound fails on that premise.
+    for bound, diagnosis in (
+        (Fraction(333, 106), "the enclosure does not lie above 333/106"),
+        (Fraction(22, 7), "the enclosure does not lie below 22/7"),
+    ):
+        monkeypatch.setattr(verify, "pi_interval", lambda _: RationalInterval(bound, bound))
+        monkeypatch.setattr(verify, "PI_REFERENCE", bound)
+        assert check({}) == ("fail", diagnosis)
 
 
 # The checks that read e(m,1) from the suite's one n = 1 column.
