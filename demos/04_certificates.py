@@ -5,8 +5,9 @@ The story for n = 1: e(m,1) is an integer through m = 5, picks up the prime
 691 in its denominator at m = 6, and from m = 14 on is certified to lie in
 (0, 1) by the interval bound alone.  A scan then covers a grid, and the
 closing-bound display for the wide window n <= 677 is evaluated in both of
-its readings.  The valuation ledger reaches the scan's witnesses from
-p-adic valuations alone, one witness per prime per row segment.
+its readings.  The valuation ledger reaches the scan's 691 and 3617
+witnesses from p-adic valuations alone, one witness per prime per run of a
+row.
 """
 
 from torelli_euler import (
@@ -44,12 +45,13 @@ for point in scan((4, 8), (1, 3), "exact", table):
     print(f"  m={point.m} n={point.n}: "
           f"{certificate_text(point.certificate, 6)}{mark}")
 
-print("\nThe same block from the valuation ledger, as row segments: e(m,n) is")
-print("formed only where neither 691 nor 3617 witnesses, and v_p(e(m,n)) never")
-print("falls as n grows, so one witness at a segment's last n covers the whole run:")
-for segment in ledger_segments((4, 8), (1, 3), table):
-    print(f"  m={segment.m} n={segment.n_first}..{segment.n_last}: "
-          f"{certificate_text(segment.certificate, 6)}")
+print("\nThe same block from the valuation ledger, without forming e(m,n):")
+print("v_p(e(m,n)) never falls as n grows, so one witness at a run's last n")
+print("covers the whole run.  Rows 4 and 5 yield no run: neither 691 nor 3617")
+print("divides zeta(1-2k) for k <= 5, and e(m,n) is an integer there, as the")
+print("scan above shows.  A point no run covers is the scan's to decide:")
+for witness in ledger_segments((4, 8), (1, 3), table):
+    print(f"  {certificate_text(witness, 6)}")
 
 print("\nThe closing bound for the wide window n <= 677 has two readings:")
 threshold = wide_range_constant_form_threshold(45)

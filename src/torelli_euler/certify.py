@@ -5,8 +5,9 @@ unsound certificate cannot exist as an object:
 
   IntegerValue      e(m,n) reduced to denominator 1
   PrimeWitness      a prime with negative valuation in e(m,n)
-  ValuationWitness  the same, with v_p(e(m,n)) assembled from Legendre's
-                    formula and the p-adic valuations of zeta(1-2k)
+  ValuationWitness  the same over a run of a row, with v_p(e(m,n)) assembled
+                    from Legendre's formula and the p-adic valuations of
+                    zeta(1-2k)
   MagnitudeWitness  a certified bound 0 < e(m,n) < 1
 
 plus an explicit Inconclusive outcome which is never silently conflated
@@ -25,9 +26,10 @@ enclosure both.  Exact certificates read the exact e(m,n)
 of `euler_char.e_mn`; witness primes are chosen deterministically (691,
 then 3617, then the smallest prime factor of the reduced denominator up to
 WITNESS_SEARCH_LIMIT).  The valuation ledger (`ledger_segments`) reaches
-the same witnesses over a grid as row segments, without forming e(m,n)
-wherever 691 or 3617 suffices: one witness per prime per row, whose run ends
-where Legendre's formula, inverted, meets the prime's bar.
+the 691 and 3617 witnesses over a grid without forming e(m,n): one
+ValuationWitness per prime per row, whose run n_first..n_last ends where
+Legendre's formula, inverted, meets the prime's bar.  A point no run covers
+is left to the scan.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ __all__ = [
     "CertificateError",
     "Inconclusive",
     "IntegerValue",
-    "LedgerSegment",
     "MAX_EXACT_M",
     "MAX_WITNESSED_N",
     "MagnitudeWitness",
@@ -123,7 +124,7 @@ class IntegerValue(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.value, int):
+        if isinstance(self.value, bool) or not isinstance(self.value, int):
             raise CertificateError(f"integer certificate holds {self.value!r}")
 
 
@@ -147,31 +148,44 @@ class PrimeWitness(_Record):
 
 
 class ValuationWitness(_Record):
-    """v_p(e(m,n)) < 0 for the prime p, read off valuations alone.
+    """v_p(e(m,n)) < 0 for the prime p at every n = n_first..n_last of row m.
 
     v_p(e(m,n)) = v_p((2m+n-1)!) - v_p((2m)!) - sum_{k<=m} v_p(zeta(1-2k)).
     `zeta_valuations` lists (k, v_p(zeta(1-2k))) for the k <= m with a
     nonzero valuation, k increasing; every k it omits counts as 0.  The
-    recheck recomputes the factorial terms by Legendre's formula and the sum
-    from the list.  The listed valuations themselves come from a validated
-    Bernoulli table, against which they can be checked again.
+    recheck recomputes the factorial terms at n_last by Legendre's formula
+    and the sum from the list; `valuation` is v_p(e(m,n_last)).  As
+    v_p((2m+n-1)!) never decreases in n, neither does v_p(e(m,n)), so a
+    valuation negative at n_last is negative over the whole run.  The listed
+    valuations themselves come from a validated Bernoulli table, against
+    which they can be checked again.
     """
 
-    __slots__ = _fields = ("m", "n", "p", "valuation", "zeta_valuations")
+    __slots__ = _fields = ("m", "n_first", "n_last", "p", "valuation", "zeta_valuations")
 
     def __init__(
-        self, m: int, n: int, p: int, valuation: int, zeta_valuations: tuple[tuple[int, int], ...]
+        self,
+        m: int,
+        n_first: int,
+        n_last: int,
+        p: int,
+        valuation: int,
+        zeta_valuations: tuple[tuple[int, int], ...],
     ) -> None:
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n_first", n_first)
+        object.__setattr__(self, "n_last", n_last)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "valuation", valuation)
         object.__setattr__(self, "zeta_valuations", zeta_valuations)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise CertificateError(f"need m, n >= 1, got m={self.m}, n={self.n}")
+        if self.m < 1 or not 1 <= self.n_first <= self.n_last:
+            raise CertificateError(
+                f"need m >= 1 and 1 <= n_first <= n_last, got m={self.m}, "
+                f"n = {self.n_first}..{self.n_last}"
+            )
         if not is_probable_prime(self.p):
             raise CertificateError(f"witness {self.p} is not prime")
         zeta_sum = previous = 0
@@ -184,7 +198,7 @@ class ValuationWitness(_Record):
             zeta_sum += v
             previous = k
         recomputed = (
-            _legendre(2 * self.m + self.n - 1, self.p)
+            _legendre(2 * self.m + self.n_last - 1, self.p)
             - _legendre(2 * self.m, self.p)
             - zeta_sum
         )
@@ -626,43 +640,6 @@ def scan(
     yield from _certificates(m_lo, m_hi, n_lo, n_hi, strategy, table)
 
 
-class LedgerSegment(_Record):
-    """The points (m, n_first), ..., (m, n_last) of one row under one certificate.
-
-    A ValuationWitness sits at (m, n_last) and covers the whole segment:
-    v_p((2m+n-1)!) never decreases as n grows, so neither does v_p(e(m,n)),
-    and a valuation negative at n_last is negative at every n before it.
-    Any other certificate covers a single point.
-    """
-
-    __slots__ = _fields = ("m", "n_first", "n_last", "certificate")
-
-    def __init__(self, m: int, n_first: int, n_last: int, certificate: Certificate) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n_first", n_first)
-        object.__setattr__(self, "n_last", n_last)
-        object.__setattr__(self, "certificate", certificate)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.m < 1 or not 1 <= self.n_first <= self.n_last:
-            raise CertificateError(
-                f"need m >= 1 and 1 <= n_first <= n_last, got m={self.m}, "
-                f"n = {self.n_first}..{self.n_last}"
-            )
-        cert = self.certificate
-        if isinstance(cert, ValuationWitness):
-            if (cert.m, cert.n) != (self.m, self.n_last):
-                raise CertificateError(
-                    f"witness at ({cert.m}, {cert.n}) cannot cover the segment "
-                    f"ending at ({self.m}, {self.n_last})"
-                )
-        elif self.n_first != self.n_last:
-            raise CertificateError(
-                f"{type(cert).__name__} covers one point, not n = {self.n_first}..{self.n_last}"
-            )
-
-
 def first_n_reaching(m: int, p: int, bar: int) -> int:
     """The least n >= 1 with D_p(m,n) = v_p((2m+n-1)!) - v_p((2m)!) >= bar.
 
@@ -688,18 +665,19 @@ def ledger_segments(
     m_range: tuple[int, int],
     n_range: tuple[int, int],
     table: BernoulliTable,
-) -> Iterator[LedgerSegment]:
-    """The certificates of an exact scan as row segments, from p-adic valuations.
+) -> Iterator[ValuationWitness]:
+    """The runs of each row that 691 or 3617 witnesses, from p-adic valuations.
 
     For each p in WITNESS_PRIMES a running ledger holds the nonzero
     v_p(zeta(1-2k)) for k <= m, each taken once from the table; their sum is
     the bar.  As v_p(e(m,n)) never decreases along a row, a prime's points
     there form one run, which `first_n_reaching` ends by inverting Legendre's
-    formula.  So each row is at most a 691 segment, then a 3617 segment, then
-    single points neither prime witnesses, certified by the exact scan's one
-    walk along the rest of the row.  691 comes before 3617 as in
-    certificate_from_exact, so every point gets the p and valuation it would
-    report.  For m >= 6 no point of the window 2m + n - 1 < 3617 needs e(m,n).
+    formula.  So each row yields at most a 691 run and then a 3617 run, the
+    first starting at the range's first n and the second where the first
+    ends: 691 comes before 3617 as in certificate_from_exact, so every point
+    a run covers gets the p and valuation an exact scan reports.  The points
+    after a row's last run are left to `scan`; none remain for m = 6..54 and
+    n <= 677, as `whole-claim` checks.
     """
     m_lo, m_hi = _validate_range(m_range, "m")
     n_lo, n_hi = _validate_range(n_range, "n")
@@ -719,11 +697,8 @@ def ledger_segments(
             n_last = min(n_hi, first_n_reaching(m, p, bar) - 1)
             if n_last >= n_first:
                 diff = _legendre(2 * m + n_last - 1, p) - _legendre(2 * m, p)
-                witness = ValuationWitness(m, n_last, p, diff - bar, tuple(entries))
-                yield LedgerSegment(m, n_first, n_last, witness)
+                yield ValuationWitness(m, n_first, n_last, p, diff - bar, tuple(entries))
                 n_first = n_last + 1
-        for point in _certificates(m, m, n_first, n_hi, "exact", table):
-            yield LedgerSegment(m, point.n, point.n, point.certificate)
 
 
 # ---------------------------------------------------------------------------

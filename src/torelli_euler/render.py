@@ -100,7 +100,8 @@ def certificate_to_json(cert: Certificate) -> dict[str, Any]:
         return {
             "kind": "valuation-witness",
             "m": cert.m,
-            "n": cert.n,
+            "n_first": cert.n_first,
+            "n_last": cert.n_last,
             "p": str(cert.p),
             "valuation": cert.valuation,
             "zeta_valuations": [[k, v] for k, v in cert.zeta_valuations],
@@ -133,7 +134,8 @@ def certificate_from_json(obj: Any) -> Certificate:
         if kind == "valuation-witness":
             return ValuationWitness(
                 m=int(obj["m"]),
-                n=int(obj["n"]),
+                n_first=int(obj["n_first"]),
+                n_last=int(obj["n_last"]),
                 p=int(obj["p"]),
                 valuation=int(obj["valuation"]),
                 zeta_valuations=tuple((int(k), int(v)) for k, v in obj["zeta_valuations"]),
@@ -161,7 +163,8 @@ def certificate_text(cert: Certificate, digits: int = 12) -> str:
         listed = ", ".join(f"k={k}: {v}" for k, v in cert.zeta_valuations) or "none"
         return (
             f"non-integer (valuation witness): v_{cert.p} = {cert.valuation} "
-            f"of e({cert.m},{cert.n}); nonzero v_{cert.p}(zeta(1-2k)): {listed}"
+            f"of e({cert.m},{cert.n_last}), negative over n = {cert.n_first}..{cert.n_last}; "
+            f"nonzero v_{cert.p}(zeta(1-2k)): {listed}"
         )
     if isinstance(cert, MagnitudeWitness):
         return (

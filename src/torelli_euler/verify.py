@@ -10,11 +10,11 @@ in definition order: the acceptance tests run the suite and assert every
 check, rather than restating them.
 The suite works over a Bernoulli table to index 600.  The check of the
 whole claim proves it for every m >= 6 and n <= 677 (`_prove_claim`): the
-rows below the bound's threshold m0 by witnesses read off the valuation
-ledger as row segments (`certify.ledger_segments`), where one rechecked
-witness per prime per row covers a run of points, ended by inverting
-Legendre's formula, and no exact ~10^5-digit e(m,n) is formed; the rows
-from m0 on by the bound.  Each shared record is formed once per run, by the
+rows below the bound's threshold m0 by the valuation ledger's witnesses
+(`certify.ledger_segments`), each one rechecked `ValuationWitness` for one
+prime over a run n_first..n_last of a row, ended by inverting Legendre's
+formula, so that no exact ~10^5-digit e(m,n) is formed; the rows from m0 on
+by the bound.  Each shared record is formed once per run, by the
 first check that asks: the threshold at n = 677 by `_claim_threshold`, and
 the n = 1 column, e(m,1) for m = 1..100 in one exact scan, by `_column`.
 """
@@ -38,7 +38,6 @@ from .certify import (
     BoundSequence,
     Certificate,
     IntegerValue,
-    LedgerSegment,
     MAX_WITNESSED_N,
     PrimeWitness,
     ThresholdResult,
@@ -354,7 +353,7 @@ _RATIO_GAP = ((2, 1, 4), (1, 2, 4), (1, 1, 20), (0, 2, 10), (0, 1, 22))
 
 
 def _prove_claim(
-    segments: tuple[LedgerSegment, ...],
+    witnesses: tuple[ValuationWitness, ...],
     link: BoundSequence,
     n_max: int,
     table: BernoulliTable,
@@ -362,10 +361,11 @@ def _prove_claim(
 ) -> Outcome:
     """e(m,n) is not an integer for every m >= 6 and n <= n_max.
 
-    Rows m = 6..m0-1, m0 = link.m: valuation witnesses over n = 1..n_max, in
-    row order, listing the table's zeta valuations.  From m0 on, U(m,n) <=
-    U(m,n_max) <= U(m0,n_max) < 1: U gains 2m+n from n to n+1, and its ratio,
-    below 1 at m0, falls in m, as A <= 1 and (2pi)^2 < 42 <= (2m+3)(2m+2).
+    Rows m = 6..m0-1, m0 = link.m: valuation witnesses whose runs tile
+    n = 1..n_max, in row order, listing the table's zeta valuations.  From
+    m0 on, U(m,n) <= U(m,n_max) <= U(m0,n_max) < 1: U gains 2m+n from n to
+    n+1, and its ratio, below 1 at m0, falls in m, as A <= 1 and
+    (2pi)^2 < 42 <= (2m+3)(2m+2).
     A's gap has degree at most 4 in x and in j, so a `gap` of such degrees
     that agrees with it on x, j = 0..4 is it.
     """
@@ -380,24 +380,23 @@ def _prove_claim(
         return "fail", f"gap {gap} is not A's with degrees <= 4 and no negative coefficient"
     if not (2 * pi_interval(64).hi) ** 2 < 42:
         return "fail", "(2pi)^2 is not certified below 42"
-    rows = [segment for segment in segments if segment.m < m0]
+    rows = [witness for witness in witnesses if witness.m < m0]
     m, n_next = 6, 1
     listed: dict[int, list[tuple[int, int]]] = {}  # per prime, the nonzero v_p(zeta(1-2k)), k < m0
-    for segment in rows:
-        cert = segment.certificate
-        if (segment.m, segment.n_first) != (m, n_next) or not isinstance(cert, ValuationWitness):
+    for witness in rows:
+        if (witness.m, witness.n_first) != (m, n_next):
             return "fail", f"no valuation witness starts at (m, n) = ({m}, {n_next})"
-        if cert.p not in listed:
+        p = witness.p
+        if p not in listed:
             zetas = enumerate((zeta_one_minus_2k(k, table) for k in range(1, m0)), 1)
-            listed[cert.p] = [(k, v) for k, z in zetas if (v := p_adic_valuation(z, cert.p))]
-        if cert.zeta_valuations != tuple(kv for kv in listed[cert.p] if kv[0] <= m):
-            return "fail", f"the witness at ({m}, {cert.n}) lists zeta valuations not the table's"
-        m, n_next = (m + 1, 1) if segment.n_last >= n_max else (m, segment.n_last + 1)
+            listed[p] = [(k, v) for k, z in zetas if (v := p_adic_valuation(z, p))]
+        if witness.zeta_valuations != tuple(kv for kv in listed[p] if kv[0] <= m):
+            run = f"({m}, {witness.n_first}..{witness.n_last})"
+            return "fail", f"the witness of {run} lists zeta valuations not the table's"
+        m, n_next = (m + 1, 1) if witness.n_last >= n_max else (m, witness.n_last + 1)
     if m < m0:
         return "fail", f"no valuation witness starts at (m, n) = ({m}, {n_next})"
-    split = ", ".join(
-        f"{sum(segment.certificate.p == p for segment in rows)} with p = {p}" for p in listed
-    )
+    split = ", ".join(f"{sum(w.p == p for w in rows)} with p = {p}" for p in listed)
     return (
         "pass",
         f"rows m = 6..{m0 - 1} by {len(rows)} valuation witnesses ({split}); "
@@ -414,8 +413,8 @@ def _check_whole_claim(ctx: dict) -> Outcome:
     if not result.found:
         return "fail", f"U(m,{result.n}) is not certified below 1 at m = {result.m_cap}"
     link, table = result.chain[0], ctx["table"]
-    segments = tuple(ledger_segments((6, link.m - 1), (1, MAX_WITNESSED_N), table))
-    return _prove_claim(segments, link, MAX_WITNESSED_N, table)
+    witnesses = tuple(ledger_segments((6, link.m - 1), (1, MAX_WITNESSED_N), table))
+    return _prove_claim(witnesses, link, MAX_WITNESSED_N, table)
 
 
 @_check("claim-sharp", "n <= 677 is sharp: e(7,678) and e(6,680) are integers")

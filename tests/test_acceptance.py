@@ -103,7 +103,7 @@ def test_criterion_4_wide_grid_scan(table600):
     # reduced numerator and denominator, with no witness search of the library.
     started = time.perf_counter()
     total = 0
-    # Each point of the ledger, with the segment whose witness covers it.
+    # Each point of the ledger, with the witness whose run covers it.
     ledger = iter(_points(ledger_segments((6, 200), (1, 677), table600)))
     for m in range(6, 201):
         value = e_mn(m, 1, table600)
@@ -130,10 +130,9 @@ def test_criterion_4_wide_grid_scan(table600):
             while rest % p ** (1 - valuation) == 0:
                 valuation -= 1
             # The valuation ledger reaches the same witness without e(m,n).
-            segment, ledger_n = next(ledger)
-            witness = segment.certificate
+            witness, ledger_n = next(ledger)
             assert isinstance(witness, ValuationWitness), (m, n)
-            assert (segment.m, ledger_n, witness.p, _valuation(witness, ledger_n)) == (
+            assert (witness.m, ledger_n, witness.p, _valuation(witness, ledger_n)) == (
                 m, n, p, valuation
             )
     elapsed = time.perf_counter() - started

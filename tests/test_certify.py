@@ -22,7 +22,6 @@ from torelli_euler.certify import (
     CertificateError,
     Inconclusive,
     IntegerValue,
-    LedgerSegment,
     MagnitudeWitness,
     PrimeWitness,
     ScanPoint,
@@ -69,19 +68,27 @@ def test_prime_witness_rejects_wrong_claims():
         PrimeWitness(value=Fraction(3), p=3, valuation=1)  # nonnegative valuation
 
 
+def test_integer_value_refuses_anything_but_an_int():
+    # A bool is an int to isinstance, but would render as "True".
+    assert IntegerValue(1).value == 1
+    for value in (True, False, 1.0, Fraction(1), "1"):
+        with pytest.raises(CertificateError):
+            IntegerValue(value)
+
+
 def test_valuation_witness_rejects_wrong_claims():
     # e(6,1) = 12!/12! / prod |zeta(1-2k)|; 691 divides zeta(-11) once.
-    assert ValuationWitness(6, 1, 691, -1, ((6, 1),)).valuation == -1
+    assert ValuationWitness(6, 1, 1, 691, -1, ((6, 1),)).valuation == -1
     bad_claims = [
-        (6, 1, 691, -2, ((6, 1),)),  # valuation off by one
-        (6, 1, 691, 0, ()),  # nonnegative valuation
-        (6, 1, 693, -1, ((6, 1),)),  # p not prime
-        (6, 1, 691, -1, ((7, 1),)),  # k past m
-        (6, 1, 691, -1, ((0, 1),)),  # k below 1
-        (6, 1, 691, -1, ((5, 0), (6, 1))),  # zero entry
-        (6, 1, 691, -2, ((6, 1), (6, 1))),  # repeated k
-        (6, 1, 691, -1, ((3, 2), (2, -1))),  # k out of order
-        (0, 1, 691, -1, ()),  # m below 1
+        (6, 1, 1, 691, -2, ((6, 1),)),  # valuation off by one
+        (6, 1, 1, 691, 0, ()),  # nonnegative valuation
+        (6, 1, 1, 693, -1, ((6, 1),)),  # p not prime
+        (6, 1, 1, 691, -1, ((7, 1),)),  # k past m
+        (6, 1, 1, 691, -1, ((0, 1),)),  # k below 1
+        (6, 1, 1, 691, -1, ((5, 0), (6, 1))),  # zero entry
+        (6, 1, 1, 691, -2, ((6, 1), (6, 1))),  # repeated k
+        (6, 1, 1, 691, -1, ((3, 2), (2, -1))),  # k out of order
+        (0, 1, 1, 691, -1, ()),  # m below 1
     ]
     for claim in bad_claims:
         with pytest.raises(CertificateError):
@@ -907,24 +914,24 @@ def test_wide_range_forms_threshold():
 
 
 def test_ledger_scan_matches_exact_scan(table60):
-    # m = 1..5 reaches the exact fallback: integers and witnesses other than
-    # 691 and 3617.  Where the ledger witnesses, p and v_p must agree at
-    # every point of the segment.
-    exact = list(scan((1, 30), (1, 40), "exact", table60))
-    ledger = _points(ledger_segments((1, 30), (1, 40), table60))
-    assert [(a.m, a.n) for a in exact] == [(segment.m, n) for segment, n in ledger]
-    fallbacks = 0
-    for a, (segment, n) in zip(exact, ledger):
-        cert = segment.certificate
-        if isinstance(cert, ValuationWitness):
-            assert (cert.p, _valuation(cert, n)) == (
-                a.certificate.p, a.certificate.valuation
-            ), (a.m, a.n)
-            assert cert.p in WITNESS_PRIMES
+    # The runs cover exactly the points the exact scan witnesses by 691 or
+    # 3617, with its p and v_p at each; the rest (m <= 5 here: integers and
+    # witnesses by other primes) are the scan's alone.
+    runs = ledger_segments((1, 30), (1, 40), table60)
+    covered = {(witness.m, n): witness for witness, n in _points(runs)}
+    uncovered = 0
+    for point in scan((1, 30), (1, 40), "exact", table60):
+        cert, witness = point.certificate, covered.pop((point.m, point.n), None)
+        if witness is None:
+            uncovered += 1
+            assert isinstance(cert, IntegerValue) or (
+                isinstance(cert, PrimeWitness) and cert.p not in WITNESS_PRIMES
+            ), (point.m, point.n)
         else:
-            fallbacks += 1
-            assert cert == a.certificate
-    assert 0 < fallbacks < len(ledger)
+            assert isinstance(cert, PrimeWitness), (point.m, point.n)
+            assert (witness.p, _valuation(witness, point.n)) == (cert.p, cert.valuation)
+    assert not covered
+    assert 0 < uncovered < 30 * 40
 
 
 def test_ledger_scan_validation(table60):
@@ -939,9 +946,8 @@ def test_ledger_lists_every_nonzero_zeta_valuation(table600):
     # For each witness prime, the certificate at its largest m lists exactly
     # the k with nonzero v_p(zeta(1-2k)), with the table's values.
     deepest = {}
-    for segment in ledger_segments((6, 200), (1, 677), table600):
-        cert = segment.certificate
-        assert isinstance(cert, ValuationWitness), (segment.m, segment.n_first)
+    for cert in ledger_segments((6, 200), (1, 677), table600):
+        assert isinstance(cert, ValuationWitness), (cert.m, cert.n_first)
         if cert.m >= deepest.get(cert.p, cert).m:
             deepest[cert.p] = cert
     assert set(deepest) == set(WITNESS_PRIMES) and deepest[691].m == 200
@@ -957,13 +963,15 @@ def test_ledger_lists_every_nonzero_zeta_valuation(table600):
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(1, 200), n=st.integers(1, 677))
 def test_ledger_matches_exact_certificate_at_random_points(table600, m, n):
-    (segment,) = ledger_segments((m, m), (n, n), table600)
+    runs = list(ledger_segments((m, m), (n, n), table600))
     exact = certificate_from_exact(e_mn(m, n, table600))
-    if isinstance(segment.certificate, ValuationWitness):
+    if runs:
+        (witness,) = runs
+        assert (witness.n_first, witness.n_last) == (n, n)
         assert isinstance(exact, PrimeWitness)
-        assert (segment.certificate.p, segment.certificate.valuation) == (exact.p, exact.valuation)
+        assert (witness.p, witness.valuation) == (exact.p, exact.valuation)
     else:
-        assert segment.certificate == exact
+        assert not (isinstance(exact, PrimeWitness) and exact.p in WITNESS_PRIMES)
 
 
 # --- the first n at which a prime's bar is met ------------------------------------
@@ -1027,7 +1035,7 @@ def test_first_n_reaching_needs_a_prime():
             first_n_reaching(6, p, 1)
 
 
-# --- the ledger's row segments ----------------------------------------------------
+# --- the ledger's witnessed runs ------------------------------------------------
 
 
 def _valuation(witness, n):
@@ -1035,82 +1043,79 @@ def _valuation(witness, n):
     return _diff(witness.m, n, witness.p) - sum(v for _, v in witness.zeta_valuations)
 
 
-def _points(segments):
-    # Each point the segments cover, in order, with the segment covering it.
-    return [(s, n) for s in segments for n in range(s.n_first, s.n_last + 1)]
+def _points(witnesses):
+    # Each point the runs cover, in order, with the witness covering it.
+    return [(w, n) for w in witnesses for n in range(w.n_first, w.n_last + 1)]
+
+
+def _window(name, table60, table600):
+    # The small window holds rows m <= 5 that no run covers; the standard one
+    # is the grid m = 6..200 of acceptance criterion 4.
+    if name == "small":
+        return (1, 30), (1, 40), table60
+    return (6, 200), (1, 677), table600
 
 
 @pytest.mark.parametrize("window", ["small", "standard"])
 def test_segments_expand_to_the_ledger_scan(table60, table600, window):
-    # The small window reaches the exact fallback (m <= 5); the standard one
-    # is the grid m = 6..200 of acceptance criterion 4.  The segments cover the grid
-    # point by point, row by row, and a witness holds at every n of its run.
-    if window == "small":
-        m_range, n_range, table = (1, 30), (1, 40), table60
-    else:
-        m_range, n_range, table = (6, 200), (1, 677), table600
-    segments = list(ledger_segments(m_range, n_range, table))
-    expanded = _points(segments)
+    # The runs cover their points once each, row by row, and a witness holds
+    # at every n of its run.  On the standard window they cover every point.
+    m_range, n_range, table = _window(window, table60, table600)
+    witnesses = list(ledger_segments(m_range, n_range, table))
+    assert all(isinstance(w, ValuationWitness) for w in witnesses)
+    expanded = _points(witnesses)
+    covered = [(w.m, n) for w, n in expanded]
+    assert covered == sorted(set(covered))
+    for witness, n in expanded:
+        assert _valuation(witness, n) <= _valuation(witness, witness.n_last)
+        assert _valuation(witness, witness.n_last) == witness.valuation < 0
     (m_lo, m_hi), (n_lo, n_hi) = m_range, n_range
-    assert [(s.m, n) for s, n in expanded] == [
-        (m, n) for m in range(m_lo, m_hi + 1) for n in range(n_lo, n_hi + 1)
-    ]
-    for segment, n in expanded:
-        cert = segment.certificate
-        if isinstance(cert, ValuationWitness):
-            assert _valuation(cert, n) <= _valuation(cert, segment.n_last) == cert.valuation < 0
-        else:
-            assert segment.n_first == segment.n_last == n
-    witnessed = [s for s in segments if isinstance(s.certificate, ValuationWitness)]
+    grid = [(m, n) for m in range(m_lo, m_hi + 1) for n in range(n_lo, n_hi + 1)]
     if window == "small":
-        assert len(witnessed) < len(segments)
+        assert 0 < len(covered) < len(grid)
     else:
-        assert len(segments) == len(witnessed) == 287
+        assert covered == grid and len(witnesses) == 287
 
 
 @pytest.mark.parametrize("window", ["small", "standard"])
 def test_every_witnessed_segment_is_maximal(table60, table600, window):
-    if window == "small":
-        m_range, (n_lo, n_hi), table = (1, 30), (1, 40), table60
-    else:
-        m_range, (n_lo, n_hi), table = (6, 200), (1, 677), table600
+    m_range, (n_lo, n_hi), table = _window(window, table60, table600)
     rows = {}
-    for segment in ledger_segments(m_range, (n_lo, n_hi), table):
-        rows.setdefault(segment.m, []).append(segment)
+    for witness in ledger_segments(m_range, (n_lo, n_hi), table):
+        rows.setdefault(witness.m, []).append(witness)
     for m, row in rows.items():
-        # Segments tile the row in order, each prime's run at most once.
-        assert row[0].n_first == n_lo and row[-1].n_last == n_hi
+        # Runs start at the range's first n and follow each other, each
+        # prime's run at most once, 691's first; none can be stretched.
+        assert row[0].n_first == n_lo
         assert all(a.n_last + 1 == b.n_first for a, b in zip(row, row[1:]))
-        primes = [s.certificate.p for s in row if isinstance(s.certificate, ValuationWitness)]
+        primes = [w.p for w in row]
         assert primes == sorted(set(primes), key=WITNESS_PRIMES.index)
-        for segment in row:
-            cert = segment.certificate
-            if isinstance(cert, ValuationWitness) and segment.n_last < n_hi:
-                assert _valuation(cert, segment.n_last + 1) >= 0, (m, segment)
+        for witness in row:
+            if witness.n_last < n_hi:
+                assert _valuation(witness, witness.n_last + 1) >= 0, (m, witness)
 
 
-def test_ledger_segment_rechecks_its_extent():
-    witness = ValuationWitness(6, 5, 691, -1, ((6, 1),))
-    assert LedgerSegment(6, 1, 5, witness).n_last == 5
-    assert LedgerSegment(1, 3, 3, IntegerValue(12)).certificate == IntegerValue(12)
-    bad_segments = [
-        (6, 5, 4, witness),  # n_first > n_last
-        (6, 0, 5, witness),  # n_first below 1
-        (0, 1, 1, IntegerValue(12)),  # m below 1
-        (6, 1, 4, witness),  # witness past n_last
-        (6, 1, 6, witness),  # witness before n_last
-        (7, 1, 5, witness),  # witness in another row
-        (1, 3, 4, IntegerValue(12)),  # a point certificate over two n
-        (2, 1, 3, Inconclusive("no witness")),
+def test_valuation_witness_rechecks_its_run():
+    # Row 6 has 691's bar 1, met at n = 680, where e(6,680) is an integer.
+    end = first_n_reaching(6, 691, 1)
+    assert end == 680
+    assert ValuationWitness(6, 1, end - 1, 691, -1, ((6, 1),)).n_last == end - 1
+    assert ValuationWitness(6, 5, 5, 691, -1, ((6, 1),)).n_first == 5
+    bad_runs = [
+        (6, 0, 5, 691, -1, ((6, 1),)),  # n_first below 1
+        (6, 5, 4, 691, -1, ((6, 1),)),  # n_first > n_last
+        (0, 1, 5, 691, -1, ()),  # m below 1
+        (6, 1, end, 691, -1, ((6, 1),)),  # stretched one point past its end
+        (6, 1, end, 691, 0, ((6, 1),)),  # the same, with the valuation at n = 680
     ]
-    for args in bad_segments:
+    for args in bad_runs:
         with pytest.raises(CertificateError):
-            LedgerSegment(*args)
+            ValuationWitness(*args)
 
 
 def test_standard_wide_grid_check_builds_one_witness_per_segment(table600, monkeypatch):
-    # Reading segments, the check of the whole claim rechecks one witness for
-    # each of its 96 segments, rows m = 6..54, not one for each of their
+    # The check of the whole claim builds and rechecks one witness for each
+    # of its 96 runs, rows m = 6..54, not one for each of their
     # 33,173 points: a return to per-point work fails here.
     built = []
     recheck = ValuationWitness.__post_init__

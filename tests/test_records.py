@@ -14,7 +14,6 @@ from torelli_euler import (
     CheckResult,
     Inconclusive,
     IntegerValue,
-    LedgerSegment,
     MagnitudeWitness,
     PrimeWitness,
     RationalInterval,
@@ -29,7 +28,10 @@ from torelli_euler.certify import WideRangeBoundForms
 
 _IV = "RationalInterval(lo=Fraction(1, 3), hi=Fraction(1, 2))"
 _BS = f"BoundSequence(m=1, n=2, value={_IV}, ratio_next={_IV})"
-_VW = "ValuationWitness(m=6, n=1, p=691, valuation=-1, zeta_valuations=((6, 1),))"
+_VW = (
+    "ValuationWitness(m=6, n_first=1, n_last=2, p=691, valuation=-1, "
+    "zeta_valuations=((6, 1),))"
+)
 _CR = "CheckResult(id='x', paper_ref='ref', status='pass', witness='w', elapsed_s=0.5)"
 
 
@@ -37,7 +39,7 @@ def _records():
     """One new instance of each record, and the repr its dataclass printed."""
     iv = RationalInterval(Fraction(1, 3), Fraction(1, 2))
     bound = BoundSequence(m=1, n=2, value=iv, ratio_next=iv)
-    witness = ValuationWitness(6, 1, 691, -1, ((6, 1),))
+    witness = ValuationWitness(6, 1, 2, 691, -1, ((6, 1),))
     check = CheckResult("x", "ref", "pass", "w", 0.5)
     return [
         (
@@ -63,10 +65,6 @@ def _records():
         ),
         (ScanPoint(6, 1, witness), f"ScanPoint(m=6, n=1, certificate={_VW})"),
         (
-            LedgerSegment(6, 1, 1, witness),
-            f"LedgerSegment(m=6, n_first=1, n_last=1, certificate={_VW})",
-        ),
-        (
             WideRangeBoundForms(3, iv, iv),
             f"WideRangeBoundForms(m=3, per_index_product={_IV}, constant_factor_product={_IV})",
         ),
@@ -83,16 +81,16 @@ _NAMES = [type(record).__name__ for record, _ in _records()]
 
 
 def test_every_record_is_covered_once():
-    assert len(_NAMES) == len(set(_NAMES)) == 14
+    assert len(_NAMES) == len(set(_NAMES)) == 13
 
 
-@pytest.mark.parametrize("index", range(14), ids=_NAMES)
+@pytest.mark.parametrize("index", range(13), ids=_NAMES)
 def test_repr_is_the_dataclass_text(index):
     record, text = _records()[index]
     assert repr(record) == text
 
 
-@pytest.mark.parametrize("index", range(14), ids=_NAMES)
+@pytest.mark.parametrize("index", range(13), ids=_NAMES)
 def test_equal_records_compare_and_hash_equal(index):
     record, twin = _records()[index][0], _records()[index][0]
     assert record is not twin
@@ -113,7 +111,7 @@ def test_records_of_different_classes_never_compare_equal():
     assert point != RationalInterval(Fraction(1, 2), Fraction(2, 3))
 
 
-@pytest.mark.parametrize("index", range(14), ids=_NAMES)
+@pytest.mark.parametrize("index", range(13), ids=_NAMES)
 def test_fields_cannot_be_assigned_or_deleted(index):
     record = _records()[index][0]
     for name in record._fields:
@@ -126,7 +124,7 @@ def test_fields_cannot_be_assigned_or_deleted(index):
     assert repr(record) == _records()[index][1]
 
 
-@pytest.mark.parametrize("index", range(14), ids=_NAMES)
+@pytest.mark.parametrize("index", range(13), ids=_NAMES)
 def test_copies_and_pickles_are_equal_records(index):
     record = _records()[index][0]
     for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
@@ -138,7 +136,10 @@ def test_construction_by_keyword_with_the_defaults():
     table = BernoulliTable(max_index=4, values=values)
     assert table.convention == CONVENTION == "minus-half"
     assert table == BernoulliTable(4, values, CONVENTION)
-    witness = ValuationWitness(m=6, n=1, p=691, valuation=-1, zeta_valuations=((6, 1),))
+    witness = ValuationWitness(
+        m=6, n_first=1, n_last=2, p=691, valuation=-1, zeta_valuations=((6, 1),)
+    )
+    assert witness == ValuationWitness(6, 1, 2, 691, -1, ((6, 1),))
     assert ScanPoint(m=6, n=1, certificate=witness) == ScanPoint(6, 1, witness)
     assert RationalInterval(lo=1, hi=2) == RationalInterval(Fraction(1), Fraction(2))
     check = CheckResult(id="x", paper_ref="ref", status="pass", witness="w", elapsed_s=0.5)

@@ -103,8 +103,12 @@ def test_certificate_json_rejects_unsound_witness():
          "valuation": -1},
         {"kind": "integer"},
         {"kind": "integer", "value": None},
+        {"kind": "integer", "value": "True"},
+        {"kind": "valuation-witness", "m": 6, "n_last": 1, "p": "691", "valuation": -1,
+         "zeta_valuations": [[6, 1]]},
     ],
-    ids=["zero-denominator", "negative-denominator", "missing-field", "field-type"],
+    ids=["zero-denominator", "negative-denominator", "missing-field", "field-type",
+         "bool-text", "no-n_first"],
 )
 def test_malformed_certificate_json_is_a_value_error(blob):
     with pytest.raises(ValueError):
@@ -112,10 +116,11 @@ def test_malformed_certificate_json_is_a_value_error(blob):
 
 
 def _ledger_certificates(table600):
-    # e(200,677): the window (400, 1076] holds 691 once, and 691 divides
-    # zeta(-11) and zeta(-199); e(99,600) is witnessed by 3617 alone.
+    # The last run of rows 200 and 99 up to n.  For e(200,n), n <= 677, the
+    # window (400, 2m+n-1] holds 691 at most once, and 691 divides zeta(-11)
+    # and zeta(-199); e(99,n) is witnessed by 3617 alone from n = 494 on.
     return [
-        next(ledger_segments((m, m), (n, n), table600)).certificate
+        list(ledger_segments((m, m), (1, n), table600))[-1]
         for m, n in ((200, 677), (99, 600))
     ]
 
@@ -134,8 +139,8 @@ def test_bound_witness_json_round_trip():
 def test_valuation_witness_json_round_trip(table600):
     certs = _ledger_certificates(table600)
     assert certs == [
-        ValuationWitness(200, 677, 691, -1, ((6, 1), (100, 1))),
-        ValuationWitness(99, 600, 3617, -1, ((8, 1),)),
+        ValuationWitness(200, 1, 677, 691, -1, ((6, 1), (100, 1))),
+        ValuationWitness(99, 494, 600, 3617, -1, ((8, 1),)),
     ]
     for cert in certs:
         blob = dumps(certificate_to_json(cert))
@@ -143,14 +148,15 @@ def test_valuation_witness_json_round_trip(table600):
     assert certificate_to_json(certs[1]) == {
         "kind": "valuation-witness",
         "m": 99,
-        "n": 600,
+        "n_first": 494,
+        "n_last": 600,
         "p": "3617",
         "valuation": -1,
         "zeta_valuations": [[8, 1]],
     }
     assert certificate_text(certs[0]) == (
-        "non-integer (valuation witness): v_691 = -1 of e(200,677); "
-        "nonzero v_691(zeta(1-2k)): k=6: 1, k=100: 1"
+        "non-integer (valuation witness): v_691 = -1 of e(200,677), negative over "
+        "n = 1..677; nonzero v_691(zeta(1-2k)): k=6: 1, k=100: 1"
     )
 
 
@@ -160,8 +166,10 @@ def test_valuation_witness_json_round_trip(table600):
         lambda blob: blob.update(p="3617"),
         lambda blob: blob.update(valuation=-2),
         lambda blob: blob["zeta_valuations"][1].__setitem__(1, 2),
+        lambda blob: blob.update(n_last=983),  # the window (400, 1382] holds 691 twice
+        lambda blob: blob.update(n_first=678),
     ],
-    ids=["p", "valuation", "listed-entry"],
+    ids=["p", "valuation", "listed-entry", "run-stretched", "run-reversed"],
 )
 def test_valuation_witness_json_rejects_tampering(table600, tamper):
     blob = json.loads(dumps(certificate_to_json(_ledger_certificates(table600)[0])))

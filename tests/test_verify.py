@@ -7,7 +7,6 @@ from torelli_euler import verify
 from torelli_euler.bernoulli import CapacityError, bernoulli_table, persist_table
 from torelli_euler.certify import (
     CertificateError,
-    LedgerSegment,
     MagnitudeWitness,
     ValuationWitness,
     certify_non_integrality,
@@ -184,8 +183,8 @@ def test_standard_is_the_one_mode():
 @pytest.fixture(scope="module")
 def claim_parts(table600):
     # The rows below m0 = 55 and the first link of the bound's chain at n = 677.
-    segments = tuple(ledger_segments((6, 54), (1, 677), table600))
-    return segments, threshold_for_n(677).chain[0], 677, table600
+    witnesses = tuple(ledger_segments((6, 54), (1, 677), table600))
+    return witnesses, threshold_for_n(677).chain[0], 677, table600
 
 
 def test_the_whole_claim_holds_on_its_parts(claim_parts):
@@ -198,40 +197,75 @@ def test_the_whole_claim_holds_on_its_parts(claim_parts):
     assert "zeta(2k) > 1" in witness
 
 
-def _reissued(segments, index, p):
-    # The witness of one segment reissued for the prime p, with its valuation
-    # and zeta valuations kept.
-    segment = segments[index]
-    cert = segment.certificate
-    forged = ValuationWitness(cert.m, cert.n, p, cert.valuation, cert.zeta_valuations)
-    forged_segment = LedgerSegment(segment.m, segment.n_first, segment.n_last, forged)
-    return (*segments[:index], forged_segment, *segments[index + 1 :])
+def test_the_whole_claim_witnesses_against_sympy(claim_parts):
+    # The 96 runs of the whole claim, rechecked with none of the package's
+    # arithmetic: B_2k from sympy, v_p(N!) summed afresh.
+    sympy = pytest.importorskip("sympy")
+
+    def v_p(q, p):
+        return sympy.multiplicity(p, q.p) - sympy.multiplicity(p, q.q)
+
+    def legendre(big_n, p):
+        total, power = 0, p
+        while power <= big_n:
+            total, power = total + big_n // power, power * p
+        return total
+
+    witnesses = claim_parts[0]
+    assert [w.p for w in witnesses].count(691) == 49
+    assert [w.p for w in witnesses].count(3617) == 47 and len(witnesses) == 96
+    # zeta(1-2k) = -B_2k/(2k).
+    zetas = [-sympy.bernoulli(2 * k) / (2 * k) for k in range(1, 55)]
+    rows = {}
+    for w in witnesses:
+        rows.setdefault(w.m, []).append(w)
+        nonzero = [(k, v) for k in range(1, w.m + 1) if (v := v_p(zetas[k - 1], w.p))]
+        assert w.zeta_valuations == tuple(nonzero), (w.m, w.p)
+        bar = sum(v for _, v in nonzero)
+
+        def valuation(n):
+            return legendre(2 * w.m + n - 1, w.p) - legendre(2 * w.m, w.p) - bar
+
+        assert valuation(w.n_last) == w.valuation < 0, (w.m, w.p)
+        assert w.n_last == 677 or valuation(w.n_last + 1) >= 0, (w.m, w.p)
+    assert list(rows) == list(range(6, 55))
+    for m, row in rows.items():
+        assert [w.n_first for w in row] == [1, *(w.n_last + 1 for w in row[:-1])], m
+        assert row[-1].n_last == 677, m
 
 
-def _raised_n_max(segments, link, n_max, table):
+def _reissued(witnesses, index, p):
+    # One witness reissued for the prime p, with its run, valuation and zeta
+    # valuations kept.
+    w = witnesses[index]
+    forged = ValuationWitness(w.m, w.n_first, w.n_last, p, w.valuation, w.zeta_valuations)
+    return (*witnesses[:index], forged, *witnesses[index + 1 :])
+
+
+def _raised_n_max(witnesses, link, n_max, table):
     # Row 7 meets an integer at n = 678.
-    segments = tuple(ledger_segments((6, 54), (1, 678), table))
-    return segments, threshold_for_n(678).chain[0], 678, table
+    witnesses = tuple(ledger_segments((6, 54), (1, 678), table))
+    return witnesses, threshold_for_n(678).chain[0], 678, table
 
 
 _TAMPERED = {
-    # Rows 6 and 7 have one segment each, rows 8 on two: segment 10 opens row 12.
+    # Rows 6 and 7 have one run each, rows 8 on two: witness 10 opens row 12.
     "segment-dropped": (
-        lambda segments, *rest: (segments[:10] + segments[11:], *rest),
+        lambda witnesses, *rest: (witnesses[:10] + witnesses[11:], *rest),
         "no valuation witness starts at (m, n) = (12, 1)",
     ),
     "rows-short-of-m0": (
-        lambda segments, *rest: (tuple(s for s in segments if s.m < 40), *rest),
+        lambda witnesses, *rest: (tuple(w for w in witnesses if w.m < 40), *rest),
         "no valuation witness starts at (m, n) = (40, 1)",
     ),
     # The diff of 3617 is 0 on row 6, so the reissued witness rechecks; its
     # zeta valuation at k = 6 is 691's, not the table's for 3617.
     "witness-prime-changed": (
-        lambda segments, *rest: (_reissued(segments, 0, 3617), *rest),
-        "the witness at (6, 677) lists zeta valuations not the table's",
+        lambda witnesses, *rest: (_reissued(witnesses, 0, 3617), *rest),
+        "the witness of (6, 1..677) lists zeta valuations not the table's",
     ),
     "m0-lowered-to-54": (
-        lambda segments, link, *rest: (segments, upper_bound_interval(54, 677), *rest),
+        lambda witnesses, link, *rest: (witnesses, upper_bound_interval(54, 677), *rest),
         "U(54,677) and its ratio are not both certified below 1",
     ),
     "n_max-raised-to-678": (
