@@ -341,8 +341,10 @@ _STR_LINE_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
 _LINE_BREAKS = bytes.maketrans(_STR_LINE_BREAKS, b"\n" * len(_STR_LINE_BREAKS))
 # The first token of a line, its index on an entry line, read without
 # copying the value, which can run to thousands of digits; no match on a
-# blank line.
-_FIRST_TOKEN = re.compile(rb"[\s\x1c-\x1f]*([^\s\x1c-\x1f]+)")
+# blank line.  Group 1 is the token when it is plain digits with no sign
+# and no leading zero, as `decimal_to_int` reads a value, and None when it
+# is anything else (the header's first token among them).
+_FIRST_TOKEN = re.compile(rb"[\s\x1c-\x1f]*(?:(0|[1-9][0-9]*)(?![^\s\x1c-\x1f])|[^\s\x1c-\x1f])")
 
 
 def _parse_value(entry: bytes | None) -> Fraction:
@@ -405,11 +407,10 @@ def _read_cache(path: Path) -> tuple[int, dict[int, bytes]]:
         )
     entries: dict[int, bytes] = {}
     for token, line in lines[1:]:
-        try:
-            n = int(token)
-        except ValueError as exc:
-            raise CacheFormatError(f"malformed cache line: {line.decode()!r}") from exc
-        if n < 0 or n > max_index:
+        if token is None:
+            raise CacheFormatError(f"malformed cache line: {line.decode()!r}")
+        n = int(token)
+        if n > max_index:
             raise CacheFormatError(f"index {n} outside table range 0..{max_index}")
         if n in entries:
             raise CacheFormatError(f"duplicate entry for index {n}")

@@ -44,13 +44,33 @@ _ZERO = Fraction(0)
 # Strong pseudoprime witnesses; the test is deterministic for n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Above this bit length the builtin str(), quadratic in CPython 3.11, is
-# slower than a divide-and-conquer conversion through `decimal`, whose
-# libmpdec multiplies in subquadratic time.  Measured by
-# tools/str_crossover.py on a 2-core container: the two tie within 3 % from
-# 20,000 to 32,200 bits, and from 32,400 bits on the divide-and-conquer
-# conversion is 30-35 % faster.
-_STR_MAX_BITS = 32_000
+# `int_to_decimal` has three tiers, by bit length.  Below _SPLIT_MIN_BITS
+# the builtin str(), quadratic in CPython 3.11, is fastest.  From there the
+# integer is split by powers of ten, each division by Burnikel and
+# Ziegler's recursion, and the leaves go to str().  From _DECIMAL_MIN_BITS
+# on the split by powers of two through `decimal`, whose libmpdec
+# multiplies large numbers by a number-theoretic transform, wins.  Measured
+# cold, every cache cleared before each conversion as when a CLI request
+# starts, by tools/str_crossover.py (four runs, 2-core container, CPython
+# 3.11.7): the split is at least 10 % faster than str() from 8,000 or
+# 10,000 bits on (30,000 bits: 0.70 against 1.21 ms), and the `decimal`
+# route faster than the split from 170,000, 185,000 or 200,000 bits on (the
+# two tie within 10 % from 140,000 to 200,000 bits; 300,000 bits: 21
+# against 24 ms, and 1,500,000 bits: 0.18 against 0.47 s).
+_SPLIT_MIN_BITS = 10_000
+_DECIMAL_MIN_BITS = 185_000
+# `decimal_to_int` leaves the builtin int(), quadratic as str() is, for the
+# split by powers of ten from this many digits on: the split was at least
+# 10 % faster from 6,000 digits on in the same four runs (47,000 digits:
+# 5.4 against 12.0 ms).
+_JOIN_MIN_DIGITS = 6000
+# The splits' leaves have at most this many digits.  From 512 to 2048 they
+# perform alike either way, from 5,000 to 200,000 digits.
+_LEAF_DIGITS = 1024
+# A Burnikel-Ziegler division hands a quotient of at most this many bits to
+# the builtin divmod (1,000 and 1,500 were 5-20 % slower from 12,000 to
+# 90,000 bits, 3,000 alike).
+_DIVMOD_LEAF_BITS = 2000
 # Pieces of at most this many bits are converted by Decimal() directly
 # (measured from 80,000 to 300,000 bits: leaves of 512 to 8192 bits perform
 # alike, 4096 best by a little, all 10-15 % faster than 128).
@@ -73,10 +93,88 @@ _EXACT_DECIMAL = decimal.Context(
 @lru_cache(maxsize=4)
 def int_to_decimal(n: int) -> str:
     """Decimal digits of an integer of any size."""
-    if n.bit_length() <= _STR_MAX_BITS:
+    bits = n.bit_length()
+    if bits < _SPLIT_MIN_BITS:
         return _without_digit_limit(str, n)
-    digits = str(_natural_to_decimal(abs(n)))
+    if bits < _DECIMAL_MIN_BITS:
+        # 0.30103 > log10(2): an integer of `bits` bits has at most that many digits.
+        digits = _split_to_decimal(abs(n), _level(bits * 30103 // 100_000 + 1))
+    else:
+        digits = str(_natural_to_decimal(abs(n)))
     return "-" + digits if n < 0 else digits
+
+
+def _level(digits: int) -> int:
+    """The least level whose pieces, _LEAF_DIGITS << level digits, hold `digits` >= 1."""
+    return ((digits - 1) // _LEAF_DIGITS).bit_length()
+
+
+# The powers at each level: a handful, shared by every integer converted
+# either way.  10 ** w is 5 ** w shifted by w bits, and the smaller power
+# is the cheaper to square and to multiply by.
+@lru_cache(maxsize=None)
+def _power_of_five(level: int) -> int:
+    """5 ** (_LEAF_DIGITS << level), each level the square of the one below."""
+    if level == 0:
+        return 5**_LEAF_DIGITS
+    half = _power_of_five(level - 1)
+    return half * half
+
+
+def _split_to_decimal(n: int, level: int) -> str:
+    """The digits of 0 <= n < 10 ** (_LEAF_DIGITS << level), no leading zeros.
+
+    The split of CPython 3.12's Lib/_pylong.py int_to_decimal_string, at
+    fixed widths: n = hi * 10**w + lo, w = _LEAF_DIGITS << (level - 1),
+    and the digits of lo are padded to w.
+    """
+    if level == 0:
+        return str(n)
+    level -= 1
+    width = _LEAF_DIGITS << level
+    hi, lo = _divmod_2n_by_n(n, _power_of_five(level) << width)
+    if not hi:
+        return _split_to_decimal(lo, level)
+    return _split_to_decimal(hi, level) + _split_to_decimal(lo, level).zfill(width)
+
+
+def _divmod_2n_by_n(a: int, b: int) -> tuple[int, int]:
+    """divmod(a, b) for 0 <= a < b * 2**n, n = b.bit_length().
+
+    The recursion of Burnikel and Ziegler, "Fast Recursive Division"
+    (MPI-I-98-1-022, 1998), as in CPython 3.12's Lib/_pylong.py: the
+    quotient's two halves are each found by a division of 3 half-words by
+    2, whose correction multiplies at Karatsuba speed, where the builtin
+    divmod of CPython 3.11 is quadratic.
+    """
+    n = b.bit_length()
+    if a.bit_length() - n <= _DIVMOD_LEAF_BITS:
+        return divmod(a, b)
+    odd = n & 1
+    if odd:
+        a, b, n = a << 1, b << 1, n + 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b1, b2 = b >> half, b & mask
+    q1, r = _divmod_3_by_2(a >> n, (a >> half) & mask, b, b1, b2, half)
+    q2, r = _divmod_3_by_2(r, a & mask, b, b1, b2, half)
+    return q1 << half | q2, r >> odd
+
+
+def _divmod_3_by_2(
+    a12: int, a3: int, b: int, b1: int, b2: int, half: int
+) -> tuple[int, int]:
+    # (a12 * 2**half + a3) divided by b = b1 * 2**half + b2, for a12 < b: the
+    # quotient estimated from a12 / b1, then lowered at most twice.
+    if a12 >> half == b1:
+        q, r = (1 << half) - 1, a12 - (b1 << half) + b1
+    else:
+        q, r = _divmod_2n_by_n(a12, b1)
+    r = (r << half | a3) - q * b2
+    while r < 0:
+        q -= 1
+        r += b
+    return q, r
 
 
 def _natural_to_decimal(n: int) -> decimal.Decimal:
@@ -113,8 +211,52 @@ def _decimal_power_of_two(w: int) -> decimal.Decimal:
 
 
 def decimal_to_int(text: str) -> int:
-    """The integer written in decimal by `text`, of any size."""
-    return _without_digit_limit(int, text)
+    """The integer written by `text`, which must match 0|-?[1-9][0-9]*.
+
+    Anything else raises ValueError: a sign other than one leading minus,
+    leading zeros, spaces, underscores, non-ASCII digits, and any value not
+    a str.  From _JOIN_MIN_DIGITS digits on the text is split as in
+    Martinsson's algorithm (CPython 3.12's Lib/_pylong.py
+    _str_to_int_inner): the top digits times a power of ten plus the low
+    ones, at the widths `int_to_decimal` splits by.
+    """
+    # Within the text the builtin int() takes nothing but digits and
+    # underscores; these tests refuse what else it would take.  Each is
+    # O(1) but for the search for an underscore.  A last digit makes the
+    # text one digit long at least, two after a minus.
+    if not (
+        isinstance(text, str)
+        and text.isascii()
+        and text[-1:].isdigit()
+        and "_" not in text
+        and ("1" <= (text[1] if text[0] == "-" else text[0]) <= "9" or text == "0")
+    ):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    negative = text[0] == "-"
+    if len(text) - negative < _JOIN_MIN_DIGITS:
+        return _without_digit_limit(int, text)
+    digits = text[negative:]
+    # The split's pieces go to int() alone, which takes spaces at their ends.
+    if not digits.encode().isdigit():
+        raise ValueError(f"not a decimal integer: {text!r}")
+    value = _join_decimal(digits, _level(len(digits)))
+    return -value if negative else value
+
+
+def _join_decimal(digits: str, level: int) -> int:
+    # The integer of at most _LEAF_DIGITS << level ASCII digits.
+    if level == 0:
+        return int(digits)
+    level -= 1
+    width = _LEAF_DIGITS << level
+    if len(digits) <= width:
+        return _join_decimal(digits, level)
+    high = _join_decimal(digits[:-width], level) * _power_of_five(level) << width
+    return high + _join_decimal(digits[-width:], level)
+
+
+# The interpreter's int-digit limit; CPython before 3.11 has none.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _without_digit_limit(convert, value):
@@ -122,7 +264,7 @@ def _without_digit_limit(convert, value):
     # of this library's contract (caches, JSON, decimal display); CPython's
     # default 4300-digit cap, a mitigation for untrusted inputs, breaks it
     # past roughly B_2100.  Lifted (0: no limit) for the process on first use.
-    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+    if _digit_limit():
         sys.set_int_max_str_digits(0)
     return convert(value)
 

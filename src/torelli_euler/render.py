@@ -64,6 +64,14 @@ def rational_to_json(q: Fraction) -> dict[str, str]:
     return {"num": int_to_decimal(q.numerator), "den": int_to_decimal(q.denominator)}
 
 
+def _json_int(value: Any) -> int:
+    # A field written as a JSON integer.  json.loads reads 12 as an int and
+    # 12.0 as a float; a bool is an int to Python, but not to JSON.
+    if type(value) is not int:
+        raise ValueError(f"not a JSON integer: {value!r}")
+    return value
+
+
 def rational_from_json(obj: Any) -> Fraction:
     if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
         raise ValueError(f"not a rational object: {obj!r}")
@@ -128,17 +136,19 @@ def certificate_from_json(obj: Any) -> Certificate:
         if kind == "prime-witness":
             return PrimeWitness(
                 value=rational_from_json(obj["value"]),
-                p=int(obj["p"]),
-                valuation=int(obj["valuation"]),
+                p=decimal_to_int(obj["p"]),
+                valuation=_json_int(obj["valuation"]),
             )
         if kind == "valuation-witness":
             return ValuationWitness(
-                m=int(obj["m"]),
-                n_first=int(obj["n_first"]),
-                n_last=int(obj["n_last"]),
-                p=int(obj["p"]),
-                valuation=int(obj["valuation"]),
-                zeta_valuations=tuple((int(k), int(v)) for k, v in obj["zeta_valuations"]),
+                m=_json_int(obj["m"]),
+                n_first=_json_int(obj["n_first"]),
+                n_last=_json_int(obj["n_last"]),
+                p=decimal_to_int(obj["p"]),
+                valuation=_json_int(obj["valuation"]),
+                zeta_valuations=tuple(
+                    (_json_int(k), _json_int(v)) for k, v in obj["zeta_valuations"]
+                ),
             )
         if kind == "magnitude":
             return MagnitudeWitness(
@@ -177,7 +187,11 @@ def certificate_text(cert: Certificate, digits: int = 12) -> str:
 
 
 def dumps(obj: Any) -> str:
-    """Canonical JSON: sorted keys, two-space indent, UTF-8 text."""
+    """Canonical JSON: one line, sorted keys, UTF-8 text.
+
+    With no indent the standard library's C encoder writes it; `python -m
+    json.tool` indents it for reading.
+    """
     import json  # only JSON output pays for the import
 
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False)

@@ -150,7 +150,11 @@ def report_from_json(obj: Any) -> VerificationReport:
         report = VerificationReport(mode=obj["mode"], checks=checks)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed verification report: {exc!r}") from None
-    if obj.get("summary") != report.summary:
+    summary = obj.get("summary")
+    # Counts are JSON integers: True == 1 and 1.0 == 1 in Python, not in JSON.
+    if not isinstance(summary, dict) or any(type(count) is not int for count in summary.values()):
+        raise ValueError(f"summary counts must be integers: {summary!r}")
+    if summary != report.summary:
         raise ValueError("summary does not match the checks")
     return report
 

@@ -353,6 +353,21 @@ def test_load_malformed_lines(tmp_path, line):
         load_table(path)
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["12 -691/+2730", "12 -0691/2730", "12 -691/02730", "12 -6_91/2730",
+     "012 -691/2730", "+12 -691/2730", "1_2 -691/2730"],
+)
+def test_load_refuses_all_but_plain_digits(tmp_path, line):
+    # Each line's tokens once read as the entry B_12 = -691/2730; only plain
+    # digits, with no sign but a leading minus and no leading zero, are read.
+    path = tmp_path / "bern.cache"
+    persist_table(bernoulli_table(20), path)
+    path.write_text(path.read_text().replace("12 -691/2730", line))
+    with pytest.raises(CacheFormatError):
+        load_table(path)
+
+
 def test_load_duplicate_entry(tmp_path):
     table = bernoulli_table(20)
     path = tmp_path / "bern.cache"

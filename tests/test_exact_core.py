@@ -15,6 +15,7 @@ from torelli_euler.exact_core import (
     _PRODUCT_LEAF_BITS,
     _round_to_bits,
     _tree_product,
+    decimal_to_int,
     dyadic_fraction,
     factorial_valuation,
     int_to_decimal,
@@ -529,31 +530,97 @@ def _digit_limit(limit):
         sys.set_int_max_str_digits(original)
 
 
+# The bit lengths at which `int_to_decimal` changes tier.
+_BIT_EDGES = (exact_core._SPLIT_MIN_BITS, exact_core._DECIMAL_MIN_BITS)
+
+
 @st.composite
-def _integers_around_the_cutoff(draw):
-    bits = draw(st.integers(0, 3 * exact_core._STR_MAX_BITS))
+def _integers_in_every_tier(draw):
+    # Bit lengths in each tier and one either side of each crossover; the
+    # digit counts these reach span `decimal_to_int`'s crossover too.
+    bits = draw(
+        st.one_of(
+            st.integers(0, exact_core._SPLIT_MIN_BITS),
+            st.integers(exact_core._SPLIT_MIN_BITS, exact_core._DECIMAL_MIN_BITS),
+            st.integers(exact_core._DECIMAL_MIN_BITS, exact_core._DECIMAL_MIN_BITS + 40_000),
+            st.sampled_from([edge + step for edge in _BIT_EDGES for step in (-1, 0, 1)]),
+        )
+    )
     n = draw(st.randoms(use_true_random=False)).getrandbits(bits)
+    if bits:
+        n |= 1 << (bits - 1)
     return -n if draw(st.booleans()) else n
 
 
-# 10^k has 3.32k bits: k = 9632 is the last power of ten below the cutoff.
-_POWERS_OF_TEN = [0, 1, 2, 9631, 9632, 9633, 9634, 12040, 12041, 12042, 12043, 20000, 45000]
+# 10^k has 3.32k bits and k + 1 digits.  10^3010 is the least power of ten
+# the split by powers of ten converts and 10^55691 the least the `decimal`
+# route does; 10^5999 is the least that `decimal_to_int` splits, and
+# 10^5999 - 1 the greatest it leaves to int().  The rest lie inside the
+# split's tier, near 32,000, 40,000, 66,000 and 149,000 bits.
+_POWERS_OF_TEN = [
+    0, 1, 2, 3009, 3010, 3011, 5999, 6000, 9631, 9632, 9633, 9634, 12040, 12041, 12042, 12043,
+    20000, 45000, 55690, 55691,
+]
 
 
 @settings(deadline=None)
-@given(n=_integers_around_the_cutoff())
+@given(n=_integers_in_every_tier())
+@example(n=0)
 def test_int_to_decimal_matches_str(n):
     with _digit_limit(0):
-        assert int_to_decimal(n) == str(n)
+        digits = int_to_decimal(n)
+        assert digits == str(n)
+    assert decimal_to_int(digits) == n
 
 
 @pytest.mark.parametrize("k", _POWERS_OF_TEN)
 def test_int_to_decimal_at_powers_of_ten(k):
+    # The low piece of each split is zero-padded: 10^k's are all zeros.
     with _digit_limit(0):
         for n in (10**k, 10**k - 1, 10**k + 1):
             for signed in (n, -n):
                 assert int_to_decimal(signed) == str(signed)
-    assert (10**9632).bit_length() <= exact_core._STR_MAX_BITS < (10**9633).bit_length()
+                assert decimal_to_int(str(signed)) == signed
+    assert (10**3009).bit_length() < exact_core._SPLIT_MIN_BITS <= (10**3010).bit_length()
+    assert (10**55690).bit_length() < exact_core._DECIMAL_MIN_BITS <= (10**55691).bit_length()
+    assert 5999 < exact_core._JOIN_MIN_DIGITS <= 6000
+
+
+def test_decimal_round_trip_at_a_million_digits():
+    n = random.Random(46).randrange(10**999_999, 10**1_000_000)
+    digits = int_to_decimal(n)
+    assert len(digits) == 1_000_000
+    # The top digits by one short division, the bottom by a small remainder.
+    assert digits[:40] == str(n // 10 ** (1_000_000 - 40))
+    assert digits[-40:] == str(n % 10**40).zfill(40)
+    assert decimal_to_int(digits) == n
+    assert decimal_to_int("-" + digits) == -n
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" 12", "12 ", "+12", "1_2", "\uff11\uff12", "\u00b2", "012", "-012", "00", "-0", "",
+     "-", "--1", "0x1", "1e3", "12.0", "1 2", "1-2", True, 12, 12.0, None, b"12"],
+)
+def test_decimal_to_int_refuses_all_but_plain_digits(text):
+    with pytest.raises(ValueError):
+        decimal_to_int(text)
+
+
+def test_decimal_to_int_refuses_a_long_text_with_a_space_inside():
+    # The split hands its pieces to int(), which takes spaces at their ends:
+    # one ends just before the last leaf.
+    digits, leaf = "7" * exact_core._JOIN_MIN_DIGITS, "7" * exact_core._LEAF_DIGITS
+    sevens = len(digits + leaf)
+    assert decimal_to_int(digits + leaf) == 7 * (10**sevens - 1) // 9
+    for text in (digits + " " + leaf, digits + "\t" + leaf, digits + " " + digits, digits + "\n"):
+        with pytest.raises(ValueError):
+            decimal_to_int(text)
+
+
+@pytest.mark.parametrize("text", ["0", "7", "-7", "10", "-1000000007"])
+def test_decimal_to_int_reads_plain_digits(text):
+    assert decimal_to_int(text) == int(text)
 
 
 def test_record_repr_under_the_default_digit_limit():
@@ -571,11 +638,12 @@ def test_record_repr_under_the_default_digit_limit():
 
 
 def test_int_to_decimal_under_the_default_digit_limit():
-    # A fresh interpreter refuses str() past 4300 digits; both sides of the
-    # cutoff must still convert.
-    for k in (5000, 15000):
+    # A fresh interpreter refuses str() and int() past 4300 digits; every
+    # tier of both conversions must still work.
+    for k in (5000, 15000, 60000):
         with _digit_limit(sys.int_info.default_max_str_digits):
             assert int_to_decimal(-(10**k - 1)) == "-" + "9" * k
+            assert decimal_to_int("-" + "9" * k) == -(10**k - 1)
 
 
 def test_decimal_powers_of_two_are_exact_under_any_context():

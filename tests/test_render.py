@@ -52,6 +52,12 @@ def test_rational_json_round_trip():
         assert rational_from_json(rational_to_json(q)) == q
     with pytest.raises(ValueError):
         rational_from_json({"num": "1"})
+    # Only decimal strings: not a bool, a number, or digits with a sign or a
+    # leading zero.
+    for bad in ({"num": "1", "den": True}, {"num": 1, "den": "2"}, {"num": "1", "den": "+2"},
+                {"num": "01", "den": "2"}):
+        with pytest.raises(ValueError):
+            rational_from_json(bad)
 
 
 def _sample_certificates():
@@ -106,9 +112,22 @@ def test_certificate_json_rejects_unsound_witness():
         {"kind": "integer", "value": "True"},
         {"kind": "valuation-witness", "m": 6, "n_last": 1, "p": "691", "valuation": -1,
          "zeta_valuations": [[6, 1]]},
+        {"kind": "integer", "value": True},
+        {"kind": "integer", "value": 12},
+        {"kind": "integer", "value": "+12"},
+        {"kind": "integer", "value": "012"},
+        {"kind": "prime-witness", "value": {"num": "1", "den": "691"}, "p": 691.0,
+         "valuation": -1.5},
+        {"kind": "prime-witness", "value": {"num": "1", "den": "691"}, "p": "691",
+         "valuation": -1.0},
+        {"kind": "valuation-witness", "m": 6.0, "n_first": 1, "n_last": 1, "p": "691",
+         "valuation": -1, "zeta_valuations": [[6, 1]]},
+        {"kind": "valuation-witness", "m": 6, "n_first": 1, "n_last": 1, "p": "691",
+         "valuation": -1, "zeta_valuations": [[6, True]]},
     ],
     ids=["zero-denominator", "negative-denominator", "missing-field", "field-type",
-         "bool-text", "no-n_first"],
+         "bool-text", "no-n_first", "bool-value", "number-value", "plus-sign", "leading-zero",
+         "float-p-and-valuation", "float-valuation", "float-m", "bool-zeta-valuation"],
 )
 def test_malformed_certificate_json_is_a_value_error(blob):
     with pytest.raises(ValueError):
@@ -186,6 +205,24 @@ def test_certificate_text_forms():
     assert texts[3].startswith("inconclusive")
 
 
+def test_dumps_writes_one_line_that_loads_back(table600):
+    # Every certificate kind and a report: one line, sorted keys, the
+    # separators ", " and ": ", and json.loads gives back what was dumped.
+    certs = [*_sample_certificates(), *_ledger_certificates(table600)]
+    assert {type(cert) for cert in certs} == {
+        IntegerValue, PrimeWitness, MagnitudeWitness, Inconclusive, ValuationWitness
+    }
+    check = CheckResult(id="a", paper_ref="r", status="pass", witness="w …", elapsed_s=0.5)
+    report = report_to_json(VerificationReport(mode="standard", checks=(check,)))
+    for obj in [*map(certificate_to_json, certs), report]:
+        text = dumps(obj)
+        assert "\n" not in text
+        assert json.loads(text) == obj
+        assert text == json.dumps(obj, sort_keys=True, ensure_ascii=False)
+    assert dumps({"p": "691", "a": [1, 2]}) == '{"a": [1, 2], "p": "691"}'
+    assert "…" in dumps(report)
+
+
 def test_dumps_is_deterministic():
     cert = certificate_to_json(_sample_certificates()[1])
     assert dumps(cert) == dumps(json.loads(dumps(cert)))
@@ -224,6 +261,9 @@ def test_report_rejects_duplicate_ids_and_bad_summary():
 
     malformed = [
         edited(lambda blob: blob["summary"].update(fail=3)),
+        edited(lambda blob: blob["summary"].update({"pass": True})),
+        edited(lambda blob: blob["summary"].update(fail=0.0)),
+        edited(lambda blob: blob.update(summary=None)),
         {"mode": "standard"},
         [],
         None,

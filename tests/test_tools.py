@@ -1,6 +1,8 @@
-"""Smoke tests of the two A/B timing tools, each run on two copies of one tree."""
+"""Smoke tests of the timing tools: the two A/B tools, each run on two copies
+of one tree, and the crossover measurement of the decimal conversions."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,10 +17,10 @@ def _bench_files():
     }
 
 
-def _run_tool(*argv):
+def _run_tool(*argv, env=None):
     before = _bench_files()
     proc = subprocess.run(
-        [sys.executable, *argv], cwd=_ROOT, capture_output=True, text=True, timeout=120
+        [sys.executable, *argv], cwd=_ROOT, capture_output=True, text=True, timeout=120, env=env
     )
     assert proc.returncode == 0, proc.stderr
     assert _bench_files() == before
@@ -52,3 +54,31 @@ def test_bound_sweep_ab_compares_two_copies():
         assert set(summary) == {"a", "b", "b_vs_a_pct", "b_faster"}
         assert set(summary["a"]) == set(summary["b"]) == {"median_ms", "q1_ms", "q3_ms"}
         assert 0 <= summary["b_faster"] <= 2
+
+
+def test_str_crossover_times_every_tier():
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    result = _run_tool("tools/str_crossover.py", "--repeats", "1", env=env)
+    names = {"split_min_bits", "decimal_min_bits", "join_min_digits"}
+    assert result["repeats"] == 1
+    assert set(result["crossovers"]) == set(result["in_use"]) == names
+    from torelli_euler import exact_core
+
+    assert result["in_use"] == {
+        "split_min_bits": exact_core._SPLIT_MIN_BITS,
+        "decimal_min_bits": exact_core._DECIMAL_MIN_BITS,
+        "join_min_digits": exact_core._JOIN_MIN_DIGITS,
+    }
+    in_use = result["in_use"]
+    for key, length, ways, crossovers in (
+        ("int_to_decimal_ms", "bits", {"str", "split", "decimal"},
+         ("split_min_bits", "decimal_min_bits")),
+        ("decimal_to_int_ms", "digits", {"int", "split"}, ("join_min_digits",)),
+    ):
+        rows = result[key]
+        assert rows and all(set(row) == {length, *ways} for row in rows)
+        assert all(row[way] > 0 for row in rows for way in ways)
+        # The lengths measured straddle the crossovers in use.
+        lengths = [row[length] for row in rows]
+        assert lengths == sorted(lengths)
+        assert all(lengths[0] < in_use[name] < lengths[-1] for name in crossovers)

@@ -1,17 +1,24 @@
-"""Measure where `int_to_decimal` should leave the builtin str() for its
-divide-and-conquer conversion (`exact_core._STR_MAX_BITS`).
+"""Measure the crossovers of the decimal conversions of `exact_core`.
 
-    PYTHONPATH=src python3 tools/str_crossover.py [--repeats 15]
+    PYTHONPATH=src python3 tools/str_crossover.py [--repeats 9]
 
-For each bit length, random odd integers of that length are converted both
-ways, alternately, and the digits compared, after one untimed conversion
-that fills the cache of powers of two for that length.  Prints one line per
-bit length with the median milliseconds of each way over the repeats, then
-the least bit length from which the divide-and-conquer conversion was at
-least 10 % faster at every larger length measured.
+`int_to_decimal` has three tiers: the builtin str(), the split by powers
+of ten (from `_SPLIT_MIN_BITS`), and the split by powers of two through
+`decimal` (from `_DECIMAL_MIN_BITS`).  `decimal_to_int` has two: the
+builtin int(), and the split by powers of ten (from `_JOIN_MIN_DIGITS`).
+Each tier is timed through the public function, with the crossovers set
+so that it serves every length, on random integers of each length; the
+ways alternate, and every lru cache of `exact_core` is cleared before
+each conversion, as it is when a CLI request starts.  Digits are compared
+across the ways.  Prints one JSON object: the median milliseconds of each
+way at each length, and the crossovers read from them.  A crossover is the
+least length from which the next tier was faster at every larger length
+measured, by at least 10 % for the splits over the builtins, or null.
 """
 
 import argparse
+import json
+import math
 import random
 import statistics
 import sys
@@ -20,46 +27,101 @@ import time
 from torelli_euler import exact_core
 
 _BITS = (
-    16_000, 20_000, 24_000, 28_000, 30_000, 31_000, 32_000, 32_200, 32_400, 33_000, 34_000,
-    36_000, 40_000, 48_000,
+    4_000, 6_000, 8_000, 10_000, 12_000, 14_000, 16_000, 20_000, 30_000, 40_000, 60_000,
+    90_000, 120_000, 140_000, 155_000, 170_000, 185_000, 200_000, 250_000, 300_000,
 )
+_DIGITS = (1_000, 2_000, 3_000, 4_000, 5_000, 6_000, 8_000, 12_000, 20_000, 47_000)
+
+# The tiers as crossovers: (_SPLIT_MIN_BITS, _DECIMAL_MIN_BITS) for
+# int_to_decimal, and _JOIN_MIN_DIGITS for decimal_to_int.
+_TO_DECIMAL = {"str": (math.inf, math.inf), "split": (0, math.inf), "decimal": (0, 0)}
+_TO_INT = {"int": math.inf, "split": 0}
 
 
-def _ms(convert, n: int) -> tuple[float, str]:
+def _cold_ms(convert, value):
+    for obj in vars(exact_core).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
     start = time.perf_counter()
-    digits = convert(n)
-    return (time.perf_counter() - start) * 1e3, digits
+    result = convert(value)
+    return (time.perf_counter() - start) * 1e3, result
+
+
+def _to_decimal_ms(way, n):
+    exact_core._SPLIT_MIN_BITS, exact_core._DECIMAL_MIN_BITS = _TO_DECIMAL[way]
+    return _cold_ms(exact_core.int_to_decimal, n)
+
+
+def _to_int_ms(way, text):
+    exact_core._JOIN_MIN_DIGITS = _TO_INT[way]
+    return _cold_ms(exact_core.decimal_to_int, text)
+
+
+def _measure(lengths, ways, draw, timed, repeats):
+    rows = []
+    for length in lengths:
+        times = {way: [] for way in ways}
+        for _ in range(repeats):
+            value = draw(length)
+            results = set()
+            for way in ways:
+                ms, result = timed(way, value)
+                times[way].append(ms)
+                results.add(result)
+            if len(results) != 1:
+                raise SystemExit(f"the ways disagree at length {length}")
+        rows.append({way: round(statistics.median(times[way]), 4) for way in ways})
+    return rows
+
+
+def _crossover(lengths, rows, slow, fast, factor):
+    """The least length from which `fast` beat factor * `slow` at every larger one."""
+    found = None
+    for length, row in zip(lengths, rows):
+        if row[fast] < factor * row[slow]:
+            found = found or length
+        else:
+            found = None
+    return found
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=15)
+    parser.add_argument("--repeats", type=int, default=9)
     args = parser.parse_args()
-    # No digit limit for str() (CPython 3.11 on; earlier versions have none).
+    saved = (
+        exact_core._SPLIT_MIN_BITS, exact_core._DECIMAL_MIN_BITS, exact_core._JOIN_MIN_DIGITS
+    )
+    # No digit limit for str() and int() (CPython 3.11 on; earlier versions have none).
     getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
     rng = random.Random(2026)
-    divide_and_conquer = lambda n: str(exact_core._natural_to_decimal(n))  # noqa: E731
-    faster_from = None
-    print("bits  str_ms  divide_and_conquer_ms")
-    for bits in _BITS:
-        divide_and_conquer(rng.getrandbits(bits) | (1 << (bits - 1)))
-        builtin, split = [], []
-        for _ in range(args.repeats):
-            n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-            a_ms, a = _ms(str, n)
-            b_ms, b = _ms(divide_and_conquer, n)
-            if a != b:
-                raise SystemExit(f"digits differ at {bits} bits")
-            builtin.append(a_ms)
-            split.append(b_ms)
-        str_ms, split_ms = statistics.median(builtin), statistics.median(split)
-        print(f"{bits:>6} {str_ms:7.3f} {split_ms:7.3f}")
-        if split_ms < 0.9 * str_ms:
-            faster_from = faster_from or bits
-        else:
-            faster_from = None
-    print(f"divide-and-conquer at least 10 % faster from {faster_from} bits on" if faster_from
-          else "divide-and-conquer not 10 % faster at the largest length measured")
+    try:
+        to_decimal = _measure(
+            _BITS, _TO_DECIMAL, lambda bits: rng.getrandbits(bits) | 1 << (bits - 1),
+            _to_decimal_ms, args.repeats,
+        )
+        to_int = _measure(
+            _DIGITS, _TO_INT, lambda digits: str(rng.randrange(10 ** (digits - 1), 10**digits)),
+            _to_int_ms, args.repeats,
+        )
+    finally:
+        (
+            exact_core._SPLIT_MIN_BITS, exact_core._DECIMAL_MIN_BITS, exact_core._JOIN_MIN_DIGITS
+        ) = saved
+    print(json.dumps({
+        "repeats": args.repeats,
+        "int_to_decimal_ms": [{"bits": bits, **row} for bits, row in zip(_BITS, to_decimal)],
+        "decimal_to_int_ms": [
+            {"digits": digits, **row} for digits, row in zip(_DIGITS, to_int)
+        ],
+        "crossovers": {
+            "split_min_bits": _crossover(_BITS, to_decimal, "str", "split", 0.9),
+            "decimal_min_bits": _crossover(_BITS, to_decimal, "split", "decimal", 1.0),
+            "join_min_digits": _crossover(_DIGITS, to_int, "int", "split", 0.9),
+        },
+        "in_use": {"split_min_bits": saved[0], "decimal_min_bits": saved[1],
+                   "join_min_digits": saved[2]},
+    }, indent=1))
 
 
 if __name__ == "__main__":
