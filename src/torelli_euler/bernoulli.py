@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .exact_core import _Record, decimal_to_int, int_to_decimal, primes_up_to
+from .exact_core import _NATURAL_DIGITS, _Record, decimal_to_int, int_to_decimal, primes_up_to
 
 __all__ = [
     "BernoulliTable",
@@ -341,10 +341,12 @@ _STR_LINE_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
 _LINE_BREAKS = bytes.maketrans(_STR_LINE_BREAKS, b"\n" * len(_STR_LINE_BREAKS))
 # The first token of a line, its index on an entry line, read without
 # copying the value, which can run to thousands of digits; no match on a
-# blank line.  Group 1 is the token when it is plain digits with no sign
-# and no leading zero, as `decimal_to_int` reads a value, and None when it
-# is anything else (the header's first token among them).
-_FIRST_TOKEN = re.compile(rb"[\s\x1c-\x1f]*(?:(0|[1-9][0-9]*)(?![^\s\x1c-\x1f])|[^\s\x1c-\x1f])")
+# blank line.  Group 1 is the token when it is a natural number's digits
+# as `decimal_to_int` reads them, and None when it is anything else (the
+# header's first token among them).
+_FIRST_TOKEN = re.compile(
+    rb"[\s\x1c-\x1f]*(?:(%s)(?![^\s\x1c-\x1f])|[^\s\x1c-\x1f])" % _NATURAL_DIGITS.encode()
+)
 
 
 def _parse_value(entry: bytes | None) -> Fraction:
@@ -405,10 +407,17 @@ def _read_cache(path: Path) -> tuple[int, dict[int, bytes]]:
             f"header declares max={max_index} but the file has only "
             f"{len(lines) - 1} entry lines"
         )
+    # An index in range has at most the max's digits; a longer one is refused
+    # unread, as int() would refuse one past 4300 digits.
+    max_digits = len(str(max_index))
     entries: dict[int, bytes] = {}
     for token, line in lines[1:]:
         if token is None:
             raise CacheFormatError(f"malformed cache line: {line.decode()!r}")
+        if len(token) > max_digits:
+            raise CacheFormatError(
+                f"index of {len(token)} digits outside table range 0..{max_index}"
+            )
         n = int(token)
         if n > max_index:
             raise CacheFormatError(f"index {n} outside table range 0..{max_index}")

@@ -41,6 +41,11 @@ __all__ = [
 
 _ZERO = Fraction(0)
 
+# A natural number's decimal digits as this library writes and reads them,
+# a regular expression: ASCII, no sign, no leading zero.  `decimal_to_int`
+# reads these after at most one minus, and the cache reader an index.
+_NATURAL_DIGITS = "0|[1-9][0-9]*"
+
 # Strong pseudoprime witnesses; the test is deterministic for n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -59,17 +64,16 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # against 24 ms, and 1,500,000 bits: 0.18 against 0.47 s).
 _SPLIT_MIN_BITS = 10_000
 _DECIMAL_MIN_BITS = 185_000
-# `decimal_to_int` leaves the builtin int(), quadratic as str() is, for the
-# split by powers of ten from this many digits on: the split was at least
-# 10 % faster from 6,000 digits on in the same four runs (47,000 digits:
-# 5.4 against 12.0 ms).
-_JOIN_MIN_DIGITS = 6000
-# The splits' leaves have at most this many digits.  From 512 to 2048 they
-# perform alike either way, from 5,000 to 200,000 digits.
+# The split's leaves have at most this many digits.  From 512 to 2048 they
+# perform alike, from 5,000 to 200,000 digits.
 _LEAF_DIGITS = 1024
 # A Burnikel-Ziegler division hands a quotient of at most this many bits to
 # the builtin divmod (1,000 and 1,500 were 5-20 % slower from 12,000 to
-# 90,000 bits, 3,000 alike).
+# 90,000 bits, 3,000 alike).  The split with the builtin divmod at every
+# level instead was 1.4-2.8x slower from 30,000 to 185,000 bits, lost to
+# the `decimal` route from 60,000 bits on, and cut the cli-requests
+# benchmark's 95th-percentile request time by 4.5 % where this cuts it by
+# 8.2 % (same host, BENCH_46.json).
 _DIVMOD_LEAF_BITS = 2000
 # Pieces of at most this many bits are converted by Decimal() directly
 # (measured from 80,000 to 300,000 bits: leaves of 512 to 8192 bits perform
@@ -109,9 +113,9 @@ def _level(digits: int) -> int:
     return ((digits - 1) // _LEAF_DIGITS).bit_length()
 
 
-# The powers at each level: a handful, shared by every integer converted
-# either way.  10 ** w is 5 ** w shifted by w bits, and the smaller power
-# is the cheaper to square and to multiply by.
+# The powers at each level: a handful, shared by every integer converted.
+# 10 ** w is 5 ** w shifted by w bits, and the smaller power is the cheaper
+# to square.
 @lru_cache(maxsize=None)
 def _power_of_five(level: int) -> int:
     """5 ** (_LEAF_DIGITS << level), each level the square of the one below."""
@@ -211,14 +215,10 @@ def _decimal_power_of_two(w: int) -> decimal.Decimal:
 
 
 def decimal_to_int(text: str) -> int:
-    """The integer written by `text`, which must match 0|-?[1-9][0-9]*.
+    """The integer written by `text`: _NATURAL_DIGITS after at most one minus, not "-0".
 
-    Anything else raises ValueError: a sign other than one leading minus,
-    leading zeros, spaces, underscores, non-ASCII digits, and any value not
-    a str.  From _JOIN_MIN_DIGITS digits on the text is split as in
-    Martinsson's algorithm (CPython 3.12's Lib/_pylong.py
-    _str_to_int_inner): the top digits times a power of ten plus the low
-    ones, at the widths `int_to_decimal` splits by.
+    Anything else raises ValueError: another sign, leading zeros, spaces,
+    underscores, non-ASCII digits, and any value not a str.
     """
     # Within the text the builtin int() takes nothing but digits and
     # underscores; these tests refuse what else it would take.  Each is
@@ -232,27 +232,7 @@ def decimal_to_int(text: str) -> int:
         and ("1" <= (text[1] if text[0] == "-" else text[0]) <= "9" or text == "0")
     ):
         raise ValueError(f"not a decimal integer: {text!r}")
-    negative = text[0] == "-"
-    if len(text) - negative < _JOIN_MIN_DIGITS:
-        return _without_digit_limit(int, text)
-    digits = text[negative:]
-    # The split's pieces go to int() alone, which takes spaces at their ends.
-    if not digits.encode().isdigit():
-        raise ValueError(f"not a decimal integer: {text!r}")
-    value = _join_decimal(digits, _level(len(digits)))
-    return -value if negative else value
-
-
-def _join_decimal(digits: str, level: int) -> int:
-    # The integer of at most _LEAF_DIGITS << level ASCII digits.
-    if level == 0:
-        return int(digits)
-    level -= 1
-    width = _LEAF_DIGITS << level
-    if len(digits) <= width:
-        return _join_decimal(digits, level)
-    high = _join_decimal(digits[:-width], level) * _power_of_five(level) << width
-    return high + _join_decimal(digits[-width:], level)
+    return _without_digit_limit(int, text)
 
 
 # The interpreter's int-digit limit; CPython before 3.11 has none.

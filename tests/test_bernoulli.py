@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -342,15 +343,24 @@ def test_load_corrupted_entry_fails_invariants(tmp_path, mutation):
 
 @pytest.mark.parametrize(
     "line",
-    ["12 banana", "12 1over2", "12 1/2 extra", "999 1/6", "12 1/0", "-1 1/6"],
+    [
+        "12 banana", "12 1over2", "12 1/2 extra", "999 1/6", "12 1/0", "-1 1/6",
+        pytest.param("1" * 5000 + " 1/6", id="5000-digit index"),
+    ],
 )
 def test_load_malformed_lines(tmp_path, line):
     table = bernoulli_table(20)
     path = tmp_path / "bern.cache"
     persist_table(table, path)
     path.write_text(path.read_text() + line + "\n")
-    with pytest.raises(CacheFormatError):
-        load_table(path)
+    # As in a fresh interpreter, where int() refuses a text past 4300 digits.
+    original = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.raises(CacheFormatError):
+            load_table(path)
+    finally:
+        sys.set_int_max_str_digits(original)
 
 
 @pytest.mark.parametrize(

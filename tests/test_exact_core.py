@@ -2,6 +2,7 @@ import contextlib
 import decimal
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -536,8 +537,7 @@ _BIT_EDGES = (exact_core._SPLIT_MIN_BITS, exact_core._DECIMAL_MIN_BITS)
 
 @st.composite
 def _integers_in_every_tier(draw):
-    # Bit lengths in each tier and one either side of each crossover; the
-    # digit counts these reach span `decimal_to_int`'s crossover too.
+    # Bit lengths in each tier and one either side of each crossover.
     bits = draw(
         st.one_of(
             st.integers(0, exact_core._SPLIT_MIN_BITS),
@@ -554,12 +554,11 @@ def _integers_in_every_tier(draw):
 
 # 10^k has 3.32k bits and k + 1 digits.  10^3010 is the least power of ten
 # the split by powers of ten converts and 10^55691 the least the `decimal`
-# route does; 10^5999 is the least that `decimal_to_int` splits, and
-# 10^5999 - 1 the greatest it leaves to int().  The rest lie inside the
-# split's tier, near 32,000, 40,000, 66,000 and 149,000 bits.
+# route does.  The rest lie inside the split's tier, near 32,000, 40,000,
+# 66,000 and 149,000 bits.
 _POWERS_OF_TEN = [
-    0, 1, 2, 3009, 3010, 3011, 5999, 6000, 9631, 9632, 9633, 9634, 12040, 12041, 12042, 12043,
-    20000, 45000, 55690, 55691,
+    0, 1, 2, 3009, 3010, 3011, 9631, 9632, 9633, 9634, 12040, 12041, 12042, 12043, 20000, 45000,
+    55690, 55691,
 ]
 
 
@@ -583,7 +582,6 @@ def test_int_to_decimal_at_powers_of_ten(k):
                 assert decimal_to_int(str(signed)) == signed
     assert (10**3009).bit_length() < exact_core._SPLIT_MIN_BITS <= (10**3010).bit_length()
     assert (10**55690).bit_length() < exact_core._DECIMAL_MIN_BITS <= (10**55691).bit_length()
-    assert 5999 < exact_core._JOIN_MIN_DIGITS <= 6000
 
 
 def test_decimal_round_trip_at_a_million_digits():
@@ -594,33 +592,45 @@ def test_decimal_round_trip_at_a_million_digits():
     assert digits[:40] == str(n // 10 ** (1_000_000 - 40))
     assert digits[-40:] == str(n % 10**40).zfill(40)
     assert decimal_to_int(digits) == n
-    assert decimal_to_int("-" + digits) == -n
 
 
-@pytest.mark.parametrize(
-    "text",
-    [" 12", "12 ", "+12", "1_2", "\uff11\uff12", "\u00b2", "012", "-012", "00", "-0", "",
-     "-", "--1", "0x1", "1e3", "12.0", "1 2", "1-2", True, 12, 12.0, None, b"12"],
-)
+_PLAIN_DIGITS = ["0", "7", "-7", "10", "-1000000007"]
+_NOT_PLAIN_DIGITS = [
+    " 12", "12 ", "+12", "1_2", "\uff11\uff12", "\u00b2", "012", "-012", "00", "-0", "", "-",
+    "--1", "0x1", "1e3", "12.0", "1 2", "1-2", "1\n", "-7\n",
+]
+
+
+@pytest.mark.parametrize("text", _NOT_PLAIN_DIGITS + [True, 12, 12.0, None, b"12"])
 def test_decimal_to_int_refuses_all_but_plain_digits(text):
     with pytest.raises(ValueError):
         decimal_to_int(text)
 
 
 def test_decimal_to_int_refuses_a_long_text_with_a_space_inside():
-    # The split hands its pieces to int(), which takes spaces at their ends:
-    # one ends just before the last leaf.
-    digits, leaf = "7" * exact_core._JOIN_MIN_DIGITS, "7" * exact_core._LEAF_DIGITS
-    sevens = len(digits + leaf)
-    assert decimal_to_int(digits + leaf) == 7 * (10**sevens - 1) // 9
+    # The character tests let a space within through; int() refuses it.
+    digits, leaf = "7" * 6000, "7" * 1024
+    assert decimal_to_int(digits + leaf) == 7 * (10**7024 - 1) // 9
     for text in (digits + " " + leaf, digits + "\t" + leaf, digits + " " + digits, digits + "\n"):
         with pytest.raises(ValueError):
             decimal_to_int(text)
 
 
-@pytest.mark.parametrize("text", ["0", "7", "-7", "10", "-1000000007"])
+@pytest.mark.parametrize("text", _PLAIN_DIGITS)
 def test_decimal_to_int_reads_plain_digits(text):
     assert decimal_to_int(text) == int(text)
+
+
+def test_decimal_to_int_reads_what_the_shared_pattern_matches():
+    # The cache reader finds an index by _NATURAL_DIGITS; decimal_to_int
+    # tests characters instead, and must take the same texts.
+    pattern = re.compile(f"(?!-0)-?(?:{exact_core._NATURAL_DIGITS})")
+    for text in _PLAIN_DIGITS + _NOT_PLAIN_DIGITS:
+        try:
+            read = decimal_to_int(text) == int(text)
+        except ValueError:
+            read = False
+        assert read == bool(pattern.fullmatch(text)), text
 
 
 def test_record_repr_under_the_default_digit_limit():
@@ -639,7 +649,7 @@ def test_record_repr_under_the_default_digit_limit():
 
 def test_int_to_decimal_under_the_default_digit_limit():
     # A fresh interpreter refuses str() and int() past 4300 digits; every
-    # tier of both conversions must still work.
+    # tier of int_to_decimal, and decimal_to_int, must still work.
     for k in (5000, 15000, 60000):
         with _digit_limit(sys.int_info.default_max_str_digits):
             assert int_to_decimal(-(10**k - 1)) == "-" + "9" * k

@@ -59,26 +59,20 @@ def test_bound_sweep_ab_compares_two_copies():
 def test_str_crossover_times_every_tier():
     env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
     result = _run_tool("tools/str_crossover.py", "--repeats", "1", env=env)
-    names = {"split_min_bits", "decimal_min_bits", "join_min_digits"}
+    names = {"split_min_bits", "decimal_min_bits"}
     assert result["repeats"] == 1
     assert set(result["crossovers"]) == set(result["in_use"]) == names
     from torelli_euler import exact_core
 
-    assert result["in_use"] == {
+    in_use = result["in_use"]
+    assert in_use == {
         "split_min_bits": exact_core._SPLIT_MIN_BITS,
         "decimal_min_bits": exact_core._DECIMAL_MIN_BITS,
-        "join_min_digits": exact_core._JOIN_MIN_DIGITS,
     }
-    in_use = result["in_use"]
-    for key, length, ways, crossovers in (
-        ("int_to_decimal_ms", "bits", {"str", "split", "decimal"},
-         ("split_min_bits", "decimal_min_bits")),
-        ("decimal_to_int_ms", "digits", {"int", "split"}, ("join_min_digits",)),
-    ):
-        rows = result[key]
-        assert rows and all(set(row) == {length, *ways} for row in rows)
-        assert all(row[way] > 0 for row in rows for way in ways)
-        # The lengths measured straddle the crossovers in use.
-        lengths = [row[length] for row in rows]
-        assert lengths == sorted(lengths)
-        assert all(lengths[0] < in_use[name] < lengths[-1] for name in crossovers)
+    rows = result["int_to_decimal_ms"]
+    assert rows and all(set(row) == {"bits", "str", "split", "decimal"} for row in rows)
+    assert all(row[way] > 0 for row in rows for way in ("str", "split", "decimal"))
+    # The lengths measured straddle the crossovers in use.
+    lengths = [row["bits"] for row in rows]
+    assert lengths == sorted(lengths)
+    assert all(lengths[0] < in_use[name] < lengths[-1] for name in names)

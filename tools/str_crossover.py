@@ -1,19 +1,18 @@
-"""Measure the crossovers of the decimal conversions of `exact_core`.
+"""Measure the crossovers of `exact_core.int_to_decimal`.
 
     PYTHONPATH=src python3 tools/str_crossover.py [--repeats 9]
 
 `int_to_decimal` has three tiers: the builtin str(), the split by powers
 of ten (from `_SPLIT_MIN_BITS`), and the split by powers of two through
-`decimal` (from `_DECIMAL_MIN_BITS`).  `decimal_to_int` has two: the
-builtin int(), and the split by powers of ten (from `_JOIN_MIN_DIGITS`).
-Each tier is timed through the public function, with the crossovers set
-so that it serves every length, on random integers of each length; the
-ways alternate, and every lru cache of `exact_core` is cleared before
-each conversion, as it is when a CLI request starts.  Digits are compared
+`decimal` (from `_DECIMAL_MIN_BITS`).  Each tier is timed through the
+public function, with the crossovers set so that it serves every bit
+length, on random integers of each length; the ways alternate, and every
+lru cache of `exact_core` is cleared before each conversion, as it is
+when a CLI request starts.  Digits are compared
 across the ways.  Prints one JSON object: the median milliseconds of each
 way at each length, and the crossovers read from them.  A crossover is the
 least length from which the next tier was faster at every larger length
-measured, by at least 10 % for the splits over the builtins, or null.
+measured, by at least 10 % for the split over str(), or null.
 """
 
 import argparse
@@ -30,12 +29,9 @@ _BITS = (
     4_000, 6_000, 8_000, 10_000, 12_000, 14_000, 16_000, 20_000, 30_000, 40_000, 60_000,
     90_000, 120_000, 140_000, 155_000, 170_000, 185_000, 200_000, 250_000, 300_000,
 )
-_DIGITS = (1_000, 2_000, 3_000, 4_000, 5_000, 6_000, 8_000, 12_000, 20_000, 47_000)
 
-# The tiers as crossovers: (_SPLIT_MIN_BITS, _DECIMAL_MIN_BITS) for
-# int_to_decimal, and _JOIN_MIN_DIGITS for decimal_to_int.
-_TO_DECIMAL = {"str": (math.inf, math.inf), "split": (0, math.inf), "decimal": (0, 0)}
-_TO_INT = {"int": math.inf, "split": 0}
+# The tiers as crossovers (_SPLIT_MIN_BITS, _DECIMAL_MIN_BITS).
+_WAYS = {"str": (math.inf, math.inf), "split": (0, math.inf), "decimal": (0, 0)}
 
 
 def _cold_ms(convert, value):
@@ -47,37 +43,28 @@ def _cold_ms(convert, value):
     return (time.perf_counter() - start) * 1e3, result
 
 
-def _to_decimal_ms(way, n):
-    exact_core._SPLIT_MIN_BITS, exact_core._DECIMAL_MIN_BITS = _TO_DECIMAL[way]
-    return _cold_ms(exact_core.int_to_decimal, n)
-
-
-def _to_int_ms(way, text):
-    exact_core._JOIN_MIN_DIGITS = _TO_INT[way]
-    return _cold_ms(exact_core.decimal_to_int, text)
-
-
-def _measure(lengths, ways, draw, timed, repeats):
+def _measure(rng, repeats):
     rows = []
-    for length in lengths:
-        times = {way: [] for way in ways}
+    for bits in _BITS:
+        times = {way: [] for way in _WAYS}
         for _ in range(repeats):
-            value = draw(length)
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
             results = set()
-            for way in ways:
-                ms, result = timed(way, value)
+            for way, crossovers in _WAYS.items():
+                exact_core._SPLIT_MIN_BITS, exact_core._DECIMAL_MIN_BITS = crossovers
+                ms, result = _cold_ms(exact_core.int_to_decimal, n)
                 times[way].append(ms)
                 results.add(result)
             if len(results) != 1:
-                raise SystemExit(f"the ways disagree at length {length}")
-        rows.append({way: round(statistics.median(times[way]), 4) for way in ways})
+                raise SystemExit(f"the ways disagree at {bits} bits")
+        rows.append({way: round(statistics.median(times[way]), 4) for way in _WAYS})
     return rows
 
 
-def _crossover(lengths, rows, slow, fast, factor):
+def _crossover(rows, slow, fast, factor):
     """The least length from which `fast` beat factor * `slow` at every larger one."""
     found = None
-    for length, row in zip(lengths, rows):
+    for length, row in zip(_BITS, rows):
         if row[fast] < factor * row[slow]:
             found = found or length
         else:
@@ -89,38 +76,21 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=9)
     args = parser.parse_args()
-    saved = (
-        exact_core._SPLIT_MIN_BITS, exact_core._DECIMAL_MIN_BITS, exact_core._JOIN_MIN_DIGITS
-    )
-    # No digit limit for str() and int() (CPython 3.11 on; earlier versions have none).
+    saved = exact_core._SPLIT_MIN_BITS, exact_core._DECIMAL_MIN_BITS
+    # No digit limit for str() (CPython 3.11 on; earlier versions have none).
     getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
-    rng = random.Random(2026)
     try:
-        to_decimal = _measure(
-            _BITS, _TO_DECIMAL, lambda bits: rng.getrandbits(bits) | 1 << (bits - 1),
-            _to_decimal_ms, args.repeats,
-        )
-        to_int = _measure(
-            _DIGITS, _TO_INT, lambda digits: str(rng.randrange(10 ** (digits - 1), 10**digits)),
-            _to_int_ms, args.repeats,
-        )
+        rows = _measure(random.Random(2026), args.repeats)
     finally:
-        (
-            exact_core._SPLIT_MIN_BITS, exact_core._DECIMAL_MIN_BITS, exact_core._JOIN_MIN_DIGITS
-        ) = saved
+        exact_core._SPLIT_MIN_BITS, exact_core._DECIMAL_MIN_BITS = saved
     print(json.dumps({
         "repeats": args.repeats,
-        "int_to_decimal_ms": [{"bits": bits, **row} for bits, row in zip(_BITS, to_decimal)],
-        "decimal_to_int_ms": [
-            {"digits": digits, **row} for digits, row in zip(_DIGITS, to_int)
-        ],
+        "int_to_decimal_ms": [{"bits": bits, **row} for bits, row in zip(_BITS, rows)],
         "crossovers": {
-            "split_min_bits": _crossover(_BITS, to_decimal, "str", "split", 0.9),
-            "decimal_min_bits": _crossover(_BITS, to_decimal, "split", "decimal", 1.0),
-            "join_min_digits": _crossover(_DIGITS, to_int, "int", "split", 0.9),
+            "split_min_bits": _crossover(rows, "str", "split", 0.9),
+            "decimal_min_bits": _crossover(rows, "split", "decimal", 1.0),
         },
-        "in_use": {"split_min_bits": saved[0], "decimal_min_bits": saved[1],
-                   "join_min_digits": saved[2]},
+        "in_use": {"split_min_bits": saved[0], "decimal_min_bits": saved[1]},
     }, indent=1))
 
 
