@@ -349,11 +349,11 @@ _FIRST_TOKEN = re.compile(
 )
 
 
-def _parse_value(entry: bytes | None) -> Fraction:
+def _parse_value(entry: re.Match | None) -> Fraction:
     # An entry the file leaves out reads as 0, as each odd zero past B_1 is.
     if entry is None:
         return Fraction(0)
-    line = entry.decode()
+    line = _line(entry)
     tokens = line.split()
     if len(tokens) != 2:
         raise CacheFormatError(f"malformed cache line: {line!r}")
@@ -370,13 +370,20 @@ def _parse_value(entry: bytes | None) -> Fraction:
     return Fraction(num, den)
 
 
-def _read_cache(path: Path) -> tuple[int, dict[int, bytes]]:
+def _line(entry: re.Match) -> str:
+    # The line that `_FIRST_TOKEN` was matched on.
+    return entry.string[entry.pos : entry.endpos].decode()
+
+
+def _read_cache(path: Path) -> tuple[int, dict[int, re.Match]]:
     """The header's max of the cache at `path`, and its entry lines by index.
 
     The file is read once, and its bytes, header, line count and every
     line's index (an integer in range, not seen before) are checked here,
     before any value is parsed: a fault in an index is reported ahead of
-    one in a value, wherever the two stand in the file.
+    one in a value, wherever the two stand in the file.  No line is copied:
+    an entry is `_FIRST_TOKEN`'s match between the line's start and the end
+    `bytes.find` gives, and `_parse_value` slices the lines it reads.
     """
     if not path.exists():
         raise CacheMissingError(f"no cache file at {path}")
@@ -393,12 +400,18 @@ def _read_cache(path: Path) -> tuple[int, dict[int, bytes]]:
             raise CacheFormatError(f"cache file at {path} is not ASCII: {exc}") from exc
     if any(byte in data for byte in _STR_LINE_BREAKS):
         data = data.translate(_LINE_BREAKS)
-    lines = [
-        (token[1], line) for line in data.split(b"\n") if (token := _FIRST_TOKEN.match(line))
-    ]
+    lines: list[re.Match] = []  # the nonblank lines
+    find, match, start, size = data.find, _FIRST_TOKEN.match, 0, len(data)
+    while start < size:
+        end = find(b"\n", start)
+        if end < 0:
+            end = size
+        if token := match(data, start, end):
+            lines.append(token)
+        start = end + 1
     if not lines:
         raise CacheFormatError(f"empty cache file at {path}")
-    max_index = _parse_header(lines[0][1].decode())
+    max_index = _parse_header(_line(lines[0]))
     # A valid file through B_max has at least max / 2 entry lines (only odd
     # zeros above index 1 are left out): a larger max is refused before a
     # list that long is allocated.
@@ -410,10 +423,11 @@ def _read_cache(path: Path) -> tuple[int, dict[int, bytes]]:
     # An index in range has at most the max's digits; a longer one is refused
     # unread, as int() would refuse one past 4300 digits.
     max_digits = len(str(max_index))
-    entries: dict[int, bytes] = {}
-    for token, line in lines[1:]:
+    entries: dict[int, re.Match] = {}
+    for line in lines[1:]:
+        token = line[1]
         if token is None:
-            raise CacheFormatError(f"malformed cache line: {line.decode()!r}")
+            raise CacheFormatError(f"malformed cache line: {_line(line)!r}")
         if len(token) > max_digits:
             raise CacheFormatError(
                 f"index of {len(token)} digits outside table range 0..{max_index}"

@@ -84,6 +84,7 @@ __all__ = [
     "scan",
     "single_term_interval",
     "threshold_for_n",
+    "threshold_m0",
     "upper_bound_interval",
     "wide_range_bound_forms",
     "wide_range_constant_form_threshold",
@@ -326,6 +327,12 @@ def _bound_end(ceil: bool) -> _BoundEnd:
     return _BoundEnd(ceil)
 
 
+def _lowest_terms(numerator: int, divisor: int) -> tuple[int, int]:
+    """numerator / divisor in lowest terms, as a pair of integers."""
+    g = math.gcd(numerator, divisor)
+    return numerator // g, divisor // g
+
+
 def _bound_memo(k: int, ceil: bool) -> _BoundEnd:
     """One end's memo, extended through single term k and prefix product k.
 
@@ -334,10 +341,11 @@ def _bound_memo(k: int, ceil: bool) -> _BoundEnd:
     S / ((2j-2)(2j-1)), and prefix product j is prefix product j-1 times
     term j: each end of a product of positive intervals is the product of
     the same ends.  Each step is one `_round_to_bits` of the two mantissas'
-    product over the divisor (1 for the prefix), in lowest terms, with the
-    exponents' sum, rounded down (ceil=False) or up.  Each mantissa is odd
-    and of at most _BITS + 1 bits, so no step forms an integer wider than
-    two mantissas: an endpoint as a Fraction would carry a power-of-two
+    product over the divisor (1 for the prefix), in lowest terms by
+    `_lowest_terms`, the pair a Fraction would hold, with the exponents'
+    sum, rounded down (ceil=False) or up.  Each mantissa is odd and of at
+    most _BITS + 1 bits, so no step forms an integer wider than two
+    mantissas: an endpoint as a Fraction would carry a power-of-two
     denominator of ~10^5 bits by m = 200.
 
     Readers test `products`, which each step appends last, so that a
@@ -350,9 +358,9 @@ def _bound_memo(k: int, ceil: bool) -> _BoundEnd:
             for j in range(len(products), k + 1):
                 if terms:
                     last, last_exp = terms[-1]
-                    quotient = dyadic_fraction(last * square, 0, (2 * j - 2) * (2 * j - 1))
+                    top, divisor = _lowest_terms(last * square, (2 * j - 2) * (2 * j - 1))
                     term, term_exp = _round_to_bits(
-                        quotient.numerator, last_exp + square_exp, quotient.denominator, _BITS, ceil
+                        top, last_exp + square_exp, divisor, _BITS, ceil
                     )
                 else:
                     term, term_exp = square, square_exp - 1
@@ -469,17 +477,16 @@ class ThresholdResult(_Record):
         return self.m_found is not None
 
 
-def threshold_for_n(n: int, m_cap: int = 64) -> ThresholdResult:
-    """Walk m = m_cap down to 1 while U(m,n) and its ratio are certified below 1.
+def _threshold_walk(n: int, m_cap: int) -> Iterator[tuple[int, int]]:
+    """(m, (2m+n-1)!/(2m)!) for m = m_cap down to 1 while both tests pass.
 
     Both tests run in integers, on the hi entries of `_bound_memo`:
     ratio_next(m).hi < 1 cross-multiplies single term m+1 by the factor
     (2m+n+1)(2m+n)/((2m+2)(2m+1)), and U(m,n).hi < 1 holds when the m-th
-    prefix product's mantissa times the prefix (2m+n-1)!/(2m)! has at most
-    -exponent bits, the rule `_certificates` reads.  The prefix is formed
-    once, at m_cap, and stepped down by an exact division at each m that
-    passes.  Each such m adds its `_bound_sequence` to the chain; the walk
-    stops at the first m where either test fails.
+    prefix product's mantissa times the prefix has at most -exponent bits,
+    the rule `_certificates` reads.  The prefix is formed once, at m_cap,
+    and stepped down by an exact division at each m that passes.  The walk
+    stops at the first m where either test fails, and forms no enclosure.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -487,19 +494,36 @@ def threshold_for_n(n: int, m_cap: int = 64) -> ThresholdResult:
         raise ValueError(f"m_cap must be positive, got {m_cap}")
     hi_end = _bound_memo(m_cap + 1, ceil=True)
     prefix = rising_factorial_ratio(2 * m_cap + n - 1, 2 * m_cap)
-    chain: list[BoundSequence] = []
     for m in range(m_cap, 0, -1):
         # ratio_next(m).hi < 1: hi * 2**hi_exp * rise < fall, in integers.
         hi, hi_exp = hi_end.terms[m]
         rise, fall = (2 * m + n + 1) * (2 * m + n), (2 * m + 2) * (2 * m + 1)
         if hi * rise << max(hi_exp, 0) >= fall << max(-hi_exp, 0):
-            break
+            return
         # U(m,n).hi = hi * 2**hi_exp * prefix, below 1 iff hi * prefix < 2**-hi_exp.
         hi, hi_exp = hi_end.products[m]
         if (hi * prefix).bit_length() > -hi_exp:
-            break
-        chain.append(_bound_sequence(m, n, prefix))
+            return
+        yield m, prefix
         prefix = prefix * (2 * m - 1) * (2 * m) // ((2 * m + n - 2) * (2 * m + n - 1))
+
+
+def threshold_m0(n: int, m_cap: int = 64) -> int | None:
+    """`threshold_for_n(n, m_cap).m_found`, from the walk alone: no link is formed."""
+    m0 = None
+    for m0, _ in _threshold_walk(n, m_cap):
+        pass
+    return m0
+
+
+def threshold_for_n(n: int, m_cap: int = 64) -> ThresholdResult:
+    """Walk m = m_cap down to 1 while U(m,n) and its ratio are certified below 1.
+
+    Each m that `_threshold_walk` passes adds its `_bound_sequence` to the
+    chain.  Its value carries a power-of-two denominator of 2.8 million bits
+    at m = 700, so `threshold_m0` takes m0 from the walk alone.
+    """
+    chain = [_bound_sequence(m, n, prefix) for m, prefix in _threshold_walk(n, m_cap)]
     chain.reverse()
     m_found = chain[0].m if chain else None
     return ThresholdResult(n=n, m_cap=m_cap, m_found=m_found, chain=tuple(chain))

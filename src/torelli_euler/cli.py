@@ -20,6 +20,7 @@ from .certify import (
     certify_non_integrality,
     scan,
     threshold_for_n,
+    threshold_m0,
 )
 from .euler_char import TORELLI_FORMULA_NOTE, chi_torelli, e_mn, euler_moduli
 from .render import (
@@ -268,8 +269,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    result = threshold_for_n(args.n, m_cap=args.m_cap)
     if args.format == "json":
+        result = threshold_for_n(args.n, m_cap=args.m_cap)
+        m_found = result.m_found
         print(
             dumps(
                 {
@@ -280,14 +282,17 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
                 }
             )
         )
-    elif result.found:
-        print(
-            f"threshold for n={args.n}: m0 = {result.m_found} "
-            f"(bound and ratio certified below 1 through m = {args.m_cap})"
-        )
     else:
-        print(f"threshold for n={args.n}: not found below cap {args.m_cap}")
-    return 0 if result.found else 1
+        # Text prints m0 alone: the walk decides it, and no link is formed.
+        m_found = threshold_m0(args.n, m_cap=args.m_cap)
+        if m_found is not None:
+            print(
+                f"threshold for n={args.n}: m0 = {m_found} "
+                f"(bound and ratio certified below 1 through m = {args.m_cap})"
+            )
+        else:
+            print(f"threshold for n={args.n}: not found below cap {args.m_cap}")
+    return 0 if m_found is not None else 1
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:

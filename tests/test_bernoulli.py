@@ -625,3 +625,42 @@ def test_bad_index_past_the_prefix_is_a_format_error(tmp_path, line):
         load_table(path, through=20)
     with pytest.raises(CacheFormatError, match=re.escape(str(info.value))):
         obtain_bernoulli(20, path)
+
+
+@pytest.fixture(scope="module")
+def cache1200(table1200, tmp_path_factory):
+    return _persisted(table1200, tmp_path_factory.mktemp("b1200") / "bern.cache")
+
+
+def test_prefix_loads_of_a_b1200_cache_equal_fresh_tables(table1200, cache1200):
+    for through in (0, 1, 2, 41, 400):
+        assert load_table(cache1200, through=through) == bernoulli_table(through), through
+    assert load_table(cache1200, through=1200) == table1200
+
+
+@pytest.mark.parametrize("fault", ["duplicate-index", "malformed-index", "non-ascii-byte"])
+def test_a_fault_on_the_last_line_fails_every_read(cache1200, tmp_path, fault):
+    # The reader matches each line in place and parses only the entries a
+    # read needs, yet a fault on the last line of a B_1200 cache, far past
+    # B_10 and B_2, still fails both reads with the class and text a read of
+    # every line gives.
+    written = cache1200.read_bytes()
+    last = written.rstrip(b"\n").rsplit(b"\n", 1)[1]
+    assert last.startswith(b"1200 ")
+    path = tmp_path / "bern.cache"
+    if fault == "duplicate-index":
+        path.write_bytes(written + last + b"\n")
+        message = "duplicate entry for index 1200"
+    elif fault == "malformed-index":
+        path.write_bytes(written[: -len(last) - 1] + b"0" + last + b"\n")
+        message = f"malformed cache line: {'0' + last.decode()!r}"
+    else:
+        path.write_bytes(written + b"\xe9")
+        with pytest.raises(UnicodeDecodeError) as decoding:
+            path.read_text(encoding="ascii")
+        message = f"cache file at {path} is not ASCII: {decoding.value}"
+    for read in (lambda: load_table(path, through=10), lambda: obtain_bernoulli(2, path)):
+        with pytest.raises(CacheFormatError) as info:
+            read()
+        assert type(info.value) is CacheFormatError
+        assert str(info.value) == message

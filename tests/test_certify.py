@@ -424,13 +424,13 @@ def test_memo_steps_work_on_narrow_integers(monkeypatch):
 
         return record
 
-    for name in ("dyadic_fraction", "_round_to_bits"):
+    for name in ("_lowest_terms", "_round_to_bits"):
         monkeypatch.setattr(certify_module, name, recording(name))
     _bound_end.cache_clear()
     for ceil in (False, True):
         assert len(_bound_memo(700, ceil).terms) == 700
     _bound_end.cache_clear()
-    assert set(widest) == {"dyadic_fraction", "_round_to_bits"}
+    assert set(widest) == {"_lowest_terms", "_round_to_bits"}
     assert max(widest.values()) <= 1000, widest
 
 
@@ -557,18 +557,18 @@ def test_prefix_memo_is_dropped_with_the_module_lru_caches(monkeypatch):
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
     enclosures, divisors = [], []
-    enclose, divide = certify_module.pi_interval, certify_module.dyadic_fraction
+    enclose, divide = certify_module.pi_interval, certify_module._lowest_terms
 
     def recording_enclose(bits):
         enclosures.append(bits)
         return enclose(bits)
 
-    def recording_divide(numerator, exponent, divisor):
+    def recording_divide(numerator, divisor):
         divisors.append(divisor)
-        return divide(numerator, exponent, divisor)
+        return divide(numerator, divisor)
 
     monkeypatch.setattr(certify_module, "pi_interval", recording_enclose)
-    monkeypatch.setattr(certify_module, "dyadic_fraction", recording_divide)
+    monkeypatch.setattr(certify_module, "_lowest_terms", recording_divide)
     _term_product(50)
     assert enclosures == [64 + _GUARD_BITS] * 2
     assert divisors == [(2 * k - 2) * (2 * k - 1) for _ in ("lo", "hi") for k in range(2, 51)]

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import torelli_euler.certify as certify_module
 from torelli_euler import bernoulli, cli
 from torelli_euler.bernoulli import TableInvariantError, bernoulli_table, load_table, persist_table
 from torelli_euler.certify import certify_non_integrality, threshold_for_n
@@ -174,6 +178,52 @@ def test_threshold_json_at_large_n(capsys):
     assert code == 0
     assert payload["m_found"] == 251
     assert [entry["m"] for entry in payload["chain"]] == list(range(251, 301))
+
+
+def test_text_threshold_forms_no_link_of_the_chain(capsys, monkeypatch):
+    # The text output prints m0 alone, which the walk down from the cap
+    # decides: at the largest cap no enclosure of the chain is formed, where
+    # forming them took 166 MB.  JSON still forms one per link.
+    formed = []
+    bound_sequence = certify_module._bound_sequence
+
+    def recording(m, n, prefix):
+        formed.append(m)
+        return bound_sequence(m, n, prefix)
+
+    monkeypatch.setattr(certify_module, "_bound_sequence", recording)
+    code, out, _ = run(capsys, "threshold", "-n", "1", "--m-cap", "700")
+    assert code == 0
+    assert out == "threshold for n=1: m0 = 14 (bound and ratio certified below 1 through m = 700)\n"
+    assert formed == []
+    code, out, _ = run(capsys, "threshold", "-n", "1", "--m-cap", "20", "--format", "json")
+    assert code == 0 and json.loads(out)["m_found"] == 14
+    assert formed == list(range(20, 13, -1))
+
+
+_THRESHOLD_TEXT = re.compile(
+    r"threshold for n=(\d+): (?:m0 = (\d+) \(bound and ratio certified below 1 through "
+    r"m = (\d+)\)|not found below cap (\d+))\n"
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 17).flatmap(lambda bits: st.integers(1, 1 << bits)),
+    m_cap=st.integers(1, 200),
+)
+def test_text_threshold_is_the_library_m0(n, m_cap):
+    # n is drawn log-uniform up to the CLI's 2^17, so that m0 falls below
+    # the cap for some draws and past it for others.
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["threshold", "-n", str(n), "--m-cap", str(m_cap)])
+    text = _THRESHOLD_TEXT.fullmatch(out.getvalue())
+    assert text and int(text[1]) == n
+    m_found = threshold_for_n(n, m_cap).m_found
+    if m_found is None:
+        assert (code, text[4]) == (1, str(m_cap))
+    else:
+        assert (code, text[2], text[3]) == (0, str(m_found), str(m_cap))
 
 
 def test_scan_text(capsys):
@@ -474,9 +524,10 @@ def test_m_cap_above_the_limit_is_a_usage_error(capsys, monkeypatch):
     # At n = 1 the JSON chain to cap 700 is already 358 MB: a larger cap is
     # refused by the parser, before any bound is formed.
     def computed(*args, **kwargs):
-        raise AssertionError("threshold_for_n was called")
+        raise AssertionError("the threshold was computed")
 
     monkeypatch.setattr(cli, "threshold_for_n", computed)
+    monkeypatch.setattr(cli, "threshold_m0", computed)
     for cap in ("701", "100000000"):
         code, out, err = _outcome(capsys, main, ["threshold", "-n", "1", "--m-cap", cap])
         assert code == 2 and out == "" and f"at most 700, got {cap}" in err, cap

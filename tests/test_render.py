@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from torelli_euler.certify import (
     CertificateError,
@@ -23,6 +24,7 @@ from torelli_euler.render import (
     rational_from_json,
     rational_to_json,
 )
+from torelli_euler.exact_core import _legendre, p_adic_valuation
 from torelli_euler.verify import (
     CheckResult,
     VerificationReport,
@@ -221,6 +223,86 @@ def test_dumps_writes_one_line_that_loads_back(table600):
         assert text == json.dumps(obj, sort_keys=True, ensure_ascii=False)
     assert dumps({"p": "691", "a": [1, 2]}) == '{"a": [1, 2], "p": "691"}'
     assert "…" in dumps(report)
+
+
+# Text without lone surrogates, which UTF-8 cannot carry.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
+# Integers of every size the decimal conversion tells apart: up to a few
+# hundred bits, and past 10,000 bits, where it splits by powers of ten.
+_INTEGERS = st.one_of(
+    st.integers(),
+    st.builds(lambda a, e: a * 7**e + 1, st.integers(), st.integers(3600, 12_000)),
+)
+
+
+@st.composite
+def _prime_witnesses(draw):
+    p = draw(st.sampled_from([2, 3, 691, 3617]))
+    numerator = draw(_INTEGERS.filter(lambda a: a % p))
+    value = Fraction(numerator, p ** draw(st.integers(1, 40)) * draw(st.integers(1, 10**30)))
+    return PrimeWitness(value=value, p=p, valuation=p_adic_valuation(value, p))
+
+
+@st.composite
+def _valuation_witnesses(draw):
+    # The diff is 0 while 2m + n_last - 1 < p, so any positive bar witnesses.
+    p = draw(st.sampled_from([691, 3617, 1001259881]))
+    m = draw(st.integers(1, 100))
+    n_first = draw(st.integers(1, 300))
+    n_last = draw(st.integers(n_first, 400))
+    ks = sorted(draw(st.sets(st.integers(1, m), min_size=1, max_size=5)))
+    values = [draw(st.integers(1, 3) | st.integers(-2, -1)) for _ in ks]
+    valuation = _legendre(2 * m + n_last - 1, p) - _legendre(2 * m, p) - sum(values)
+    assume(valuation < 0)
+    return ValuationWitness(m, n_first, n_last, p, valuation, tuple(zip(ks, values)))
+
+
+@st.composite
+def _magnitude_witnesses(draw):
+    denominator = draw(st.integers(2, 1 << 200))
+    upper = Fraction(draw(st.integers(1, denominator - 1)), denominator)
+    return MagnitudeWitness(upper=upper, statement=draw(_TEXT))
+
+
+_CERTIFICATES = st.one_of(
+    st.builds(IntegerValue, _INTEGERS),
+    _prime_witnesses(),
+    _valuation_witnesses(),
+    _magnitude_witnesses(),
+    st.builds(Inconclusive, _TEXT),
+)
+
+
+@st.composite
+def _reports(draw):
+    ids = draw(st.lists(_TEXT, unique=True, max_size=6))
+    elapsed = st.floats(0, 1e6, allow_nan=False) | st.integers(0, 10**6)
+    checks = tuple(
+        CheckResult(
+            id=check_id,
+            paper_ref=draw(_TEXT),
+            status=draw(st.sampled_from(["pass", "fail", "inconclusive"])),
+            witness=draw(_TEXT),
+            elapsed_s=draw(elapsed),
+        )
+        for check_id in ids
+    )
+    return VerificationReport(mode="standard", checks=checks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(record=_CERTIFICATES | _reports())
+def test_dumped_json_loads_back_and_dumps_again_byte_identically(record):
+    # Every certificate kind and a report: the dumped JSON reads back to the
+    # same record, and that record dumps to the same bytes.
+    if isinstance(record, VerificationReport):
+        to_json, from_json = report_to_json, report_from_json
+    else:
+        to_json, from_json = certificate_to_json, certificate_from_json
+    text = dumps(to_json(record))
+    restored = from_json(json.loads(text))
+    assert restored == record
+    assert dumps(to_json(restored)).encode() == text.encode()
 
 
 def test_dumps_is_deterministic():
