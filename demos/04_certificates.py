@@ -5,21 +5,20 @@ The story for n = 1: e(m,1) is an integer through m = 5, picks up the prime
 691 in its denominator at m = 6, and from m = 14 on is certified to lie in
 (0, 1) by the interval bound alone.  A scan then covers a grid, and the
 closing-bound display for the wide window n <= 677 is evaluated in both of
-its readings.  The valuation ledger reaches the scan's 691 and 3617
-witnesses from p-adic valuations alone, one witness per prime per run of a
-row.
+its readings.  Last, the whole claim, for every m >= 6 and n <= 677, as the
+standalone rechecker proves it: two primes and the magnitude bound.
 """
 
 from torelli_euler import (
     bernoulli_table,
     certify_non_integrality,
     e_mn,
-    ledger_segments,
     scan,
     threshold_for_n,
     wide_range_bound_forms,
     wide_range_constant_form_threshold,
 )
+from torelli_euler.recheck import certificate, check
 from torelli_euler.render import certificate_text
 
 table = bernoulli_table(100)
@@ -45,14 +44,6 @@ for point in scan((4, 8), (1, 3), "exact", table):
     print(f"  m={point.m} n={point.n}: "
           f"{certificate_text(point.certificate, 6)}{mark}")
 
-print("\nThe same block from the valuation ledger, without forming e(m,n):")
-print("v_p(e(m,n)) never falls as n grows, so one witness at a run's last n")
-print("covers the whole run.  Rows 4 and 5 yield no run: neither 691 nor 3617")
-print("divides zeta(1-2k) for k <= 5, and e(m,n) is an integer there, as the")
-print("scan above shows.  A point no run covers is the scan's to decide:")
-for witness in ledger_segments((4, 8), (1, 3), table):
-    print(f"  {certificate_text(witness, 6)}")
-
 print("\nThe closing bound for the wide window n <= 677 has two readings:")
 threshold = wide_range_constant_form_threshold(45)
 forms = wide_range_bound_forms(37)
@@ -62,3 +53,12 @@ print("  per-index reading at m=37 is still astronomically large:")
 print(f"    lo endpoint has about "
       f"{len(str(int(forms.per_index_product.lo)))} digits")
 print("  both are computed and reported; they cannot both be what was meant")
+
+print("\nThe whole claim, e(m,n) not an integer for m >= 6 and n <= 677:")
+cert = certificate(677)
+(p, k, last), (q, j, end) = cert["prime_rows"]
+print(f"  rows 6..{last}: {p} divides the numerator of zeta({1 - 2 * k}) and exceeds 2m+n-1")
+print(f"  rows {last + 1}..{end}: {q} does the same for zeta({1 - 2 * j})")
+print(f"  rows from m0 = {cert['m0']} on: U(m,n) < 1 with 2pi replaced by 44/7")
+print(f"  recheck: {check(cert) or 'every part holds'}")
+print("  the same from the command line: python -m torelli_euler.recheck")

@@ -1,13 +1,10 @@
 """Machine-checkable non-integrality certificates for e(m,n).
 
-Four certificate forms, each validated at construction time so that an
+Three certificate forms, each validated at construction time so that an
 unsound certificate cannot exist as an object:
 
   IntegerValue      e(m,n) reduced to denominator 1
   PrimeWitness      a prime with negative valuation in e(m,n)
-  ValuationWitness  the same over a run of a row, with v_p(e(m,n)) assembled
-                    from Legendre's formula and the p-adic valuations of
-                    zeta(1-2k)
   MagnitudeWitness  a certified bound 0 < e(m,n) < 1
 
 plus an explicit Inconclusive outcome which is never silently conflated
@@ -25,11 +22,10 @@ only when that end is read: a certificate reads the hi end alone, an
 enclosure both.  Exact certificates read the exact e(m,n)
 of `euler_char.e_mn`; witness primes are chosen deterministically (691,
 then 3617, then the smallest prime factor of the reduced denominator up to
-WITNESS_SEARCH_LIMIT).  The valuation ledger (`ledger_segments`) reaches
-the 691 and 3617 witnesses over a grid without forming e(m,n): one
-ValuationWitness per prime per row, whose run n_first..n_last ends where
-Legendre's formula, inverted, meets the prime's bar.  A point no run covers
-is left to the scan.
+WITNESS_SEARCH_LIMIT).  `first_n_reaching` inverts Legendre's formula: the
+least n at which a prime's valuation of (2m+n-1)!/(2m)! meets a given bar.
+The claim for every m >= 6 and n <= 677 is proved by the standalone
+`recheck` module, not here.
 """
 
 from __future__ import annotations
@@ -51,14 +47,12 @@ from .exact_core import (
     _round_to_bits,
     dyadic_fraction,
     factorial_valuation,
-    is_probable_prime,
     p_adic_valuation,
     pi_interval,
     primes_up_to,
     rising_factorial_ratio,
 )
 from .euler_char import e_mn
-from .zeta_special import zeta_one_minus_2k
 
 __all__ = [
     "BoundSequence",
@@ -73,14 +67,12 @@ __all__ = [
     "STRATEGIES",
     "ScanPoint",
     "ThresholdResult",
-    "ValuationWitness",
     "WITNESS_PRIMES",
     "WITNESS_SEARCH_LIMIT",
     "WideRangeBoundForms",
     "certificate_from_exact",
     "certify_non_integrality",
     "first_n_reaching",
-    "ledger_segments",
     "scan",
     "single_term_interval",
     "threshold_for_n",
@@ -148,67 +140,6 @@ class PrimeWitness(_Record):
             )
 
 
-class ValuationWitness(_Record):
-    """v_p(e(m,n)) < 0 for the prime p at every n = n_first..n_last of row m.
-
-    v_p(e(m,n)) = v_p((2m+n-1)!) - v_p((2m)!) - sum_{k<=m} v_p(zeta(1-2k)).
-    `zeta_valuations` lists (k, v_p(zeta(1-2k))) for the k <= m with a
-    nonzero valuation, k increasing; every k it omits counts as 0.  The
-    recheck recomputes the factorial terms at n_last by Legendre's formula
-    and the sum from the list; `valuation` is v_p(e(m,n_last)).  As
-    v_p((2m+n-1)!) never decreases in n, neither does v_p(e(m,n)), so a
-    valuation negative at n_last is negative over the whole run.  The listed
-    valuations themselves come from a validated Bernoulli table, against
-    which they can be checked again.
-    """
-
-    __slots__ = _fields = ("m", "n_first", "n_last", "p", "valuation", "zeta_valuations")
-
-    def __init__(
-        self,
-        m: int,
-        n_first: int,
-        n_last: int,
-        p: int,
-        valuation: int,
-        zeta_valuations: tuple[tuple[int, int], ...],
-    ) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n_first", n_first)
-        object.__setattr__(self, "n_last", n_last)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "zeta_valuations", zeta_valuations)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.m < 1 or not 1 <= self.n_first <= self.n_last:
-            raise CertificateError(
-                f"need m >= 1 and 1 <= n_first <= n_last, got m={self.m}, "
-                f"n = {self.n_first}..{self.n_last}"
-            )
-        if not is_probable_prime(self.p):
-            raise CertificateError(f"witness {self.p} is not prime")
-        zeta_sum = previous = 0
-        for k, v in self.zeta_valuations:
-            if not previous < k <= self.m or v == 0:
-                raise CertificateError(
-                    f"zeta valuations must be nonzero, at increasing k in 1..{self.m}; "
-                    f"got ({k}, {v})"
-                )
-            zeta_sum += v
-            previous = k
-        recomputed = (
-            _legendre(2 * self.m + self.n_last - 1, self.p)
-            - _legendre(2 * self.m, self.p)
-            - zeta_sum
-        )
-        if recomputed != self.valuation or recomputed >= 0:
-            raise CertificateError(
-                f"claimed v_{self.p} = {self.valuation}, recomputed {recomputed}"
-            )
-
-
 class MagnitudeWitness(_Record):
     """0 < e(m,n) <= upper < 1, so e(m,n) is not an integer.
 
@@ -240,7 +171,7 @@ class Inconclusive(_Record):
         object.__setattr__(self, "reason", reason)
 
 
-Certificate = Union[IntegerValue, PrimeWitness, ValuationWitness, MagnitudeWitness, Inconclusive]
+Certificate = Union[IntegerValue, PrimeWitness, MagnitudeWitness, Inconclusive]
 
 
 # Primes up to WITNESS_SEARCH_LIMIT in blocks of 128, each with its product:
@@ -683,46 +614,6 @@ def first_n_reaching(m: int, p: int, bar: int) -> int:
         else:
             lo = mid + 1
     return max(1, p * lo - 2 * m + 1)
-
-
-def ledger_segments(
-    m_range: tuple[int, int],
-    n_range: tuple[int, int],
-    table: BernoulliTable,
-) -> Iterator[ValuationWitness]:
-    """The runs of each row that 691 or 3617 witnesses, from p-adic valuations.
-
-    For each p in WITNESS_PRIMES a running ledger holds the nonzero
-    v_p(zeta(1-2k)) for k <= m, each taken once from the table; their sum is
-    the bar.  As v_p(e(m,n)) never decreases along a row, a prime's points
-    there form one run, which `first_n_reaching` ends by inverting Legendre's
-    formula.  So each row yields at most a 691 run and then a 3617 run, the
-    first starting at the range's first n and the second where the first
-    ends: 691 comes before 3617 as in certificate_from_exact, so every point
-    a run covers gets the p and valuation an exact scan reports.  The points
-    after a row's last run are left to `scan`; none remain for m = 6..54 and
-    n <= 677, as `whole-claim` checks.
-    """
-    m_lo, m_hi = _validate_range(m_range, "m")
-    n_lo, n_hi = _validate_range(n_range, "n")
-    _check_request("exact", table, m_hi)
-    ledgers: dict[int, list[tuple[int, int]]] = {p: [] for p in WITNESS_PRIMES}
-    for m in range(1, m_hi + 1):
-        zeta = zeta_one_minus_2k(m, table)
-        for p, entries in ledgers.items():
-            v = p_adic_valuation(zeta, p)
-            if v:
-                entries.append((m, v))
-        if m < m_lo:
-            continue
-        n_first = n_lo
-        for p, entries in ledgers.items():
-            bar = sum(v for _, v in entries)
-            n_last = min(n_hi, first_n_reaching(m, p, bar) - 1)
-            if n_last >= n_first:
-                diff = _legendre(2 * m + n_last - 1, p) - _legendre(2 * m, p)
-                yield ValuationWitness(m, n_first, n_last, p, diff - bar, tuple(entries))
-                n_first = n_last + 1
 
 
 # ---------------------------------------------------------------------------

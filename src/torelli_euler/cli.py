@@ -115,6 +115,14 @@ def _marked_points(text: str) -> int:
     return _at_most(_MAX_N, text, parse=_nonnegative_int)
 
 
+# One `scan` request decides at most this many points.  Each option is capped
+# on its own, but together they would allow about 2*10^8 points, nine hours.
+# At the cap the slowest grids measured take 18-20 s (2-core container): the
+# bound at m = 1491..1500 and n up to 2^17, and e(m,n) at m = 191..200, whose
+# text is 470 MB.  At 10^5 points the first took 150 s.
+_MAX_SCAN_POINTS = 10_000
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache",
@@ -298,6 +306,9 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.m_min > args.m_max or args.n_min > args.n_max:
         raise UsageError("each range needs its minimum at most its maximum")
+    grid = (args.m_max - args.m_min + 1) * (args.n_max - args.n_min + 1)
+    if grid > _MAX_SCAN_POINTS:
+        raise UsageError(f"a scan covers at most {_MAX_SCAN_POINTS} points, this grid has {grid}")
     # Read or built only if some point's answer needs e(m,n), as for certify.
     table = functools.partial(obtain_table, 2 * args.m_max, args.cache)
     points = scan((args.m_min, args.m_max), (args.n_min, args.n_max), args.strategy, table)

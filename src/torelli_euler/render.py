@@ -18,7 +18,6 @@ from .certify import (
     IntegerValue,
     MagnitudeWitness,
     PrimeWitness,
-    ValuationWitness,
 )
 from .exact_core import RationalInterval, decimal_to_int, int_to_decimal
 
@@ -104,16 +103,6 @@ def certificate_to_json(cert: Certificate) -> dict[str, Any]:
             "p": str(cert.p),
             "valuation": cert.valuation,
         }
-    if isinstance(cert, ValuationWitness):
-        return {
-            "kind": "valuation-witness",
-            "m": cert.m,
-            "n_first": cert.n_first,
-            "n_last": cert.n_last,
-            "p": str(cert.p),
-            "valuation": cert.valuation,
-            "zeta_valuations": [[k, v] for k, v in cert.zeta_valuations],
-        }
     if isinstance(cert, MagnitudeWitness):
         return {
             "kind": "magnitude",
@@ -139,17 +128,6 @@ def certificate_from_json(obj: Any) -> Certificate:
                 p=decimal_to_int(obj["p"]),
                 valuation=_json_int(obj["valuation"]),
             )
-        if kind == "valuation-witness":
-            return ValuationWitness(
-                m=_json_int(obj["m"]),
-                n_first=_json_int(obj["n_first"]),
-                n_last=_json_int(obj["n_last"]),
-                p=decimal_to_int(obj["p"]),
-                valuation=_json_int(obj["valuation"]),
-                zeta_valuations=tuple(
-                    (_json_int(k), _json_int(v)) for k, v in obj["zeta_valuations"]
-                ),
-            )
         if kind == "magnitude":
             return MagnitudeWitness(
                 upper=rational_from_json(obj["upper"]), statement=str(obj["statement"])
@@ -168,13 +146,6 @@ def certificate_text(cert: Certificate, digits: int = 12) -> str:
         return (
             f"non-integer (prime witness): v_{cert.p} = {cert.valuation} "
             f"of {format_rational(cert.value, digits)}"
-        )
-    if isinstance(cert, ValuationWitness):
-        listed = ", ".join(f"k={k}: {v}" for k, v in cert.zeta_valuations) or "none"
-        return (
-            f"non-integer (valuation witness): v_{cert.p} = {cert.valuation} "
-            f"of e({cert.m},{cert.n_last}), negative over n = {cert.n_first}..{cert.n_last}; "
-            f"nonzero v_{cert.p}(zeta(1-2k)): {listed}"
         )
     if isinstance(cert, MagnitudeWitness):
         return (

@@ -9,14 +9,12 @@ itself in `_CHECKS` with `_check`, which names its id and paper reference,
 in definition order: the acceptance tests run the suite and assert every
 check, rather than restating them.
 The suite works over a Bernoulli table to index 600.  The check of the
-whole claim proves it for every m >= 6 and n <= 677 (`_prove_claim`): the
-rows below the bound's threshold m0 by the valuation ledger's witnesses
-(`certify.ledger_segments`), each one rechecked `ValuationWitness` for one
-prime over a run n_first..n_last of a row, ended by inverting Legendre's
-formula, so that no exact ~10^5-digit e(m,n) is formed; the rows from m0 on
-by the bound.  Each shared record is formed once per run, by the
-first check that asks: the threshold at n = 677 by `_claim_threshold`, and
-the n = 1 column, e(m,1) for m = 1..100 in one exact scan, by `_column`.
+whole claim proves it for every m >= 6 and n <= 677 with the standalone
+rechecker (`recheck.check(recheck.certificate(677))`), in process: rows
+6..m0-1 by the primes 691 and 3617, the rows from m0 on by the magnitude
+bound with 2pi replaced by 44/7.  The n = 1 column, e(m,1) for m = 1..100 in
+one exact scan, is formed once per run, by the first check that asks
+(`_column`).
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ import time
 from fractions import Fraction
 from typing import Any, Callable
 
+from . import recheck
 from .bernoulli import (
     BernoulliTable,
     CacheError,
@@ -35,24 +34,21 @@ from .bernoulli import (
     _von_staudt_clausen_prime_lists,
 )
 from .certify import (
-    BoundSequence,
     Certificate,
     IntegerValue,
     MAX_WITNESSED_N,
     PrimeWitness,
-    ThresholdResult,
-    ValuationWitness,
     _upper_end,
     certify_non_integrality,
-    ledger_segments,
     scan,
     single_term_interval,
     threshold_for_n,
+    threshold_m0,
     wide_range_bound_forms,
     wide_range_constant_form_threshold,
 )
 from .euler_char import chi_torelli, euler_moduli
-from .exact_core import _Record, dyadic_fraction, p_adic_valuation, pi_interval
+from .exact_core import _Record, dyadic_fraction, pi_interval
 from .render import decimal_string
 from .zeta_special import zeta_abs_lower_bound, zeta_one_minus_2k, zeta_product
 
@@ -343,82 +339,21 @@ def _check_bound_dominates(ctx: dict) -> Outcome:
     return "pass", "exact e(m,n) <= certified U(m,n) for m = 1..50, n = 1..5"
 
 
-def _claim_threshold(ctx: dict) -> ThresholdResult:
-    """The bound's threshold at n = MAX_WITNESSED_N, formed the first time a check asks."""
-    if "claim_threshold" not in ctx:
-        ctx["claim_threshold"] = threshold_for_n(MAX_WITNESSED_N)
-    return ctx["claim_threshold"]
-
-
-# ratio_next(m+1,n)/ratio_next(m,n) = A (2pi)^2/((2m+3)(2m+2)), with x = 2m, j = n - 1 and
-# A = (x+j+4)(x+j+3)(x+2)(x+1)/((x+4)(x+3)(x+j+2)(x+j+1)).  A's denominator minus its
-# numerator, as (power of x, power of j, coefficient):
-_RATIO_GAP = ((2, 1, 4), (1, 2, 4), (1, 1, 20), (0, 2, 10), (0, 1, 22))
-
-
-def _prove_claim(
-    witnesses: tuple[ValuationWitness, ...],
-    link: BoundSequence,
-    n_max: int,
-    table: BernoulliTable,
-    gap: tuple[tuple[int, int, int], ...] = _RATIO_GAP,
-) -> Outcome:
-    """e(m,n) is not an integer for every m >= 6 and n <= n_max.
-
-    Rows m = 6..m0-1, m0 = link.m: valuation witnesses whose runs tile
-    n = 1..n_max, in row order, listing the table's zeta valuations.  From
-    m0 on, U(m,n) <= U(m,n_max) <= U(m0,n_max) < 1: U gains 2m+n from n to
-    n+1, and its ratio, below 1 at m0, falls in m, as A <= 1 and
-    (2pi)^2 < 42 <= (2m+3)(2m+2).
-    A's gap has degree at most 4 in x and in j, so a `gap` of such degrees
-    that agrees with it on x, j = 0..4 is it.
-    """
-    m0 = link.m
-    if link.n != n_max or m0 < 2 or not (link.value.hi < 1 and link.ratio_next.hi < 1):
-        return "fail", f"U({m0},{link.n}) and its ratio are not both certified below 1"
-    if any(c < 0 or a > 4 or b > 4 for a, b, c in gap) or any(
-        (x + 4) * (x + 3) * (y + 2) * (y + 1) - (y + 4) * (y + 3) * (x + 2) * (x + 1)
-        != sum(c * x**a * j**b for a, b, c in gap)
-        for x, j, y in ((x, j, x + j) for x in range(5) for j in range(5))
-    ):
-        return "fail", f"gap {gap} is not A's with degrees <= 4 and no negative coefficient"
-    if not (2 * pi_interval(64).hi) ** 2 < 42:
-        return "fail", "(2pi)^2 is not certified below 42"
-    rows = [witness for witness in witnesses if witness.m < m0]
-    m, n_next = 6, 1
-    listed: dict[int, list[tuple[int, int]]] = {}  # per prime, the nonzero v_p(zeta(1-2k)), k < m0
-    for witness in rows:
-        if (witness.m, witness.n_first) != (m, n_next):
-            return "fail", f"no valuation witness starts at (m, n) = ({m}, {n_next})"
-        p = witness.p
-        if p not in listed:
-            zetas = enumerate((zeta_one_minus_2k(k, table) for k in range(1, m0)), 1)
-            listed[p] = [(k, v) for k, z in zetas if (v := p_adic_valuation(z, p))]
-        if witness.zeta_valuations != tuple(kv for kv in listed[p] if kv[0] <= m):
-            run = f"({m}, {witness.n_first}..{witness.n_last})"
-            return "fail", f"the witness of {run} lists zeta valuations not the table's"
-        m, n_next = (m + 1, 1) if witness.n_last >= n_max else (m, witness.n_last + 1)
-    if m < m0:
-        return "fail", f"no valuation witness starts at (m, n) = ({m}, {n_next})"
-    split = ", ".join(f"{sum(w.p == p for w in rows)} with p = {p}" for p in listed)
-    return (
-        "pass",
-        f"rows m = 6..{m0 - 1} by {len(rows)} valuation witnesses ({split}); "
-        f"from m0 = {m0} on, "
-        f"0 < e(m,n) <= U(m,n) <= U({m0},{n_max}) < 1, as U rises in n and its ratio, "
-        "below 1 at m0, falls in m; the one premise not computed, zeta(2k) > 1, gives "
-        "e(m,n) <= U(m,n)",
-    )
-
-
 @_check("whole-claim", "e(m,n) non-integer for m >= 6 and n <= 677")
 def _check_whole_claim(ctx: dict) -> Outcome:
-    result = _claim_threshold(ctx)
-    if not result.found:
-        return "fail", f"U(m,{result.n}) is not certified below 1 at m = {result.m_cap}"
-    link, table = result.chain[0], ctx["table"]
-    witnesses = tuple(ledger_segments((6, link.m - 1), (1, MAX_WITNESSED_N), table))
-    return _prove_claim(witnesses, link, MAX_WITNESSED_N, table)
+    cert = recheck.certificate(MAX_WITNESSED_N)
+    failure = recheck.check(cert)
+    if failure:
+        return "fail", failure
+    m0, ((p, k, last), (q, j, end)) = cert["m0"], cert["prime_rows"]
+    return (
+        "pass",
+        f"rows 6..{last} by {p} and rows {last + 1}..{end} by {q}, each prime dividing the "
+        f"numerator of zeta({1 - 2 * k}) or zeta({1 - 2 * j}) and above 2m+n-1; from m0 = {m0} "
+        f"on, 0 < e(m,n) < U(m,n) <= U({m0},{MAX_WITNESSED_N}) < 1 with 2pi < 44/7, as U rises "
+        "in n and its ratio, below 1 at m0, falls in m; rechecked by torelli_euler.recheck, "
+        "whose premises not computed are zeta(2k) > 1, pi < 22/7 and von Staudt-Clausen",
+    )
 
 
 @_check("claim-sharp", "n <= 677 is sharp: e(7,678) and e(6,680) are integers")
@@ -437,7 +372,7 @@ def _check_claim_sharp(ctx: dict) -> Outcome:
 def _check_closing_bound_forms(ctx: dict) -> Outcome:
     threshold = wide_range_constant_form_threshold(m_cap=45)
     forms = wide_range_bound_forms(37)
-    m0 = _claim_threshold(ctx).m_found
+    m0 = threshold_m0(MAX_WITNESSED_N)
     if threshold != 37:
         return "fail", f"constant-factor reading crosses 1 at m = {threshold}"
     if not forms.constant_factor_product.hi < 1 < forms.per_index_product.lo:

@@ -1,4 +1,5 @@
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -19,3 +20,11 @@ def table600():
 @pytest.fixture(scope="session")
 def table60():
     return bernoulli_table(60)
+
+
+@pytest.fixture(scope="session")
+def recheck_copy(tmp_path_factory):
+    """The claim's rechecker, copied alone into a directory of its own."""
+    from torelli_euler import recheck
+
+    return Path(shutil.copy(recheck.__file__, tmp_path_factory.mktemp("alone")))

@@ -25,13 +25,10 @@ from torelli_euler.certify import (
     MagnitudeWitness,
     PrimeWitness,
     ScanPoint,
-    ValuationWitness,
-    WITNESS_PRIMES,
     WITNESS_SEARCH_LIMIT,
     certificate_from_exact,
     certify_non_integrality,
     first_n_reaching,
-    ledger_segments,
     scan,
     single_term_interval,
     threshold_for_n,
@@ -40,7 +37,6 @@ from torelli_euler.certify import (
     wide_range_constant_form_threshold,
 )
 from torelli_euler.euler_char import e_mn
-from torelli_euler import verify
 from torelli_euler.exact_core import (
     RationalInterval,
     _gregory_series,
@@ -74,25 +70,6 @@ def test_integer_value_refuses_anything_but_an_int():
     for value in (True, False, 1.0, Fraction(1), "1"):
         with pytest.raises(CertificateError):
             IntegerValue(value)
-
-
-def test_valuation_witness_rejects_wrong_claims():
-    # e(6,1) = 12!/12! / prod |zeta(1-2k)|; 691 divides zeta(-11) once.
-    assert ValuationWitness(6, 1, 1, 691, -1, ((6, 1),)).valuation == -1
-    bad_claims = [
-        (6, 1, 1, 691, -2, ((6, 1),)),  # valuation off by one
-        (6, 1, 1, 691, 0, ()),  # nonnegative valuation
-        (6, 1, 1, 693, -1, ((6, 1),)),  # p not prime
-        (6, 1, 1, 691, -1, ((7, 1),)),  # k past m
-        (6, 1, 1, 691, -1, ((0, 1),)),  # k below 1
-        (6, 1, 1, 691, -1, ((5, 0), (6, 1))),  # zero entry
-        (6, 1, 1, 691, -2, ((6, 1), (6, 1))),  # repeated k
-        (6, 1, 1, 691, -1, ((3, 2), (2, -1))),  # k out of order
-        (0, 1, 1, 691, -1, ()),  # m below 1
-    ]
-    for claim in bad_claims:
-        with pytest.raises(CertificateError):
-            ValuationWitness(*claim)
 
 
 def test_magnitude_witness_rejects_bounds_at_least_one():
@@ -910,70 +887,6 @@ def test_wide_range_forms_threshold():
     assert wide_range_bound_forms(36).constant_factor_product.lo > 1
 
 
-# --- the valuation ledger against the exact scan --------------------------------
-
-
-def test_ledger_scan_matches_exact_scan(table60):
-    # The runs cover exactly the points the exact scan witnesses by 691 or
-    # 3617, with its p and v_p at each; the rest (m <= 5 here: integers and
-    # witnesses by other primes) are the scan's alone.
-    runs = ledger_segments((1, 30), (1, 40), table60)
-    covered = {(witness.m, n): witness for witness, n in _points(runs)}
-    uncovered = 0
-    for point in scan((1, 30), (1, 40), "exact", table60):
-        cert, witness = point.certificate, covered.pop((point.m, point.n), None)
-        if witness is None:
-            uncovered += 1
-            assert isinstance(cert, IntegerValue) or (
-                isinstance(cert, PrimeWitness) and cert.p not in WITNESS_PRIMES
-            ), (point.m, point.n)
-        else:
-            assert isinstance(cert, PrimeWitness), (point.m, point.n)
-            assert (witness.p, _valuation(witness, point.n)) == (cert.p, cert.valuation)
-    assert not covered
-    assert 0 < uncovered < 30 * 40
-
-
-def test_ledger_scan_validation(table60):
-    with pytest.raises(CapacityError):
-        next(ledger_segments((6, 31), (1, 1), table60))
-    for m_range, n_range in (((0, 3), (1, 1)), ((3, 2), (1, 1)), ((6, 6), (2, 1))):
-        with pytest.raises(ValueError):
-            next(ledger_segments(m_range, n_range, table60))
-
-
-def test_ledger_lists_every_nonzero_zeta_valuation(table600):
-    # For each witness prime, the certificate at its largest m lists exactly
-    # the k with nonzero v_p(zeta(1-2k)), with the table's values.
-    deepest = {}
-    for cert in ledger_segments((6, 200), (1, 677), table600):
-        assert isinstance(cert, ValuationWitness), (cert.m, cert.n_first)
-        if cert.m >= deepest.get(cert.p, cert).m:
-            deepest[cert.p] = cert
-    assert set(deepest) == set(WITNESS_PRIMES) and deepest[691].m == 200
-    for p, cert in deepest.items():
-        expected = []
-        for k in range(1, cert.m + 1):
-            v = p_adic_valuation(zeta_one_minus_2k(k, table600), p)
-            if v:
-                expected.append((k, v))
-        assert cert.zeta_valuations == tuple(expected), p
-
-
-@settings(max_examples=40, deadline=None)
-@given(m=st.integers(1, 200), n=st.integers(1, 677))
-def test_ledger_matches_exact_certificate_at_random_points(table600, m, n):
-    runs = list(ledger_segments((m, m), (n, n), table600))
-    exact = certificate_from_exact(e_mn(m, n, table600))
-    if runs:
-        (witness,) = runs
-        assert (witness.n_first, witness.n_last) == (n, n)
-        assert isinstance(exact, PrimeWitness)
-        assert (witness.p, witness.valuation) == (exact.p, exact.valuation)
-    else:
-        assert not (isinstance(exact, PrimeWitness) and exact.p in WITNESS_PRIMES)
-
-
 # --- the first n at which a prime's bar is met ------------------------------------
 
 
@@ -1033,98 +946,3 @@ def test_first_n_reaching_needs_a_prime():
     for p in (-7, 0, 1, 4, 6, 691 * 3617):
         with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
             first_n_reaching(6, p, 1)
-
-
-# --- the ledger's witnessed runs ------------------------------------------------
-
-
-def _valuation(witness, n):
-    # v_p(e(m,n)) for the witness's prime and ledger, at another n of its row.
-    return _diff(witness.m, n, witness.p) - sum(v for _, v in witness.zeta_valuations)
-
-
-def _points(witnesses):
-    # Each point the runs cover, in order, with the witness covering it.
-    return [(w, n) for w in witnesses for n in range(w.n_first, w.n_last + 1)]
-
-
-def _window(name, table60, table600):
-    # The small window holds rows m <= 5 that no run covers; the standard one
-    # is the grid m = 6..200 of acceptance criterion 4.
-    if name == "small":
-        return (1, 30), (1, 40), table60
-    return (6, 200), (1, 677), table600
-
-
-@pytest.mark.parametrize("window", ["small", "standard"])
-def test_segments_expand_to_the_ledger_scan(table60, table600, window):
-    # The runs cover their points once each, row by row, and a witness holds
-    # at every n of its run.  On the standard window they cover every point.
-    m_range, n_range, table = _window(window, table60, table600)
-    witnesses = list(ledger_segments(m_range, n_range, table))
-    assert all(isinstance(w, ValuationWitness) for w in witnesses)
-    expanded = _points(witnesses)
-    covered = [(w.m, n) for w, n in expanded]
-    assert covered == sorted(set(covered))
-    for witness, n in expanded:
-        assert _valuation(witness, n) <= _valuation(witness, witness.n_last)
-        assert _valuation(witness, witness.n_last) == witness.valuation < 0
-    (m_lo, m_hi), (n_lo, n_hi) = m_range, n_range
-    grid = [(m, n) for m in range(m_lo, m_hi + 1) for n in range(n_lo, n_hi + 1)]
-    if window == "small":
-        assert 0 < len(covered) < len(grid)
-    else:
-        assert covered == grid and len(witnesses) == 287
-
-
-@pytest.mark.parametrize("window", ["small", "standard"])
-def test_every_witnessed_segment_is_maximal(table60, table600, window):
-    m_range, (n_lo, n_hi), table = _window(window, table60, table600)
-    rows = {}
-    for witness in ledger_segments(m_range, (n_lo, n_hi), table):
-        rows.setdefault(witness.m, []).append(witness)
-    for m, row in rows.items():
-        # Runs start at the range's first n and follow each other, each
-        # prime's run at most once, 691's first; none can be stretched.
-        assert row[0].n_first == n_lo
-        assert all(a.n_last + 1 == b.n_first for a, b in zip(row, row[1:]))
-        primes = [w.p for w in row]
-        assert primes == sorted(set(primes), key=WITNESS_PRIMES.index)
-        for witness in row:
-            if witness.n_last < n_hi:
-                assert _valuation(witness, witness.n_last + 1) >= 0, (m, witness)
-
-
-def test_valuation_witness_rechecks_its_run():
-    # Row 6 has 691's bar 1, met at n = 680, where e(6,680) is an integer.
-    end = first_n_reaching(6, 691, 1)
-    assert end == 680
-    assert ValuationWitness(6, 1, end - 1, 691, -1, ((6, 1),)).n_last == end - 1
-    assert ValuationWitness(6, 5, 5, 691, -1, ((6, 1),)).n_first == 5
-    bad_runs = [
-        (6, 0, 5, 691, -1, ((6, 1),)),  # n_first below 1
-        (6, 5, 4, 691, -1, ((6, 1),)),  # n_first > n_last
-        (0, 1, 5, 691, -1, ()),  # m below 1
-        (6, 1, end, 691, -1, ((6, 1),)),  # stretched one point past its end
-        (6, 1, end, 691, 0, ((6, 1),)),  # the same, with the valuation at n = 680
-    ]
-    for args in bad_runs:
-        with pytest.raises(CertificateError):
-            ValuationWitness(*args)
-
-
-def test_standard_wide_grid_check_builds_one_witness_per_segment(table600, monkeypatch):
-    # The check of the whole claim builds and rechecks one witness for each
-    # of its 96 runs, rows m = 6..54, not one for each of their
-    # 33,173 points: a return to per-point work fails here.
-    built = []
-    recheck = ValuationWitness.__post_init__
-
-    def counting(self):
-        built.append(self)
-        recheck(self)
-
-    monkeypatch.setattr(ValuationWitness, "__post_init__", counting)
-    status, witness = verify._check_whole_claim({"table": table600})
-    assert status == "pass" and witness.startswith("rows m = 6..54 by 96 valuation witnesses ")
-    assert len(built) == 96

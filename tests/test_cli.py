@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import torelli_euler.certify as certify_module
 from torelli_euler import bernoulli, cli
 from torelli_euler.bernoulli import TableInvariantError, bernoulli_table, load_table, persist_table
-from torelli_euler.certify import certify_non_integrality, threshold_for_n
+from torelli_euler.certify import STRATEGIES, certify_non_integrality, threshold_for_n
 from torelli_euler.cli import main
 from torelli_euler.exact_core import int_to_decimal
 from torelli_euler.render import bound_sequence_to_json, rational_to_json
@@ -594,6 +594,29 @@ def test_an_n_past_the_cap_is_a_usage_error(capsys, monkeypatch):
         assert code == 2 and out == "" and "at most 131072" in err, argv
     # The documented `threshold -n 131072 --m-cap 700` still parses.
     assert cli._n("131072") == 131072 and cli._marked_points("0") == 0
+
+
+def test_a_scan_past_the_point_cap_is_a_usage_error(capsys, monkeypatch):
+    # Each option is capped alone, but together they admitted about 2 * 10^8
+    # points.  A grid over the cap is refused before any table is read.
+    def acquired(*args, **kwargs):
+        raise AssertionError("a table was read or built, or a point decided")
+
+    for name in ("obtain_table", "scan"):
+        monkeypatch.setattr(cli, name, acquired)
+    assert cli._MAX_SCAN_POINTS == 10_000
+    for strategy in STRATEGIES:
+        for m_max, n_max, grid in (("6", "10001", 10001), ("15", "1001", 10010)):
+            argv = ["scan", "--m-min", "6", "--m-max", m_max, "--n-min", "1", "--n-max", n_max,
+                    "--strategy", strategy]
+            code, out, err = _outcome(capsys, main, argv)
+            assert code == 2 and out == "", argv
+            assert f"a scan covers at most 10000 points, this grid has {grid}" in err
+    # Exactly at the cap the request goes on to the scan, stubbed here to find no point.
+    monkeypatch.setattr(cli, "scan", lambda *args: iter(()))
+    for m_max, n_max in (("6", "10000"), ("15", "1000")):
+        argv = ["scan", "--m-min", "6", "--m-max", m_max, "--n-min", "1", "--n-max", n_max]
+        assert _outcome(capsys, main, argv) == (0, "", "")
 
 
 # --- one command's parser ---------------------------------------------------------

@@ -19,7 +19,6 @@ from torelli_euler import (
     RationalInterval,
     ScanPoint,
     ThresholdResult,
-    ValuationWitness,
     VerificationReport,
     bernoulli_table,
 )
@@ -28,10 +27,7 @@ from torelli_euler.certify import WideRangeBoundForms
 
 _IV = "RationalInterval(lo=Fraction(1, 3), hi=Fraction(1, 2))"
 _BS = f"BoundSequence(m=1, n=2, value={_IV}, ratio_next={_IV})"
-_VW = (
-    "ValuationWitness(m=6, n_first=1, n_last=2, p=691, valuation=-1, "
-    "zeta_valuations=((6, 1),))"
-)
+_PW = "PrimeWitness(value=Fraction(1, 691), p=691, valuation=-1)"
 _CR = "CheckResult(id='x', paper_ref='ref', status='pass', witness='w', elapsed_s=0.5)"
 
 
@@ -39,7 +35,7 @@ def _records():
     """One new instance of each record, and the repr its dataclass printed."""
     iv = RationalInterval(Fraction(1, 3), Fraction(1, 2))
     bound = BoundSequence(m=1, n=2, value=iv, ratio_next=iv)
-    witness = ValuationWitness(6, 1, 2, 691, -1, ((6, 1),))
+    witness = PrimeWitness(Fraction(1, 691), 691, -1)
     check = CheckResult("x", "ref", "pass", "w", 0.5)
     return [
         (
@@ -48,11 +44,7 @@ def _records():
             "Fraction(1, 6), Fraction(0, 1), Fraction(-1, 30)), convention='minus-half')",
         ),
         (IntegerValue(12), "IntegerValue(value=12)"),
-        (
-            PrimeWitness(Fraction(1, 691), 691, -1),
-            "PrimeWitness(value=Fraction(1, 691), p=691, valuation=-1)",
-        ),
-        (witness, _VW),
+        (witness, _PW),
         (
             MagnitudeWitness(Fraction(1, 2), "0 < e(14,1) < 1"),
             "MagnitudeWitness(upper=Fraction(1, 2), statement='0 < e(14,1) < 1')",
@@ -63,7 +55,7 @@ def _records():
             ThresholdResult(n=1, m_cap=64, m_found=None, chain=(bound,)),
             f"ThresholdResult(n=1, m_cap=64, m_found=None, chain=({_BS},))",
         ),
-        (ScanPoint(6, 1, witness), f"ScanPoint(m=6, n=1, certificate={_VW})"),
+        (ScanPoint(6, 1, witness), f"ScanPoint(m=6, n=1, certificate={_PW})"),
         (
             WideRangeBoundForms(3, iv, iv),
             f"WideRangeBoundForms(m=3, per_index_product={_IV}, constant_factor_product={_IV})",
@@ -81,16 +73,16 @@ _NAMES = [type(record).__name__ for record, _ in _records()]
 
 
 def test_every_record_is_covered_once():
-    assert len(_NAMES) == len(set(_NAMES)) == 13
+    assert len(_NAMES) == len(set(_NAMES)) == 12
 
 
-@pytest.mark.parametrize("index", range(13), ids=_NAMES)
+@pytest.mark.parametrize("index", range(12), ids=_NAMES)
 def test_repr_is_the_dataclass_text(index):
     record, text = _records()[index]
     assert repr(record) == text
 
 
-@pytest.mark.parametrize("index", range(13), ids=_NAMES)
+@pytest.mark.parametrize("index", range(12), ids=_NAMES)
 def test_equal_records_compare_and_hash_equal(index):
     record, twin = _records()[index][0], _records()[index][0]
     assert record is not twin
@@ -111,7 +103,7 @@ def test_records_of_different_classes_never_compare_equal():
     assert point != RationalInterval(Fraction(1, 2), Fraction(2, 3))
 
 
-@pytest.mark.parametrize("index", range(13), ids=_NAMES)
+@pytest.mark.parametrize("index", range(12), ids=_NAMES)
 def test_fields_cannot_be_assigned_or_deleted(index):
     record = _records()[index][0]
     for name in record._fields:
@@ -124,7 +116,7 @@ def test_fields_cannot_be_assigned_or_deleted(index):
     assert repr(record) == _records()[index][1]
 
 
-@pytest.mark.parametrize("index", range(13), ids=_NAMES)
+@pytest.mark.parametrize("index", range(12), ids=_NAMES)
 def test_copies_and_pickles_are_equal_records(index):
     record = _records()[index][0]
     for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
@@ -136,10 +128,8 @@ def test_construction_by_keyword_with_the_defaults():
     table = BernoulliTable(max_index=4, values=values)
     assert table.convention == CONVENTION == "minus-half"
     assert table == BernoulliTable(4, values, CONVENTION)
-    witness = ValuationWitness(
-        m=6, n_first=1, n_last=2, p=691, valuation=-1, zeta_valuations=((6, 1),)
-    )
-    assert witness == ValuationWitness(6, 1, 2, 691, -1, ((6, 1),))
+    witness = PrimeWitness(value=Fraction(1, 691), p=691, valuation=-1)
+    assert witness == PrimeWitness(Fraction(1, 691), 691, -1)
     assert ScanPoint(m=6, n=1, certificate=witness) == ScanPoint(6, 1, witness)
     assert RationalInterval(lo=1, hi=2) == RationalInterval(Fraction(1), Fraction(2))
     check = CheckResult(id="x", paper_ref="ref", status="pass", witness="w", elapsed_s=0.5)

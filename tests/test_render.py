@@ -2,17 +2,14 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from torelli_euler.certify import (
-    CertificateError,
     Inconclusive,
     IntegerValue,
     MagnitudeWitness,
     PrimeWitness,
-    ValuationWitness,
     certify_non_integrality,
-    ledger_segments,
 )
 from torelli_euler.render import (
     certificate_from_json,
@@ -24,7 +21,7 @@ from torelli_euler.render import (
     rational_from_json,
     rational_to_json,
 )
-from torelli_euler.exact_core import _legendre, p_adic_valuation
+from torelli_euler.exact_core import p_adic_valuation
 from torelli_euler.verify import (
     CheckResult,
     VerificationReport,
@@ -112,6 +109,8 @@ def test_certificate_json_rejects_unsound_witness():
         {"kind": "integer"},
         {"kind": "integer", "value": None},
         {"kind": "integer", "value": "True"},
+        # The three valuation-witness blobs are of a kind the reader does not
+        # know, so each is refused whatever its fields.
         {"kind": "valuation-witness", "m": 6, "n_last": 1, "p": "691", "valuation": -1,
          "zeta_valuations": [[6, 1]]},
         {"kind": "integer", "value": True},
@@ -136,16 +135,6 @@ def test_malformed_certificate_json_is_a_value_error(blob):
         certificate_from_json(blob)
 
 
-def _ledger_certificates(table600):
-    # The last run of rows 200 and 99 up to n.  For e(200,n), n <= 677, the
-    # window (400, 2m+n-1] holds 691 at most once, and 691 divides zeta(-11)
-    # and zeta(-199); e(99,n) is witnessed by 3617 alone from n = 494 on.
-    return [
-        list(ledger_segments((m, m), (1, n), table600))[-1]
-        for m, n in ((200, 677), (99, 600))
-    ]
-
-
 def test_bound_witness_json_round_trip():
     # A witness as the bound path builds it, with a power-of-two denominator.
     cert = certify_non_integrality(150, 600, "bound")
@@ -157,48 +146,6 @@ def test_bound_witness_json_round_trip():
     )
 
 
-def test_valuation_witness_json_round_trip(table600):
-    certs = _ledger_certificates(table600)
-    assert certs == [
-        ValuationWitness(200, 1, 677, 691, -1, ((6, 1), (100, 1))),
-        ValuationWitness(99, 494, 600, 3617, -1, ((8, 1),)),
-    ]
-    for cert in certs:
-        blob = dumps(certificate_to_json(cert))
-        assert certificate_from_json(json.loads(blob)) == cert
-    assert certificate_to_json(certs[1]) == {
-        "kind": "valuation-witness",
-        "m": 99,
-        "n_first": 494,
-        "n_last": 600,
-        "p": "3617",
-        "valuation": -1,
-        "zeta_valuations": [[8, 1]],
-    }
-    assert certificate_text(certs[0]) == (
-        "non-integer (valuation witness): v_691 = -1 of e(200,677), negative over "
-        "n = 1..677; nonzero v_691(zeta(1-2k)): k=6: 1, k=100: 1"
-    )
-
-
-@pytest.mark.parametrize(
-    "tamper",
-    [
-        lambda blob: blob.update(p="3617"),
-        lambda blob: blob.update(valuation=-2),
-        lambda blob: blob["zeta_valuations"][1].__setitem__(1, 2),
-        lambda blob: blob.update(n_last=983),  # the window (400, 1382] holds 691 twice
-        lambda blob: blob.update(n_first=678),
-    ],
-    ids=["p", "valuation", "listed-entry", "run-stretched", "run-reversed"],
-)
-def test_valuation_witness_json_rejects_tampering(table600, tamper):
-    blob = json.loads(dumps(certificate_to_json(_ledger_certificates(table600)[0])))
-    tamper(blob)
-    with pytest.raises(CertificateError):
-        certificate_from_json(blob)
-
-
 def test_certificate_text_forms():
     texts = [certificate_text(cert) for cert in _sample_certificates()]
     assert texts[0] == "integer: 12"
@@ -207,12 +154,12 @@ def test_certificate_text_forms():
     assert texts[3].startswith("inconclusive")
 
 
-def test_dumps_writes_one_line_that_loads_back(table600):
+def test_dumps_writes_one_line_that_loads_back():
     # Every certificate kind and a report: one line, sorted keys, the
     # separators ", " and ": ", and json.loads gives back what was dumped.
-    certs = [*_sample_certificates(), *_ledger_certificates(table600)]
+    certs = _sample_certificates()
     assert {type(cert) for cert in certs} == {
-        IntegerValue, PrimeWitness, MagnitudeWitness, Inconclusive, ValuationWitness
+        IntegerValue, PrimeWitness, MagnitudeWitness, Inconclusive
     }
     check = CheckResult(id="a", paper_ref="r", status="pass", witness="w …", elapsed_s=0.5)
     report = report_to_json(VerificationReport(mode="standard", checks=(check,)))
@@ -244,20 +191,6 @@ def _prime_witnesses(draw):
 
 
 @st.composite
-def _valuation_witnesses(draw):
-    # The diff is 0 while 2m + n_last - 1 < p, so any positive bar witnesses.
-    p = draw(st.sampled_from([691, 3617, 1001259881]))
-    m = draw(st.integers(1, 100))
-    n_first = draw(st.integers(1, 300))
-    n_last = draw(st.integers(n_first, 400))
-    ks = sorted(draw(st.sets(st.integers(1, m), min_size=1, max_size=5)))
-    values = [draw(st.integers(1, 3) | st.integers(-2, -1)) for _ in ks]
-    valuation = _legendre(2 * m + n_last - 1, p) - _legendre(2 * m, p) - sum(values)
-    assume(valuation < 0)
-    return ValuationWitness(m, n_first, n_last, p, valuation, tuple(zip(ks, values)))
-
-
-@st.composite
 def _magnitude_witnesses(draw):
     denominator = draw(st.integers(2, 1 << 200))
     upper = Fraction(draw(st.integers(1, denominator - 1)), denominator)
@@ -267,7 +200,6 @@ def _magnitude_witnesses(draw):
 _CERTIFICATES = st.one_of(
     st.builds(IntegerValue, _INTEGERS),
     _prime_witnesses(),
-    _valuation_witnesses(),
     _magnitude_witnesses(),
     st.builds(Inconclusive, _TEXT),
 )

@@ -1,21 +1,17 @@
+import copy
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torelli_euler import verify
+from torelli_euler import recheck, verify
 from torelli_euler.bernoulli import CapacityError, bernoulli_table, persist_table
-from torelli_euler.certify import (
-    CertificateError,
-    MagnitudeWitness,
-    ValuationWitness,
-    certify_non_integrality,
-    ledger_segments,
-    scan,
-    threshold_for_n,
-    upper_bound_interval,
-)
+from torelli_euler.certify import MagnitudeWitness, certify_non_integrality, scan
 from torelli_euler.exact_core import RationalInterval
+from torelli_euler.recheck import certificate, check
+
+from test_recheck import _CLAIM, _run, _set
 
 
 # The report's check ids, in the suite's order.
@@ -177,132 +173,129 @@ def test_standard_is_the_one_mode():
         verify.run_verification_suite("deep")
 
 
-# --- the whole claim from its parts ------------------------------------------------
+# --- the whole claim, from the rechecker's certificate -------------------------------
 
 
-@pytest.fixture(scope="module")
-def claim_parts(table600):
-    # The rows below m0 = 55 and the first link of the bound's chain at n = 677.
-    witnesses = tuple(ledger_segments((6, 54), (1, 677), table600))
-    return witnesses, threshold_for_n(677).chain[0], 677, table600
-
-
-def test_the_whole_claim_holds_on_its_parts(claim_parts):
-    status, witness = verify._prove_claim(*claim_parts)
+def test_the_whole_claim_holds_on_its_parts():
+    assert certificate(677) == _CLAIM and check(_CLAIM) is None
+    # The rechecker's B_0..B_16, from the binomial recurrence, are the package's.
+    assert recheck.bernoulli(16) == list(bernoulli_table(16).values)
+    whole_claim = next(fn for cid, _, fn in verify._CHECKS if cid == "whole-claim")
+    status, witness = whole_claim({})
     assert status == "pass"
-    assert witness.startswith(
-        "rows m = 6..54 by 96 valuation witnesses (49 with p = 691, 47 with p = 3617); "
-        "from m0 = 55 on, "
-    )
-    assert "zeta(2k) > 1" in witness
+    assert witness.startswith("rows 6..7 by 691 and rows 8..54 by 3617, ")
+    assert "from m0 = 55 on" in witness and "zeta(2k) > 1" in witness
 
 
-def test_the_whole_claim_witnesses_against_sympy(claim_parts):
-    # The 96 runs of the whole claim, rechecked with none of the package's
-    # arithmetic: B_2k from sympy, v_p(N!) summed afresh.
+def test_the_whole_claim_reports_the_recheckers_first_failure(monkeypatch):
+    whole_claim = next(fn for cid, _, fn in verify._CHECKS if cid == "whole-claim")
+    monkeypatch.setattr(recheck, "check", lambda cert: f"m0 = {cert['m0']} refused")
+    assert whole_claim({}) == ("fail", "m0 = 55 refused")
+
+
+def test_the_whole_claim_witnesses_against_sympy():
+    # The certificate's primes and rows, rechecked with none of the package's
+    # arithmetic: B_2k and e(m,677) from sympy.  v_p(e(m,n)) never falls as
+    # n grows, so v_p < 0 at n = 677 holds at every n <= 677.
     sympy = pytest.importorskip("sympy")
 
-    def v_p(q, p):
-        return sympy.multiplicity(p, q.p) - sympy.multiplicity(p, q.q)
+    def zeta(k):
+        return -sympy.bernoulli(2 * k) / (2 * k)
 
-    def legendre(big_n, p):
-        total, power = 0, p
-        while power <= big_n:
-            total, power = total + big_n // power, power * p
-        return total
-
-    witnesses = claim_parts[0]
-    assert [w.p for w in witnesses].count(691) == 49
-    assert [w.p for w in witnesses].count(3617) == 47 and len(witnesses) == 96
-    # zeta(1-2k) = -B_2k/(2k).
-    zetas = [-sympy.bernoulli(2 * k) / (2 * k) for k in range(1, 55)]
-    rows = {}
-    for w in witnesses:
-        rows.setdefault(w.m, []).append(w)
-        nonzero = [(k, v) for k in range(1, w.m + 1) if (v := v_p(zetas[k - 1], w.p))]
-        assert w.zeta_valuations == tuple(nonzero), (w.m, w.p)
-        bar = sum(v for _, v in nonzero)
-
-        def valuation(n):
-            return legendre(2 * w.m + n - 1, w.p) - legendre(2 * w.m, w.p) - bar
-
-        assert valuation(w.n_last) == w.valuation < 0, (w.m, w.p)
-        assert w.n_last == 677 or valuation(w.n_last + 1) >= 0, (w.m, w.p)
-    assert list(rows) == list(range(6, 55))
-    for m, row in rows.items():
-        assert [w.n_first for w in row] == [1, *(w.n_last + 1 for w in row[:-1])], m
-        assert row[-1].n_last == 677, m
+    assert sympy.numer(zeta(6)) % 691 == 0 and sympy.numer(zeta(8)) % 3617 == 0
+    zetas = [abs(zeta(k)) for k in range(1, 55)]
+    first = 6
+    for p, _, last in _CLAIM["prime_rows"]:
+        for m in range(first, last + 1):
+            value = sympy.ff(2 * m + 676, 676) / sympy.prod(zetas[:m])  # e(m,677)
+            valuation = sympy.multiplicity(p, sympy.numer(value))
+            valuation -= sympy.multiplicity(p, sympy.denom(value))
+            assert valuation < 0, (m, p)
+        first = last + 1
+    assert first == _CLAIM["m0"]
 
 
-def _reissued(witnesses, index, p):
-    # One witness reissued for the prime p, with its run, valuation and zeta
-    # valuations kept.
-    w = witnesses[index]
-    forged = ValuationWitness(w.m, w.n_first, w.n_last, p, w.valuation, w.zeta_valuations)
-    return (*witnesses[:index], forged, *witnesses[index + 1 :])
+def _tamper(**fields):
+    # A tamper that replaces whole fields of the certificate.
+    def tamper(cert):
+        cert.update(copy.deepcopy(fields))
+
+    return tamper
 
 
-def _raised_n_max(witnesses, link, n_max, table):
-    # Row 7 meets an integer at n = 678.
-    witnesses = tuple(ledger_segments((6, 54), (1, 678), table))
-    return witnesses, threshold_for_n(678).chain[0], 678, table
-
-
+_DEGREES = "is not A's denominator minus numerator with degrees <= 4 and c >= 0"
 _TAMPERED = {
-    # Rows 6 and 7 have one run each, rows 8 on two: witness 10 opens row 12.
     "segment-dropped": (
-        lambda witnesses, *rest: (witnesses[:10] + witnesses[11:], *rest),
-        "no valuation witness starts at (m, n) = (12, 1)",
+        _tamper(prime_rows=[[3617, 8, 54]]),
+        "prime row [3617, 8, 54] does not start at row 6 with k <= 6",
     ),
     "rows-short-of-m0": (
-        lambda witnesses, *rest: (tuple(w for w in witnesses if w.m < 40), *rest),
-        "no valuation witness starts at (m, n) = (40, 1)",
+        _set(("prime_rows", 1, 2), 39),
+        "the prime rows end at row 39, not at m0 - 1 = 54",
     ),
-    # The diff of 3617 is 0 on row 6, so the reissued witness rechecks; its
-    # zeta valuation at k = 6 is 691's, not the table's for 3617.
+    # 3617 divides no numerator of zeta(1-2k) for k <= 7.
     "witness-prime-changed": (
-        lambda witnesses, *rest: (_reissued(witnesses, 0, 3617), *rest),
-        "the witness of (6, 1..677) lists zeta valuations not the table's",
+        _set(("prime_rows", 0, 0), 3617),
+        "3617 does not divide the numerator of zeta(-11)",
+    ),
+    # Row 8 at n = 677 reaches 2m+n-1 = 692 > 691.
+    "691-last-row-raised-to-8": (
+        _tamper(prime_rows=[[691, 6, 8], [3617, 8, 54]]),
+        "691 has a prime factor at most 2m+n-1 or 2m+1 on row 8",
     ),
     "m0-lowered-to-54": (
-        lambda witnesses, link, *rest: (witnesses, upper_bound_interval(54, 677), *rest),
-        "U(54,677) and its ratio are not both certified below 1",
+        _tamper(m0=54, prime_rows=[[691, 6, 7], [3617, 8, 53]]),
+        "U(54,677) and its ratio are not both below 1",
     ),
+    # Row 7 meets an integer at n = 678: e(7,678) is one.
     "n_max-raised-to-678": (
-        _raised_n_max,
-        "no valuation witness starts at (m, n) = (7, 678)",
+        _tamper(**certificate(678)),
+        "691 has a prime factor at most 2m+n-1 or 2m+1 on row 7",
     ),
-    "gap-coefficient-negative": (
-        lambda *parts: (*parts, verify._RATIO_GAP[:4] + ((0, 1, -22),)),
-        "is not A's with degrees <= 4 and no negative coefficient",
+    "n_max-past-the-limit": (
+        _tamper(n_max=1001),
+        "need 1 <= n_max <= 1000 and 2 <= m0 <= 100, got 1001 and 55",
     ),
-    "gap-coefficient-changed": (
-        lambda *parts: (*parts, verify._RATIO_GAP[:4] + ((0, 1, 23),)),
-        "is not A's with degrees <= 4 and no negative coefficient",
-    ),
+    "gap-coefficient-negative": (_set(("gap", 4, 2), -22), _DEGREES),
+    "gap-coefficient-changed": (_set(("gap", 4, 2), 23), _DEGREES),
     # x(x-1)(x-2)(x-3)(x-4) vanishes on x = 0..4: the sum agrees with A's gap
     # on the whole grid, but its degree in x is 5.
     "gap-plus-a-quintic-zero-on-the-grid": (
-        lambda *parts: (
-            *parts,
-            verify._RATIO_GAP + ((5, 0, 1), (4, 0, -10), (3, 0, 35), (2, 0, -50), (1, 0, 24)),
-        ),
-        "is not A's with degrees <= 4 and no negative coefficient",
+        _tamper(gap=[*_CLAIM["gap"], [5, 0, 1], [4, 0, -10], [3, 0, 35], [2, 0, -50], [1, 0, 24]]),
+        _DEGREES,
+    ),
+    "field-added": (
+        _tamper(premises=[]),
+        "a certificate has exactly the fields n_max, m0, prime_rows and gap",
     ),
 }
 
 
+def _refused(recheck_copy, cert, name):
+    # The first failure, in process and from the copied module, which exits 1.
+    failure = check(cert)
+    path = recheck_copy.parent / f"{name}.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    proc = _run(recheck_copy, path.name)
+    assert proc.returncode == 1 and proc.stderr == f"FAIL: {failure}\n"
+    assert "PASS" not in proc.stdout
+    return failure
+
+
 @pytest.mark.parametrize("case", list(_TAMPERED))
-def test_a_tampered_part_of_the_whole_claim_is_rejected(claim_parts, case):
+def test_a_tampered_part_of_the_whole_claim_is_rejected(recheck_copy, case):
     tamper, diagnosis = _TAMPERED[case]
-    status, witness = verify._prove_claim(*tamper(*claim_parts))
-    assert status == "fail" and diagnosis in witness
+    cert = copy.deepcopy(_CLAIM)
+    tamper(cert)
+    assert diagnosis in _refused(recheck_copy, cert, case)
 
 
-def test_a_witness_prime_changed_so_that_it_witnesses_nothing_is_refused(claim_parts):
-    # v_683 of (2m+n-1)!/(2m)! is 1 on row 6 at n = 677: the reissued valuation is 0.
-    with pytest.raises(CertificateError):
-        _reissued(claim_parts[0], 0, 683)
+def test_a_witness_prime_changed_so_that_it_witnesses_nothing_is_refused(recheck_copy):
+    # 3613 is prime, above 2m+n-1 on rows 8..54, and divides neither numerator.
+    cert = copy.deepcopy(_CLAIM)
+    _set(("prime_rows", 1, 0), 3613)(cert)
+    failure = _refused(recheck_copy, cert, "3613")
+    assert failure == "3613 does not divide the numerator of zeta(-15)"
 
 
 @settings(max_examples=200, deadline=None)
