@@ -11,8 +11,11 @@ the equivalent congruence N + D/p = 0 (mod p) for each prime p of the
 squarefree denominator D of B_2k = N/D.  One sieve yields the primes of
 every denominator in a table.  A single number, B_n, is read from a cache by
 `obtain_bernoulli`, which parses that entry alone and applies the same
-per-entry checks to it; every read of a cache checks the whole file's bytes,
-header, line count and line indices.
+per-entry checks to it.  A cache is read only in the one layout
+`persist_table` writes: every read checks that the file is ASCII, that its
+header is the exact header line, and that each line carries the index its
+position gives; anything else is refused, and a refused cache is never
+written over.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact_core import _NATURAL_DIGITS, _Record, decimal_to_int, int_to_decimal, primes_up_to
 
@@ -34,9 +37,7 @@ __all__ = [
     "CONVENTION",
     "CacheError",
     "CacheFormatError",
-    "CacheMissingError",
     "CachePathError",
-    "CacheVersionError",
     "CapacityError",
     "TableInvariantError",
     "bernoulli_table",
@@ -52,12 +53,6 @@ __all__ = [
 # flips the sign of B_1, so the marker is recorded everywhere a table goes.
 CONVENTION = "minus-half"
 
-_HEADER_MAGIC = "BERN"
-_HEADER_VERSION = "v1"
-# Every table is written with the first tag.  A v1 file may carry either,
-# as the format once had a second build algorithm, and both load alike.
-_HEADER_ALGORITHMS = ("seidel", "akiyama-tanigawa")
-
 
 class CapacityError(ValueError):
     """A table is too small for the request, or a build exceeds resources."""
@@ -67,22 +62,14 @@ class CacheError(Exception):
     """Base class for table cache failures."""
 
 
-class CacheMissingError(CacheError):
-    """Cache file does not exist."""
-
-
 class CachePathError(CacheError):
-    """Cache path names something other than a regular file, such as a directory,
-    or the operating system fails to read or write it (a missing parent
-    directory, no permission, a full disk)."""
+    """Cache path names no file, or something other than a regular file, such
+    as a directory, or the operating system fails to read or write it (a
+    missing parent directory, no permission, a full disk)."""
 
 
 class CacheFormatError(CacheError):
-    """Cache file is malformed (bad header, bad line, duplicates, empty)."""
-
-
-class CacheVersionError(CacheError):
-    """Cache file declares an unsupported format version."""
+    """Cache file is in any layout but the one `persist_table` writes."""
 
 
 class TableInvariantError(CacheError):
@@ -262,27 +249,33 @@ def bernoulli_table(max_index: int) -> BernoulliTable:
     return BernoulliTable(max_index=max_index, values=tuple(values))
 
 
-def _header_line(table: BernoulliTable) -> str:
-    return (
-        f"{_HEADER_MAGIC} {_HEADER_VERSION} convention={table.convention} "
-        f"algorithm={_HEADER_ALGORITHMS[0]} max={table.max_index}"
-    )
+def _entry_indices(max_index: int) -> Iterator[int]:
+    """The index of each entry line of a cache through B_max_index, in order.
+
+    0, 1, 2, 4, 6, ...: every odd entry past B_1 is zero and has no line.
+    """
+    return itertools.chain(range(min(max_index, 2) + 1), range(4, max_index + 1, 2))
+
+
+# A cache is this header, ending in the table's max, then the line
+# `<n> <numerator>/<denominator>` for each n of `_entry_indices(max)`, each
+# number in decimal, each line ending in \n.  The reader accepts no other
+# layout: the header is matched whole, and each line must begin with the
+# index its position gives.
+_HEADER = f"BERN v1 convention={CONVENTION} algorithm=seidel max="
+_HEADER_LINE = re.compile(rb"%s(%s)\n" % (re.escape(_HEADER).encode(), _NATURAL_DIGITS.encode()))
 
 
 def persist_table(table: BernoulliTable, location: str | os.PathLike) -> None:
-    """Write the table to `location` atomically (temp file, then rename).
+    """Write the table to `location` atomically (temp file, then rename), in
+    the layout stated at `_HEADER`.
 
     An operating-system failure to create, write or rename the file is a
     CachePathError, and leaves no temp file behind.
-
-    Format: one header line, then `<n> <numerator>/<denominator>` per entry
-    in decimal; odd zero entries above index 1 are omitted.
     """
     path = Path(location)
-    lines = [_header_line(table)]
-    for n in range(table.max_index + 1):
-        if n >= 3 and n % 2 == 1:
-            continue
+    lines = [f"{_HEADER}{table.max_index}"]
+    for n in _entry_indices(table.max_index):
         v = table.values[n]
         lines.append(f"{n} {int_to_decimal(v.numerator)}/{int_to_decimal(v.denominator)}")
     try:
@@ -301,92 +294,18 @@ def persist_table(table: BernoulliTable, location: str | os.PathLike) -> None:
         raise CachePathError(f"cannot write cache file {path}: {exc.strerror or exc}") from exc
 
 
-def _parse_header(line: str) -> int:
-    """The max of a valid v1 header line."""
-    tokens = line.split()
-    if len(tokens) != 5 or tokens[0] != _HEADER_MAGIC:
-        raise CacheFormatError(f"bad cache header: {line!r}")
-    if tokens[1] != _HEADER_VERSION:
-        raise CacheVersionError(
-            f"unsupported cache version {tokens[1]!r}, expected {_HEADER_VERSION!r}"
-        )
-    fields = {}
-    for token in tokens[2:]:
-        key, sep, value = token.partition("=")
-        if not sep:
-            raise CacheFormatError(f"bad header field {token!r}")
-        fields[key] = value
-    if set(fields) != {"convention", "algorithm", "max"}:
-        raise CacheFormatError(f"bad header fields in {line!r}")
-    if fields["convention"] != CONVENTION:
-        raise CacheFormatError(
-            f"unsupported convention {fields['convention']!r} in cache header"
-        )
-    if fields["algorithm"] not in _HEADER_ALGORITHMS:
-        raise CacheFormatError(f"unknown algorithm {fields['algorithm']!r} in cache header")
-    try:
-        max_index = int(fields["max"])
-    except ValueError as exc:
-        raise CacheFormatError(f"bad max field in {line!r}") from exc
-    if max_index < 0:
-        raise CacheFormatError(f"negative max in {line!r}")
-    return max_index
+def _read_cache(path: Path) -> tuple[int, bytes, dict[int, tuple[int, int]]]:
+    """The header's max of the cache at `path`, its bytes, and the span of each entry's value.
 
-
-# The cache is read as bytes but split and tokenised as its ASCII text
-# would be: str.splitlines ends a line at \r, \v, \f and \x1c-\x1e as at
-# \n (a \r\n pair then leaves an empty line, dropped as every blank line
-# is), and str whitespace also takes in \x1c-\x1f.
-_STR_LINE_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
-_LINE_BREAKS = bytes.maketrans(_STR_LINE_BREAKS, b"\n" * len(_STR_LINE_BREAKS))
-# The first token of a line, its index on an entry line, read without
-# copying the value, which can run to thousands of digits; no match on a
-# blank line.  Group 1 is the token when it is a natural number's digits
-# as `decimal_to_int` reads them, and None when it is anything else (the
-# header's first token among them).
-_FIRST_TOKEN = re.compile(
-    rb"[\s\x1c-\x1f]*(?:(%s)(?![^\s\x1c-\x1f])|[^\s\x1c-\x1f])" % _NATURAL_DIGITS.encode()
-)
-
-
-def _parse_value(entry: re.Match | None) -> Fraction:
-    # An entry the file leaves out reads as 0, as each odd zero past B_1 is.
-    if entry is None:
-        return Fraction(0)
-    line = _line(entry)
-    tokens = line.split()
-    if len(tokens) != 2:
-        raise CacheFormatError(f"malformed cache line: {line!r}")
-    num_str, sep, den_str = tokens[1].partition("/")
-    if not sep:
-        raise CacheFormatError(f"malformed value in cache line: {line!r}")
-    try:
-        num = decimal_to_int(num_str)
-        den = decimal_to_int(den_str)
-    except ValueError as exc:
-        raise CacheFormatError(f"malformed cache line: {line!r}") from exc
-    if den < 1:
-        raise CacheFormatError(f"nonpositive denominator in cache line: {line!r}")
-    return Fraction(num, den)
-
-
-def _line(entry: re.Match) -> str:
-    # The line that `_FIRST_TOKEN` was matched on.
-    return entry.string[entry.pos : entry.endpos].decode()
-
-
-def _read_cache(path: Path) -> tuple[int, dict[int, re.Match]]:
-    """The header's max of the cache at `path`, and its entry lines by index.
-
-    The file is read once, and its bytes, header, line count and every
-    line's index (an integer in range, not seen before) are checked here,
-    before any value is parsed: a fault in an index is reported ahead of
-    one in a value, wherever the two stand in the file.  No line is copied:
-    an entry is `_FIRST_TOKEN`'s match between the line's start and the end
-    `bytes.find` gives, and `_parse_value` slices the lines it reads.
+    The file is read once, and its bytes, its header and every line's index
+    are checked here, before any value is parsed: a fault in the layout is
+    reported ahead of one in a value, wherever the two stand in the file.
+    The lines are walked in place, in `_entry_indices` order, so a header
+    whose max runs past the file's lines is refused at the first line that
+    is missing.
     """
     if not path.exists():
-        raise CacheMissingError(f"no cache file at {path}")
+        raise CachePathError(f"no cache file at {path}")
     if not path.is_file():
         raise CachePathError(f"cache path {path} is not a regular file")
     try:
@@ -398,47 +317,48 @@ def _read_cache(path: Path) -> tuple[int, dict[int, re.Match]]:
             data.decode("ascii")
         except UnicodeDecodeError as exc:
             raise CacheFormatError(f"cache file at {path} is not ASCII: {exc}") from exc
-    if any(byte in data for byte in _STR_LINE_BREAKS):
-        data = data.translate(_LINE_BREAKS)
-    lines: list[re.Match] = []  # the nonblank lines
-    find, match, start, size = data.find, _FIRST_TOKEN.match, 0, len(data)
-    while start < size:
-        end = find(b"\n", start)
+    header = _HEADER_LINE.match(data)
+    if header is None:
+        first_line = data.partition(b"\n")[0].decode()
+        raise CacheFormatError(f"bad cache header: {first_line!r}")
+    max_text = header[1].decode()
+    # A file has fewer entry lines than bytes, so a max with more digits than
+    # the file's length has runs past its lines, and is not worth parsing:
+    # the walk, taken as far as the length instead, stops at the same line.
+    fits = len(max_text) <= len(str(len(data)))
+    max_index = decimal_to_int(max_text) if fits else len(data)
+    spans: dict[int, tuple[int, int]] = {}
+    start = header.end()
+    for n in _entry_indices(max_index):
+        end = data.find(b"\n", start)
         if end < 0:
-            end = size
-        if token := match(data, start, end):
-            lines.append(token)
+            raise CacheFormatError(f"cache through B_{max_text} has no whole line for B_{n}")
+        index = b"%d " % n
+        if not data.startswith(index, start, end):
+            found = data[start:end].partition(b" ")[0].decode()
+            raise CacheFormatError(f"expected the line for B_{n}, found one starting {found!r}")
+        spans[n] = start + len(index), end
         start = end + 1
-    if not lines:
-        raise CacheFormatError(f"empty cache file at {path}")
-    max_index = _parse_header(_line(lines[0]))
-    # A valid file through B_max has at least max / 2 entry lines (only odd
-    # zeros above index 1 are left out): a larger max is refused before a
-    # list that long is allocated.
-    if max_index > 2 * (len(lines) - 1):
-        raise CacheFormatError(
-            f"header declares max={max_index} but the file has only "
-            f"{len(lines) - 1} entry lines"
-        )
-    # An index in range has at most the max's digits; a longer one is refused
-    # unread, as int() would refuse one past 4300 digits.
-    max_digits = len(str(max_index))
-    entries: dict[int, re.Match] = {}
-    for line in lines[1:]:
-        token = line[1]
-        if token is None:
-            raise CacheFormatError(f"malformed cache line: {_line(line)!r}")
-        if len(token) > max_digits:
-            raise CacheFormatError(
-                f"index of {len(token)} digits outside table range 0..{max_index}"
-            )
-        n = int(token)
-        if n > max_index:
-            raise CacheFormatError(f"index {n} outside table range 0..{max_index}")
-        if n in entries:
-            raise CacheFormatError(f"duplicate entry for index {n}")
-        entries[n] = line
-    return max_index, entries
+    if start < len(data):
+        raise CacheFormatError(f"cache through B_{max_text} has bytes after its last line")
+    return max_index, data, spans
+
+
+def _parse_value(n: int, data: bytes, spans: dict[int, tuple[int, int]]) -> Fraction:
+    # The odd entries past B_1 have no line: each reads as 0.
+    if n not in spans:
+        return Fraction(0)
+    start, end = spans[n]
+    text = data[start:end].decode()
+    # The value is `<numerator>/<denominator>`, each by the strict decimal rule.
+    num_text, _, den_text = text.partition("/")
+    try:
+        numerator, denominator = decimal_to_int(num_text), decimal_to_int(den_text)
+    except ValueError as exc:
+        raise CacheFormatError(f"malformed value of B_{n} in cache: {text!r}") from exc
+    if denominator < 1:
+        raise CacheFormatError(f"nonpositive denominator of B_{n} in cache: {text!r}")
+    return Fraction(numerator, denominator)
 
 
 def load_table(location: str | os.PathLike, through: int | None = None) -> BernoulliTable:
@@ -450,9 +370,8 @@ def load_table(location: str | os.PathLike, through: int | None = None) -> Berno
     integrality check, in its congruence form N + D/p = 0 mod p for each
     prime p of the denominator D, pins every numerator N modulo those
     primes).  A path naming anything but a regular file, or a file the
-    operating system fails to read, is a CachePathError;
-    a file that is not ASCII, or whose header declares more than twice as
-    many entries as it has lines, is a CacheFormatError.
+    operating system fails to read, is a CachePathError; a file in any
+    layout but the one `persist_table` writes is a CacheFormatError.
 
     With `through` below the header's max, the result is the table of
     B_0..B_through: every line's index is still read and checked, but only
@@ -462,10 +381,10 @@ def load_table(location: str | os.PathLike, through: int | None = None) -> Berno
     """
     if through is not None and through < 0:
         raise ValueError(f"through must be nonnegative, got {through}")
-    max_index, entries = _read_cache(Path(location))
+    max_index, data, spans = _read_cache(Path(location))
     last = max_index if through is None else min(through, max_index)
     return BernoulliTable(
-        max_index=last, values=tuple(_parse_value(entries.get(n)) for n in range(last + 1))
+        max_index=last, values=tuple(_parse_value(n, data, spans) for n in range(last + 1))
     )
 
 
@@ -473,7 +392,7 @@ def obtain_bernoulli(n: int, cache: str | os.PathLike | None) -> Fraction:
     """B_n, read from `cache` alone when it holds a table through B_n.
 
     That file is read and checked as `load_table` checks it (its bytes, its
-    header, its line count and every line's index), but only the value of
+    header and every line's index), but only the value of
     B_n is parsed, and validated by the checks a table applies to that
     entry: corruption in other entries is left to the requests that read
     them.  Otherwise the value is `obtain_table(n, cache).values[n]`: the
@@ -482,9 +401,9 @@ def obtain_bernoulli(n: int, cache: str | os.PathLike | None) -> Fraction:
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     if cache is not None and Path(cache).exists():
-        max_index, entries = _read_cache(Path(cache))
+        max_index, data, spans = _read_cache(Path(cache))
         if n <= max_index:
-            value = _parse_value(entries.get(n))
+            value = _parse_value(n, data, spans)
             _check_entry(n, value, von_staudt_clausen_primes(n // 2) if n >= 2 else ())
             return value
     return obtain_table(n, cache).values[n]

@@ -28,8 +28,8 @@ from . import recheck
 from .bernoulli import (
     BernoulliTable,
     CacheError,
-    CachePathError,
     CapacityError,
+    TableInvariantError,
     obtain_table,
     _von_staudt_clausen_prime_lists,
 )
@@ -163,13 +163,20 @@ Check = Callable[[dict], Outcome]
 
 # (id, paper_ref, check) for each check after the table's source, in the suite's order.
 _CHECKS: list[tuple[str, str, Check]] = []
+# The ids of the checks that read no table: they run when none can be had.
+_TABLE_FREE: set[str] = set()
 
 
-def _check(check_id: str, paper_ref: str) -> Callable[[Check], Check]:
-    """Register the decorated check under `check_id`, after those defined above it."""
+def _check(check_id: str, paper_ref: str, reads_table: bool = True) -> Callable[[Check], Check]:
+    """Register the decorated check under `check_id`, after those defined above it.
+
+    A check that does not read `ctx["table"]` says so, and joins `_TABLE_FREE`.
+    """
 
     def register(fn: Check) -> Check:
         _CHECKS.append((check_id, paper_ref, fn))
+        if not reads_table:
+            _TABLE_FREE.add(check_id)
         return fn
 
     return register
@@ -307,7 +314,7 @@ def _check_monotone(ctx: dict) -> Outcome:
     return "pass", "e(m,1) strictly decreasing for m = 9..100"
 
 
-@_check("single-term-threshold", "(2pi)^2k/(2(2k-1)!) < 1 exactly for k >= 9")
+@_check("single-term-threshold", "(2pi)^2k/(2(2k-1)!) < 1 exactly for k >= 9", reads_table=False)
 def _check_single_terms(ctx: dict) -> Outcome:
     for k in range(1, 9):
         if not single_term_interval(k).lo > 1:
@@ -318,7 +325,7 @@ def _check_single_terms(ctx: dict) -> Outcome:
     return "pass", "term > 1 for k = 1..8 and term < 1 for k = 9..100, certified"
 
 
-@_check("threshold-n1", "bound sequence for n = 1 crosses below 1 at m = 14")
+@_check("threshold-n1", "bound sequence for n = 1 crosses below 1 at m = 14", reads_table=False)
 def _check_threshold_n1(ctx: dict) -> Outcome:
     result = threshold_for_n(1, m_cap=30)
     if result.m_found != 14:
@@ -339,7 +346,7 @@ def _check_bound_dominates(ctx: dict) -> Outcome:
     return "pass", "exact e(m,n) <= certified U(m,n) for m = 1..50, n = 1..5"
 
 
-@_check("whole-claim", "e(m,n) non-integer for m >= 6 and n <= 677")
+@_check("whole-claim", "e(m,n) non-integer for m >= 6 and n <= 677", reads_table=False)
 def _check_whole_claim(ctx: dict) -> Outcome:
     cert = recheck.certificate(MAX_WITNESSED_N)
     failure = recheck.check(cert)
@@ -368,7 +375,11 @@ def _check_claim_sharp(ctx: dict) -> Outcome:
     return "pass", "e(7,678) and e(6,680) are integers; e(7,677) and e(6,679) have v_691 < 0"
 
 
-@_check("closing-bound-forms", "two readings of the closing bound display for the wide window")
+@_check(
+    "closing-bound-forms",
+    "two readings of the closing bound display for the wide window",
+    reads_table=False,
+)
 def _check_closing_bound_forms(ctx: dict) -> Outcome:
     threshold = wide_range_constant_form_threshold(m_cap=45)
     forms = wide_range_bound_forms(37)
@@ -388,7 +399,7 @@ def _check_closing_bound_forms(ctx: dict) -> Outcome:
     )
 
 
-@_check("pi-enclosure", "certified pi enclosure (infrastructure)")
+@_check("pi-enclosure", "certified pi enclosure (infrastructure)", reads_table=False)
 def _check_pi_enclosure(ctx: dict) -> Outcome:
     enclosure = pi_interval(128)
     if enclosure.width > Fraction(1, 1 << 120):
@@ -415,7 +426,8 @@ def run_verification_suite(
 
     `standard` is the one mode.  A failing or erroring check (including
     resource exhaustion in the table build) is recorded and the remaining
-    checks still run.
+    checks still run.  With no table, the checks that read one are
+    inconclusive and the rest run as always.
     """
     if mode != "standard":
         raise ValueError(f"mode must be 'standard', got {mode!r}")
@@ -432,17 +444,17 @@ def run_verification_suite(
     try:
         ctx["table"] = table = obtain_table(STANDARD_TABLE_INDEX, cache_path)
         outcome = "pass", f"table through B_{table.max_index}"
-    except CachePathError as exc:
-        outcome = "fail", f"cache error: {exc}"
-    except CacheError as exc:
+    except TableInvariantError as exc:
         outcome = "fail", f"table validation failed: {exc}"
+    except CacheError as exc:
+        outcome = "fail", f"cache error: {exc}"
     except (CapacityError, MemoryError) as exc:
         outcome = "fail", f"table build failed: {exc}"
     record("table-source", "Bernoulli table acquisition (infrastructure)", started, outcome)
 
     for check_id, paper_ref, fn in _CHECKS:
         started = time.perf_counter()
-        if "table" not in ctx:
+        if check_id not in _TABLE_FREE and "table" not in ctx:
             outcome = "inconclusive", "no valid Bernoulli table"
         else:
             try:

@@ -10,9 +10,7 @@ from torelli_euler import bernoulli
 from torelli_euler.bernoulli import (
     BernoulliTable,
     CacheFormatError,
-    CacheMissingError,
     CachePathError,
-    CacheVersionError,
     CapacityError,
     TableInvariantError,
     bernoulli_table,
@@ -277,20 +275,26 @@ def test_written_header_is_the_v1_seidel_header(tmp_path):
     assert header == "BERN v1 convention=minus-half algorithm=seidel max=12"
 
 
-def test_load_accepts_the_akiyama_tanigawa_tag_of_v1(tmp_path):
-    # A v1 file may carry either tag the format has had; both load alike.
+def test_load_refuses_the_akiyama_tanigawa_tag(tmp_path):
+    # No writer has produced the second tag the v1 format once had: the
+    # reader takes the one header the writer writes, and leaves the file be.
     path = tmp_path / "bern.cache"
     persist_table(bernoulli_table(12), path)
     path.write_text(
         path.read_text().replace("algorithm=seidel", "algorithm=akiyama-tanigawa")
     )
-    assert load_table(path) == bernoulli_table(12)
-    assert obtain_table(12, path) == bernoulli_table(12)
+    tagged = path.read_bytes()
+    with pytest.raises(CacheFormatError, match="^bad cache header: "):
+        load_table(path)
+    with pytest.raises(CacheFormatError, match="^bad cache header: "):
+        obtain_table(12, path)
+    assert path.read_bytes() == tagged
 
 
 def test_load_missing_file(tmp_path):
-    with pytest.raises(CacheMissingError):
-        load_table(tmp_path / "absent.cache")
+    path = tmp_path / "absent.cache"
+    with pytest.raises(CachePathError, match=f"^no cache file at {re.escape(str(path))}$"):
+        load_table(path)
 
 
 def test_load_directory_is_a_cache_path_error(tmp_path):
@@ -311,12 +315,12 @@ def test_load_version_mismatch(tmp_path):
     persist_table(table, path)
     text = path.read_text().replace("BERN v1", "BERN v2")
     path.write_text(text)
-    with pytest.raises(CacheVersionError):
+    with pytest.raises(CacheFormatError, match="^bad cache header: 'BERN v2 "):
         load_table(path)
 
 
 def test_load_rejects_unknown_algorithm_tag(tmp_path):
-    # Only the two build algorithms are valid tags; "cache" names none.
+    # Only the tag the writer writes is read; "cache" names no algorithm.
     path = tmp_path / "bern.cache"
     persist_table(bernoulli_table(10), path)
     path.write_text(path.read_text().replace("algorithm=seidel", "algorithm=cache"))
@@ -349,10 +353,11 @@ def test_load_corrupted_entry_fails_invariants(tmp_path, mutation):
     ],
 )
 def test_load_malformed_lines(tmp_path, line):
+    # Each line stands in place of the entry line of B_12.
     table = bernoulli_table(20)
     path = tmp_path / "bern.cache"
     persist_table(table, path)
-    path.write_text(path.read_text() + line + "\n")
+    path.write_text(path.read_text().replace("\n12 -691/2730\n", f"\n{line}\n"))
     # As in a fresh interpreter, where int() refuses a text past 4300 digits.
     original = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
@@ -431,27 +436,51 @@ def test_load_non_ascii_file_is_a_format_error(tmp_path):
 
 
 def test_load_refuses_a_max_past_twice_the_entry_lines(tmp_path):
-    # A table through B_20 has 12 entry lines.  A header claiming far more is
-    # refused before anything that size is allocated; a shortfall within
-    # twice the line count reaches the invariant checks as before.
+    # A table through B_20 has 12 entry lines, B_21 being zero and lineless.
+    # A header claiming more is refused at the first line missing, B_22,
+    # before anything the size of its max is allocated, and a max of more
+    # digits than the file has bytes is refused there unparsed.
     path = tmp_path / "bern.cache"
     persist_table(bernoulli_table(20), path)
     text = path.read_text()
-    for declared in (25, 99999999999):
+    for declared in (22, 24, 25, 99999999999, "9" * 100_000):
         path.write_text(text.replace("max=20", f"max={declared}"))
-        with pytest.raises(CacheFormatError, match=f"declares max={declared} .* 12 entry lines"):
+        message = f"^cache through B_{declared} has no whole line for B_22$"
+        with pytest.raises(CacheFormatError, match=message):
             load_table(path)
-    path.write_text(text.replace("max=20", "max=24"))
-    with pytest.raises(TableInvariantError, match="denominator of B_22"):
-        load_table(path)
+    path.write_text(text.replace("max=20", "max=21"))
+    assert load_table(path) == bernoulli_table(21)
+
+
+@pytest.mark.parametrize("declared", ["+20", "2_0", "020"])
+def test_the_header_max_is_read_by_the_strict_decimal_rule(tmp_path, declared):
+    # Each once read as max 20, by a bare int().
+    path = tmp_path / "bern.cache"
+    persist_table(bernoulli_table(20), path)
+    path.write_text(path.read_text().replace("max=20", f"max={declared}"))
+    message = f"^bad cache header: '.* max={re.escape(declared)}'$"
+    for read in (
+        lambda: load_table(path),
+        lambda: load_table(path, through=10),
+        lambda: obtain_bernoulli(12, path),
+    ):
+        with pytest.raises(CacheFormatError, match=message):
+            read()
 
 
 def test_every_small_valid_table_passes_the_line_count_check(tmp_path):
+    # Every table the writer writes reads back through every reader.
     path = tmp_path / "bern.cache"
     for max_index in range(41):
         table = bernoulli_table(max_index)
         persist_table(table, path)
+        written = path.read_bytes()
         assert load_table(path) == table
+        for n in range(max_index + 1):
+            assert load_table(path, through=n) == bernoulli_table(n), (max_index, n)
+            assert obtain_table(n, path) == bernoulli_table(n), (max_index, n)
+            assert obtain_bernoulli(n, path) == table.values[n], (max_index, n)
+        assert path.read_bytes() == written
 
 
 # --- prefix loads ---------------------------------------------------------------
@@ -484,36 +513,44 @@ def test_a_prefix_load_parses_only_the_entries_it_returns(table1200, tmp_path, m
 
     monkeypatch.setattr(bernoulli, "decimal_to_int", counting)
     assert obtain_table(12, path).values == table1200.values[:13]
+    # The header's max, then the value of each entry returned.
     prefix = [table1200.values[n] for n in (0, 1, 2, 4, 6, 8, 10, 12)]
-    assert parsed == [str(part) for b in prefix for part in (b.numerator, b.denominator)]
+    assert parsed == ["1200"] + [str(part) for b in prefix for part in (b.numerator, b.denominator)]
 
 
 def test_a_single_entry_read_checks_the_entry_as_a_table_does(tmp_path):
-    # An entry that no persisted table has: a nonzero odd entry, and a
-    # missing even one (read as 0, as a table load reads it).
+    # A value no table has fails the per-entry checks in a single read as in
+    # a table load, with the same text; a written odd entry or a missing
+    # even one is no value but a fault in the layout, for every read.
     path = _persisted(bernoulli_table(40), tmp_path / "bern.cache")
     written = path.read_text()
-    for text, n, message in (
-        (written + "13 1/2\n", 13, "B_13 must be 0, found 1/2"),
-        (re.sub(r"\n20 [^\n]*", "", written), 20,
-         "denominator of B_20 violates the von Staudt-Clausen law: found 1, expected 330"),
+    path.write_text(written.replace("\n20 -174611/330\n", "\n20 -174607/330\n"))
+    message = "B_20 + sum(1/p) is not an integer; numerator corrupt"
+    with pytest.raises(TableInvariantError) as info:
+        load_table(path)
+    assert str(info.value) == message
+    with pytest.raises(TableInvariantError) as info:
+        obtain_bernoulli(20, path)
+    assert str(info.value) == message
+    assert obtain_bernoulli(12, path) == Fraction(-691, 2730)
+    for text, n, found in (
+        (written.replace("\n14 ", "\n13 1/2\n14 "), 14, "13"),
+        (re.sub(r"\n20 [^\n]*", "", written), 20, "22"),
     ):
+        message = f"expected the line for B_{n}, found one starting {found!r}"
         path.write_text(text)
-        with pytest.raises(TableInvariantError) as info:
-            load_table(path)
-        assert str(info.value) == message
-        with pytest.raises(TableInvariantError) as info:
-            obtain_bernoulli(n, path)
-        assert str(info.value) == message
-        assert obtain_bernoulli(12, path) == Fraction(-691, 2730)
+        for read in (lambda: load_table(path), lambda: obtain_bernoulli(12, path)):
+            with pytest.raises(CacheFormatError) as info:
+                read()
+            assert str(info.value) == message
     with pytest.raises(ValueError):
         obtain_bernoulli(-1, path)
 
 
 def test_an_index_fault_is_reported_ahead_of_a_value_fault(tmp_path):
     # Every line's index is checked before any value is parsed: a malformed
-    # B_4 and a duplicate index on the last line report the duplicate, as
-    # does a read that needs only the malformed entry.
+    # B_4 and a duplicate index after the last line report the extra line,
+    # as does a read that needs only the malformed entry.
     path = _persisted(bernoulli_table(40), tmp_path / "bern.cache")
     path.write_text(path.read_text().replace("\n4 -1/30\n", "\n4 -1/thirty\n") + "2 1/6\n")
     reads = (
@@ -523,40 +560,53 @@ def test_an_index_fault_is_reported_ahead_of_a_value_fault(tmp_path):
         lambda: obtain_bernoulli(4, path),
     )
     for read in reads:
-        with pytest.raises(CacheFormatError, match="^duplicate entry for index 2$"):
+        with pytest.raises(CacheFormatError) as info:
             read()
+        assert str(info.value) == "cache through B_40 has bytes after its last line"
 
 
-def test_an_entry_left_out_reads_as_zero(tmp_path):
-    # B_20 left out reads as 0, which the von Staudt-Clausen law refuses in
-    # every read that reaches it; the odd entries, all left out, read as 0.
-    table = bernoulli_table(40)
-    path = _persisted(table, tmp_path / "bern.cache")
+def test_an_entry_left_out_is_a_format_error(tmp_path):
+    # With B_20 left out, the line at its place is B_22's: every read is
+    # refused, those of entries below B_20 and of odd entries too.
+    path = _persisted(bernoulli_table(40), tmp_path / "bern.cache")
     path.write_text(re.sub(r"\n20 [^\n]*", "", path.read_text()))
-    message = "denominator of B_20 violates the von Staudt-Clausen law: found 1, expected 330"
+    message = "expected the line for B_20, found one starting '22'"
     for read in (
         lambda: obtain_bernoulli(20, path),
+        lambda: obtain_bernoulli(3, path),
         lambda: load_table(path),
-        lambda: load_table(path, through=20),
-        lambda: obtain_table(31, path),
+        lambda: load_table(path, through=19),
+        lambda: obtain_table(18, path),
     ):
-        with pytest.raises(TableInvariantError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(CacheFormatError, match=f"^{re.escape(message)}$"):
             read()
-    assert load_table(path, through=19) == bernoulli_table(19)
-    assert obtain_table(18, path) == bernoulli_table(18)
-    assert [obtain_bernoulli(n, path) for n in range(3, 41, 2)] == [0] * 19
-    assert obtain_bernoulli(22, path) == table.values[22]
+
+
+def _refused_by_every_read(path, max_index):
+    written = path.read_bytes()
+    for read in (
+        lambda: load_table(path),
+        lambda: load_table(path, through=2),
+        lambda: obtain_table(2, path),
+        lambda: obtain_table(max_index + 10, path),
+        lambda: obtain_bernoulli(2, path),
+        lambda: obtain_bernoulli(max_index + 10, path),
+    ):
+        with pytest.raises(CacheFormatError) as info:
+            read()
+        assert type(info.value) is CacheFormatError
+    # A refused cache is never rebuilt over.
+    assert path.read_bytes() == written
 
 
 # --- the byte reader ------------------------------------------------------------
 
 
-def test_line_ends_and_blank_lines_read_as_in_a_text_read(tmp_path):
-    # persist_table ends lines with \n only.  Other line ends, blank lines,
-    # and the line breaks (\v, \f, \x1c-\x1e) and whitespace (\x1f) that
-    # str knows beyond bytes split and tokenise as text would.
-    table = bernoulli_table(40)
-    path = _persisted(table, tmp_path / "bern.cache")
+def test_other_line_ends_and_blank_lines_are_refused(tmp_path):
+    # persist_table ends lines with \n only, and writes no blank line; the
+    # line breaks str knows beyond bytes (\v, \f, \x1c-\x1e) and its extra
+    # whitespace (\x1f) are no more read than \r.
+    path = _persisted(bernoulli_table(40), tmp_path / "bern.cache")
     written = path.read_bytes()
     for edited in (
         written.replace(b"\n", b"\r\n"),
@@ -566,9 +616,25 @@ def test_line_ends_and_blank_lines_read_as_in_a_text_read(tmp_path):
         written.replace(b"\n", b"\x1c \x1d\x1e\x1f"),
     ):
         path.write_bytes(edited)
-        assert load_table(path) == table, edited[:80]
-        assert load_table(path, through=12) == bernoulli_table(12), edited[:80]
-        assert [obtain_bernoulli(n, path) for n in range(41)] == list(table.values), edited[:80]
+        _refused_by_every_read(path, 40)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace("\n4 -1/30\n6 1/42\n", "\n6 1/42\n4 -1/30\n"),
+        lambda text: text.replace("\n14 ", "\n13 0/1\n14 "),
+        lambda text: text[:-1],
+        lambda text: text + "garbage",
+    ],
+    ids=["out-of-order", "explicit-odd-zero", "no-final-newline", "bytes-after-the-last-entry"],
+)
+def test_only_the_written_layout_is_read(tmp_path, edit):
+    path = _persisted(bernoulli_table(40), tmp_path / "bern.cache")
+    text = path.read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    _refused_by_every_read(path, 40)
 
 
 def test_non_ascii_past_the_prefix_is_reported_as_a_text_read_would(tmp_path):
@@ -640,7 +706,7 @@ def test_prefix_loads_of_a_b1200_cache_equal_fresh_tables(table1200, cache1200):
 
 @pytest.mark.parametrize("fault", ["duplicate-index", "malformed-index", "non-ascii-byte"])
 def test_a_fault_on_the_last_line_fails_every_read(cache1200, tmp_path, fault):
-    # The reader matches each line in place and parses only the entries a
+    # The reader walks each line in place and parses only the entries a
     # read needs, yet a fault on the last line of a B_1200 cache, far past
     # B_10 and B_2, still fails both reads with the class and text a read of
     # every line gives.
@@ -650,10 +716,10 @@ def test_a_fault_on_the_last_line_fails_every_read(cache1200, tmp_path, fault):
     path = tmp_path / "bern.cache"
     if fault == "duplicate-index":
         path.write_bytes(written + last + b"\n")
-        message = "duplicate entry for index 1200"
+        message = "cache through B_1200 has bytes after its last line"
     elif fault == "malformed-index":
         path.write_bytes(written[: -len(last) - 1] + b"0" + last + b"\n")
-        message = f"malformed cache line: {'0' + last.decode()!r}"
+        message = "expected the line for B_1200, found one starting '01200'"
     else:
         path.write_bytes(written + b"\xe9")
         with pytest.raises(UnicodeDecodeError) as decoding:

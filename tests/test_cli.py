@@ -361,7 +361,7 @@ def test_zeta_parses_only_the_entry_it_prints(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(bernoulli, "decimal_to_int", counting)
     code, out, err = run(capsys, "zeta", "--k", "40", "--cache", str(cache))
     b = table.values[80]
-    assert parsed == [str(b.numerator), str(b.denominator)]
+    assert parsed == ["1200", str(b.numerator), str(b.denominator)]  # the header's max first
     assert (code, out, err) == (0, *run(capsys, "zeta", "--k", "40")[1:])
 
 
@@ -471,7 +471,7 @@ def _non_ascii_cache(path):
 def _huge_max_cache(path):
     persist_table(bernoulli_table(20), path)
     path.write_text(path.read_text().replace("max=20", "max=99999999999"))
-    return "declares max=99999999999"
+    return "cache through B_99999999999 has no whole line for B_22"
 
 
 @pytest.mark.parametrize("corrupt", [_non_ascii_cache, _huge_max_cache])
@@ -494,6 +494,18 @@ def test_verify_paper_fails_on_tampered_cache(capsys, tmp_path):
     assert code == 1
     assert "table-source" in out and "von Staudt" in out
     assert "0 fail" not in out.splitlines()[-1]
+
+
+def test_verify_paper_runs_the_table_free_checks_past_a_garbage_cache(capsys, tmp_path):
+    cache = tmp_path / "bad.cache"
+    cache.write_text("garbage\n")
+    code, out, _ = run(capsys, "verify-paper", "--cache", str(cache))
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0] == "[    FAIL    ] table-source: cache error: bad cache header: 'garbage'"
+    assert any(line.startswith("[    PASS    ] whole-claim: ") for line in lines)
+    assert lines[-1] == "summary: 5 pass, 1 fail, 12 inconclusive (mode=standard)"
+    assert cache.read_text() == "garbage\n"
 
 
 def test_usage_error_exit_code():

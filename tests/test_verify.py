@@ -35,11 +35,22 @@ _CHECK_IDS = (
     "closing-bound-forms",
     "pi-enclosure",
 )
+# The checks that read no table, and so run when none can be had.
+_TABLE_FREE = (
+    "single-term-threshold", "threshold-n1", "whole-claim", "closing-bound-forms", "pi-enclosure",
+)
+
+
+def _assert_only_table_free_checks_ran(rest):
+    assert set(_TABLE_FREE) == verify._TABLE_FREE
+    assert [check.id for check in rest if check.status == "pass"] == list(_TABLE_FREE)
+    assert all(check.status == "inconclusive" for check in rest if check.id not in _TABLE_FREE)
 
 
 def test_table_capacity_failure_is_recorded(monkeypatch):
     # A table build that runs out of resources surfaces as CapacityError;
-    # the suite records it and marks every table-dependent check.
+    # the suite records it, marks every table-dependent check inconclusive
+    # and runs the rest.
     def exhausted(required, cache):
         raise CapacityError(f"table build for max_index={required} exhausted memory")
 
@@ -50,7 +61,7 @@ def test_table_capacity_failure_is_recorded(monkeypatch):
     assert "exhausted memory" in source.witness
     assert "build failed" in source.witness and "validation" not in source.witness
     assert tuple(check.id for check in report.checks) == _CHECK_IDS
-    assert all(check.status == "inconclusive" for check in rest)
+    _assert_only_table_free_checks_ran(rest)
     assert not report.passed
 
 
@@ -58,22 +69,37 @@ def test_table_capacity_failure_is_recorded(monkeypatch):
     "corrupt, diagnosis",
     [
         (lambda raw: raw + "12 -691/2730\u00e9\n".encode(), "not ASCII"),
-        (lambda raw: raw.replace(b"max=20", b"max=99999999999"), "declares max=99999999999"),
+        (
+            lambda raw: raw.replace(b"max=20", b"max=99999999999"),
+            "cache through B_99999999999 has no whole line for B_22",
+        ),
     ],
     ids=["non-ascii", "huge-max"],
 )
 def test_unreadable_cache_is_recorded_as_a_failed_table_source(tmp_path, corrupt, diagnosis):
     # The suite still reports every check: the table source as failed with
-    # the cache diagnosis, the 17 checks that need the table as inconclusive.
+    # the cache diagnosis, the 12 checks that need the table as inconclusive.
     cache = tmp_path / "bad.cache"
     persist_table(bernoulli_table(20), cache)
     cache.write_bytes(corrupt(cache.read_bytes()))
     report = verify.run_verification_suite("standard", cache_path=str(cache))
     source, *rest = report.checks
     assert source.id == "table-source" and source.status == "fail"
-    assert source.witness.startswith("table validation failed: ") and diagnosis in source.witness
+    assert source.witness.startswith("cache error: ") and diagnosis in source.witness
     assert len(rest) == 17
-    assert all(check.status == "inconclusive" for check in rest)
+    _assert_only_table_free_checks_ran(rest)
+
+
+def test_a_table_that_fails_validation_is_told_apart_from_a_cache_error(tmp_path):
+    cache = tmp_path / "bad.cache"
+    persist_table(bernoulli_table(20), cache)
+    cache.write_text(cache.read_text().replace("12 -691/2730", "12 -697/2730"))
+    source, *rest = verify.run_verification_suite("standard", cache_path=str(cache)).checks
+    assert source.status == "fail"
+    assert source.witness == (
+        "table validation failed: B_12 + sum(1/p) is not an integer; numerator corrupt"
+    )
+    _assert_only_table_free_checks_ran(rest)
 
 
 def test_an_unwritable_cache_is_recorded_as_a_cache_error(tmp_path):
@@ -84,7 +110,7 @@ def test_an_unwritable_cache_is_recorded_as_a_cache_error(tmp_path):
     assert source.witness == (
         f"cache error: cannot write cache file {cache}: No such file or directory"
     )
-    assert all(check.status == "inconclusive" for check in rest)
+    _assert_only_table_free_checks_ran(rest)
 
 
 def test_every_check_function_is_registered_once():
